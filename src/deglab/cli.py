@@ -6,6 +6,7 @@ is canonical: sorted keys, no insignificant whitespace, one trailing LF.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -195,7 +196,10 @@ def cmd_suite(args) -> int:
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built once per process: construction costs far more than a parse, and
+    # parse_args returns a fresh namespace on every call
     parser = argparse.ArgumentParser(
         prog="deglab",
         description="Validate, shift, and compare finite degenerate categorical structures.",

@@ -105,6 +105,20 @@ class DDFunctor:
             if not (0 <= v < self.target.monoid.size):
                 raise StructuralError(f"{name} index {v} out of range")
 
+    @classmethod
+    def _trusted(cls, source, target, hom_map, m, m0) -> "DDFunctor":
+        """Build without the endpoint and range checks, for results of
+        internal algebra whose endpoints and indices hold by construction;
+        untrusted data goes through the constructor."""
+        f = object.__new__(cls)
+        d = f.__dict__
+        d["source"] = source
+        d["target"] = target
+        d["hom_map"] = hom_map
+        d["m"] = m
+        d["m0"] = m0
+        return f
+
 
 @dataclass(frozen=True)
 class DDTransformation:
@@ -279,8 +293,21 @@ def build_ddbicat(s: CMonDIE) -> DDBicat:
     )
 
 
+# instance attribute holding the memoized result of `extract_cmon_die`
+_EXTRACTED = "_extracted_cmon_die"
+
+
 def extract_cmon_die(b: DDBicat) -> CMonDIE:
-    """Read off the commutative monoid and its distinguished element."""
+    """Read off the commutative monoid and its distinguished element.
+
+    The result is memoized on the frozen instance (outside its dataclass
+    fields, so equality, hashing and serialization ignore it): each
+    instance is checked once.  Failures are not memoized, and a copy made
+    by `dataclasses.replace` is a new instance that is checked afresh.
+    """
+    s = b.__dict__.get(_EXTRACTED)
+    if s is not None:
+        return s
     rep = check_ddbicat(b)
     if not rep.ok:
         raise InvalidStructureError("input fails the bicategory axioms")
@@ -291,6 +318,7 @@ def extract_cmon_die(b: DDBicat) -> CMonDIE:
     srep = check_cmon_die(s)
     if not srep.ok:
         raise RefutationAlarm("extracted data fails its own axioms")
+    object.__setattr__(b, _EXTRACTED, s)
     return s
 
 
@@ -321,13 +349,15 @@ def make_dd_functor(source: CMonDIE, target: CMonDIE, hom_map: MonoidHom, m: int
     The unit-constraint element is determined: m0 = d_target . m^-1 . F(d_source)^-1,
     where the inverse of F(d) is the image of the stored inverse witness.
     """
+    return DDFunctor(source, target, hom_map, m, _derived_m0(source, target, hom_map, m))
+
+
+def _derived_m0(source: CMonDIE, target: CMonDIE, hom_map: MonoidHom, m: int) -> int:
     m_inv = invert(target.monoid, m)
     if m_inv is None:
         raise InvalidStructureError(f"chosen element {m} is not invertible in the target")
     mul = target.monoid.mul
-    fd_inv = hom_map.map[source.die_inv]
-    m0 = mul[mul[target.die][m_inv]][fd_inv]
-    return DDFunctor(source, target, hom_map, m, m0)
+    return mul[mul[target.die][m_inv]][hom_map.map[source.die_inv]]
 
 
 def check_dd_functor(f: DDFunctor) -> ValidationReport:
@@ -391,12 +421,17 @@ def analyze_weak_functor(b1: DDBicat, b2: DDBicat, mapping, m2: int, m0: int):
 
 
 def compose_dd_functors(g: DDFunctor, f: DDFunctor) -> DDFunctor:
-    """Composite (G, m_G) . (F, m_F) = (GF, G(m_F).m_G); associative and unital."""
-    if f.target != g.source:
+    """Composite (G, m_G) . (F, m_F) = (GF, G(m_F).m_G); associative and unital.
+
+    m0 is derived as in `make_dd_functor`; the composite is built trusted,
+    since its endpoints and indices come from two constructed functors.
+    """
+    if f.target is not g.source and f.target != g.source:
         raise StructuralError("functor composition endpoint mismatch")
     hom = compose_homs(g.hom_map, f.hom_map)
     m = g.target.monoid.mul[g.hom_map.map[f.m]][g.m]
-    return make_dd_functor(f.source, g.target, hom, m)
+    m0 = _derived_m0(f.source, g.target, hom, m)
+    return DDFunctor._trusted(f.source, g.target, hom, m, m0)
 
 
 def identity_dd_functor(s: CMonDIE) -> DDFunctor:

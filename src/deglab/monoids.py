@@ -62,12 +62,6 @@ class FiniteMonoid:
         rows = _as_table(rows)
         return cls(len(rows), unit, rows)
 
-    def mult(self, x: int, y: int) -> int:
-        return self.mul[x][y]
-
-    def elements(self) -> range:
-        return range(self.size)
-
 
 @dataclass(frozen=True)
 class MonoidHom:
@@ -86,6 +80,20 @@ class MonoidHom:
         for x, v in enumerate(self.map):
             if not (0 <= v < self.target.size):
                 raise StructuralError(f"hom image of {x} = {v} out of range")
+
+    @classmethod
+    def _trusted(cls, source: FiniteMonoid, target: FiniteMonoid, map: tuple) -> "MonoidHom":
+        """Build without the shape checks, for results of internal algebra.
+
+        The caller guarantees that `map` is a tuple of `source.size` ints in
+        range for `target`; untrusted data goes through the constructor.
+        """
+        h = object.__new__(cls)
+        d = h.__dict__
+        d["source"] = source
+        d["target"] = target
+        d["map"] = map
+        return h
 
     def __call__(self, x: int) -> int:
         return self.map[x]
@@ -197,13 +205,14 @@ def check_cmon_die(s: CMonDIE) -> ValidationReport:
 
 
 def identity_hom(m: FiniteMonoid) -> MonoidHom:
-    return MonoidHom(m, m, tuple(range(m.size)))
+    return MonoidHom._trusted(m, m, tuple(range(m.size)))
 
 
 def compose_homs(g: MonoidHom, f: MonoidHom) -> MonoidHom:
-    if f.target != g.source:
+    if f.target is not g.source and f.target != g.source:
         raise StructuralError("hom composition endpoint mismatch")
-    return MonoidHom(f.source, g.target, tuple(g.map[v] for v in f.map))
+    gmap = g.map
+    return MonoidHom._trusted(f.source, g.target, tuple([gmap[v] for v in f.map]))
 
 
 def make_cmon_die(m: FiniteMonoid, die: int) -> CMonDIE:
@@ -252,13 +261,6 @@ def _inv_order(perm):
     for i, p in enumerate(perm):
         inv[p] = i
     return inv
-
-
-def canonicalize(m: FiniteMonoid) -> FiniteMonoid:
-    flat = canonical_form(m.mul)
-    n = m.size
-    table = tuple(flat[i * n : (i + 1) * n] for i in range(n))
-    return FiniteMonoid(n, _find_unit(table), table)
 
 
 def _find_unit(table) -> int:
@@ -370,11 +372,11 @@ def enumerate_homs(source: FiniteMonoid, target: FiniteMonoid) -> list:
     n = source.size
     homs = []
     image = [None] * n
-    image[source.unit] = target.unit
+    image[source.unit] = int(target.unit)
 
     def extend(order_pos):
         if order_pos == n:
-            homs.append(MonoidHom(source, target, tuple(image)))
+            homs.append(MonoidHom._trusted(source, target, tuple(image)))
             return
         if image[order_pos] is not None:
             extend(order_pos + 1)

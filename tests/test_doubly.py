@@ -4,9 +4,10 @@ from dataclasses import replace
 
 import pytest
 
-from deglab import coherence
+from deglab import coherence, doubly, serialize
 from deglab.doubly import (
     DDBicat,
+    DDFunctor,
     DDModification,
     analyze_weak_functor,
     build_ddbicat,
@@ -37,6 +38,8 @@ from deglab.monoids import (
     MonoidHom,
     check_monoid,
     cmon_die_universe,
+    compose_homs,
+    enumerate_homs,
     enumerate_monoids,
     identity_hom,
     invert,
@@ -235,6 +238,144 @@ class TestWeakFunctors:
                     for h in dd_functors_between(u, v):
                         assert compose_dd_functors(h, compose_dd_functors(g, f)) == \
                             compose_dd_functors(compose_dd_functors(h, g), f)
+
+
+def _count_post_inits(monkeypatch):
+    calls = {MonoidHom: 0, DDFunctor: 0}
+    for cls in calls:
+
+        def counted(self, cls=cls, original=cls.__post_init__):
+            calls[cls] += 1
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return calls
+
+
+def _strict_composite(g, f):
+    # the composite rebuilt through the strict public constructors only
+    mul = g.target.monoid.mul
+    hom = MonoidHom(f.hom_map.source, g.hom_map.target, [g.hom_map.map[v] for v in f.hom_map.map])
+    return make_dd_functor(f.source, g.target, hom, mul[g.hom_map.map[f.m]][g.m])
+
+
+class TestTrustedConstruction:
+    def test_composites_agree_with_strict_path(self, monkeypatch):
+        dies = cmon_die_universe(2)
+        functors = {(i, k): dd_functors_between(s, t)
+                    for i, s in enumerate(dies) for k, t in enumerate(dies)}
+        pairs = [
+            (g, f)
+            for (i, k), fs in functors.items()
+            for (k2, _), gs in functors.items()
+            if k2 == k
+            for f in fs
+            for g in gs
+        ]
+        for s in cmon_die_universe(3):
+            ident = identity_dd_functor(s)
+            pairs.append((ident, ident))
+            for t in cmon_die_universe(3):
+                for f in dd_functors_between(s, t):
+                    pairs += [(identity_dd_functor(t), f), (f, ident)]
+        calls = _count_post_inits(monkeypatch)
+        composites = [compose_dd_functors(g, f) for g, f in pairs]
+        assert calls == {MonoidHom: 0, DDFunctor: 0}
+        for (g, f), c in zip(pairs, composites):
+            h = c.hom_map
+            rebuilt = DDFunctor(c.source, c.target, MonoidHom(h.source, h.target, h.map), c.m, c.m0)
+            assert rebuilt == c == _strict_composite(g, f)
+            assert all(type(v) is int for v in (*h.map, c.m, c.m0))
+            assert check_dd_functor(c).ok
+        assert calls[DDFunctor] == 2 * len(pairs)
+
+    def test_enumerated_and_identity_homs_agree_with_strict_path(self):
+        monoids = [s.monoid for s in cmon_die_universe(3)]
+        for m in monoids:
+            assert identity_hom(m) == MonoidHom(m, m, range(m.size))
+            for n in monoids:
+                for h in enumerate_homs(m, n):
+                    assert MonoidHom(m, n, h.map) == h
+                    assert all(type(v) is int for v in h.map)
+
+    def test_strict_constructors_still_reject(self):
+        s, t = z2_die(), make_cmon_die(zmod(3), 2)
+        with pytest.raises(StructuralError):
+            MonoidHom(s.monoid, t.monoid, (0, 3))
+        with pytest.raises(StructuralError):
+            MonoidHom(s.monoid, t.monoid, (0,))
+        with pytest.raises(StructuralError):
+            DDFunctor(s, t, identity_hom(s.monoid), 0, 0)
+        with pytest.raises(StructuralError):
+            DDFunctor(s, s, identity_hom(s.monoid), 2, 0)
+
+    def test_composition_still_rejects_mismatched_endpoints(self):
+        s, t = z2_die(), make_cmon_die(zmod(3), 2)
+        f = identity_dd_functor(s)
+        g = identity_dd_functor(t)
+        with pytest.raises(StructuralError):
+            compose_dd_functors(g, f)
+        with pytest.raises(StructuralError):
+            compose_homs(g.hom_map, f.hom_map)
+
+
+def _count_ddbicat_checks(monkeypatch):
+    calls = []
+    original = doubly.check_ddbicat
+
+    def counted(b):
+        calls.append(b)
+        return original(b)
+
+    monkeypatch.setattr(doubly, "check_ddbicat", counted)
+    return calls
+
+
+class TestExtractionMemo:
+    def test_second_extraction_reuses_the_first(self, monkeypatch):
+        b = build_ddbicat(make_cmon_die(zmod(3), 2))
+        calls = _count_ddbicat_checks(monkeypatch)
+        s = extract_cmon_die(b)
+        assert extract_cmon_die(b) is s
+        assert len(calls) == 1
+        extract_cmon_die(replace(b))
+        assert len(calls) == 2
+
+    def test_promotion_checks_each_instance_once(self, monkeypatch):
+        s = make_cmon_die(zmod(3), 2)
+        b1, b2 = build_ddbicat(s), build_ddbicat(s)
+        calls = _count_ddbicat_checks(monkeypatch)
+        for m2 in range(3):
+            m0 = s.monoid.mul[s.die][s.monoid.mul[s.die_inv][invert(s.monoid, m2)]]
+            promote_lax(b1, b2, (0, 1, 2), m2, m0)
+            analyze_weak_functor(b1, b2, (0, 1, 2), m2, m0)
+        assert calls == [b1, b2]
+
+    def test_invalid_instance_raises_on_every_call(self, monkeypatch):
+        b = replace(build_ddbicat(z2_die()), assoc=1)
+        calls = _count_ddbicat_checks(monkeypatch)
+        for _ in range(3):
+            with pytest.raises(InvalidStructureError):
+                extract_cmon_die(b)
+        assert len(calls) == 3
+
+    def test_tampered_copy_of_extracted_instance_rejected(self):
+        rng = random.Random(5)
+        targets = [s for s in cmon_die_universe(3) if s.monoid.size >= 2]
+        for _ in range(200):
+            b = build_ddbicat(rng.choice(targets))
+            extract_cmon_die(b)
+            tampered, _ = random_tamper(b, rng)
+            with pytest.raises(InvalidStructureError):
+                extract_cmon_die(tampered)
+
+    def test_memo_invisible_to_equality_hash_and_json(self):
+        s = make_cmon_die(zmod(3), 2)
+        fresh, used = build_ddbicat(s), build_ddbicat(s)
+        extract_cmon_die(used)
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+        dumps = serialize.canonical_dumps
+        assert dumps(serialize.to_payload(used)) == dumps(serialize.to_payload(fresh))
 
 
 class TestLaxPromotion:

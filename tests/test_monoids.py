@@ -168,6 +168,10 @@ class TestEnumeration:
         assert len(enumerate_monoids(2)) == 2
         assert len(enumerate_monoids(3)) == 7
         assert len(enumerate_monoids(3, commutative_only=True)) == 5
+        # independent oracle: OEIS A058129 (monoids) and A058131 (commutative)
+        assert len(enumerate_monoids(4)) == 35
+        assert len(enumerate_monoids(4, commutative_only=True)) == 19
+        assert len(enumerate_monoids(5, commutative_only=True)) == 78
 
     def test_size_two_contains_both_classes_once(self):
         tables = {m.mul for m in enumerate_monoids(2)}
