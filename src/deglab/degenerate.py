@@ -9,14 +9,16 @@ transformations with non-identity distinguished elements.
 
 from dataclasses import dataclass
 
-from .equivalence import FiniteJCategory, JFunctor, check_external_equivalence
+from .equivalence import JFunctor, check_external_equivalence, hom_indexed_category
 from .monoids import (
     FiniteMonoid,
     MonoidHom,
     canonical_form,
     check_monoid,
+    compose_homs,
     enumerate_homs,
     enumerate_monoids,
+    identity_hom,
 )
 from .report import (
     EquivalenceReport,
@@ -115,10 +117,6 @@ def nat_trans_between(f: MonoidHom, g: MonoidHom) -> list:
     return out
 
 
-def _monoid_key(m: FiniteMonoid):
-    return (m.size, m.unit, m.mul)
-
-
 def degenerate_sample(bound: int) -> list:
     """One degenerate category per monoid of size up to the bound."""
     sample = []
@@ -128,101 +126,64 @@ def degenerate_sample(bound: int) -> list:
     return sample
 
 
-def _one_dim_category(objects, hom_lists):
-    """Assemble a FiniteJCategory (j=1) from 0-cell labels and hom data.
+def forgetful_universe(sample: list):
+    """Both sides of the object-forgetting comparison over a sample: the
+    sampled categories, and every monoid enumerated at their sizes (plus any
+    sampled table the enumeration lacks), with hom-sets drawn from one shared
+    enumeration of homomorphisms.  Returns (right_monoids, left_homs,
+    right_homs, fun)."""
+    if not sample:
+        raise InvalidStructureError("sample must be nonempty")
+    left_monoids = [c.hom for c in sample]
+    sizes = sorted({m.size for m in left_monoids})
+    # equal tables are one monoid: the first one seen stands for its class
+    enumerated = [m for n in sizes for m in enumerate_monoids(n)]
+    right_monoids = list(dict.fromkeys(enumerated + left_monoids))
+    hom_cache: dict = {}
 
-    hom_lists[(i, k)] is the list of arrow payloads from object i to k; an
-    arrow payload must compose via the caller-supplied table embedded in it,
-    so here we specialize: payloads are MonoidHom values and composition is
-    map composition.
-    """
-    one_cells = []
-    index = {}
-    by_src = {}
-    for (i, k), homs in hom_lists.items():
-        for h in homs:
-            pos = len(one_cells)
-            index[(i, k, h.map)] = pos
-            one_cells.append((i, k, h))
-            by_src.setdefault(i, []).append(pos)
-    ident = []
-    for i, obj in enumerate(objects):
-        ident.append(index[(i, i, tuple(range(obj.size)))])
-    comp = {}
-    for fi, (i1, k1, f) in enumerate(one_cells):
-        fmap = f.map
-        for gi in by_src.get(k1, ()):
-            _, k2, g = one_cells[gi]
-            gmap = g.map
-            comp[(gi, fi)] = index[(i1, k2, tuple(gmap[v] for v in fmap))]
-    cat = FiniteJCategory(
-        j=1,
-        zero_cells=tuple(f"monoid#{i}(n={obj.size})" for i, obj in enumerate(objects)),
-        one_cells=tuple((s, t) for (s, t, _) in one_cells),
-        one_identity=tuple(ident),
-        one_comp=comp,
+    def category(monoids):
+        homs = {}
+        for i, m1 in enumerate(monoids):
+            for k, m2 in enumerate(monoids):
+                if (m1, m2) not in hom_cache:
+                    hom_cache[(m1, m2)] = enumerate_homs(m1, m2)
+                homs[(i, k)] = hom_cache[(m1, m2)]
+        cat, index, _ = hom_indexed_category(
+            tuple(f"monoid#{i}(n={m.size})" for i, m in enumerate(monoids)),
+            homs,
+            key=lambda h: h.map,
+            compose=compose_homs,
+            identity=lambda i: identity_hom(monoids[i]),
+        )
+        return cat, index, homs
+
+    left_cat, _, left_homs = category(left_monoids)
+    right_cat, right_index, right_homs = category(right_monoids)
+    right_pos = {m: i for i, m in enumerate(right_monoids)}
+    map0 = tuple(right_pos[m] for m in left_monoids)
+    map1 = tuple(
+        right_index[(map0[i], map0[k], h.map)] for (i, k), homs in left_homs.items() for h in homs
     )
-    return cat, index
+    return right_monoids, left_homs, right_homs, JFunctor(left_cat, right_cat, map0, map1)
 
 
 def check_forgetful_equivalence(sample: list) -> EquivalenceReport:
     """Verify the object-forgetting comparison is an equivalence over a sample.
 
-    Fullness and faithfulness are checked exhaustively per hom-set, and
-    surjectivity is checked against the enumerated monoids at each size
-    represented in the sample.  Surjectivity on the nose (bit-exact hits)
-    is reported separately from essential surjectivity.
+    Both sides take their hom-sets from the same enumeration (see
+    `forgetful_universe`), so fullness, faithfulness and the hom-set
+    bijection hold by construction.  Surjectivity is checked against the
+    enumerated monoids at each size represented in the sample, on the nose
+    (bit-exact hits) separately from essential surjectivity.
     """
-    if not sample:
-        raise InvalidStructureError("sample must be nonempty")
-    left_monoids = [c.hom for c in sample]
-    sizes = sorted({m.size for m in left_monoids})
-    right_monoids = []
-    seen = set()
-    for n in sizes:
-        for m in enumerate_monoids(n):
-            if _monoid_key(m) not in seen:
-                seen.add(_monoid_key(m))
-                right_monoids.append(m)
-    for m in left_monoids:
-        if _monoid_key(m) not in seen:
-            seen.add(_monoid_key(m))
-            right_monoids.append(m)
-
-    hom_cache: dict = {}
-
-    def homs_for(m1, m2):
-        key = (_monoid_key(m1), _monoid_key(m2))
-        if key not in hom_cache:
-            hom_cache[key] = enumerate_homs(m1, m2)
-        return hom_cache[key]
-
-    left_homs = {}
-    for i, c in enumerate(sample):
-        for k, d in enumerate(sample):
-            left_homs[(i, k)] = homs_for(c.hom, d.hom)
-    right_homs = {}
-    for i, m in enumerate(right_monoids):
-        for k, m2 in enumerate(right_monoids):
-            right_homs[(i, k)] = homs_for(m, m2)
-
-    left_cat, _ = _one_dim_category(left_monoids, left_homs)
-    right_cat, right_index = _one_dim_category(right_monoids, right_homs)
-
-    right_pos = {_monoid_key(m): i for i, m in enumerate(right_monoids)}
-    map0 = tuple(right_pos[_monoid_key(m)] for m in left_monoids)
-    # walk the same order used to assemble left_cat's 1-cells
-    map1 = []
-    for (i, k), homs in left_homs.items():
-        for h in homs:
-            map1.append(right_index[(map0[i], map0[k], h.map)])
-    fun = JFunctor(left_cat, right_cat, map0, tuple(map1))
-
+    right_monoids, left_homs, right_homs, fun = forgetful_universe(sample)
+    map0 = fun.map0
+    sizes = sorted({c.hom.size for c in sample})
     report = check_external_equivalence(fun)
     report.name = "category-to-monoid-comparison"
     report.universe = f"all one-object categories with hom sizes in {sizes}"
 
-    hit = {map0[i] for i in range(len(left_monoids))}
+    hit = set(map0)
     missed = [i for i in range(len(right_monoids)) if i not in hit]
     report.add(
         "surjective-on-the-nose",

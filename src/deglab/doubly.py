@@ -10,7 +10,7 @@ exhaustively on each instance.
 
 from dataclasses import dataclass, replace
 
-from .equivalence import FiniteJCategory, JFunctor, check_external_equivalence
+from .equivalence import JFunctor, check_external_equivalence, hom_indexed_category
 from .monoids import (
     CMonDIE,
     FiniteMonoid,
@@ -594,100 +594,42 @@ def _functor_key(f: DDFunctor):
 def two_truncation_universe(bound: int):
     """The 2-dimensional totality over all instances of size <= bound,
     assembled as explicit cell data, together with the discrete image side
-    and the projection between them."""
+    and the projection between them.  Returns (dies, one_cells, two_cells,
+    fun), the cells as (source, target, payload) in index order."""
     dies = cmon_die_universe(bound)
-    one_cells = []
-    one_index = {}
-    for si, s in enumerate(dies):
-        for ti, t in enumerate(dies):
-            for f in dd_functors_between(s, t):
-                one_index[(si, ti, _functor_key(f))] = len(one_cells)
-                one_cells.append((si, ti, f))
-    one_identity = tuple(
-        one_index[(i, i, _functor_key(identity_dd_functor(s)))] for i, s in enumerate(dies)
+    homs = {
+        (si, ti): dd_functors_between(s, t)
+        for si, s in enumerate(dies)
+        for ti, t in enumerate(dies)
+    }
+    left, _, transformations = hom_indexed_category(
+        tuple(f"die#{i}(n={s.monoid.size},d={s.die})" for i, s in enumerate(dies)),
+        homs,
+        key=_functor_key,
+        compose=compose_dd_functors,
+        identity=lambda i: identity_dd_functor(dies[i]),
+        two_cell=transformation_between,
     )
-    one_comp = {}
-    for gi, (s2, t2, g) in enumerate(one_cells):
-        for fi, (s1, t1, f) in enumerate(one_cells):
-            if t1 != s2:
-                continue
-            comp = compose_dd_functors(g, f)
-            one_comp[(gi, fi)] = one_index[(s1, t2, _functor_key(comp))]
+    one_cells = [(s, t, f) for (s, t), fs in homs.items() for f in fs]
+    two_cells = [(f, g, t) for (f, g), t in zip(left.two_cells, transformations)]
 
-    two_cells = []
-    two_index = {}
-    for fi, (s1, t1, f) in enumerate(one_cells):
-        for gi, (s2, t2, g) in enumerate(one_cells):
-            if (s1, t1) != (s2, t2):
-                continue
-            t = transformation_between(f, g)
-            if t is not None:
-                two_index[(fi, gi)] = len(two_cells)
-                two_cells.append((fi, gi, t))
-    two_identity = tuple(two_index[(fi, fi)] for fi in range(len(one_cells)))
-    two_vcomp = {}
-    two_hcomp = {}
-    for bi, (f2, g2, _) in enumerate(two_cells):
-        for ai, (f1, g1, _) in enumerate(two_cells):
-            if g1 == f2:
-                two_vcomp[(bi, ai)] = two_index[(f1, g2)]
-            if one_cells[f1][1] == one_cells[f2][0]:
-                two_hcomp[(bi, ai)] = two_index[
-                    (one_comp[(f2, f1)], one_comp[(g2, g1)])
-                ]
-
-    left = FiniteJCategory(
-        j=2,
-        zero_cells=tuple(f"die#{i}(n={s.monoid.size},d={s.die})" for i, s in enumerate(dies)),
-        one_cells=tuple((s, t) for (s, t, _) in one_cells),
-        one_identity=one_identity,
-        one_comp=one_comp,
-        two_cells=tuple((f, g) for (f, g, _) in two_cells),
-        two_identity=two_identity,
-        two_vcomp=two_vcomp,
-        two_hcomp=two_hcomp,
+    monoids = list(dict.fromkeys(s.monoid for s in dies))
+    # the discrete side: identity 2-cells only
+    right, r_index, _ = hom_indexed_category(
+        tuple(f"cmon#{i}(n={m.size})" for i, m in enumerate(monoids)),
+        {
+            (i, k): enumerate_homs(m, m2)
+            for i, m in enumerate(monoids)
+            for k, m2 in enumerate(monoids)
+        },
+        key=lambda h: h.map,
+        compose=compose_homs,
+        identity=lambda i: identity_hom(monoids[i]),
+        two_cell=lambda f, g: f if f is g else None,
     )
 
-    monoids = []
-    mkey = {}
-    for s in dies:
-        key = (s.monoid.size, s.monoid.unit, s.monoid.mul)
-        if key not in mkey:
-            mkey[key] = len(monoids)
-            monoids.append(s.monoid)
-    r_one = []
-    r_index = {}
-    for i, m in enumerate(monoids):
-        for k, m2 in enumerate(monoids):
-            for h in enumerate_homs(m, m2):
-                r_index[(i, k, h.map)] = len(r_one)
-                r_one.append((i, k, h))
-    r_identity = tuple(r_index[(i, i, tuple(range(m.size)))] for i, m in enumerate(monoids))
-    r_comp = {}
-    for gi, (i2, k2, g) in enumerate(r_one):
-        for fi, (i1, k1, f) in enumerate(r_one):
-            if k1 == i2:
-                r_comp[(gi, fi)] = r_index[(i1, k2, tuple(g.map[v] for v in f.map))]
-    r_two_identity = tuple(range(len(r_one)))
-    r_two_cells = tuple((f, f) for f in range(len(r_one)))
-    r_vcomp = {(f, f): f for f in range(len(r_one))}
-    r_hcomp = {}
-    for (gi, fi), h in r_comp.items():
-        r_hcomp[(gi, fi)] = h
-
-    right = FiniteJCategory(
-        j=2,
-        zero_cells=tuple(f"cmon#{i}(n={m.size})" for i, m in enumerate(monoids)),
-        one_cells=tuple((s, t) for (s, t, _) in r_one),
-        one_identity=r_identity,
-        one_comp=r_comp,
-        two_cells=r_two_cells,
-        two_identity=r_two_identity,
-        two_vcomp=r_vcomp,
-        two_hcomp=r_hcomp,
-    )
-
-    map0 = tuple(mkey[(s.monoid.size, s.monoid.unit, s.monoid.mul)] for s in dies)
+    mpos = {m: i for i, m in enumerate(monoids)}
+    map0 = tuple(mpos[s.monoid] for s in dies)
     map1 = tuple(
         r_index[(map0[s], map0[t], f.hom_map.map)] for (s, t, f) in one_cells
     )
@@ -704,7 +646,7 @@ def check_two_equivalence(bound: int) -> EquivalenceReport:
     1-cells, and local bijectivity on 2-cells; also records the level-1 and
     level-3 failures when the universe contains a witnessing target.
     """
-    dies, one_cells, two_cells, fun = two_truncation_universe(bound)
+    dies, one_cells, _, fun = two_truncation_universe(bound)
     report = check_external_equivalence(fun)
     report.name = "two-truncation-comparison"
     report.bound = bound
@@ -722,15 +664,12 @@ def check_two_equivalence(bound: int) -> EquivalenceReport:
         detail="every commutative monoid is hit by the instance with identity element chosen",
     )
 
+    x = fun.source
     bad = None
     for fi, (s1, t1, f) in enumerate(one_cells):
-        for gi, (s2, t2, g) in enumerate(one_cells):
-            if (s1, t1) != (s2, t2):
-                continue
-            count = sum(
-                1 for (a, b, _) in two_cells if a == fi and b == gi
-            )
-            expected = 1 if f.hom_map.map == g.hom_map.map else 0
+        for gi in x.hom1(s1, t1):
+            count = len(x.hom2(fi, gi))
+            expected = 1 if f.hom_map.map == one_cells[gi][2].hom_map.map else 0
             if count != expected:
                 bad = (fi, gi, count, expected)
                 break
@@ -783,48 +722,43 @@ def restrict_identity_constraint(functors, bound: int | None = None):
     retained = [f for f in functors if f.m == f.target.monoid.unit]
     report = EquivalenceReport(name="identity-constraint-restriction", bound=bound)
 
+    ending: dict = {}
+    for f in retained:
+        ending.setdefault(f.target, []).append(f)
     closed = True
     witness = None
     for g in retained:
-        for f in retained:
-            if f.target == g.source:
-                comp = compose_dd_functors(g, f)
-                if comp.m != comp.target.monoid.unit:
-                    closed = False
-                    witness = {"g": _functor_key(g), "f": _functor_key(f)}
-                    break
+        for f in ending.get(g.source, ()):
+            comp = compose_dd_functors(g, f)
+            if comp.m != comp.target.monoid.unit:
+                closed = False
+                witness = {"g": _functor_key(g), "f": _functor_key(f)}
+                break
         if not closed:
             break
     report.add("closed-under-composition", closed, dimension=1, witness=witness)
 
     if bound is not None:
         dies = cmon_die_universe(bound)
-        ident_functors = {}
-        for si, s in enumerate(dies):
-            for ti, t in enumerate(dies):
-                fs = [
-                    make_dd_functor(s, t, h, t.monoid.unit)
-                    for h in enumerate_homs(s.monoid, t.monoid)
-                ]
-                ident_functors[(si, ti)] = fs
         full = True
         faithful = True
-        for (si, ti), fs in ident_functors.items():
-            images = [f.hom_map.map for f in fs]
-            targets = {h.map for h in enumerate_homs(dies[si].monoid, dies[ti].monoid)}
-            if set(images) != targets:
-                full = False
-            if len(set(images)) != len(images):
-                faithful = False
+        hit = set()
+        for s in dies:
+            for t in dies:
+                homs = enumerate_homs(s.monoid, t.monoid)
+                fs = [make_dd_functor(s, t, h, t.monoid.unit) for h in homs]
+                images = [f.hom_map.map for f in fs]
+                if set(images) != {h.map for h in homs}:
+                    full = False
+                if len(set(images)) != len(images):
+                    faithful = False
+                hit.update(
+                    (f.source.monoid.size, f.source.monoid.unit, f.source.monoid.mul) for f in fs
+                )
         report.add("restricted-comparison-full", full, dimension=1)
         report.add("restricted-comparison-faithful", faithful, dimension=1)
         monoid_keys = {
             (s.monoid.size, s.monoid.unit, s.monoid.mul) for s in dies
-        }
-        hit = {
-            (f.source.monoid.size, f.source.monoid.unit, f.source.monoid.mul)
-            for fs in ident_functors.values()
-            for f in fs
         }
         report.add("restricted-comparison-surjective", monoid_keys <= hit, dimension=0)
     return retained, report

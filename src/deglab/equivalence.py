@@ -8,10 +8,11 @@ the checker reports each criterion separately, naming the dimension and a
 witness for the first failure it finds.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .report import EquivalenceReport, StructuralError, ValidationReport
+from .report import EquivalenceReport, InvalidStructureError, StructuralError, ValidationReport
 
 
 @dataclass(frozen=True)
@@ -20,18 +21,20 @@ class FiniteJCategory:
 
     one_comp maps composable pairs (g, f) with tgt(f) = src(g) to g.f;
     two_vcomp and two_hcomp likewise for vertical and horizontal 2-cell
-    composition.  Labels are carried for witness readability only.
+    composition.  The tables may be any Mapping: hand-built ones are dicts,
+    and those of `hom_indexed_category` compute each composite on read.
+    Labels are carried for witness readability only.
     """
 
     j: int
     zero_cells: tuple
     one_cells: tuple  # (src, tgt) pairs of 0-cell indices
     one_identity: tuple  # identity 1-cell per 0-cell
-    one_comp: dict  # (g, f) -> g after f
+    one_comp: Mapping  # (g, f) -> g after f
     two_cells: tuple = ()  # (src, tgt) pairs of parallel 1-cell indices
     two_identity: tuple = ()  # identity 2-cell per 1-cell
-    two_vcomp: dict = field(default_factory=dict)
-    two_hcomp: dict = field(default_factory=dict)
+    two_vcomp: Mapping = field(default_factory=dict)
+    two_hcomp: Mapping = field(default_factory=dict)
 
     @cached_property
     def _hom1_index(self) -> dict:
@@ -52,6 +55,121 @@ class FiniteJCategory:
 
     def hom2(self, f1: int, f2: int) -> list:
         return self._hom2_index.get((f1, f2), [])
+
+
+class _Composites(Mapping):
+    """The table (b, a) -> b.a over cells with (src, tgt) ends.
+
+    (b, a) is a key iff tgt(a) = src(b): membership, iteration and length
+    come from the ends alone, and each value is computed on read by
+    compose(b, a), with no cache.  Equality is identity, so comparing two
+    tables never builds them out.
+    """
+
+    def __init__(self, ends, compose):
+        self._ends = ends
+        self._compose = compose
+        self._starting = {}
+        for b, (s, _) in enumerate(ends):
+            self._starting.setdefault(s, []).append(b)
+
+    def __contains__(self, key):
+        try:
+            b, a = key
+            n = len(self._ends)
+            return 0 <= a < n and 0 <= b < n and self._ends[a][1] == self._ends[b][0]
+        except (TypeError, ValueError):
+            return False
+
+    def __getitem__(self, key):
+        if key not in self:
+            raise KeyError(key)
+        return self._compose(*key)
+
+    def __iter__(self):
+        starting = self._starting
+        for a, (_, t) in enumerate(self._ends):
+            for b in starting.get(t, ()):
+                yield (b, a)
+
+    def __len__(self):
+        starting = self._starting
+        return sum(len(starting.get(t, ())) for _, t in self._ends)
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+
+def _position(index: dict, key) -> int:
+    pos = index.get(key)
+    if pos is None:
+        raise InvalidStructureError(f"composite or identity {key!r} missing from its hom-set")
+    return pos
+
+
+def hom_indexed_category(zero_cells, homs, key, compose, identity, two_cell=None):
+    """Assemble a finite 1- or 2-category from explicit hom-sets.
+
+    homs[(i, k)] lists the arrows from 0-cell i to 0-cell k; 1-cells are
+    numbered in that order and found again by (i, k, key(arrow)), the first
+    arrow with a key winning.  compose(g, f) is g after f and identity(i)
+    the identity on 0-cell i; each result must lie in its hom-set, else
+    InvalidStructureError.  With two_cell(f, g) given, the result is a
+    locally thin 2-category with a 2-cell f => g for each parallel pair on
+    which two_cell returns a payload, ordered by source, then target.
+
+    Returns (category, index, payloads): index maps (i, k, key) to the
+    1-cell, and payloads holds two_cell's result per 2-cell.
+    """
+    arrows, ends, index, span = [], [], {}, {}
+    for (i, k), hom in homs.items():
+        for f in hom:
+            index.setdefault((i, k, key(f)), len(arrows))
+            arrows.append(f)
+            ends.append((i, k))
+        span[(i, k)] = range(len(arrows) - len(hom), len(arrows))
+    ends = tuple(ends)
+
+    def one_comp(g, f):
+        return _position(index, (ends[f][0], ends[g][1], key(compose(arrows[g], arrows[f]))))
+
+    zero_cells = tuple(zero_cells)
+    one_identity = tuple(
+        _position(index, (i, i, key(identity(i)))) for i in range(len(zero_cells))
+    )
+    one_table = _Composites(ends, one_comp)
+    if two_cell is None:
+        return FiniteJCategory(1, zero_cells, ends, one_identity, one_table), index, ()
+
+    two_cells, payloads, two_index = [], [], {}
+    for f, e in enumerate(ends):
+        for g in span[e]:
+            payload = two_cell(arrows[f], arrows[g])
+            if payload is not None:
+                two_index[(f, g)] = len(two_cells)
+                two_cells.append((f, g))
+                payloads.append(payload)
+    two_cells = tuple(two_cells)
+
+    def vcomp(b, a):
+        return _position(two_index, (two_cells[a][0], two_cells[b][1]))
+
+    def hcomp(b, a):
+        (f1, g1), (f2, g2) = two_cells[a], two_cells[b]
+        return _position(two_index, (one_comp(f2, f1), one_comp(g2, g1)))
+
+    cat = FiniteJCategory(
+        j=2,
+        zero_cells=zero_cells,
+        one_cells=ends,
+        one_identity=one_identity,
+        one_comp=one_table,
+        two_cells=two_cells,
+        two_identity=tuple(_position(two_index, (f, f)) for f in range(len(ends))),
+        two_vcomp=_Composites(two_cells, vcomp),
+        two_hcomp=_Composites(tuple(ends[f] for f, _ in two_cells), hcomp),
+    )
+    return cat, index, tuple(payloads)
 
 
 @dataclass(frozen=True)
@@ -369,9 +487,7 @@ def check_external_equivalence(fun: JFunctor) -> EquivalenceReport:
     # j == 2: top-dimension surjectivity between image parallel pairs, then faithfulness
     miss2 = None
     for g1 in range(len(x.one_cells)):
-        for g2 in range(len(x.one_cells)):
-            if x.one_cells[g1] != x.one_cells[g2]:
-                continue
+        for g2 in x.hom1(*x.one_cells[g1]):
             for beta in y.hom2(fun.map1[g1], fun.map1[g2]):
                 if not any(fun.map2[a] == beta for a in x.hom2(g1, g2)):
                     miss2 = (g1, g2, beta)
@@ -389,9 +505,7 @@ def check_external_equivalence(fun: JFunctor) -> EquivalenceReport:
 
     clash = None
     for g1 in range(len(x.one_cells)):
-        for g2 in range(len(x.one_cells)):
-            if x.one_cells[g1] != x.one_cells[g2]:
-                continue
+        for g2 in x.hom1(*x.one_cells[g1]):
             cells = x.hom2(g1, g2)
             for i, a1 in enumerate(cells):
                 for a2 in cells[i + 1 :]:

@@ -11,9 +11,9 @@ a bug.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .equivalence import FiniteJCategory, JFunctor, check_external_equivalence
+from .equivalence import JFunctor, check_external_equivalence, hom_indexed_category
 from .fincat import (
     CatFunctor,
     FiniteCategory,
@@ -793,6 +793,31 @@ def _mc_key(mc: FinMonoidalCategory):
     )
 
 
+def _functor_key(f: MonoidalFunctor):
+    return (f.functor.object_map, f.functor.morphism_map, f.tensor_comparison, f.unit_comparison)
+
+
+def shift_universe(mcs: list):
+    """Both sides of the shift comparison: one-0-cell bicategories and
+    monoidal categories share one enumeration of functors per pair and
+    differ only in their 0-cell labels.  Returns (functors, fun)."""
+    functors = {
+        (i, k): enumerate_monoidal_functors(a, b)
+        for i, a in enumerate(mcs)
+        for k, b in enumerate(mcs)
+    }
+    left, _, _ = hom_indexed_category(
+        tuple(f"bicat#{i}" for i in range(len(mcs))),
+        functors,
+        key=_functor_key,
+        compose=compose_monoidal_functors,
+        identity=lambda i: identity_monoidal_functor(mcs[i]),
+    )
+    right = replace(left, zero_cells=tuple(f"moncat#{i}" for i in range(len(mcs))))
+    fun = JFunctor(left, right, tuple(range(len(mcs))), tuple(range(len(left.one_cells))))
+    return functors, fun
+
+
 def check_shift_equivalence(universe: list | None = None, bound: int = 4) -> EquivalenceReport:
     """The category-level comparison from one-0-cell bicategories to monoidal
     categories is an equivalence over the given universe.
@@ -800,62 +825,17 @@ def check_shift_equivalence(universe: list | None = None, bound: int = 4) -> Equ
     The universe is an explicit list of monoidal categories (positive
     verdicts are sampled, so it is recorded in the report); when omitted it
     defaults to the stock instances within the bound.  1-cells on both sides
-    are enumerated exhaustively and compared as sets.
+    are enumerated exhaustively.  Both sides are built from the same
+    hom-sets (see `shift_universe`), so the equivalence findings hold by
+    construction; the round trip and the hom-set bijection are the checks
+    with content.
     """
     if universe is None:
         from .examples import stock_monoidal_universe
 
         universe = stock_monoidal_universe(bound)
     mcs = list(universe)
-    functors = {}
-    for i, a in enumerate(mcs):
-        for k, b in enumerate(mcs):
-            functors[(i, k)] = enumerate_monoidal_functors(a, b)
-
-    one_cells = []
-    index = {}
-    for (i, k), fs in functors.items():
-        for fi, f in enumerate(fs):
-            index[(i, k, fi)] = len(one_cells)
-            one_cells.append((i, k, f))
-
-    def locate(i, k, mf):
-        key = (mf.functor.object_map, mf.functor.morphism_map, mf.tensor_comparison, mf.unit_comparison)
-        for fi, f in enumerate(functors[(i, k)]):
-            if (
-                f.functor.object_map,
-                f.functor.morphism_map,
-                f.tensor_comparison,
-                f.unit_comparison,
-            ) == key:
-                return index[(i, k, fi)]
-        raise InvalidStructureError("composite functor missing from enumeration")
-
-    ident = []
-    comp = {}
-    for i, a in enumerate(mcs):
-        ident.append(locate(i, i, identity_monoidal_functor(a)))
-    for gi, (i2, k2, g) in enumerate(one_cells):
-        for fi, (i1, k1, f) in enumerate(one_cells):
-            if k1 != i2:
-                continue
-            comp[(gi, fi)] = locate(i1, k2, compose_monoidal_functors(g, f))
-
-    left = FiniteJCategory(
-        j=1,
-        zero_cells=tuple(f"bicat#{i}" for i in range(len(mcs))),
-        one_cells=tuple((s, t) for (s, t, _) in one_cells),
-        one_identity=tuple(ident),
-        one_comp=comp,
-    )
-    right = FiniteJCategory(
-        j=1,
-        zero_cells=tuple(f"moncat#{i}" for i in range(len(mcs))),
-        one_cells=tuple((s, t) for (s, t, _) in one_cells),
-        one_identity=tuple(ident),
-        one_comp=comp,
-    )
-    fun = JFunctor(left, right, tuple(range(len(mcs))), tuple(range(len(one_cells))))
+    functors, fun = shift_universe(mcs)
     report = check_external_equivalence(fun)
     report.name = "shift-comparison"
     report.bound = bound
@@ -870,17 +850,8 @@ def check_shift_equivalence(universe: list | None = None, bound: int = 4) -> Equ
         dimension=0,
         detail="relabeling there and back is bit-exact on every universe member",
     )
-    def fkey(f):
-        return (
-            f.functor.object_map,
-            f.functor.morphism_map,
-            f.tensor_comparison,
-            f.unit_comparison,
-        )
-
     bijective = all(
-        len(functors[(i, k)]) == len({fkey(f) for f in functors[(i, k)]})
-        for (i, k) in functors
+        len(fs) == len({_functor_key(f) for f in fs}) for fs in functors.values()
     )
     report.add(
         "hom-set-bijection",

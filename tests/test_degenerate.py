@@ -9,11 +9,13 @@ from deglab.degenerate import (
     check_nat_trans,
     degenerate_sample,
     find_nonidentity_nat_trans,
+    forgetful_universe,
     functors_between,
     monoid_to_cat,
     nat_trans_between,
     not_locally_full_witnesses,
 )
+from deglab.equivalence import check_jcategory, check_jfunctor
 from deglab.examples import bool_or_monoid, left_padded_monoid, trivial_monoid, zmod
 from deglab.monoids import FiniteMonoid, MonoidHom, enumerate_monoids, identity_hom
 from deglab.report import InvalidStructureError
@@ -109,6 +111,43 @@ class TestForgetfulEquivalence:
     def test_empty_sample_rejected(self):
         with pytest.raises(InvalidStructureError):
             check_forgetful_equivalence([])
+
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            degenerate_sample(3),
+            [monoid_to_cat(FiniteMonoid(2, 1, ((1, 0), (0, 1)))), monoid_to_cat(bool_or_monoid())],
+        ],
+        ids=["sizes<=3", "relabeled"],
+    )
+    def test_tables_match_all_pairs_reference(self, sample):
+        _, left_homs, right_homs, fun = forgetful_universe(sample)
+        for cat, homs in ((fun.source, left_homs), (fun.target, right_homs)):
+            cells = [(i, k, h) for (i, k), hs in homs.items() for h in hs]
+            index = {}
+            for pos, (i, k, h) in enumerate(cells):
+                index.setdefault((i, k, h.map), pos)
+            reference = {
+                (gi, fi): index[(i1, k2, tuple(g.map[v] for v in f.map))]
+                for gi, (i2, k2, g) in enumerate(cells)
+                for fi, (i1, k1, f) in enumerate(cells)
+                if k1 == i2
+            }
+            assert cat.one_cells == tuple((i, k) for i, k, _ in cells)
+            assert dict(cat.one_comp) == reference
+            assert len(cat.one_comp) == len(reference)
+            n = len(cells)
+            for gi in range(n):
+                for fi in range(n):
+                    assert ((gi, fi) in cat.one_comp) == ((gi, fi) in reference)
+            for key in [(0, n), (n, 0), (-1, 0), (0, -1)]:
+                assert key not in cat.one_comp
+
+    def test_universe_is_a_category_and_functor(self):
+        _, _, _, fun = forgetful_universe(degenerate_sample(3))
+        assert check_jcategory(fun.source).ok
+        assert check_jcategory(fun.target).ok
+        assert check_jfunctor(fun).ok
 
     def test_functor_sets_equal_hom_sets(self):
         for m in enumerate_monoids(3)[:4]:

@@ -530,12 +530,95 @@ class TestUnfaithfulnessWitnesses:
             unfaithfulness_witness(2, z2_die(0))
 
 
+def all_pairs_tables(one_cells, key, compose, two_cells):
+    """The three composite tables of a locally thin 2-category, built by
+    looping over all pairs of cells and keeping those that compose."""
+    one_index = {}
+    for pos, (s, t, f) in enumerate(one_cells):
+        one_index.setdefault((s, t, key(f)), pos)
+    one_comp = {}
+    for gi, (s2, t2, g) in enumerate(one_cells):
+        for fi, (s1, t1, f) in enumerate(one_cells):
+            if t1 == s2:
+                one_comp[(gi, fi)] = one_index[(s1, t2, key(compose(g, f)))]
+    two_index = {(f, g): pos for pos, (f, g) in enumerate(two_cells)}
+    two_vcomp = {}
+    two_hcomp = {}
+    for bi, (f2, g2) in enumerate(two_cells):
+        for ai, (f1, g1) in enumerate(two_cells):
+            if g1 == f2:
+                two_vcomp[(bi, ai)] = two_index[(f1, g2)]
+            if one_cells[f1][1] == one_cells[f2][0]:
+                two_hcomp[(bi, ai)] = two_index[(one_comp[(f2, f1)], one_comp[(g2, g1)])]
+    return one_comp, two_vcomp, two_hcomp
+
+
+def assert_tables_equal(x, reference):
+    for table, ref in zip((x.one_comp, x.two_vcomp, x.two_hcomp), reference):
+        assert dict(table) == ref
+        assert len(table) == len(ref)
+        n = len(x.two_cells) if table is not x.one_comp else len(x.one_cells)
+        for key in [(0, n), (n, 0), (-1, 0)]:
+            assert key not in table
+    for b in range(len(x.one_cells)):
+        for a in range(len(x.one_cells)):
+            assert ((b, a) in x.one_comp) == (x.one_cells[a][1] == x.one_cells[b][0])
+
+
 class TestTwoTruncationComparison:
     def test_universe_is_a_strict_two_category(self):
         dies, _, _, fun = two_truncation_universe(2)
         assert check_jcategory(fun.source).ok
         assert check_jcategory(fun.target).ok
         assert check_jfunctor(fun).ok
+
+    def test_tables_match_all_pairs_reference(self):
+        dies, one_cells, two_cells, fun = two_truncation_universe(2)
+        left = fun.source
+        assert left.one_cells == tuple((s, t) for s, t, _ in one_cells)
+        assert left.two_cells == tuple((f, g) for f, g, _ in two_cells)
+        for f, g, t in two_cells:
+            assert t == transformation_between(one_cells[f][2], one_cells[g][2])
+        assert_tables_equal(
+            left,
+            all_pairs_tables(
+                one_cells,
+                lambda f: (f.hom_map.map, f.m),
+                compose_dd_functors,
+                [(f, g) for f, g, _ in two_cells],
+            ),
+        )
+        monoids = []
+        for s in dies:
+            if s.monoid not in monoids:
+                monoids.append(s.monoid)
+        r_one = [
+            (i, k, h)
+            for i, m in enumerate(monoids)
+            for k, m2 in enumerate(monoids)
+            for h in enumerate_homs(m, m2)
+        ]
+        right = fun.target
+        assert right.one_cells == tuple((i, k) for i, k, _ in r_one)
+        assert right.two_cells == tuple((f, f) for f in range(len(r_one)))
+        assert right.two_identity == tuple(range(len(r_one)))
+        assert_tables_equal(
+            right,
+            all_pairs_tables(
+                r_one, lambda h: h.map, compose_homs, right.two_cells
+            ),
+        )
+
+    def test_universe_counts_bound_three(self):
+        _, one_cells, two_cells, fun = two_truncation_universe(3)
+        assert (len(one_cells), len(two_cells)) == (416, 896)
+        assert len(fun.source.one_comp) == 15040
+        assert len(fun.source.two_hcomp) == 77060
+
+    def test_equivalence_bound_four(self):
+        dies, one_cells, two_cells, _ = two_truncation_universe(4)
+        assert (len(dies), len(one_cells), len(two_cells)) == (43, 10027, 26413)
+        assert check_two_equivalence(4).ok
 
     def test_equivalence_bound_two(self):
         assert check_two_equivalence(2).ok

@@ -9,9 +9,10 @@ from deglab.equivalence import (
     check_jcategory,
     check_jfunctor,
     compose_jfunctors,
+    hom_indexed_category,
     internally_equivalent,
 )
-from deglab.report import StructuralError
+from deglab.report import InvalidStructureError, StructuralError
 
 
 def walking_isomorphism():
@@ -220,3 +221,105 @@ class TestExternalEquivalence:
         )
         with pytest.raises(StructuralError):
             JFunctor(x, y, (0,), (0,))
+
+
+def cyclic(n, arrows, two_cell=None):
+    """One 0-cell whose arrows are residues mod n, composed by addition."""
+    return hom_indexed_category(
+        ("*",),
+        {(0, 0): list(arrows)},
+        key=lambda a: a % n,
+        compose=lambda g, f: g + f,
+        identity=lambda i: 0,
+        two_cell=two_cell,
+    )
+
+
+class TestHomIndexedCategory:
+    def test_tables_match_all_pairs_reference(self):
+        cat, index, payloads = cyclic(3, range(3))
+        assert check_jcategory(cat).ok
+        assert dict(cat.one_comp) == {(g, f): (g + f) % 3 for g in range(3) for f in range(3)}
+        assert len(cat.one_comp) == len(dict(cat.one_comp)) == 9
+        assert index == {(0, 0, a): a for a in range(3)} and payloads == ()
+
+    def test_thin_two_cells_match_all_pairs_reference(self):
+        # one 2-cell between every parallel pair: each hom-category is codiscrete
+        cat, _, payloads = cyclic(3, range(3), two_cell=lambda f, g: (f, g))
+        assert check_jcategory(cat).ok
+        cells = [(f, g) for f in range(3) for g in range(3)]
+        pos = {cell: a for a, cell in enumerate(cells)}
+        assert cat.two_cells == payloads == tuple(cells)
+        assert cat.two_identity == tuple(pos[(f, f)] for f in range(3))
+        assert dict(cat.two_vcomp) == {
+            (b, a): pos[(f1, g2)]
+            for b, (f2, g2) in enumerate(cells)
+            for a, (f1, g1) in enumerate(cells)
+            if g1 == f2
+        }
+        assert dict(cat.two_hcomp) == {
+            (b, a): pos[((f2 + f1) % 3, (g2 + g1) % 3)]
+            for b, (f2, g2) in enumerate(cells)
+            for a, (f1, g1) in enumerate(cells)
+        }
+        assert len(cat.two_vcomp) == 27 and len(cat.two_hcomp) == 81
+
+    def test_membership_rejects_noncomposable_and_out_of_range(self):
+        cat, _, _ = hom_indexed_category(
+            ("a", "b"),
+            {(0, 0): ["a"], (0, 1): ["ab"], (1, 1): ["b"]},
+            key=str,
+            compose=lambda g, f: g if f in ("a", "b") else f,
+            identity=lambda i: "ab"[i],
+        )
+        table = cat.one_comp
+        assert list(table) == [(0, 0), (1, 0), (2, 1), (2, 2)]
+        assert dict(table) == {(0, 0): 0, (1, 0): 1, (2, 1): 1, (2, 2): 2}
+        assert len(table) == 4
+        noncomposable = [(0, 1), (1, 1), (0, 2), (1, 2)]
+        malformed = [(3, 0), (0, 3), (-1, 0), (0, -1), (1.0, 0), "ab", (0,), (0, 0, 0), None]
+        for key in noncomposable + malformed:
+            assert key not in table
+        with pytest.raises(KeyError):
+            table[(1, 1)]
+        assert table.get((0, 3)) is None
+
+    def test_missing_composite_raises_invalid_structure(self):
+        cat, _, _ = cyclic(3, [0, 1])
+        assert cat.one_comp[(1, 0)] == 1
+        with pytest.raises(InvalidStructureError):
+            cat.one_comp[(1, 1)]  # 1 + 1 = 2 is not in the hom-set
+        with pytest.raises(InvalidStructureError):
+            cyclic(3, [1, 2])  # no identity
+        # the 2-cell 1 => 2 exists, but its horizontal square 2 => 4 = 1 does not
+        some = {(0, 0), (1, 1), (2, 2), (1, 2)}
+        thin, _, _ = cyclic(3, range(3), two_cell=lambda f, g: 0 if (f, g) in some else None)
+        a = thin.two_cells.index((1, 2))
+        with pytest.raises(InvalidStructureError):
+            thin.two_hcomp[(a, a)]
+        with pytest.raises(InvalidStructureError):  # identity 2-cells on 1 and 2 are missing
+            cyclic(3, range(3), two_cell=lambda f, g: 0 if f == g == 0 else None)
+
+    def test_first_arrow_with_a_key_wins(self):
+        cat, index, _ = cyclic(3, [0, 1, 4, 2])  # 4 and 1 share the key 1
+        assert index[(0, 0, 1)] == 1 and index[(0, 0, 2)] == 3
+        assert cat.one_comp[(3, 3)] == 1  # 2 + 2 = 4, found as the first arrow keyed 1
+        assert cat.one_comp[(2, 0)] == 1
+
+    def test_equality_never_builds_a_table_out(self):
+        calls = []
+
+        def compose(g, f):
+            calls.append((g, f))
+            return g + f
+
+        def build():
+            homs = {(0, 0): [0, 1]}
+            return hom_indexed_category(("*",), homs, lambda a: a % 2, compose, lambda i: 0)[0]
+
+        x, y = build(), build()
+        assert x.one_comp == x.one_comp
+        assert x.one_comp != y.one_comp
+        assert x.one_comp != {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
+        assert x == x and x != y
+        assert calls == []

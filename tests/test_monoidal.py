@@ -34,8 +34,10 @@ from deglab.monoidal import (
     identity_monoidal_transformation,
     shift_from_bicat,
     shift_to_bicat,
+    shift_universe,
     unit_distobj_closure_witness,
 )
+from deglab.equivalence import check_jcategory, check_jfunctor
 from deglab.report import StructuralError
 
 
@@ -93,6 +95,15 @@ class TestShift:
     def test_equivalence_over_stock_universe(self):
         rep = check_shift_equivalence(stock_monoidal_universe(4), bound=4)
         assert rep.ok
+
+    def test_universe_is_a_category_and_functor(self):
+        functors, fun = shift_universe(stock_monoidal_universe(3))
+        assert check_jcategory(fun.source).ok
+        assert check_jcategory(fun.target).ok
+        assert check_jfunctor(fun).ok
+        assert fun.target.zero_cells != fun.source.zero_cells
+        assert fun.target.one_comp is fun.source.one_comp
+        assert len(fun.source.one_cells) == sum(len(fs) for fs in functors.values())
 
     def test_hom_bijection_on_discrete_pairs(self):
         a = discrete_monoidal(zmod(2))
