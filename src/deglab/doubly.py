@@ -420,22 +420,51 @@ def analyze_weak_functor(b1: DDBicat, b2: DDBicat, mapping, m2: int, m0: int):
     return (f if report.ok else None), report
 
 
+# instance attribute of a source `CMonDIE` holding its interned functors
+_FUNCTORS = "_interned_dd_functors"
+
+
+def _interned(source: CMonDIE, target: CMonDIE, hmap: tuple, m: int) -> DDFunctor:
+    """The one functor source -> target with hom map `hmap` and element `m`.
+
+    The table lives on `source` (outside its dataclass fields) and is keyed
+    by (id(target), hmap, m); a hit counts only if its ends are these very
+    objects, so a copy or a reused id gets a rebuilt entry.  The caller
+    guarantees `hmap` is a homomorphism's tuple of ints and `m` is
+    invertible in the target, so a miss builds trusted, with m0 derived.
+    """
+    try:
+        table = source.__dict__[_FUNCTORS]
+    except KeyError:
+        table = {}
+        object.__setattr__(source, _FUNCTORS, table)
+    key = (id(target), hmap, m)
+    f = table.get(key)
+    if f is None or f.target is not target or f.source is not source:
+        hom = MonoidHom._trusted(source.monoid, target.monoid, hmap)
+        m0 = _derived_m0(source, target, hom, m)
+        f = table[key] = DDFunctor._trusted(source, target, hom, m, m0)
+    return f
+
+
 def compose_dd_functors(g: DDFunctor, f: DDFunctor) -> DDFunctor:
     """Composite (G, m_G) . (F, m_F) = (GF, G(m_F).m_G); associative and unital.
 
-    m0 is derived as in `make_dd_functor`; the composite is built trusted,
-    since its endpoints and indices come from two constructed functors.
+    The composite is the functor interned on `f.source` under
+    (id(g.target), GF's map, m): composites of enumerated functors are the
+    enumerated instances themselves, and two composites are equal exactly
+    when they are the same object.
     """
     if f.target is not g.source and f.target != g.source:
         raise StructuralError("functor composition endpoint mismatch")
-    hom = compose_homs(g.hom_map, f.hom_map)
-    m = g.target.monoid.mul[g.hom_map.map[f.m]][g.m]
-    m0 = _derived_m0(f.source, g.target, hom, m)
-    return DDFunctor._trusted(f.source, g.target, hom, m, m0)
+    gmap = g.hom_map.map
+    m = g.target.monoid.mul[gmap[f.m]][g.m]
+    return _interned(f.source, g.target, tuple([gmap[v] for v in f.hom_map.map]), m)
 
 
 def identity_dd_functor(s: CMonDIE) -> DDFunctor:
-    return make_dd_functor(s, s, identity_hom(s.monoid), s.monoid.unit)
+    """The identity functor, interned on `s` as (id(s), identity map, unit)."""
+    return _interned(s, s, tuple(range(s.monoid.size)), s.monoid.unit)
 
 
 def promote_lax(b1: DDBicat, b2: DDBicat, mapping, m2: int, m0: int) -> DDFunctor:
@@ -465,12 +494,13 @@ def promote_lax(b1: DDBicat, b2: DDBicat, mapping, m2: int, m0: int) -> DDFuncto
 
 
 def dd_functors_between(s: CMonDIE, t: CMonDIE) -> list:
-    """Every functor: all homomorphisms paired with all invertible elements."""
-    out = []
-    for hom in enumerate_homs(s.monoid, t.monoid):
-        for m in units(t.monoid):
-            out.append(make_dd_functor(s, t, hom, m))
-    return out
+    """Every functor: all homomorphisms paired with all invertible elements.
+
+    Each is the instance interned on `s` under (id(t), hom map, m), so
+    repeated calls return the same objects.
+    """
+    ms = units(t.monoid)
+    return [_interned(s, t, hom.map, m) for hom in enumerate_homs(s.monoid, t.monoid) for m in ms]
 
 
 # -- transformations and modifications ---------------------------------------
@@ -746,7 +776,7 @@ def restrict_identity_constraint(functors, bound: int | None = None):
         for s in dies:
             for t in dies:
                 homs = enumerate_homs(s.monoid, t.monoid)
-                fs = [make_dd_functor(s, t, h, t.monoid.unit) for h in homs]
+                fs = [_interned(s, t, h.map, t.monoid.unit) for h in homs]
                 images = [f.hom_map.map for f in fs]
                 if set(images) != {h.map for h in homs}:
                     full = False

@@ -104,7 +104,9 @@ class CMonDIE:
     """A commutative monoid with a distinguished invertible element.
 
     `die_inv` is a stored witness; `check_cmon_die` verifies it rather than
-    trusting it.
+    trusting it.  Reduced functors out of an instance are interned in a
+    table on it (see `doubly._interned`), outside the dataclass fields, so
+    equality, hashing, repr and JSON ignore it.
     """
 
     monoid: FiniteMonoid

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 from dataclasses import replace
@@ -317,6 +318,123 @@ class TestTrustedConstruction:
             compose_dd_functors(g, f)
         with pytest.raises(StructuralError):
             compose_homs(g.hom_map, f.hom_map)
+
+
+def _composition_laws(dies):
+    # criterion 03 in small: the product formula over every composable pair,
+    # and strict associativity over every composable triple
+    functors = {(i, k): dd_functors_between(s, t)
+                for i, s in enumerate(dies) for k, t in enumerate(dies)}
+    n = len(dies)
+    compose = doubly.compose_dd_functors
+    law_ok = assoc_ok = True
+    for (i, k), fs in functors.items():
+        for l in range(n):
+            mul = dies[l].monoid.mul
+            for f in fs:
+                for g in functors[(k, l)]:
+                    c = compose(g, f)
+                    if c.hom_map.map != tuple(g.hom_map.map[v] for v in f.hom_map.map) \
+                            or c.m != mul[g.hom_map.map[f.m]][g.m]:
+                        law_ok = False
+                    for p in range(n):
+                        for h in functors[(l, p)]:
+                            if compose(h, compose(g, f)) != compose(compose(h, g), f):
+                                assoc_ok = False
+    return law_ok, assoc_ok
+
+
+class TestFunctorInterning:
+    def test_composites_are_the_enumerated_instances(self):
+        dies = cmon_die_universe(3)
+        functors = {(i, k): dd_functors_between(s, t)
+                    for i, s in enumerate(dies) for k, t in enumerate(dies)}
+        index = {ik: {(f.hom_map.map, f.m): f for f in fs} for ik, fs in functors.items()}
+        pairs = 0
+        for (i, k), fs in functors.items():
+            for l, u in enumerate(dies):
+                mul = u.monoid.mul
+                for f in fs:
+                    for g in functors[(k, l)]:
+                        c = compose_dd_functors(g, f)
+                        key = (tuple(g.hom_map.map[v] for v in f.hom_map.map),
+                               mul[g.hom_map.map[f.m]][g.m])
+                        assert c is index[(i, l)][key]
+                        assert c == _strict_composite(g, f)
+                        assert check_dd_functor(c).ok
+                        pairs += 1
+        assert pairs == 15040
+
+    def test_identities_compose_to_the_same_object(self):
+        dies = cmon_die_universe(3)
+        for s in dies:
+            for t in dies:
+                for f in dd_functors_between(s, t):
+                    assert compose_dd_functors(identity_dd_functor(t), f) is f
+                    assert compose_dd_functors(f, identity_dd_functor(s)) is f
+
+    def test_repeated_calls_return_the_same_objects(self, monkeypatch):
+        dies = cmon_die_universe(3)
+        calls = _count_post_inits(monkeypatch)
+        for s in dies:
+            assert identity_dd_functor(s) is identity_dd_functor(s)
+            assert identity_dd_functor(s) == make_dd_functor(
+                s, s, identity_hom(s.monoid), s.monoid.unit
+            )
+            for t in dies:
+                first, again = dd_functors_between(s, t), dd_functors_between(s, t)
+                assert len(first) == len(again) > 0
+                assert all(a is b for a, b in zip(first, again))
+        assert calls[MonoidHom] == 0
+        assert calls[DDFunctor] == len(dies)
+
+    def test_table_invisible_to_equality_hash_and_json(self):
+        fresh, used = make_cmon_die(zmod(3), 2), make_cmon_die(zmod(3), 2)
+        dd_functors_between(used, used)
+        assert doubly._FUNCTORS in vars(used) and doubly._FUNCTORS not in vars(fresh)
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+        dumps = serialize.canonical_dumps
+        assert dumps(serialize.to_payload(used)) == dumps(serialize.to_payload(fresh))
+        assert doubly._FUNCTORS not in vars(replace(used))
+
+    def test_entry_for_another_object_is_not_returned(self):
+        s = make_cmon_die(zmod(3), 2)
+        t, t_copy = z2_die(), z2_die()
+        hmap, m = (0, 0, 0), 1
+        planted = doubly._interned(s, t, hmap, m)
+        table = vars(s)[doubly._FUNCTORS]
+        table[(id(t_copy), hmap, m)] = planted
+        f = doubly._interned(s, t_copy, hmap, m)
+        assert f is not planted and f.target is t_copy and f == planted
+        # a shallow copy shares the table dict but gets its own functors
+        s_copy = copy.copy(s)
+        assert vars(s_copy)[doubly._FUNCTORS] is table
+        g = doubly._interned(s_copy, t, hmap, m)
+        assert g.source is s_copy and g == planted
+        assert doubly._interned(s, t, hmap, m).source is s
+
+    def test_endpoint_mismatch_still_raises(self):
+        s, t = z2_die(), make_cmon_die(zmod(3), 2)
+        with pytest.raises(StructuralError):
+            compose_dd_functors(identity_dd_functor(t), identity_dd_functor(s))
+        f = dd_functors_between(s, t)[0]
+        with pytest.raises(StructuralError):
+            compose_dd_functors(f, f)
+
+    def test_identity_based_laws_still_catch_a_wrong_composite(self, monkeypatch):
+        dies = cmon_die_universe(2)
+        assert _composition_laws(dies) == (True, True)
+        s = next(d for d in dies if len(units(d.monoid)) > 1)
+        ident = identity_dd_functor(s)
+        other = next(u for u in units(s.monoid) if u != s.monoid.unit)
+        wrong = doubly._interned(s, s, ident.hom_map.map, other)
+        original = doubly.compose_dd_functors
+
+        def planted(g, f):
+            return wrong if g is ident and f is ident else original(g, f)
+
+        monkeypatch.setattr(doubly, "compose_dd_functors", planted)
+        assert _composition_laws(dies) == (False, False)
 
 
 def _count_ddbicat_checks(monkeypatch):
