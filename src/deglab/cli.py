@@ -66,6 +66,8 @@ def _render_report(payload):
 def cmd_validate(args) -> int:
     report = serialize.validate_payload(_load(args.file))
     _emit(report.to_payload(), args.format, _render_validation)
+    if report.structural:
+        return EXIT_INPUT_ERROR
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
@@ -93,16 +95,13 @@ def cmd_shift(args) -> int:
 
 
 def cmd_analyze_functor(args) -> int:
-    payload = _load(args.file)
-    if payload.get("kind") != "dd_functor":
-        raise StructuralError("analyze-functor expects a dd_functor file")
-    f = serialize.dd_functor_from(payload)
+    f = serialize.structure_from_payload(_load(args.file), "dd_functor")
     b1, b2 = build_ddbicat(f.source), build_ddbicat(f.target)
     if args.lax:
         promoted = promote_lax(b1, b2, f.hom_map.map, f.m, f.m0)
         out = {
             "verdict": "valid",
-            "functor": serialize.dd_functor_payload(promoted),
+            "functor": serialize.to_payload(promoted),
             "note": "lax data promoted to a weak functor",
         }
         _emit(out, args.format, lambda p: print("lax data promoted; functor is weak"))
@@ -110,14 +109,14 @@ def cmd_analyze_functor(args) -> int:
     functor, report = analyze_weak_functor(b1, b2, f.hom_map.map, f.m, f.m0)
     out = report.to_payload()
     if functor is not None:
-        out["functor"] = serialize.dd_functor_payload(functor)
+        out["functor"] = serialize.to_payload(functor)
     _emit(out, args.format, _render_validation)
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
 def cmd_compare(args) -> int:
-    f = serialize.dd_functor_from(_load(args.first))
-    g = serialize.dd_functor_from(_load(args.second))
+    f = serialize.structure_from_payload(_load(args.first), "dd_functor")
+    g = serialize.structure_from_payload(_load(args.second), "dd_functor")
     t = transformation_between(f, g)
     if t is None:
         payload = {"verdict": "no-transformation", "reason": "underlying homomorphisms differ"}
@@ -125,7 +124,7 @@ def cmd_compare(args) -> int:
         return EXIT_VIOLATION
     payload = {
         "verdict": "unique-transformation",
-        "transformation": serialize.dd_transformation_payload(t),
+        "transformation": serialize.to_payload(t),
     }
     _emit(payload, args.format, lambda p: print(f"unique transformation with component {t.sigma}"))
     return EXIT_OK
@@ -142,7 +141,7 @@ def cmd_search(args) -> int:
         found = t is not None
         payload = {
             "found": found,
-            "witness": None if t is None else serialize.nat_trans_payload(t),
+            "witness": None if t is None else serialize.to_payload(t),
         }
         _emit(payload, args.format, lambda p: print("found" if found else "absent"))
         return EXIT_OK if found else EXIT_VIOLATION
@@ -166,7 +165,7 @@ def cmd_search(args) -> int:
         t1, t2, comp, closed = unit_distobj_closure_witness(obj)
         payload = {
             "closed": closed,
-            "composite": serialize.deg_transformation_payload(comp),
+            "composite": serialize.to_payload(comp),
         }
         _emit(
             payload,
@@ -179,12 +178,10 @@ def cmd_search(args) -> int:
 
 def cmd_enumerate(args) -> int:
     if args.dies:
-        items = [serialize.cmon_die_payload(s) for s in cmon_die_universe(args.size)]
+        structures = cmon_die_universe(args.size)
     else:
-        items = [
-            serialize.monoid_payload(m)
-            for m in enumerate_monoids(args.size, commutative_only=args.commutative)
-        ]
+        structures = enumerate_monoids(args.size, commutative_only=args.commutative)
+    items = [serialize.to_payload(s) for s in structures]
     payload = {"count": len(items), "items": items}
     _emit(payload, args.format, lambda p: print(f"{p['count']} structures"))
     return EXIT_OK

@@ -1,59 +1,40 @@
 """JSON schemas for every structure, with canonical serialization.
 
-Key sets are exact: unknown keys are rejected so that a witness file means
-the same thing to every consumer.  Canonical output (sorted keys, no
-insignificant whitespace, one trailing newline) makes round trips
-byte-exact, which the replay tests rely on.
+One table, `SCHEMA`, keyed by the payload's "kind", describes all 17 JSON
+kinds.  An entry names the structure types written under its kind and
+declares each key: its shape (exact int, bool, int-or-null, a list or table
+of those, a list of {src, tgt} objects, or a nested kind), the count an
+index ranges over, and the attribute it is dumped from.  An entry also
+holds one dump, one build and one check function.  Adding a kind means
+adding one entry.
+
+Every payload read from outside goes through one recursive conform pass
+over the table before any constructor or axiom checker sees it.  At every
+depth, nested endpoints and {src, tgt} objects included, it enforces:
+
+* exact ints: `type(v) is int`, so a bool, float or numeric string is
+  rejected where an int belongs, and a flag must be an exact bool;
+* exact key sets: no key missing, no unknown key;
+* index ranges: each index lies below its count, which is a sibling count
+  (`size`, `cells`, `objects`), the length of a sibling list
+  (`morphisms`), or a count of a nested endpoint (`target.size`).
+
+A failure raises `StructuralError` naming the JSON path, such as
+`target/mul/2/1: expected int, got str`.  Lengths and the compatibility of
+endpoints stay with the public constructors, which remain the boundary for
+Python callers.  A checker that composes cells of a structure's parts runs
+only once those parts pass their own checks (see `_parts_first`).
+Canonical output (sorted keys, no insignificant whitespace, one trailing
+newline) makes round trips byte-exact, which the replay tests rely on.
 """
 
 import json
+from dataclasses import dataclass, field
+from functools import partial
+from operator import attrgetter
+from typing import Callable
 
-from .degenerate import DegenerateCategory, DegNatTrans, OBJECT_LABEL, check_nat_trans
-from .doubly import (
-    DDBicat,
-    DDFunctor,
-    DDModification,
-    DDTransformation,
-    check_dd_functor,
-    check_dd_transformation,
-    check_ddbicat,
-    check_modification,
-    eckmann_hilton_report,
-)
-from .fincat import CatFunctor, FiniteCategory, check_category
-from .monads import (
-    FinEndofunctor,
-    FinMonad,
-    MonadFunctor,
-    MonadFunctorTransformation,
-    check_monad,
-    check_monad_functor,
-    check_monad_transformation,
-)
-from .monoidal import (
-    DegenerateBicategory,
-    DegModification,
-    DegTransformation,
-    FinMonoidalCategory,
-    MonoidalFunctor,
-    MonoidalTransformation,
-    check_deg_modification,
-    check_deg_transformation,
-    check_degenerate_bicat,
-    check_monoidal,
-    check_monoidal_functor,
-    check_monoidal_transformation,
-    shift_from_bicat,
-)
-from .monoids import (
-    CMonDIE,
-    FiniteMonoid,
-    MonoidHom,
-    check_cmon_die,
-    check_commutative,
-    check_monoid,
-    invert,
-)
+from . import degenerate, doubly, fincat, monads, monoidal, monoids
 from .report import StructuralError, ValidationReport
 
 
@@ -61,611 +42,611 @@ def canonical_dumps(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
 
 
-def _require_keys(payload: dict, required: set, optional: set = frozenset()):
-    keys = set(payload)
-    missing = required - keys
-    unknown = keys - required - optional
-    if missing:
-        raise StructuralError(f"missing keys: {sorted(missing)}")
-    if unknown:
-        raise StructuralError(f"unknown keys: {sorted(unknown)}")
-
-
-def _rows(t):
-    return [list(r) for r in t]
-
-
-def _rows3(t):
-    return [[list(c) for c in p] for p in t]
-
-
-# -- payload builders ---------------------------------------------------------
-
-
-def monoid_payload(m: FiniteMonoid) -> dict:
-    return {"kind": "monoid", "size": m.size, "unit": m.unit, "mul": _rows(m.mul)}
-
-
-def cmon_die_payload(s: CMonDIE) -> dict:
-    payload = monoid_payload(s.monoid)
-    payload["die"] = s.die
-    return payload
-
-
-def degenerate_category_payload(c: DegenerateCategory) -> dict:
-    return {"kind": "degenerate_category", "hom": monoid_payload(c.hom)}
-
-
-def nat_trans_payload(t: DegNatTrans) -> dict:
-    return {
-        "kind": "nat_trans",
-        "source": monoid_payload(t.source_functor.source),
-        "target": monoid_payload(t.source_functor.target),
-        "F": list(t.source_functor.map),
-        "G": list(t.target_functor.map),
-        "d": t.component,
-    }
-
-
-def ddbicat_payload(b: DDBicat) -> dict:
-    return {
-        "kind": "ddbicat",
-        "cells": b.cells,
-        "id2": b.id2,
-        "vcomp": _rows(b.vcomp),
-        "hcomp": _rows(b.hcomp),
-        "assoc": b.assoc,
-        "assoc_inv": b.assoc_inv,
-        "lunit": b.lunit,
-        "lunit_inv": b.lunit_inv,
-        "runit": b.runit,
-        "runit_inv": b.runit_inv,
-    }
-
-
-def dd_functor_payload(f: DDFunctor) -> dict:
-    return {
-        "kind": "dd_functor",
-        "source": cmon_die_payload(f.source),
-        "target": cmon_die_payload(f.target),
-        "map": list(f.hom_map.map),
-        "m2": f.m,
-        "m0": f.m0,
-    }
-
-
-def dd_transformation_payload(t: DDTransformation) -> dict:
-    return {
-        "kind": "dd_transformation",
-        "source_functor": dd_functor_payload(t.source_functor),
-        "target_functor": dd_functor_payload(t.target_functor),
-        "sigma": t.sigma,
-    }
-
-
-def dd_modification_payload(m: DDModification) -> dict:
-    return {
-        "kind": "dd_modification",
-        "boundary": dd_transformation_payload(m.boundary),
-        "gamma": m.gamma,
-    }
-
-
-def category_payload(c: FiniteCategory) -> dict:
-    return {
-        "kind": "category",
-        "objects": c.n_objects,
-        "morphisms": [{"src": s, "tgt": t} for s, t in c.morphisms],
-        "identities": list(c.identities),
-        "comp": _rows(c.comp),
-    }
-
-
-def moncat_payload(mc: FinMonoidalCategory) -> dict:
-    return {
-        "kind": "moncat",
-        "objects": mc.base.n_objects,
-        "morphisms": [{"src": s, "tgt": t} for s, t in mc.base.morphisms],
-        "identities": list(mc.base.identities),
-        "comp": _rows(mc.base.comp),
-        "tensor_obj": _rows(mc.tensor_obj),
-        "tensor_mor": _rows(mc.tensor_mor),
-        "unit": mc.unit_obj,
-        "assoc": _rows3(mc.assoc),
-        "assoc_inv": _rows3(mc.assoc_inv),
-        "lunit": list(mc.lunit),
-        "lunit_inv": list(mc.lunit_inv),
-        "runit": list(mc.runit),
-        "runit_inv": list(mc.runit_inv),
-    }
-
-
-def degenerate_bicat_payload(b: DegenerateBicategory) -> dict:
-    return {
-        "kind": "degenerate_bicat",
-        "one_cells": b.one_cells,
-        "two_cells": [{"src": s, "tgt": t} for s, t in b.two_cells],
-        "identities": list(b.identities),
-        "vcomp": _rows(b.vcomp),
-        "hcomp_one": _rows(b.hcomp_one),
-        "hcomp_two": _rows(b.hcomp_two),
-        "unit_one": b.unit_one,
-        "assoc": _rows3(b.assoc),
-        "assoc_inv": _rows3(b.assoc_inv),
-        "lunit": list(b.lunit),
-        "lunit_inv": list(b.lunit_inv),
-        "runit": list(b.runit),
-        "runit_inv": list(b.runit_inv),
-    }
-
-
-def monoidal_functor_payload(f: MonoidalFunctor) -> dict:
-    return {
-        "kind": "monoidal_functor",
-        "source": moncat_payload(f.source),
-        "target": moncat_payload(f.target),
-        "object_map": list(f.functor.object_map),
-        "morphism_map": list(f.functor.morphism_map),
-        "tensor_comparison": _rows(f.tensor_comparison),
-        "unit_comparison": f.unit_comparison,
-    }
-
-
-def monoidal_transformation_payload(t: MonoidalTransformation) -> dict:
-    return {
-        "kind": "monoidal_transformation",
-        "source_functor": monoidal_functor_payload(t.source_functor),
-        "target_functor": monoidal_functor_payload(t.target_functor),
-        "components": list(t.components),
-    }
-
-
-def deg_transformation_payload(t: DegTransformation) -> dict:
-    return {
-        "kind": "deg_transformation",
-        "source_functor": monoidal_functor_payload(t.source_functor),
-        "target_functor": monoidal_functor_payload(t.target_functor),
-        "dist_obj": t.dist_obj,
-        "components": list(t.components),
-        "lax": t.lax,
-        "oplax": t.oplax,
-    }
-
-
-def deg_modification_payload(m: DegModification) -> dict:
-    return {
-        "kind": "deg_modification",
-        "source_transformation": deg_transformation_payload(m.source_transformation),
-        "target_transformation": deg_transformation_payload(m.target_transformation),
-        "gamma": m.gamma,
-    }
-
-
-def monad_payload(m: FinMonad) -> dict:
-    return {
-        "kind": "monad",
-        "base": category_payload(m.endo.base),
-        "object_map": list(m.endo.object_map),
-        "morphism_map": list(m.endo.morphism_map),
-        "eta": list(m.eta),
-        "mu": list(m.mu),
-    }
-
-
-def monad_functor_payload(f: MonadFunctor) -> dict:
-    return {
-        "kind": "monad_functor",
-        "source": monad_payload(f.source),
-        "target": monad_payload(f.target),
-        "object_map": list(f.u.object_map),
-        "morphism_map": list(f.u.morphism_map),
-        "phi": list(f.phi),
-    }
-
-
-def monad_transformation_payload(t: MonadFunctorTransformation) -> dict:
-    return {
-        "kind": "monad_transformation",
-        "source": monad_functor_payload(t.source),
-        "target": monad_functor_payload(t.target),
-        "gamma": list(t.gamma),
-    }
-
-
-def to_payload(obj) -> dict:
-    builders = {
-        FiniteMonoid: monoid_payload,
-        CMonDIE: cmon_die_payload,
-        DegenerateCategory: degenerate_category_payload,
-        DegNatTrans: nat_trans_payload,
-        DDBicat: ddbicat_payload,
-        DDFunctor: dd_functor_payload,
-        DDTransformation: dd_transformation_payload,
-        DDModification: dd_modification_payload,
-        FiniteCategory: category_payload,
-        FinMonoidalCategory: moncat_payload,
-        DegenerateBicategory: degenerate_bicat_payload,
-        MonoidalFunctor: monoidal_functor_payload,
-        MonoidalTransformation: monoidal_transformation_payload,
-        DegTransformation: deg_transformation_payload,
-        DegModification: deg_modification_payload,
-        FinMonad: monad_payload,
-        MonadFunctor: monad_functor_payload,
-        MonadFunctorTransformation: monad_transformation_payload,
-    }
-    builder = builders.get(type(obj))
-    if builder is None:
-        raise StructuralError(f"no payload builder for {type(obj).__name__}")
-    return builder(obj)
-
-
-# -- loaders ------------------------------------------------------------------
-
-
-def monoid_from(payload) -> FiniteMonoid:
-    _require_keys(payload, {"kind", "size", "unit", "mul"}, {"die"})
-    return FiniteMonoid(payload["size"], payload["unit"], payload["mul"])
-
-
-def cmon_die_from(payload) -> CMonDIE:
-    m = monoid_from(payload)
-    inv = invert(m, payload["die"])
-    if inv is None:
-        raise StructuralError("die has no inverse; cannot build the structure")
-    return CMonDIE(m, payload["die"], inv)
-
-
-def degenerate_category_from(payload) -> DegenerateCategory:
-    _require_keys(payload, {"kind", "hom"})
-    return DegenerateCategory(OBJECT_LABEL, monoid_from(payload["hom"]))
-
-
-def nat_trans_from(payload) -> DegNatTrans:
-    _require_keys(payload, {"kind", "source", "target", "F", "G", "d"})
-    src = monoid_from(payload["source"])
-    tgt = monoid_from(payload["target"])
-    return DegNatTrans(
-        MonoidHom(src, tgt, payload["F"]), MonoidHom(src, tgt, payload["G"]), payload["d"]
-    )
-
-
-def ddbicat_from(payload) -> DDBicat:
-    _require_keys(
-        payload,
-        {
-            "kind",
-            "cells",
-            "id2",
-            "vcomp",
-            "hcomp",
-            "assoc",
-            "assoc_inv",
-            "lunit",
-            "lunit_inv",
-            "runit",
-            "runit_inv",
-        },
-    )
-    return DDBicat(
-        payload["cells"],
-        payload["id2"],
-        payload["vcomp"],
-        payload["hcomp"],
-        payload["assoc"],
-        payload["assoc_inv"],
-        payload["lunit"],
-        payload["lunit_inv"],
-        payload["runit"],
-        payload["runit_inv"],
-    )
-
-
-def dd_functor_from(payload) -> DDFunctor:
-    _require_keys(payload, {"kind", "source", "target", "map", "m2", "m0"})
-    src = cmon_die_from(payload["source"])
-    tgt = cmon_die_from(payload["target"])
-    hom = MonoidHom(src.monoid, tgt.monoid, payload["map"])
-    return DDFunctor(src, tgt, hom, payload["m2"], payload["m0"])
-
-
-def dd_transformation_from(payload) -> DDTransformation:
-    _require_keys(payload, {"kind", "source_functor", "target_functor", "sigma"})
-    return DDTransformation(
-        dd_functor_from(payload["source_functor"]),
-        dd_functor_from(payload["target_functor"]),
-        payload["sigma"],
-    )
-
-
-def dd_modification_from(payload) -> DDModification:
-    _require_keys(payload, {"kind", "boundary", "gamma"})
-    return DDModification(dd_transformation_from(payload["boundary"]), payload["gamma"])
-
-
-def category_from(payload) -> FiniteCategory:
-    _require_keys(payload, {"kind", "objects", "morphisms", "identities", "comp"})
-    morphisms = tuple((m["src"], m["tgt"]) for m in payload["morphisms"])
-    return FiniteCategory(payload["objects"], morphisms, payload["identities"], payload["comp"])
-
-
-def moncat_from(payload) -> FinMonoidalCategory:
-    _require_keys(
-        payload,
-        {
-            "kind",
-            "objects",
-            "morphisms",
-            "identities",
-            "comp",
-            "tensor_obj",
-            "tensor_mor",
-            "unit",
-            "assoc",
-            "assoc_inv",
-            "lunit",
-            "lunit_inv",
-            "runit",
-            "runit_inv",
-        },
-    )
-    base = FiniteCategory(
-        payload["objects"],
-        tuple((m["src"], m["tgt"]) for m in payload["morphisms"]),
-        payload["identities"],
-        payload["comp"],
-    )
-    return FinMonoidalCategory(
-        base=base,
-        tensor_obj=payload["tensor_obj"],
-        tensor_mor=payload["tensor_mor"],
-        unit_obj=payload["unit"],
-        assoc=payload["assoc"],
-        assoc_inv=payload["assoc_inv"],
-        lunit=payload["lunit"],
-        lunit_inv=payload["lunit_inv"],
-        runit=payload["runit"],
-        runit_inv=payload["runit_inv"],
-    )
-
-
-def degenerate_bicat_from(payload) -> DegenerateBicategory:
-    _require_keys(
-        payload,
-        {
-            "kind",
-            "one_cells",
-            "two_cells",
-            "identities",
-            "vcomp",
-            "hcomp_one",
-            "hcomp_two",
-            "unit_one",
-            "assoc",
-            "assoc_inv",
-            "lunit",
-            "lunit_inv",
-            "runit",
-            "runit_inv",
-        },
-    )
-    two_cells = tuple((m["src"], m["tgt"]) for m in payload["two_cells"])
-    bic = DegenerateBicategory(
-        one_cells=payload["one_cells"],
-        two_cells=two_cells,
-        identities=tuple(payload["identities"]),
-        vcomp=tuple(tuple(v for v in row) for row in payload["vcomp"]),
-        hcomp_one=tuple(tuple(row) for row in payload["hcomp_one"]),
-        hcomp_two=tuple(tuple(row) for row in payload["hcomp_two"]),
-        unit_one=payload["unit_one"],
-        assoc=tuple(tuple(tuple(c) for c in p) for p in payload["assoc"]),
-        assoc_inv=tuple(tuple(tuple(c) for c in p) for p in payload["assoc_inv"]),
-        lunit=tuple(payload["lunit"]),
-        lunit_inv=tuple(payload["lunit_inv"]),
-        runit=tuple(payload["runit"]),
-        runit_inv=tuple(payload["runit_inv"]),
-    )
-    shift_from_bicat(bic)  # shape validation happens in the relabeled constructor
-    return bic
-
-
-def monoidal_functor_from(payload) -> MonoidalFunctor:
-    _require_keys(
-        payload,
-        {
-            "kind",
-            "source",
-            "target",
-            "object_map",
-            "morphism_map",
-            "tensor_comparison",
-            "unit_comparison",
-        },
-    )
-    src = moncat_from(payload["source"])
-    tgt = moncat_from(payload["target"])
-    fun = CatFunctor(src.base, tgt.base, payload["object_map"], payload["morphism_map"])
-    return MonoidalFunctor(src, tgt, fun, payload["tensor_comparison"], payload["unit_comparison"])
-
-
-def monoidal_transformation_from(payload) -> MonoidalTransformation:
-    _require_keys(payload, {"kind", "source_functor", "target_functor", "components"})
-    return MonoidalTransformation(
-        monoidal_functor_from(payload["source_functor"]),
-        monoidal_functor_from(payload["target_functor"]),
-        payload["components"],
-    )
-
-
-def deg_transformation_from(payload) -> DegTransformation:
-    _require_keys(
-        payload,
-        {"kind", "source_functor", "target_functor", "dist_obj", "components", "lax", "oplax"},
-    )
-    return DegTransformation(
-        monoidal_functor_from(payload["source_functor"]),
-        monoidal_functor_from(payload["target_functor"]),
-        payload["dist_obj"],
-        payload["components"],
-        lax=bool(payload["lax"]),
-        oplax=bool(payload["oplax"]),
-    )
-
-
-def deg_modification_from(payload) -> DegModification:
-    _require_keys(payload, {"kind", "source_transformation", "target_transformation", "gamma"})
-    return DegModification(
-        deg_transformation_from(payload["source_transformation"]),
-        deg_transformation_from(payload["target_transformation"]),
-        payload["gamma"],
-    )
-
-
-def monad_from(payload) -> FinMonad:
-    _require_keys(payload, {"kind", "base", "object_map", "morphism_map", "eta", "mu"})
-    base = category_from(payload["base"])
-    endo = FinEndofunctor(base, payload["object_map"], payload["morphism_map"])
-    return FinMonad(endo, payload["eta"], payload["mu"])
-
-
-def monad_functor_from(payload) -> MonadFunctor:
-    _require_keys(payload, {"kind", "source", "target", "object_map", "morphism_map", "phi"})
-    src = monad_from(payload["source"])
-    tgt = monad_from(payload["target"])
-    u = CatFunctor(src.endo.base, tgt.endo.base, payload["object_map"], payload["morphism_map"])
-    return MonadFunctor(src, tgt, u, payload["phi"])
-
-
-def monad_transformation_from(payload) -> MonadFunctorTransformation:
-    _require_keys(payload, {"kind", "source", "target", "gamma"})
-    return MonadFunctorTransformation(
-        monad_functor_from(payload["source"]),
-        monad_functor_from(payload["target"]),
-        payload["gamma"],
-    )
-
-
-_LOADERS = {
-    "monoid": monoid_from,
-    "degenerate_category": degenerate_category_from,
-    "nat_trans": nat_trans_from,
-    "ddbicat": ddbicat_from,
-    "dd_functor": dd_functor_from,
-    "dd_transformation": dd_transformation_from,
-    "dd_modification": dd_modification_from,
-    "category": category_from,
-    "moncat": moncat_from,
-    "degenerate_bicat": degenerate_bicat_from,
-    "monoidal_functor": monoidal_functor_from,
-    "monoidal_transformation": monoidal_transformation_from,
-    "deg_transformation": deg_transformation_from,
-    "deg_modification": deg_modification_from,
-    "monad": monad_from,
-    "monad_functor": monad_functor_from,
-    "monad_transformation": monad_transformation_from,
+# -- key declarations ---------------------------------------------------------
+
+COUNT, FLAG, INDEX, INDEX_OR_NULL, PAIRS = "count", "flag", "index", "index-or-null", "pairs"
+_PAIR_KEYS = frozenset({"src", "tgt"})
+
+# tuples of each depth as JSON lists
+_LISTS = {
+    0: None,
+    1: list,
+    2: lambda t: [list(row) for row in t],
+    3: lambda t: [[list(row) for row in plane] for plane in t],
 }
 
 
-def structure_from_payload(payload):
-    if not isinstance(payload, dict) or "kind" not in payload:
+def _pairs_json(pairs):
+    return [{"src": s, "tgt": t} for s, t in pairs]
+
+
+@dataclass(frozen=True)
+class Nested:
+    """A key holding a payload of another kind.  `extra` lists the optional
+    keys of that kind that are required here; its other optional keys are
+    not allowed."""
+
+    kind: str
+    extra: tuple = ()
+
+
+@dataclass(frozen=True)
+class Key:
+    """One key: its leaf shape, the list levels around each leaf, for
+    index leaves the key path of the count they range over, and the
+    attribute path of the structure it is dumped from."""
+
+    name: str
+    leaf: object  # COUNT, FLAG, INDEX, INDEX_OR_NULL, PAIRS or a Nested
+    depth: int = 0
+    bound: tuple = ()
+    attr: str = ""
+    get: Callable = field(init=False, compare=False)
+    to_json: Callable = field(init=False, compare=False)  # None for a plain value
+
+    def __post_init__(self):
+        object.__setattr__(self, "get", attrgetter(self.attr or self.name))
+        if type(self.leaf) is Nested:
+            to_json = _dump
+        elif self.leaf is PAIRS:
+            to_json = _pairs_json
+        else:
+            to_json = _LISTS[self.depth]
+        object.__setattr__(self, "to_json", to_json)
+
+
+def _index(name, bound, depth=0, leaf=INDEX, attr=""):
+    return Key(name, leaf, depth, tuple(bound.split(".")), attr)
+
+
+@dataclass(frozen=True)
+class Schema:
+    """One JSON kind.  `keys` are in walk order: a count, list or nested
+    payload named by a bound comes before the index keys that use it.
+    `build` takes the converted values by key name; `check` takes a
+    conformed payload and returns its validation report."""
+
+    types: tuple
+    keys: tuple
+    build: Callable
+    check: Callable
+    dump: Callable = None  # structure -> its keys; by default read from their attributes
+    optional: frozenset = frozenset()
+    required: frozenset = field(init=False)
+
+    def __post_init__(self):
+        names = {k.name for k in self.keys} - self.optional
+        object.__setattr__(self, "required", frozenset(names | {"kind"}))
+        if self.dump is None:
+            object.__setattr__(self, "dump", partial(_dump_keys, self.keys))
+
+
+# -- the conform pass ---------------------------------------------------------
+
+
+def _type_name(v) -> str:
+    return {dict: "object", list: "list", type(None): "null"}.get(type(v), type(v).__name__)
+
+
+def _expected(path, what, v) -> StructuralError:
+    return StructuralError(f"{path}: expected {what}, got {_type_name(v)}")
+
+
+def _check_keys(payload, required, optional, path):
+    keys = payload.keys()
+    if keys == required:
+        return
+    where = f"{path}: " if path else ""
+    missing = required - keys
+    if missing:
+        raise StructuralError(f"{where}missing keys: {sorted(missing)}")
+    unknown = keys - required - optional
+    if unknown:
+        raise StructuralError(f"{where}unknown keys: {sorted(unknown)}")
+
+
+def _leaf(v, key, n, path):
+    leaf = key.leaf
+    if leaf is FLAG:
+        if type(v) is not bool:
+            raise _expected(path, "bool", v)
+        return
+    if v is None and leaf is INDEX_OR_NULL:
+        return
+    if type(v) is not int:
+        raise _expected(path, "int or null" if leaf is INDEX_OR_NULL else "int", v)
+    if n is not None and not 0 <= v < n:
+        raise StructuralError(f"{path}: index {v} out of range for {'.'.join(key.bound)} = {n}")
+
+
+def _fits(v, depth, n, nullable) -> bool:
+    """Whether `v` is `depth` levels of lists of ints in range(n), or nulls
+    if `nullable`."""
+    if type(v) is not list:
+        return False
+    if depth > 2:
+        return all(_fits(plane, depth - 1, n, nullable) for plane in v)
+    for row in v if depth == 2 else (v,):
+        if type(row) is not list:
+            return False
+        for x in row:
+            if type(x) is not int or not 0 <= x < n:
+                if x is not None or not nullable:
+                    return False
+    return True
+
+
+def _pairs_fit(v, n) -> bool:
+    """Whether `v` is a list of {src, tgt} objects of ints in range(n)."""
+    if type(v) is not list:
+        return False
+    for pair in v:
+        if type(pair) is not dict or pair.keys() != _PAIR_KEYS:
+            return False
+        s, t = pair["src"], pair["tgt"]
+        if type(s) is not int or type(t) is not int or not (0 <= s < n and 0 <= t < n):
+            return False
+    return True
+
+
+def _explain(v, key, n, depth, path):
+    """Raise for the first leaf of `v` that does not fit, naming its path."""
+    if depth == 0:
+        if key.leaf is not PAIRS:
+            _leaf(v, key, n, path)
+            return
+        if type(v) is not dict:
+            raise _expected(path, "object", v)
+        _check_keys(v, _PAIR_KEYS, frozenset(), path)
+        _leaf(v["src"], key, n, f"{path}/src")
+        _leaf(v["tgt"], key, n, f"{path}/tgt")
+        return
+    if type(v) is not list:
+        raise _expected(path, "list", v)
+    for i, x in enumerate(v):
+        _explain(x, key, n, depth - 1, f"{path}/{i}")
+
+
+def _conform(payload, kind, extra, optional, path):
+    """Check `payload` against the entry of `kind`, whose optional keys in
+    `extra` are required here and those in `optional` allowed."""
+    entry = SCHEMA[kind]
+    _check_keys(payload, entry.required.union(extra), optional, path)
+    prefix = f"{path}/" if path else ""
+    if payload["kind"] != kind:
+        raise StructuralError(f"{prefix}kind: expected {kind!r}, got {payload['kind']!r}")
+    for key in entry.keys:
+        name, leaf = key.name, key.leaf
+        if name not in payload:  # an optional key, absent
+            continue
+        v = payload[name]
+        if type(leaf) is Nested:
+            if type(v) is not dict:
+                raise _expected(prefix + name, "object", v)
+            _conform(v, leaf.kind, leaf.extra, frozenset(), prefix + name)
+            continue
+        n = None
+        if key.bound:
+            n = payload
+            for step in key.bound:
+                n = n[step]
+            if type(n) is list:
+                n = len(n)
+        if leaf is PAIRS:
+            if not _pairs_fit(v, n):
+                _explain(v, key, n, 1, prefix + name)
+        elif key.depth:
+            if not _fits(v, key.depth, n, leaf is INDEX_OR_NULL):
+                _explain(v, key, n, key.depth, prefix + name)
+        elif type(v) is not int or leaf is FLAG or (n is not None and not 0 <= v < n):
+            _leaf(v, key, n, prefix + name)
+
+
+def _conformed(payload, kind=None) -> Schema:
+    """The entry of a top-level payload, once the payload conforms to it."""
+    if type(payload) is not dict or type(payload.get("kind")) is not str:
         raise StructuralError("payload must be an object with a 'kind' key")
-    kind = payload["kind"]
-    loader = _LOADERS.get(kind)
-    if loader is None:
-        raise StructuralError(f"unknown kind {kind!r}")
-    if kind == "monoid" and "die" in payload:
-        return cmon_die_from(payload)
-    return loader(payload)
+    entry = SCHEMA.get(payload["kind"])
+    if entry is None:
+        raise StructuralError(f"unknown kind {payload['kind']!r}")
+    if kind is not None and payload["kind"] != kind:
+        raise StructuralError(f"expected a {kind} payload, got {payload['kind']!r}")
+    _conform(payload, payload["kind"], (), entry.optional, "")
+    return entry
 
 
-# -- validation dispatch -------------------------------------------------------
+# -- dump and build -----------------------------------------------------------
 
 
-def _validate_monoid(payload) -> ValidationReport:
-    _require_keys(payload, {"kind", "size", "unit", "mul"}, {"die"})
-    if "die" not in payload:
-        m = monoid_from(payload)
-        return check_monoid(m.mul, m.unit)
-    m = monoid_from(payload)
-    report = check_monoid(m.mul, m.unit)
-    report.subject = "cmon_die"
-    if not (0 <= payload["die"] < m.size):
-        report.add_structural("die-range", (payload["die"],))
+def _dump(obj) -> dict:
+    kind = _KIND_OF.get(type(obj))
+    if kind is None:
+        raise StructuralError(f"no payload builder for {type(obj).__name__}")
+    return {"kind": kind, **SCHEMA[kind].dump(obj)}
+
+
+def _dump_keys(keys, obj) -> dict:
+    out = {}
+    for key in keys:
+        v = key.get(obj)
+        out[key.name] = v if key.to_json is None else key.to_json(v)
+    return out
+
+
+def _build(payload):
+    """Build a conformed payload, its nested payloads first.  Equal sibling
+    payloads give one shared structure; after the conform pass equality is
+    exact, as every position holds one JSON type.  Lists are passed as they
+    are: the constructors make their own tuples."""
+    entry = SCHEMA[payload["kind"]]
+    args = {}
+    built = []  # (payload, structure) of each nested payload built here
+    for key in entry.keys:
+        if key.name not in payload:
+            continue
+        v = payload[key.name]
+        if type(key.leaf) is Nested:
+            obj = next((obj for seen, obj in built if seen == v), None)
+            if obj is None:
+                obj = _build(v)
+                built.append((v, obj))
+            v = obj
+        elif key.leaf is PAIRS:
+            v = tuple((p["src"], p["tgt"]) for p in v)
+        args[key.name] = v
+    return entry.build(**args)
+
+
+def _dump_monoid(m) -> dict:
+    if type(m) is monoids.CMonDIE:
+        return {**_dump_monoid(m.monoid), "die": m.die}
+    return {"size": m.size, "unit": m.unit, "mul": _LISTS[2](m.mul)}
+
+
+def _build_monoid(size, unit, mul, die=None):
+    m = monoids.FiniteMonoid(size, unit, mul)
+    if die is None:
+        return m
+    inv = monoids.invert(m, die)
+    if inv is None:
+        raise StructuralError("die has no inverse; cannot build the structure")
+    return monoids.CMonDIE(m, die, inv)
+
+
+def _build_degenerate_bicat(**args) -> monoidal.DegenerateBicategory:
+    # the shift's constructors check shapes and make the tuples, which the
+    # bicategory's dataclass does not do itself
+    return monoidal.shift_to_bicat(monoidal.shift_from_bicat(monoidal.DegenerateBicategory(**args)))
+
+
+# -- checks -------------------------------------------------------------------
+
+
+def _checked(checker):
+    """The check of a kind whose axiom checker takes the built structure."""
+    return lambda p: checker(_build(p))
+
+
+def _parts_first(checker, **parts):
+    """A check for a checker that composes cells of some parts of its
+    structure and so presupposes they are valid.  `parts` maps each such
+    attribute to the check of the structure there.  The parts are checked
+    first, each distinct one once, with findings prefixed by the attribute;
+    `checker` runs only when all of them hold."""
+
+    def check(obj):
+        report = ValidationReport(_KIND_OF[type(obj)])
+        done = []
+        for attr, part_check in parts.items():
+            part = getattr(obj, attr)
+            if all(part is not d for d in done):
+                done.append(part)
+                report.extend(part_check(part), prefix=f"{attr}-")
+        return checker(obj) if report.ok else report
+
+    return check
+
+
+_check_monoidal_functor = _parts_first(
+    monoidal.check_monoidal_functor, source=monoidal.check_monoidal, target=monoidal.check_monoidal
+)
+_check_deg_transformation = _parts_first(
+    monoidal.check_deg_transformation,
+    source_functor=_check_monoidal_functor,
+    target_functor=_check_monoidal_functor,
+)
+_check_monad_functor = _parts_first(
+    monads.check_monad_functor, source=monads.check_monad, target=monads.check_monad
+)
+
+
+def _check_monoid(p) -> ValidationReport:
+    m = monoids.FiniteMonoid(p["size"], p["unit"], p["mul"])
+    report = monoids.check_monoid(m.mul, m.unit)
+    if "die" not in p:
         return report
-    for x, y in check_commutative(m):
+    report.subject = "cmon_die"
+    for x, y in monoids.check_commutative(m):
         report.add("commutativity", (x, y))
-    if invert(m, payload["die"]) is None:
-        report.add("die-invertible", (payload["die"],), "no inverse exists")
+    if monoids.invert(m, p["die"]) is None:
+        report.add("die-invertible", (p["die"],), "no inverse exists")
     return report
 
 
-def _validate_ddbicat(payload) -> ValidationReport:
-    b = ddbicat_from(payload)
-    report = check_ddbicat(b)
+def _check_degenerate_category(p) -> ValidationReport:
+    hom = _build(p).hom
+    report = monoids.check_monoid(hom.mul, hom.unit)
+    report.subject = "degenerate_category"
+    return report
+
+
+def _check_ddbicat(p) -> ValidationReport:
+    b = _build(p)
+    report = doubly.check_ddbicat(b)
     if report.ok:
-        eh = eckmann_hilton_report(b)
+        eh = doubly.eckmann_hilton_report(b)
         for criterion, passed, witness in eh.findings:
             if not passed:
                 report.add(f"derived-{criterion}", tuple(witness or ()))
     return report
 
 
-def _validate_degenerate_category(payload) -> ValidationReport:
-    c = degenerate_category_from(payload)
-    report = check_monoid(c.hom.mul, c.hom.unit)
-    report.subject = "degenerate_category"
-    return report
-
-
-def _validate_dd_functor(payload) -> ValidationReport:
-    f = dd_functor_from(payload)
+def _check_dd_functor(p) -> ValidationReport:
+    f = _build(p)
     report = ValidationReport("dd_functor")
-    report.extend(check_cmon_die(f.source), prefix="source-")
-    report.extend(check_cmon_die(f.target), prefix="target-")
-    report.extend(check_dd_functor(f))
+    report.extend(monoids.check_cmon_die(f.source), prefix="source-")
+    report.extend(monoids.check_cmon_die(f.target), prefix="target-")
+    report.extend(doubly.check_dd_functor(f))
     return report
 
 
-def _validate_dd_transformation(payload) -> ValidationReport:
-    return check_dd_transformation(dd_transformation_from(payload))
+# -- the table ----------------------------------------------------------------
 
 
-def _validate_dd_modification(payload) -> ValidationReport:
-    return check_modification(dd_modification_from(payload))
+def _category_keys(at=""):
+    """The keys of a finite category read from attribute path `at`."""
+    return (
+        Key("objects", COUNT, attr=at + "n_objects"),
+        Key("morphisms", PAIRS, 0, ("objects",), at + "morphisms"),
+        _index("identities", "morphisms", 1, attr=at + "identities"),
+        _index("comp", "morphisms", 2, INDEX_OR_NULL, attr=at + "comp"),
+    )
 
 
-def _validate_degenerate_bicat(payload) -> ValidationReport:
-    return check_degenerate_bicat(degenerate_bicat_from(payload))
+_UNITORS = ("lunit", "lunit_inv", "runit", "runit_inv")
 
-
-_VALIDATORS = {
-    "monoid": _validate_monoid,
-    "degenerate_category": _validate_degenerate_category,
-    "nat_trans": lambda p: check_nat_trans(nat_trans_from(p)),
-    "ddbicat": _validate_ddbicat,
-    "dd_functor": _validate_dd_functor,
-    "dd_transformation": _validate_dd_transformation,
-    "dd_modification": _validate_dd_modification,
-    "category": lambda p: check_category(category_from(p)),
-    "moncat": lambda p: check_monoidal(moncat_from(p)),
-    "degenerate_bicat": _validate_degenerate_bicat,
-    "monoidal_functor": lambda p: check_monoidal_functor(monoidal_functor_from(p)),
-    "monoidal_transformation": lambda p: check_monoidal_transformation(
-        monoidal_transformation_from(p)
+SCHEMA = {
+    "monoid": Schema(
+        (monoids.FiniteMonoid, monoids.CMonDIE),
+        (
+            Key("size", COUNT),
+            _index("unit", "size"),
+            _index("mul", "size", 2),
+            _index("die", "size"),
+        ),
+        _build_monoid,
+        _check_monoid,
+        dump=_dump_monoid,
+        optional=frozenset({"die"}),
     ),
-    "deg_transformation": lambda p: check_deg_transformation(deg_transformation_from(p)),
-    "deg_modification": lambda p: check_deg_modification(deg_modification_from(p)),
-    "monad": lambda p: check_monad(monad_from(p)),
-    "monad_functor": lambda p: check_monad_functor(monad_functor_from(p)),
-    "monad_transformation": lambda p: check_monad_transformation(monad_transformation_from(p)),
+    "degenerate_category": Schema(
+        (degenerate.DegenerateCategory,),
+        (Key("hom", Nested("monoid")),),
+        lambda hom: degenerate.DegenerateCategory(degenerate.OBJECT_LABEL, hom),
+        _check_degenerate_category,
+    ),
+    "nat_trans": Schema(
+        (degenerate.DegNatTrans,),
+        (
+            Key("source", Nested("monoid"), attr="source_functor.source"),
+            Key("target", Nested("monoid"), attr="source_functor.target"),
+            _index("F", "target.size", 1, attr="source_functor.map"),
+            _index("G", "target.size", 1, attr="target_functor.map"),
+            _index("d", "target.size", attr="component"),
+        ),
+        lambda source, target, F, G, d: degenerate.DegNatTrans(
+            monoids.MonoidHom(source, target, F), monoids.MonoidHom(source, target, G), d
+        ),
+        _checked(degenerate.check_nat_trans),
+    ),
+    "ddbicat": Schema(
+        (doubly.DDBicat,),
+        (
+            Key("cells", COUNT),
+            _index("id2", "cells"),
+            _index("vcomp", "cells", 2),
+            _index("hcomp", "cells", 2),
+            *(_index(k, "cells") for k in ("assoc", "assoc_inv") + _UNITORS),
+        ),
+        doubly.DDBicat,
+        _check_ddbicat,
+    ),
+    "dd_functor": Schema(
+        (doubly.DDFunctor,),
+        (
+            Key("source", Nested("monoid", ("die",))),
+            Key("target", Nested("monoid", ("die",))),
+            _index("map", "target.size", 1, attr="hom_map.map"),
+            _index("m2", "target.size", attr="m"),
+            _index("m0", "target.size"),
+        ),
+        lambda source, target, map, m2, m0: doubly.DDFunctor(
+            source, target, monoids.MonoidHom(source.monoid, target.monoid, map), m2, m0
+        ),
+        _check_dd_functor,
+    ),
+    "dd_transformation": Schema(
+        (doubly.DDTransformation,),
+        (
+            Key("source_functor", Nested("dd_functor")),
+            Key("target_functor", Nested("dd_functor")),
+            _index("sigma", "source_functor.target.size"),
+        ),
+        doubly.DDTransformation,
+        _checked(doubly.check_dd_transformation),
+    ),
+    "dd_modification": Schema(
+        (doubly.DDModification,),
+        (
+            Key("boundary", Nested("dd_transformation")),
+            _index("gamma", "boundary.source_functor.target.size"),
+        ),
+        doubly.DDModification,
+        _checked(doubly.check_modification),
+    ),
+    "category": Schema(
+        (fincat.FiniteCategory,),
+        _category_keys(),
+        lambda objects, morphisms, identities, comp: fincat.FiniteCategory(
+            objects, morphisms, identities, comp
+        ),
+        _checked(fincat.check_category),
+    ),
+    "moncat": Schema(
+        (monoidal.FinMonoidalCategory,),
+        (
+            *_category_keys("base."),
+            _index("tensor_obj", "objects", 2),
+            _index("tensor_mor", "morphisms", 2),
+            _index("unit", "objects", attr="unit_obj"),
+            _index("assoc", "morphisms", 3),
+            _index("assoc_inv", "morphisms", 3),
+            *(_index(k, "morphisms", 1) for k in _UNITORS),
+        ),
+        lambda objects, morphisms, identities, comp, unit, **rest: monoidal.FinMonoidalCategory(
+            fincat.FiniteCategory(objects, morphisms, identities, comp), unit_obj=unit, **rest
+        ),
+        _checked(monoidal.check_monoidal),
+    ),
+    "degenerate_bicat": Schema(
+        (monoidal.DegenerateBicategory,),
+        (
+            Key("one_cells", COUNT),
+            Key("two_cells", PAIRS, 0, ("one_cells",)),
+            _index("identities", "two_cells", 1),
+            _index("vcomp", "two_cells", 2, INDEX_OR_NULL),
+            _index("hcomp_one", "one_cells", 2),
+            _index("hcomp_two", "two_cells", 2),
+            _index("unit_one", "one_cells"),
+            _index("assoc", "two_cells", 3),
+            _index("assoc_inv", "two_cells", 3),
+            *(_index(k, "two_cells", 1) for k in _UNITORS),
+        ),
+        _build_degenerate_bicat,
+        _checked(monoidal.check_degenerate_bicat),
+    ),
+    "monoidal_functor": Schema(
+        (monoidal.MonoidalFunctor,),
+        (
+            Key("source", Nested("moncat")),
+            Key("target", Nested("moncat")),
+            _index("object_map", "target.objects", 1, attr="functor.object_map"),
+            _index("morphism_map", "target.morphisms", 1, attr="functor.morphism_map"),
+            _index("tensor_comparison", "target.morphisms", 2),
+            _index("unit_comparison", "target.morphisms"),
+        ),
+        lambda source, target, object_map, morphism_map, **rest: monoidal.MonoidalFunctor(
+            source,
+            target,
+            fincat.CatFunctor(source.base, target.base, object_map, morphism_map),
+            **rest,
+        ),
+        _checked(_check_monoidal_functor),
+    ),
+    "monoidal_transformation": Schema(
+        (monoidal.MonoidalTransformation,),
+        (
+            Key("source_functor", Nested("monoidal_functor")),
+            Key("target_functor", Nested("monoidal_functor")),
+            _index("components", "source_functor.target.morphisms", 1),
+        ),
+        monoidal.MonoidalTransformation,
+        _checked(monoidal.check_monoidal_transformation),
+    ),
+    "deg_transformation": Schema(
+        (monoidal.DegTransformation,),
+        (
+            Key("source_functor", Nested("monoidal_functor")),
+            Key("target_functor", Nested("monoidal_functor")),
+            _index("dist_obj", "source_functor.target.objects"),
+            _index("components", "source_functor.target.morphisms", 1),
+            Key("lax", FLAG),
+            Key("oplax", FLAG),
+        ),
+        monoidal.DegTransformation,
+        _checked(_check_deg_transformation),
+    ),
+    "deg_modification": Schema(
+        (monoidal.DegModification,),
+        (
+            Key("source_transformation", Nested("deg_transformation")),
+            Key("target_transformation", Nested("deg_transformation")),
+            _index("gamma", "source_transformation.source_functor.target.morphisms"),
+        ),
+        monoidal.DegModification,
+        _checked(monoidal.check_deg_modification),
+    ),
+    "monad": Schema(
+        (monads.FinMonad,),
+        (
+            Key("base", Nested("category"), attr="endo.base"),
+            _index("object_map", "base.objects", 1, attr="endo.object_map"),
+            _index("morphism_map", "base.morphisms", 1, attr="endo.morphism_map"),
+            _index("eta", "base.morphisms", 1),
+            _index("mu", "base.morphisms", 1),
+        ),
+        lambda base, object_map, morphism_map, eta, mu: monads.FinMonad(
+            monads.FinEndofunctor(base, object_map, morphism_map), eta, mu
+        ),
+        _checked(monads.check_monad),
+    ),
+    "monad_functor": Schema(
+        (monads.MonadFunctor,),
+        (
+            Key("source", Nested("monad")),
+            Key("target", Nested("monad")),
+            _index("object_map", "target.base.objects", 1, attr="u.object_map"),
+            _index("morphism_map", "target.base.morphisms", 1, attr="u.morphism_map"),
+            _index("phi", "target.base.morphisms", 1),
+        ),
+        lambda source, target, object_map, morphism_map, phi: monads.MonadFunctor(
+            source,
+            target,
+            fincat.CatFunctor(source.endo.base, target.endo.base, object_map, morphism_map),
+            phi,
+        ),
+        _checked(_check_monad_functor),
+    ),
+    "monad_transformation": Schema(
+        (monads.MonadFunctorTransformation,),
+        (
+            Key("source", Nested("monad_functor")),
+            Key("target", Nested("monad_functor")),
+            _index("gamma", "source.target.base.morphisms", 1),
+        ),
+        monads.MonadFunctorTransformation,
+        _checked(monads.check_monad_transformation),
+    ),
 }
+
+_KIND_OF = {t: kind for kind, entry in SCHEMA.items() for t in entry.types}
+
+
+# -- entry points -------------------------------------------------------------
+
+
+def to_payload(obj) -> dict:
+    """The JSON payload of a structure."""
+    return _dump(obj)
+
+
+def structure_from_payload(payload, kind=None):
+    """Build the structure a parsed JSON object describes; if `kind` is
+    given, the object must be of that kind."""
+    _conformed(payload, kind)
+    return _build(payload)
 
 
 def validate_payload(payload) -> ValidationReport:
     """Dispatch a parsed JSON object to its axiom checker by kind."""
-    if not isinstance(payload, dict) or "kind" not in payload:
-        raise StructuralError("payload must be an object with a 'kind' key")
-    kind = payload["kind"]
-    validator = _VALIDATORS.get(kind)
-    if validator is None:
-        raise StructuralError(f"unknown kind {kind!r}")
-    return validator(payload)
+    return _conformed(payload).check(payload)

@@ -379,7 +379,7 @@ def suite_thm_db(bound: int = 4, seed: int | None = None) -> Report:
         not trep.ok and bool(pentagon_hits),
         dimension=0,
         witness=_invalid_witness(
-            serialize.moncat_payload(tampered), f"pentagon fails at {pentagon_hits}"
+            serialize.to_payload(tampered), f"pentagon fails at {pentagon_hits}"
         ),
     )
 

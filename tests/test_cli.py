@@ -8,6 +8,7 @@ from deglab import serialize
 from deglab.cli import main
 from deglab.doubly import build_ddbicat, identity_dd_functor, make_dd_functor
 from deglab.examples import nand_pair, sign_category, zmod
+from deglab.monoidal import identity_deg_transformation, identity_monoidal_functor
 from deglab.monoids import identity_hom, make_cmon_die
 
 
@@ -44,6 +45,28 @@ class TestValidateVerb:
         payload["surprise"] = True
         path = write_payload(tmp_path, "m.json", payload)
         assert main(["validate", path]) == 2
+
+    def test_structural_report_exit_two(self, tmp_path, capsys):
+        # one object, one morphism, and the composite of the identity with
+        # itself left undefined: well typed, but not a category's shape
+        payload = {
+            "kind": "category",
+            "objects": 1,
+            "morphisms": [{"src": 0, "tgt": 0}],
+            "identities": [0],
+            "comp": [[None]],
+        }
+        path = write_payload(tmp_path, "c.json", payload)
+        assert main(["--format", "json", "validate", path]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert [v["axiom"] for v in report["structural"]] == ["composition-domain"]
+
+    def test_coerced_value_exit_two(self, tmp_path, capsys):
+        payload = serialize.to_payload(zmod(2))
+        payload["mul"][1][1] = 0.0
+        path = write_payload(tmp_path, "m.json", payload)
+        assert main(["validate", path]) == 2
+        assert "mul/1/1: expected int, got float" in capsys.readouterr().err
 
     def test_json_format_is_canonical(self, tmp_path, capsys):
         path = write_payload(tmp_path, "m.json", serialize.to_payload(zmod(2)))
@@ -101,6 +124,33 @@ class TestFunctorVerbs:
         f = make_dd_functor(s, s, identity_hom(s.monoid), 1)
         path = write_payload(tmp_path, "f.json", serialize.to_payload(f))
         assert main(["analyze-functor", "--lax", path]) == 0
+
+    def test_analyze_rejects_other_kinds(self, tmp_path, capsys):
+        path = write_payload(tmp_path, "m.json", serialize.to_payload(zmod(2)))
+        assert main(["analyze-functor", path]) == 2
+        assert "expected a dd_functor payload" in capsys.readouterr().err
+
+    def test_compare_rejects_other_kinds(self, tmp_path, capsys):
+        f = write_payload(tmp_path, "f.json", serialize.to_payload(identity_dd_functor(z2_die())))
+        b = write_payload(tmp_path, "b.json", serialize.to_payload(build_ddbicat(z2_die())))
+        assert main(["compare", f, b]) == 2
+        assert main(["compare", b, f]) == 2
+
+    def test_compare_checks_nested_types(self, tmp_path):
+        payload = serialize.to_payload(identity_dd_functor(z2_die()))
+        payload["source"]["die"] = True
+        f = write_payload(tmp_path, "f.json", serialize.to_payload(identity_dd_functor(z2_die())))
+        g = write_payload(tmp_path, "g.json", payload)
+        assert main(["compare", f, g]) == 2
+
+    @pytest.mark.parametrize("key, value", [("lax", 1), ("oplax", "yes")])
+    def test_deg_transformation_flags_not_coerced(self, tmp_path, key, value):
+        payload = serialize.to_payload(
+            identity_deg_transformation(identity_monoidal_functor(sign_category()))
+        )
+        assert main(["validate", write_payload(tmp_path, "t.json", payload)]) == 0
+        payload[key] = value
+        assert main(["validate", write_payload(tmp_path, "t.json", payload)]) == 2
 
     def test_compare_parallel_functors(self, tmp_path, capsys):
         s = z2_die()

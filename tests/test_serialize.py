@@ -1,11 +1,20 @@
+import contextlib
+import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from deglab import serialize
-from deglab.doubly import build_ddbicat, identity_dd_functor, transformation_between
+from deglab.cli import main
+from deglab.degenerate import monoid_to_cat, nat_trans_between
+from deglab.doubly import (
+    DDModification,
+    build_ddbicat,
+    identity_dd_functor,
+    transformation_between,
+)
 from deglab.examples import (
     arrow_category,
     bool_or_monoid,
@@ -15,9 +24,15 @@ from deglab.examples import (
     trivial_monoid,
     zmod,
 )
-from deglab.monads import identity_monad, identity_monad_functor
-from deglab.monoidal import identity_deg_transformation, identity_monoidal_functor
-from deglab.monoids import enumerate_monoids, make_cmon_die
+from deglab.monads import MonadFunctorTransformation, identity_monad, identity_monad_functor
+from deglab.monoidal import (
+    DegModification,
+    identity_deg_transformation,
+    identity_monoidal_functor,
+    identity_monoidal_transformation,
+    shift_to_bicat,
+)
+from deglab.monoids import enumerate_monoids, identity_hom, make_cmon_die
 from deglab.report import StructuralError
 
 
@@ -27,19 +42,29 @@ def _sample_structures():
     t = transformation_between(f, f)
     mc = sign_category()
     mf = identity_monoidal_functor(mc)
+    dt = identity_deg_transformation(mf)
     monad = identity_monad(arrow_category())
+    mnf = identity_monad_functor(monad)
+    z3 = identity_hom(zmod(3))
     yield zmod(3)
     yield s
+    yield monoid_to_cat(zmod(3))
+    yield nat_trans_between(z3, z3)[1]
     yield build_ddbicat(s)
     yield f
     yield t
+    yield DDModification(t, 1)
     yield arrow_category()
     yield mc
+    yield shift_to_bicat(mc)
     yield nand_pair()
     yield mf
-    yield identity_deg_transformation(mf)
+    yield identity_monoidal_transformation(mf)
+    yield dt
+    yield DegModification(dt, dt, mc.base.identities[dt.dist_obj])
     yield monad
-    yield identity_monad_functor(monad)
+    yield mnf
+    yield MonadFunctorTransformation(mnf, mnf, mnf.u.target.identities)
 
 
 class TestRoundTrips:
@@ -125,3 +150,237 @@ class TestValidationDispatch:
     def test_discrete_moncat_validates(self):
         payload = serialize.to_payload(discrete_monoidal(trivial_monoid()))
         assert serialize.validate_payload(payload).ok
+
+
+# -- the schema table and the conform pass -------------------------------------
+
+_TEXTS = [serialize.canonical_dumps(serialize.to_payload(obj)) for obj in _sample_structures()]
+
+# Integer keys that hold a count rather than an index into a table.
+_COUNT_KEYS = frozenset({"size", "cells", "objects", "one_cells"})
+
+
+def _sites(node, path=()):
+    """(path, value) of every object, list and leaf of a JSON tree."""
+    yield path, node
+    if isinstance(node, dict):
+        for k in sorted(node):
+            yield from _sites(node[k], path + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _sites(v, path + (i,))
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _set(node, path, value):
+    for p in path[:-1]:
+        node = node[p]
+    node[path[-1]] = value
+
+
+def _validate_exit(tmp_path, payload) -> int:
+    path = tmp_path / "mutant.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(["validate", str(path)])
+
+
+def _draw_payload(data):
+    return json.loads(data.draw(st.sampled_from(_TEXTS)))
+
+
+_FUZZ = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+class TestSchemaTable:
+    def test_table_kinds_are_the_emitted_kinds(self):
+        emitted = {json.loads(text)["kind"] for text in _TEXTS}
+        assert set(serialize.SCHEMA) == emitted
+        assert len(emitted) == 17
+
+    def test_every_structure_type_has_one_kind(self):
+        for obj in _sample_structures():
+            kinds = [k for k, e in serialize.SCHEMA.items() if type(obj) in e.types]
+            assert kinds == [serialize.to_payload(obj)["kind"]]
+
+    def test_bounds_name_keys_walked_earlier(self):
+        for kind, entry in serialize.SCHEMA.items():
+            seen = set()
+            for key in entry.keys:
+                if key.bound:
+                    assert key.bound[0] in seen, (kind, key.name)
+                seen.add(key.name)
+
+    def test_error_names_the_json_path(self):
+        payload = serialize.to_payload(identity_dd_functor(make_cmon_die(zmod(3), 1)))
+        payload["target"]["mul"][2][1] = "1"
+        with pytest.raises(StructuralError, match="^target/mul/2/1: expected int, got str$"):
+            serialize.validate_payload(payload)
+
+    def test_nested_index_range_is_checked(self):
+        payload = serialize.to_payload(identity_dd_functor(make_cmon_die(zmod(2), 1)))
+        payload["source"]["die"] = 2
+        with pytest.raises(StructuralError, match="^source/die: index 2 out of range"):
+            serialize.validate_payload(payload)
+
+    def test_negative_index_rejected(self):
+        payload = serialize.to_payload(zmod(2))
+        payload["mul"][0][0] = -1
+        with pytest.raises(StructuralError, match="^mul/0/0: index -1"):
+            serialize.structure_from_payload(payload)
+
+    def test_unknown_key_in_pair_object_rejected(self):
+        payload = serialize.to_payload(arrow_category())
+        payload["morphisms"][0]["label"] = 0
+        with pytest.raises(StructuralError, match="^morphisms/0: unknown keys"):
+            serialize.validate_payload(payload)
+
+    def test_nested_die_required_where_declared_and_rejected_elsewhere(self):
+        payload = serialize.to_payload(identity_dd_functor(make_cmon_die(zmod(2), 1)))
+        del payload["source"]["die"]
+        with pytest.raises(StructuralError, match="^source: missing keys"):
+            serialize.validate_payload(payload)
+        z2 = identity_hom(zmod(2))
+        nat = serialize.to_payload(nat_trans_between(z2, z2)[0])
+        nat["source"]["die"] = 1
+        with pytest.raises(StructuralError, match="^source: unknown keys"):
+            serialize.validate_payload(nat)
+
+    def test_nested_kind_must_match(self):
+        payload = serialize.to_payload(identity_dd_functor(make_cmon_die(zmod(2), 1)))
+        payload["target"]["kind"] = "category"
+        with pytest.raises(StructuralError, match="^target/kind: expected 'monoid'"):
+            serialize.validate_payload(payload)
+
+    @pytest.mark.parametrize("key, value", [("lax", 1), ("oplax", "yes"), ("lax", None)])
+    def test_flags_must_be_exact_bools(self, key, value):
+        t = identity_deg_transformation(identity_monoidal_functor(sign_category()))
+        payload = serialize.to_payload(t)
+        payload[key] = value
+        with pytest.raises(StructuralError, match=f"^{key}: expected bool"):
+            serialize.structure_from_payload(payload)
+
+    def test_load_with_kind_rejects_other_kinds(self):
+        with pytest.raises(StructuralError, match="expected a dd_functor payload"):
+            serialize.structure_from_payload(serialize.to_payload(zmod(2)), "dd_functor")
+
+
+class TestMutationFuzz:
+    """Every schema violation exits 2 through `deglab validate`, at any depth."""
+
+    @given(st.data())
+    @_FUZZ
+    def test_type_swap_exits_two(self, tmp_path, data):
+        payload = _draw_payload(data)
+        sites = [(p, v) for p, v in _sites(payload) if p and isinstance(v, int)]
+        path, v = data.draw(st.sampled_from(sites))
+        if isinstance(v, bool):
+            new = data.draw(st.sampled_from([int(v), str(v).lower(), None]))
+        else:
+            new = data.draw(st.sampled_from([float(v), v != 0, str(v)]))
+        _set(payload, path, new)
+        assert _validate_exit(tmp_path, payload) == 2, (path, new)
+
+    @given(st.data())
+    @_FUZZ
+    def test_out_of_range_index_exits_two(self, tmp_path, data):
+        payload = _draw_payload(data)
+        sites = [p for p, v in _sites(payload) if _is_int(v) and p[-1] not in _COUNT_KEYS]
+        path = data.draw(st.sampled_from(sites))
+        new = data.draw(st.sampled_from([-1, 97, 2**40]))
+        _set(payload, path, new)
+        assert _validate_exit(tmp_path, payload) == 2, (path, new)
+
+    @given(st.data())
+    @_FUZZ
+    def test_dropped_key_exits_two(self, tmp_path, data):
+        payload = _draw_payload(data)
+        # "die" is optional on a top-level monoid: without it the file is a
+        # plain monoid, which is a different valid structure
+        keys = [
+            (p, k)
+            for p, v in _sites(payload)
+            if isinstance(v, dict)
+            for k in v
+            if (p, k) != ((), "die")
+        ]
+        path, key = data.draw(st.sampled_from(keys))
+        node = payload
+        for p in path:
+            node = node[p]
+        del node[key]
+        assert _validate_exit(tmp_path, payload) == 2, (path, key)
+
+    @given(st.data())
+    @_FUZZ
+    def test_added_key_exits_two(self, tmp_path, data):
+        payload = _draw_payload(data)
+        # "die" is optional on a top-level monoid, and makes it another valid
+        # structure there
+        sites = [
+            (v, k)
+            for p, v in _sites(payload)
+            if isinstance(v, dict)
+            for k in ("extra", "die")
+            if k not in v and (p, k) != ((), "die")
+        ]
+        node, key = data.draw(st.sampled_from(sites))
+        node[key] = 0
+        assert _validate_exit(tmp_path, payload) == 2, key
+
+    @given(st.data())
+    @_FUZZ
+    def test_perturbed_leaf_keeps_the_exit_contract(self, tmp_path, data):
+        text = data.draw(st.sampled_from(_TEXTS))
+        payload = json.loads(text)
+        sites = [(p, v) for p, v in _sites(payload) if _is_int(v)]
+        path, v = data.draw(st.sampled_from(sites))
+        _set(payload, path, data.draw(st.integers(0, max(v, 1))))
+        code = _validate_exit(tmp_path, payload)
+        assert code in (0, 1, 2)
+        if code == 0:
+            back = serialize.to_payload(serialize.structure_from_payload(payload))
+            assert serialize.canonical_dumps(back) == serialize.canonical_dumps(payload)
+
+
+class TestPartsFirst:
+    """A checker that composes cells of a structure's parts runs only on
+    valid parts; invalid ones are reported under their key."""
+
+    @staticmethod
+    def _findings(report):
+        return [v.axiom for v in report.structural + report.violations]
+
+    def test_monoidal_functor_with_invalid_target(self):
+        payload = serialize.to_payload(identity_monoidal_functor(sign_category()))
+        payload["target"]["identities"][0] = 2
+        report = serialize.validate_payload(payload)
+        assert not report.ok
+        assert all(a.startswith("target-") for a in self._findings(report))
+
+    def test_monad_functor_with_invalid_target(self):
+        payload = serialize.to_payload(identity_monad_functor(identity_monad(arrow_category())))
+        payload["target"]["morphism_map"][0] = 1
+        report = serialize.validate_payload(payload)
+        assert not report.ok
+        assert all(a.startswith("target-") for a in self._findings(report))
+
+    def test_deg_transformation_with_invalid_category_in_both_functors(self):
+        t = identity_deg_transformation(identity_monoidal_functor(sign_category()))
+        payload = serialize.to_payload(t)
+        for functor in ("source_functor", "target_functor"):
+            for end in ("source", "target"):
+                payload[functor][end]["assoc"][0][0][0] = 2
+        report = serialize.validate_payload(payload)
+        assert not report.ok
+        assert all(a.startswith("source_functor-source-") for a in self._findings(report))
+
+    def test_valid_parts_leave_the_report_unchanged(self):
+        mf = identity_monoidal_functor(sign_category())
+        report = serialize.validate_payload(serialize.to_payload(mf))
+        assert report.ok and report.subject == "monoidal_functor"
