@@ -124,106 +124,89 @@ class Schema:
 # -- the conform pass ---------------------------------------------------------
 
 
+class _Mismatch(Exception):
+    """A value that does not fit its declaration.  Each level it passes up
+    through adds its key or index to `path`, innermost first."""
+
+    def __init__(self, message, *path):
+        super().__init__(message)
+        self.message = message
+        self.path = list(path)
+
+
 def _type_name(v) -> str:
     return {dict: "object", list: "list", type(None): "null"}.get(type(v), type(v).__name__)
 
 
-def _expected(path, what, v) -> StructuralError:
-    return StructuralError(f"{path}: expected {what}, got {_type_name(v)}")
+def _expected(what, v) -> _Mismatch:
+    return _Mismatch(f"expected {what}, got {_type_name(v)}")
 
 
-def _check_keys(payload, required, optional, path):
+def _check_keys(payload, required, optional):
     keys = payload.keys()
     if keys == required:
         return
-    where = f"{path}: " if path else ""
     missing = required - keys
     if missing:
-        raise StructuralError(f"{where}missing keys: {sorted(missing)}")
+        raise _Mismatch(f"missing keys: {sorted(missing)}")
     unknown = keys - required - optional
     if unknown:
-        raise StructuralError(f"{where}unknown keys: {sorted(unknown)}")
+        raise _Mismatch(f"unknown keys: {sorted(unknown)}")
 
 
-def _leaf(v, key, n, path):
-    leaf = key.leaf
-    if leaf is FLAG:
-        if type(v) is not bool:
-            raise _expected(path, "bool", v)
-        return
-    if v is None and leaf is INDEX_OR_NULL:
-        return
-    if type(v) is not int:
-        raise _expected(path, "int or null" if leaf is INDEX_OR_NULL else "int", v)
-    if n is not None and not 0 <= v < n:
-        raise StructuralError(f"{path}: index {v} out of range for {'.'.join(key.bound)} = {n}")
+def _within(step, walk, *args):
+    """Run `walk(*args)`, adding `step` to the path of a mismatch in it."""
+    try:
+        walk(*args)
+    except _Mismatch as e:
+        e.path.append(step)
+        raise
 
 
-def _fits(v, depth, n, nullable) -> bool:
-    """Whether `v` is `depth` levels of lists of ints in range(n), or nulls
-    if `nullable`."""
-    if type(v) is not list:
-        return False
-    if depth > 2:
-        return all(_fits(plane, depth - 1, n, nullable) for plane in v)
-    for row in v if depth == 2 else (v,):
-        if type(row) is not list:
-            return False
-        for x in row:
-            if type(x) is not int or not 0 <= x < n:
-                if x is not None or not nullable:
-                    return False
-    return True
-
-
-def _pairs_fit(v, n) -> bool:
-    """Whether `v` is a list of {src, tgt} objects of ints in range(n)."""
-    if type(v) is not list:
-        return False
-    for pair in v:
-        if type(pair) is not dict or pair.keys() != _PAIR_KEYS:
-            return False
-        s, t = pair["src"], pair["tgt"]
-        if type(s) is not int or type(t) is not int or not (0 <= s < n and 0 <= t < n):
-            return False
-    return True
-
-
-def _explain(v, key, n, depth, path):
-    """Raise for the first leaf of `v` that does not fit, naming its path."""
-    if depth == 0:
-        if key.leaf is not PAIRS:
-            _leaf(v, key, n, path)
-            return
+def _walk(v, leaf, n, depth):
+    """Check `v`: `depth` levels of lists around leaves of shape `leaf`,
+    whose indices lie in range(n) when `n` is not None."""
+    if depth:
+        if type(v) is not list:
+            raise _expected("list", v)
+        for i, x in enumerate(v):
+            try:  # `_within` inlined: one call per leaf, not two
+                _walk(x, leaf, n, depth - 1)
+            except _Mismatch as e:
+                e.path.append(i)
+                raise
+    elif type(v) is int and leaf is not FLAG:
+        if n is not None and not 0 <= v < n:
+            raise _Mismatch(f"index {v} out of range({n})")
+    elif leaf is PAIRS:
         if type(v) is not dict:
-            raise _expected(path, "object", v)
-        _check_keys(v, _PAIR_KEYS, frozenset(), path)
-        _leaf(v["src"], key, n, f"{path}/src")
-        _leaf(v["tgt"], key, n, f"{path}/tgt")
-        return
-    if type(v) is not list:
-        raise _expected(path, "list", v)
-    for i, x in enumerate(v):
-        _explain(x, key, n, depth - 1, f"{path}/{i}")
+            raise _expected("object", v)
+        _check_keys(v, _PAIR_KEYS, frozenset())
+        for end in ("src", "tgt"):
+            _within(end, _walk, v[end], INDEX, n, 0)
+    elif leaf is FLAG:
+        if type(v) is not bool:
+            raise _expected("bool", v)
+    elif v is not None or leaf is not INDEX_OR_NULL:
+        raise _expected("int or null" if leaf is INDEX_OR_NULL else "int", v)
 
 
-def _conform(payload, kind, extra, optional, path):
+def _conform(payload, kind, extra, optional):
     """Check `payload` against the entry of `kind`, whose optional keys in
     `extra` are required here and those in `optional` allowed."""
+    if type(payload) is not dict:
+        raise _expected("object", payload)
     entry = SCHEMA[kind]
-    _check_keys(payload, entry.required.union(extra), optional, path)
-    prefix = f"{path}/" if path else ""
+    _check_keys(payload, entry.required.union(extra), optional)
     if payload["kind"] != kind:
-        raise StructuralError(f"{prefix}kind: expected {kind!r}, got {payload['kind']!r}")
+        raise _Mismatch(f"expected {kind!r}, got {payload['kind']!r}", "kind")
     for key in entry.keys:
         name, leaf = key.name, key.leaf
         if name not in payload:  # an optional key, absent
             continue
         v = payload[name]
         if type(leaf) is Nested:
-            if type(v) is not dict:
-                raise _expected(prefix + name, "object", v)
-            _conform(v, leaf.kind, leaf.extra, frozenset(), prefix + name)
+            _within(name, _conform, v, leaf.kind, leaf.extra, frozenset())
             continue
         n = None
         if key.bound:
@@ -232,14 +215,7 @@ def _conform(payload, kind, extra, optional, path):
                 n = n[step]
             if type(n) is list:
                 n = len(n)
-        if leaf is PAIRS:
-            if not _pairs_fit(v, n):
-                _explain(v, key, n, 1, prefix + name)
-        elif key.depth:
-            if not _fits(v, key.depth, n, leaf is INDEX_OR_NULL):
-                _explain(v, key, n, key.depth, prefix + name)
-        elif type(v) is not int or leaf is FLAG or (n is not None and not 0 <= v < n):
-            _leaf(v, key, n, prefix + name)
+        _within(name, _walk, v, leaf, n, key.depth)
 
 
 def _conformed(payload, kind=None) -> Schema:
@@ -251,7 +227,11 @@ def _conformed(payload, kind=None) -> Schema:
         raise StructuralError(f"unknown kind {payload['kind']!r}")
     if kind is not None and payload["kind"] != kind:
         raise StructuralError(f"expected a {kind} payload, got {payload['kind']!r}")
-    _conform(payload, payload["kind"], (), entry.optional, "")
+    try:
+        _conform(payload, payload["kind"], (), entry.optional)
+    except _Mismatch as e:
+        where = "/".join(str(step) for step in reversed(e.path))
+        raise StructuralError(f"{where}: {e.message}" if where else e.message) from None
     return entry
 
 
@@ -274,23 +254,16 @@ def _dump_keys(keys, obj) -> dict:
 
 
 def _build(payload):
-    """Build a conformed payload, its nested payloads first.  Equal sibling
-    payloads give one shared structure; after the conform pass equality is
-    exact, as every position holds one JSON type.  Lists are passed as they
-    are: the constructors make their own tuples."""
+    """Build a conformed payload, its nested payloads first.  Lists are
+    passed as they are: the constructors make their own tuples."""
     entry = SCHEMA[payload["kind"]]
     args = {}
-    built = []  # (payload, structure) of each nested payload built here
     for key in entry.keys:
         if key.name not in payload:
             continue
         v = payload[key.name]
         if type(key.leaf) is Nested:
-            obj = next((obj for seen, obj in built if seen == v), None)
-            if obj is None:
-                obj = _build(v)
-                built.append((v, obj))
-            v = obj
+            v = _build(v)
         elif key.leaf is PAIRS:
             v = tuple((p["src"], p["tgt"]) for p in v)
         args[key.name] = v
@@ -331,15 +304,20 @@ def _parts_first(checker, **parts):
     """A check for a checker that composes cells of some parts of its
     structure and so presupposes they are valid.  `parts` maps each such
     attribute to the check of the structure there.  The parts are checked
-    first, each distinct one once, with findings prefixed by the attribute;
-    `checker` runs only when all of them hold."""
+    first, equal ones once, with findings prefixed by the attribute;
+    `checker` runs only when all of them hold.
+
+    The gate is `ok`, not `well_formed`: `fincat.check_functor` reports a
+    functor that breaks endpoints as an axiom violation, so a well-formed
+    monad can send composable arrows to arrows with no composite, and
+    `monads.check_monad_functor` would then index a table with None."""
 
     def check(obj):
         report = ValidationReport(_KIND_OF[type(obj)])
         done = []
         for attr, part_check in parts.items():
             part = getattr(obj, attr)
-            if all(part is not d for d in done):
+            if part not in done:
                 done.append(part)
                 report.extend(part_check(part), prefix=f"{attr}-")
         return checker(obj) if report.ok else report
@@ -407,7 +385,7 @@ def _category_keys(at=""):
     """The keys of a finite category read from attribute path `at`."""
     return (
         Key("objects", COUNT, attr=at + "n_objects"),
-        Key("morphisms", PAIRS, 0, ("objects",), at + "morphisms"),
+        Key("morphisms", PAIRS, 1, ("objects",), at + "morphisms"),
         _index("identities", "morphisms", 1, attr=at + "identities"),
         _index("comp", "morphisms", 2, INDEX_OR_NULL, attr=at + "comp"),
     )
@@ -522,7 +500,7 @@ SCHEMA = {
         (monoidal.DegenerateBicategory,),
         (
             Key("one_cells", COUNT),
-            Key("two_cells", PAIRS, 0, ("one_cells",)),
+            Key("two_cells", PAIRS, 1, ("one_cells",)),
             _index("identities", "two_cells", 1),
             _index("vcomp", "two_cells", 2, INDEX_OR_NULL),
             _index("hcomp_one", "one_cells", 2),

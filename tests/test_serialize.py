@@ -234,6 +234,29 @@ class TestSchemaTable:
         with pytest.raises(StructuralError, match="^mul/0/0: index -1"):
             serialize.structure_from_payload(payload)
 
+    def test_null_only_where_declared(self):
+        payload = serialize.to_payload(zmod(2))
+        payload["mul"][1][0] = None
+        with pytest.raises(StructuralError, match="^mul/1/0: expected int, got null$"):
+            serialize.validate_payload(payload)
+        category = serialize.to_payload(arrow_category())
+        assert None in category["comp"][0] + category["comp"][1]
+        assert serialize.validate_payload(category).ok
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("mul",), 3, "mul: expected list, got int"),
+            (("mul", 1), {}, "mul/1: expected list, got object"),
+            (("mul", 1, 2), [0], "mul/1/2: expected int, got list"),
+        ],
+    )
+    def test_list_levels_are_checked(self, path, value, message):
+        payload = serialize.to_payload(zmod(3))
+        _set(payload, path, value)
+        with pytest.raises(StructuralError, match=f"^{message}$"):
+            serialize.validate_payload(payload)
+
     def test_unknown_key_in_pair_object_rejected(self):
         payload = serialize.to_payload(arrow_category())
         payload["morphisms"][0]["label"] = 0
