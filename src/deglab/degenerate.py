@@ -13,7 +13,6 @@ from .equivalence import JFunctor, check_external_equivalence, hom_indexed_categ
 from .monoids import (
     FiniteMonoid,
     MonoidHom,
-    canonical_form,
     check_monoid,
     compose_homs,
     enumerate_homs,

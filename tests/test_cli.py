@@ -193,6 +193,25 @@ class TestEnumerateAndSuite:
         monkeypatch.setenv("DEGLAB_MAX_SIZE", "2")
         assert main(["enumerate", "--size", "3"]) == 2
 
+    @pytest.mark.parametrize("raw", ["abc", "5.0", "-1"])
+    @pytest.mark.parametrize("extra", [[], ["--commutative"], ["--dies"]])
+    def test_enumerate_refuses_bad_bound(self, monkeypatch, capsys, raw, extra):
+        # refused, not read as the default bound
+        monkeypatch.setenv("DEGLAB_MAX_SIZE", raw)
+        assert main(["enumerate", "--size", "2", *extra]) == 2
+        err = capsys.readouterr().err
+        assert "DEGLAB_MAX_SIZE" in err and repr(raw) in err
+
+    @pytest.mark.parametrize("extra", [[], ["--commutative"], ["--dies"]])
+    def test_enumerate_refuses_negative_size(self, capsys, extra):
+        assert main(["enumerate", "--size", "-1", *extra]) == 2
+        assert "negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [[], ["--commutative"], ["--dies"]])
+    def test_enumerate_size_zero_is_empty(self, capsys, extra):
+        assert main(["--format", "json", "enumerate", "--size", "0", *extra]) == 0
+        assert json.loads(capsys.readouterr().out) == {"count": 0, "items": []}
+
     def test_suite_runs(self, capsys):
         assert main(["suite", "thm-dc", "--bound", "3"]) == 0
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -22,6 +23,7 @@ from deglab.monoids import (
     invert,
     make_cmon_die,
     units,
+    _unital_associative_tables,
 )
 from deglab.report import InvalidStructureError, StructuralError
 
@@ -46,18 +48,56 @@ def brute_force_monoid_tables(n):
             yield table, unit
 
 
-def max_canonical_form(mul):
-    """Alternative canonicalization: lexicographically maximal relabeling."""
+def relabelings(mul):
+    """Every relabeled table, flattened, with no early abort."""
     n = len(mul)
-    best = None
     for perm in itertools.permutations(range(n)):
         inv = [0] * n
         for i, p in enumerate(perm):
             inv[p] = i
-        flat = tuple(perm[mul[inv[i]][inv[j]]] for i in range(n) for j in range(n))
-        if best is None or flat > best:
-            best = flat
-    return best
+        yield tuple(perm[mul[inv[i]][inv[j]]] for i in range(n) for j in range(n))
+
+
+def max_canonical_form(mul):
+    """Alternative canonicalization: lexicographically maximal relabeling."""
+    return max(relabelings(mul))
+
+
+@functools.cache
+def unit0_associative_tables(n):
+    """Raw oracle: every table with unit 0, filtered by associativity."""
+    out = []
+    for flat in itertools.product(range(n), repeat=(n - 1) ** 2):
+        table = [tuple(range(n))]
+        for x in range(1, n):
+            table.append((x,) + flat[(x - 1) * (n - 1) : x * (n - 1)])
+        if all(
+            table[table[x][y]][z] == table[x][table[y][z]]
+            for x in range(1, n)
+            for y in range(1, n)
+            for z in range(1, n)
+        ):
+            out.append(tuple(table))
+    return out
+
+
+def reference_enumeration(n, commutative_only):
+    """Every unit-0 monoid table, deduplicated by canonical form, sorted."""
+    keys = set()
+    for table in unit0_associative_tables(n):
+        if commutative_only and any(
+            table[x][y] != table[y][x] for x in range(n) for y in range(n)
+        ):
+            continue
+        keys.add(canonical_form(table))
+    out = []
+    for key in sorted(keys):
+        table = tuple(key[i * n : (i + 1) * n] for i in range(n))
+        unit = next(
+            u for u in range(n) if all(table[u][x] == x == table[x][u] for x in range(n))
+        )
+        out.append(FiniteMonoid(n, unit, table))
+    return out
 
 
 class TestCheckMonoid:
@@ -171,7 +211,28 @@ class TestEnumeration:
         # independent oracle: OEIS A058129 (monoids) and A058131 (commutative)
         assert len(enumerate_monoids(4)) == 35
         assert len(enumerate_monoids(4, commutative_only=True)) == 19
+        assert len(enumerate_monoids(5)) == 228
         assert len(enumerate_monoids(5, commutative_only=True)) == 78
+
+    def test_order_six_commutative_count(self, monkeypatch):
+        # OEIS A058131; the plain count at order 6 (2237, A058129) is checked in CI
+        monkeypatch.setenv("DEGLAB_MAX_SIZE", "6")
+        assert len(enumerate_monoids(6, commutative_only=True)) == 421
+
+    @pytest.mark.parametrize("commutative_only", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_search_yields_one_table_per_class(self, n, commutative_only):
+        tables = list(_unital_associative_tables(n, commutative_only))
+        assert len(tables) == len({canonical_form(t) for t in tables})
+        for t in tables:
+            assert check_monoid(t, 0).ok
+
+    @pytest.mark.parametrize("commutative_only", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_dedupe_of_every_unit0_table(self, n, commutative_only):
+        assert enumerate_monoids(n, commutative_only) == reference_enumeration(
+            n, commutative_only
+        )
 
     def test_size_two_contains_both_classes_once(self):
         tables = {m.mul for m in enumerate_monoids(2)}
@@ -211,6 +272,16 @@ class TestEnumeration:
             tuple(perm[m.mul[x][y]] for y in _inverse(perm)) for x in _inverse(perm)
         )
         assert canonical_form(relabeled) == canonical_form(m.mul)
+
+    @given(st.integers(1, 4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_canonical_form_is_lex_min_over_all_relabelings(self, n, data):
+        m = data.draw(st.sampled_from(enumerate_monoids(n)))
+        perm = data.draw(st.permutations(list(range(n))))
+        relabeled = tuple(
+            tuple(perm[m.mul[x][y]] for y in _inverse(perm)) for x in _inverse(perm)
+        )
+        assert canonical_form(relabeled) == min(relabelings(relabeled))
 
 
 def _inverse(perm):
