@@ -90,6 +90,10 @@ class DDFunctor:
     The data left after reduction: a homomorphism of the vertical-composition
     monoids plus one freely chosen invertible element `m` of the target; the
     unit-constraint element `m0` is determined and stored as a witness.
+
+    Equality tests identity first, since functors made by internal algebra
+    are interned, and falls back to comparing the fields; the hash is the
+    dataclass-generated hash of the fields.
     """
 
     source: CMonDIE
@@ -104,6 +108,15 @@ class DDFunctor:
         for name, v in (("m", self.m), ("m0", self.m0)):
             if not (0 <= v < self.target.monoid.size):
                 raise StructuralError(f"{name} index {v} out of range")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source, self.target, self.hom_map, self.m, self.m0) == (
+            other.source, other.target, other.hom_map, other.m, other.m0
+        )
 
     @classmethod
     def _trusted(cls, source, target, hom_map, m, m0) -> "DDFunctor":
@@ -453,13 +466,22 @@ def compose_dd_functors(g: DDFunctor, f: DDFunctor) -> DDFunctor:
     The composite is the functor interned on `f.source` under
     (id(g.target), GF's map, m): composites of enumerated functors are the
     enumerated instances themselves, and two composites are equal exactly
-    when they are the same object.
+    when they are the same object.  GF's map is `f.hom_map.pull(G's map)`;
+    a hit in the source's table is returned inline, and `_interned` runs
+    only on a miss.
     """
     if f.target is not g.source and f.target != g.source:
         raise StructuralError("functor composition endpoint mismatch")
+    source, target = f.source, g.target
     gmap = g.hom_map.map
-    m = g.target.monoid.mul[gmap[f.m]][g.m]
-    return _interned(f.source, g.target, tuple([gmap[v] for v in f.hom_map.map]), m)
+    m = target.monoid.mul[gmap[f.m]][g.m]
+    hmap = f.hom_map.pull(gmap)
+    table = source.__dict__.get(_FUNCTORS)
+    if table is not None:
+        c = table.get((id(target), hmap, m))
+        if c is not None and c.target is target and c.source is source:
+            return c
+    return _interned(source, target, hmap, m)
 
 
 def identity_dd_functor(s: CMonDIE) -> DDFunctor:

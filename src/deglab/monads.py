@@ -117,7 +117,12 @@ class MonadFunctor:
 
 def check_monad_functor(mf: MonadFunctor) -> ValidationReport:
     """Naturality of phi plus the unit and multiplication compatibilities,
-    each checked at every object."""
+    each checked at every object.
+
+    An equation that would compose arrows with no composite, as an invalid
+    endpoint can make it do, is reported as a structural
+    `undefined-composite` finding and ends the check.
+    """
     report = ValidationReport("monad_functor")
     report.extend(check_functor(mf.u), prefix="carrier-")
     s, t = mf.source, mf.target
@@ -139,10 +144,14 @@ def check_monad_functor(mf: MonadFunctor) -> ValidationReport:
         ua = u.on_obj(a)
         if d.comp[mf.phi[a]][t.eta[ua]] != u.on_mor(s.eta[a]):
             report.add("unit-compatibility", (a,))
+        inner = d.comp[mf.phi[s.endo.on_obj(a)]][t.endo.on_mor(mf.phi[a])]
+        if inner is None:
+            report.add_structural(
+                "undefined-composite", (a,), "multiplication-compatibility"
+            )
+            return report
         lhs = d.comp[mf.phi[a]][t.mu[ua]]
-        rhs = d.comp[u.on_mor(s.mu[a])][
-            d.comp[mf.phi[s.endo.on_obj(a)]][t.endo.on_mor(mf.phi[a])]
-        ]
+        rhs = d.comp[u.on_mor(s.mu[a])][inner]
         if lhs != rhs:
             report.add("multiplication-compatibility", (a,))
     return report

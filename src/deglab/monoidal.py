@@ -241,7 +241,12 @@ class MonoidalFunctor:
 
 
 def check_monoidal_functor(mf: MonoidalFunctor) -> ValidationReport:
-    """Underlying functoriality, comparison naturality, hexagon, unit squares."""
+    """Underlying functoriality, comparison naturality, hexagon, unit squares.
+
+    An equation that would compose arrows with no composite, as an invalid
+    endpoint can make it do, is reported as a structural
+    `undefined-composite` finding and ends the check.
+    """
     report = ValidationReport("monoidal_functor")
     report.extend(check_functor(mf.functor), prefix="base-")
     src, tgt = mf.source, mf.target
@@ -277,33 +282,33 @@ def check_monoidal_functor(mf: MonoidalFunctor) -> ValidationReport:
     for a in range(n):
         for b in range(n):
             for x in range(n):
-                lhs = d.comp[fm(src.assoc[a][b][x])][
-                    d.comp[mf.tensor_comparison[src.tob(a, b)][x]][
-                        tgt.tmor(mf.tensor_comparison[a][b], d.identities[fo(x)])
-                    ]
+                left = d.comp[mf.tensor_comparison[src.tob(a, b)][x]][
+                    tgt.tmor(mf.tensor_comparison[a][b], d.identities[fo(x)])
                 ]
-                rhs = d.comp[mf.tensor_comparison[a][src.tob(b, x)]][
-                    d.comp[tgt.tmor(d.identities[fo(a)], mf.tensor_comparison[b][x])][
-                        tgt.assoc[fo(a)][fo(b)][fo(x)]
-                    ]
+                right = d.comp[tgt.tmor(d.identities[fo(a)], mf.tensor_comparison[b][x])][
+                    tgt.assoc[fo(a)][fo(b)][fo(x)]
                 ]
+                if left is None or right is None:
+                    report.add_structural("undefined-composite", (a, b, x), "hexagon")
+                    return report
+                lhs = d.comp[fm(src.assoc[a][b][x])][left]
+                rhs = d.comp[mf.tensor_comparison[a][src.tob(b, x)]][right]
                 if lhs != rhs:
                     report.add("hexagon", (a, b, x))
 
     for a in range(n):
-        lhs = d.comp[fm(src.lunit[a])][
-            d.comp[mf.tensor_comparison[src.unit_obj][a]][
-                tgt.tmor(mf.unit_comparison, d.identities[fo(a)])
-            ]
+        left = d.comp[mf.tensor_comparison[src.unit_obj][a]][
+            tgt.tmor(mf.unit_comparison, d.identities[fo(a)])
         ]
-        if lhs != tgt.lunit[fo(a)]:
+        right = d.comp[mf.tensor_comparison[a][src.unit_obj]][
+            tgt.tmor(d.identities[fo(a)], mf.unit_comparison)
+        ]
+        if left is None or right is None:
+            report.add_structural("undefined-composite", (a,), "unit squares")
+            return report
+        if d.comp[fm(src.lunit[a])][left] != tgt.lunit[fo(a)]:
             report.add("left-unit-square", (a,))
-        rhs = d.comp[fm(src.runit[a])][
-            d.comp[mf.tensor_comparison[a][src.unit_obj]][
-                tgt.tmor(d.identities[fo(a)], mf.unit_comparison)
-            ]
-        ]
-        if rhs != tgt.runit[fo(a)]:
+        if d.comp[fm(src.runit[a])][right] != tgt.runit[fo(a)]:
             report.add("right-unit-square", (a,))
     return report
 
@@ -410,7 +415,12 @@ def _component_endpoints(t: DegTransformation, a: int):
 
 def check_deg_transformation(t: DegTransformation) -> ValidationReport:
     """The three diagram families at every instantiation, plus invertibility
-    of the components unless the transformation is flagged lax."""
+    of the components unless the transformation is flagged lax.
+
+    A diagram that would compose arrows with no composite, as an invalid
+    endpoint can make it do, is reported as a structural
+    `undefined-composite` finding and ends the check.
+    """
     report = ValidationReport("deg_transformation")
     fmf, gmf = t.source_functor, t.target_functor
     y = fmf.target
@@ -448,22 +458,35 @@ def check_deg_transformation(t: DegTransformation) -> ValidationReport:
         for b in range(c.n_objects):
             fa, fb, ga, gb = fo(a), fo(b), go(a), go(b)
             comp_ab = t.components[fmf.source.tob(a, b)]
+            # the long side of the diagram, each arrow after the one before
             if t.oplax:
-                path = y.assoc_inv[alpha][fa][fb]
-                path = d.comp[y.tmor(t.components[a], d.identities[fb])][path]
-                path = d.comp[y.assoc[ga][alpha][fb]][path]
-                path = d.comp[y.tmor(d.identities[ga], t.components[b])][path]
-                path = d.comp[y.assoc_inv[ga][gb][alpha]][path]
-                path = d.comp[y.tmor(psi[a][b], ida)][path]
+                steps = (
+                    y.assoc_inv[alpha][fa][fb],
+                    y.tmor(t.components[a], d.identities[fb]),
+                    y.assoc[ga][alpha][fb],
+                    y.tmor(d.identities[ga], t.components[b]),
+                    y.assoc_inv[ga][gb][alpha],
+                    y.tmor(psi[a][b], ida),
+                )
                 other = d.comp[comp_ab][y.tmor(ida, phi[a][b])]
             else:
-                path = y.assoc[ga][gb][alpha]
-                path = d.comp[y.tmor(d.identities[ga], t.components[b])][path]
-                path = d.comp[y.assoc_inv[ga][alpha][fb]][path]
-                path = d.comp[y.tmor(t.components[a], d.identities[fb])][path]
-                path = d.comp[y.assoc[alpha][fa][fb]][path]
-                path = d.comp[y.tmor(ida, phi[a][b])][path]
+                steps = (
+                    y.assoc[ga][gb][alpha],
+                    y.tmor(d.identities[ga], t.components[b]),
+                    y.assoc_inv[ga][alpha][fb],
+                    y.tmor(t.components[a], d.identities[fb]),
+                    y.assoc[alpha][fa][fb],
+                    y.tmor(ida, phi[a][b]),
+                )
                 other = d.comp[comp_ab][y.tmor(psi[a][b], ida)]
+            path = steps[0]
+            for step in steps[1:]:
+                if path is None:
+                    report.add_structural(
+                        "undefined-composite", (a, b), "associativity-diagram"
+                    )
+                    return report
+                path = d.comp[step][path]
             if path != other:
                 report.add("associativity-diagram", (a, b))
 
@@ -471,10 +494,16 @@ def check_deg_transformation(t: DegTransformation) -> ValidationReport:
     phi0, psi0 = fmf.unit_comparison, gmf.unit_comparison
     if t.oplax:
         lhs = d.comp[t.components[iu]][y.tmor(ida, phi0)]
-        rhs = d.comp[y.tmor(psi0, ida)][d.comp[y.lunit_inv[alpha]][y.runit[alpha]]]
+        unitors = d.comp[y.lunit_inv[alpha]][y.runit[alpha]]
+        last = y.tmor(psi0, ida)
     else:
         lhs = d.comp[t.components[iu]][y.tmor(psi0, ida)]
-        rhs = d.comp[y.tmor(ida, phi0)][d.comp[y.runit_inv[alpha]][y.lunit[alpha]]]
+        unitors = d.comp[y.runit_inv[alpha]][y.lunit[alpha]]
+        last = y.tmor(ida, phi0)
+    if unitors is None:
+        report.add_structural("undefined-composite", (), "unit-diagram")
+        return report
+    rhs = d.comp[last][unitors]
     if lhs != rhs:
         report.add("unit-diagram", ())
     return report

@@ -10,6 +10,7 @@ import functools
 import itertools
 import os
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .report import InvalidStructureError, StructuralError, ValidationReport
 
@@ -66,7 +67,12 @@ class FiniteMonoid:
 
 @dataclass(frozen=True)
 class MonoidHom:
-    """A map of element indices between two finite monoids."""
+    """A map of element indices between two finite monoids.
+
+    `pull` caches an item getter for the map on the instance, outside the
+    dataclass fields, so equality, hashing, repr and JSON ignore it and a
+    copy made by `dataclasses.replace` starts without one.
+    """
 
     source: FiniteMonoid
     target: FiniteMonoid
@@ -98,6 +104,18 @@ class MonoidHom:
 
     def __call__(self, x: int) -> int:
         return self.map[x]
+
+    def pull(self, gmap: tuple) -> tuple:
+        """The tuple `gmap` after this map: (gmap[v] for v in self.map)."""
+        try:
+            get = self._map_getter
+        except AttributeError:
+            m = self.map
+            # itemgetter of one index returns the item itself, not a 1-tuple,
+            # so a one-element map reads a one-element slice instead
+            get = itemgetter(*m) if len(m) > 1 else itemgetter(slice(m[0], m[0] + 1))
+            self.__dict__["_map_getter"] = get
+        return get(gmap)
 
 
 @dataclass(frozen=True)
@@ -212,10 +230,10 @@ def identity_hom(m: FiniteMonoid) -> MonoidHom:
 
 
 def compose_homs(g: MonoidHom, f: MonoidHom) -> MonoidHom:
+    """The composite g . f, built trusted; its map is `f.pull(g.map)`."""
     if f.target is not g.source and f.target != g.source:
         raise StructuralError("hom composition endpoint mismatch")
-    gmap = g.map
-    return MonoidHom._trusted(f.source, g.target, tuple([gmap[v] for v in f.map]))
+    return MonoidHom._trusted(f.source, g.target, f.pull(g.map))
 
 
 def make_cmon_die(m: FiniteMonoid, die: int) -> CMonDIE:

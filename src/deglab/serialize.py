@@ -309,8 +309,10 @@ def _parts_first(checker, **parts):
 
     The gate is `ok`, not `well_formed`: `fincat.check_functor` reports a
     functor that breaks endpoints as an axiom violation, so a well-formed
-    monad can send composable arrows to arrows with no composite, and
-    `monads.check_monad_functor` would then index a table with None."""
+    monad can send composable arrows to arrows with no composite.  The
+    checkers themselves report such a composite as a structural
+    `undefined-composite` finding; checking the parts first instead names
+    the invalid part, by key, in the file's findings."""
 
     def check(obj):
         report = ValidationReport(_KIND_OF[type(obj)])

@@ -413,6 +413,47 @@ class TestFunctorInterning:
         assert g.source is s_copy and g == planted
         assert doubly._interned(s, t, hmap, m).source is s
 
+    def test_strict_operands_compose_to_the_interned_instance(self):
+        def strict(f):
+            h = f.hom_map
+            return make_dd_functor(f.source, f.target, MonoidHom(h.source, h.target, h.map), f.m)
+
+        dies = cmon_die_universe(2)
+        functors = {(i, k): dd_functors_between(s, t)
+                    for i, s in enumerate(dies) for k, t in enumerate(dies)}
+        pairs = 0
+        for (i, k), fs in functors.items():
+            for l, u in enumerate(dies):
+                for f in fs:
+                    for g in functors[(k, l)]:
+                        key = (id(u), tuple(g.hom_map.map[v] for v in f.hom_map.map),
+                               u.monoid.mul[g.hom_map.map[f.m]][g.m])
+                        want = vars(dies[i])[doubly._FUNCTORS][key]
+                        for gg, ff in ((strict(g), f), (g, strict(f)), (strict(g), strict(f))):
+                            assert compose_dd_functors(gg, ff) is want
+                        pairs += 1
+        assert pairs > 100
+
+    def test_inline_hit_checks_both_ends(self):
+        s = make_cmon_die(zmod(3), 2)
+        t, t_copy = z2_die(), z2_die()
+        hmap, m = (0, 0, 0), 1
+        ident = identity_dd_functor(s)
+        planted = doubly._interned(s, t, hmap, m)
+        vars(s)[doubly._FUNCTORS][(id(t_copy), hmap, m)] = planted
+        g = make_dd_functor(s, t_copy, MonoidHom(s.monoid, t_copy.monoid, hmap), m)
+        c = compose_dd_functors(g, ident)
+        assert c is not planted and c.target is t_copy and c.source is s and c == planted
+        assert compose_dd_functors(g, ident) is c
+        # a shallow copy of the source shares the table but gets its own composite
+        s_copy = copy.copy(s)
+        g_copy = make_dd_functor(s_copy, t, MonoidHom(s_copy.monoid, t.monoid, hmap), m)
+        c_copy = compose_dd_functors(g_copy, identity_dd_functor(s_copy))
+        assert c_copy.source is s_copy and c_copy.target is t and c_copy == planted
+        # the copy's composite now holds the shared entry; s gets its own back
+        back = compose_dd_functors(planted, ident)
+        assert back.source is s and back.target is t and back == planted
+
     def test_endpoint_mismatch_still_raises(self):
         s, t = z2_die(), make_cmon_die(zmod(3), 2)
         with pytest.raises(StructuralError):
@@ -435,6 +476,58 @@ class TestFunctorInterning:
 
         monkeypatch.setattr(doubly, "compose_dd_functors", planted)
         assert _composition_laws(dies) == (False, False)
+
+
+class TestFunctorEquality:
+    def test_strict_rebuild_equals_the_interned_instance(self):
+        for s in cmon_die_universe(3):
+            for t in cmon_die_universe(3):
+                for f in dd_functors_between(s, t):
+                    h = f.hom_map
+                    rebuilt = DDFunctor(s, t, MonoidHom(h.source, h.target, h.map), f.m, f.m0)
+                    assert rebuilt is not f
+                    assert rebuilt == f and f == rebuilt and not (rebuilt != f)
+                    assert hash(rebuilt) == hash(f)
+
+    def test_a_different_field_gives_inequality(self):
+        s = make_cmon_die(zmod(3), 2)
+        fs = dd_functors_between(s, s)
+        by_map = {}
+        for f in fs:
+            by_map.setdefault(f.hom_map.map, []).append(f)
+        same_hom = next(group for group in by_map.values() if len(group) > 1)
+        assert same_hom[0] != same_hom[1] and not (same_hom[0] == same_hom[1])
+        assert len(set(fs)) == len(fs) == len({(f.hom_map.map, f.m) for f in fs})
+        f = fs[0]
+        assert replace(f, m0=(f.m0 + 1) % 3) != f
+
+    def test_other_classes_compare_unequal(self):
+        f = identity_dd_functor(z2_die())
+        fields = (f.source, f.target, f.hom_map, f.m, f.m0)
+        for other in (None, 0, "f", fields, f.hom_map, f.source):
+            assert f != other and not (f == other) and other != f
+        assert f.__eq__(fields) is NotImplemented
+
+    def test_hash_stays_the_field_hash_and_the_class_frozen(self):
+        assert DDFunctor.__hash__ is not None
+        f = identity_dd_functor(z2_die())
+        fields = (f.source, f.target, f.hom_map, f.m, f.m0)
+        assert hash(f) == hash(fields)
+        with pytest.raises(AttributeError):
+            f.m = 0
+
+    def test_cached_getter_invisible_to_equality_hash_repr_and_json(self):
+        s, t = make_cmon_die(zmod(3), 2), z2_die()
+        used, fresh = (
+            make_dd_functor(s, t, MonoidHom(s.monoid, t.monoid, (0, 0, 0)), 1) for _ in range(2)
+        )
+        compose_dd_functors(identity_dd_functor(t), used)
+        compose_dd_functors(used, identity_dd_functor(s))
+        assert set(vars(used.hom_map)) > set(vars(fresh.hom_map))
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+        dumps = serialize.canonical_dumps
+        assert dumps(serialize.to_payload(used)) == dumps(serialize.to_payload(fresh))
+        assert vars(replace(used.hom_map)) == vars(fresh.hom_map)
 
 
 def _count_ddbicat_checks(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -79,6 +80,17 @@ class TestMonadFunctors:
                 if check_monad_functor(cand).ok:
                     passes += 1
         assert passes == 1  # only the identity-shaped phi survives
+
+    def test_invalid_target_is_reported_not_raised(self):
+        m = identity_monad(arrow_category())
+        # the target's endofunctor sends the identity of object 0 to that of 1
+        endo = replace(m.endo, morphism_map=(1,) + m.endo.morphism_map[1:])
+        f = replace(identity_monad_functor(m), target=replace(m, endo=endo))
+        assert not check_monad(f.target).ok
+        rep = check_monad_functor(f)
+        assert [(v.axiom, v.where, v.message) for v in rep.structural] == [
+            ("undefined-composite", (0,), "multiplication-compatibility")
+        ]
 
     def test_transformation_square(self):
         m = constant_to_terminal_monad()

@@ -142,6 +142,18 @@ class TestMonoidalFunctors:
         rep = check_monoidal_functor(f)
         assert not rep.ok
 
+    def test_invalid_target_category_is_reported_not_raised(self):
+        sc = sign_category()
+        ident = identity_monoidal_functor(sc)
+        # object 0's identity becomes a loop on object 1: no longer a category
+        base = replace(sc.base, identities=(2,) + sc.base.identities[1:])
+        f = replace(ident, target=replace(sc, base=base), functor=replace(ident.functor, target=base))
+        rep = check_monoidal_functor(f)
+        assert [(v.axiom, v.message) for v in rep.structural] == [
+            ("undefined-composite", "hexagon")
+        ]
+        assert not rep.ok and not rep.well_formed
+
     def test_composition_valid(self):
         sc = sign_category()
         fs = enumerate_monoidal_functors(sc, sc)
@@ -313,6 +325,39 @@ class TestDegTransformations:
         weak_axioms = sorted(v.axiom for v in check_deg_transformation(weak).violations)
         assert "component-invertible" not in lax_axioms
         assert weak_axioms == sorted(lax_axioms + ["component-invertible"])
+
+
+def _with_target(mc, **changes):
+    # the identity functor of mc with its target's constraint cells changed
+    return replace(identity_monoidal_functor(mc), target=replace(mc, **changes))
+
+
+class TestUndefinedComposites:
+    """An invalid target makes a diagram compose arrows that do not compose;
+    the checker reports it as structural instead of indexing with None."""
+
+    @pytest.mark.parametrize("oplax", [False, True])
+    def test_associativity_diagram_on_invalid_target(self, oplax):
+        sc = sign_category()
+        assoc = [[list(r) for r in plane] for plane in sc.assoc]
+        assoc[0][0][0] = 2  # an arrow on object 1 where one on object 0 belongs
+        f = _with_target(sc, assoc=assoc)
+        t = identity_deg_transformation(f, oplax=oplax)
+        rep = check_deg_transformation(t)
+        assert [(v.axiom, v.where, v.message) for v in rep.structural] == [
+            ("undefined-composite", (0, 0), "associativity-diagram")
+        ]
+
+    @pytest.mark.parametrize("oplax", [False, True])
+    def test_unit_diagram_on_invalid_target(self, oplax):
+        sc = sign_category()
+        t = identity_deg_transformation(identity_monoidal_functor(sc), oplax=oplax)
+        name = "runit" if oplax else "lunit"  # the unitor composed after the other
+        f = _with_target(sc, **{name: (2,) + getattr(sc, name)[1:]})
+        rep = check_deg_transformation(replace(t, source_functor=f, target_functor=f))
+        assert [(v.axiom, v.message) for v in rep.structural] == [
+            ("undefined-composite", "unit-diagram")
+        ]
 
 
 class TestDegModifications:
