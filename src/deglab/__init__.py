@@ -86,7 +86,6 @@ from .monoids import (
     invert,
 )
 from .report import (
-    EquivalenceReport,
     InvalidStructureError,
     RefutationAlarm,
     Report,

@@ -11,8 +11,14 @@ import json
 import sys
 
 from . import serialize
-from .degenerate import find_nonidentity_nat_trans, monoid_to_cat, cat_to_monoid
+from .degenerate import (
+    DegenerateCategory,
+    cat_to_monoid,
+    find_nonidentity_nat_trans,
+    monoid_to_cat,
+)
 from .doubly import (
+    DDBicat,
     analyze_weak_functor,
     build_ddbicat,
     check_dd_functor,
@@ -21,7 +27,14 @@ from .doubly import (
     transformation_between,
     unfaithfulness_witness,
 )
-from .monoidal import shift_from_bicat, shift_to_bicat, unit_distobj_closure_witness
+from .monoidal import (
+    DegenerateBicategory,
+    FinMonoidalCategory,
+    check_monoidal,
+    shift_from_bicat,
+    shift_to_bicat,
+    unit_distobj_closure_witness,
+)
 from .monoids import CMonDIE, FiniteMonoid, cmon_die_universe, enumerate_monoids
 from .report import InvalidStructureError, RefutationAlarm, StructuralError
 from .suites import SUITES, run_suite
@@ -71,20 +84,27 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
+def _expect(obj, cls, what: str):
+    """`obj` itself if it is a `cls`; otherwise an input error naming `what`."""
+    if not isinstance(obj, cls):
+        raise StructuralError(f"expected {what}")
+    return obj
+
+
+# direction: the structure it takes, that structure's file, the shift
 _SHIFTS = {
-    "to_cmon": lambda obj: extract_cmon_die(obj),
-    "to_ddbicat": lambda obj: build_ddbicat(obj),
-    "to_moncat": lambda obj: shift_from_bicat(obj),
-    "to_degbicat": lambda obj: shift_to_bicat(obj),
-    "to_monoid": lambda obj: cat_to_monoid(obj),
-    "to_category": lambda obj: monoid_to_cat(obj),
+    "to_cmon": (DDBicat, "a ddbicat file", extract_cmon_die),
+    "to_ddbicat": (CMonDIE, "a monoid file with a die", build_ddbicat),
+    "to_moncat": (DegenerateBicategory, "a degenerate_bicat file", shift_from_bicat),
+    "to_degbicat": (FinMonoidalCategory, "a moncat file", shift_to_bicat),
+    "to_monoid": (DegenerateCategory, "a degenerate_category file", cat_to_monoid),
+    "to_category": (FiniteMonoid, "a monoid file without a die", monoid_to_cat),
 }
 
 
 def cmd_shift(args) -> int:
-    direction = next(name for name in _SHIFTS if getattr(args, name))
-    obj = serialize.structure_from_payload(_load(args.file))
-    result = _SHIFTS[direction](obj)
+    cls, what, shift = next(_SHIFTS[name] for name in _SHIFTS if getattr(args, name))
+    result = shift(_expect(serialize.structure_from_payload(_load(args.file)), cls, what))
     text = serialize.canonical_dumps(serialize.to_payload(result))
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
@@ -135,9 +155,7 @@ def cmd_search(args) -> int:
     if args.what == "nonidentity-nat-trans":
         if isinstance(obj, CMonDIE):
             obj = obj.monoid
-        if not isinstance(obj, FiniteMonoid):
-            raise StructuralError("expected a monoid file")
-        t = find_nonidentity_nat_trans(obj)
+        t = find_nonidentity_nat_trans(_expect(obj, FiniteMonoid, "a monoid file"))
         found = t is not None
         payload = {
             "found": found,
@@ -146,9 +164,7 @@ def cmd_search(args) -> int:
         _emit(payload, args.format, lambda p: print("found" if found else "absent"))
         return EXIT_OK if found else EXIT_VIOLATION
     if args.what == "unfaithful":
-        if not isinstance(obj, CMonDIE):
-            raise StructuralError("expected a monoid file with a die")
-        pair = unfaithfulness_witness(args.level, obj)
+        pair = unfaithfulness_witness(args.level, _expect(obj, CMonDIE, "a monoid file with a die"))
         payload = {
             "found": pair is not None,
             "witness": None
@@ -162,6 +178,11 @@ def cmd_search(args) -> int:
         )
         return EXIT_OK if pair is not None else EXIT_VIOLATION
     if args.what == "unit-closure":
+        report = check_monoidal(_expect(obj, FinMonoidalCategory, "a moncat file"))
+        if not report.well_formed:
+            raise StructuralError(f"not a monoidal category: {report.structural[0].axiom}")
+        if not report.ok:
+            raise InvalidStructureError(f"not a monoidal category: {report.violations[0].axiom}")
         t1, t2, comp, closed = unit_distobj_closure_witness(obj)
         payload = {
             "closed": closed,

@@ -19,12 +19,7 @@ from .monoids import (
     enumerate_monoids,
     identity_hom,
 )
-from .report import (
-    EquivalenceReport,
-    InvalidStructureError,
-    StructuralError,
-    ValidationReport,
-)
+from .report import InvalidStructureError, Report, StructuralError, ValidationReport
 
 OBJECT_LABEL = "∗"  # the single object is always labeled this way
 
@@ -166,7 +161,7 @@ def forgetful_universe(sample: list):
     return right_monoids, left_homs, right_homs, JFunctor(left_cat, right_cat, map0, map1)
 
 
-def check_forgetful_equivalence(sample: list) -> EquivalenceReport:
+def check_forgetful_equivalence(sample: list) -> Report:
     """Verify the object-forgetting comparison is an equivalence over a sample.
 
     Both sides take their hom-sets from the same enumeration (see
@@ -178,9 +173,11 @@ def check_forgetful_equivalence(sample: list) -> EquivalenceReport:
     right_monoids, left_homs, right_homs, fun = forgetful_universe(sample)
     map0 = fun.map0
     sizes = sorted({c.hom.size for c in sample})
-    report = check_external_equivalence(fun)
-    report.name = "category-to-monoid-comparison"
-    report.universe = f"all one-object categories with hom sizes in {sizes}"
+    report = Report(
+        "category-to-monoid-comparison",
+        {"bound": None, "universe": f"all one-object categories with hom sizes in {sizes}"},
+        check_external_equivalence(fun).findings,
+    )
 
     hit = set(map0)
     missed = [i for i in range(len(right_monoids)) if i not in hit]

@@ -26,9 +26,9 @@ from .monoids import (
     units,
 )
 from .report import (
-    EquivalenceReport,
     InvalidStructureError,
     RefutationAlarm,
+    Report,
     StructuralError,
     ValidationReport,
 )
@@ -221,26 +221,7 @@ def check_ddbicat(b: DDBicat) -> ValidationReport:
     return report
 
 
-@dataclass
-class EHReport:
-    """Exhaustive verification of the collapse forced on valid instances."""
-
-    findings: list
-
-    @property
-    def ok(self) -> bool:
-        return all(passed for _, passed, _ in self.findings)
-
-    def to_payload(self):
-        return {
-            "verdict": "pass" if self.ok else "fail",
-            "findings": [
-                {"criterion": c, "passed": p, "witness": w} for c, p, w in self.findings
-            ],
-        }
-
-
-def eckmann_hilton_report(b: DDBicat) -> EHReport:
+def eckmann_hilton_report(b: DDBicat) -> Report:
     """Verify, exhaustively, the consequences forced by the axioms.
 
     (i) vertical composition commutes; (ii) horizontal equals vertical;
@@ -251,17 +232,17 @@ def eckmann_hilton_report(b: DDBicat) -> EHReport:
     a mathematical discovery.
     """
     n = b.cells
-    findings = []
+    report = Report("eckmann-hilton")
 
     bad = next(
         ((x, y) for x in range(n) for y in range(n) if b.v(x, y) != b.v(y, x)), None
     )
-    findings.append(("vcomp-commutative", bad is None, bad))
+    report.add("vcomp-commutative", bad is None, witness=bad)
 
     bad = next(
         ((x, y) for x in range(n) for y in range(n) if b.h(x, y) != b.v(x, y)), None
     )
-    findings.append(("hcomp-equals-vcomp", bad is None, bad))
+    report.add("hcomp-equals-vcomp", bad is None, witness=bad)
 
     bad = None
     for x in range(n):
@@ -272,15 +253,13 @@ def eckmann_hilton_report(b: DDBicat) -> EHReport:
                 break
         if bad:
             break
-    findings.append(("derived-product-agrees", bad is None, bad))
+    report.add("derived-product-agrees", bad is None, witness=bad)
 
-    findings.append(
-        ("lunit-equals-runit", b.lunit == b.runit, None if b.lunit == b.runit else (b.lunit, b.runit))
-    )
-    findings.append(
-        ("assoc-is-identity", b.assoc == b.id2, None if b.assoc == b.id2 else (b.assoc,))
-    )
-    return EHReport(findings)
+    same = b.lunit == b.runit
+    report.add("lunit-equals-runit", same, witness=None if same else (b.lunit, b.runit))
+    trivial = b.assoc == b.id2
+    report.add("assoc-is-identity", trivial, witness=None if trivial else (b.assoc,))
+    return report
 
 
 # -- the dimension shift in both directions ----------------------------------
@@ -690,7 +669,7 @@ def two_truncation_universe(bound: int):
     return dies, one_cells, two_cells, fun
 
 
-def check_two_equivalence(bound: int) -> EquivalenceReport:
+def check_two_equivalence(bound: int) -> Report:
     """The 2-truncation comparison is an equivalence over the bounded universe.
 
     Verifies surjectivity on objects on the nose (via the pseudo-inverse
@@ -699,10 +678,11 @@ def check_two_equivalence(bound: int) -> EquivalenceReport:
     level-3 failures when the universe contains a witnessing target.
     """
     dies, one_cells, _, fun = two_truncation_universe(bound)
-    report = check_external_equivalence(fun)
-    report.name = "two-truncation-comparison"
-    report.bound = bound
-    report.universe = f"all {len(dies)} instances of size <= {bound}"
+    report = Report(
+        "two-truncation-comparison",
+        {"bound": bound, "universe": f"all {len(dies)} instances of size <= {bound}"},
+        check_external_equivalence(fun).findings,
+    )
 
     hit = {fun.map0[i] for i in range(len(dies))}
     identity_die = all(
@@ -772,7 +752,7 @@ def restrict_identity_constraint(functors, bound: int | None = None):
     to it is full, faithful, and surjective over the bounded universe.
     """
     retained = [f for f in functors if f.m == f.target.monoid.unit]
-    report = EquivalenceReport(name="identity-constraint-restriction", bound=bound)
+    report = Report("identity-constraint-restriction", {"bound": bound, "universe": ""})
 
     ending: dict = {}
     for f in retained:

@@ -12,7 +12,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .report import EquivalenceReport, InvalidStructureError, StructuralError, ValidationReport
+from .report import InvalidStructureError, Report, StructuralError, ValidationReport
 
 
 @dataclass(frozen=True)
@@ -401,7 +401,7 @@ def internally_equivalent(x: FiniteJCategory, x1: int, x2: int):
     return False, None
 
 
-def check_external_equivalence(fun: JFunctor) -> EquivalenceReport:
+def check_external_equivalence(fun: JFunctor) -> Report:
     """Unravelled criteria for an external j-equivalence over finite data.
 
     Checks local essential surjectivity at every dimension and local
@@ -410,9 +410,12 @@ def check_external_equivalence(fun: JFunctor) -> EquivalenceReport:
     """
     x, y = fun.source, fun.target
     j = x.j
-    report = EquivalenceReport(
-        name="external-equivalence",
-        universe=f"{len(x.zero_cells)} source 0-cells / {len(y.zero_cells)} target 0-cells",
+    report = Report(
+        "external-equivalence",
+        {
+            "bound": None,
+            "universe": f"{len(x.zero_cells)} source 0-cells / {len(y.zero_cells)} target 0-cells",
+        },
     )
 
     missed = None

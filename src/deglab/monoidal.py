@@ -23,12 +23,7 @@ from .fincat import (
     enumerate_functors,
     identity_functor,
 )
-from .report import (
-    EquivalenceReport,
-    InvalidStructureError,
-    StructuralError,
-    ValidationReport,
-)
+from .report import InvalidStructureError, Report, StructuralError, ValidationReport
 
 
 def _nested3(rows):
@@ -510,16 +505,22 @@ def check_deg_transformation(t: DegTransformation) -> ValidationReport:
 
 
 def identity_deg_transformation(mf: MonoidalFunctor, oplax: bool = False) -> DegTransformation:
-    """The identity 2-cell: distinguished object I with unitor components."""
+    """The identity 2-cell: distinguished object I with unitor components.
+
+    Raises StructuralError when the target's unitors at some object do not
+    compose."""
     y = mf.target
     d = y.base
     comps = []
     for a in range(mf.source.base.n_objects):
         fa = mf.functor.on_obj(a)
         if oplax:
-            comps.append(d.comp[y.runit_inv[fa]][y.lunit[fa]])
+            comp = d.comp[y.runit_inv[fa]][y.lunit[fa]]
         else:
-            comps.append(d.comp[y.lunit_inv[fa]][y.runit[fa]])
+            comp = d.comp[y.lunit_inv[fa]][y.runit[fa]]
+        if comp is None:
+            raise StructuralError(f"the unitors at object {fa} do not compose")
+        comps.append(comp)
     return DegTransformation(mf, mf, y.unit_obj, tuple(comps), lax=False, oplax=oplax)
 
 
@@ -847,7 +848,7 @@ def shift_universe(mcs: list):
     return functors, fun
 
 
-def check_shift_equivalence(universe: list | None = None, bound: int = 4) -> EquivalenceReport:
+def check_shift_equivalence(universe: list | None = None, bound: int = 4) -> Report:
     """The category-level comparison from one-0-cell bicategories to monoidal
     categories is an equivalence over the given universe.
 
@@ -865,10 +866,11 @@ def check_shift_equivalence(universe: list | None = None, bound: int = 4) -> Equ
         universe = stock_monoidal_universe(bound)
     mcs = list(universe)
     functors, fun = shift_universe(mcs)
-    report = check_external_equivalence(fun)
-    report.name = "shift-comparison"
-    report.bound = bound
-    report.universe = f"stock universe of {len(mcs)} monoidal categories"
+    report = Report(
+        "shift-comparison",
+        {"bound": bound, "universe": f"stock universe of {len(mcs)} monoidal categories"},
+        check_external_equivalence(fun).findings,
+    )
 
     roundtrip = all(
         _mc_key(shift_from_bicat(shift_to_bicat(mc))) == _mc_key(mc) for mc in mcs

@@ -1,4 +1,4 @@
-"""Shared report types: validation reports, equivalence reports, findings.
+"""Shared report types: validation reports, verdict reports, findings.
 
 Every checker returns the full list of violations rather than a bare
 boolean, so counterexamples can be exhibited and replayed.  Structural
@@ -82,7 +82,7 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class Finding:
-    """One criterion inside an equivalence or suite report."""
+    """One criterion inside a verdict report."""
 
     criterion: str
     passed: bool
@@ -101,16 +101,16 @@ class Finding:
 
 
 @dataclass
-class EquivalenceReport:
-    """Verdict of an equivalence check over an explicit finite universe.
+class Report:
+    """A verdict: findings plus a header saying what was swept.
 
-    Positive verdicts are only as strong as the universe sampled, so the
-    bound (or a description of the sample) is always recorded.
+    Positive verdicts are only as strong as the universe swept, so the
+    header records it: suites write their `bound` and `seed`, equivalence
+    checks their `bound` and a description of the `universe`.
     """
 
     name: str
-    bound: int | None = None
-    universe: str = ""
+    header: dict = field(default_factory=dict)
     findings: list = field(default_factory=list)
 
     @property
@@ -123,41 +123,8 @@ class EquivalenceReport:
     def to_payload(self):
         return {
             "name": self.name,
+            **self.header,
             "verdict": "pass" if self.ok else "fail",
-            "bound": self.bound,
-            "universe": self.universe,
-            "findings": [f.to_payload() for f in self.findings],
-        }
-
-
-@dataclass
-class Report:
-    """Top-level CLI report: verdict plus replayable witnesses."""
-
-    name: str
-    findings: list = field(default_factory=list)
-    bound: int | None = None
-    seed: int | None = None
-
-    @property
-    def ok(self) -> bool:
-        return all(f.passed for f in self.findings)
-
-    def add(self, criterion, passed, dimension=None, witness=None, detail=""):
-        self.findings.append(Finding(criterion, passed, dimension, witness, detail))
-
-    def absorb(self, rep: EquivalenceReport, prefix: str = ""):
-        for f in rep.findings:
-            self.findings.append(
-                Finding(prefix + f.criterion, f.passed, f.dimension, f.witness, f.detail)
-            )
-
-    def to_payload(self):
-        return {
-            "name": self.name,
-            "verdict": "pass" if self.ok else "fail",
-            "bound": self.bound,
-            "seed": self.seed,
             "findings": [f.to_payload() for f in self.findings],
         }
 

@@ -364,10 +364,9 @@ def _check_ddbicat(p) -> ValidationReport:
     b = _build(p)
     report = doubly.check_ddbicat(b)
     if report.ok:
-        eh = doubly.eckmann_hilton_report(b)
-        for criterion, passed, witness in eh.findings:
-            if not passed:
-                report.add(f"derived-{criterion}", tuple(witness or ()))
+        for f in doubly.eckmann_hilton_report(b).findings:
+            if not f.passed:
+                report.add(f"derived-{f.criterion}", tuple(f.witness or ()))
     return report
 
 

@@ -88,7 +88,7 @@ def _invalid_witness(payload, note=""):
 def suite_thm_dc(bound: int = 4, seed: int | None = None) -> Report:
     """One-object categories are monoids; functors are homomorphisms; natural
     transformations are elements satisfying the two-sided naturality law."""
-    report = Report("thm-dc", bound=bound, seed=seed)
+    report = Report("thm-dc", {"bound": bound, "seed": seed})
     monoids = [m for n in range(1, bound + 1) for m in enumerate_monoids(n)]
 
     bad = next(
@@ -152,9 +152,9 @@ def suite_thm_dc(bound: int = 4, seed: int | None = None) -> Report:
 def suite_thm_dce(bound: int = 3, seed: int | None = None) -> Report:
     """The object-forgetting comparison is an equivalence of categories, and
     its 2-dimensional extension fails to be locally full."""
-    report = Report("thm-dce", bound=bound, seed=seed)
+    report = Report("thm-dce", {"bound": bound, "seed": seed})
     sample = degenerate_sample(bound)
-    report.absorb(check_forgetful_equivalence(sample))
+    report.findings += check_forgetful_equivalence(sample).findings
 
     witness = None
     ok = True
@@ -182,7 +182,7 @@ def suite_thm_vdb(bound: int = 4, seed: int | None = None, tampers: int = 200) -
     """One-1-cell bicategories collapse to commutative monoids with a
     distinguished invertible element; the reduced functor, transformation,
     and modification layers behave as forced."""
-    report = Report("thm-vdb", bound=bound, seed=seed)
+    report = Report("thm-vdb", {"bound": bound, "seed": seed})
     dies = cmon_die_universe(bound)
 
     all_ok = True
@@ -296,8 +296,8 @@ def suite_thm_vdb(bound: int = 4, seed: int | None = None, tampers: int = 200) -
 def suite_thm_vdbe(bound: int = 3, seed: int | None = None) -> Report:
     """The comparison to plain commutative monoids is an equivalence at the
     2-dimensional truncation and only there."""
-    report = Report("thm-vdbe", bound=bound, seed=seed)
-    report.absorb(check_two_equivalence(bound))
+    report = Report("thm-vdbe", {"bound": bound, "seed": seed})
+    report.findings += check_two_equivalence(bound).findings
 
     y = make_cmon_die(zmod(2), 0)
     pair = unfaithfulness_witness(1, y)
@@ -335,14 +335,14 @@ def suite_thm_vdbe(bound: int = 3, seed: int | None = None) -> Report:
     dies = cmon_die_universe(bound)
     all_functors = [f for s in dies for t in dies for f in dd_functors_between(s, t)]
     _, rrep = restrict_identity_constraint(all_functors, bound=bound)
-    report.absorb(rrep)
+    report.findings += rrep.findings
     return report
 
 
 def suite_thm_db(bound: int = 4, seed: int | None = None) -> Report:
     """Finite monoidal categories: axioms, the cocycle example, functors,
     transformations, and modifications."""
-    report = Report("thm-db", bound=bound, seed=seed)
+    report = Report("thm-db", {"bound": bound, "seed": seed})
     universe = stock_monoidal_universe(bound)
 
     all_valid = all(check_monoidal(mc).ok for mc in universe)
@@ -421,9 +421,9 @@ def suite_thm_db(bound: int = 4, seed: int | None = None) -> Report:
 def suite_thm_moncat_xi(bound: int = 4, seed: int | None = None) -> Report:
     """The dimension shift is an equivalence at the category level; two- and
     three-dimensional comparisons fail, each failure carried by a witness."""
-    report = Report("thm-moncat-xi", bound=bound, seed=seed)
+    report = Report("thm-moncat-xi", {"bound": bound, "seed": seed})
     universe = stock_monoidal_universe(bound)
-    report.absorb(check_shift_equivalence(universe, bound=bound))
+    report.findings += check_shift_equivalence(universe, bound=bound).findings
 
     nand = nand_pair()
     t1, _, comp, closed = unit_distobj_closure_witness(nand)
@@ -541,19 +541,10 @@ SUITES = {
     "thm-moncat-xi": suite_thm_moncat_xi,
 }
 
-DEFAULT_BOUNDS = {
-    "thm-dc": 4,
-    "thm-dce": 3,
-    "thm-vdb": 4,
-    "thm-vdbe": 3,
-    "thm-db": 4,
-    "thm-moncat-xi": 4,
-}
-
 
 def run_suite(name: str, bound: int | None = None, seed: int | None = None) -> Report:
     if name not in SUITES:
         raise StructuralError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
-    kwargs = {"seed": seed}
-    kwargs["bound"] = bound if bound is not None else DEFAULT_BOUNDS[name]
-    return SUITES[name](**kwargs)
+    if bound is None:
+        return SUITES[name](seed=seed)
+    return SUITES[name](bound=bound, seed=seed)

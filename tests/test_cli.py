@@ -4,12 +4,21 @@ import sys
 
 import pytest
 
+from dataclasses import replace
+
 from deglab import serialize
 from deglab.cli import main
-from deglab.doubly import build_ddbicat, identity_dd_functor, make_dd_functor
+from deglab.degenerate import DegenerateCategory
+from deglab.doubly import DDBicat, build_ddbicat, identity_dd_functor, make_dd_functor
 from deglab.examples import nand_pair, sign_category, zmod
-from deglab.monoidal import identity_deg_transformation, identity_monoidal_functor
-from deglab.monoids import identity_hom, make_cmon_die
+from deglab.monoidal import (
+    DegenerateBicategory,
+    FinMonoidalCategory,
+    identity_deg_transformation,
+    identity_monoidal_functor,
+)
+from deglab.monoids import CMonDIE, FiniteMonoid, identity_hom, make_cmon_die
+from samples import sample_structures
 
 
 def write_payload(tmp_path, name, payload):
@@ -181,6 +190,59 @@ class TestSearchVerb:
         assert main(["--format", "json", "search", "unit-closure", path]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["closed"] is False
+
+
+    def test_unit_closure_structural_target_exit_two(self, tmp_path, capsys):
+        # the right unitor's components land on the wrong object
+        bad = replace(sign_category(), runit=(2, 2))
+        path = write_payload(tmp_path, "mc.json", serialize.to_payload(bad))
+        assert main(["validate", path]) == 2
+        assert main(["search", "unit-closure", path]) == 2
+        assert "runit-endpoints" in capsys.readouterr().err
+
+    def test_unit_closure_axiom_violation_exit_one(self, tmp_path, capsys):
+        sc = sign_category()
+        assoc = [[list(col) for col in plane] for plane in sc.assoc]
+        assoc[0][1][1] ^= 1
+        flipped = tuple(tuple(tuple(col) for col in plane) for plane in assoc)
+        path = write_payload(
+            tmp_path, "mc.json", serialize.to_payload(replace(sc, assoc=flipped, assoc_inv=flipped))
+        )
+        assert main(["validate", path]) == 1
+        assert main(["search", "unit-closure", path]) == 1
+        assert "pentagon" in capsys.readouterr().err
+
+
+# every shift direction and search target, with the structures it takes
+_VERBS = {
+    ("shift", "--to-cmon"): DDBicat,
+    ("shift", "--to-ddbicat"): CMonDIE,
+    ("shift", "--to-moncat"): DegenerateBicategory,
+    ("shift", "--to-degbicat"): FinMonoidalCategory,
+    ("shift", "--to-monoid"): DegenerateCategory,
+    ("shift", "--to-category"): FiniteMonoid,
+    ("search", "nonidentity-nat-trans"): (FiniteMonoid, CMonDIE),
+    ("search", "unfaithful"): CMonDIE,
+    ("search", "unit-closure"): FinMonoidalCategory,
+}
+_SAMPLES = list(sample_structures())
+
+
+def _sample_id(obj):
+    return serialize.to_payload(obj)["kind"] + ("+die" if isinstance(obj, CMonDIE) else "")
+
+
+@pytest.mark.parametrize("verb", list(_VERBS), ids=" ".join)
+@pytest.mark.parametrize("obj", _SAMPLES, ids=_sample_id)
+def test_every_verb_on_every_kind(tmp_path, capsys, verb, obj):
+    path = write_payload(tmp_path, "in.json", serialize.to_payload(obj))
+    code = main([*verb, path])
+    err = capsys.readouterr().err
+    if isinstance(obj, _VERBS[verb]):
+        assert code in (0, 1)
+    else:
+        assert code == 2
+        assert err.startswith("input error: expected a")
 
 
 class TestEnumerateAndSuite:

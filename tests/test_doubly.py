@@ -47,7 +47,7 @@ from deglab.monoids import (
     make_cmon_die,
     units,
 )
-from deglab.report import InvalidStructureError, StructuralError
+from deglab.report import Finding, InvalidStructureError, StructuralError
 
 
 def z2_die(d=1):
@@ -113,6 +113,21 @@ class TestEckmannHilton:
         table[1][1] ^= 1
         bad = replace(b, hcomp=tuple(tuple(r) for r in table))
         assert not eckmann_hilton_report(bad).ok
+
+    def test_findings_are_findings(self):
+        valid = eckmann_hilton_report(build_ddbicat(make_cmon_die(zmod(3), 1)))
+        assert all(type(f) is Finding and f.passed and f.witness is None for f in valid.findings)
+
+        b = build_ddbicat(z2_die(0))
+        table = [list(r) for r in b.hcomp]
+        table[1][1] ^= 1
+        rep = eckmann_hilton_report(replace(b, hcomp=tuple(tuple(r) for r in table)))
+        assert all(type(f) is Finding for f in rep.findings)
+        assert [(f.criterion, f.witness) for f in rep.findings if not f.passed] == [
+            ("hcomp-equals-vcomp", (1, 1)),
+            ("derived-product-agrees", (1, 1)),
+        ]
+        assert rep.to_payload()["name"] == "eckmann-hilton"
 
 
 class TestAxiomCompleteness:

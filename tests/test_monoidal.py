@@ -359,6 +359,15 @@ class TestUndefinedComposites:
             ("undefined-composite", "unit-diagram")
         ]
 
+    @pytest.mark.parametrize("oplax", [False, True])
+    def test_identity_transformation_on_unitors_that_do_not_compose(self, oplax):
+        # the weak components compose lunit_inv after runit, the oplax ones
+        # runit_inv after lunit; an arrow on object 1 at object 0 breaks each
+        name = "runit_inv" if oplax else "runit"
+        f = _with_target(sign_category(), **{name: (2, 2)})
+        with pytest.raises(StructuralError, match="unitors at object 0 do not compose"):
+            identity_deg_transformation(f, oplax=oplax)
+
 
 class TestDegModifications:
     def test_identity_gamma(self):

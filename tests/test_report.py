@@ -1,0 +1,77 @@
+"""The verdict report: its payload shape, and the bytes of the reports that
+the benchmark pins.
+
+The digests are computed as `perfbench/workloads.digest_of` computes them
+and compared with the pins in `perfbench/expected.json`, which is only read
+here, so a drift in report JSON fails these tests as well as the benchmark.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from deglab.degenerate import check_forgetful_equivalence, monoid_to_cat
+from deglab.doubly import check_two_equivalence, dd_functors_between, restrict_identity_constraint
+from deglab.examples import stock_monoidal_universe
+from deglab.monoidal import check_shift_equivalence
+from deglab.monoids import cmon_die_universe, enumerate_monoids
+from deglab.report import Report
+from deglab.suites import SUITES, run_suite
+
+_PINS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text(encoding="utf-8")
+)
+
+
+def _digest(payload):
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestPayload:
+    def test_header_keys_sit_beside_name_verdict_and_findings(self):
+        rep = Report("r", {"bound": 2, "universe": "u"})
+        rep.add("c", True, dimension=1)
+        assert rep.to_payload() == {
+            "name": "r",
+            "bound": 2,
+            "universe": "u",
+            "verdict": "pass",
+            "findings": [
+                {"criterion": "c", "dimension": 1, "passed": True, "witness": None, "detail": ""}
+            ],
+        }
+
+    def test_verdict_fails_on_any_failed_finding(self):
+        rep = Report("r")
+        assert rep.ok and rep.to_payload() == {"name": "r", "verdict": "pass", "findings": []}
+        rep.add("c", True)
+        rep.add("d", False)
+        assert not rep.ok and rep.to_payload()["verdict"] == "fail"
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_suite(self, name):
+        assert _digest(run_suite(name).to_payload()) == _PINS["replay"][f"suite:{name}"]
+
+    def test_shift_equivalence(self):
+        rep = check_shift_equivalence(stock_monoidal_universe(3), bound=3)
+        assert _digest(rep.to_payload()) == _PINS["universes"]["shift:3"]
+
+    def test_two_equivalence(self):
+        assert _digest(check_two_equivalence(2).to_payload()) == _PINS["universes"]["two-equivalence:2"]
+
+    def test_forgetful_equivalence(self):
+        cats = [monoid_to_cat(m) for n in range(1, 4) for m in enumerate_monoids(n)]
+        rep = check_forgetful_equivalence(cats)
+        assert _digest(rep.to_payload()) == _PINS["universes"]["forgetful:<=3"]
+
+    def test_identity_constraint_restriction(self):
+        # its header keeps an empty "universe", which the pin includes
+        dies = cmon_die_universe(2)
+        fs = [f for s in dies for t in dies for f in dd_functors_between(s, t)]
+        retained, rep = restrict_identity_constraint(fs, bound=2)
+        assert _digest([len(retained), rep.to_payload()]) == _PINS["universes"]["restrict:2"]

@@ -8,75 +8,33 @@ from hypothesis import strategies as st
 
 from deglab import serialize
 from deglab.cli import main
-from deglab.degenerate import monoid_to_cat, nat_trans_between
-from deglab.doubly import (
-    DDModification,
-    build_ddbicat,
-    identity_dd_functor,
-    transformation_between,
-)
+from deglab.degenerate import nat_trans_between
+from deglab.doubly import build_ddbicat, identity_dd_functor
 from deglab.examples import (
     arrow_category,
     bool_or_monoid,
     discrete_monoidal,
-    nand_pair,
     sign_category,
     trivial_monoid,
     zmod,
 )
-from deglab.monads import MonadFunctorTransformation, identity_monad, identity_monad_functor
-from deglab.monoidal import (
-    DegModification,
-    identity_deg_transformation,
-    identity_monoidal_functor,
-    identity_monoidal_transformation,
-    shift_to_bicat,
-)
+from deglab.monads import identity_monad, identity_monad_functor
+from deglab.monoidal import identity_deg_transformation, identity_monoidal_functor
 from deglab.monoids import enumerate_monoids, identity_hom, make_cmon_die
 from deglab.report import StructuralError
-
-
-def _sample_structures():
-    s = make_cmon_die(zmod(2), 1)
-    f = identity_dd_functor(s)
-    t = transformation_between(f, f)
-    mc = sign_category()
-    mf = identity_monoidal_functor(mc)
-    dt = identity_deg_transformation(mf)
-    monad = identity_monad(arrow_category())
-    mnf = identity_monad_functor(monad)
-    z3 = identity_hom(zmod(3))
-    yield zmod(3)
-    yield s
-    yield monoid_to_cat(zmod(3))
-    yield nat_trans_between(z3, z3)[1]
-    yield build_ddbicat(s)
-    yield f
-    yield t
-    yield DDModification(t, 1)
-    yield arrow_category()
-    yield mc
-    yield shift_to_bicat(mc)
-    yield nand_pair()
-    yield mf
-    yield identity_monoidal_transformation(mf)
-    yield dt
-    yield DegModification(dt, dt, mc.base.identities[dt.dist_obj])
-    yield monad
-    yield mnf
-    yield MonadFunctorTransformation(mnf, mnf, mnf.u.target.identities)
+from samples import sample_structures
 
 
 class TestRoundTrips:
     def test_payload_round_trips(self):
-        for obj in _sample_structures():
+        for obj in sample_structures():
             payload = serialize.to_payload(obj)
             text = serialize.canonical_dumps(payload)
             back = serialize.structure_from_payload(json.loads(text))
             assert back == obj, payload["kind"]
 
     def test_canonical_bytes_stable(self):
-        for obj in _sample_structures():
+        for obj in sample_structures():
             text = serialize.canonical_dumps(serialize.to_payload(obj))
             reparsed = serialize.canonical_dumps(json.loads(text))
             assert reparsed == text
@@ -143,7 +101,7 @@ class TestValidationDispatch:
         assert not rep.ok
 
     def test_every_sample_validates(self):
-        for obj in _sample_structures():
+        for obj in sample_structures():
             rep = serialize.validate_payload(serialize.to_payload(obj))
             assert rep.ok, (type(obj).__name__, rep.to_payload())
 
@@ -154,7 +112,7 @@ class TestValidationDispatch:
 
 # -- the schema table and the conform pass -------------------------------------
 
-_TEXTS = [serialize.canonical_dumps(serialize.to_payload(obj)) for obj in _sample_structures()]
+_TEXTS = [serialize.canonical_dumps(serialize.to_payload(obj)) for obj in sample_structures()]
 
 # Integer keys that hold a count rather than an index into a table.
 _COUNT_KEYS = frozenset({"size", "cells", "objects", "one_cells"})
@@ -204,7 +162,7 @@ class TestSchemaTable:
         assert len(emitted) == 17
 
     def test_every_structure_type_has_one_kind(self):
-        for obj in _sample_structures():
+        for obj in sample_structures():
             kinds = [k for k, e in serialize.SCHEMA.items() if type(obj) in e.types]
             assert kinds == [serialize.to_payload(obj)["kind"]]
 
