@@ -407,6 +407,14 @@ def check_external_equivalence(fun: JFunctor) -> Report:
     Checks local essential surjectivity at every dimension and local
     faithfulness at the top dimension; each finding names its dimension and
     carries a witness for the first failure.
+
+    Essential surjectivity on 0-cells asks, for each target 0-cell y0,
+    whether some image 0-cell is internally equivalent to it.  Each
+    distinct image is asked once, and y0 itself first when it is an image,
+    so an image is settled by its identity pair without comparing it with
+    every other image.  Each y0 gets the same answer in any order, so the
+    finding and its witness, the first y0 that is missed, do not depend on
+    the order.
     """
     x, y = fun.source, fun.target
     j = x.j
@@ -418,10 +426,11 @@ def check_external_equivalence(fun: JFunctor) -> Report:
         },
     )
 
+    images = list(dict.fromkeys(fun.map0))
     missed = None
     for y0 in range(len(y.zero_cells)):
         if not any(
-            internally_equivalent(y, fun.map0[x0], y0)[0] for x0 in range(len(x.zero_cells))
+            internally_equivalent(y, y1, y0)[0] for y1 in sorted(images, key=lambda y1: y1 != y0)
         ):
             missed = y0
             break

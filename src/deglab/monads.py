@@ -40,8 +40,8 @@ class FinEndofunctor:
 
 
 def check_endofunctor(t: FinEndofunctor) -> ValidationReport:
-    report = check_functor(t.as_functor())
-    report.subject = "endofunctor"
+    report = ValidationReport("endofunctor")
+    report.extend(check_functor(t.as_functor()))
     return report
 
 

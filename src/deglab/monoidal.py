@@ -803,9 +803,9 @@ def shift_from_bicat(b: DegenerateBicategory) -> FinMonoidalCategory:
 
 def check_degenerate_bicat(b: DegenerateBicategory) -> ValidationReport:
     """Validity is by definition validity of the relabeled monoidal category."""
-    out = check_monoidal(shift_from_bicat(b))
-    out.subject = "degenerate_bicategory"
-    return out
+    report = ValidationReport("degenerate_bicategory")
+    report.extend(check_monoidal(shift_from_bicat(b)))
+    return report
 
 
 def _mc_key(mc: FinMonoidalCategory):

@@ -42,7 +42,8 @@ class FiniteMonoid:
 
     Construction checks shape only; the monoid axioms are checked by
     `check_monoid`, so axiom-violating tables can be represented and
-    reported on.
+    reported on.  `enumerate_homs` caches its search plan for a source on
+    the instance, outside the dataclass fields (see `_hom_search_plan`).
     """
 
     size: int
@@ -463,48 +464,68 @@ def _unital_associative_tables(n: int, commutative_only: bool):
     yield from place(0, images)
 
 
+def _hom_search_plan(source: FiniteMonoid) -> tuple:
+    """The placement order and per-step equations of `enumerate_homs`.
+
+    The unit is placed first and the other elements follow in index order.
+    Each equation h(ab) = h(a)h(b), as the triple (a, b, ab), goes into the
+    bucket of the step at which the last of a, b and ab is placed, so every
+    equation sits in exactly one bucket.  Cached on the instance, outside
+    the dataclass fields, so equality, hashing, repr and JSON ignore it and
+    a `dataclasses.replace` copy starts without it.  It is set with
+    `object.__setattr__`, not through `__dict__`: writing to the instance's
+    `__dict__` makes every later attribute read on it several times slower.
+    """
+    try:
+        return source._hom_search_plan
+    except AttributeError:
+        pass
+    n, unit = source.size, source.unit
+    order = (unit,) + tuple(x for x in range(n) if x != unit)
+    step = {x: k for k, x in enumerate(order)}
+    buckets = [[] for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            ab = source.mul[a][b]
+            buckets[max(step[a], step[b], step[ab])].append((a, b, ab))
+    plan = (order, tuple(tuple(eqs) for eqs in buckets))
+    object.__setattr__(source, "_hom_search_plan", plan)
+    return plan
+
+
 def enumerate_homs(source: FiniteMonoid, target: FiniteMonoid) -> list:
     """All monoid homomorphisms source -> target, by backtracking.
 
-    The unit image is forced and each placement propagates the constraint
-    h(xy) = h(x)h(y) over already-decided pairs.
+    The unit's image is forced to the target's unit and placed first; the
+    other elements then take each target element in index order.  After a
+    placement only the equations h(ab) = h(a)h(b) whose last unknown was
+    that element are checked (see `_hom_search_plan`), so every equation is
+    checked exactly once on the path to each leaf.  The unit's position is
+    fixed, so the homomorphisms come out in lexicographic order of their
+    maps.
     """
-    n = source.size
+    order, buckets = _hom_search_plan(source)
+    tmul = target.mul
+    values, unit_image = range(target.size), (int(target.unit),)
+    last = source.size - 1
+    image = [0] * source.size
     homs = []
-    image = [None] * n
-    image[source.unit] = int(target.unit)
 
-    def extend(order_pos):
-        if order_pos == n:
-            homs.append(MonoidHom._trusted(source, target, tuple(image)))
-            return
-        if image[order_pos] is not None:
-            extend(order_pos + 1)
-            return
-        for v in range(target.size):
-            image[order_pos] = v
-            if _partial_ok(source, target, image):
-                extend(order_pos + 1)
-        image[order_pos] = None
+    def extend(k):
+        x, eqs = order[k], buckets[k]
+        for v in (values if k else unit_image):
+            image[x] = v
+            for a, b, ab in eqs:
+                if tmul[image[a]][image[b]] != image[ab]:
+                    break
+            else:
+                if k == last:
+                    homs.append(MonoidHom._trusted(source, target, tuple(image)))
+                else:
+                    extend(k + 1)
 
     extend(0)
     return homs
-
-
-def _partial_ok(source, target, image):
-    # every fully-decided pair must already satisfy h(ab) = h(a)h(b)
-    for a in range(source.size):
-        ia = image[a]
-        if ia is None:
-            continue
-        for b in range(source.size):
-            ib = image[b]
-            if ib is None:
-                continue
-            ip = image[source.mul[a][b]]
-            if ip is not None and target.mul[ia][ib] != ip:
-                return False
-    return True
 
 
 def enumerate_dies(m: FiniteMonoid) -> list:

@@ -342,10 +342,10 @@ _check_monad_functor = _parts_first(
 
 def _check_monoid(p) -> ValidationReport:
     m = monoids.FiniteMonoid(p["size"], p["unit"], p["mul"])
-    report = monoids.check_monoid(m.mul, m.unit)
     if "die" not in p:
-        return report
-    report.subject = "cmon_die"
+        return monoids.check_monoid(m.mul, m.unit)
+    report = ValidationReport("cmon_die")
+    report.extend(monoids.check_monoid(m.mul, m.unit))
     for x, y in monoids.check_commutative(m):
         report.add("commutativity", (x, y))
     if monoids.invert(m, p["die"]) is None:
@@ -355,8 +355,8 @@ def _check_monoid(p) -> ValidationReport:
 
 def _check_degenerate_category(p) -> ValidationReport:
     hom = _build(p).hom
-    report = monoids.check_monoid(hom.mul, hom.unit)
-    report.subject = "degenerate_category"
+    report = ValidationReport("degenerate_category")
+    report.extend(monoids.check_monoid(hom.mul, hom.unit))
     return report
 
 

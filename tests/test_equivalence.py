@@ -2,6 +2,7 @@
 
 import pytest
 
+from deglab.degenerate import check_forgetful_equivalence, degenerate_sample, forgetful_universe
 from deglab.equivalence import (
     FiniteJCategory,
     JFunctor,
@@ -176,6 +177,50 @@ class TestExternalEquivalence:
                 for y0 in range(len(y.zero_cells))
             )
             assert rep.ok == (full and faithful and ess)
+
+    def test_equivalent_non_image_passes_essential_surjectivity(self):
+        # target 0-cell 1 is no image, only isomorphic to the image 0
+        x, y = one_point(), walking_isomorphism()
+        rep = check_external_equivalence(JFunctor(x, y, (0,), (0,)))
+        assert rep.findings[0].criterion == "essentially-surjective-on-0-cells"
+        assert rep.findings[0].passed and rep.findings[0].witness is None
+
+    def test_missed_class_keeps_the_first_missed_witness(self):
+        # sources 4 and 7 of the size <= 3 sample left out: their classes are missed
+        sample = degenerate_sample(3)
+        part = [c for i, c in enumerate(sample) if i not in (4, 7)]
+        _, _, _, fun = forgetful_universe(part)
+        x, y = fun.source, fun.target
+        first_missed = next(
+            y0
+            for y0 in range(len(y.zero_cells))
+            if not any(
+                internally_equivalent(y, fun.map0[x0], y0)[0] for x0 in range(len(x.zero_cells))
+            )
+        )
+        finding = check_external_equivalence(fun).findings[0]
+        assert finding.criterion == "essentially-surjective-on-0-cells" and not finding.passed
+        assert finding.witness == {"target-0-cell": y.zero_cells[first_missed]}
+        assert finding.witness == {"target-0-cell": "monoid#4(n=3)"}
+        # sending the last source onto the first also misses its class, which
+        # comes later, so the first miss is unchanged
+        doubled = JFunctor(x, y, fun.map0[:-1] + fun.map0[:1], fun.map1)
+        assert check_external_equivalence(doubled).findings[0] == finding
+
+    def test_permuting_source_zero_cells_keeps_the_payload(self):
+        sample = degenerate_sample(3)
+        part = [c for i, c in enumerate(sample) if i != 4]
+        want = check_external_equivalence(forgetful_universe(sample)[3]).to_payload()
+        want_part = check_external_equivalence(forgetful_universe(part)[3]).to_payload()
+        want_forgetful = check_forgetful_equivalence(sample).to_payload()
+        assert want["verdict"] == "pass" and want_part["verdict"] == "fail"
+        for k in (1, 3, 7):
+            perm = sample[k:] + sample[:k]
+            perm.reverse()
+            perm_part = [c for c in perm if c is not sample[4]]
+            assert check_external_equivalence(forgetful_universe(perm)[3]).to_payload() == want
+            assert check_external_equivalence(forgetful_universe(perm_part)[3]).to_payload() == want_part
+            assert check_forgetful_equivalence(perm).to_payload() == want_forgetful
 
     def test_composition_of_passing_functors_passes(self):
         x, y = one_point(), walking_isomorphism()

@@ -5,7 +5,7 @@ import pytest
 
 from deglab.degenerate import DegNatTrans, check_nat_trans
 from deglab.examples import arrow_category, zmod
-from deglab.fincat import CatFunctor, one_object_category
+from deglab.fincat import CatFunctor, check_functor, one_object_category
 from deglab.monads import (
     FinEndofunctor,
     FinMonad,
@@ -29,6 +29,18 @@ def constant_to_terminal_monad():
     ac = arrow_category()
     endo = FinEndofunctor(ac, (1, 1), (1, 1, 1))
     return FinMonad(endo, (2, 1), (1, 1))
+
+
+class TestEndofunctor:
+    def test_report_is_the_functor_report_under_its_own_subject(self):
+        endo = identity_monad(arrow_category()).endo
+        # the broken one sends the identity of object 0 to that of object 1
+        broken = replace(endo, morphism_map=(1,) + endo.morphism_map[1:])
+        for t, ok in ((endo, True), (broken, False)):
+            rep = check_endofunctor(t)
+            inner = check_functor(t.as_functor())
+            assert rep.subject == "endofunctor" and rep.ok is ok
+            assert (rep.structural, rep.violations) == (inner.structural, inner.violations)
 
 
 class TestMonadLaws:

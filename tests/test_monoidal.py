@@ -92,6 +92,15 @@ class TestShift:
     def test_shifted_bicat_valid(self):
         assert check_degenerate_bicat(shift_to_bicat(sign_category())).ok
 
+    def test_bicat_report_is_the_monoidal_report_under_its_own_subject(self):
+        bad_unitor = replace(sign_category(), runit=(2, 2))
+        for mc, ok in ((sign_category(), True), (_tampered_sign(), False), (bad_unitor, False)):
+            rep = check_degenerate_bicat(shift_to_bicat(mc))
+            inner = check_monoidal(mc)
+            assert rep.subject == "degenerate_bicategory" and rep.ok is ok
+            assert (rep.structural, rep.violations) == (inner.structural, inner.violations)
+        assert not rep.well_formed
+
     def test_equivalence_over_stock_universe(self):
         rep = check_shift_equivalence(stock_monoidal_universe(4), bound=4)
         assert rep.ok

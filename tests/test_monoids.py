@@ -13,6 +13,7 @@ from deglab.monoids import (
     MonoidHom,
     canonical_form,
     check_cmon_die,
+    cmon_die_universe,
     check_commutative,
     check_hom,
     check_monoid,
@@ -27,6 +28,7 @@ from deglab.monoids import (
     _unital_associative_tables,
 )
 from deglab.report import InvalidStructureError, StructuralError
+from deglab.serialize import canonical_dumps, to_payload
 
 
 def brute_force_monoid_tables(n):
@@ -201,6 +203,60 @@ class TestHoms:
             if check_hom(h).ok:
                 raw.append(image)
         assert sorted(h.map for h in enumerate_homs(m, n)) == sorted(raw)
+
+
+def unit_preserving_homs(source, target):
+    """Oracle: every unit-preserving map, in lex order, kept if `check_hom` passes."""
+    out = []
+    for image in itertools.product(range(target.size), repeat=source.size):
+        if image[source.unit] == target.unit:
+            h = MonoidHom(source, target, image)
+            if check_hom(h).ok:
+                out.append(h)
+    return out
+
+
+class TestHomSearch:
+    def test_matches_oracle_on_every_pair_up_to_size_three(self):
+        ms = [m for n in (1, 2, 3) for m in enumerate_monoids(n)]
+        assert {m.unit for m in ms} == {0, 1, 2}  # sources whose unit is not 0
+        for a in ms:
+            for b in ms:
+                assert enumerate_homs(a, b) == unit_preserving_homs(a, b)
+
+    def test_matches_oracle_on_commutative_size_four(self):
+        ms = enumerate_monoids(4, commutative_only=True)
+        assert len(ms) == 19 and {m.unit for m in ms} == {0, 1, 2, 3}
+        for a in ms:
+            for b in ms:
+                assert enumerate_homs(a, b) == unit_preserving_homs(a, b)
+
+    def test_matches_oracle_on_relabeled_sources_and_targets(self):
+        # every relabeling of two size-3 monoids, so the unit sits at each index
+        for m in enumerate_monoids(3):
+            for perm in itertools.permutations(range(3)):
+                inv = [perm.index(i) for i in range(3)]
+                table = [[perm[m.mul[inv[i]][inv[j]]] for j in range(3)] for i in range(3)]
+                r = FiniteMonoid(3, perm[m.unit], table)
+                for other in (zmod(3), bool_or_monoid()):
+                    assert enumerate_homs(r, other) == unit_preserving_homs(r, other)
+                    assert enumerate_homs(other, r) == unit_preserving_homs(other, r)
+
+    def test_totals(self):
+        ms = [m for n in (1, 2, 3, 4) for m in enumerate_monoids(n)]
+        assert len(ms) == 45
+        assert sum(len(enumerate_homs(a, b)) for a in ms for b in ms) == 7894
+        ds = list(dict.fromkeys(s.monoid for s in cmon_die_universe(5)))
+        assert len(ds) == 105
+        assert sum(len(enumerate_homs(a, b)) for a in ds for b in ds) == 71407
+
+    def test_cached_plan_invisible_to_equality_hash_repr_and_json(self):
+        fresh, used = zmod(4), zmod(4)
+        enumerate_homs(used, zmod(2))
+        assert set(vars(used)) > {"size", "unit", "mul"} == set(vars(fresh))
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+        assert canonical_dumps(to_payload(used)) == canonical_dumps(to_payload(fresh))
+        assert set(vars(replace(used))) == {"size", "unit", "mul"}
 
 
 class TestPull:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from deglab import serialize
 from deglab.cli import main
-from deglab.degenerate import nat_trans_between
+from deglab.degenerate import monoid_to_cat, nat_trans_between
 from deglab.doubly import build_ddbicat, identity_dd_functor
 from deglab.examples import (
     arrow_category,
@@ -20,7 +20,7 @@ from deglab.examples import (
 )
 from deglab.monads import identity_monad, identity_monad_functor
 from deglab.monoidal import identity_deg_transformation, identity_monoidal_functor
-from deglab.monoids import enumerate_monoids, identity_hom, make_cmon_die
+from deglab.monoids import check_monoid, enumerate_monoids, identity_hom, make_cmon_die
 from deglab.report import StructuralError
 from samples import sample_structures
 
@@ -91,6 +91,31 @@ class TestValidationDispatch:
         payload["die"] = 1
         rep = serialize.validate_payload(payload)
         assert any(v.axiom == "die-invertible" for v in rep.violations)
+
+    def test_cmon_die_report_extends_the_monoid_report(self):
+        invalid = {"kind": "monoid", "size": 2, "unit": 0, "mul": [[0, 1], [0, 0]], "die": 1}
+        for payload, ok in ((serialize.to_payload(make_cmon_die(zmod(2), 1)), True), (invalid, False)):
+            rep = serialize.validate_payload(payload)
+            inner = check_monoid(payload["mul"], payload["unit"])
+            assert rep.subject == "cmon_die" and rep.ok is ok
+            assert rep.structural == inner.structural
+            assert rep.violations[: len(inner.violations)] == inner.violations
+        # the table is neither unital nor commutative; the die 1 is its own inverse
+        assert inner.violations and [v.axiom for v in rep.violations[len(inner.violations) :]] == [
+            "commutativity"
+        ]
+
+    def test_degenerate_category_report_is_the_monoid_report(self):
+        valid = serialize.to_payload(monoid_to_cat(zmod(2)))
+        invalid = {
+            "kind": "degenerate_category",
+            "hom": {"kind": "monoid", "size": 2, "unit": 0, "mul": [[0, 1], [0, 0]]},
+        }
+        for payload, ok in ((valid, True), (invalid, False)):
+            rep = serialize.validate_payload(payload)
+            inner = check_monoid(payload["hom"]["mul"], payload["hom"]["unit"])
+            assert rep.subject == "degenerate_category" and rep.ok is ok
+            assert (rep.structural, rep.violations) == (inner.structural, inner.violations)
 
     def test_ddbicat_includes_derived_checks(self):
         b = build_ddbicat(make_cmon_die(zmod(2), 1))
