@@ -19,7 +19,7 @@ from .monoids import (
     enumerate_monoids,
     identity_hom,
 )
-from .report import InvalidStructureError, Report, StructuralError, ValidationReport
+from .report import InvalidStructureError, Report, ValidationReport, exact
 
 OBJECT_LABEL = "∗"  # the single object is always labeled this way
 
@@ -38,12 +38,16 @@ class DegNatTrans:
 
     The data is a single distinguished element of the target monoid (its
     component at the unique object); naturality is one equation per source
-    element.
+    element.  The constructor checks only that the component is an exact
+    int in range of the target (see `report.exact`).
     """
 
     source_functor: MonoidHom
     target_functor: MonoidHom
     component: int
+
+    def __post_init__(self):
+        exact(self.component, "component", (), self.source_functor.target.size)
 
 
 def cat_to_monoid(c: DegenerateCategory) -> FiniteMonoid:
@@ -65,9 +69,6 @@ def check_nat_trans(t: DegNatTrans) -> ValidationReport:
     f, g = t.source_functor, t.target_functor
     if f.source != g.source or f.target != g.target:
         report.add_structural("endpoints", (), "functors are not parallel")
-        return report
-    if not (0 <= t.component < f.target.size):
-        report.add_structural("component-range", (t.component,))
         return report
     mul = f.target.mul
     for x in range(f.source.size):

@@ -31,11 +31,8 @@ from .report import (
     Report,
     StructuralError,
     ValidationReport,
+    exact,
 )
-
-
-def _as_table(rows):
-    return tuple(tuple(int(v) for v in row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -43,8 +40,10 @@ class DDBicat:
     """Raw 2-cell data of a one-0-cell, one-1-cell bicategory.
 
     vcomp[x][y] is x after y; hcomp[x][y] is the horizontal composite x*y.
-    Construction checks shapes and ranges only, so axiom-violating data can
-    be represented, checked, and exhibited.
+    Construction checks shapes and ranges only, through `report.exact`: a
+    positive int cell count, and every cell index an exact int in
+    range(cells).  Axiom-violating data can be represented, checked, and
+    exhibited.
     """
 
     cells: int
@@ -59,22 +58,13 @@ class DDBicat:
     runit_inv: int
 
     def __post_init__(self):
-        object.__setattr__(self, "vcomp", _as_table(self.vcomp))
-        object.__setattr__(self, "hcomp", _as_table(self.hcomp))
-        if self.cells <= 0:
-            raise StructuralError("cell count must be positive")
+        n = exact(self.cells, "cells")
+        if n <= 0:
+            raise StructuralError(f"cells: expected a positive count, got {n}")
         for name in ("id2", "assoc", "assoc_inv", "lunit", "lunit_inv", "runit", "runit_inv"):
-            v = getattr(self, name)
-            if not (0 <= v < self.cells):
-                raise StructuralError(f"{name} index {v} out of range")
+            exact(getattr(self, name), name, (), n)
         for name in ("vcomp", "hcomp"):
-            table = getattr(self, name)
-            if len(table) != self.cells or any(len(r) != self.cells for r in table):
-                raise StructuralError(f"{name} table is not {self.cells}x{self.cells}")
-            for row in table:
-                for v in row:
-                    if not (0 <= v < self.cells):
-                        raise StructuralError(f"{name} entry {v} out of range")
+            object.__setattr__(self, name, exact(getattr(self, name), name, (n, n), n))
 
     def v(self, x, y):
         return self.vcomp[x][y]
@@ -91,9 +81,11 @@ class DDFunctor:
     monoids plus one freely chosen invertible element `m` of the target; the
     unit-constraint element `m0` is determined and stored as a witness.
 
-    Equality tests identity first, since functors made by internal algebra
-    are interned, and falls back to comparing the fields; the hash is the
-    dataclass-generated hash of the fields.
+    The constructor checks that `hom_map` runs between the two monoids and
+    that `m` and `m0` are exact ints in range of the target (see
+    `report.exact`).  Equality tests identity first, since functors made by
+    internal algebra are interned, and falls back to comparing the fields;
+    the hash is the dataclass-generated hash of the fields.
     """
 
     source: CMonDIE
@@ -105,9 +97,8 @@ class DDFunctor:
     def __post_init__(self):
         if self.hom_map.source != self.source.monoid or self.hom_map.target != self.target.monoid:
             raise StructuralError("hom_map endpoints do not match source/target")
-        for name, v in (("m", self.m), ("m0", self.m0)):
-            if not (0 <= v < self.target.monoid.size):
-                raise StructuralError(f"{name} index {v} out of range")
+        exact(self.m, "m", (), self.target.monoid.size)
+        exact(self.m0, "m0", (), self.target.monoid.size)
 
     def __eq__(self, other):
         if self is other:
@@ -124,12 +115,11 @@ class DDFunctor:
         internal algebra whose endpoints and indices hold by construction;
         untrusted data goes through the constructor."""
         f = object.__new__(cls)
-        d = f.__dict__
-        d["source"] = source
-        d["target"] = target
-        d["hom_map"] = hom_map
-        d["m"] = m
-        d["m0"] = m0
+        object.__setattr__(f, "source", source)
+        object.__setattr__(f, "target", target)
+        object.__setattr__(f, "hom_map", hom_map)
+        object.__setattr__(f, "m", m)
+        object.__setattr__(f, "m0", m0)
         return f
 
 
@@ -138,12 +128,16 @@ class DDTransformation:
     """A transformation between parallel reduced functors.
 
     Existence asserts the two homomorphisms are equal; the component sigma
-    is then forced to be m_target * m_source^-1.
+    is then forced to be m_target * m_source^-1.  The constructor checks
+    only that sigma is an exact int in range of the target monoid.
     """
 
     source_functor: DDFunctor
     target_functor: DDFunctor
     sigma: int
+
+    def __post_init__(self):
+        exact(self.sigma, "sigma", (), self.source_functor.target.monoid.size)
 
 
 @dataclass(frozen=True)
@@ -151,11 +145,15 @@ class DDModification:
     """A modification: one freely chosen (not necessarily invertible) element.
 
     Its boundary transformation necessarily goes from a transformation to
-    itself, so a single boundary is stored.
+    itself, so a single boundary is stored.  The constructor checks only
+    that gamma is an exact int in range of the target monoid.
     """
 
     boundary: DDTransformation
     gamma: int
+
+    def __post_init__(self):
+        exact(self.gamma, "gamma", (), self.boundary.source_functor.target.monoid.size)
 
 
 # -- axioms ------------------------------------------------------------------
@@ -297,7 +295,7 @@ def extract_cmon_die(b: DDBicat) -> CMonDIE:
     instance is checked once.  Failures are not memoized, and a copy made
     by `dataclasses.replace` is a new instance that is checked afresh.
     """
-    s = b.__dict__.get(_EXTRACTED)
+    s = getattr(b, _EXTRACTED, None)
     if s is not None:
         return s
     rep = check_ddbicat(b)
@@ -379,11 +377,13 @@ def analyze_weak_functor(b1: DDBicat, b2: DDBicat, mapping, m2: int, m0: int):
     and associativity axioms even though they carry no information here
     (they hold by commutativity; the associativity hexagon collapses to
     m2.m2 = m2.m2), and checks the unit equation, which is the only real
-    constraint.
+    constraint.  `m2` and `m0` go through `report.exact` first.
     """
     s = extract_cmon_die(b1)
     t = extract_cmon_die(b2)
     hom = MonoidHom(s.monoid, t.monoid, tuple(mapping))
+    exact(m2, "m2", (), t.monoid.size)
+    exact(m0, "m0", (), t.monoid.size)
     report = ValidationReport("weak_functor_data")
     report.extend(check_hom(hom), prefix="hom-")
     mul = t.monoid.mul
@@ -425,9 +425,8 @@ def _interned(source: CMonDIE, target: CMonDIE, hmap: tuple, m: int) -> DDFuncto
     guarantees `hmap` is a homomorphism's tuple of ints and `m` is
     invertible in the target, so a miss builds trusted, with m0 derived.
     """
-    try:
-        table = source.__dict__[_FUNCTORS]
-    except KeyError:
+    table = getattr(source, _FUNCTORS, None)
+    if table is None:
         table = {}
         object.__setattr__(source, _FUNCTORS, table)
     key = (id(target), hmap, m)
@@ -455,7 +454,7 @@ def compose_dd_functors(g: DDFunctor, f: DDFunctor) -> DDFunctor:
     gmap = g.hom_map.map
     m = target.monoid.mul[gmap[f.m]][g.m]
     hmap = f.hom_map.pull(gmap)
-    table = source.__dict__.get(_FUNCTORS)
+    table = getattr(source, _FUNCTORS, None)
     if table is not None:
         c = table.get((id(target), hmap, m))
         if c is not None and c.target is target and c.source is source:
@@ -473,11 +472,14 @@ def promote_lax(b1: DDBicat, b2: DDBicat, mapping, m2: int, m0: int) -> DDFuncto
 
     The unit equation rearranges to (d^-1 . F(d) . m2) . m0 = 1, so
     commutativity hands m0 an inverse, and symmetrically m2.  Data failing
-    the unit equation is genuinely not a functor of any flavor.
+    the unit equation is genuinely not a functor of any flavor.  `m2` and
+    `m0` go through `report.exact` first.
     """
     s = extract_cmon_die(b1)
     t = extract_cmon_die(b2)
     hom = MonoidHom(s.monoid, t.monoid, tuple(mapping))
+    exact(m2, "m2", (), t.monoid.size)
+    exact(m0, "m0", (), t.monoid.size)
     hrep = check_hom(hom)
     if not hrep.ok:
         raise InvalidStructureError("mapping is not a homomorphism")
@@ -525,9 +527,6 @@ def check_dd_transformation(t: DDTransformation) -> ValidationReport:
     if f.source != g.source or f.target != g.target:
         report.add_structural("endpoints", (), "functors are not parallel")
         return report
-    if not (0 <= t.sigma < f.target.monoid.size):
-        report.add_structural("component-range", (t.sigma,))
-        return report
     if f.hom_map.map != g.hom_map.map:
         report.add("functor-agreement", (), "underlying homomorphisms differ")
     mul = f.target.monoid.mul
@@ -553,9 +552,6 @@ def check_modification(mod: DDModification) -> ValidationReport:
     report = ValidationReport("dd_modification")
     t = mod.boundary
     target = t.source_functor.target.monoid
-    if not (0 <= mod.gamma < target.size):
-        report.add_structural("gamma-range", (mod.gamma,))
-        return report
     brep = check_dd_transformation(t)
     report.extend(brep, prefix="boundary-")
     if target.mul[t.sigma][mod.gamma] != target.mul[mod.gamma][t.sigma]:

@@ -8,7 +8,7 @@ composition-failure witnesses need.
 """
 
 from .fincat import FiniteCategory
-from .monoids import CMonDIE, FiniteMonoid, invert, make_cmon_die
+from .monoids import FiniteMonoid
 from .monoidal import FinMonoidalCategory
 from .report import InvalidStructureError
 
@@ -31,10 +31,6 @@ def left_padded_monoid() -> FiniteMonoid:
     """Unit adjoined to the two-element left-zero semigroup: x*y = x off the
     unit.  Noncommutative with trivial center, handy as a negative case."""
     return FiniteMonoid(3, 0, ((0, 1, 2), (1, 1, 1), (2, 2, 2)))
-
-
-def zmod_die(n: int, d: int) -> CMonDIE:
-    return make_cmon_die(zmod(n), d)
 
 
 def discrete_monoidal(m: FiniteMonoid) -> FinMonoidalCategory:

@@ -2,14 +2,16 @@
 natural transformations between them.  Substrate for the monoidal and monad
 layers.
 
-comp[g][f] is g after f when tgt(f) = src(g), and None otherwise.
+comp[g][f] is g after f when tgt(f) = src(g), and None otherwise.  The
+constructors check shapes and ranges only, each int-holding field through
+`report.exact`; the checkers check endpoints and the laws.
 """
 
 import itertools
 from dataclasses import dataclass
 
 from .monoids import FiniteMonoid
-from .report import StructuralError, ValidationReport
+from .report import StructuralError, ValidationReport, exact
 
 
 @dataclass(frozen=True)
@@ -20,33 +22,14 @@ class FiniteCategory:
     comp: tuple  # comp[g][f] = g after f, or None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "morphisms", tuple((int(s), int(t)) for s, t in self.morphisms)
-        )
-        object.__setattr__(self, "identities", tuple(int(v) for v in self.identities))
-        object.__setattr__(
-            self,
-            "comp",
-            tuple(tuple(None if v is None else int(v) for v in row) for row in self.comp),
-        )
-        m = len(self.morphisms)
-        if self.n_objects <= 0:
-            raise StructuralError("category needs at least one object")
-        for i, (s, t) in enumerate(self.morphisms):
-            if not (0 <= s < self.n_objects and 0 <= t < self.n_objects):
-                raise StructuralError(f"morphism {i} endpoints out of range")
-        if len(self.identities) != self.n_objects:
-            raise StructuralError("one identity per object required")
-        for a, i in enumerate(self.identities):
-            if not (0 <= i < m):
-                raise StructuralError(f"identity of object {a} out of range")
-        if len(self.comp) != m or any(len(r) != m for r in self.comp):
-            raise StructuralError("composition table must be square over morphisms")
-        for g in range(m):
-            for f in range(m):
-                v = self.comp[g][f]
-                if v is not None and not (0 <= v < m):
-                    raise StructuralError(f"comp[{g}][{f}] out of range")
+        n = exact(self.n_objects, "n_objects")
+        if n <= 0:
+            raise StructuralError(f"n_objects: expected a positive count, got {n}")
+        morphisms = exact(self.morphisms, "morphisms", (None, 2), n)
+        m = len(morphisms)
+        object.__setattr__(self, "morphisms", morphisms)
+        object.__setattr__(self, "identities", exact(self.identities, "identities", (n,), m))
+        object.__setattr__(self, "comp", exact(self.comp, "comp", (m, m), m, null=True))
 
     def src(self, f: int) -> int:
         return self.morphisms[f][0]
@@ -119,18 +102,11 @@ class CatFunctor:
     morphism_map: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "object_map", tuple(int(v) for v in self.object_map))
-        object.__setattr__(self, "morphism_map", tuple(int(v) for v in self.morphism_map))
-        if len(self.object_map) != self.source.n_objects:
-            raise StructuralError("object map length mismatch")
-        if len(self.morphism_map) != len(self.source.morphisms):
-            raise StructuralError("morphism map length mismatch")
-        for v in self.object_map:
-            if not (0 <= v < self.target.n_objects):
-                raise StructuralError("object image out of range")
-        for v in self.morphism_map:
-            if not (0 <= v < len(self.target.morphisms)):
-                raise StructuralError("morphism image out of range")
+        s, t = self.source, self.target
+        om = exact(self.object_map, "object_map", (s.n_objects,), t.n_objects)
+        mm = exact(self.morphism_map, "morphism_map", (len(s.morphisms),), len(t.morphisms))
+        object.__setattr__(self, "object_map", om)
+        object.__setattr__(self, "morphism_map", mm)
 
     def on_obj(self, a: int) -> int:
         return self.object_map[a]
@@ -180,9 +156,9 @@ class NatTrans:
     components: tuple  # morphism per source object: F a -> G a
 
     def __post_init__(self):
-        object.__setattr__(self, "components", tuple(int(v) for v in self.components))
-        if len(self.components) != self.source_functor.source.n_objects:
-            raise StructuralError("one component per object required")
+        f = self.source_functor
+        n, m = f.source.n_objects, len(f.target.morphisms)
+        object.__setattr__(self, "components", exact(self.components, "components", (n,), m))
 
 
 def check_natural(t: NatTrans) -> ValidationReport:

@@ -7,12 +7,14 @@ transformation of the underlying functors making the evident square with
 the phis commute.  On one-object base categories all of this collapses to
 element equations in the endomorphism monoids, which is cross-checked in
 the tests.
+The constructors check shapes and ranges only, each int-holding field
+through `report.exact`; the checkers check endpoints and the laws.
 """
 
 from dataclasses import dataclass
 
 from .fincat import CatFunctor, FiniteCategory, check_functor, compose_functors
-from .report import StructuralError, ValidationReport
+from .report import StructuralError, ValidationReport, exact
 
 
 @dataclass(frozen=True)
@@ -22,12 +24,9 @@ class FinEndofunctor:
     morphism_map: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "object_map", tuple(int(v) for v in self.object_map))
-        object.__setattr__(self, "morphism_map", tuple(int(v) for v in self.morphism_map))
-        if len(self.object_map) != self.base.n_objects:
-            raise StructuralError("object map length mismatch")
-        if len(self.morphism_map) != len(self.base.morphisms):
-            raise StructuralError("morphism map length mismatch")
+        n, m = self.base.n_objects, len(self.base.morphisms)
+        object.__setattr__(self, "object_map", exact(self.object_map, "object_map", (n,), n))
+        object.__setattr__(self, "morphism_map", exact(self.morphism_map, "morphism_map", (m,), m))
 
     def as_functor(self) -> CatFunctor:
         return CatFunctor(self.base, self.base, self.object_map, self.morphism_map)
@@ -54,11 +53,9 @@ class FinMonad:
     mu: tuple  # components T(T a) -> T a
 
     def __post_init__(self):
-        object.__setattr__(self, "eta", tuple(int(v) for v in self.eta))
-        object.__setattr__(self, "mu", tuple(int(v) for v in self.mu))
-        n = self.endo.base.n_objects
-        if len(self.eta) != n or len(self.mu) != n:
-            raise StructuralError("one eta and one mu component per object required")
+        n, m = self.endo.base.n_objects, len(self.endo.base.morphisms)
+        object.__setattr__(self, "eta", exact(self.eta, "eta", (n,), m))
+        object.__setattr__(self, "mu", exact(self.mu, "mu", (n,), m))
 
 
 def check_monad(m: FinMonad) -> ValidationReport:
@@ -108,11 +105,11 @@ class MonadFunctor:
     phi: tuple  # per object of C: T(U c) -> U(S c)
 
     def __post_init__(self):
-        object.__setattr__(self, "phi", tuple(int(v) for v in self.phi))
-        if self.u.source != self.source.endo.base or self.u.target != self.target.endo.base:
+        u = self.u
+        if u.source != self.source.endo.base or u.target != self.target.endo.base:
             raise StructuralError("carrier functor endpoints mismatch")
-        if len(self.phi) != self.u.source.n_objects:
-            raise StructuralError("one phi component per source object required")
+        phi = exact(self.phi, "phi", (u.source.n_objects,), len(u.target.morphisms))
+        object.__setattr__(self, "phi", phi)
 
 
 def check_monad_functor(mf: MonadFunctor) -> ValidationReport:
@@ -184,9 +181,9 @@ class MonadFunctorTransformation:
     gamma: tuple  # per object of the common base: U c -> U' c
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", tuple(int(v) for v in self.gamma))
-        if len(self.gamma) != self.source.u.source.n_objects:
-            raise StructuralError("one gamma component per object required")
+        u = self.source.u
+        gamma = exact(self.gamma, "gamma", (u.source.n_objects,), len(u.target.morphisms))
+        object.__setattr__(self, "gamma", gamma)
 
 
 def check_monad_transformation(t: MonadFunctorTransformation) -> ValidationReport:

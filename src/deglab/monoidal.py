@@ -3,6 +3,8 @@ relabeling to and from one-0-cell bicategories.
 
 Conventions: tensor_mor[f][g] is f (x) g; assoc[A][B][C] goes
 (A(x)B)(x)C -> A(x)(B(x)C); lunit[A]: I(x)A -> A; runit[A]: A(x)I -> A.
+The constructors check shapes and ranges only, each int-holding field
+through `report.exact`; the checkers check endpoints and the axioms.
 Transformations come in two directions: the weak direction has components
 GA(x)d -> d(x)FA for a distinguished object d, the oplax direction the
 reverse.  Composition of transformations is by the standard pasting; its
@@ -23,15 +25,7 @@ from .fincat import (
     enumerate_functors,
     identity_functor,
 )
-from .report import InvalidStructureError, Report, StructuralError, ValidationReport
-
-
-def _nested3(rows):
-    return tuple(tuple(tuple(int(v) for v in col) for col in plane) for plane in rows)
-
-
-def _table2(rows):
-    return tuple(tuple(int(v) for v in row) for row in rows)
+from .report import InvalidStructureError, Report, StructuralError, ValidationReport, exact
 
 
 @dataclass(frozen=True)
@@ -48,38 +42,17 @@ class FinMonoidalCategory:
     runit_inv: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "tensor_obj", _table2(self.tensor_obj))
-        object.__setattr__(self, "tensor_mor", _table2(self.tensor_mor))
-        object.__setattr__(self, "assoc", _nested3(self.assoc))
-        object.__setattr__(self, "assoc_inv", _nested3(self.assoc_inv))
-        for name in ("lunit", "lunit_inv", "runit", "runit_inv"):
-            object.__setattr__(self, name, tuple(int(v) for v in getattr(self, name)))
         n = self.base.n_objects
         m = len(self.base.morphisms)
-        if not (0 <= self.unit_obj < n):
-            raise StructuralError("unit object out of range")
-        if len(self.tensor_obj) != n or any(len(r) != n for r in self.tensor_obj):
-            raise StructuralError("tensor_obj must be n x n")
-        if any(not (0 <= v < n) for r in self.tensor_obj for v in r):
-            raise StructuralError("tensor_obj entry out of range")
-        if len(self.tensor_mor) != m or any(len(r) != m for r in self.tensor_mor):
-            raise StructuralError("tensor_mor must be m x m")
-        if any(not (0 <= v < m) for r in self.tensor_mor for v in r):
-            raise StructuralError("tensor_mor entry out of range")
-        for name in ("assoc", "assoc_inv"):
-            t = getattr(self, name)
-            if len(t) != n or any(len(p) != n for p in t) or any(
-                len(c) != n for p in t for c in p
-            ):
-                raise StructuralError(f"{name} must be n x n x n")
-            if any(not (0 <= v < m) for p in t for c in p for v in c):
-                raise StructuralError(f"{name} entry out of range")
-        for name in ("lunit", "lunit_inv", "runit", "runit_inv"):
-            t = getattr(self, name)
-            if len(t) != n:
-                raise StructuralError(f"{name} must have one component per object")
-            if any(not (0 <= v < m) for v in t):
-                raise StructuralError(f"{name} entry out of range")
+        exact(self.unit_obj, "unit_obj", (), n)
+        for name, shape, count in (
+            ("tensor_obj", (n, n), n),
+            ("tensor_mor", (m, m), m),
+            ("assoc", (n, n, n), m),
+            ("assoc_inv", (n, n, n), m),
+            *((name, (n,), m) for name in ("lunit", "lunit_inv", "runit", "runit_inv")),
+        ):
+            object.__setattr__(self, name, exact(getattr(self, name), name, shape, count))
 
     def tob(self, a, b):
         return self.tensor_obj[a][b]
@@ -220,19 +193,13 @@ class MonoidalFunctor:
     unit_comparison: int  # I' -> FI
 
     def __post_init__(self):
-        object.__setattr__(self, "tensor_comparison", _table2(self.tensor_comparison))
         if self.functor.source != self.source.base or self.functor.target != self.target.base:
             raise StructuralError("underlying functor endpoints mismatch")
         n = self.source.base.n_objects
         m = len(self.target.base.morphisms)
-        if len(self.tensor_comparison) != n or any(
-            len(r) != n for r in self.tensor_comparison
-        ):
-            raise StructuralError("tensor_comparison must be n x n")
-        if any(not (0 <= v < m) for r in self.tensor_comparison for v in r):
-            raise StructuralError("tensor_comparison entry out of range")
-        if not (0 <= self.unit_comparison < m):
-            raise StructuralError("unit_comparison out of range")
+        comparison = exact(self.tensor_comparison, "tensor_comparison", (n, n), m)
+        object.__setattr__(self, "tensor_comparison", comparison)
+        exact(self.unit_comparison, "unit_comparison", (), m)
 
 
 def check_monoidal_functor(mf: MonoidalFunctor) -> ValidationReport:
@@ -378,7 +345,10 @@ class DegTransformation:
 
     Weak direction: components GA(x)d -> d(x)FA.  Oplax direction (the
     comparison direction): d(x)FA -> GA(x)d.  `lax` drops the invertibility
-    requirement on components.
+    requirement on components.  The constructor checks that the functors
+    are parallel, that `dist_obj` and the components are exact ints
+    indexing the target's objects and morphisms, and that `lax` and
+    `oplax` are exact bools (see `report.exact`).
     """
 
     source_functor: MonoidalFunctor
@@ -389,14 +359,15 @@ class DegTransformation:
     oplax: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "components", tuple(int(v) for v in self.components))
         f, g = self.source_functor, self.target_functor
         if f.source != g.source or f.target != g.target:
             raise StructuralError("functors are not parallel")
-        if not (0 <= self.dist_obj < f.target.base.n_objects):
-            raise StructuralError("distinguished object out of range")
-        if len(self.components) != f.source.base.n_objects:
-            raise StructuralError("one component per source object required")
+        y = f.target.base
+        exact(self.dist_obj, "dist_obj", (), y.n_objects)
+        comps = exact(self.components, "components", (f.source.base.n_objects,), len(y.morphisms))
+        object.__setattr__(self, "components", comps)
+        exact(self.lax, "lax", leaf=bool)
+        exact(self.oplax, "oplax", leaf=bool)
 
 
 def _component_endpoints(t: DegTransformation, a: int):
@@ -569,11 +540,17 @@ def compose_deg_transformations(t2: DegTransformation, t1: DegTransformation) ->
 @dataclass(frozen=True)
 class DegModification:
     """A morphism between the distinguished objects of two parallel
-    transformations, compatible with all components."""
+    transformations, compatible with all components.  The constructor
+    checks only that gamma is an exact int indexing the target's morphisms
+    (see `report.exact`)."""
 
     source_transformation: DegTransformation
     target_transformation: DegTransformation
     gamma: int
+
+    def __post_init__(self):
+        y = self.source_transformation.source_functor.target.base
+        exact(self.gamma, "gamma", (), len(y.morphisms))
 
 
 def check_deg_modification(mod: DegModification) -> ValidationReport:
@@ -611,19 +588,21 @@ def check_deg_modification(mod: DegModification) -> ValidationReport:
 
 @dataclass(frozen=True)
 class MonoidalTransformation:
-    """Componentwise FA -> GA, compatible with both comparisons."""
+    """Componentwise FA -> GA, compatible with both comparisons.  The
+    constructor checks that the functors are parallel and that the
+    components are exact ints indexing the target's morphisms (see
+    `report.exact`)."""
 
     source_functor: MonoidalFunctor
     target_functor: MonoidalFunctor
     components: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "components", tuple(int(v) for v in self.components))
         f, g = self.source_functor, self.target_functor
         if f.source != g.source or f.target != g.target:
             raise StructuralError("functors are not parallel")
-        if len(self.components) != f.source.base.n_objects:
-            raise StructuralError("one component per source object required")
+        n, m = f.source.base.n_objects, len(f.target.base.morphisms)
+        object.__setattr__(self, "components", exact(self.components, "components", (n,), m))
 
 
 def check_monoidal_transformation(t: MonoidalTransformation) -> ValidationReport:

@@ -12,38 +12,22 @@ import os
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .report import InvalidStructureError, StructuralError, ValidationReport
+from .report import InvalidStructureError, StructuralError, ValidationReport, exact
 
 DEFAULT_MAX_SIZE = 5
 MAX_SIZE_ENV = "DEGLAB_MAX_SIZE"
-
-
-def _as_table(rows) -> tuple:
-    return tuple(tuple(int(v) for v in row) for row in rows)
-
-
-def _table_shape_errors(mul, size) -> list:
-    errors = []
-    if len(mul) != size:
-        errors.append(f"table has {len(mul)} rows, expected {size}")
-    for i, row in enumerate(mul):
-        if len(row) != size:
-            errors.append(f"row {i} has {len(row)} entries, expected {size}")
-        else:
-            for j, v in enumerate(row):
-                if not (0 <= v < size):
-                    errors.append(f"entry ({i},{j}) = {v} out of range")
-    return errors
 
 
 @dataclass(frozen=True)
 class FiniteMonoid:
     """A multiplication table with a designated unit index.
 
-    Construction checks shape only; the monoid axioms are checked by
-    `check_monoid`, so axiom-violating tables can be represented and
-    reported on.  `enumerate_homs` caches its search plan for a source on
-    the instance, outside the dataclass fields (see `_hom_search_plan`).
+    Construction checks shape only, through `report.exact`: a positive int
+    size, and the unit and every table entry exact ints in range(size).
+    The monoid axioms are checked by `check_monoid`, so axiom-violating
+    tables can be represented and reported on.  `enumerate_homs` caches
+    its search plan for a source on the instance, outside the dataclass
+    fields (see `_hom_search_plan`).
     """
 
     size: int
@@ -51,18 +35,14 @@ class FiniteMonoid:
     mul: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "mul", _as_table(self.mul))
-        if self.size <= 0:
-            raise StructuralError("monoid size must be positive")
-        if not (0 <= self.unit < self.size):
-            raise StructuralError(f"unit index {self.unit} out of range")
-        errs = _table_shape_errors(self.mul, self.size)
-        if errs:
-            raise StructuralError("; ".join(errs))
+        n = exact(self.size, "size")
+        if n <= 0:
+            raise StructuralError(f"size: expected a positive count, got {n}")
+        exact(self.unit, "unit", (), n)
+        object.__setattr__(self, "mul", exact(self.mul, "mul", (n, n), n))
 
     @classmethod
     def from_rows(cls, rows, unit: int) -> "FiniteMonoid":
-        rows = _as_table(rows)
         return cls(len(rows), unit, rows)
 
 
@@ -70,9 +50,14 @@ class FiniteMonoid:
 class MonoidHom:
     """A map of element indices between two finite monoids.
 
-    `pull` caches an item getter for the map on the instance, outside the
-    dataclass fields, so equality, hashing, repr and JSON ignore it and a
-    copy made by `dataclasses.replace` starts without one.
+    The constructor takes `map` as exact ints, one per source element, each
+    in range(target.size) (see `report.exact`).  `pull` caches an item
+    getter for the map on the instance, outside the dataclass fields, so
+    equality, hashing, repr and JSON ignore it and a copy made by
+    `dataclasses.replace` starts without one.  It and `_trusted` set
+    attributes with `object.__setattr__`: writing through the instance
+    `__dict__` would make every later attribute read on it several times
+    slower.
     """
 
     source: FiniteMonoid
@@ -80,14 +65,8 @@ class MonoidHom:
     map: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "map", tuple(int(v) for v in self.map))
-        if len(self.map) != self.source.size:
-            raise StructuralError(
-                f"hom map has {len(self.map)} entries, expected {self.source.size}"
-            )
-        for x, v in enumerate(self.map):
-            if not (0 <= v < self.target.size):
-                raise StructuralError(f"hom image of {x} = {v} out of range")
+        hmap = exact(self.map, "map", (self.source.size,), self.target.size)
+        object.__setattr__(self, "map", hmap)
 
     @classmethod
     def _trusted(cls, source: FiniteMonoid, target: FiniteMonoid, map: tuple) -> "MonoidHom":
@@ -97,10 +76,9 @@ class MonoidHom:
         range for `target`; untrusted data goes through the constructor.
         """
         h = object.__new__(cls)
-        d = h.__dict__
-        d["source"] = source
-        d["target"] = target
-        d["map"] = map
+        object.__setattr__(h, "source", source)
+        object.__setattr__(h, "target", target)
+        object.__setattr__(h, "map", map)
         return h
 
     def __call__(self, x: int) -> int:
@@ -115,7 +93,7 @@ class MonoidHom:
             # itemgetter of one index returns the item itself, not a 1-tuple,
             # so a one-element map reads a one-element slice instead
             get = itemgetter(*m) if len(m) > 1 else itemgetter(slice(m[0], m[0] + 1))
-            self.__dict__["_map_getter"] = get
+            object.__setattr__(self, "_map_getter", get)
         return get(gmap)
 
 
@@ -124,9 +102,10 @@ class CMonDIE:
     """A commutative monoid with a distinguished invertible element.
 
     `die_inv` is a stored witness; `check_cmon_die` verifies it rather than
-    trusting it.  Reduced functors out of an instance are interned in a
-    table on it (see `doubly._interned`), outside the dataclass fields, so
-    equality, hashing, repr and JSON ignore it.
+    trusting it.  `die` and `die_inv` are exact ints in range of the
+    monoid (see `report.exact`).  Reduced functors out of an instance are
+    interned in a table on it (see `doubly._interned`), outside the
+    dataclass fields, so equality, hashing, repr and JSON ignore it.
     """
 
     monoid: FiniteMonoid
@@ -134,31 +113,28 @@ class CMonDIE:
     die_inv: int
 
     def __post_init__(self):
-        for name, v in (("die", self.die), ("die_inv", self.die_inv)):
-            if not (0 <= v < self.monoid.size):
-                raise StructuralError(f"{name} index {v} out of range")
+        exact(self.die, "die", (), self.monoid.size)
+        exact(self.die_inv, "die_inv", (), self.monoid.size)
 
 
 def check_monoid(mul, unit) -> ValidationReport:
     """Report every violated associativity triple and unit law instance.
 
-    Accepts a raw table (sequence of rows) or a FiniteMonoid.  Shape
-    problems are reported as structural errors, distinct from axiom
-    failures, and suppress the axiom scan.
+    Accepts a raw table (a list or tuple of rows) or a FiniteMonoid.  The
+    shape test is the constructors' (`report.exact`): a square table and
+    a unit of exact ints in range, so an empty table has no unit.  A shape
+    problem is reported as one structural `shape` finding, distinct from
+    axiom failures, and suppresses the axiom scan.
     """
     if isinstance(mul, FiniteMonoid):
         mul, unit = mul.mul, mul.unit
     report = ValidationReport("monoid")
-    rows = [list(r) for r in mul]
-    n = len(rows)
-    if n == 0:
-        report.add_structural("shape", (), "empty table")
-        return report
-    for msg in _table_shape_errors(rows, n):
-        report.add_structural("shape", (), msg)
-    if not (0 <= unit < n):
-        report.add_structural("shape", (), f"unit index {unit} out of range")
-    if not report.well_formed:
+    n = len(mul) if hasattr(mul, "__len__") else None
+    try:
+        rows = exact(mul, "mul", (n, n), n)
+        unit = exact(unit, "unit", (), n)
+    except StructuralError as e:
+        report.add_structural("shape", (), str(e))
         return report
     for x in range(n):
         if rows[unit][x] != x:
@@ -506,7 +482,7 @@ def enumerate_homs(source: FiniteMonoid, target: FiniteMonoid) -> list:
     """
     order, buckets = _hom_search_plan(source)
     tmul = target.mul
-    values, unit_image = range(target.size), (int(target.unit),)
+    values, unit_image = range(target.size), (target.unit,)
     last = source.size - 1
     image = [0] * source.size
     homs = []

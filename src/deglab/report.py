@@ -13,6 +13,79 @@ class StructuralError(ValueError):
     """Malformed data: wrong shape, index out of range, mismatched endpoints."""
 
 
+class _Mismatch(Exception):
+    """A value that does not fit its declaration.  Each level it passes up
+    through adds its key or index to `path`, innermost first."""
+
+    def __init__(self, message, *path):
+        super().__init__(message)
+        self.message = message
+        self.path = list(path)
+
+
+def _type_name(v) -> str:
+    names = {dict: "object", list: "list", tuple: "list", type(None): "null"}
+    return names.get(type(v), type(v).__name__)
+
+
+# the types a list level may have
+_LEVELS = (tuple, list, range)
+
+
+def exact(value, field: str, shape: tuple = (), count: int | None = None, null=False, leaf=int):
+    """`value` as nested tuples of exact leaves, or a `StructuralError`.
+
+    This is the one shape gate of the public constructors.  `shape` gives
+    the length of each list level, outermost first, None meaning any
+    length; a level may be a tuple, a list or a range.  A leaf must have
+    type `leaf` exactly (`type(v) is int`, so a bool, float or numeric
+    string is refused, never coerced; `leaf=bool` for a flag), lie in
+    range(count) when `count` is given, and may be None only when `null`
+    allows it.  The error names the field and the path inside it in the
+    format of the JSON conform pass, such as `mul/0/1: expected int, got
+    str` or `mul/1: expected 2 entries, got 1`.
+    """
+    try:
+        if shape:
+            return _exact(value, shape, count, null, leaf)
+        if type(value) is leaf and (count is None or 0 <= value < count) or value is None and null:
+            return value
+        raise _leaf_mismatch(value, count, null, leaf)
+    except _Mismatch as e:
+        where = "/".join([field, *map(str, reversed(e.path))])
+        raise StructuralError(f"{where}: {e.message}") from None
+
+
+def _exact(v, shape, count, null, leaf):
+    if type(v) not in _LEVELS:
+        raise _Mismatch(f"expected list, got {_type_name(v)}")
+    if shape[0] is not None and len(v) != shape[0]:
+        raise _Mismatch(f"expected {shape[0]} entries, got {len(v)}")
+    rest = shape[1:]
+    if rest:
+        out = []
+        for i, x in enumerate(v):
+            try:
+                out.append(_exact(x, rest, count, null, leaf))
+            except _Mismatch as e:
+                e.path.append(i)
+                raise
+        return tuple(out)
+    # the leaf level, inlined: one call per row, not one per leaf
+    for i, x in enumerate(v):
+        if type(x) is not leaf or count is not None and not 0 <= x < count:
+            if x is not None or not null:
+                raise _leaf_mismatch(x, count, null, leaf, i)
+    return tuple(v)
+
+
+def _leaf_mismatch(v, count, null, leaf, *path) -> _Mismatch:
+    if type(v) is leaf:
+        return _Mismatch(f"index {v} out of range({count})", *path)
+    what = "int or null" if null else leaf.__name__
+    return _Mismatch(f"expected {what}, got {_type_name(v)}", *path)
+
+
 class InvalidStructureError(ValueError):
     """An operation required an axiom-valid input and did not get one."""
 

@@ -21,9 +21,13 @@ depth, nested endpoints and {src, tgt} objects included, it enforces:
 
 A failure raises `StructuralError` naming the JSON path, such as
 `target/mul/2/1: expected int, got str`.  Lengths and the compatibility of
-endpoints stay with the public constructors, which remain the boundary for
-Python callers.  A checker that composes cells of a structure's parts runs
-only once those parts pass their own checks (see `_parts_first`).
+endpoints are left to the public constructors, the boundary for Python
+callers.  Each of their int-holding fields goes through one gate,
+`report.exact`, under the same rules (exact ints with bools refused,
+indices in range, flags exact bools) and with one message per field in
+the same path format, such as `mul/1: expected 2 entries, got 1`.  A
+checker that composes cells of a structure's parts runs only once those
+parts pass their own checks (see `_parts_first`).
 Canonical output (sorted keys, no insignificant whitespace, one trailing
 newline) makes round trips byte-exact, which the replay tests rely on.
 """
@@ -35,7 +39,7 @@ from operator import attrgetter
 from typing import Callable
 
 from . import degenerate, doubly, fincat, monads, monoidal, monoids
-from .report import StructuralError, ValidationReport
+from .report import StructuralError, ValidationReport, _Mismatch, _type_name
 
 
 def canonical_dumps(payload) -> str:
@@ -122,20 +126,6 @@ class Schema:
 
 
 # -- the conform pass ---------------------------------------------------------
-
-
-class _Mismatch(Exception):
-    """A value that does not fit its declaration.  Each level it passes up
-    through adds its key or index to `path`, innermost first."""
-
-    def __init__(self, message, *path):
-        super().__init__(message)
-        self.message = message
-        self.path = list(path)
-
-
-def _type_name(v) -> str:
-    return {dict: "object", list: "list", type(None): "null"}.get(type(v), type(v).__name__)
 
 
 def _expected(what, v) -> _Mismatch:

@@ -21,6 +21,7 @@ from .degenerate import (
     functors_between,
     monoid_to_cat,
     cat_to_monoid,
+    not_locally_full_witnesses,
 )
 from .doubly import (
     build_ddbicat,
@@ -156,23 +157,19 @@ def suite_thm_dce(bound: int = 3, seed: int | None = None) -> Report:
     sample = degenerate_sample(bound)
     report.findings += check_forgetful_equivalence(sample).findings
 
-    witness = None
-    ok = True
-    for n in range(2, bound + 1):
-        for m in enumerate_monoids(n, commutative_only=True):
-            t = find_nonidentity_nat_trans(m)
-            if t is None or not check_nat_trans(t).ok or t.component == m.unit:
-                ok = False
-                break
-            if witness is None:
-                witness = _valid_witness(t, "non-identity component on the identity functor")
-        if not ok:
-            break
+    witnesses = not_locally_full_witnesses(bound)
     report.add(
         "two-dimensional-extension-not-locally-full",
-        ok,
+        all(
+            check_nat_trans(t).ok and t.component != t.target_functor.target.unit
+            for t in witnesses
+        ),
         dimension=2,
-        witness=witness,
+        witness=(
+            _valid_witness(witnesses[0], "non-identity component on the identity functor")
+            if witnesses
+            else None
+        ),
         detail="every commutative monoid with >1 element carries a non-identity transformation",
     )
     return report

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -576,6 +577,17 @@ class TestExtractionMemo:
             promote_lax(b1, b2, (0, 1, 2), m2, m0)
             analyze_weak_functor(b1, b2, (0, 1, 2), m2, m0)
         assert calls == [b1, b2]
+
+    def test_raw_elements_go_through_the_shape_gate(self):
+        b = build_ddbicat(make_cmon_die(zmod(2), 1))
+        for m2, m0, message in (
+            (5, 0, "m2: index 5 out of range(2)"),
+            (1.0, 0, "m2: expected int, got float"),
+            (1, True, "m0: expected int, got bool"),
+        ):
+            for fn in (promote_lax, analyze_weak_functor):
+                with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+                    fn(b, b, (0, 1), m2, m0)
 
     def test_invalid_instance_raises_on_every_call(self, monkeypatch):
         b = replace(build_ddbicat(z2_die()), assoc=1)

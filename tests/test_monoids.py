@@ -119,10 +119,18 @@ class TestCheckMonoid:
         assert any(v.axiom == "unit" and v.where == (1,) for v in rep.violations)
 
     def test_structural_errors_are_not_axiom_failures(self):
-        rep = check_monoid([[0, 1]], 0)
-        assert not rep.well_formed and not rep.violations
-        rep = check_monoid([[0, 9], [1, 0]], 0)
-        assert not rep.well_formed
+        for table, unit, message in (
+            ([[0, 1]], 0, "mul/0: expected 1 entries, got 2"),
+            ([[0, 9], [1, 0]], 0, "mul/0/1: index 9 out of range(2)"),
+            ([[0, 1], [1, 0]], 0.5, "unit: expected int, got float"),
+            ([[0, "1"], [1, 0]], 0, "mul/0/1: expected int, got str"),
+            ([[0, 1], [1, 0]], True, "unit: expected int, got bool"),
+            ([], 0, "unit: index 0 out of range(0)"),
+            (7, 0, "mul: expected list, got int"),
+        ):
+            rep = check_monoid(table, unit)
+            assert not rep.well_formed and not rep.violations
+            assert [(v.axiom, v.message) for v in rep.structural] == [("shape", message)]
 
     def test_constructor_rejects_bad_shape(self):
         with pytest.raises(StructuralError):
