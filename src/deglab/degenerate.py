@@ -96,12 +96,6 @@ def find_nonidentity_nat_trans(m: FiniteMonoid) -> DegNatTrans | None:
     return None
 
 
-def functors_between(c: DegenerateCategory, d: DegenerateCategory) -> list:
-    """All functors, as homomorphisms of the hom monoids (the projection is
-    the identity on this data)."""
-    return enumerate_homs(c.hom, d.hom)
-
-
 def nat_trans_between(f: MonoidHom, g: MonoidHom) -> list:
     """All valid transformation components between two parallel functors."""
     out = []

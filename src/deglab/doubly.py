@@ -744,8 +744,11 @@ def restrict_identity_constraint(functors, bound: int | None = None):
     """Keep only functors whose chosen invertible element is the identity.
 
     Returns (retained, report).  The retained class is closed under
-    composition, and with the bound given, the level-1 comparison restricted
-    to it is full, faithful, and surjective over the bounded universe.
+    composition.  With the bound given, the level-1 comparison restricted to
+    the retained functors is full, faithful and surjective over the bounded
+    universe: for each pair of its instances, matched by value, the retained
+    hom maps are the homomorphisms, each once, and every monoid is the
+    source of a retained functor.
     """
     retained = [f for f in functors if f.m == f.target.monoid.unit]
     report = Report("identity-constraint-restriction", {"bound": bound, "universe": ""})
@@ -768,27 +771,20 @@ def restrict_identity_constraint(functors, bound: int | None = None):
 
     if bound is not None:
         dies = cmon_die_universe(bound)
-        full = True
-        faithful = True
-        hit = set()
+        maps: dict = {}
+        for f in retained:
+            maps.setdefault((f.source, f.target), []).append(f.hom_map.map)
+        full = faithful = True
         for s in dies:
             for t in dies:
-                homs = enumerate_homs(s.monoid, t.monoid)
-                fs = [_interned(s, t, h.map, t.monoid.unit) for h in homs]
-                images = [f.hom_map.map for f in fs]
-                if set(images) != {h.map for h in homs}:
-                    full = False
-                if len(set(images)) != len(images):
-                    faithful = False
-                hit.update(
-                    (f.source.monoid.size, f.source.monoid.unit, f.source.monoid.mul) for f in fs
-                )
+                got = maps.get((s, t), [])
+                full = full and set(got) == {h.map for h in enumerate_homs(s.monoid, t.monoid)}
+                faithful = faithful and len(set(got)) == len(got)
+        sources = {f.source.monoid for f in retained}
         report.add("restricted-comparison-full", full, dimension=1)
         report.add("restricted-comparison-faithful", faithful, dimension=1)
-        monoid_keys = {
-            (s.monoid.size, s.monoid.unit, s.monoid.mul) for s in dies
-        }
-        report.add("restricted-comparison-surjective", monoid_keys <= hit, dimension=0)
+        surjective = all(s.monoid in sources for s in dies)
+        report.add("restricted-comparison-surjective", surjective, dimension=0)
     return retained, report
 
 

@@ -2,17 +2,30 @@
 
 Works on explicit finite 1- and 2-dimensional categories.  All in-scope
 2-dimensional instances are strict, so no weak-ambient variant is needed.
-A j-functor is an external j-equivalence iff it is locally essentially
-surjective at every dimension and locally faithful at the top dimension;
-the checker reports each criterion separately, naming the dimension and a
-witness for the first failure it finds.
+The category laws are written once, for one composition table over cells
+with ends and an identity per object (`_check_table`), and applied to
+1-cells and to 2-cells vertically and horizontally.  A j-functor is an
+external j-equivalence iff it is locally essentially surjective at every
+dimension and locally faithful at the top dimension; one search per
+criterion and dimension walks the parallel pairs of cells one dimension
+down, and reports the dimension and a witness for the first failure.
 """
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import repeat
+from operator import eq
 
-from .report import InvalidStructureError, Report, StructuralError, ValidationReport
+from .report import InvalidStructureError, Report, StructuralError, ValidationReport, exact
+
+
+def _positions(keys) -> dict:
+    """The positions of each key in `keys`, in order."""
+    index: dict = {}
+    for i, key in enumerate(keys):
+        index.setdefault(key, []).append(i)
+    return index
 
 
 @dataclass(frozen=True)
@@ -38,17 +51,11 @@ class FiniteJCategory:
 
     @cached_property
     def _hom1_index(self) -> dict:
-        index: dict = {}
-        for f, key in enumerate(self.one_cells):
-            index.setdefault(key, []).append(f)
-        return index
+        return _positions(self.one_cells)
 
     @cached_property
     def _hom2_index(self) -> dict:
-        index: dict = {}
-        for a, key in enumerate(self.two_cells):
-            index.setdefault(key, []).append(a)
-        return index
+        return _positions(self.two_cells)
 
     def hom1(self, x1: int, x2: int) -> list:
         return self._hom1_index.get((x1, x2), [])
@@ -69,9 +76,7 @@ class _Composites(Mapping):
     def __init__(self, ends, compose):
         self._ends = ends
         self._compose = compose
-        self._starting = {}
-        for b, (s, _) in enumerate(ends):
-            self._starting.setdefault(s, []).append(b)
+        self._starting = _positions(s for s, _ in ends)
 
     def __contains__(self, key):
         try:
@@ -174,6 +179,9 @@ def hom_indexed_category(zero_cells, homs, key, compose, identity, two_cell=None
 
 @dataclass(frozen=True)
 class JFunctor:
+    """A j-functor: maps on 0-, 1- and 2-cells, taken as exact ints, one per
+    source cell and in range of the target's cells (see `report.exact`)."""
+
     source: FiniteJCategory
     target: FiniteJCategory
     map0: tuple
@@ -181,143 +189,125 @@ class JFunctor:
     map2: tuple = ()
 
     def __post_init__(self):
-        if self.source.j != self.target.j:
+        x, y = self.source, self.target
+        if x.j != y.j:
             raise StructuralError("source and target dimension mismatch")
-        if len(self.map0) != len(self.source.zero_cells):
-            raise StructuralError("map0 length mismatch")
-        if len(self.map1) != len(self.source.one_cells):
-            raise StructuralError("map1 length mismatch")
-        if self.source.j >= 2 and len(self.map2) != len(self.source.two_cells):
-            raise StructuralError("map2 length mismatch")
+        for name, xs, ys in (
+            ("map0", x.zero_cells, y.zero_cells),
+            ("map1", x.one_cells, y.one_cells),
+            ("map2", x.two_cells, y.two_cells),
+        ):
+            object.__setattr__(self, name, exact(getattr(self, name), name, (len(xs),), len(ys)))
+
+
+def _cell(i, n: int) -> bool:
+    return type(i) is int and 0 <= i < n
+
+
+def _check_cells(report, name, ends, identity, lower) -> bool:
+    """Structural checks of one dimension's cells: each runs between two
+    parallel lower cells, whose ends `lower` lists (None for 0-cells), and
+    identity[o] runs from o to o.  False if the identities cannot be read."""
+    n = len(lower)
+    for a, (s, t) in enumerate(ends):
+        if not (_cell(s, n) and _cell(t, n)):
+            report.add_structural(f"{name}-cell-endpoints", (a,))
+        elif lower[s] != lower[t]:
+            report.add_structural(f"{name}-cell-not-parallel", (a,))
+    if len(identity) != n:
+        report.add_structural(f"{name}-identity-count", ())
+    if not report.well_formed:
+        return False
+    for o, i in enumerate(identity):
+        if not _cell(i, len(ends)) or ends[i] != (o, o):
+            report.add_structural(f"{name}-identity-endpoints", (o,))
+    return True
+
+
+def _check_table(report, name, ends, identity, table, cells=None, boundary=None) -> dict | None:
+    """Add the category laws of one composition table to `report`.
+
+    Cell a runs from ends[a][0] to ends[a][1], identity[o] is the identity
+    on object o, and table[(b, a)] is b after a.  Structural: the keys are
+    exactly the composable pairs (`-domain`, `-missing`), and each composite
+    c has cells[c] == boundary(b, a) (`-endpoints`; by default it runs from
+    the source of a to the target of b).  Then identities must be units and
+    composition associative.  Each composite is read once, into a dict, and
+    partners come from one index of cells by source: one step per composable
+    pair or triple.  Returns that dict if the table is well formed, else None.
+    """
+    n = len(ends)
+    starting = _positions(s for s, _ in ends)
+    for b, a in table:
+        if not (_cell(b, n) and _cell(a, n) and ends[a][1] == ends[b][0]):
+            report.add_structural(f"{name}-domain", (b, a))
+    for a, (_, t) in enumerate(ends):
+        for b in starting.get(t, ()):
+            if (b, a) not in table:
+                report.add_structural(f"{name}-missing", (b, a))
+    if not report.well_formed:
+        return None
+    cells = ends if cells is None else cells
+    table = dict(table.items())
+    for (b, a), c in table.items():
+        want = (ends[a][0], ends[b][1]) if boundary is None else boundary(b, a)
+        if not _cell(c, len(cells)) or cells[c] != want:
+            report.add_structural(f"{name}-endpoints", (b, a))
+    if not report.well_formed:
+        return None
+
+    for f, (s, t) in enumerate(ends):
+        if table[(identity[t], f)] != f:
+            report.add(f"{name}-left-identity", (f,))
+        if table[(f, identity[s])] != f:
+            report.add(f"{name}-right-identity", (f,))
+    for (b, a), ba in table.items():
+        for c in starting.get(ends[b][1], ()):
+            if table[(c, ba)] != table[(table[(c, b)], a)]:
+                report.add(f"{name}-associativity", (c, b, a))
+    return table
 
 
 def check_jcategory(x: FiniteJCategory) -> ValidationReport:
-    """Strict category / 2-category laws on explicit data."""
+    """Strict category / 2-category laws on explicit data.
+
+    `_check_table` checks each composition table: 1-cells over 0-cells, and
+    2-cells vertically over 1-cells and horizontally over 0-cells.  Only the
+    axioms tying the tables together are checked here: horizontal composites
+    of identity 2-cells are identities, and interchange.
+    """
     report = ValidationReport(f"{x.j}-category")
-    n0, n1 = len(x.zero_cells), len(x.one_cells)
-    for f, (s, t) in enumerate(x.one_cells):
-        if not (0 <= s < n0 and 0 <= t < n0):
-            report.add_structural("one-cell-endpoints", (f,))
-    if len(x.one_identity) != n0:
-        report.add_structural("one-identity-count", ())
-    if not report.well_formed:
+    if not _check_cells(report, "one", x.one_cells, x.one_identity, [None] * len(x.zero_cells)):
         return report
-    for a, i in enumerate(x.one_identity):
-        if x.one_cells[i] != (a, a):
-            report.add_structural("one-identity-endpoints", (a,))
-    for (g, f), h in x.one_comp.items():
-        if x.one_cells[f][1] != x.one_cells[g][0]:
-            report.add_structural("one-comp-domain", (g, f), "pair not composable")
-        elif (x.one_cells[h][0], x.one_cells[h][1]) != (
-            x.one_cells[f][0],
-            x.one_cells[g][1],
-        ):
-            report.add_structural("one-comp-endpoints", (g, f))
-    for f in range(n1):
-        for g in range(n1):
-            if x.one_cells[f][1] == x.one_cells[g][0] and (g, f) not in x.one_comp:
-                report.add_structural("one-comp-missing", (g, f))
-    if not report.well_formed:
+    one = _check_table(report, "one-comp", x.one_cells, x.one_identity, x.one_comp)
+    if one is None or x.j < 2:
+        return report
+    two = x.two_cells
+    if not _check_cells(report, "two", two, x.two_identity, x.one_cells):
+        return report
+    vcomp = _check_table(report, "two-vcomp", two, x.two_identity, x.two_vcomp)
+    if vcomp is None:
         return report
 
-    for f, (s, t) in enumerate(x.one_cells):
-        if x.one_comp[(x.one_identity[t], f)] != f:
-            report.add("one-left-identity", (f,))
-        if x.one_comp[(f, x.one_identity[s])] != f:
-            report.add("one-right-identity", (f,))
-    for (g, f) in x.one_comp:
-        t = x.one_cells[g][1]
-        for h in range(n1):
-            if x.one_cells[h][0] != t:
-                continue
-            if x.one_comp[(h, x.one_comp[(g, f)])] != x.one_comp[(x.one_comp[(h, g)], f)]:
-                report.add("one-associativity", (h, g, f))
+    def boundary(b, a):
+        (fa, ga), (fb, gb) = two[a], two[b]
+        return one[(fb, fa)], one[(gb, ga)]
 
-    if x.j < 2:
+    ends = tuple(x.one_cells[f] for f, _ in two)
+    units = tuple(x.two_identity[i] for i in x.one_identity)
+    hcomp = _check_table(report, "two-hcomp", ends, units, x.two_hcomp, two, boundary)
+    if hcomp is None:
         return report
-
-    n2 = len(x.two_cells)
-    for a, (s, t) in enumerate(x.two_cells):
-        if not (0 <= s < n1 and 0 <= t < n1):
-            report.add_structural("two-cell-endpoints", (a,))
-        elif x.one_cells[s] != x.one_cells[t]:
-            report.add_structural("two-cell-not-parallel", (a,))
-    if len(x.two_identity) != n1:
-        report.add_structural("two-identity-count", ())
-    if not report.well_formed:
-        return report
-    for f, i in enumerate(x.two_identity):
-        if x.two_cells[i] != (f, f):
-            report.add_structural("two-identity-endpoints", (f,))
-
-    def vcomposable(b, a):
-        return x.two_cells[a][1] == x.two_cells[b][0]
-
-    def hcomposable(b, a):
-        fa = x.two_cells[a][0]
-        fb = x.two_cells[b][0]
-        return x.one_cells[fa][1] == x.one_cells[fb][0]
-
-    for b in range(n2):
-        for a in range(n2):
-            if vcomposable(b, a) != ((b, a) in x.two_vcomp):
-                report.add_structural("two-vcomp-domain", (b, a))
-            if hcomposable(b, a) != ((b, a) in x.two_hcomp):
-                report.add_structural("two-hcomp-domain", (b, a))
-    if not report.well_formed:
-        return report
-
-    for (b, a), c in x.two_vcomp.items():
-        if x.two_cells[c] != (x.two_cells[a][0], x.two_cells[b][1]):
-            report.add("two-vcomp-endpoints", (b, a))
-    for a, (s, t) in enumerate(x.two_cells):
-        if x.two_vcomp[(x.two_identity[t], a)] != a or x.two_vcomp[(a, x.two_identity[s])] != a:
-            report.add("two-vcomp-identity", (a,))
-    for (b, a) in x.two_vcomp:
-        for c in range(n2):
-            if not vcomposable(c, b):
-                continue
-            lhs = x.two_vcomp[(c, x.two_vcomp[(b, a)])]
-            rhs = x.two_vcomp[(x.two_vcomp[(c, b)], a)]
-            if lhs != rhs:
-                report.add("two-vcomp-associativity", (c, b, a))
-
-    for (b, a), c in x.two_hcomp.items():
-        fa, ga = x.two_cells[a]
-        fb, gb = x.two_cells[b]
-        want = (x.one_comp[(fb, fa)], x.one_comp[(gb, ga)])
-        if x.two_cells[c] != want:
-            report.add("two-hcomp-endpoints", (b, a))
-    for g in range(n1):
-        for f in range(n1):
-            if (g, f) in x.one_comp:
-                lhs = x.two_hcomp[(x.two_identity[g], x.two_identity[f])]
-                if lhs != x.two_identity[x.one_comp[(g, f)]]:
-                    report.add("two-hcomp-identity", (g, f))
-    for (b, a) in x.two_hcomp:
-        for c in range(n2):
-            if not hcomposable(c, b):
-                continue
-            lhs = x.two_hcomp[(c, x.two_hcomp[(b, a)])]
-            rhs = x.two_hcomp[(x.two_hcomp[(c, b)], a)]
-            if lhs != rhs:
-                report.add("two-hcomp-associativity", (c, b, a))
-    # strict unit law for whiskering by identity 1-cells
-    for a, (s, t) in enumerate(x.two_cells):
-        src0 = x.one_cells[s][0]
-        tgt0 = x.one_cells[s][1]
-        if x.two_hcomp[(x.two_identity[x.one_identity[tgt0]], a)] != a:
-            report.add("two-hcomp-left-unit", (a,))
-        if x.two_hcomp[(a, x.two_identity[x.one_identity[src0]])] != a:
-            report.add("two-hcomp-right-unit", (a,))
-    # interchange, iterating over the two vertical-composite tables
-    for (b2, b1) in x.two_vcomp:
-        for (a2, a1) in x.two_vcomp:
-            if not hcomposable(b2, a2) or not hcomposable(b1, a1):
-                continue
-            lhs = x.two_hcomp[(x.two_vcomp[(b2, b1)], x.two_vcomp[(a2, a1)])]
-            rhs = x.two_vcomp[(x.two_hcomp[(b2, a2)], x.two_hcomp[(b1, a1)])]
-            if lhs != rhs:
+    for (g, f), gf in one.items():
+        if hcomp[(x.two_identity[g], x.two_identity[f])] != x.two_identity[gf]:
+            report.add("two-hcomp-identity", (g, f))
+    # interchange, over pairs of vertical pairs whose 0-cell ends meet
+    ending: dict = {}
+    for (a2, a1), a in vcomp.items():
+        ending.setdefault(ends[a][1], []).append((a2, a1, a))
+    for (b2, b1), b in vcomp.items():
+        for a2, a1, a in ending.get(ends[b][0], ()):
+            if hcomp[(b, a)] != vcomp[(hcomp[(b2, a2)], hcomp[(b1, a1)])]:
                 report.add("interchange", (b2, b1, a2, a1))
     return report
 
@@ -330,36 +320,39 @@ def compose_jfunctors(g: JFunctor, f: JFunctor) -> JFunctor:
         g.target,
         tuple(g.map0[v] for v in f.map0),
         tuple(g.map1[v] for v in f.map1),
-        tuple(g.map2[v] for v in f.map2) if f.source.j >= 2 else (),
+        tuple(g.map2[v] for v in f.map2),
     )
 
 
 def check_jfunctor(fun: JFunctor) -> ValidationReport:
-    """Functoriality per dimension (endpoints, identities, compositions)."""
+    """Functoriality per dimension (endpoints, identities, compositions)
+    between j-categories.  An image with the wrong ends is structural and
+    suppresses the composition equations, whose composites need not exist."""
     report = ValidationReport(f"{fun.source.j}-functor")
     x, y = fun.source, fun.target
+    m0, m1, m2 = fun.map0, fun.map1, fun.map2
     for f, (s, t) in enumerate(x.one_cells):
-        if y.one_cells[fun.map1[f]] != (fun.map0[s], fun.map0[t]):
-            report.add("one-cell-endpoints", (f,))
-    for a, i in enumerate(x.one_identity):
-        if fun.map1[i] != y.one_identity[fun.map0[a]]:
-            report.add("one-identity", (a,))
-    for (g, f), h in x.one_comp.items():
-        if fun.map1[h] != y.one_comp[(fun.map1[g], fun.map1[f])]:
-            report.add("one-composition", (g, f))
-    if x.j >= 2:
-        for a, (s, t) in enumerate(x.two_cells):
-            if y.two_cells[fun.map2[a]] != (fun.map1[s], fun.map1[t]):
-                report.add("two-cell-endpoints", (a,))
-        for f, i in enumerate(x.two_identity):
-            if fun.map2[i] != y.two_identity[fun.map1[f]]:
-                report.add("two-identity", (f,))
-        for (b, a), c in x.two_vcomp.items():
-            if fun.map2[c] != y.two_vcomp[(fun.map2[b], fun.map2[a])]:
-                report.add("two-vcomp", (b, a))
-        for (b, a), c in x.two_hcomp.items():
-            if fun.map2[c] != y.two_hcomp[(fun.map2[b], fun.map2[a])]:
-                report.add("two-hcomp", (b, a))
+        if y.one_cells[m1[f]] != (m0[s], m0[t]):
+            report.add_structural("one-cell-endpoints", (f,))
+    for a, (s, t) in enumerate(x.two_cells):
+        if y.two_cells[m2[a]] != (m1[s], m1[t]):
+            report.add_structural("two-cell-endpoints", (a,))
+    if not report.well_formed:
+        return report
+    for o, i in enumerate(x.one_identity):
+        if m1[i] != y.one_identity[m0[o]]:
+            report.add("one-identity", (o,))
+    for f, i in enumerate(x.two_identity):
+        if m2[i] != y.two_identity[m1[f]]:
+            report.add("two-identity", (f,))
+    for name, xt, yt, m in (
+        ("one-composition", x.one_comp, y.one_comp, m1),
+        ("two-vcomp", x.two_vcomp, y.two_vcomp, m2),
+        ("two-hcomp", x.two_hcomp, y.two_hcomp, m2),
+    ):
+        for (b, a), c in xt.items():
+            if m[c] != yt[(m[b], m[a])]:
+                report.add(name, (b, a))
     return report
 
 
@@ -401,10 +394,50 @@ def internally_equivalent(x: FiniteJCategory, x1: int, x2: int):
     return False, None
 
 
+def _parallel_homs(fun: JFunctor, dim: int):
+    """Yield p, q and the source dim-cells p -> q, for each parallel pair of
+    source (dim-1)-cells in order."""
+    x = fun.source
+    if dim == 1:
+        n = len(x.zero_cells)
+        for p in range(n):
+            for q in range(n):
+                yield p, q, x.hom1(p, q)
+    else:
+        for p, ends in enumerate(x.one_cells):
+            for q in x.hom1(*ends):
+                yield p, q, x.hom2(p, q)
+
+
+def _first_unhit(fun: JFunctor, dim: int, equivalent):
+    """(p, q, beta) for the first target dim-cell beta between the images of
+    p, q that no source dim-cell p -> q maps to up to `equivalent`, or None."""
+    lower, cell_map = (fun.map0, fun.map1) if dim == 1 else (fun.map1, fun.map2)
+    hom = fun.target.hom1 if dim == 1 else fun.target.hom2
+    image = cell_map.__getitem__  # any over maps: no Python frame per source cell
+    for p, q, cells in _parallel_homs(fun, dim):
+        for beta in hom(lower[p], lower[q]):
+            if not any(map(equivalent, map(image, cells), repeat(beta))):
+                return p, q, beta
+    return None
+
+
+def _first_clash(fun: JFunctor, dim: int):
+    """The first two parallel source dim-cells with one image, or None."""
+    cell_map = fun.map1 if dim == 1 else fun.map2
+    for _, _, cells in _parallel_homs(fun, dim):
+        for i, a1 in enumerate(cells):
+            for a2 in cells[i + 1 :]:
+                if cell_map[a1] == cell_map[a2]:
+                    return a1, a2
+    return None
+
+
 def check_external_equivalence(fun: JFunctor) -> Report:
     """Unravelled criteria for an external j-equivalence over finite data.
 
-    Checks local essential surjectivity at every dimension and local
+    Checks local essential surjectivity at every dimension, on the nose at
+    the top dimension and up to internal equivalence below it, and local
     faithfulness at the top dimension; each finding names its dimension and
     carries a witness for the first failure.
 
@@ -441,99 +474,24 @@ def check_external_equivalence(fun: JFunctor) -> Report:
         witness=None if missed is None else {"target-0-cell": y.zero_cells[missed]},
     )
 
-    miss1 = None
-    for x1 in range(len(x.zero_cells)):
-        for x2 in range(len(x.zero_cells)):
-            for beta in y.hom1(fun.map0[x1], fun.map0[x2]):
-                hits = x.hom1(x1, x2)
-                if j == 1:
-                    found = any(fun.map1[alpha] == beta for alpha in hits)
-                else:
-                    found = any(
-                        one_cells_internally_equivalent(y, fun.map1[alpha], beta)
-                        for alpha in hits
-                    )
-                if not found:
-                    miss1 = (x1, x2, beta)
-                    break
-            if miss1:
-                break
-        if miss1:
-            break
-    report.add(
-        "locally-essentially-surjective-on-1-cells",
-        miss1 is None,
-        dimension=1,
-        witness=None
-        if miss1 is None
-        else {
-            "between": [x.zero_cells[miss1[0]], x.zero_cells[miss1[1]]],
-            "target-1-cell": miss1[2],
-        },
-    )
+    for dim in range(1, j + 1):
+        equivalent = eq if dim == j else partial(one_cells_internally_equivalent, y)
+        miss = _first_unhit(fun, dim, equivalent)
+        witness = None
+        if miss is not None:
+            p, q, beta = miss
+            if dim == 1:
+                witness = {"between": [x.zero_cells[p], x.zero_cells[q]], "target-1-cell": beta}
+            else:
+                witness = {"between-1-cells": [p, q], "target-2-cell": beta}
+        criterion = f"locally-essentially-surjective-on-{dim}-cells"
+        report.add(criterion, miss is None, dimension=dim, witness=witness)
 
-    if j == 1:
-        clash = None
-        for x1 in range(len(x.zero_cells)):
-            for x2 in range(len(x.zero_cells)):
-                cells = x.hom1(x1, x2)
-                for i, a1 in enumerate(cells):
-                    for a2 in cells[i + 1 :]:
-                        if fun.map1[a1] == fun.map1[a2]:
-                            clash = (a1, a2)
-                            break
-                    if clash:
-                        break
-                if clash:
-                    break
-            if clash:
-                break
-        report.add(
-            "locally-faithful-at-top-dimension",
-            clash is None,
-            dimension=1,
-            witness=None if clash is None else {"identified-1-cells": list(clash)},
-        )
-        return report
-
-    # j == 2: top-dimension surjectivity between image parallel pairs, then faithfulness
-    miss2 = None
-    for g1 in range(len(x.one_cells)):
-        for g2 in x.hom1(*x.one_cells[g1]):
-            for beta in y.hom2(fun.map1[g1], fun.map1[g2]):
-                if not any(fun.map2[a] == beta for a in x.hom2(g1, g2)):
-                    miss2 = (g1, g2, beta)
-                    break
-            if miss2:
-                break
-        if miss2:
-            break
-    report.add(
-        "locally-essentially-surjective-on-2-cells",
-        miss2 is None,
-        dimension=2,
-        witness=None if miss2 is None else {"between-1-cells": [miss2[0], miss2[1]], "target-2-cell": miss2[2]},
-    )
-
-    clash = None
-    for g1 in range(len(x.one_cells)):
-        for g2 in x.hom1(*x.one_cells[g1]):
-            cells = x.hom2(g1, g2)
-            for i, a1 in enumerate(cells):
-                for a2 in cells[i + 1 :]:
-                    if fun.map2[a1] == fun.map2[a2]:
-                        clash = (a1, a2)
-                        break
-                if clash:
-                    break
-            if clash:
-                break
-        if clash:
-            break
+    clash = _first_clash(fun, j)
     report.add(
         "locally-faithful-at-top-dimension",
         clash is None,
-        dimension=2,
-        witness=None if clash is None else {"identified-2-cells": list(clash)},
+        dimension=j,
+        witness=None if clash is None else {f"identified-{j}-cells": list(clash)},
     )
     return report

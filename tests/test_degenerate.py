@@ -1,7 +1,6 @@
 import pytest
 
 from deglab.degenerate import (
-    DegenerateCategory,
     DegNatTrans,
     OBJECT_LABEL,
     cat_to_monoid,
@@ -10,14 +9,14 @@ from deglab.degenerate import (
     degenerate_sample,
     find_nonidentity_nat_trans,
     forgetful_universe,
-    functors_between,
     monoid_to_cat,
     nat_trans_between,
     not_locally_full_witnesses,
 )
 from deglab.equivalence import check_jcategory, check_jfunctor
 from deglab.examples import bool_or_monoid, left_padded_monoid, trivial_monoid, zmod
-from deglab.monoids import FiniteMonoid, MonoidHom, enumerate_monoids, identity_hom
+from deglab.fincat import enumerate_functors, one_object_category
+from deglab.monoids import FiniteMonoid, MonoidHom, enumerate_homs, enumerate_monoids, identity_hom
 from deglab.report import InvalidStructureError
 
 
@@ -150,12 +149,8 @@ class TestForgetfulEquivalence:
         assert check_jfunctor(fun).ok
 
     def test_functor_sets_equal_hom_sets(self):
+        # fincat's functor search, which shares no code with enumerate_homs
         for m in enumerate_monoids(3)[:4]:
             for n in enumerate_monoids(2):
-                c, d = monoid_to_cat(m), monoid_to_cat(n)
-                assert {h.map for h in functors_between(c, d)} == {
-                    h.map
-                    for h in functors_between(
-                        DegenerateCategory(OBJECT_LABEL, m), DegenerateCategory(OBJECT_LABEL, n)
-                    )
-                }
+                functors = enumerate_functors(one_object_category(m), one_object_category(n))
+                assert {f.morphism_map for f in functors} == {h.map for h in enumerate_homs(m, n)}

@@ -889,3 +889,33 @@ class TestIdentityConstraintRestriction:
         fs = [f for s in dies for t in dies for f in dd_functors_between(s, t)]
         _, rep = restrict_identity_constraint(fs, bound=3)
         assert rep.ok
+
+    @staticmethod
+    def _comparison_findings(functors):
+        _, rep = restrict_identity_constraint(functors, bound=3)
+        return {
+            f.criterion.removeprefix("restricted-comparison-"): f.passed
+            for f in rep.findings
+            if f.criterion.startswith("restricted-comparison-")
+        }
+
+    @pytest.fixture(scope="class")
+    def bound_three(self):
+        dies = cmon_die_universe(3)
+        fs = [f for s in dies for t in dies for f in dd_functors_between(s, t)]
+        kept = next(i for i, f in enumerate(fs) if f.m == f.target.monoid.unit)
+        return fs, kept
+
+    def test_dropped_functor_fails_fullness(self, bound_three):
+        fs, kept = bound_three
+        found = self._comparison_findings(fs[:kept] + fs[kept + 1 :])
+        assert found == {"full": False, "faithful": True, "surjective": True}
+
+    def test_duplicated_functor_fails_faithfulness(self, bound_three):
+        fs, kept = bound_three
+        found = self._comparison_findings(fs + [fs[kept]])
+        assert found == {"full": True, "faithful": False, "surjective": True}
+
+    def test_few_functors_fail_surjectivity(self, bound_three):
+        fs, _ = bound_three
+        assert self._comparison_findings(fs[:3])["surjective"] is False

@@ -1,5 +1,9 @@
 """The generic engine, exercised on hand-built toy 1- and 2-categories."""
 
+import hashlib
+import json
+from dataclasses import replace
+
 import pytest
 
 from deglab.degenerate import check_forgetful_equivalence, degenerate_sample, forgetful_universe
@@ -78,6 +82,98 @@ class TestJCategoryLaws:
         )
         rep = check_jcategory(bad)
         assert any(v.axiom.endswith("identity") for v in rep.violations)
+
+
+def arrow():
+    """Two objects and one arrow between them."""
+    return FiniteJCategory(
+        j=1,
+        zero_cells=("a", "b"),
+        one_cells=((0, 0), (1, 1), (0, 1)),
+        one_identity=(0, 1),
+        one_comp={(0, 0): 0, (1, 1): 1, (2, 0): 2, (1, 2): 2},
+    )
+
+
+def z2_one_cells():
+    """One 0-cell, the 1-cells of Z/2, and an identity 2-cell on each."""
+    add = {(b, a): (a + b) % 2 for a in range(2) for b in range(2)}
+    two_cells, ids = ((0, 0), (1, 1)), {(0, 0): 0, (1, 1): 1}
+    return FiniteJCategory(2, ("*",), ((0, 0), (0, 0)), (0,), add, two_cells, (0, 1), ids, add)
+
+
+class TestLawCheckersNeverRaise:
+    """Bad indices and broken images are structural findings, not exceptions."""
+
+    def test_broken_image_endpoints_skip_the_composition_equations(self):
+        # the arrow a -> b goes to the identity on a; its composites have no image
+        rep = check_jfunctor(JFunctor(arrow(), two_points(), (0, 1), (0, 1, 0)))
+        assert [(v.axiom, v.where) for v in rep.structural] == [("one-cell-endpoints", (2,))]
+        assert rep.violations == []
+
+    def test_out_of_range_image_is_refused_by_the_constructor(self):
+        with pytest.raises(StructuralError, match=r"^map1/2: index 7 out of range\(2\)"):
+            JFunctor(arrow(), two_points(), (0, 1), (0, 1, 7))
+        with pytest.raises(StructuralError, match=r"^map0: expected 2 entries, got 1"):
+            JFunctor(arrow(), two_points(), (0,), (0, 1, 0))
+        with pytest.raises(StructuralError, match=r"^map2: expected 2 entries, got 0"):
+            JFunctor(z2_one_cells(), z2_one_cells(), (0,), (0, 1))
+        assert JFunctor(arrow(), arrow(), [0, 1], range(3)).map1 == (0, 1, 2)
+
+    @pytest.mark.parametrize(
+        "field, value, axiom",
+        [
+            ("one_identity", (5,), "one-identity-endpoints"),
+            ("one_identity", (-1,), "one-identity-endpoints"),
+            ("one_comp", {(0, 0): 0, (0, 7): 0}, "one-comp-domain"),
+            ("one_comp", {(0, 0): 0, (-1, 0): 0}, "one-comp-domain"),
+            ("one_comp", {(0, 0): 7}, "one-comp-endpoints"),
+            ("one_comp", {(0, 0): -1}, "one-comp-endpoints"),
+        ],
+    )
+    def test_bad_one_cell_indices(self, field, value, axiom):
+        rep = check_jcategory(replace(one_point(), **{field: value}))
+        assert axiom in {v.axiom for v in rep.structural} and rep.violations == []
+
+    @pytest.mark.parametrize(
+        "field, value, axiom",
+        [
+            ("two_identity", (0, 5), "two-identity-endpoints"),
+            ("two_vcomp", {(0, 0): 0, (1, 1): 1, (7, 0): 0}, "two-vcomp-domain"),
+            ("two_vcomp", {(0, 0): 0, (1, 1): 7}, "two-vcomp-endpoints"),
+            ("two_hcomp", {**z2_one_cells().two_hcomp, (1, 7): 0}, "two-hcomp-domain"),
+            ("two_hcomp", {**z2_one_cells().two_hcomp, (1, 1): 7}, "two-hcomp-endpoints"),
+        ],
+    )
+    def test_bad_two_cell_indices(self, field, value, axiom):
+        assert check_jcategory(z2_one_cells()).ok
+        rep = check_jcategory(replace(z2_one_cells(), **{field: value}))
+        assert axiom in {v.axiom for v in rep.structural} and rep.violations == []
+
+    def test_composites_with_wrong_ends_are_structural(self):
+        # 1 . 1 in the vertical table lands on the identity 2-cell of the wrong 1-cell
+        rep = check_jcategory(replace(z2_one_cells(), two_vcomp={(0, 0): 0, (1, 1): 0}))
+        assert [(v.axiom, v.where) for v in rep.structural] == [("two-vcomp-endpoints", (1, 1))]
+        # 1 * 1 must run between 1-cells 1 + 1 = 0, not 1
+        hcomp = {(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 1}
+        rep = check_jcategory(replace(z2_one_cells(), two_hcomp=hcomp))
+        assert [(v.axiom, v.where) for v in rep.structural] == [("two-hcomp-endpoints", (1, 1))]
+
+    def test_each_table_names_its_laws(self):
+        z2 = FiniteJCategory(1, ("*",), ((0, 0), (0, 0)), (0,), z2_one_cells().one_comp)
+        assert check_jcategory(z2).ok
+        flat = {key: 0 for key in z2.one_comp}
+        rep = check_jcategory(replace(z2, one_comp=flat))
+        laws = {v.axiom for v in rep.violations}
+        assert laws == {"one-comp-left-identity", "one-comp-right-identity"}
+        x = _z2_on_a_point()
+        assert check_jcategory(x).ok
+        flat = {key: 0 for key in x.two_vcomp}
+        for table in ("two-vcomp", "two-hcomp"):
+            rep = check_jcategory(replace(x, **{table.replace("-", "_"): flat}))
+            assert not rep.structural
+            laws = {v.axiom for v in rep.violations}
+            assert {f"{table}-left-identity", f"{table}-right-identity"} <= laws
 
 
 class TestInternalEquivalence:
@@ -266,6 +362,119 @@ class TestExternalEquivalence:
         )
         with pytest.raises(StructuralError):
             JFunctor(x, y, (0,), (0,))
+
+
+def _digest(payload):
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _with_entry(t, i, v):
+    return t[:i] + (v,) + t[i + 1 :]
+
+
+def _z2_on_a_point():
+    """One 0-cell, one 1-cell, and the two 2-cells of Z/2 under both compositions."""
+    add = {(b, a): (a + b) % 2 for a in range(2) for b in range(2)}
+    one = {(0, 0): 0}
+    return FiniteJCategory(2, ("*",), ((0, 0),), (0,), one, ((0, 0), (0, 0)), (0,), add, add)
+
+
+def _point2():
+    return FiniteJCategory(
+        2, ("*",), ((0, 0),), (0,), {(0, 0): 0}, ((0, 0),), (0,), {(0, 0): 0}, {(0, 0): 0}
+    )
+
+
+def _failing_functors():
+    """One j-functor per case, each failing at least one criterion."""
+    from deglab.doubly import two_truncation_universe
+
+    sample = degenerate_sample(3)
+    full = forgetful_universe(sample)[3]
+    x, y = full.source, full.target
+    # the first hom-set with two 1-cells, and a 1-cell outside it
+    a1, a2 = next(h for h in map(x.hom1, *zip(*x.one_cells)) if len(h) >= 2)[:2]
+    other = next(f for f, e in enumerate(x.one_cells) if e != x.one_cells[a1])
+    two = two_truncation_universe(2)[3]
+    s = two.source
+    # a 1-cell whose image no other 1-cell of its hom-set shares, and one that differs
+    b1, b2 = next(
+        (b, d)
+        for h in map(s.hom1, *zip(*s.one_cells))
+        for b in h
+        for d in h
+        if [two.map1[c] for c in h].count(two.map1[b]) == 1 and two.map1[d] != two.map1[b]
+    )
+    c = next(a for a, (f, g) in enumerate(s.two_cells) if f != g)
+    return {
+        "j1-partial-sample": forgetful_universe(
+            [m for i, m in enumerate(sample) if i not in (4, 7)]
+        )[3],
+        "j1-dropped-1-cell": JFunctor(
+            x, y, full.map0, _with_entry(full.map1, a1, full.map1[other])
+        ),
+        "j1-collapsed-1-cell": JFunctor(x, y, full.map0, _with_entry(full.map1, a1, full.map1[a2])),
+        "j2-moved-0-cell": JFunctor(
+            s, two.target, _with_entry(two.map0, 0, two.map0[-1]), two.map1, two.map2
+        ),
+        "j2-dropped-1-cell": JFunctor(
+            s, two.target, two.map0, _with_entry(two.map1, b1, two.map1[b2]), two.map2
+        ),
+        "j2-changed-2-cell": JFunctor(
+            s, two.target, two.map0, two.map1, _with_entry(two.map2, c, two.map2[0])
+        ),
+        "j2-collapsed-2-cells": JFunctor(_z2_on_a_point(), _point2(), (0,), (0,), (0, 0)),
+    }
+
+
+# SHA-256 of each failing report's payload, and the criteria it fails
+_FAILING_PINS = {
+    "j1-partial-sample": (
+        "1f4fd9d093b7968fc9487ae1f0d3e03829af0bfe3110f685c480fe4917fe45c5",
+        ["essentially-surjective-on-0-cells"],
+    ),
+    "j1-dropped-1-cell": (
+        "40c24eca28bac2c10f0d38242d3ae2e626c82140494e71418879cddd9e8c08a2",
+        ["locally-essentially-surjective-on-1-cells"],
+    ),
+    "j1-collapsed-1-cell": (
+        "b62998685be8d17bb47b8695b482ac8f24f31167434fd223f7a2b2f367d1abb7",
+        ["locally-essentially-surjective-on-1-cells", "locally-faithful-at-top-dimension"],
+    ),
+    "j2-moved-0-cell": (
+        "7d4d37790e03f6f4de99b76d66e41aa6a968468c0996ac97453e2fda53caf965",
+        ["essentially-surjective-on-0-cells", "locally-essentially-surjective-on-1-cells"],
+    ),
+    "j2-dropped-1-cell": (
+        "0d99fe9cac7776ec613faf8d79ead40b5a7c766c31e003fe7576dd8398bdc5a5",
+        ["locally-essentially-surjective-on-1-cells", "locally-essentially-surjective-on-2-cells"],
+    ),
+    "j2-changed-2-cell": (
+        "7ff124677b72183c9d0286514c3e6b516cbd361887542e0d1e06039ec37bac9f",
+        ["locally-essentially-surjective-on-2-cells"],
+    ),
+    "j2-collapsed-2-cells": (
+        "0e3d0b17f9d2f4cda1a32298ed6500d240f5d2ab1bb86d99a455f0d4bfa4844b",
+        ["locally-faithful-at-top-dimension"],
+    ),
+}
+
+
+class TestFailingPayloadPins:
+    """Failing reports keep their findings and witnesses byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def functors(self):
+        return _failing_functors()
+
+    @pytest.mark.parametrize("case", sorted(_FAILING_PINS))
+    def test_payload(self, functors, case):
+        payload = check_external_equivalence(functors[case]).to_payload()
+        digest, failing = _FAILING_PINS[case]
+        assert [f["criterion"] for f in payload["findings"] if not f["passed"]] == failing
+        assert all(f["witness"] for f in payload["findings"] if not f["passed"])
+        assert _digest(payload) == digest
 
 
 def cyclic(n, arrows, two_cell=None):
