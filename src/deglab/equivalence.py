@@ -204,15 +204,19 @@ def _cell(i, n: int) -> bool:
     return type(i) is int and 0 <= i < n
 
 
+def _pair(key, n: int) -> bool:
+    return isinstance(key, tuple) and len(key) == 2 and _cell(key[0], n) and _cell(key[1], n)
+
+
 def _check_cells(report, name, ends, identity, lower) -> bool:
     """Structural checks of one dimension's cells: each runs between two
     parallel lower cells, whose ends `lower` lists (None for 0-cells), and
     identity[o] runs from o to o.  False if the identities cannot be read."""
     n = len(lower)
-    for a, (s, t) in enumerate(ends):
-        if not (_cell(s, n) and _cell(t, n)):
+    for a, cell_ends in enumerate(ends):
+        if not _pair(cell_ends, n):
             report.add_structural(f"{name}-cell-endpoints", (a,))
-        elif lower[s] != lower[t]:
+        elif lower[cell_ends[0]] != lower[cell_ends[1]]:
             report.add_structural(f"{name}-cell-not-parallel", (a,))
     if len(identity) != n:
         report.add_structural(f"{name}-identity-count", ())
@@ -238,9 +242,9 @@ def _check_table(report, name, ends, identity, table, cells=None, boundary=None)
     """
     n = len(ends)
     starting = _positions(s for s, _ in ends)
-    for b, a in table:
-        if not (_cell(b, n) and _cell(a, n) and ends[a][1] == ends[b][0]):
-            report.add_structural(f"{name}-domain", (b, a))
+    for key in table:
+        if not (_pair(key, n) and ends[key[1]][1] == ends[key[0]][0]):
+            report.add_structural(f"{name}-domain", key if isinstance(key, tuple) else (key,))
     for a, (_, t) in enumerate(ends):
         for b in starting.get(t, ()):
             if (b, a) not in table:

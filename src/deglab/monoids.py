@@ -337,7 +337,11 @@ def _unital_associative_tables(n: int, commutative_only: bool):
     Cells are filled in row-major order (upper triangle when commutative,
     mirrored), so the known cells are always a row-major prefix.  After
     each placement every associativity triple whose four lookups are all
-    known is re-checked.  A placement that passes is then compared with
+    known and include the new cell is re-checked.  The triples that read
+    it as ab or bc are found through a row or column; those that read it
+    as (ab)c or a(bc) come from a preimage index of the known inner cells
+    by value, kept in step with each placement and its undo, so no check
+    scans the table.  A placement that passes is then compared with
     its image under every relabeling that fixes 0: inner cells in
     row-major order, stopping at the first cell unknown on either side.
     The node is pruned if the image is strictly smaller at the first cell
@@ -389,34 +393,41 @@ def _unital_associative_tables(n: int, commutative_only: bool):
                 out.append(image)  # equal so far on every cell
         return out
 
-    def triple_ok(a, b, c):
-        ab = table[a][b]
-        if ab is None:
-            return True
-        bc = table[b][c]
-        if bc is None:
-            return True
-        lhs = table[ab][c]
-        rhs = table[a][bc]
-        if lhs is None or rhs is None:
-            return True
-        return lhs == rhs
+    # pre[v]: the known inner cells (a, b) with table[a][b] == v.  A triple
+    # with the unit in any position holds in every unit-0 table, so neither
+    # the index nor the checks below need the unit's row and column.
+    pre = [[] for _ in range(n)]
+    inner_rows = table[1:]
 
     def consistent_after(x, y):
-        # triples whose lookups involve the cell (x, y), in any of the four roles
-        for c in range(n):
-            if not triple_ok(x, y, c):
-                return False
-        for a in range(n):
-            if not triple_ok(a, x, y):
-                return False
-        for a in range(n):
-            for b in range(n):
-                if table[a][b] == x and not triple_ok(a, b, y):
+        # every triple of inner elements one of whose four lookups is the cell
+        # (x, y), in each of its four roles; unknown lookups pass
+        row_x = table[x]
+        xy = row_x[y]
+        row_xy, row_y = table[xy], table[y]
+        for c in inner:  # (x, y, c): (xy)c = x(yc)
+            yc = row_y[c]
+            if yc is not None:
+                lhs, rhs = row_xy[c], row_x[yc]
+                if lhs is not None and rhs is not None and lhs != rhs:
                     return False
-        for b in range(n):
-            for c in range(n):
-                if table[b][c] == y and not triple_ok(x, b, c):
+        for row_a in inner_rows:  # (a, x, y): (ax)y = a(xy)
+            ax = row_a[x]
+            if ax is not None:
+                lhs, rhs = table[ax][y], row_a[xy]
+                if lhs is not None and rhs is not None and lhs != rhs:
+                    return False
+        for a, b in pre[x]:  # (a, b, y) with ab = x: xy = a(by)
+            by = table[b][y]
+            if by is not None:
+                rhs = table[a][by]
+                if rhs is not None and rhs != xy:
+                    return False
+        for b, c in pre[y]:  # (x, b, c) with bc = y: (xb)c = xy
+            xb = row_x[b]
+            if xb is not None:
+                lhs = table[xb][c]
+                if lhs is not None and lhs != xy:
                     return False
         return True
 
@@ -425,17 +436,25 @@ def _unital_associative_tables(n: int, commutative_only: bool):
             yield tuple(tuple(row) for row in table)
             return
         x, y = cells[k]
+        row_x, row_y = table[x], table[y]
+        mirror = commutative_only and x != y
         for v in range(n):
-            table[x][y] = v
-            if commutative_only:
-                table[y][x] = v
-            if consistent_after(x, y) and (not commutative_only or consistent_after(y, x)):
+            known = pre[v]
+            row_x[y] = v
+            known.append((x, y))
+            if mirror:
+                row_y[x] = v
+                known.append((y, x))
+            if consistent_after(x, y) and (not mirror or consistent_after(y, x)):
                 still = undecided(live)
                 if still is not None:
                     yield from place(k + 1, still)
-        table[x][y] = None
-        if commutative_only:
-            table[y][x] = None
+            known.pop()
+            if mirror:
+                known.pop()
+        row_x[y] = None
+        if mirror:
+            row_y[x] = None
 
     yield from place(0, images)
 

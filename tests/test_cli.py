@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -250,6 +251,21 @@ class TestEnumerateAndSuite:
         assert main(["--format", "json", "enumerate", "--size", "3"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["count"] == 7
+
+    @pytest.mark.parametrize(
+        "extra, digest",
+        [
+            ([], "825413da449482a62816796821122ea53fe72b5fb9c2e152c9654bf068ebd660"),
+            (
+                ["--commutative"],
+                "6258c422fd7c2766d27fdc52cb4959d14ff1ec786545badd4aef224fe5856af4",
+            ),
+        ],
+    )
+    def test_enumerate_order_five_bytes_are_pinned(self, capsys, extra, digest):
+        # the representatives and their order, not only their number
+        assert main(["--format", "json", "enumerate", "--size", "5", *extra]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_enumerate_bound_refusal(self, monkeypatch, capsys):
         monkeypatch.setenv("DEGLAB_MAX_SIZE", "2")

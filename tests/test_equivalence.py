@@ -127,6 +127,10 @@ class TestLawCheckersNeverRaise:
             ("one_identity", (-1,), "one-identity-endpoints"),
             ("one_comp", {(0, 0): 0, (0, 7): 0}, "one-comp-domain"),
             ("one_comp", {(0, 0): 0, (-1, 0): 0}, "one-comp-domain"),
+            ("one_comp", {(0, 0): 0, 5: 0}, "one-comp-domain"),
+            ("one_comp", {(0, 0): 0, (0, 0, 0): 0}, "one-comp-domain"),
+            ("one_cells", ((0, 0, 0),), "one-cell-endpoints"),
+            ("one_cells", (5,), "one-cell-endpoints"),
             ("one_comp", {(0, 0): 7}, "one-comp-endpoints"),
             ("one_comp", {(0, 0): -1}, "one-comp-endpoints"),
         ],

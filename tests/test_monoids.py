@@ -103,6 +103,98 @@ def reference_enumeration(n, commutative_only):
     return out
 
 
+def full_scan_unital_associative_tables(n, commutative_only):
+    """Reference copy of the orderly search before its preimage index.
+
+    The same traversal and lex-leader pruning as `_unital_associative_tables`,
+    but each placement re-checks its associativity triples by scanning the
+    whole table for the cells whose value is x or y.
+    """
+    cells = [(x, y) for x in range(1, n) for y in range(1, n)]
+    if commutative_only:
+        cells = [(x, y) for (x, y) in cells if x <= y]
+    table = [[None] * n for _ in range(n)]
+    for i in range(n):
+        table[0][i] = i
+        table[i][0] = i
+    inner = range(1, n)
+    images = []
+    for tail in itertools.islice(itertools.permutations(inner), 1, None):
+        p = (0,) + tail
+        inv = [0] * n
+        for i, v in enumerate(p):
+            inv[v] = i
+        images.append((p, [(table[x], y, table[inv[x]], inv[y]) for x in inner for y in inner]))
+
+    def undecided(live):
+        out = []
+        for image in live:
+            p, pairs = image
+            for row, y, image_row, image_y in pairs:
+                a = row[y]
+                b = image_row[image_y]
+                if a is None or b is None:
+                    out.append(image)
+                    break
+                b = p[b]
+                if b != a:
+                    if b < a:
+                        return None
+                    break
+            else:
+                out.append(image)
+        return out
+
+    def triple_ok(a, b, c):
+        ab = table[a][b]
+        if ab is None:
+            return True
+        bc = table[b][c]
+        if bc is None:
+            return True
+        lhs = table[ab][c]
+        rhs = table[a][bc]
+        if lhs is None or rhs is None:
+            return True
+        return lhs == rhs
+
+    def consistent_after(x, y):
+        for c in range(n):
+            if not triple_ok(x, y, c):
+                return False
+        for a in range(n):
+            if not triple_ok(a, x, y):
+                return False
+        for a in range(n):
+            for b in range(n):
+                if table[a][b] == x and not triple_ok(a, b, y):
+                    return False
+        for b in range(n):
+            for c in range(n):
+                if table[b][c] == y and not triple_ok(x, b, c):
+                    return False
+        return True
+
+    def place(k, live):
+        if k == len(cells):
+            yield tuple(tuple(row) for row in table)
+            return
+        x, y = cells[k]
+        for v in range(n):
+            table[x][y] = v
+            if commutative_only:
+                table[y][x] = v
+            if consistent_after(x, y) and (not commutative_only or consistent_after(y, x)):
+                still = undecided(live)
+                if still is not None:
+                    yield from place(k + 1, still)
+        table[x][y] = None
+        if commutative_only:
+            table[y][x] = None
+
+    yield from place(0, images)
+
+
 class TestCheckMonoid:
     def test_trivial(self):
         assert check_monoid([[0]], 0).ok
@@ -320,6 +412,16 @@ class TestEnumeration:
         assert len(tables) == len({canonical_form(t) for t in tables})
         for t in tables:
             assert check_monoid(t, 0).ok
+
+    @pytest.mark.parametrize(
+        "n, commutative_only",
+        [(n, c) for n in range(1, 6) for c in (False, True)] + [(6, True)],
+    )
+    def test_search_matches_full_scan_reference(self, n, commutative_only):
+        # the same tables in the same order as the search without its index
+        assert list(_unital_associative_tables(n, commutative_only)) == list(
+            full_scan_unital_associative_tables(n, commutative_only)
+        )
 
     @pytest.mark.parametrize("commutative_only", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
