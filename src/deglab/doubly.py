@@ -753,13 +753,16 @@ def restrict_identity_constraint(functors, bound: int | None = None):
     retained = [f for f in functors if f.m == f.target.monoid.unit]
     report = Report("identity-constraint-restriction", {"bound": bound, "universe": ""})
 
+    # the composite's element target.mul[G(f.m)][g.m] depends on f only
+    # through f.m, so the first f of each (f.target, f.m) class, in list
+    # order, decides closure for its class and is the all-pairs witness
     ending: dict = {}
     for f in retained:
-        ending.setdefault(f.target, []).append(f)
+        ending.setdefault(f.target, {}).setdefault(f.m, f)
     closed = True
     witness = None
     for g in retained:
-        for f in ending.get(g.source, ()):
+        for f in ending.get(g.source, {}).values():
             comp = compose_dd_functors(g, f)
             if comp.m != comp.target.monoid.unit:
                 closed = False

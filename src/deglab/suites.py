@@ -538,8 +538,15 @@ SUITES = {
 
 
 def run_suite(name: str, bound: int | None = None, seed: int | None = None) -> Report:
+    """Run suite `name` at `bound`, or at its own default bound when None.
+
+    A bound below 1 is refused: every universe would be empty, and a
+    sweep over nothing would pass without testing anything.
+    """
     if name not in SUITES:
         raise StructuralError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
+    if bound is not None and bound < 1:
+        raise StructuralError(f"suite bound {bound} is below 1: the universe would be empty")
     if bound is None:
         return SUITES[name](seed=seed)
     return SUITES[name](bound=bound, seed=seed)

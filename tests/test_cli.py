@@ -293,6 +293,15 @@ class TestEnumerateAndSuite:
     def test_suite_runs(self, capsys):
         assert main(["suite", "thm-dc", "--bound", "3"]) == 0
 
+    @pytest.mark.parametrize(
+        "name", ["thm-dc", "thm-dce", "thm-vdb", "thm-vdbe", "thm-db", "thm-moncat-xi"]
+    )
+    def test_suite_refuses_bound_zero(self, capsys, name):
+        # an empty universe would pass vacuously (or, for thm-dce, fail)
+        assert main(["suite", name, "--bound", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "below 1" in captured.err and captured.out == ""
+
     def test_suite_json_replayable_witnesses(self, tmp_path, capsys):
         assert main(["--format", "json", "suite", "thm-vdbe", "--bound", "2"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -869,7 +869,62 @@ class TestTwoTruncationComparison:
         assert "level-1-comparison-not-faithful" in names
 
 
+def all_pairs_closure(functors):
+    """Reference closure check: compose every composable retained pair.
+
+    Returns (closed, witness) as `restrict_identity_constraint` reports its
+    `closed-under-composition` finding.  It calls `doubly.compose_dd_functors`
+    through the module, so a monkeypatched composition reaches it too.
+    """
+    retained = [f for f in functors if f.m == f.target.monoid.unit]
+    ending = {}
+    for f in retained:
+        ending.setdefault(f.target, []).append(f)
+    for g in retained:
+        for f in ending.get(g.source, ()):
+            comp = doubly.compose_dd_functors(g, f)
+            if comp.m != comp.target.monoid.unit:
+                return False, {"g": (g.hom_map.map, g.m), "f": (f.hom_map.map, f.m)}
+    return True, None
+
+
+def _universe_functors(bound):
+    dies = cmon_die_universe(bound)
+    return [f for s in dies for t in dies for f in dd_functors_between(s, t)]
+
+
+def _closure_finding(functors):
+    _, rep = restrict_identity_constraint(functors)
+    (finding,) = [f for f in rep.findings if f.criterion == "closed-under-composition"]
+    return finding.passed, finding.witness
+
+
 class TestIdentityConstraintRestriction:
+    @pytest.mark.parametrize("bound", [1, 2, 3])
+    def test_closure_matches_all_pairs_reference(self, bound):
+        fs = _universe_functors(bound)
+        assert _closure_finding(fs) == all_pairs_closure(fs) == (True, None)
+
+    @pytest.mark.parametrize("bound", [2, 3])
+    def test_corrupted_class_fails_both_closure_loops_alike(self, monkeypatch, bound):
+        # corrupt the composite's element for every pair whose f ends at one
+        # instance, into a target that has a non-unit element to corrupt to
+        fs = _universe_functors(bound)
+        bad_end = [s for s in cmon_die_universe(bound) if s.monoid.size == bound][-1]
+        compose = doubly.compose_dd_functors
+
+        def corrupted(g, f):
+            c = compose(g, f)
+            t = c.target.monoid
+            if f.target == bad_end and t.size > 1:
+                return replace(c, m=next(x for x in range(t.size) if x != t.unit))
+            return c
+
+        monkeypatch.setattr(doubly, "compose_dd_functors", corrupted)
+        closed, witness = _closure_finding(fs)
+        assert not closed and witness is not None
+        assert (closed, witness) == all_pairs_closure(fs)
+
     def test_filtering_and_closure(self):
         s = z2_die()
         fs = dd_functors_between(s, s)
@@ -885,9 +940,7 @@ class TestIdentityConstraintRestriction:
         assert retained == []
 
     def test_bound_three_equivalence(self):
-        dies = cmon_die_universe(3)
-        fs = [f for s in dies for t in dies for f in dd_functors_between(s, t)]
-        _, rep = restrict_identity_constraint(fs, bound=3)
+        _, rep = restrict_identity_constraint(_universe_functors(3), bound=3)
         assert rep.ok
 
     @staticmethod
@@ -901,8 +954,7 @@ class TestIdentityConstraintRestriction:
 
     @pytest.fixture(scope="class")
     def bound_three(self):
-        dies = cmon_die_universe(3)
-        fs = [f for s in dies for t in dies for f in dd_functors_between(s, t)]
+        fs = _universe_functors(3)
         kept = next(i for i, f in enumerate(fs) if f.m == f.target.monoid.unit)
         return fs, kept
 

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 from dataclasses import replace
 
 import pytest
@@ -478,6 +479,31 @@ class TestEnumeration:
             tuple(perm[m.mul[x][y]] for y in _inverse(perm)) for x in _inverse(perm)
         )
         assert canonical_form(relabeled) == min(relabelings(relabeled))
+
+    @pytest.mark.parametrize("commutative_only", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_canonical_form_matches_brute_force_on_every_class(self, n, commutative_only):
+        # each class under one seeded random relabeling, so the unit and the
+        # idempotents tried as label 0 sit at arbitrary indices
+        rng = random.Random(n * 2 + commutative_only)
+        for m in enumerate_monoids(n, commutative_only):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            inv = _inverse(perm)
+            relabeled = tuple(tuple(perm[m.mul[x][y]] for y in inv) for x in inv)
+            form = canonical_form(relabeled)
+            assert form == min(relabelings(relabeled))
+            assert form == tuple(v for row in m.mul for v in row)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_canonical_form_without_idempotents(self, n):
+        # x*y = x+1 mod n has no idempotent, so every element is tried as label 0
+        table = tuple(tuple((x + 1) % n for _ in range(n)) for x in range(n))
+        assert canonical_form(table) == min(relabelings(table))
+
+    @pytest.mark.parametrize("table", [(), ((0,),)])
+    def test_canonical_form_of_the_smallest_tables(self, table):
+        assert canonical_form(table) == min(relabelings(table))
 
 
 def _inverse(perm):
