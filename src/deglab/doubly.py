@@ -9,6 +9,7 @@ exhaustively on each instance.
 """
 
 from dataclasses import dataclass, replace
+from itertools import count
 
 from .equivalence import JFunctor, check_external_equivalence, hom_indexed_category
 from .monoids import (
@@ -33,6 +34,9 @@ from .report import (
     ValidationReport,
     exact,
 )
+
+# the serials of `DDFunctor` instances, one each, never reused in a process
+_SERIALS = count()
 
 
 @dataclass(frozen=True)
@@ -86,7 +90,17 @@ class DDFunctor:
     `report.exact`).  Equality tests identity first, since functors made by
     internal algebra are interned, and falls back to comparing the fields;
     the hash is the dataclass-generated hash of the fields.
+
+    Beside the five fields, two private slots: `_serial`, a number no other
+    instance in the process has, and `_composites`, the memo of
+    `compose_dd_functors` with this functor as the inner one, `None` until
+    the first composite.  Neither is a dataclass field, so `fields`,
+    equality, hashing, repr and JSON ignore them.  A copy (`copy.copy`,
+    `copy.deepcopy`, `pickle`, `dataclasses.replace`) carries the five
+    fields and starts with a fresh serial and no memo.
     """
+
+    __slots__ = ("source", "target", "hom_map", "m", "m0", "_serial", "_composites")
 
     source: CMonDIE
     target: CMonDIE
@@ -99,6 +113,8 @@ class DDFunctor:
             raise StructuralError("hom_map endpoints do not match source/target")
         exact(self.m, "m", (), self.target.monoid.size)
         exact(self.m0, "m0", (), self.target.monoid.size)
+        object.__setattr__(self, "_serial", next(_SERIALS))
+        object.__setattr__(self, "_composites", None)
 
     def __eq__(self, other):
         if self is other:
@@ -109,17 +125,29 @@ class DDFunctor:
             other.source, other.target, other.hom_map, other.m, other.m0
         )
 
+    def __getstate__(self):
+        return self.source, self.target, self.hom_map, self.m, self.m0
+
+    def __setstate__(self, state):
+        # fills an instance that already exists, never through the
+        # constructor: a deep copy can reach this functor through its
+        # source's interning table while that source is still half built
+        set_ = object.__setattr__
+        set_(self, "source", state[0])
+        set_(self, "target", state[1])
+        set_(self, "hom_map", state[2])
+        set_(self, "m", state[3])
+        set_(self, "m0", state[4])
+        set_(self, "_serial", next(_SERIALS))
+        set_(self, "_composites", None)
+
     @classmethod
     def _trusted(cls, source, target, hom_map, m, m0) -> "DDFunctor":
         """Build without the endpoint and range checks, for results of
         internal algebra whose endpoints and indices hold by construction;
         untrusted data goes through the constructor."""
         f = object.__new__(cls)
-        object.__setattr__(f, "source", source)
-        object.__setattr__(f, "target", target)
-        object.__setattr__(f, "hom_map", hom_map)
-        object.__setattr__(f, "m", m)
-        object.__setattr__(f, "m0", m0)
+        f.__setstate__((source, target, hom_map, m, m0))
         return f
 
 
@@ -442,24 +470,30 @@ def compose_dd_functors(g: DDFunctor, f: DDFunctor) -> DDFunctor:
     """Composite (G, m_G) . (F, m_F) = (GF, G(m_F).m_G); associative and unital.
 
     The composite is the functor interned on `f.source` under
-    (id(g.target), GF's map, m): composites of enumerated functors are the
-    enumerated instances themselves, and two composites are equal exactly
-    when they are the same object.  GF's map is `f.hom_map.pull(G's map)`;
-    a hit in the source's table is returned inline, and `_interned` runs
-    only on a miss.
+    (id(g.target), GF's map, m), with GF's map `f.hom_map.pull(G's map)`:
+    composites of enumerated functors are the enumerated instances
+    themselves, and two composites are equal exactly when they are the same
+    object.  Each one is memoized on the inner functor `f` under `g`'s
+    serial, so a pair composed again costs one dict lookup; a copy of `g`
+    or `f` has its own serial and memo and is composed afresh.  The memo
+    sits on `f`, not `g`, because callers such as
+    `restrict_identity_constraint` compose many `g` with a few `f`.
     """
+    memo = f._composites
+    if memo is not None:
+        c = memo.get(g._serial)
+        if c is not None:
+            return c
     if f.target is not g.source and f.target != g.source:
         raise StructuralError("functor composition endpoint mismatch")
-    source, target = f.source, g.target
+    target = g.target
     gmap = g.hom_map.map
-    m = target.monoid.mul[gmap[f.m]][g.m]
-    hmap = f.hom_map.pull(gmap)
-    table = getattr(source, _FUNCTORS, None)
-    if table is not None:
-        c = table.get((id(target), hmap, m))
-        if c is not None and c.target is target and c.source is source:
-            return c
-    return _interned(source, target, hmap, m)
+    c = _interned(f.source, target, f.hom_map.pull(gmap), target.monoid.mul[gmap[f.m]][g.m])
+    if memo is None:
+        object.__setattr__(f, "_composites", {g._serial: c})
+    else:
+        memo[g._serial] = c
+    return c
 
 
 def identity_dd_functor(s: CMonDIE) -> DDFunctor:

@@ -1,7 +1,11 @@
 import copy
+import dataclasses
+import gc
 import itertools
+import pickle
 import random
 import re
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -276,19 +280,34 @@ def _strict_composite(g, f):
     return make_dd_functor(f.source, g.target, hom, mul[g.hom_map.map[f.m]][g.m])
 
 
-class TestTrustedConstruction:
-    def test_composites_agree_with_strict_path(self, monkeypatch):
-        dies = cmon_die_universe(2)
-        functors = {(i, k): dd_functors_between(s, t)
-                    for i, s in enumerate(dies) for k, t in enumerate(dies)}
-        pairs = [
-            (g, f)
+def _composable_pairs(dies):
+    # every (g, f) with f: dies[i] -> dies[k] and g: dies[k] -> dies[l]
+    functors = {(i, k): dd_functors_between(s, t)
+                for i, s in enumerate(dies) for k, t in enumerate(dies)}
+    return [(g, f)
             for (i, k), fs in functors.items()
             for (k2, _), gs in functors.items()
             if k2 == k
             for f in fs
-            for g in gs
-        ]
+            for g in gs]
+
+
+def _interned_entry(g, f):
+    # the source's table entry under the product formula's key
+    mul = g.target.monoid.mul
+    key = (id(g.target), tuple(g.hom_map.map[v] for v in f.hom_map.map),
+           mul[g.hom_map.map[f.m]][g.m])
+    return vars(f.source)[doubly._FUNCTORS][key]
+
+
+def _strict(f):
+    h = f.hom_map
+    return make_dd_functor(f.source, f.target, MonoidHom(h.source, h.target, h.map), f.m)
+
+
+class TestTrustedConstruction:
+    def test_composites_agree_with_strict_path(self, monkeypatch):
+        pairs = _composable_pairs(cmon_die_universe(2))
         for s in cmon_die_universe(3):
             ident = identity_dd_functor(s)
             pairs.append((ident, ident))
@@ -430,25 +449,12 @@ class TestFunctorInterning:
         assert doubly._interned(s, t, hmap, m).source is s
 
     def test_strict_operands_compose_to_the_interned_instance(self):
-        def strict(f):
-            h = f.hom_map
-            return make_dd_functor(f.source, f.target, MonoidHom(h.source, h.target, h.map), f.m)
-
-        dies = cmon_die_universe(2)
-        functors = {(i, k): dd_functors_between(s, t)
-                    for i, s in enumerate(dies) for k, t in enumerate(dies)}
-        pairs = 0
-        for (i, k), fs in functors.items():
-            for l, u in enumerate(dies):
-                for f in fs:
-                    for g in functors[(k, l)]:
-                        key = (id(u), tuple(g.hom_map.map[v] for v in f.hom_map.map),
-                               u.monoid.mul[g.hom_map.map[f.m]][g.m])
-                        want = vars(dies[i])[doubly._FUNCTORS][key]
-                        for gg, ff in ((strict(g), f), (g, strict(f)), (strict(g), strict(f))):
-                            assert compose_dd_functors(gg, ff) is want
-                        pairs += 1
-        assert pairs > 100
+        pairs = _composable_pairs(cmon_die_universe(2))
+        for g, f in pairs:
+            want = _interned_entry(g, f)
+            for gg, ff in ((_strict(g), f), (g, _strict(f)), (_strict(g), _strict(f))):
+                assert compose_dd_functors(gg, ff) is want
+        assert len(pairs) > 100
 
     def test_inline_hit_checks_both_ends(self):
         s = make_cmon_die(zmod(3), 2)
@@ -540,10 +546,92 @@ class TestFunctorEquality:
         compose_dd_functors(identity_dd_functor(t), used)
         compose_dd_functors(used, identity_dd_functor(s))
         assert set(vars(used.hom_map)) > set(vars(fresh.hom_map))
+        assert used._composites and fresh._composites is None
         assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
         dumps = serialize.canonical_dumps
         assert dumps(serialize.to_payload(used)) == dumps(serialize.to_payload(fresh))
         assert vars(replace(used.hom_map)) == vars(fresh.hom_map)
+
+
+class TestCompositeMemo:
+    def test_every_pair_twice_returns_the_interned_entry(self):
+        pairs = _composable_pairs(cmon_die_universe(2))
+        order = pairs * 2
+        random.Random(15).shuffle(order)
+        for g, f in order:
+            c = compose_dd_functors(g, f)
+            assert c is _interned_entry(g, f)
+            assert f._composites[g._serial] is c
+        assert len(pairs) == 299
+
+    def test_strict_rebuilds_return_the_same_instance(self):
+        pairs = _composable_pairs(cmon_die_universe(2))
+        for g, f in pairs:
+            want = compose_dd_functors(g, f)
+            gg, ff = _strict(g), _strict(f)
+            assert gg._serial != g._serial and ff._serial != f._serial
+            assert gg._serial not in f._composites and ff._composites is None
+            for operands in ((gg, f), (g, ff), (gg, ff)):
+                assert compose_dd_functors(*operands) is want
+            assert f._composites[gg._serial] is want and ff._composites[g._serial] is want
+
+    def test_endpoint_mismatch_raises_every_time_and_stores_nothing(self):
+        s, t = z2_die(), make_cmon_die(zmod(3), 2)
+        f, g = identity_dd_functor(s), identity_dd_functor(t)
+        compose_dd_functors(f, f)
+        memo = dict(f._composites)
+        for _ in range(2):
+            with pytest.raises(StructuralError, match="endpoint mismatch"):
+                compose_dd_functors(g, f)
+        assert f._composites == memo and g._serial not in f._composites
+        h = dd_functors_between(s, t)[0]
+        for _ in range(2):
+            with pytest.raises(StructuralError, match="endpoint mismatch"):
+                compose_dd_functors(h, h)
+        assert h._composites is None
+
+    def test_serials_are_unique_and_not_fields(self):
+        assert [fl.name for fl in dataclasses.fields(DDFunctor)] == \
+            ["source", "target", "hom_map", "m", "m0"]
+        fs = [f for g, f in _composable_pairs(cmon_die_universe(2))]
+        fs += [_strict(f) for f in fs[:20]]
+        assert len({f._serial for f in fs}) == len({id(f) for f in fs})
+        assert not hasattr(fs[0], "__dict__")
+
+    def test_memo_keeps_no_universe_alive(self):
+        dies = [make_cmon_die(zmod(3), 2), z2_die(), make_cmon_die(zmod(3), 1)]
+        refs = [weakref.ref(d) for d in dies]
+        pairs = _composable_pairs(dies)
+        composites = [compose_dd_functors(g, f) for g, f in pairs]
+        assert len(pairs) == 920 and all(f._composites for g, f in pairs)
+        del dies, pairs, composites
+        gc.collect()
+        assert [r() for r in refs] == [None, None, None]
+
+
+class TestFunctorCopies:
+    ROUTES = {
+        "copy": copy.copy,
+        "deepcopy": copy.deepcopy,
+        "pickle": lambda f: pickle.loads(pickle.dumps(f)),
+        "replace": replace,
+    }
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_copy_has_the_fields_a_fresh_serial_and_no_memo(self, route):
+        s, t = make_cmon_die(zmod(3), 2), z2_die()
+        f = dd_functors_between(s, t)[1]
+        g = dd_functors_between(t, t)[1]
+        h = dd_functors_between(s, s)[1]
+        want_after, want_before = compose_dd_functors(g, f), compose_dd_functors(f, h)
+        assert f._composites
+        c = self.ROUTES[route](f)
+        assert c is not f and c == f and f == c and hash(c) == hash(f) and repr(c) == repr(f)
+        assert c._serial != f._serial and c._serial not in f._composites
+        assert c._composites is None
+        assert compose_dd_functors(g, c) == want_after
+        assert compose_dd_functors(c, h) == want_before
+        assert list(c._composites) == [g._serial]
 
 
 def _count_ddbicat_checks(monkeypatch):
