@@ -46,9 +46,8 @@ from .equivalence import (
     check_jfunctor,
     internally_equivalent,
 )
-from .fincat import CatFunctor, FiniteCategory, NatTrans, check_category, check_functor
+from .fincat import CatFunctor, FiniteCategory, check_category, check_functor
 from .monads import (
-    FinEndofunctor,
     FinMonad,
     MonadFunctor,
     MonadFunctorTransformation,

@@ -21,7 +21,6 @@ from .doubly import (
     DDBicat,
     analyze_weak_functor,
     build_ddbicat,
-    check_dd_functor,
     extract_cmon_die,
     promote_lax,
     transformation_between,

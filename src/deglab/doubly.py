@@ -340,24 +340,6 @@ def extract_cmon_die(b: DDBicat) -> CMonDIE:
     return s
 
 
-def derived_hcomp(monoid: FiniteMonoid, l, l_inv, r, r_inv) -> tuple:
-    """The unique horizontal table compatible with naturality and interchange.
-
-    x*y = (l^-1.x.l) . (r^-1.y.r); any table differing from this one is
-    rejected by the axiom checker, which is how the completeness tests
-    enumerate every valid instance without scanning all tables.
-    """
-    mul = monoid.mul
-
-    def conj(c, ci, x):
-        return mul[ci][mul[x][c]]
-
-    n = monoid.size
-    return tuple(
-        tuple(mul[conj(l, l_inv, x)][conj(r, r_inv, y)] for y in range(n)) for x in range(n)
-    )
-
-
 # -- functors ----------------------------------------------------------------
 
 
@@ -383,14 +365,14 @@ def check_dd_functor(f: DDFunctor) -> ValidationReport:
     report = ValidationReport("dd_functor")
     report.extend(check_hom(f.hom_map), prefix="hom-")
     t = f.target.monoid
-    if invert(t, f.m) is None:
+    m_inv = invert(t, f.m)
+    if m_inv is None:
         report.add("m-invertible", (f.m,))
     mul = t.mul
     lhs = f.target.die
     rhs = mul[f.hom_map.map[f.source.die]][mul[f.m][f.m0]]
     if lhs != rhs:
         report.add("unit-equation", (), f"target die {lhs} != F(die).m.m0 = {rhs}")
-    m_inv = invert(t, f.m)
     if m_inv is not None:
         derived = mul[mul[f.target.die][m_inv]][f.hom_map.map[f.source.die_inv]]
         if derived != f.m0:
@@ -745,32 +727,18 @@ def check_two_equivalence(bound: int) -> Report:
         detail="exactly one transformation iff the homomorphisms agree",
     )
 
-    level1 = None
-    for s in dies:
-        w = unfaithfulness_witness(1, s)
+    for level, criterion, cells in (
+        (1, "level-1-comparison-not-faithful", "functors with distinct chosen elements"),
+        (3, "level-3-comparison-not-locally-faithful", "modifications with distinct elements"),
+    ):
+        w = next(filter(None, (unfaithfulness_witness(level, s) for s in dies)), None)
         if w is not None:
-            level1 = w
-            break
-    if level1 is not None:
-        report.add(
-            "level-1-comparison-not-faithful",
-            forgetful_image(1, level1[0]) == forgetful_image(1, level1[1]),
-            dimension=1,
-            detail="two functors with distinct chosen elements share one image",
-        )
-    level3 = None
-    for s in dies:
-        w = unfaithfulness_witness(3, s)
-        if w is not None:
-            level3 = w
-            break
-    if level3 is not None:
-        report.add(
-            "level-3-comparison-not-locally-faithful",
-            forgetful_image(3, level3[0]) == forgetful_image(3, level3[1]),
-            dimension=3,
-            detail="two modifications with distinct elements share one image",
-        )
+            report.add(
+                criterion,
+                forgetful_image(level, w[0]) == forgetful_image(level, w[1]),
+                dimension=level,
+                detail=f"two {cells} share one image",
+            )
     return report
 
 

@@ -316,18 +316,6 @@ def check_jcategory(x: FiniteJCategory) -> ValidationReport:
     return report
 
 
-def compose_jfunctors(g: JFunctor, f: JFunctor) -> JFunctor:
-    if f.target is not g.source and f.target != g.source:
-        raise StructuralError("functor composition endpoint mismatch")
-    return JFunctor(
-        f.source,
-        g.target,
-        tuple(g.map0[v] for v in f.map0),
-        tuple(g.map1[v] for v in f.map1),
-        tuple(g.map2[v] for v in f.map2),
-    )
-
-
 def check_jfunctor(fun: JFunctor) -> ValidationReport:
     """Functoriality per dimension (endpoints, identities, compositions)
     between j-categories.  An image with the wrong ends is structural and

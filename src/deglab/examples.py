@@ -10,7 +10,6 @@ composition-failure witnesses need.
 from .fincat import FiniteCategory
 from .monoids import FiniteMonoid
 from .monoidal import FinMonoidalCategory
-from .report import InvalidStructureError
 
 
 def trivial_monoid() -> FiniteMonoid:
@@ -25,12 +24,6 @@ def zmod(n: int) -> FiniteMonoid:
 def bool_or_monoid() -> FiniteMonoid:
     """{0, 1} under OR: a monoid whose non-unit element has no inverse."""
     return FiniteMonoid(2, 0, ((0, 1), (1, 1)))
-
-
-def left_padded_monoid() -> FiniteMonoid:
-    """Unit adjoined to the two-element left-zero semigroup: x*y = x off the
-    unit.  Noncommutative with trivial center, handy as a negative case."""
-    return FiniteMonoid(3, 0, ((0, 1, 2), (1, 1, 1), (2, 2, 2)))
 
 
 def discrete_monoidal(m: FiniteMonoid) -> FinMonoidalCategory:

@@ -1,6 +1,5 @@
-"""Finite categories with explicit composition tables, plus functors and
-natural transformations between them.  Substrate for the monoidal and monad
-layers.
+"""Finite categories with explicit composition tables, plus functors between
+them.  Substrate for the monoidal and monad layers.
 
 comp[g][f] is g after f when tgt(f) = src(g), and None otherwise.  The
 constructors check shapes and ranges only, each int-holding field through
@@ -147,54 +146,6 @@ def compose_functors(g: CatFunctor, f: CatFunctor) -> CatFunctor:
         tuple(g.object_map[v] for v in f.object_map),
         tuple(g.morphism_map[v] for v in f.morphism_map),
     )
-
-
-@dataclass(frozen=True)
-class NatTrans:
-    source_functor: CatFunctor
-    target_functor: CatFunctor
-    components: tuple  # morphism per source object: F a -> G a
-
-    def __post_init__(self):
-        f = self.source_functor
-        n, m = f.source.n_objects, len(f.target.morphisms)
-        object.__setattr__(self, "components", exact(self.components, "components", (n,), m))
-
-
-def check_natural(t: NatTrans) -> ValidationReport:
-    report = ValidationReport("natural_transformation")
-    f, g = t.source_functor, t.target_functor
-    if f.source != g.source or f.target != g.target:
-        report.add_structural("endpoints", (), "functors are not parallel")
-        return report
-    d = f.target
-    for a in range(f.source.n_objects):
-        comp = t.components[a]
-        if d.morphisms[comp] != (f.on_obj(a), g.on_obj(a)):
-            report.add_structural("component-endpoints", (a,))
-    if not report.well_formed:
-        return report
-    for m, (a, b) in enumerate(f.source.morphisms):
-        lhs = d.comp[t.components[b]][f.on_mor(m)]
-        rhs = d.comp[g.on_mor(m)][t.components[a]]
-        if lhs != rhs:
-            report.add("naturality", (m,))
-    return report
-
-
-def identity_nat(fun: CatFunctor) -> NatTrans:
-    comps = tuple(fun.target.identities[fun.on_obj(a)] for a in range(fun.source.n_objects))
-    return NatTrans(fun, fun, comps)
-
-
-def compose_nats(t2: NatTrans, t1: NatTrans) -> NatTrans:
-    """Vertical composite, componentwise."""
-    d = t1.source_functor.target
-    comps = tuple(
-        d.compose(t2.components[a], t1.components[a])
-        for a in range(t1.source_functor.source.n_objects)
-    )
-    return NatTrans(t1.source_functor, t2.target_functor, comps)
 
 
 def enumerate_functors(c: FiniteCategory, d: FiniteCategory) -> list:

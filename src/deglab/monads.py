@@ -13,47 +13,23 @@ through `report.exact`; the checkers check endpoints and the laws.
 
 from dataclasses import dataclass
 
-from .fincat import CatFunctor, FiniteCategory, check_functor, compose_functors
+from .fincat import CatFunctor, FiniteCategory, check_functor, identity_functor
 from .report import StructuralError, ValidationReport, exact
-
-
-@dataclass(frozen=True)
-class FinEndofunctor:
-    base: FiniteCategory
-    object_map: tuple
-    morphism_map: tuple
-
-    def __post_init__(self):
-        n, m = self.base.n_objects, len(self.base.morphisms)
-        object.__setattr__(self, "object_map", exact(self.object_map, "object_map", (n,), n))
-        object.__setattr__(self, "morphism_map", exact(self.morphism_map, "morphism_map", (m,), m))
-
-    def as_functor(self) -> CatFunctor:
-        return CatFunctor(self.base, self.base, self.object_map, self.morphism_map)
-
-    def on_obj(self, a: int) -> int:
-        return self.object_map[a]
-
-    def on_mor(self, f: int) -> int:
-        return self.morphism_map[f]
-
-
-def check_endofunctor(t: FinEndofunctor) -> ValidationReport:
-    report = ValidationReport("endofunctor")
-    report.extend(check_functor(t.as_functor()))
-    return report
 
 
 @dataclass(frozen=True)
 class FinMonad:
     """An endofunctor with unit and multiplication components per object."""
 
-    endo: FinEndofunctor
+    endo: CatFunctor  # source == target, the base category
     eta: tuple  # components a -> T a
     mu: tuple  # components T(T a) -> T a
 
     def __post_init__(self):
-        n, m = self.endo.base.n_objects, len(self.endo.base.morphisms)
+        c = self.endo.source
+        if c != self.endo.target:
+            raise StructuralError("endo: source and target categories differ")
+        n, m = c.n_objects, len(c.morphisms)
         object.__setattr__(self, "eta", exact(self.eta, "eta", (n,), m))
         object.__setattr__(self, "mu", exact(self.mu, "mu", (n,), m))
 
@@ -62,8 +38,8 @@ def check_monad(m: FinMonad) -> ValidationReport:
     """Functoriality, naturality of both transformations, unit laws,
     associativity; every violation is located at its object or morphism."""
     report = ValidationReport("monad")
-    report.extend(check_endofunctor(m.endo), prefix="endofunctor-")
-    c = m.endo.base
+    report.extend(check_functor(m.endo), prefix="endofunctor-")
+    c = m.endo.source
     t = m.endo
     for a in range(c.n_objects):
         if c.morphisms[m.eta[a]] != (a, t.on_obj(a)):
@@ -91,8 +67,7 @@ def check_monad(m: FinMonad) -> ValidationReport:
 
 
 def identity_monad(c: FiniteCategory) -> FinMonad:
-    endo = FinEndofunctor(c, tuple(range(c.n_objects)), tuple(range(len(c.morphisms))))
-    return FinMonad(endo, c.identities, c.identities)
+    return FinMonad(identity_functor(c), c.identities, c.identities)
 
 
 @dataclass(frozen=True)
@@ -106,7 +81,7 @@ class MonadFunctor:
 
     def __post_init__(self):
         u = self.u
-        if u.source != self.source.endo.base or u.target != self.target.endo.base:
+        if u.source != self.source.endo.source or u.target != self.target.endo.source:
             raise StructuralError("carrier functor endpoints mismatch")
         phi = exact(self.phi, "phi", (u.source.n_objects,), len(u.target.morphisms))
         object.__setattr__(self, "phi", phi)
@@ -123,7 +98,7 @@ def check_monad_functor(mf: MonadFunctor) -> ValidationReport:
     report = ValidationReport("monad_functor")
     report.extend(check_functor(mf.u), prefix="carrier-")
     s, t = mf.source, mf.target
-    c, d = s.endo.base, t.endo.base
+    c, d = s.endo.source, t.endo.source
     u = mf.u
     for a in range(c.n_objects):
         want = (t.endo.on_obj(u.on_obj(a)), u.on_obj(s.endo.on_obj(a)))
@@ -155,23 +130,9 @@ def check_monad_functor(mf: MonadFunctor) -> ValidationReport:
 
 
 def identity_monad_functor(m: FinMonad) -> MonadFunctor:
-    c = m.endo.base
-    u = CatFunctor(c, c, tuple(range(c.n_objects)), tuple(range(len(c.morphisms))))
+    c = m.endo.source
     phi = tuple(c.identities[m.endo.on_obj(a)] for a in range(c.n_objects))
-    return MonadFunctor(m, m, u, phi)
-
-
-def compose_monad_functors(g: MonadFunctor, f: MonadFunctor) -> MonadFunctor:
-    """Pasting: the composite phi at c is V(phi_f at c) after phi_g at (U c)."""
-    if f.target != g.source:
-        raise StructuralError("monad functor composition endpoint mismatch")
-    u = compose_functors(g.u, f.u)
-    e = g.target.endo.base
-    phi = tuple(
-        e.comp[g.u.on_mor(f.phi[a])][g.phi[f.u.on_obj(a)]]
-        for a in range(f.u.source.n_objects)
-    )
-    return MonadFunctor(f.source, g.target, u, phi)
+    return MonadFunctor(m, m, identity_functor(c), phi)
 
 
 @dataclass(frozen=True)
@@ -211,13 +172,3 @@ def check_monad_transformation(t: MonadFunctorTransformation) -> ValidationRepor
         if lhs != rhs:
             report.add("compatibility-square", (a,))
     return report
-
-
-def compose_monad_transformations(
-    t2: MonadFunctorTransformation, t1: MonadFunctorTransformation
-) -> MonadFunctorTransformation:
-    d = t1.source.u.target
-    gamma = tuple(
-        d.compose(t2.gamma[a], t1.gamma[a]) for a in range(t1.source.u.source.n_objects)
-    )
-    return MonadFunctorTransformation(t1.source, t2.target, gamma)

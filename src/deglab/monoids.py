@@ -544,7 +544,11 @@ def enumerate_dies(m: FiniteMonoid) -> list:
 
 
 def cmon_die_universe(bound: int) -> list:
-    """All (commutative monoid, die) pairs of size up to bound, up to iso."""
+    """All (commutative monoid, die) pairs of size up to bound.
+
+    One pair per (monoid class, unit), not up to iso: isomorphic pairs such
+    as (Z/3, die 1) and (Z/3, die 2) both occur.
+    """
     _check_enumeration_size(bound)
     out = []
     for n in range(1, bound + 1):

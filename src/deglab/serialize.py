@@ -558,14 +558,14 @@ SCHEMA = {
     "monad": Schema(
         (monads.FinMonad,),
         (
-            Key("base", Nested("category"), attr="endo.base"),
+            Key("base", Nested("category"), attr="endo.source"),
             _index("object_map", "base.objects", 1, attr="endo.object_map"),
             _index("morphism_map", "base.morphisms", 1, attr="endo.morphism_map"),
             _index("eta", "base.morphisms", 1),
             _index("mu", "base.morphisms", 1),
         ),
         lambda base, object_map, morphism_map, eta, mu: monads.FinMonad(
-            monads.FinEndofunctor(base, object_map, morphism_map), eta, mu
+            fincat.CatFunctor(base, base, object_map, morphism_map), eta, mu
         ),
         _checked(monads.check_monad),
     ),
@@ -581,7 +581,7 @@ SCHEMA = {
         lambda source, target, object_map, morphism_map, phi: monads.MonadFunctor(
             source,
             target,
-            fincat.CatFunctor(source.endo.base, target.endo.base, object_map, morphism_map),
+            fincat.CatFunctor(source.endo.source, target.endo.source, object_map, morphism_map),
             phi,
         ),
         _checked(_check_monad_functor),

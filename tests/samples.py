@@ -1,4 +1,5 @@
-"""One structure of every JSON kind, shared by the serializer and CLI tests."""
+"""One structure of every JSON kind, shared by the serializer and CLI tests,
+and small fixtures the package itself has no use for."""
 
 from deglab.degenerate import monoid_to_cat, nat_trans_between
 from deglab.doubly import DDModification, build_ddbicat, identity_dd_functor, transformation_between
@@ -11,7 +12,13 @@ from deglab.monoidal import (
     identity_monoidal_transformation,
     shift_to_bicat,
 )
-from deglab.monoids import identity_hom, make_cmon_die
+from deglab.monoids import FiniteMonoid, identity_hom, make_cmon_die
+
+
+def left_padded_monoid() -> FiniteMonoid:
+    """Unit adjoined to the two-element left-zero semigroup: x*y = x off the
+    unit.  Noncommutative with trivial center, handy as a negative case."""
+    return FiniteMonoid(3, 0, ((0, 1, 2), (1, 1, 1), (2, 2, 2)))
 
 
 def sample_structures():

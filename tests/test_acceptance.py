@@ -42,13 +42,11 @@ from deglab.examples import (
     trivial_monoid,
     zmod,
 )
-from deglab.fincat import CatFunctor, one_object_category
+from deglab.fincat import CatFunctor, check_functor, one_object_category
 from deglab.monads import (
-    FinEndofunctor,
     FinMonad,
     MonadFunctor,
     MonadFunctorTransformation,
-    check_endofunctor,
     check_monad,
     check_monad_functor,
     check_monad_transformation,
@@ -344,8 +342,8 @@ def test_criterion_09_one_object_collapse():
         t_map = tuple(rng.randrange(m.size) for _ in range(m.size))
         e, mu_el = rng.randrange(m.size), rng.randrange(m.size)
         c = one_object_category(m)
-        endo = FinEndofunctor(c, (0,), t_map)
-        actual = check_endofunctor(endo).ok and check_monad(FinMonad(endo, (e,), (mu_el,))).ok
+        endo = CatFunctor(c, c, (0,), t_map)
+        actual = check_functor(endo).ok and check_monad(FinMonad(endo, (e,), (mu_el,))).ok
         assert actual == _element_monad_verdict(m, t_map, e, mu_el)
         agreements += 1
 
@@ -356,7 +354,7 @@ def test_criterion_09_one_object_collapse():
         m = rng.choice(comm)
         c = one_object_category(m)
         ident_map = tuple(range(m.size))
-        monad = FinMonad(FinEndofunctor(c, (0,), ident_map), (m.unit,), (m.unit,))
+        monad = FinMonad(CatFunctor(c, c, (0,), ident_map), (m.unit,), (m.unit,))
         u_map = tuple(rng.randrange(m.size) for _ in range(m.size))
         phi_el = rng.randrange(m.size)
         hom_ok = check_hom(MonoidHom(m, m, u_map)).ok
@@ -376,9 +374,7 @@ def test_criterion_09_one_object_collapse():
     for _ in range(20):
         m = rng.choice(comm)
         c = one_object_category(m)
-        monad = FinMonad(
-            FinEndofunctor(c, (0,), tuple(range(m.size))), (m.unit,), (m.unit,)
-        )
+        monad = FinMonad(CatFunctor(c, c, (0,), tuple(range(m.size))), (m.unit,), (m.unit,))
         f = identity_monad_functor(monad)
         gamma = rng.randrange(m.size)
         actual = check_monad_transformation(MonadFunctorTransformation(f, f, (gamma,))).ok

@@ -14,10 +14,11 @@ from deglab.degenerate import (
     not_locally_full_witnesses,
 )
 from deglab.equivalence import check_jcategory, check_jfunctor
-from deglab.examples import bool_or_monoid, left_padded_monoid, trivial_monoid, zmod
+from deglab.examples import bool_or_monoid, trivial_monoid, zmod
 from deglab.fincat import enumerate_functors, one_object_category
 from deglab.monoids import FiniteMonoid, MonoidHom, enumerate_homs, enumerate_monoids, identity_hom
 from deglab.report import InvalidStructureError
+from samples import left_padded_monoid
 
 
 class TestRoundTrips:

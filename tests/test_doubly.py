@@ -24,7 +24,6 @@ from deglab.doubly import (
     check_two_equivalence,
     compose_dd_functors,
     dd_functors_between,
-    derived_hcomp,
     eckmann_hilton_report,
     extract_cmon_die,
     forgetful_image,
@@ -157,28 +156,46 @@ class TestAxiomCompleteness:
                         b = DDBicat(n, id2, vt, ht, a, ai, l, li, r, ri)
                         if check_ddbicat(b).ok:
                             valid.append(b)
-                            assert ht == derived_hcomp(m, l, li, r, ri)
+                            assert ht == vt
                             assert eckmann_hilton_report(b).ok
                             assert b == build_ddbicat(extract_cmon_die(b))
         assert len(valid) == 6  # two labelings of the group, two dies each; OR once each
 
     def test_forced_table_sweep_n3(self):
-        count = 0
+        # interchange and hcomp-identity make hcomp a homomorphism M x M -> M,
+        # so every candidate comes from enumerate_homs, not from the collapse
+        def square(m):
+            n = m.size
+            mul = tuple(
+                tuple(m.mul[x][z] * n + m.mul[y][w] for z in range(n) for w in range(n))
+                for x in range(n)
+                for y in range(n)
+            )
+            return FiniteMonoid(n * n, m.unit * n + m.unit, mul)
+
+        candidates, structures = 0, []
         for m in enumerate_monoids(3):
-            for a in units(m):
-                for l in units(m):
-                    for r in units(m):
-                        ht = derived_hcomp(m, l, invert(m, l), r, invert(m, r))
-                        b = DDBicat(
+            for h in enumerate_homs(square(m), m):
+                candidates += 1
+                ht = tuple(tuple(h.map[x * 3 + y] for y in range(3)) for x in range(3))
+                for a, l, r in itertools.product(units(m), repeat=3):
+                    structures.append(
+                        DDBicat(
                             3, m.unit, m.mul, ht,
                             a, invert(m, a), l, invert(m, l), r, invert(m, r),
                         )
-                        if check_ddbicat(b).ok:
-                            count += 1
-                            assert eckmann_hilton_report(b).ok
-                            assert b == build_ddbicat(extract_cmon_die(b))
+                    )
+        reports = [check_ddbicat(b) for b in structures]
+        valid = [b for b, rep in zip(structures, reports) if rep.ok]
+        for b in valid:
+            assert b.hcomp == b.vcomp
+            assert eckmann_hilton_report(b).ok
+            assert b == build_ddbicat(extract_cmon_die(b))
         # one instance per (commutative monoid, die): 3 + 2 + 1 + 1 + 1
-        assert count == 8
+        assert (candidates, len(structures), len(valid)) == (94, 391, 8)
+        # a checker that skipped lunit-naturality would let 27 more through
+        blind = [r for r in reports if r.well_formed and set(r.grouped()) <= {"lunit-naturality"}]
+        assert len(blind) == 35
 
 
 class TestCoherenceOracle:

@@ -1,21 +1,18 @@
 import pytest
 
-from deglab.examples import arrow_category, left_padded_monoid, zmod
+from deglab.examples import arrow_category, zmod
 from deglab.fincat import (
     CatFunctor,
     FiniteCategory,
-    NatTrans,
     check_category,
     check_functor,
-    check_natural,
     compose_functors,
-    compose_nats,
     enumerate_functors,
     identity_functor,
-    identity_nat,
     one_object_category,
 )
 from deglab.report import StructuralError
+from samples import left_padded_monoid
 
 
 class TestCategoryChecks:
@@ -87,31 +84,3 @@ class TestFunctors:
         assert sorted(f.morphism_map for f in fs) == sorted(
             h.map for h in enumerate_homs(zmod(4), zmod(2))
         )
-
-
-class TestNaturalTransformations:
-    def test_identity_nat(self):
-        ac = arrow_category()
-        t = identity_nat(identity_functor(ac))
-        assert check_natural(t).ok
-
-    def test_arrow_nat_between_identity_and_collapse(self):
-        ac = arrow_category()
-        ident = identity_functor(ac)
-        collapse = CatFunctor(ac, ac, (1, 1), (1, 1, 1))
-        t = NatTrans(ident, collapse, (2, 1))
-        assert check_natural(t).ok
-
-    def test_vertical_composition(self):
-        ac = arrow_category()
-        ident = identity_functor(ac)
-        collapse = CatFunctor(ac, ac, (1, 1), (1, 1, 1))
-        t = NatTrans(ident, collapse, (2, 1))
-        tt = compose_nats(NatTrans(collapse, collapse, (1, 1)), t)
-        assert check_natural(tt).ok
-
-    def test_bad_component_endpoints_structural(self):
-        ac = arrow_category()
-        ident = identity_functor(ac)
-        rep = check_natural(NatTrans(ident, ident, (2, 1)))
-        assert not rep.well_formed

@@ -7,16 +7,12 @@ from deglab.degenerate import DegNatTrans, check_nat_trans
 from deglab.examples import arrow_category, zmod
 from deglab.fincat import CatFunctor, check_functor, one_object_category
 from deglab.monads import (
-    FinEndofunctor,
     FinMonad,
     MonadFunctor,
     MonadFunctorTransformation,
-    check_endofunctor,
     check_monad,
     check_monad_functor,
     check_monad_transformation,
-    compose_monad_functors,
-    compose_monad_transformations,
     identity_monad,
     identity_monad_functor,
 )
@@ -27,20 +23,28 @@ from deglab.report import StructuralError
 def constant_to_terminal_monad():
     """On the arrow category: send everything to the terminal object."""
     ac = arrow_category()
-    endo = FinEndofunctor(ac, (1, 1), (1, 1, 1))
+    endo = CatFunctor(ac, ac, (1, 1), (1, 1, 1))
     return FinMonad(endo, (2, 1), (1, 1))
 
 
 class TestEndofunctor:
     def test_report_is_the_functor_report_under_its_own_subject(self):
-        endo = identity_monad(arrow_category()).endo
+        m = identity_monad(arrow_category())
         # the broken one sends the identity of object 0 to that of object 1
-        broken = replace(endo, morphism_map=(1,) + endo.morphism_map[1:])
-        for t, ok in ((endo, True), (broken, False)):
-            rep = check_endofunctor(t)
-            inner = check_functor(t.as_functor())
-            assert rep.subject == "endofunctor" and rep.ok is ok
-            assert (rep.structural, rep.violations) == (inner.structural, inner.violations)
+        broken = replace(m.endo, morphism_map=(1,) + m.endo.morphism_map[1:])
+        for t, ok in ((m.endo, True), (broken, False)):
+            rep = check_monad(replace(m, endo=t))
+            inner = check_functor(t)
+            assert inner.ok is ok
+            for kind in ("structural", "violations"):
+                own = [v for v in getattr(rep, kind) if v.axiom.startswith("endofunctor-")]
+                want = [replace(v, axiom="endofunctor-" + v.axiom) for v in getattr(inner, kind)]
+                assert own == want
+
+    def test_functor_between_two_categories_refused(self):
+        c = one_object_category(zmod(3))
+        with pytest.raises(StructuralError, match="^endo: "):
+            FinMonad(CatFunctor(c, arrow_category(), (0,), (0, 0, 0)), (0,), (0,))
 
 
 class TestMonadLaws:
@@ -60,7 +64,7 @@ class TestMonadLaws:
 
     def test_broken_unit_law_located(self):
         c = one_object_category(zmod(3))
-        ide = FinEndofunctor(c, (0,), (0, 1, 2))
+        ide = CatFunctor(c, c, (0,), (0, 1, 2))
         bad = FinMonad(ide, (1,), (0,))  # mu . T(eta) = 1, not the identity
         rep = check_monad(bad)
         assert any(v.axiom.startswith("unit-law") for v in rep.violations)
@@ -70,11 +74,6 @@ class TestMonadFunctors:
     def test_identity_functor_valid(self):
         m = constant_to_terminal_monad()
         assert check_monad_functor(identity_monad_functor(m)).ok
-
-    def test_composition_closure(self):
-        m = constant_to_terminal_monad()
-        f = identity_monad_functor(m)
-        assert check_monad_functor(compose_monad_functors(f, f)).ok
 
     def test_random_phi_usually_invalid(self):
         m = constant_to_terminal_monad()
@@ -110,7 +109,6 @@ class TestMonadFunctors:
         ac = arrow_category()
         t = MonadFunctorTransformation(f, f, tuple(ac.identities[f.u.on_obj(a)] for a in range(2)))
         assert check_monad_transformation(t).ok
-        assert check_monad_transformation(compose_monad_transformations(t, t)).ok
 
     def test_nonparallel_rejected(self):
         m = constant_to_terminal_monad()
@@ -150,8 +148,8 @@ class TestOneObjectCollapse:
             e = rng.randrange(m.size)
             mu_el = rng.randrange(m.size)
             c = one_object_category(m)
-            endo = FinEndofunctor(c, (0,), t_map)
-            structural_ok = check_endofunctor(endo).ok
+            endo = CatFunctor(c, c, (0,), t_map)
+            structural_ok = check_functor(endo).ok
             monad_ok = structural_ok and check_monad(FinMonad(endo, (e,), (mu_el,))).ok
             assert monad_ok == self._element_monad_verdict(m, t_map, e, mu_el)
 
@@ -180,8 +178,8 @@ class TestOneObjectCollapse:
             ident_s = tuple(range(ms.size))
             ident_t = tuple(range(mt.size))
             cs, ct = one_object_category(ms), one_object_category(mt)
-            s_monad = FinMonad(FinEndofunctor(cs, (0,), ident_s), (ms.unit,), (ms.unit,))
-            t_monad = FinMonad(FinEndofunctor(ct, (0,), ident_t), (mt.unit,), (mt.unit,))
+            s_monad = FinMonad(CatFunctor(cs, cs, (0,), ident_s), (ms.unit,), (ms.unit,))
+            t_monad = FinMonad(CatFunctor(ct, ct, (0,), ident_t), (mt.unit,), (mt.unit,))
             u_map = tuple(rng.randrange(mt.size) for _ in range(ms.size))
             phi_el = rng.randrange(mt.size)
             if not check_hom(MonoidHom(ms, mt, u_map)).ok:
@@ -218,7 +216,7 @@ class TestOneObjectCollapse:
             m = rng.choice(monoids)
             c = one_object_category(m)
             ident = tuple(range(m.size))
-            monad = FinMonad(FinEndofunctor(c, (0,), ident), (m.unit,), (m.unit,))
+            monad = FinMonad(CatFunctor(c, c, (0,), ident), (m.unit,), (m.unit,))
             f = identity_monad_functor(monad)
             gamma = rng.randrange(m.size)
             actual = check_monad_transformation(

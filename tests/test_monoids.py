@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deglab.examples import bool_or_monoid, left_padded_monoid, trivial_monoid, zmod
+from deglab.examples import bool_or_monoid, trivial_monoid, zmod
 from deglab.monoids import (
     CMonDIE,
     FiniteMonoid,
@@ -30,6 +30,7 @@ from deglab.monoids import (
 )
 from deglab.report import InvalidStructureError, StructuralError
 from deglab.serialize import canonical_dumps, to_payload
+from samples import left_padded_monoid
 
 
 def brute_force_monoid_tables(n):
