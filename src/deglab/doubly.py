@@ -70,12 +70,6 @@ class DDBicat:
         for name in ("vcomp", "hcomp"):
             object.__setattr__(self, name, exact(getattr(self, name), name, (n, n), n))
 
-    def v(self, x, y):
-        return self.vcomp[x][y]
-
-    def h(self, x, y):
-        return self.hcomp[x][y]
-
 
 @dataclass(frozen=True)
 class DDFunctor:
@@ -199,49 +193,51 @@ def check_ddbicat(b: DDBicat) -> ValidationReport:
     vrep = check_monoid(b.vcomp, b.id2)
     report.extend(vrep, prefix="vcomp-")
 
+    v, h, e = b.vcomp, b.hcomp, b.id2
     for name, c, ci in (
         ("assoc", b.assoc, b.assoc_inv),
         ("lunit", b.lunit, b.lunit_inv),
         ("runit", b.runit, b.runit_inv),
     ):
-        if b.v(c, ci) != b.id2 or b.v(ci, c) != b.id2:
+        if v[c][ci] != e or v[ci][c] != e:
             report.add(f"{name}-invertible", (c, ci), "stored inverse witness fails")
 
-    if b.h(b.id2, b.id2) != b.id2:
-        report.add("hcomp-identity", (b.id2, b.id2), "identity 2-cell is not a horizontal unit")
+    if h[e][e] != e:
+        report.add("hcomp-identity", (e, e), "identity 2-cell is not a horizontal unit")
 
     for x in range(n):
         for y in range(n):
             for z in range(n):
                 for w in range(n):
-                    lhs = b.h(b.v(x, y), b.v(z, w))
-                    rhs = b.v(b.h(x, z), b.h(y, w))
+                    lhs = h[v[x][y]][v[z][w]]
+                    rhs = v[h[x][z]][h[y][w]]
                     if lhs != rhs:
                         report.add("interchange", (x, y, z, w), f"{lhs} != {rhs}")
 
     for x in range(n):
-        if b.v(b.runit, b.v(b.h(b.id2, x), b.runit_inv)) != x:
+        if v[b.runit][v[h[e][x]][b.runit_inv]] != x:
             report.add("runit-naturality", (x,))
-        if b.v(b.lunit, b.v(b.h(x, b.id2), b.lunit_inv)) != x:
+        if v[b.lunit][v[h[x][e]][b.lunit_inv]] != x:
             report.add("lunit-naturality", (x,))
 
+    a = b.assoc
     for x in range(n):
         for y in range(n):
             for z in range(n):
-                lhs = b.v(b.assoc, b.h(b.h(x, y), z))
-                rhs = b.v(b.h(x, b.h(y, z)), b.assoc)
+                lhs = v[a][h[h[x][y]][z]]
+                rhs = v[h[x][h[y][z]]][a]
                 if lhs != rhs:
                     report.add("assoc-naturality", (x, y, z), f"{lhs} != {rhs}")
 
     # reduced pentagon: a . a = (1 * a) . (a . (a * 1))
-    lhs = b.v(b.assoc, b.assoc)
-    rhs = b.v(b.h(b.id2, b.assoc), b.v(b.assoc, b.h(b.assoc, b.id2)))
+    lhs = v[a][a]
+    rhs = v[h[e][a]][v[a][h[a][e]]]
     if lhs != rhs:
         report.add("pentagon", (), f"{lhs} != {rhs}")
 
     # reduced triangle: (1 * r) . a = l * 1
-    lhs = b.v(b.h(b.id2, b.runit), b.assoc)
-    rhs = b.h(b.lunit, b.id2)
+    lhs = v[h[e][b.runit]][a]
+    rhs = h[b.lunit][e]
     if lhs != rhs:
         report.add("triangle", (), f"{lhs} != {rhs}")
     return report
@@ -260,21 +256,18 @@ def eckmann_hilton_report(b: DDBicat) -> Report:
     n = b.cells
     report = Report("eckmann-hilton")
 
-    bad = next(
-        ((x, y) for x in range(n) for y in range(n) if b.v(x, y) != b.v(y, x)), None
-    )
+    v, h = b.vcomp, b.hcomp
+    bad = next(((x, y) for x in range(n) for y in range(n) if v[x][y] != v[y][x]), None)
     report.add("vcomp-commutative", bad is None, witness=bad)
 
-    bad = next(
-        ((x, y) for x in range(n) for y in range(n) if b.h(x, y) != b.v(x, y)), None
-    )
+    bad = next(((x, y) for x in range(n) for y in range(n) if h[x][y] != v[x][y]), None)
     report.add("hcomp-equals-vcomp", bad is None, witness=bad)
 
     bad = None
     for x in range(n):
         for y in range(n):
-            derived = b.v(b.runit, b.v(b.h(x, y), b.runit_inv))
-            if derived != b.v(x, y) or derived != b.h(x, y):
+            derived = v[b.runit][v[h[x][y]][b.runit_inv]]
+            if derived != v[x][y] or derived != h[x][y]:
                 bad = (x, y)
                 break
         if bad:

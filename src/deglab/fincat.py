@@ -30,12 +30,6 @@ class FiniteCategory:
         object.__setattr__(self, "identities", exact(self.identities, "identities", (n,), m))
         object.__setattr__(self, "comp", exact(self.comp, "comp", (m, m), m, null=True))
 
-    def src(self, f: int) -> int:
-        return self.morphisms[f][0]
-
-    def tgt(self, f: int) -> int:
-        return self.morphisms[f][1]
-
     def compose(self, g: int, f: int) -> int:
         v = self.comp[g][f]
         if v is None:
@@ -45,15 +39,20 @@ class FiniteCategory:
     def hom(self, a: int, b: int) -> list:
         return [f for f, (s, t) in enumerate(self.morphisms) if s == a and t == b]
 
+    def inverse(self, f: int):
+        """The inverse of morphism f, or None when f is not an isomorphism."""
+        s, t = self.morphisms[f]
+        for g in self.hom(t, s):
+            if self.comp[g][f] == self.identities[s] and self.comp[f][g] == self.identities[t]:
+                return g
+        return None
+
     def iso_between(self, a: int, b: int):
         """An isomorphism a -> b together with its inverse, or None."""
         for f in self.hom(a, b):
-            for g in self.hom(b, a):
-                if (
-                    self.comp[g][f] == self.identities[a]
-                    and self.comp[f][g] == self.identities[b]
-                ):
-                    return f, g
+            g = self.inverse(f)
+            if g is not None:
+                return f, g
         return None
 
 
@@ -64,22 +63,19 @@ def check_category(c: FiniteCategory) -> ValidationReport:
     for a, i in enumerate(c.identities):
         if c.morphisms[i] != (a, a):
             report.add_structural("identity-endpoints", (a,))
-    for g in range(m):
-        for f in range(m):
-            defined = c.comp[g][f] is not None
-            composable = c.tgt(f) == c.src(g)
-            if defined != composable:
+    for g, (sg, tg) in enumerate(c.morphisms):
+        for f, (sf, tf) in enumerate(c.morphisms):
+            h = c.comp[g][f]
+            if (h is not None) != (tf == sg):
                 report.add_structural("composition-domain", (g, f))
-            elif defined:
-                h = c.comp[g][f]
-                if (c.src(h), c.tgt(h)) != (c.src(f), c.tgt(g)):
-                    report.add_structural("composition-endpoints", (g, f))
+            elif h is not None and c.morphisms[h] != (sf, tg):
+                report.add_structural("composition-endpoints", (g, f))
     if not report.well_formed:
         return report
-    for f in range(m):
-        if c.comp[c.identities[c.tgt(f)]][f] != f:
+    for f, (s, t) in enumerate(c.morphisms):
+        if c.comp[c.identities[t]][f] != f:
             report.add("left-identity", (f,))
-        if c.comp[f][c.identities[c.src(f)]] != f:
+        if c.comp[f][c.identities[s]] != f:
             report.add("right-identity", (f,))
     for g in range(m):
         for f in range(m):
@@ -107,28 +103,23 @@ class CatFunctor:
         object.__setattr__(self, "object_map", om)
         object.__setattr__(self, "morphism_map", mm)
 
-    def on_obj(self, a: int) -> int:
-        return self.object_map[a]
-
-    def on_mor(self, f: int) -> int:
-        return self.morphism_map[f]
-
 
 def check_functor(fun: CatFunctor) -> ValidationReport:
     report = ValidationReport("functor")
     c, d = fun.source, fun.target
+    fo, fm = fun.object_map, fun.morphism_map
     for f, (s, t) in enumerate(c.morphisms):
-        if d.morphisms[fun.on_mor(f)] != (fun.on_obj(s), fun.on_obj(t)):
+        if d.morphisms[fm[f]] != (fo[s], fo[t]):
             report.add("endpoints", (f,))
     for a, i in enumerate(c.identities):
-        if fun.on_mor(i) != d.identities[fun.on_obj(a)]:
+        if fm[i] != d.identities[fo[a]]:
             report.add("identities", (a,))
     for g in range(len(c.morphisms)):
         for f in range(len(c.morphisms)):
             if c.comp[g][f] is None:
                 continue
-            img = d.comp[fun.on_mor(g)][fun.on_mor(f)]
-            if img is None or img != fun.on_mor(c.comp[g][f]):
+            img = d.comp[fm[g]][fm[f]]
+            if img is None or img != fm[c.comp[g][f]]:
                 report.add("composition", (g, f))
     return report
 

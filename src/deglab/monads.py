@@ -40,28 +40,28 @@ def check_monad(m: FinMonad) -> ValidationReport:
     report = ValidationReport("monad")
     report.extend(check_functor(m.endo), prefix="endofunctor-")
     c = m.endo.source
-    t = m.endo
+    to, tm = m.endo.object_map, m.endo.morphism_map
     for a in range(c.n_objects):
-        if c.morphisms[m.eta[a]] != (a, t.on_obj(a)):
+        if c.morphisms[m.eta[a]] != (a, to[a]):
             report.add_structural("eta-endpoints", (a,))
-        if c.morphisms[m.mu[a]] != (t.on_obj(t.on_obj(a)), t.on_obj(a)):
+        if c.morphisms[m.mu[a]] != (to[to[a]], to[a]):
             report.add_structural("mu-endpoints", (a,))
     if not report.well_formed:
         return report
 
     for f, (a, b) in enumerate(c.morphisms):
-        if c.comp[t.on_mor(f)][m.eta[a]] != c.comp[m.eta[b]][f]:
+        tf = tm[f]
+        if c.comp[tf][m.eta[a]] != c.comp[m.eta[b]][f]:
             report.add("eta-naturality", (f,))
-        tf = t.on_mor(f)
-        if c.comp[m.mu[b]][t.on_mor(tf)] != c.comp[tf][m.mu[a]]:
+        if c.comp[m.mu[b]][tm[tf]] != c.comp[tf][m.mu[a]]:
             report.add("mu-naturality", (f,))
     for a in range(c.n_objects):
-        ta = t.on_obj(a)
-        if c.comp[m.mu[a]][t.on_mor(m.eta[a])] != c.identities[ta]:
+        ta = to[a]
+        if c.comp[m.mu[a]][tm[m.eta[a]]] != c.identities[ta]:
             report.add("unit-law-inner", (a,))
         if c.comp[m.mu[a]][m.eta[ta]] != c.identities[ta]:
             report.add("unit-law-outer", (a,))
-        if c.comp[m.mu[a]][t.on_mor(m.mu[a])] != c.comp[m.mu[a]][m.mu[ta]]:
+        if c.comp[m.mu[a]][tm[m.mu[a]]] != c.comp[m.mu[a]][m.mu[ta]]:
             report.add("mu-associativity", (a,))
     return report
 
@@ -99,31 +99,32 @@ def check_monad_functor(mf: MonadFunctor) -> ValidationReport:
     report.extend(check_functor(mf.u), prefix="carrier-")
     s, t = mf.source, mf.target
     c, d = s.endo.source, t.endo.source
-    u = mf.u
+    so, sm = s.endo.object_map, s.endo.morphism_map
+    to, tm = t.endo.object_map, t.endo.morphism_map
+    uo, um = mf.u.object_map, mf.u.morphism_map
     for a in range(c.n_objects):
-        want = (t.endo.on_obj(u.on_obj(a)), u.on_obj(s.endo.on_obj(a)))
-        if d.morphisms[mf.phi[a]] != want:
+        if d.morphisms[mf.phi[a]] != (to[uo[a]], uo[so[a]]):
             report.add_structural("phi-endpoints", (a,))
     if not report.well_formed:
         return report
 
     for f, (a, b) in enumerate(c.morphisms):
-        lhs = d.comp[u.on_mor(s.endo.on_mor(f))][mf.phi[a]]
-        rhs = d.comp[mf.phi[b]][t.endo.on_mor(u.on_mor(f))]
+        lhs = d.comp[um[sm[f]]][mf.phi[a]]
+        rhs = d.comp[mf.phi[b]][tm[um[f]]]
         if lhs != rhs:
             report.add("phi-naturality", (f,))
     for a in range(c.n_objects):
-        ua = u.on_obj(a)
-        if d.comp[mf.phi[a]][t.eta[ua]] != u.on_mor(s.eta[a]):
+        ua = uo[a]
+        if d.comp[mf.phi[a]][t.eta[ua]] != um[s.eta[a]]:
             report.add("unit-compatibility", (a,))
-        inner = d.comp[mf.phi[s.endo.on_obj(a)]][t.endo.on_mor(mf.phi[a])]
+        inner = d.comp[mf.phi[so[a]]][tm[mf.phi[a]]]
         if inner is None:
             report.add_structural(
                 "undefined-composite", (a,), "multiplication-compatibility"
             )
             return report
         lhs = d.comp[mf.phi[a]][t.mu[ua]]
-        rhs = d.comp[u.on_mor(s.mu[a])][inner]
+        rhs = d.comp[um[s.mu[a]]][inner]
         if lhs != rhs:
             report.add("multiplication-compatibility", (a,))
     return report
@@ -131,7 +132,7 @@ def check_monad_functor(mf: MonadFunctor) -> ValidationReport:
 
 def identity_monad_functor(m: FinMonad) -> MonadFunctor:
     c = m.endo.source
-    phi = tuple(c.identities[m.endo.on_obj(a)] for a in range(c.n_objects))
+    phi = tuple(c.identities[a] for a in m.endo.object_map)
     return MonadFunctor(m, m, identity_functor(c), phi)
 
 
@@ -157,18 +158,18 @@ def check_monad_transformation(t: MonadFunctorTransformation) -> ValidationRepor
     c = f.u.source
     d = f.u.target
     for a in range(c.n_objects):
-        if d.morphisms[t.gamma[a]] != (f.u.on_obj(a), g.u.on_obj(a)):
+        if d.morphisms[t.gamma[a]] != (f.u.object_map[a], g.u.object_map[a]):
             report.add_structural("gamma-endpoints", (a,))
     if not report.well_formed:
         return report
+    fm, gm = f.u.morphism_map, g.u.morphism_map
     for m, (a, b) in enumerate(c.morphisms):
-        if d.comp[t.gamma[b]][f.u.on_mor(m)] != d.comp[g.u.on_mor(m)][t.gamma[a]]:
+        if d.comp[t.gamma[b]][fm[m]] != d.comp[gm[m]][t.gamma[a]]:
             report.add("gamma-naturality", (m,))
-    tm = f.target.endo
-    s = f.source
+    so, tm = f.source.endo.object_map, f.target.endo.morphism_map
     for a in range(c.n_objects):
-        lhs = d.comp[g.phi[a]][tm.on_mor(t.gamma[a])]
-        rhs = d.comp[t.gamma[s.endo.on_obj(a)]][f.phi[a]]
+        lhs = d.comp[g.phi[a]][tm[t.gamma[a]]]
+        rhs = d.comp[t.gamma[so[a]]][f.phi[a]]
         if lhs != rhs:
             report.add("compatibility-square", (a,))
     return report

@@ -41,10 +41,6 @@ class FiniteMonoid:
         exact(self.unit, "unit", (), n)
         object.__setattr__(self, "mul", exact(self.mul, "mul", (n, n), n))
 
-    @classmethod
-    def from_rows(cls, rows, unit: int) -> "FiniteMonoid":
-        return cls(len(rows), unit, rows)
-
 
 @dataclass(frozen=True)
 class MonoidHom:
@@ -80,9 +76,6 @@ class MonoidHom:
         object.__setattr__(h, "target", target)
         object.__setattr__(h, "map", map)
         return h
-
-    def __call__(self, x: int) -> int:
-        return self.map[x]
 
     def pull(self, gmap: tuple) -> tuple:
         """The tuple `gmap` after this map: (gmap[v] for v in self.map)."""

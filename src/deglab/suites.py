@@ -173,7 +173,11 @@ def suite_thm_dce(bound: int = 3, seed: int | None = None) -> Report:
     return report
 
 
-def suite_thm_vdb(bound: int = 4, seed: int | None = None, tampers: int = 200) -> Report:
+# random single-value tamperings that `suite_thm_vdb` applies and expects caught
+_TAMPERS = 200
+
+
+def suite_thm_vdb(bound: int = 4, seed: int | None = None) -> Report:
     """One-1-cell bicategories collapse to commutative monoids with a
     distinguished invertible element; the reduced functor, transformation,
     and modification layers behave as forced."""
@@ -271,7 +275,7 @@ def suite_thm_vdb(bound: int = 4, seed: int | None = None, tampers: int = 200) -
     attempted = 0
     sample_witness = None
     multi = [s for s in dies if s.monoid.size >= 2]
-    while attempted < tampers and multi:
+    while attempted < _TAMPERS and multi:
         s = rng.choice(multi)
         tampered, desc = random_tamper(build_ddbicat(s), rng)
         attempted += 1
@@ -295,37 +299,23 @@ def suite_thm_vdbe(bound: int = 3, seed: int | None = None) -> Report:
     report.findings += check_two_equivalence(bound).findings
 
     y = make_cmon_die(zmod(2), 0)
-    pair = unfaithfulness_witness(1, y)
-    ok1 = (
-        pair is not None
-        and forgetful_image(1, pair[0]) == forgetful_image(1, pair[1])
-        and pair[0] != pair[1]
-    )
-    report.add(
-        "level-1-witness",
-        ok1,
-        dimension=1,
-        witness=None
-        if pair is None
-        else [_valid_witness(pair[0]), _valid_witness(pair[1])],
-        detail="distinct functors, identical image",
-    )
-
-    pair3 = unfaithfulness_witness(3, y)
-    ok3 = (
-        pair3 is not None
-        and forgetful_image(3, pair3[0]) == forgetful_image(3, pair3[1])
-        and pair3[0] != pair3[1]
-    )
-    report.add(
-        "level-3-witness",
-        ok3,
-        dimension=3,
-        witness=None
-        if pair3 is None
-        else [_valid_witness(pair3[0]), _valid_witness(pair3[1])],
-        detail="distinct modifications, identical image",
-    )
+    for level, criterion, detail in (
+        (1, "level-1-witness", "distinct functors, identical image"),
+        (3, "level-3-witness", "distinct modifications, identical image"),
+    ):
+        pair = unfaithfulness_witness(level, y)
+        ok = (
+            pair is not None
+            and forgetful_image(level, pair[0]) == forgetful_image(level, pair[1])
+            and pair[0] != pair[1]
+        )
+        report.add(
+            criterion,
+            ok,
+            dimension=level,
+            witness=None if pair is None else [_valid_witness(w) for w in pair],
+            detail=detail,
+        )
 
     dies = cmon_die_universe(bound)
     all_functors = [f for s in dies for t in dies for f in dd_functors_between(s, t)]
@@ -435,14 +425,12 @@ def suite_thm_moncat_xi(bound: int = 4, seed: int | None = None) -> Report:
     )
 
     idn = identity_monoidal_functor(nand)
+    fo, tob = idn.functor.object_map, nand.tensor_obj
     other = DegTransformation(
         idn,
         idn,
         1,
-        tuple(
-            nand.base.hom(nand.tob(idn.functor.on_obj(x), 1), nand.tob(1, idn.functor.on_obj(x)))[0]
-            for x in range(2)
-        ),
+        tuple(nand.base.hom(tob[fo[x]][1], tob[1][fo[x]])[0] for x in range(2)),
     )
     left = compose_deg_transformations(compose_deg_transformations(other, other), t1)
     right = compose_deg_transformations(other, compose_deg_transformations(other, t1))

@@ -93,12 +93,13 @@ BOUNDS = {
 def _collect():
     """Every structure of a type in BOUNDS reachable from the samples, each
     object once."""
-    out, seen = [], set()
+    out, seen = [], {}
 
     def walk(obj):
         if not dataclasses.is_dataclass(obj) or id(obj) in seen:
             return
-        seen.add(id(obj))
+        # hold each walked object, so its id cannot be reused by a later sample
+        seen[id(obj)] = obj
         if type(obj) in BOUNDS:
             out.append(obj)
         for f in dataclasses.fields(obj):

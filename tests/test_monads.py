@@ -107,7 +107,7 @@ class TestMonadFunctors:
         m = constant_to_terminal_monad()
         f = identity_monad_functor(m)
         ac = arrow_category()
-        t = MonadFunctorTransformation(f, f, tuple(ac.identities[f.u.on_obj(a)] for a in range(2)))
+        t = MonadFunctorTransformation(f, f, tuple(ac.identities[a] for a in f.u.object_map))
         assert check_monad_transformation(t).ok
 
     def test_nonparallel_rejected(self):

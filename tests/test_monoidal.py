@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from deglab import coherence
+from deglab import coherence, monoidal
 from deglab.examples import (
     bool_or_monoid,
     discrete_monoidal,
@@ -105,6 +105,19 @@ class TestShift:
         rep = check_shift_equivalence(stock_monoidal_universe(4), bound=4)
         assert rep.ok
 
+    def test_round_trip_finding_compares_the_inverse_witnesses(self, monkeypatch):
+        # a shift that stores the associator as its own inverse loses data
+        # that only the inverse fields carry, and the round trip must say so
+        shift = monoidal.shift_to_bicat
+        monkeypatch.setattr(
+            monoidal, "shift_to_bicat", lambda mc: replace(shift(mc), assoc_inv=mc.assoc)
+        )
+        nand = nand_pair()
+        assert nand.assoc_inv != nand.assoc
+        rep = check_shift_equivalence([nand], bound=4)
+        found = {f.criterion: f.passed for f in rep.findings}
+        assert found["shift-round-trip-identity"] is False
+
     def test_universe_is_a_category_and_functor(self):
         functors, fun = shift_universe(stock_monoidal_universe(3))
         assert check_jcategory(fun.source).ok
@@ -192,7 +205,7 @@ class TestDegTransformations:
         nand = nand_pair()
         t1, t2, comp, closed = unit_distobj_closure_witness(nand)
         assert not closed
-        assert comp.dist_obj == nand.tob(nand.unit_obj, nand.unit_obj) != nand.unit_obj
+        assert comp.dist_obj == nand.tensor_obj[nand.unit_obj][nand.unit_obj] != nand.unit_obj
         assert check_deg_transformation(comp).ok
 
     def test_unitality_holds_on_strict_instance(self):
@@ -207,7 +220,7 @@ class TestDegTransformations:
             idn,
             idn,
             1,
-            tuple(nand.base.hom(nand.tob(x, 1), nand.tob(1, x))[0] for x in range(2)),
+            tuple(nand.base.hom(nand.tensor_obj[x][1], nand.tensor_obj[1][x])[0] for x in range(2)),
         )
         assert check_deg_transformation(one_t).ok
         left = compose_deg_transformations(compose_deg_transformations(one_t, one_t), unit_t)
@@ -249,12 +262,12 @@ class TestDegTransformations:
                         choices = []
                         feasible = True
                         for a in range(2):
-                            ga = g.functor.on_obj(a)
-                            fa = f.functor.on_obj(a)
+                            ga = g.functor.object_map[a]
+                            fa = f.functor.object_map[a]
                             ends = (
-                                (sc.tob(dist, fa), sc.tob(ga, dist))
+                                (sc.tensor_obj[dist][fa], sc.tensor_obj[ga][dist])
                                 if oplax
-                                else (sc.tob(ga, dist), sc.tob(dist, fa))
+                                else (sc.tensor_obj[ga][dist], sc.tensor_obj[dist][fa])
                             )
                             h = sc.base.hom(*ends)
                             if not h:
