@@ -292,35 +292,111 @@ def compose_monoidal_functors(g: MonoidalFunctor, f: MonoidalFunctor) -> Monoida
     return MonoidalFunctor(f.source, g.target, base, comp, unit)
 
 
+def _comparison_search_plan(src: FinMonoidalCategory) -> tuple:
+    """The per-step equations of `enumerate_monoidal_functors`.
+
+    The comparison cells (a, b) are placed in row-major order, cell (a, b)
+    at step a*n + b.  Each comparison-naturality equation (f, g), with
+    f: a -> a2 and g: b -> b2, goes into the bucket of the later of cells
+    (a, b) and (a2, b2); each hexagon (a, b, x) into the bucket of the
+    latest of its components (ab, x), (a, b), (b, x) and (a, bx).  So every
+    equation sits in exactly one bucket.
+    """
+    c = src.base
+    n = c.n_objects
+    sob = src.tensor_obj
+    naturality = [[] for _ in range(n * n)]
+    for f, (a, a2) in enumerate(c.morphisms):
+        for g, (b, b2) in enumerate(c.morphisms):
+            i, i2 = a * n + b, a2 * n + b2
+            naturality[max(i, i2)].append((f, g, i, i2))
+    hexagons = [[] for _ in range(n * n)]
+    for a in range(n):
+        for b in range(n):
+            for x in range(n):
+                cells = (sob[a][b] * n + x, a * n + b, b * n + x, a * n + sob[b][x])
+                hexagons[max(cells)].append((a, b, x, cells))
+    return naturality, hexagons
+
+
 def enumerate_monoidal_functors(src: FinMonoidalCategory, tgt: FinMonoidalCategory) -> list:
-    """Exhaustive functor-data search; feasible at stock sizes only."""
+    """All monoidal functors src -> tgt, by backtracking over the comparison.
+
+    For each underlying functor from `enumerate_functors` that passes
+    `check_functor` and has an invertible arrow for every comparison
+    component, the tensor comparison components are placed one cell at a
+    time in row-major order, each taking the invertible arrows of its
+    hom-set in index order, and the unit comparison is placed last.  After a
+    placement only the equations whose last component it fixed are
+    evaluated (see `_comparison_search_plan`), with the expressions of
+    `check_monoidal_functor`, so the functors kept are exactly those it
+    passes, in the order of the product of choices.
+    """
+    c, d = src.base, tgt.base
+    n = c.n_objects
+    last = n * n - 1
+    sob, smor, sassoc = src.tensor_obj, src.tensor_mor, src.assoc
+    tob, tmor, tassoc = tgt.tensor_obj, tgt.tensor_mor, tgt.assoc
+    dcomp, did = d.comp, d.identities
+    isos = {}
+    for p, ends in enumerate(d.morphisms):
+        if d.inverse(p) is not None:
+            isos.setdefault(ends, []).append(p)
+    naturality, hexagons = _comparison_search_plan(src)
+    unit = src.unit_obj
     out = []
-    n = src.base.n_objects
-    d = tgt.base
-    for base in enumerate_functors(src.base, tgt.base):
-        fo = base.object_map
-        comp_choices = []
-        feasible = True
-        for a in range(n):
-            for b in range(n):
-                cands = d.hom(tgt.tensor_obj[fo[a]][fo[b]], fo[src.tensor_obj[a][b]])
-                if not cands:
-                    feasible = False
-                    break
-                comp_choices.append(cands)
-            if not feasible:
-                break
-        unit_cands = d.hom(tgt.unit_obj, fo[src.unit_obj])
-        if not feasible or not unit_cands:
+    phi = [0] * (n * n)
+
+    for base in enumerate_functors(c, d):
+        fo, fm = base.object_map, base.morphism_map
+        choices = [
+            isos.get((tob[fo[a]][fo[b]], fo[sob[a][b]]), ())
+            for a in range(n)
+            for b in range(n)
+        ]
+        unit_choices = isos.get((tgt.unit_obj, fo[unit]), ())
+        if not all(choices) or not unit_choices or not check_functor(base).ok:
             continue
-        for flat in itertools.product(*comp_choices):
-            comparison = tuple(
-                tuple(flat[a * n + b] for b in range(n)) for a in range(n)
-            )
-            for u in unit_cands:
-                mf = MonoidalFunctor(src, tgt, base, comparison, u)
-                if check_monoidal_functor(mf).ok:
-                    out.append(mf)
+
+        def holds(k):
+            for f, g, i, i2 in naturality[k]:
+                if dcomp[phi[i2]][tmor[fm[f]][fm[g]]] != dcomp[fm[smor[f][g]]][phi[i]]:
+                    return False
+            for a, b, x, (ab_x, ab, b_x, a_bx) in hexagons[k]:
+                left = dcomp[phi[ab_x]][tmor[phi[ab]][did[fo[x]]]]
+                right = dcomp[tmor[did[fo[a]]][phi[b_x]]][tassoc[fo[a]][fo[b]][fo[x]]]
+                if left is None or right is None:
+                    return False
+                if dcomp[fm[sassoc[a][b][x]]][left] != dcomp[phi[a_bx]][right]:
+                    return False
+            return True
+
+        def unit_holds(u):
+            for a in range(n):
+                left = dcomp[phi[unit * n + a]][tmor[u][did[fo[a]]]]
+                right = dcomp[phi[a * n + unit]][tmor[did[fo[a]]][u]]
+                if left is None or right is None:
+                    return False
+                if dcomp[fm[src.lunit[a]]][left] != tgt.lunit[fo[a]]:
+                    return False
+                if dcomp[fm[src.runit[a]]][right] != tgt.runit[fo[a]]:
+                    return False
+            return True
+
+        def place(k):
+            for p in choices[k]:
+                phi[k] = p
+                if not holds(k):
+                    continue
+                if k < last:
+                    place(k + 1)
+                    continue
+                comparison = tuple(tuple(phi[a * n : a * n + n]) for a in range(n))
+                for u in unit_choices:
+                    if unit_holds(u):
+                        out.append(MonoidalFunctor(src, tgt, base, comparison, u))
+
+        place(0)
     return out
 
 

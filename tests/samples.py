@@ -1,18 +1,37 @@
 """One structure of every JSON kind, shared by the serializer and CLI tests,
 and small fixtures the package itself has no use for."""
 
+import itertools
+
 from deglab.degenerate import monoid_to_cat, nat_trans_between
-from deglab.doubly import DDModification, build_ddbicat, identity_dd_functor, transformation_between
+from deglab.doubly import (
+    DDBicat,
+    DDModification,
+    build_ddbicat,
+    check_ddbicat,
+    identity_dd_functor,
+    transformation_between,
+)
 from deglab.examples import arrow_category, nand_pair, sign_category, zmod
+from deglab.fincat import FiniteCategory
 from deglab.monads import MonadFunctorTransformation, identity_monad, identity_monad_functor
 from deglab.monoidal import (
     DegModification,
+    FinMonoidalCategory,
     identity_deg_transformation,
     identity_monoidal_functor,
     identity_monoidal_transformation,
     shift_to_bicat,
 )
-from deglab.monoids import FiniteMonoid, identity_hom, make_cmon_die
+from deglab.monoids import (
+    FiniteMonoid,
+    enumerate_homs,
+    enumerate_monoids,
+    identity_hom,
+    invert,
+    make_cmon_die,
+    units,
+)
 
 
 def left_padded_monoid() -> FiniteMonoid:
@@ -50,3 +69,107 @@ def sample_structures():
     yield monad
     yield mnf
     yield MonadFunctorTransformation(mnf, mnf, mnf.u.target.identities)
+
+
+def two_group(p: int, q: int, alpha) -> FinMonoidalCategory:
+    """The skeletal 2-group with objects G = Z/p, automorphisms A = Z/q on
+    each object, trivial action and associator alpha(x, y, z) in A, which
+    must be a normalized 3-cocycle for the pentagon to hold.  The arrow s
+    on object x has index q*x + s; unitors are identities.  `sign_category`
+    is two_group(2, 2, lambda x, y, z: x * y * z)."""
+    def mor(x, s):
+        return q * (x % p) + s % q
+
+    arrows = range(p * q)
+    base = FiniteCategory(
+        n_objects=p,
+        morphisms=tuple((f // q, f // q) for f in arrows),
+        identities=tuple(mor(x, 0) for x in range(p)),
+        comp=tuple(
+            tuple(mor(g // q, g + f) if g // q == f // q else None for f in arrows)
+            for g in arrows
+        ),
+    )
+    assoc, assoc_inv = (
+        tuple(
+            tuple(tuple(mor(x + y + z, sign * alpha(x, y, z)) for z in range(p)) for y in range(p))
+            for x in range(p)
+        )
+        for sign in (1, -1)
+    )
+    return FinMonoidalCategory(
+        base=base,
+        tensor_obj=tuple(tuple((x + y) % p for y in range(p)) for x in range(p)),
+        tensor_mor=tuple(tuple(mor(f // q + g // q, f + g) for g in arrows) for f in arrows),
+        unit_obj=0,
+        assoc=assoc,
+        assoc_inv=assoc_inv,
+        lunit=base.identities,
+        lunit_inv=base.identities,
+        runit=base.identities,
+        runit_inv=base.identities,
+    )
+
+
+def subset_lattice() -> FinMonoidalCategory:
+    """The subsets of a two-element set as bitmasks 0-3, ordered by
+    inclusion, with union as tensor and every constraint an identity.  A
+    strict monoidal poset: unlike the groupoid fixtures, its non-identity
+    arrows are not invertible."""
+    morphisms = tuple((a, b) for a in range(4) for b in range(4) if a & b == a)
+    index = {ends: f for f, ends in enumerate(morphisms)}
+    ids = tuple(index[a, a] for a in range(4))
+    base = FiniteCategory(
+        n_objects=4,
+        morphisms=morphisms,
+        identities=ids,
+        comp=tuple(
+            tuple(index[f[0], g[1]] if f[1] == g[0] else None for f in morphisms)
+            for g in morphisms
+        ),
+    )
+    assoc = tuple(tuple(tuple(ids[a | b | x] for x in range(4)) for b in range(4)) for a in range(4))
+    return FinMonoidalCategory(
+        base=base,
+        tensor_obj=tuple(tuple(a | b for b in range(4)) for a in range(4)),
+        tensor_mor=tuple(
+            tuple(index[f[0] | g[0], f[1] | g[1]] for g in morphisms) for f in morphisms
+        ),
+        unit_obj=0,
+        assoc=assoc,
+        assoc_inv=assoc,
+        lunit=ids,
+        lunit_inv=ids,
+        runit=ids,
+        runit_inv=ids,
+    )
+
+
+def forced_table_sweep(n: int) -> tuple:
+    """Raw one-1-cell bicategory data over the order-n monoid classes.
+
+    Interchange plus hcomp-identity make hcomp a monoid homomorphism
+    M x M -> M, where M is the vertical monoid, so each class
+    representative M is paired with every hcomp from `enumerate_homs` and
+    every unit triple (assoc, lunit, runit) with its inverses.  Returns the
+    number of hcomp candidates, the structures, and their `check_ddbicat`
+    reports."""
+    candidates, structures = 0, []
+    for m in enumerate_monoids(n):
+        square = FiniteMonoid(
+            n * n,
+            m.unit * n + m.unit,
+            tuple(
+                tuple(m.mul[x][z] * n + m.mul[y][w] for z in range(n) for w in range(n))
+                for x in range(n)
+                for y in range(n)
+            ),
+        )
+        for h in enumerate_homs(square, m):
+            candidates += 1
+            hcomp = tuple(tuple(h.map[x * n + y] for y in range(n)) for x in range(n))
+            for a, l, r in itertools.product(units(m), repeat=3):
+                structures.append(
+                    DDBicat(n, m.unit, m.mul, hcomp, a, invert(m, a), l, invert(m, l), r, invert(m, r))
+                )
+    return candidates, structures, [check_ddbicat(b) for b in structures]

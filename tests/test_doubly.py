@@ -45,13 +45,13 @@ from deglab.monoids import (
     cmon_die_universe,
     compose_homs,
     enumerate_homs,
-    enumerate_monoids,
     identity_hom,
     invert,
     make_cmon_die,
     units,
 )
 from deglab.report import Finding, InvalidStructureError, StructuralError
+from samples import forced_table_sweep
 
 
 def z2_die(d=1):
@@ -164,28 +164,7 @@ class TestAxiomCompleteness:
     def test_forced_table_sweep_n3(self):
         # interchange and hcomp-identity make hcomp a homomorphism M x M -> M,
         # so every candidate comes from enumerate_homs, not from the collapse
-        def square(m):
-            n = m.size
-            mul = tuple(
-                tuple(m.mul[x][z] * n + m.mul[y][w] for z in range(n) for w in range(n))
-                for x in range(n)
-                for y in range(n)
-            )
-            return FiniteMonoid(n * n, m.unit * n + m.unit, mul)
-
-        candidates, structures = 0, []
-        for m in enumerate_monoids(3):
-            for h in enumerate_homs(square(m), m):
-                candidates += 1
-                ht = tuple(tuple(h.map[x * 3 + y] for y in range(3)) for x in range(3))
-                for a, l, r in itertools.product(units(m), repeat=3):
-                    structures.append(
-                        DDBicat(
-                            3, m.unit, m.mul, ht,
-                            a, invert(m, a), l, invert(m, l), r, invert(m, r),
-                        )
-                    )
-        reports = [check_ddbicat(b) for b in structures]
+        candidates, structures, reports = forced_table_sweep(3)
         valid = [b for b, rep in zip(structures, reports) if rep.ok]
         for b in valid:
             assert b.hcomp == b.vcomp

@@ -1,4 +1,5 @@
 import itertools
+import time
 from dataclasses import replace
 
 import pytest
@@ -38,7 +39,9 @@ from deglab.monoidal import (
     unit_distobj_closure_witness,
 )
 from deglab.equivalence import check_jcategory, check_jfunctor
+from deglab.fincat import enumerate_functors
 from deglab.report import StructuralError
+from samples import subset_lattice, two_group
 
 
 def _tampered_sign():
@@ -47,6 +50,66 @@ def _tampered_sign():
     assoc[0][1][1] ^= 1  # this flip is not a cocycle, unlike one at (1,1,1)
     flipped = tuple(tuple(tuple(c) for c in p) for p in assoc)
     return replace(sc, assoc=flipped, assoc_inv=flipped)
+
+
+def product_then_check(src, tgt, ignore=()):
+    """Reference functor search: every point of the product of comparison
+    and unit choices over each underlying functor, kept when the whole
+    `check_monoidal_functor` report is well formed and names no axiom
+    outside `ignore`."""
+    out = []
+    n = src.base.n_objects
+    d = tgt.base
+    for base in enumerate_functors(src.base, d):
+        fo = base.object_map
+        choices = [
+            d.hom(tgt.tensor_obj[fo[a]][fo[b]], fo[src.tensor_obj[a][b]])
+            for a in range(n)
+            for b in range(n)
+        ]
+        for flat in itertools.product(*choices):
+            comparison = tuple(tuple(flat[a * n : a * n + n]) for a in range(n))
+            for u in d.hom(tgt.unit_obj, fo[src.unit_obj]):
+                mf = monoidal.MonoidalFunctor(src, tgt, base, comparison, u)
+                rep = check_monoidal_functor(mf)
+                if rep.well_formed and all(v.axiom in ignore for v in rep.violations):
+                    out.append(mf)
+    return out
+
+
+def _trivial(x, y, z):
+    return 0
+
+
+def _carry(x, y, z):
+    """The generator of H^3(Z/3, Z/3): x times the carry of y + z."""
+    return x * ((y + z) // 3)
+
+
+def sinh_count(p, q, alpha):
+    """Monoidal self-functors of two_group(p, q, alpha) by Sinh's
+    classification: the pairs of endomorphisms f of Z/p and g of Z/q with
+    f*alpha - g.alpha a coboundary, each with |Z^2_norm(Z/p, Z/q)| * q
+    choices of comparison and unit.  Linear algebra over Z/q only."""
+    triples = list(itertools.product(range(p), repeat=3))
+    free = list(itertools.product(range(1, p), repeat=2))
+    coboundaries, cocycles = set(), 0
+    for values in itertools.product(range(q), repeat=len(free)):
+        psi = dict(zip(free, values))
+
+        def at(x, y):
+            return psi.get((x % p, y % p), 0)
+
+        delta = tuple((at(y, z) - at(x + y, z) + at(x, y + z) - at(x, y)) % q for x, y, z in triples)
+        coboundaries.add(delta)
+        cocycles += not any(delta)
+    pairs = sum(
+        tuple((alpha(k * x % p, k * y % p, k * z % p) - l * alpha(x, y, z)) % q for x, y, z in triples)
+        in coboundaries
+        for k in range(p)
+        for l in range(q)
+    )
+    return pairs * cocycles * q
 
 
 class TestMonoidalAxioms:
@@ -182,6 +245,76 @@ class TestMonoidalFunctors:
         for f in fs[:4]:
             for g in fs[:4]:
                 assert check_monoidal_functor(compose_monoidal_functors(g, f)).ok
+
+
+class TestFunctorSearch:
+    def test_matches_product_reference_on_every_stock_pair(self):
+        stock = stock_monoidal_universe(5)
+        assert len(stock) == 5
+        for src in stock:
+            for tgt in stock:
+                assert enumerate_monoidal_functors(src, tgt) == product_then_check(src, tgt)
+
+    @pytest.mark.parametrize("p, q", [(2, 2), (3, 2)])
+    def test_matches_product_reference_on_small_two_groups(self, p, q):
+        g = two_group(p, q, _trivial)
+        fs = enumerate_monoidal_functors(g, g)
+        assert fs == product_then_check(g, g)
+        assert len(fs) == sinh_count(p, q, _trivial)
+
+    def test_matches_product_reference_on_tampered_targets(self):
+        # a tensor entry with the wrong endpoints leaves composites of the
+        # hexagon or unit squares undefined: the checker reports
+        # undefined-composite there, and the search must reject, not raise
+        sc = sign_category()
+        for f, g, v in itertools.product(range(4), repeat=3):
+            if v == sc.tensor_mor[f][g]:
+                continue
+            tmor = [list(row) for row in sc.tensor_mor]
+            tmor[f][g] = v
+            bad = replace(sc, tensor_mor=tuple(map(tuple, tmor)))
+            assert enumerate_monoidal_functors(sc, bad) == product_then_check(sc, bad)
+
+    def test_reference_is_not_vacuous(self):
+        # dropping either equation family of the checker admits more, so
+        # agreeing with the full reference tests both buckets of the search
+        sc = sign_category()
+        assert len(enumerate_monoidal_functors(sc, sc)) == 8
+        assert len(product_then_check(sc, sc, ignore={"hexagon"})) == 16
+        assert len(product_then_check(sc, sc, ignore={"comparison-naturality"})) == 16
+        squares = {"left-unit-square", "right-unit-square"}
+        assert len(product_then_check(sc, sc, ignore=squares)) == 16
+
+    def test_invertibility_is_live_on_a_monoidal_poset(self):
+        # every arrow of the stock instances and the 2-groups is invertible;
+        # here the inclusions are not, so the search must drop them itself
+        lat = subset_lattice()
+        assert check_monoidal(lat).ok
+        fs = enumerate_monoidal_functors(lat, lat)
+        assert fs == product_then_check(lat, lat)
+        assert len(fs) == 16
+        for axiom in ("comparison-invertible", "unit-comparison-invertible"):
+            assert len(product_then_check(lat, lat, ignore={axiom})) == 25
+
+    def test_sign_category_is_a_two_group(self):
+        assert two_group(2, 2, lambda x, y, z: x * y * z) == sign_category()
+
+    @pytest.mark.parametrize(
+        "p, q, alpha, count",
+        [(3, 2, _trivial, 48), (3, 3, _trivial, 243), (3, 3, _carry, 81)],
+        ids=["trivial-3-2", "trivial-3-3", "generator-3-3"],
+    )
+    def test_counts_match_sinh_classification(self, p, q, alpha, count):
+        g = two_group(p, q, alpha)
+        assert check_monoidal(g).ok
+        start = time.monotonic()
+        fs = enumerate_monoidal_functors(g, g)
+        elapsed = time.monotonic() - start
+        assert len(fs) == sinh_count(p, q, alpha) == count
+        assert all(check_monoidal_functor(f).ok for f in fs)
+        # the product of choices has 3^9 * 3 points per underlying functor
+        # here; the incremental search must not walk it
+        assert elapsed < 1.0, elapsed
 
 
 class TestDegTransformations:
