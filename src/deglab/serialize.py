@@ -20,7 +20,9 @@ depth, nested endpoints and {src, tgt} objects included, it enforces:
   (`morphisms`), or a count of a nested endpoint (`target.size`).
 
 A failure raises `StructuralError` naming the JSON path, such as
-`target/mul/2/1: expected int, got str`.  Lengths and the compatibility of
+`target/mul/2/1: expected int, got str`.  A row of index, index-or-null
+or {src, tgt} leaves is checked in one loop; a row that fails is walked
+again leaf by leaf to name the bad one.  Lengths and the compatibility of
 endpoints are left to the public constructors, the boundary for Python
 callers.  Each of their int-holding fields goes through one gate,
 `report.exact`, under the same rules (exact ints with bools refused,
@@ -28,6 +30,14 @@ indices in range, flags exact bools) and with one message per field in
 the same path format, such as `mul/1: expected 2 entries, got 1`.  A
 checker that composes cells of a structure's parts runs only once those
 parts pass their own checks (see `_parts_first`).
+
+Equal embedded structures are built once per file, after the conform
+pass: a nested payload equal to one already built in the same call gets
+that structure (see `_build`).  There `==` is exact, since both sides
+hold exact ints, bools and nulls at the same keys.  The conform pass
+itself never skips a repeated copy: `==` equates 0, 0.0 and False, so a
+second copy with 0.0 where the first has 0 would pass unchecked.
+
 Canonical output (sorted keys, no insignificant whitespace, one trailing
 newline) makes round trips byte-exact, which the replay tests rely on.
 """
@@ -153,27 +163,52 @@ def _within(step, walk, *args):
         raise
 
 
+def _row_ok(row, leaf, n) -> bool:
+    """Whether every leaf of a list of index, index-or-null or {src, tgt}
+    leaves passes, checked in one loop.  A row that fails goes through the
+    per-leaf path of `_walk`, which names the bad leaf."""
+    if leaf is PAIRS:
+        for p in row:
+            if type(p) is not dict or p.keys() != _PAIR_KEYS:
+                return False
+            s, t = p["src"], p["tgt"]
+            if type(s) is not int or type(t) is not int or not (0 <= s < n and 0 <= t < n):
+                return False
+    elif leaf is INDEX_OR_NULL:
+        for x in row:
+            if x is not None and (type(x) is not int or not 0 <= x < n):
+                return False
+    else:
+        for x in row:
+            if type(x) is not int or not 0 <= x < n:
+                return False
+    return True
+
+
 def _walk(v, leaf, n, depth):
     """Check `v`: `depth` levels of lists around leaves of shape `leaf`,
     whose indices lie in range(n) when `n` is not None."""
     if depth:
         if type(v) is not list:
             raise _expected("list", v)
+        # n is set for index, index-or-null and {src, tgt} leaves only
+        if depth == 1 and n is not None and _row_ok(v, leaf, n):
+            return
         for i, x in enumerate(v):
             try:  # `_within` inlined: one call per leaf, not two
                 _walk(x, leaf, n, depth - 1)
             except _Mismatch as e:
                 e.path.append(i)
                 raise
-    elif type(v) is int and leaf is not FLAG:
-        if n is not None and not 0 <= v < n:
-            raise _Mismatch(f"index {v} out of range({n})")
     elif leaf is PAIRS:
         if type(v) is not dict:
             raise _expected("object", v)
         _check_keys(v, _PAIR_KEYS, frozenset())
         for end in ("src", "tgt"):
             _within(end, _walk, v[end], INDEX, n, 0)
+    elif type(v) is int and leaf is not FLAG:
+        if n is not None and not 0 <= v < n:
+            raise _Mismatch(f"index {v} out of range({n})")
     elif leaf is FLAG:
         if type(v) is not bool:
             raise _expected("bool", v)
@@ -243,9 +278,16 @@ def _dump_keys(keys, obj) -> dict:
     return out
 
 
-def _build(payload):
+def _build(payload, built=None):
     """Build a conformed payload, its nested payloads first.  Lists are
-    passed as they are: the constructors make their own tuples."""
+    passed as they are: the constructors make their own tuples.
+
+    `built` holds the (payload, structure) of each nested payload built so
+    far in this call; a nested payload equal to one of them gets that
+    structure.  `==` on payloads is exact here: the conform pass has made
+    every leaf on both sides an exact int, bool or null of the same key."""
+    if built is None:
+        built = []
     entry = SCHEMA[payload["kind"]]
     args = {}
     for key in entry.keys:
@@ -253,11 +295,21 @@ def _build(payload):
             continue
         v = payload[key.name]
         if type(key.leaf) is Nested:
-            v = _build(v)
+            v = _shared(v, built)
         elif key.leaf is PAIRS:
             v = tuple((p["src"], p["tgt"]) for p in v)
         args[key.name] = v
     return entry.build(**args)
+
+
+def _shared(payload, built):
+    """The structure of a nested payload, built once per equal payload."""
+    for seen, obj in built:
+        if seen == payload:
+            return obj
+    obj = _build(payload, built)
+    built.append((payload, obj))
+    return obj
 
 
 def _dump_monoid(m) -> dict:

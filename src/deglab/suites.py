@@ -183,11 +183,11 @@ def suite_thm_vdb(bound: int = 4, seed: int | None = None) -> Report:
     and modification layers behave as forced."""
     report = Report("thm-vdb", {"bound": bound, "seed": seed})
     dies = cmon_die_universe(bound)
+    bicats = [build_ddbicat(s) for s in dies]
 
     all_ok = True
     first = None
-    for s in dies:
-        b = build_ddbicat(s)
+    for s, b in zip(dies, bicats):
         # the extraction is the one axiom check of each fresh instance
         try:
             extracted = extract_cmon_die(b)
@@ -214,8 +214,7 @@ def suite_thm_vdb(bound: int = 4, seed: int | None = None) -> Report:
     )
 
     term_ok = True
-    for s in dies:
-        b = build_ddbicat(s)
+    for b in bicats:
         if not coherence.pentagon_holds_by_terms(b) or not coherence.triangle_holds_by_terms(b):
             term_ok = False
             break
@@ -227,12 +226,13 @@ def suite_thm_vdb(bound: int = 4, seed: int | None = None) -> Report:
     )
 
     small = [s for s in dies if s.monoid.size <= 3]
+    # between[i][k]: the functors small[i] -> small[k]
+    between = [[dd_functors_between(s, t) for t in small] for s in small]
     law_ok = True
-    for s in small:
-        for t in small:
-            for u in small:
-                gs = dd_functors_between(t, u)
-                for f in dd_functors_between(s, t):
+    for row in between:
+        for k, fs in enumerate(row):
+            for gs, u in zip(between[k], small):
+                for f in fs:
                     for g in gs:
                         comp = compose_dd_functors(g, f)
                         mul = u.monoid.mul
@@ -243,9 +243,8 @@ def suite_thm_vdb(bound: int = 4, seed: int | None = None) -> Report:
     report.add("composition-law", law_ok, dimension=1)
 
     uniq_ok = True
-    for s in small:
-        for t in small:
-            fs = dd_functors_between(s, t)
+    for row in between:
+        for fs in row:
             for f in fs:
                 for g in fs:
                     tr = transformation_between(f, g)
@@ -274,10 +273,9 @@ def suite_thm_vdb(bound: int = 4, seed: int | None = None) -> Report:
     caught = 0
     attempted = 0
     sample_witness = None
-    multi = [s for s in dies if s.monoid.size >= 2]
+    multi = [b for b in bicats if b.cells >= 2]
     while attempted < _TAMPERS and multi:
-        s = rng.choice(multi)
-        tampered, desc = random_tamper(build_ddbicat(s), rng)
+        tampered, desc = random_tamper(rng.choice(multi), rng)
         attempted += 1
         if not check_ddbicat(tampered).ok or not eckmann_hilton_report(tampered).ok:
             caught += 1

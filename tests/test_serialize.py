@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,7 +20,11 @@ from deglab.examples import (
     zmod,
 )
 from deglab.monads import identity_monad, identity_monad_functor
-from deglab.monoidal import identity_deg_transformation, identity_monoidal_functor
+from deglab.monoidal import (
+    DegModification,
+    identity_deg_transformation,
+    identity_monoidal_functor,
+)
 from deglab.monoids import check_monoid, enumerate_monoids, identity_hom, make_cmon_die
 from deglab.report import StructuralError
 from samples import sample_structures
@@ -274,6 +279,131 @@ class TestSchemaTable:
     def test_load_with_kind_rejects_other_kinds(self):
         with pytest.raises(StructuralError, match="expected a dd_functor payload"):
             serialize.structure_from_payload(serialize.to_payload(zmod(2)), "dd_functor")
+
+
+def _path_set(payload, path, value):
+    _set(payload, [int(p) if p.isdigit() else p for p in path.split("/")], value)
+
+
+def _validate_stderr(tmp_path, payload) -> tuple:
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["validate", str(path)])
+    return code, err.getvalue()
+
+
+class TestRowCheck:
+    """A row of leaves is checked in one loop; a bad leaf anywhere in it is
+    named exactly as the per-leaf check names it."""
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            ("tensor_mor/1/0", 97, "index 97 out of range(4)"),
+            ("tensor_mor/1/0", "1", "expected int, got str"),
+            ("tensor_mor/1/2", -1, "index -1 out of range(4)"),
+            ("tensor_mor/1/2", None, "expected int, got null"),
+            ("tensor_mor/1/3", 1.0, "expected int, got float"),
+            ("tensor_mor/1/3", [0], "expected int, got list"),
+            ("lunit/0", True, "expected int, got bool"),
+            ("lunit/1", 97, "index 97 out of range(4)"),
+            ("comp/2/0", 1.0, "expected int or null, got float"),
+            ("comp/2/0", False, "expected int or null, got bool"),
+            ("comp/2/1", 97, "index 97 out of range(4)"),
+            ("comp/2/1", [None], "expected int or null, got list"),
+            ("comp/2/3", "2", "expected int or null, got str"),
+            ("comp/2/3", -1, "index -1 out of range(4)"),
+        ],
+    )
+    def test_bad_index_leaf_is_named(self, path, value, message):
+        payload = serialize.to_payload(sign_category())
+        _path_set(payload, path, value)
+        with pytest.raises(StructuralError, match=f"^{re.escape(path)}: {re.escape(message)}$"):
+            serialize.validate_payload(payload)
+
+    @pytest.mark.parametrize("i", [0, 2, 3])
+    @pytest.mark.parametrize(
+        "value, where, message",
+        [
+            (None, "", "expected object, got null"),
+            (1, "", "expected object, got int"),
+            ({"src": 0}, "", "missing keys: ['tgt']"),
+            ({"src": 0, "tgt": 0, "label": 1}, "", "unknown keys: ['label']"),
+            ({"src": 97, "tgt": 0}, "/src", "index 97 out of range(2)"),
+            ({"src": 0, "tgt": "1"}, "/tgt", "expected int, got str"),
+            ({"src": True, "tgt": 0}, "/src", "expected int, got bool"),
+        ],
+    )
+    def test_bad_pair_is_named(self, i, value, where, message):
+        payload = serialize.to_payload(sign_category())
+        payload["morphisms"][i] = value
+        with pytest.raises(
+            StructuralError, match=f"^morphisms/{i}{where}: {re.escape(message)}$"
+        ):
+            serialize.validate_payload(payload)
+
+
+class TestSharedBuild:
+    """Equal nested payloads of one file build to one structure, after every
+    copy has gone through the conform pass."""
+
+    @staticmethod
+    def _modification_payload():
+        mc = sign_category()
+        dt = identity_deg_transformation(identity_monoidal_functor(mc))
+        return serialize.to_payload(DegModification(dt, dt, mc.base.identities[dt.dist_obj]))
+
+    def test_equal_embedded_structures_are_one_object(self):
+        text = serialize.canonical_dumps(self._modification_payload())
+        mod = serialize.structure_from_payload(json.loads(text))
+        assert mod.source_transformation is mod.target_transformation
+        t = mod.source_transformation
+        assert t.source_functor is t.target_functor
+        assert t.source_functor.source is t.source_functor.target
+        t = serialize.structure_from_payload(json.loads(text)["target_transformation"])
+        assert t.source_functor is t.target_functor
+        assert t.source_functor.source is t.source_functor.target
+
+    def test_sharing_is_per_call(self):
+        text = serialize.canonical_dumps(self._modification_payload())
+        first = serialize.structure_from_payload(json.loads(text))
+        second = serialize.structure_from_payload(json.loads(text))
+        assert first == second
+        assert first.source_transformation is not second.source_transformation
+
+    def test_unequal_nested_payloads_stay_apart(self):
+        f = identity_dd_functor(make_cmon_die(zmod(2), 1))
+        payload = serialize.to_payload(f)
+        payload["target"]["die"] = 0
+        g = serialize.structure_from_payload(payload)
+        assert g.source is not g.target and g.source != g.target
+
+    # the second of the eight equal moncats, and copies in the second
+    # (equal) transformation
+    _SECOND = "source_transformation/source_functor/target/"
+    _LATER = "target_transformation/target_functor/"
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (_SECOND + "tensor_obj/0/0", 0.0, "expected int, got float"),
+            (_SECOND + "tensor_obj/0/0", False, "expected int, got bool"),
+            (_SECOND + "tensor_obj/0/1", True, "expected int, got bool"),
+            (_LATER + "target/comp/1/0", True, "expected int or null, got bool"),
+            (_LATER + "target/morphisms/3/src", True, "expected int, got bool"),
+            (_LATER + "target/unit", 0.0, "expected int, got float"),
+            (_LATER + "object_map/0", False, "expected int, got bool"),
+            ("target_transformation/dist_obj", False, "expected int, got bool"),
+            ("target_transformation/lax", 0, "expected bool, got int"),
+        ],
+    )
+    def test_type_swap_in_a_repeated_copy_exits_two(self, tmp_path, path, value, message):
+        # the swapped value is == to the one in the earlier copy
+        payload = self._modification_payload()
+        _path_set(payload, path, value)
+        assert _validate_stderr(tmp_path, payload) == (2, f"input error: {path}: {message}\n")
 
 
 class TestMutationFuzz:
