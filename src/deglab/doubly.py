@@ -81,9 +81,11 @@ class DDFunctor:
 
     The constructor checks that `hom_map` runs between the two monoids and
     that `m` and `m0` are exact ints in range of the target (see
-    `report.exact`).  Equality tests identity first, since functors made by
-    internal algebra are interned, and falls back to comparing the fields;
-    the hash is the dataclass-generated hash of the fields.
+    `report.exact`).  `==` and `!=` both test identity first, since
+    functors made by internal algebra are interned, and fall back to
+    comparing the fields; `!=` is its own method, so it costs one call, not
+    a second dispatch to `==`.  The hash is the dataclass-generated hash of
+    the fields.
 
     Beside the five fields, two private slots: `_serial`, a number no other
     instance in the process has, and `_composites`, the memo of
@@ -118,6 +120,12 @@ class DDFunctor:
         return (self.source, self.target, self.hom_map, self.m, self.m0) == (
             other.source, other.target, other.hom_map, other.m, other.m0
         )
+
+    def __ne__(self, other):
+        if self is other:
+            return False
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
 
     def __getstate__(self):
         return self.source, self.target, self.hom_map, self.m, self.m0
@@ -449,16 +457,18 @@ def compose_dd_functors(g: DDFunctor, f: DDFunctor) -> DDFunctor:
     composites of enumerated functors are the enumerated instances
     themselves, and two composites are equal exactly when they are the same
     object.  Each one is memoized on the inner functor `f` under `g`'s
-    serial, so a pair composed again costs one dict lookup; a copy of `g`
-    or `f` has its own serial and memo and is composed afresh.  The memo
-    sits on `f`, not `g`, because callers such as
-    `restrict_identity_constraint` compose many `g` with a few `f`.
+    serial and read by subscript, so a pair composed again costs one
+    lookup; a miss, including the first composite of each `f`, which has
+    no memo yet, takes the exception path.  A copy of `g` or `f` has its
+    own serial and memo and is composed afresh.  The memo sits on `f`, not
+    `g`, because callers such as `restrict_identity_constraint` compose
+    many `g` with a few `f`.
     """
+    try:
+        return f._composites[g._serial]
+    except (TypeError, KeyError):  # no memo yet, or no entry for g
+        pass
     memo = f._composites
-    if memo is not None:
-        c = memo.get(g._serial)
-        if c is not None:
-            return c
     if f.target is not g.source and f.target != g.source:
         raise StructuralError("functor composition endpoint mismatch")
     target = g.target
@@ -482,7 +492,9 @@ def promote_lax(b1: DDBicat, b2: DDBicat, mapping, m2: int, m0: int) -> DDFuncto
     The unit equation rearranges to (d^-1 . F(d) . m2) . m0 = 1, so
     commutativity hands m0 an inverse, and symmetrically m2.  Data failing
     the unit equation is genuinely not a functor of any flavor.  `m2` and
-    `m0` go through `report.exact` first.
+    `m0` go through `report.exact` first.  Once these checks and the
+    strict `MonoidHom` constructor have passed, the result is built
+    trusted, since the `DDFunctor` constructor would only repeat them.
     """
     s = extract_cmon_die(b1)
     t = extract_cmon_die(b2)
@@ -502,7 +514,7 @@ def promote_lax(b1: DDBicat, b2: DDBicat, mapping, m2: int, m0: int) -> DDFuncto
         raise RefutationAlarm("derived inverse for m0 fails")
     if mul[m2][m2_inv] != t.monoid.unit or mul[m2_inv][m2] != t.monoid.unit:
         raise RefutationAlarm("derived inverse for m2 fails")
-    return DDFunctor(s, t, hom, m2, m0)
+    return DDFunctor._trusted(s, t, hom, m2, m0)
 
 
 def dd_functors_between(s: CMonDIE, t: CMonDIE) -> list:
@@ -520,7 +532,9 @@ def dd_functors_between(s: CMonDIE, t: CMonDIE) -> list:
 
 def transformation_between(f: DDFunctor, g: DDFunctor) -> DDTransformation | None:
     """The unique transformation f => g, which exists iff the homs agree."""
-    if f.source != g.source or f.target != g.target:
+    if (f.source is not g.source and f.source != g.source) or (
+        f.target is not g.target and f.target != g.target
+    ):
         raise StructuralError("functors are not parallel")
     if f.hom_map.map != g.hom_map.map:
         return None

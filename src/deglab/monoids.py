@@ -172,12 +172,14 @@ def units(m: FiniteMonoid) -> list:
 def check_hom(h: MonoidHom) -> ValidationReport:
     """Unit preservation and multiplicativity, itemized per input."""
     report = ValidationReport("monoid_hom")
-    if h.map[h.source.unit] != h.target.unit:
-        report.add("unit-preservation", (h.source.unit,), f"unit maps to {h.map[h.source.unit]}")
-    for x in range(h.source.size):
-        for y in range(h.source.size):
-            lhs = h.map[h.source.mul[x][y]]
-            rhs = h.target.mul[h.map[x]][h.map[y]]
+    hmap, tmul = h.map, h.target.mul
+    if hmap[h.source.unit] != h.target.unit:
+        report.add("unit-preservation", (h.source.unit,), f"unit maps to {hmap[h.source.unit]}")
+    for x, row in enumerate(h.source.mul):
+        trow = tmul[hmap[x]]
+        for y, xy in enumerate(row):
+            lhs = hmap[xy]
+            rhs = trow[hmap[y]]
             if lhs != rhs:
                 report.add("multiplicativity", (x, y), f"h({x}{y}) = {lhs} != {rhs}")
     return report

@@ -524,7 +524,23 @@ class TestFunctorEquality:
         fields = (f.source, f.target, f.hom_map, f.m, f.m0)
         for other in (None, 0, "f", fields, f.hom_map, f.source):
             assert f != other and not (f == other) and other != f
-        assert f.__eq__(fields) is NotImplemented
+        assert f.__eq__(fields) is NotImplemented and f.__ne__(fields) is NotImplemented
+        assert (f != 3) is True and (f == 3) is False and f.__ne__(f) is False
+
+    def test_ne_is_the_negation_of_eq_on_every_pair(self):
+        # interned functors, plus a copy and a pickle round trip of each:
+        # equal pairs that are distinct objects, so `!=` cannot stop at identity
+        fs = [f for s in cmon_die_universe(2) for t in cmon_die_universe(2)
+              for f in dd_functors_between(s, t)]
+        fs += [copy.copy(f) for f in fs] + [pickle.loads(pickle.dumps(f)) for f in fs]
+        assert len(fs) == 99
+        equal = 0
+        for a in fs:
+            for b in fs:
+                eq = a == b
+                assert (a != b) is (not eq)
+                equal += eq
+        assert equal == 33 * 9
 
     def test_hash_stays_the_field_hash_and_the_class_frozen(self):
         assert DDFunctor.__hash__ is not None
@@ -666,7 +682,9 @@ class TestExtractionMemo:
         b = build_ddbicat(make_cmon_die(zmod(2), 1))
         for m2, m0, message in (
             (5, 0, "m2: index 5 out of range(2)"),
+            (0, 2, "m0: index 2 out of range(2)"),
             (1.0, 0, "m2: expected int, got float"),
+            (True, 0, "m2: expected int, got bool"),
             (1, True, "m0: expected int, got bool"),
         ):
             for fn in (promote_lax, analyze_weak_functor):
@@ -719,14 +737,16 @@ class TestLaxPromotion:
             promote_lax(src, tgt, (0, 0), 0, 1)
 
     def test_exhaustive_sizes_up_to_three(self):
-        from deglab.monoids import enumerate_homs
-
+        # each promoted datum is the strictly built functor, and composes
         dies = cmon_die_universe(3)
+        promoted = 0
         for s in dies:
             b1 = build_ddbicat(s)
             for t in dies:
                 b2 = build_ddbicat(t)
                 mul = t.monoid.mul
+                interned = {(f.hom_map.map, f.m): f for f in dd_functors_between(s, t)}
+                after = dd_functors_between(t, t)[-1]
                 for hom in enumerate_homs(s.monoid, t.monoid):
                     fd = hom.map[s.die]
                     for m2 in range(t.monoid.size):
@@ -736,9 +756,33 @@ class TestLaxPromotion:
                                 f = promote_lax(b1, b2, hom.map, m2, m0)
                                 assert invert(t.monoid, f.m) is not None
                                 assert invert(t.monoid, f.m0) is not None
+                                strict_hom = MonoidHom(s.monoid, t.monoid, hom.map)
+                                strict = DDFunctor(s, t, strict_hom, m2, m0)
+                                assert f == strict == interned[(hom.map, m2)]
+                                assert compose_dd_functors(identity_dd_functor(t), f) == f
+                                assert compose_dd_functors(f, identity_dd_functor(s)) == f
+                                assert compose_dd_functors(after, f) == compose_dd_functors(
+                                    after, interned[(hom.map, m2)]
+                                )
+                                promoted += 1
                             else:
                                 with pytest.raises(InvalidStructureError):
                                     promote_lax(b1, b2, hom.map, m2, m0)
+        assert promoted == sum(len(dd_functors_between(s, t)) for s in dies for t in dies)
+
+    @pytest.mark.parametrize(
+        "mapping, m2, m0, error, message",
+        [
+            ((0, 1, 0), 1, 1, StructuralError, "map: expected 2 entries, got 3"),
+            ((0,), 1, 1, StructuralError, "map: expected 2 entries, got 1"),
+            ((1, 0), 1, 1, InvalidStructureError, "mapping is not a homomorphism"),
+            ((0, 1), 1, 0, InvalidStructureError, "unit equation fails: not a lax functor"),
+        ],
+    )
+    def test_bad_mapping_or_unit_equation_refused(self, mapping, m2, m0, error, message):
+        b = build_ddbicat(z2_die())
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            promote_lax(b, b, mapping, m2, m0)
 
 
 class TestTransformations:

@@ -290,6 +290,38 @@ class TestHoms:
         assert not rep.ok
         assert any(v.axiom == "unit-preservation" for v in rep.violations)
 
+    @pytest.mark.parametrize(
+        "source, target, hmap, findings",
+        [
+            (zmod(4), zmod(4), (0, 2, 1, 3), [
+                ("multiplicativity", (1, 1), "h(11) = 1 != 0"),
+                ("multiplicativity", (1, 3), "h(13) = 0 != 1"),
+                ("multiplicativity", (2, 2), "h(22) = 0 != 2"),
+                ("multiplicativity", (2, 3), "h(23) = 2 != 0"),
+                ("multiplicativity", (3, 1), "h(31) = 0 != 1"),
+                ("multiplicativity", (3, 2), "h(32) = 2 != 0"),
+                ("multiplicativity", (3, 3), "h(33) = 1 != 2"),
+            ]),
+            (zmod(3), zmod(3), (1, 1, 2), [
+                ("unit-preservation", (0,), "unit maps to 1"),
+                ("multiplicativity", (0, 0), "h(00) = 1 != 2"),
+                ("multiplicativity", (0, 1), "h(01) = 1 != 2"),
+                ("multiplicativity", (0, 2), "h(02) = 2 != 0"),
+                ("multiplicativity", (1, 0), "h(10) = 1 != 2"),
+                ("multiplicativity", (1, 2), "h(12) = 1 != 0"),
+                ("multiplicativity", (2, 0), "h(20) = 2 != 0"),
+                ("multiplicativity", (2, 1), "h(21) = 1 != 0"),
+            ]),
+            (zmod(3), bool_or_monoid(), (0, 1, 1), [
+                ("multiplicativity", (1, 2), "h(12) = 0 != 1"),
+                ("multiplicativity", (2, 1), "h(21) = 0 != 1"),
+            ]),
+        ],
+    )
+    def test_findings_in_row_major_order(self, source, target, hmap, findings):
+        rep = check_hom(MonoidHom(source, target, hmap))
+        assert [(v.axiom, v.where, v.message) for v in rep.violations] == findings
+
     def test_composition_closure(self):
         m = zmod(4)
         n = zmod(2)
