@@ -7,15 +7,14 @@ with ends and an identity per object (`_check_table`), and applied to
 1-cells and to 2-cells vertically and horizontally.  A j-functor is an
 external j-equivalence iff it is locally essentially surjective at every
 dimension and locally faithful at the top dimension; one search per
-criterion and dimension walks the parallel pairs of cells one dimension
-down, and reports the dimension and a witness for the first failure.
+criterion and dimension walks only the hom-sets that can fail (those with a
+target cell to hit, or with two or more cells to identify), in the order of
+their ends, and reports the dimension and a witness for the first failure.
 """
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from itertools import repeat
-from operator import eq
+from functools import cache, cached_property, partial
 
 from .report import InvalidStructureError, Report, StructuralError, ValidationReport, exact
 
@@ -37,6 +36,14 @@ class FiniteJCategory:
     composition.  The tables may be any Mapping: hand-built ones are dicts,
     and those of `hom_indexed_category` compute each composite on read.
     Labels are carried for witness readability only.
+
+    `hom1` and `hom2` read one hom-set from an index of the cells by their
+    ends, built from the cells on first use.  `hom_indexed_category` hands
+    the category its own numbering of the hom-sets instead, so that index
+    is never built; a copy made by `dataclasses.replace` builds its own.
+    An index maps the ends of each hom-set to its cells in ascending order,
+    or, for the one 2-cell of a locally thin category's hom-set, to that
+    cell alone.
     """
 
     j: int
@@ -57,26 +64,33 @@ class FiniteJCategory:
     def _hom2_index(self) -> dict:
         return _positions(self.two_cells)
 
-    def hom1(self, x1: int, x2: int) -> list:
-        return self._hom1_index.get((x1, x2), [])
+    def hom1(self, x1: int, x2: int):
+        """The 1-cells x1 -> x2, in ascending order."""
+        return self._hom1_index.get((x1, x2), ())
 
-    def hom2(self, f1: int, f2: int) -> list:
-        return self._hom2_index.get((f1, f2), [])
+    def hom2(self, f1: int, f2: int):
+        """The 2-cells f1 => f2, in ascending order."""
+        cells = self._hom2_index.get((f1, f2), ())
+        return (cells,) if cells.__class__ is int else cells
 
 
 class _Composites(Mapping):
     """The table (b, a) -> b.a over cells with (src, tgt) ends.
 
-    (b, a) is a key iff tgt(a) = src(b): membership, iteration and length
-    come from the ends alone, and each value is computed on read by
-    compose(b, a), with no cache.  Equality is identity, so comparing two
-    tables never builds them out.
+    (b, a) is a key iff tgt(a) = src(b): membership comes from the ends
+    alone, and each value is computed on read by compose(b, a), with no
+    cache.  Iteration and length read an index of the cells by source,
+    built on first use.  Equality is identity, so comparing two tables
+    never builds them out.
     """
 
     def __init__(self, ends, compose):
         self._ends = ends
         self._compose = compose
-        self._starting = _positions(s for s, _ in ends)
+
+    @cached_property
+    def _starting(self) -> dict:
+        return _positions(s for s, _ in self._ends)
 
     def __contains__(self, key):
         try:
@@ -122,17 +136,20 @@ def hom_indexed_category(zero_cells, homs, key, compose, identity, two_cell=None
     InvalidStructureError.  With two_cell(f, g) given, the result is a
     locally thin 2-category with a 2-cell f => g for each parallel pair on
     which two_cell returns a payload, ordered by source, then target.
+    The category's `hom1` and `hom2` read this numbering: the 1-cells
+    i -> k are one contiguous range, and each 2-cell is found by its ends.
 
     Returns (category, index, payloads): index maps (i, k, key) to the
     1-cell, and payloads holds two_cell's result per 2-cell.
     """
     arrows, ends, index, span = [], [], {}, {}
-    for (i, k), hom in homs.items():
+    for e, hom in homs.items():  # each cell's ends are its hom-set's key, shared
+        i, k = e
         for f in hom:
             index.setdefault((i, k, key(f)), len(arrows))
             arrows.append(f)
-            ends.append((i, k))
-        span[(i, k)] = range(len(arrows) - len(hom), len(arrows))
+            ends.append(e)
+        span[e] = range(len(arrows) - len(hom), len(arrows))
     ends = tuple(ends)
 
     def one_comp(g, f):
@@ -144,15 +161,18 @@ def hom_indexed_category(zero_cells, homs, key, compose, identity, two_cell=None
     )
     one_table = _Composites(ends, one_comp)
     if two_cell is None:
-        return FiniteJCategory(1, zero_cells, ends, one_identity, one_table), index, ()
+        cat = FiniteJCategory(1, zero_cells, ends, one_identity, one_table)
+        object.__setattr__(cat, "_hom1_index", span)
+        return cat, index, ()
 
     two_cells, payloads, two_index = [], [], {}
     for f, e in enumerate(ends):
         for g in span[e]:
             payload = two_cell(arrows[f], arrows[g])
             if payload is not None:
-                two_index[(f, g)] = len(two_cells)
-                two_cells.append((f, g))
+                cell = (f, g)  # one tuple for the cell's ends and its index key
+                two_index[cell] = len(two_cells)
+                two_cells.append(cell)
                 payloads.append(payload)
     two_cells = tuple(two_cells)
 
@@ -174,6 +194,8 @@ def hom_indexed_category(zero_cells, homs, key, compose, identity, two_cell=None
         two_vcomp=_Composites(two_cells, vcomp),
         two_hcomp=_Composites(tuple(ends[f] for f, _ in two_cells), hcomp),
     )
+    object.__setattr__(cat, "_hom1_index", span)
+    object.__setattr__(cat, "_hom2_index", two_index)
     return cat, index, tuple(payloads)
 
 
@@ -386,43 +408,116 @@ def internally_equivalent(x: FiniteJCategory, x1: int, x2: int):
     return False, None
 
 
-def _parallel_homs(fun: JFunctor, dim: int):
-    """Yield p, q and the source dim-cells p -> q, for each parallel pair of
-    source (dim-1)-cells in order."""
-    x = fun.source
-    if dim == 1:
-        n = len(x.zero_cells)
-        for p in range(n):
-            for q in range(n):
-                yield p, q, x.hom1(p, q)
-    else:
-        for p, ends in enumerate(x.one_cells):
+def _bounding_pairs(fun: JFunctor):
+    """Yield p, q and the source 2-cells p => q for each pair of parallel
+    source 1-cells whose images bound a target 2-cell, in (p, q) order:
+    the only pairs with a target 2-cell to hit."""
+    x, m1 = fun.source, fun.map1
+    bounded: dict = {}  # target 1-cell -> the targets of its 2-cells
+    for key in fun.target._hom2_index:
+        if key.__class__ is tuple and len(key) == 2:
+            bounded.setdefault(key[0], []).append(key[1])
+    classes: dict = {}  # ends of a source hom-set -> its 1-cells by image
+    for p, ends in enumerate(x.one_cells):
+        targets = bounded.get(m1[p])
+        if targets is None:
+            continue
+        by_image = classes.get(ends)
+        if by_image is None:
+            by_image = classes[ends] = {}
             for q in x.hom1(*ends):
-                yield p, q, x.hom2(p, q)
+                by_image.setdefault(m1[q], []).append(q)
+        qs = [q for v in targets for q in by_image.get(v, ())]
+        if len(targets) > 1:
+            qs.sort()
+        for q in qs:
+            yield p, q, x.hom2(p, q)
 
 
-def _first_unhit(fun: JFunctor, dim: int, equivalent):
+def _first_unhit(fun: JFunctor, dim: int):
     """(p, q, beta) for the first target dim-cell beta between the images of
-    p, q that no source dim-cell p -> q maps to up to `equivalent`, or None."""
-    lower, cell_map = (fun.map0, fun.map1) if dim == 1 else (fun.map1, fun.map2)
-    hom = fun.target.hom1 if dim == 1 else fun.target.hom2
-    image = cell_map.__getitem__  # any over maps: no Python frame per source cell
-    for p, q, cells in _parallel_homs(fun, dim):
-        for beta in hom(lower[p], lower[q]):
-            if not any(map(equivalent, map(image, cells), repeat(beta))):
+    p, q that no source dim-cell p -> q maps to, or None: on the nose at the
+    top dimension, up to internal equivalence below it.
+
+    At dimension 1 every pair of 0-cells is walked; at dimension 2 only the
+    pairs from `_bounding_pairs`, since no other pair has a target 2-cell.
+    Each hom-set's images are collected once.  At the top dimension beta is
+    looked up among them; below it each distinct image is compared with
+    beta once, beta itself first when it is an image (and each beta with
+    itself once per walk).
+    """
+    x, y = fun.source, fun.target
+    if dim == 1:
+        lower, image, hom = fun.map0, fun.map1.__getitem__, y.hom1
+        n = len(x.zero_cells)
+        pairs = ((p, q, x.hom1(p, q)) for p in range(n) for q in range(n))
+    else:
+        lower, image, hom = fun.map1, fun.map2.__getitem__, y.hom2
+        pairs = _bounding_pairs(fun)
+    top = dim == x.j
+    equivalent = partial(one_cells_internally_equivalent, y)
+    reflexive = cache(lambda f: equivalent(f, f))  # asked once per target cell
+    for p, q, cells in pairs:
+        betas = hom(lower[p], lower[q])
+        if not betas:
+            continue
+        images = set(map(image, cells))
+        if top:
+            if not images.issuperset(betas):
+                return p, q, next(beta for beta in betas if beta not in images)
+            continue
+        for beta in betas:
+            if not (beta in images and reflexive(beta)) and not any(
+                equivalent(i, beta) for i in images if i != beta
+            ):
                 return p, q, beta
     return None
 
 
+def _crowded_hom_sets(x: FiniteJCategory, dim: int) -> list:
+    """The hom-sets of two or more dim-cells, ordered by their ends: pairs
+    of 0-cells, or pairs of parallel 1-cells."""
+    index = x._hom1_index if dim == 1 else x._hom2_index
+    n = len(x.zero_cells) if dim == 1 else len(x.one_cells)
+    ends = sorted(
+        key
+        for key, cells in index.items()
+        if cells.__class__ is not int
+        and len(cells) > 1
+        and _pair(key, n)
+        and (dim == 1 or x.one_cells[key[0]] == x.one_cells[key[1]])
+    )
+    return [index[key] for key in ends]
+
+
 def _first_clash(fun: JFunctor, dim: int):
-    """The first two parallel source dim-cells with one image, or None."""
-    cell_map = fun.map1 if dim == 1 else fun.map2
-    for _, _, cells in _parallel_homs(fun, dim):
-        for i, a1 in enumerate(cells):
-            for a2 in cells[i + 1 :]:
-                if cell_map[a1] == cell_map[a2]:
-                    return a1, a2
+    """The first two parallel source dim-cells with one image, or None.
+
+    Only the hom-sets from `_crowded_hom_sets` are walked, one set of
+    images each, and the first with fewer images than cells is searched
+    once for the witness a pairwise search would find: the first cell with
+    a later equal image, and the first such later cell.
+    """
+    image = (fun.map1 if dim == 1 else fun.map2).__getitem__
+    for cells in _crowded_hom_sets(fun.source, dim):
+        if len(set(map(image, cells))) == len(cells):
+            continue
+        first: dict = {}
+        best = None
+        for pos, a in enumerate(cells):
+            at = first.setdefault(image(a), pos)
+            if at != pos and (best is None or at < best[0]):
+                best = at, a
+        return cells[best[0]], best[1]
     return None
+
+
+def _identity_pair_equivalent(x: FiniteJCategory, x0: int) -> bool:
+    """Whether the pair (identity, identity) passes the test that
+    `internally_equivalent(x, x0, x0)` applies to each pair of 1-cells; its
+    one composite is read through the table."""
+    i = x.one_identity[x0]
+    return i in x.hom1(x0, x0) and one_cells_internally_equivalent(x, x.one_comp[(i, i)], i)
 
 
 def check_external_equivalence(fun: JFunctor) -> Report:
@@ -434,12 +529,13 @@ def check_external_equivalence(fun: JFunctor) -> Report:
     carries a witness for the first failure.
 
     Essential surjectivity on 0-cells asks, for each target 0-cell y0,
-    whether some image 0-cell is internally equivalent to it.  Each
-    distinct image is asked once, and y0 itself first when it is an image,
-    so an image is settled by its identity pair without comparing it with
-    every other image.  Each y0 gets the same answer in any order, so the
+    whether some image 0-cell is internally equivalent to it.  An image y0
+    is first settled by its identity pair, one composite; only if that pair
+    fails does the full search run, which asks each distinct image once,
+    y0 itself first.  Each y0 gets the same answer in any order, so the
     finding and its witness, the first y0 that is missed, do not depend on
-    the order.
+    the order.  Local surjectivity and faithfulness walk only the hom-sets
+    that can fail (`_first_unhit`, `_first_clash`).
     """
     x, y = fun.source, fun.target
     j = x.j
@@ -452,8 +548,11 @@ def check_external_equivalence(fun: JFunctor) -> Report:
     )
 
     images = list(dict.fromkeys(fun.map0))
+    hit = set(images)
     missed = None
     for y0 in range(len(y.zero_cells)):
+        if y0 in hit and _identity_pair_equivalent(y, y0):
+            continue
         if not any(
             internally_equivalent(y, y1, y0)[0] for y1 in sorted(images, key=lambda y1: y1 != y0)
         ):
@@ -467,8 +566,7 @@ def check_external_equivalence(fun: JFunctor) -> Report:
     )
 
     for dim in range(1, j + 1):
-        equivalent = eq if dim == j else partial(one_cells_internally_equivalent, y)
-        miss = _first_unhit(fun, dim, equivalent)
+        miss = _first_unhit(fun, dim)
         witness = None
         if miss is not None:
             p, q, beta = miss

@@ -88,7 +88,7 @@ class TestBuildAndCheck:
     def test_round_trips(self):
         for s in cmon_die_universe(3):
             b = build_ddbicat(s)
-            assert extract_cmon_die(b) == s
+            assert extract_cmon_die(b) is s
             assert build_ddbicat(extract_cmon_die(b)) == b
 
     def test_extract_requires_validity(self):
@@ -668,6 +668,20 @@ class TestExtractionMemo:
         extract_cmon_die(replace(b))
         assert len(calls) == 2
 
+    def test_built_instance_extracts_to_its_own_die(self, monkeypatch):
+        s = make_cmon_die(zmod(3), 2)
+        b = build_ddbicat(s)
+        calls = _count_ddbicat_checks(monkeypatch)
+        assert extract_cmon_die(b) is s and calls == [b]
+        f, rep = analyze_weak_functor(b, b, (0, 1, 2), 0, 0)
+        assert rep.ok and f.source is s and f.target is s
+        assert promote_lax(b, b, (0, 1, 2), 0, 0).source is s and calls == [b]
+        # a copy, or the same data read back from JSON, is checked and read afresh
+        loaded = serialize.structure_from_payload(serialize.to_payload(b))
+        for other in (replace(b), loaded):
+            assert extract_cmon_die(other) == s and extract_cmon_die(other) is not s
+        assert len(calls) == 3
+
     def test_promotion_checks_each_instance_once(self, monkeypatch):
         s = make_cmon_die(zmod(3), 2)
         b1, b2 = build_ddbicat(s), build_ddbicat(s)
@@ -759,10 +773,14 @@ class TestLaxPromotion:
                                 strict_hom = MonoidHom(s.monoid, t.monoid, hom.map)
                                 strict = DDFunctor(s, t, strict_hom, m2, m0)
                                 assert f == strict == interned[(hom.map, m2)]
-                                assert compose_dd_functors(identity_dd_functor(t), f) == f
+                                # on the very dies b1 and b2 were built from, so
+                                # its composites are the enumerated instances
+                                assert f.source is s and f.target is t
+                                same = interned[(hom.map, m2)]
+                                assert compose_dd_functors(identity_dd_functor(t), f) is same
                                 assert compose_dd_functors(f, identity_dd_functor(s)) == f
-                                assert compose_dd_functors(after, f) == compose_dd_functors(
-                                    after, interned[(hom.map, m2)]
+                                assert compose_dd_functors(after, f) is compose_dd_functors(
+                                    after, same
                                 )
                                 promoted += 1
                             else:
