@@ -44,8 +44,14 @@ EXIT_INPUT_ERROR = 2
 
 
 def _load(path: str):
+    """The JSON value in the file at `path`.  A file that is not UTF-8, is
+    not JSON, nests too deep to parse or holds an integer literal past
+    Python's digit limit raises StructuralError with the parser's message."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise StructuralError(str(exc)) from None
 
 
 def _emit(payload, fmt: str, render_text):
@@ -277,7 +283,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (StructuralError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (StructuralError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except InvalidStructureError as exc:

@@ -137,7 +137,7 @@ def forgetful_universe(sample: list):
                 if (m1, m2) not in hom_cache:
                     hom_cache[(m1, m2)] = enumerate_homs(m1, m2)
                 homs[(i, k)] = hom_cache[(m1, m2)]
-        cat, index, _ = hom_indexed_category(
+        cat, index = hom_indexed_category(
             tuple(f"monoid#{i}(n={m.size})" for i, m in enumerate(monoids)),
             homs,
             key=lambda h: h.map,

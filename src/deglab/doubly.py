@@ -462,8 +462,8 @@ def compose_dd_functors(g: DDFunctor, f: DDFunctor) -> DDFunctor:
     """Composite (G, m_G) . (F, m_F) = (GF, G(m_F).m_G); associative and unital.
 
     The composite is the functor interned on `f.source` under
-    (id(g.target), GF's map, m), with GF's map `f.hom_map.pull(G's map)`:
-    composites of enumerated functors are the enumerated instances
+    (id(g.target), GF's map, m), GF's map read from G's at each entry of
+    F's: composites of enumerated functors are the enumerated instances
     themselves, and two composites are equal exactly when they are the same
     object.  Each one is memoized on the inner functor `f` under `g`'s
     serial and read by subscript, so a pair composed again costs one
@@ -482,7 +482,8 @@ def compose_dd_functors(g: DDFunctor, f: DDFunctor) -> DDFunctor:
         raise StructuralError("functor composition endpoint mismatch")
     target = g.target
     gmap = g.hom_map.map
-    c = _interned(f.source, target, f.hom_map.pull(gmap), target.monoid.mul[gmap[f.m]][g.m])
+    hmap = tuple(map(gmap.__getitem__, f.hom_map.map))
+    c = _interned(f.source, target, hmap, target.monoid.mul[gmap[f.m]][g.m])
     if memo is None:
         object.__setattr__(f, "_composites", {g._serial: c})
     else:
@@ -654,27 +655,28 @@ def two_truncation_universe(bound: int):
     """The 2-dimensional totality over all instances of size <= bound,
     assembled as explicit cell data, together with the discrete image side
     and the projection between them.  Returns (dies, one_cells, two_cells,
-    fun), the cells as (source, target, payload) in index order."""
+    fun): one_cells as (source, target, functor) in index order, and
+    two_cells as `fun.source.two_cells`, the pairs (f, g) of 1-cells for
+    which `transformation_between(f, g)` is not None."""
     dies = cmon_die_universe(bound)
     homs = {
         (si, ti): dd_functors_between(s, t)
         for si, s in enumerate(dies)
         for ti, t in enumerate(dies)
     }
-    left, _, transformations = hom_indexed_category(
+    left, _ = hom_indexed_category(
         tuple(f"die#{i}(n={s.monoid.size},d={s.die})" for i, s in enumerate(dies)),
         homs,
         key=_functor_key,
         compose=compose_dd_functors,
         identity=lambda i: identity_dd_functor(dies[i]),
-        two_cell=transformation_between,
+        two_cell=lambda f, g: transformation_between(f, g) is not None,
     )
     one_cells = [(s, t, f) for (s, t), fs in homs.items() for f in fs]
-    two_cells = [(f, g, t) for (f, g), t in zip(left.two_cells, transformations)]
 
     monoids = list(dict.fromkeys(s.monoid for s in dies))
     # the discrete side: identity 2-cells only
-    right, r_index, _ = hom_indexed_category(
+    right, r_index = hom_indexed_category(
         tuple(f"cmon#{i}(n={m.size})" for i, m in enumerate(monoids)),
         {
             (i, k): enumerate_homs(m, m2)
@@ -684,7 +686,7 @@ def two_truncation_universe(bound: int):
         key=lambda h: h.map,
         compose=compose_homs,
         identity=lambda i: identity_hom(monoids[i]),
-        two_cell=lambda f, g: f if f is g else None,
+        two_cell=lambda f, g: f is g,
     )
 
     mpos = {m: i for i, m in enumerate(monoids)}
@@ -692,9 +694,9 @@ def two_truncation_universe(bound: int):
     map1 = tuple(
         r_index[(map0[s], map0[t], f.hom_map.map)] for (s, t, f) in one_cells
     )
-    map2 = tuple(map1[f] for (f, _, _) in two_cells)
+    map2 = tuple(map1[f] for f, _ in left.two_cells)
     fun = JFunctor(left, right, map0, map1, map2)
-    return dies, one_cells, two_cells, fun
+    return dies, one_cells, left.two_cells, fun
 
 
 def _first_miscounted_pair(one_cells, x):

@@ -4,7 +4,8 @@ Works on explicit finite 1- and 2-dimensional categories.  All in-scope
 2-dimensional instances are strict, so no weak-ambient variant is needed.
 The category laws are written once, for one composition table over cells
 with ends and an identity per object (`_check_table`), and applied to
-1-cells and to 2-cells vertically and horizontally.  A j-functor is an
+1-cells and to 2-cells vertically and horizontally, and to the composition
+table of a `fincat.FiniteCategory`.  A j-functor is an
 external j-equivalence iff it is locally essentially surjective at every
 dimension and locally faithful at the top dimension; one search per
 criterion and dimension walks only the hom-sets that can fail (those with a
@@ -135,12 +136,12 @@ def hom_indexed_category(zero_cells, homs, key, compose, identity, two_cell=None
     the identity on 0-cell i; each result must lie in its hom-set, else
     InvalidStructureError.  With two_cell(f, g) given, the result is a
     locally thin 2-category with a 2-cell f => g for each parallel pair on
-    which two_cell returns a payload, ordered by source, then target.
-    The category's `hom1` and `hom2` read this numbering: the 1-cells
-    i -> k are one contiguous range, and each 2-cell is found by its ends.
+    which two_cell returns a true value, ordered by source, then target;
+    nothing two_cell returns is kept.  The category's `hom1` and `hom2`
+    read this numbering: the 1-cells i -> k are one contiguous range, and
+    each 2-cell is found by its ends.
 
-    Returns (category, index, payloads): index maps (i, k, key) to the
-    1-cell, and payloads holds two_cell's result per 2-cell.
+    Returns (category, index): index maps (i, k, key) to the 1-cell.
     """
     arrows, ends, index, span = [], [], {}, {}
     for e, hom in homs.items():  # each cell's ends are its hom-set's key, shared
@@ -163,17 +164,15 @@ def hom_indexed_category(zero_cells, homs, key, compose, identity, two_cell=None
     if two_cell is None:
         cat = FiniteJCategory(1, zero_cells, ends, one_identity, one_table)
         object.__setattr__(cat, "_hom1_index", span)
-        return cat, index, ()
+        return cat, index
 
-    two_cells, payloads, two_index = [], [], {}
+    two_cells, two_index = [], {}
     for f, e in enumerate(ends):
         for g in span[e]:
-            payload = two_cell(arrows[f], arrows[g])
-            if payload is not None:
+            if two_cell(arrows[f], arrows[g]):
                 cell = (f, g)  # one tuple for the cell's ends and its index key
                 two_index[cell] = len(two_cells)
                 two_cells.append(cell)
-                payloads.append(payload)
     two_cells = tuple(two_cells)
 
     def vcomp(b, a):
@@ -196,7 +195,7 @@ def hom_indexed_category(zero_cells, homs, key, compose, identity, two_cell=None
     )
     object.__setattr__(cat, "_hom1_index", span)
     object.__setattr__(cat, "_hom2_index", two_index)
-    return cat, index, tuple(payloads)
+    return cat, index
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ constructors check shapes and ranges only, each int-holding field through
 import itertools
 from dataclasses import dataclass
 
+from .equivalence import _check_table
 from .monoids import FiniteMonoid
 from .report import StructuralError, ValidationReport, exact
 
@@ -57,35 +58,17 @@ class FiniteCategory:
 
 
 def check_category(c: FiniteCategory) -> ValidationReport:
-    """Definedness pattern, identity laws, associativity over all triples."""
+    """Structural `identity-endpoints`, then the laws of the defined entries
+    of `comp`, keyed (g, f) in that order, through `equivalence._check_table`
+    under the name `composition` (`composition-missing` for a composable
+    pair left undefined, `composition-associativity`, and so on)."""
     report = ValidationReport("category")
-    m = len(c.morphisms)
     for a, i in enumerate(c.identities):
         if c.morphisms[i] != (a, a):
             report.add_structural("identity-endpoints", (a,))
-    for g, (sg, tg) in enumerate(c.morphisms):
-        for f, (sf, tf) in enumerate(c.morphisms):
-            h = c.comp[g][f]
-            if (h is not None) != (tf == sg):
-                report.add_structural("composition-domain", (g, f))
-            elif h is not None and c.morphisms[h] != (sf, tg):
-                report.add_structural("composition-endpoints", (g, f))
-    if not report.well_formed:
-        return report
-    for f, (s, t) in enumerate(c.morphisms):
-        if c.comp[c.identities[t]][f] != f:
-            report.add("left-identity", (f,))
-        if c.comp[f][c.identities[s]] != f:
-            report.add("right-identity", (f,))
-    for g in range(m):
-        for f in range(m):
-            if c.comp[g][f] is None:
-                continue
-            for h in range(m):
-                if c.comp[h][g] is None:
-                    continue
-                if c.comp[h][c.comp[g][f]] != c.comp[c.comp[h][g]][f]:
-                    report.add("associativity", (h, g, f))
+    cells = range(len(c.morphisms))
+    table = {(g, f): c.comp[g][f] for g in cells for f in cells if c.comp[g][f] is not None}
+    _check_table(report, "composition", c.morphisms, c.identities, table)
     return report
 
 

@@ -869,7 +869,7 @@ def shift_universe(mcs: list):
         for i, a in enumerate(mcs)
         for k, b in enumerate(mcs)
     }
-    left, _, _ = hom_indexed_category(
+    left, _ = hom_indexed_category(
         tuple(f"bicat#{i}" for i in range(len(mcs))),
         functors,
         key=_functor_key,

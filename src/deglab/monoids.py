@@ -47,13 +47,9 @@ class MonoidHom:
     """A map of element indices between two finite monoids.
 
     The constructor takes `map` as exact ints, one per source element, each
-    in range(target.size) (see `report.exact`).  `pull` caches an item
-    getter for the map on the instance, outside the dataclass fields, so
-    equality, hashing, repr and JSON ignore it and a copy made by
-    `dataclasses.replace` starts without one.  It and `_trusted` set
-    attributes with `object.__setattr__`: writing through the instance
-    `__dict__` would make every later attribute read on it several times
-    slower.
+    in range(target.size) (see `report.exact`).  `_trusted` sets its fields
+    with `object.__setattr__`: writing through the instance `__dict__`
+    would make every later attribute read on it several times slower.
     """
 
     source: FiniteMonoid
@@ -76,18 +72,6 @@ class MonoidHom:
         object.__setattr__(h, "target", target)
         object.__setattr__(h, "map", map)
         return h
-
-    def pull(self, gmap: tuple) -> tuple:
-        """The tuple `gmap` after this map: (gmap[v] for v in self.map)."""
-        try:
-            get = self._map_getter
-        except AttributeError:
-            m = self.map
-            # itemgetter of one index returns the item itself, not a 1-tuple,
-            # so a one-element map reads a one-element slice instead
-            get = itemgetter(*m) if len(m) > 1 else itemgetter(slice(m[0], m[0] + 1))
-            object.__setattr__(self, "_map_getter", get)
-        return get(gmap)
 
 
 @dataclass(frozen=True)
@@ -202,10 +186,11 @@ def identity_hom(m: FiniteMonoid) -> MonoidHom:
 
 
 def compose_homs(g: MonoidHom, f: MonoidHom) -> MonoidHom:
-    """The composite g . f, built trusted; its map is `f.pull(g.map)`."""
+    """The composite g . f, built trusted; its map reads g's map at each
+    entry of f's."""
     if f.target is not g.source and f.target != g.source:
         raise StructuralError("hom composition endpoint mismatch")
-    return MonoidHom._trusted(f.source, g.target, f.pull(g.map))
+    return MonoidHom._trusted(f.source, g.target, tuple(map(g.map.__getitem__, f.map)))
 
 
 def make_cmon_die(m: FiniteMonoid, die: int) -> CMonDIE:

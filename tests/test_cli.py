@@ -69,7 +69,7 @@ class TestValidateVerb:
         path = write_payload(tmp_path, "c.json", payload)
         assert main(["--format", "json", "validate", path]) == 2
         report = json.loads(capsys.readouterr().out)
-        assert [v["axiom"] for v in report["structural"]] == ["composition-domain"]
+        assert [v["axiom"] for v in report["structural"]] == ["composition-missing"]
 
     def test_coerced_value_exit_two(self, tmp_path, capsys):
         payload = serialize.to_payload(zmod(2))
@@ -83,6 +83,47 @@ class TestValidateVerb:
         assert main(["--format", "json", "validate", path]) == 0
         out = capsys.readouterr().out
         assert out == serialize.canonical_dumps(json.loads(out))
+
+
+def assert_input_error(argv, capsys, message=""):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and message in err and "Traceback" not in err
+
+
+class TestUnreadableInput:
+    """Every file that cannot be read as JSON exits 2 with an input error."""
+
+    def test_missing_file(self, tmp_path, capsys):
+        assert_input_error(["validate", str(tmp_path / "absent.json")], capsys, "No such file")
+
+    def test_bad_json(self, tmp_path, capsys):
+        (tmp_path / "bad.json").write_text("{", encoding="utf-8")
+        assert_input_error(["validate", str(tmp_path / "bad.json")], capsys, "Expecting")
+
+    def test_validate_directory(self, tmp_path, capsys):
+        assert_input_error(["validate", str(tmp_path)], capsys)
+
+    def test_compare_directories(self, tmp_path, capsys):
+        assert_input_error(["compare", str(tmp_path), str(tmp_path)], capsys)
+
+    def test_not_utf8(self, tmp_path, capsys):
+        (tmp_path / "latin.json").write_bytes(b'{"kind": "monoid\xe9"}')
+        assert_input_error(["validate", str(tmp_path / "latin.json")], capsys, "utf-8")
+
+    def test_nested_past_the_recursion_limit(self, tmp_path, capsys):
+        (tmp_path / "deep.json").write_text("[" * 100_000, encoding="utf-8")
+        assert_input_error(["validate", str(tmp_path / "deep.json")], capsys, "recursion")
+
+    def test_integer_literal_of_5000_digits(self, tmp_path, capsys):
+        # past Python's digit limit where it has one; else a size no table fits
+        text = '{"kind": "monoid", "size": ' + "1" * 5000 + ', "unit": 0, "mul": [[0]]}'
+        (tmp_path / "long.json").write_text(text, encoding="utf-8")
+        assert_input_error(["validate", str(tmp_path / "long.json")], capsys)
+
+    def test_shift_output_to_a_directory(self, tmp_path, capsys):
+        path = write_payload(tmp_path, "m.json", serialize.to_payload(zmod(2)))
+        assert_input_error(["shift", "--to-category", path, "-o", str(tmp_path)], capsys)
 
 
 class TestShiftVerb:

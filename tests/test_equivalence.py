@@ -1,7 +1,9 @@
 """The generic engine, exercised on hand-built toy 1- and 2-categories."""
 
+import gc
 import hashlib
 import json
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -499,19 +501,19 @@ def cyclic(n, arrows, two_cell=None):
 
 class TestHomIndexedCategory:
     def test_tables_match_all_pairs_reference(self):
-        cat, index, payloads = cyclic(3, range(3))
-        assert check_jcategory(cat).ok
+        cat, index = cyclic(3, range(3))
+        assert check_jcategory(cat).ok and cat.j == 1 and cat.two_cells == ()
         assert dict(cat.one_comp) == {(g, f): (g + f) % 3 for g in range(3) for f in range(3)}
         assert len(cat.one_comp) == len(dict(cat.one_comp)) == 9
-        assert index == {(0, 0, a): a for a in range(3)} and payloads == ()
+        assert index == {(0, 0, a): a for a in range(3)}
 
     def test_thin_two_cells_match_all_pairs_reference(self):
         # one 2-cell between every parallel pair: each hom-category is codiscrete
-        cat, _, payloads = cyclic(3, range(3), two_cell=lambda f, g: (f, g))
+        cat, _ = cyclic(3, range(3), two_cell=lambda f, g: True)
         assert check_jcategory(cat).ok
         cells = [(f, g) for f in range(3) for g in range(3)]
         pos = {cell: a for a, cell in enumerate(cells)}
-        assert cat.two_cells == payloads == tuple(cells)
+        assert cat.two_cells == tuple(cells)
         assert cat.two_identity == tuple(pos[(f, f)] for f in range(3))
         assert dict(cat.two_vcomp) == {
             (b, a): pos[(f1, g2)]
@@ -526,8 +528,29 @@ class TestHomIndexedCategory:
         }
         assert len(cat.two_vcomp) == 27 and len(cat.two_hcomp) == 81
 
+    def test_two_cell_is_a_test_and_nothing_it_returns_is_kept(self):
+        class Answer:
+            def __init__(self, holds):
+                self.holds = holds
+
+            def __bool__(self):
+                return self.holds
+
+        answers = []
+
+        def two_cell(f, g):
+            answers.append(Answer(f == g or (f, g) == (0, 1)))
+            return answers[-1]
+
+        cat, _ = cyclic(2, range(2), two_cell=two_cell)
+        assert cat.two_cells == ((0, 0), (0, 1), (1, 1))
+        refs = [weakref.ref(a) for a in answers]
+        del answers
+        gc.collect()
+        assert len(refs) == 4 and all(r() is None for r in refs)
+
     def test_membership_rejects_noncomposable_and_out_of_range(self):
-        cat, _, _ = hom_indexed_category(
+        cat, _ = hom_indexed_category(
             ("a", "b"),
             {(0, 0): ["a"], (0, 1): ["ab"], (1, 1): ["b"]},
             key=str,
@@ -547,7 +570,7 @@ class TestHomIndexedCategory:
         assert table.get((0, 3)) is None
 
     def test_missing_composite_raises_invalid_structure(self):
-        cat, _, _ = cyclic(3, [0, 1])
+        cat, _ = cyclic(3, [0, 1])
         assert cat.one_comp[(1, 0)] == 1
         with pytest.raises(InvalidStructureError):
             cat.one_comp[(1, 1)]  # 1 + 1 = 2 is not in the hom-set
@@ -555,15 +578,15 @@ class TestHomIndexedCategory:
             cyclic(3, [1, 2])  # no identity
         # the 2-cell 1 => 2 exists, but its horizontal square 2 => 4 = 1 does not
         some = {(0, 0), (1, 1), (2, 2), (1, 2)}
-        thin, _, _ = cyclic(3, range(3), two_cell=lambda f, g: 0 if (f, g) in some else None)
+        thin, _ = cyclic(3, range(3), two_cell=lambda f, g: (f, g) in some)
         a = thin.two_cells.index((1, 2))
         with pytest.raises(InvalidStructureError):
             thin.two_hcomp[(a, a)]
         with pytest.raises(InvalidStructureError):  # identity 2-cells on 1 and 2 are missing
-            cyclic(3, range(3), two_cell=lambda f, g: 0 if f == g == 0 else None)
+            cyclic(3, range(3), two_cell=lambda f, g: f == g == 0)
 
     def test_first_arrow_with_a_key_wins(self):
-        cat, index, _ = cyclic(3, [0, 1, 4, 2])  # 4 and 1 share the key 1
+        cat, index = cyclic(3, [0, 1, 4, 2])  # 4 and 1 share the key 1
         assert index[(0, 0, 1)] == 1 and index[(0, 0, 2)] == 3
         assert cat.one_comp[(3, 3)] == 1  # 2 + 2 = 4, found as the first arrow keyed 1
         assert cat.one_comp[(2, 0)] == 1

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
-from deglab.examples import arrow_category, zmod
+from categories import RENAMED, reference_check_category
+from deglab.examples import arrow_category, discrete_monoidal, nand_pair, sign_category, zmod
 from deglab.fincat import (
     CatFunctor,
     FiniteCategory,
@@ -41,10 +44,77 @@ class TestCategoryChecks:
         rep = check_category(bad)
         assert not rep.well_formed
 
+    def test_undefined_composable_pair_is_missing_and_a_stray_entry_is_domain(self):
+        ac = arrow_category()
+        missing = replace(ac, comp=((None, None, None),) + ac.comp[1:])
+        assert [v.axiom for v in check_category(missing).structural] == ["composition-missing"]
+        stray = replace(ac, comp=ac.comp[:2] + ((2, None, 2),))
+        rep = check_category(stray)
+        assert [(v.axiom, v.where) for v in rep.structural] == [("composition-domain", (2, 2))]
+
     def test_iso_search(self):
         ac = arrow_category()
         assert ac.iso_between(0, 1) is None
         assert ac.iso_between(0, 0) == (0, 0)
+
+
+STOCK = {
+    "arrow": arrow_category(),
+    "nand-pair": nand_pair().base,
+    "sign": sign_category().base,
+    "discrete-z2": discrete_monoidal(zmod(2)).base,
+    "discrete-z3": discrete_monoidal(zmod(3)).base,
+}
+
+
+def single_entry_changes(c):
+    """Every copy of `c` with one entry of `comp` or `identities` changed:
+    each composite to each other morphism, to undefined and from undefined,
+    and each identity to each other morphism."""
+    m = len(c.morphisms)
+    for g in range(m):
+        for f in range(m):
+            for v in (None, *range(m)):
+                if v != c.comp[g][f]:
+                    rows = [list(row) for row in c.comp]
+                    rows[g][f] = v
+                    yield replace(c, comp=tuple(map(tuple, rows)))
+    for a in range(c.n_objects):
+        for v in range(m):
+            if v != c.identities[a]:
+                yield replace(c, identities=c.identities[:a] + (v,) + c.identities[a + 1 :])
+
+
+def assert_agrees_with_reference(c):
+    want, got = reference_check_category(c), check_category(c)
+    assert (got.ok, got.well_formed) == (want.ok, want.well_formed)
+    if want.well_formed:
+        assert [(v.axiom, v.where) for v in got.violations] == [
+            (RENAMED[v.axiom], v.where) for v in want.violations
+        ]
+    return got
+
+
+class TestReferenceLaws:
+    """`check_category` against the all-triples loop in `categories.py`."""
+
+    @pytest.mark.parametrize("name", sorted(STOCK))
+    def test_stock_categories(self, name):
+        assert assert_agrees_with_reference(STOCK[name]).ok
+
+    @pytest.mark.parametrize("name", sorted(STOCK))
+    def test_single_entry_changes(self, name):
+        for c in single_entry_changes(STOCK[name]):
+            assert_agrees_with_reference(c)
+
+    def test_changes_reach_every_law(self):
+        # each law fails on some well-formed change, so a checker that skips
+        # one of them disagrees with the reference there
+        failed = set()
+        for c in STOCK.values():
+            for changed in single_entry_changes(c):
+                failed |= {v.axiom for v in check_category(changed).violations}
+        assert failed == set(RENAMED.values())
 
 
 class TestFunctors:
