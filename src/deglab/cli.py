@@ -1,13 +1,16 @@
 """Command-line front end.
 
 Exit codes: 0 the verdict holds, 1 an axiom or claim is violated (the
-report carries witnesses), 2 structural or input error.  All JSON output
-is canonical: sorted keys, no insignificant whitespace, one trailing LF.
+report carries witnesses), 2 structural or input error, or an output
+error: standard output closed by its reader (a broken pipe), reported on
+stderr as `output error:`.  All JSON output is canonical: sorted keys, no
+insignificant whitespace, one trailing LF.
 """
 
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import serialize
@@ -282,7 +285,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
+        return code
+    except BrokenPipeError as exc:
+        sys.stdout = open(os.devnull, "w")
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     except (StructuralError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

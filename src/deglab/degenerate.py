@@ -10,15 +10,7 @@ transformations with non-identity distinguished elements.
 from dataclasses import dataclass
 
 from .equivalence import JFunctor, check_external_equivalence, hom_indexed_category
-from .monoids import (
-    FiniteMonoid,
-    MonoidHom,
-    check_monoid,
-    compose_homs,
-    enumerate_homs,
-    enumerate_monoids,
-    identity_hom,
-)
+from .monoids import FiniteMonoid, MonoidHom, check_monoid, enumerate_monoids, hom_maps
 from .report import InvalidStructureError, Report, ValidationReport, exact
 
 OBJECT_LABEL = "∗"  # the single object is always labeled this way
@@ -115,12 +107,41 @@ def degenerate_sample(bound: int) -> list:
     return sample
 
 
+def _compose_maps(g: tuple, f: tuple) -> tuple:
+    return tuple(map(g.__getitem__, f))
+
+
+def monoid_category(prefix: str, monoids: list, homs: dict, two_cell=None):
+    """The category of the given monoids over hom-sets of plain maps.
+
+    homs[(i, k)] lists the maps of the homomorphisms monoids[i] ->
+    monoids[k], as `hom_maps` returns them; each map is its own key, the
+    composite g . f reads g at each entry of f, and the identity on
+    monoids[i] is tuple(range(size)).  0-cells are labelled
+    f"{prefix}#{i}(n={size})".  two_cell is as for `hom_indexed_category`,
+    which builds the category; returns its (category, index).
+    """
+    return hom_indexed_category(
+        tuple(f"{prefix}#{i}(n={m.size})" for i, m in enumerate(monoids)),
+        homs,
+        key=tuple,
+        compose=_compose_maps,
+        identity=lambda i: tuple(range(monoids[i].size)),
+        two_cell=two_cell,
+    )
+
+
 def forgetful_universe(sample: list):
     """Both sides of the object-forgetting comparison over a sample: the
     sampled categories, and every monoid enumerated at their sizes (plus any
-    sampled table the enumeration lacks), with hom-sets drawn from one shared
-    enumeration of homomorphisms.  Returns (right_monoids, left_homs,
-    right_homs, fun)."""
+    sampled table the enumeration lacks).  Returns (right_monoids,
+    left_homs, right_homs, fun).
+
+    The hom-sets hold the homomorphisms as plain map tuples (see
+    `hom_maps`), searched once per pair of right-side monoids:
+    right_homs[(i, k)] is that search's list, and left_homs[(i, k)] is the
+    very list right_homs[(map0[i], map0[k])], so the two sides share it.
+    """
     if not sample:
         raise InvalidStructureError("sample must be nonempty")
     left_monoids = [c.hom for c in sample]
@@ -128,30 +149,20 @@ def forgetful_universe(sample: list):
     # equal tables are one monoid: the first one seen stands for its class
     enumerated = [m for n in sizes for m in enumerate_monoids(n)]
     right_monoids = list(dict.fromkeys(enumerated + left_monoids))
-    hom_cache: dict = {}
-
-    def category(monoids):
-        homs = {}
-        for i, m1 in enumerate(monoids):
-            for k, m2 in enumerate(monoids):
-                if (m1, m2) not in hom_cache:
-                    hom_cache[(m1, m2)] = enumerate_homs(m1, m2)
-                homs[(i, k)] = hom_cache[(m1, m2)]
-        cat, index = hom_indexed_category(
-            tuple(f"monoid#{i}(n={m.size})" for i, m in enumerate(monoids)),
-            homs,
-            key=lambda h: h.map,
-            compose=compose_homs,
-            identity=lambda i: identity_hom(monoids[i]),
-        )
-        return cat, index, homs
-
-    left_cat, _, left_homs = category(left_monoids)
-    right_cat, right_index, right_homs = category(right_monoids)
     right_pos = {m: i for i, m in enumerate(right_monoids)}
     map0 = tuple(right_pos[m] for m in left_monoids)
+    right_homs = {
+        (i, k): hom_maps(m1, m2)
+        for i, m1 in enumerate(right_monoids)
+        for k, m2 in enumerate(right_monoids)
+    }
+    left_homs = {
+        (i, k): right_homs[(p, q)] for i, p in enumerate(map0) for k, q in enumerate(map0)
+    }
+    left_cat, _ = monoid_category("monoid", left_monoids, left_homs)
+    right_cat, right_index = monoid_category("monoid", right_monoids, right_homs)
     map1 = tuple(
-        right_index[(map0[i], map0[k], h.map)] for (i, k), homs in left_homs.items() for h in homs
+        right_index[(map0[i], map0[k], h)] for (i, k), homs in left_homs.items() for h in homs
     )
     return right_monoids, left_homs, right_homs, JFunctor(left_cat, right_cat, map0, map1)
 
@@ -186,8 +197,8 @@ def check_forgetful_equivalence(sample: list) -> Report:
     bijective = True
     bad_pair = None
     for (i, k), homs in left_homs.items():
-        images = {h.map for h in homs}
-        targets = {h.map for h in right_homs[(map0[i], map0[k])]}
+        images = set(homs)
+        targets = set(right_homs[(map0[i], map0[k])])
         if images != targets or len(images) != len(homs):
             bijective = False
             bad_pair = (i, k)

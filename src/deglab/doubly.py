@@ -11,6 +11,7 @@ exhaustively on each instance.
 from dataclasses import dataclass, replace
 from itertools import count
 
+from .degenerate import monoid_category
 from .equivalence import JFunctor, check_external_equivalence, hom_indexed_category
 from .monoids import (
     CMonDIE,
@@ -20,8 +21,7 @@ from .monoids import (
     check_hom,
     check_monoid,
     cmon_die_universe,
-    compose_homs,
-    enumerate_homs,
+    hom_maps,
     identity_hom,
     invert,
     units,
@@ -534,7 +534,7 @@ def dd_functors_between(s: CMonDIE, t: CMonDIE) -> list:
     repeated calls return the same objects.
     """
     ms = units(t.monoid)
-    return [_interned(s, t, hom.map, m) for hom in enumerate_homs(s.monoid, t.monoid) for m in ms]
+    return [_interned(s, t, hmap, m) for hmap in hom_maps(s.monoid, t.monoid) for m in ms]
 
 
 # -- transformations and modifications ---------------------------------------
@@ -657,7 +657,10 @@ def two_truncation_universe(bound: int):
     and the projection between them.  Returns (dies, one_cells, two_cells,
     fun): one_cells as (source, target, functor) in index order, and
     two_cells as `fun.source.two_cells`, the pairs (f, g) of 1-cells for
-    which `transformation_between(f, g)` is not None."""
+    which `transformation_between(f, g)` is not None.  The image side is
+    `degenerate.monoid_category` over the distinct monoids of the
+    instances, with identity 2-cells only: its 1-cells are the plain map
+    tuples of `hom_maps`, and map1 sends each functor to its hom map."""
     dies = cmon_die_universe(bound)
     homs = {
         (si, ti): dd_functors_between(s, t)
@@ -676,16 +679,14 @@ def two_truncation_universe(bound: int):
 
     monoids = list(dict.fromkeys(s.monoid for s in dies))
     # the discrete side: identity 2-cells only
-    right, r_index = hom_indexed_category(
-        tuple(f"cmon#{i}(n={m.size})" for i, m in enumerate(monoids)),
+    right, r_index = monoid_category(
+        "cmon",
+        monoids,
         {
-            (i, k): enumerate_homs(m, m2)
+            (i, k): hom_maps(m, m2)
             for i, m in enumerate(monoids)
             for k, m2 in enumerate(monoids)
         },
-        key=lambda h: h.map,
-        compose=compose_homs,
-        identity=lambda i: identity_hom(monoids[i]),
         two_cell=lambda f, g: f is g,
     )
 
@@ -823,7 +824,7 @@ def restrict_identity_constraint(functors, bound: int | None = None):
         for s in dies:
             for t in dies:
                 got = maps.get((s, t), [])
-                full = full and set(got) == {h.map for h in enumerate_homs(s.monoid, t.monoid)}
+                full = full and set(got) == set(hom_maps(s.monoid, t.monoid))
                 faithful = faithful and len(set(got)) == len(got)
         sources = {f.source.monoid for f in retained}
         report.add("restricted-comparison-full", full, dimension=1)

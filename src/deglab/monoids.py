@@ -25,8 +25,8 @@ class FiniteMonoid:
     Construction checks shape only, through `report.exact`: a positive int
     size, and the unit and every table entry exact ints in range(size).
     The monoid axioms are checked by `check_monoid`, so axiom-violating
-    tables can be represented and reported on.  `enumerate_homs` caches
-    its search plan for a source on the instance, outside the dataclass
+    tables can be represented and reported on.  `hom_maps` caches its
+    search plan for a source on the instance, outside the dataclass
     fields (see `_hom_search_plan`).
     """
 
@@ -183,14 +183,6 @@ def check_cmon_die(s: CMonDIE) -> ValidationReport:
 
 def identity_hom(m: FiniteMonoid) -> MonoidHom:
     return MonoidHom._trusted(m, m, tuple(range(m.size)))
-
-
-def compose_homs(g: MonoidHom, f: MonoidHom) -> MonoidHom:
-    """The composite g . f, built trusted; its map reads g's map at each
-    entry of f's."""
-    if f.target is not g.source and f.target != g.source:
-        raise StructuralError("hom composition endpoint mismatch")
-    return MonoidHom._trusted(f.source, g.target, tuple(map(g.map.__getitem__, f.map)))
 
 
 def make_cmon_die(m: FiniteMonoid, die: int) -> CMonDIE:
@@ -453,7 +445,7 @@ def _unital_associative_tables(n: int, commutative_only: bool):
 
 
 def _hom_search_plan(source: FiniteMonoid) -> tuple:
-    """The placement order and per-step equations of `enumerate_homs`.
+    """The placement order and per-step equations of `hom_maps`.
 
     The unit is placed first and the other elements follow in index order.
     Each equation h(ab) = h(a)h(b), as the triple (a, b, ab), goes into the
@@ -481,23 +473,23 @@ def _hom_search_plan(source: FiniteMonoid) -> tuple:
     return plan
 
 
-def enumerate_homs(source: FiniteMonoid, target: FiniteMonoid) -> list:
-    """All monoid homomorphisms source -> target, by backtracking.
+def hom_maps(source: FiniteMonoid, target: FiniteMonoid) -> list:
+    """The maps of all monoid homomorphisms source -> target, by backtracking.
 
-    The unit's image is forced to the target's unit and placed first; the
+    Each map is a tuple of target indices, one per source element.  The
+    unit's image is forced to the target's unit and placed first; the
     other elements then take each target element in index order.  After a
     placement only the equations h(ab) = h(a)h(b) whose last unknown was
     that element are checked (see `_hom_search_plan`), so every equation is
     checked exactly once on the path to each leaf.  The unit's position is
-    fixed, so the homomorphisms come out in lexicographic order of their
-    maps.
+    fixed, so the maps come out in lexicographic order.
     """
     order, buckets = _hom_search_plan(source)
     tmul = target.mul
     values, unit_image = range(target.size), (target.unit,)
     last = source.size - 1
     image = [0] * source.size
-    homs = []
+    maps = []
 
     def extend(k):
         x, eqs = order[k], buckets[k]
@@ -508,12 +500,18 @@ def enumerate_homs(source: FiniteMonoid, target: FiniteMonoid) -> list:
                     break
             else:
                 if k == last:
-                    homs.append(MonoidHom._trusted(source, target, tuple(image)))
+                    maps.append(tuple(image))
                 else:
                     extend(k + 1)
 
     extend(0)
-    return homs
+    return maps
+
+
+def enumerate_homs(source: FiniteMonoid, target: FiniteMonoid) -> list:
+    """All monoid homomorphisms source -> target, as `MonoidHom`s on the
+    maps of `hom_maps`, in its order."""
+    return [MonoidHom._trusted(source, target, m) for m in hom_maps(source, target)]
 
 
 def enumerate_dies(m: FiniteMonoid) -> list:

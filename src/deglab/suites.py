@@ -69,8 +69,8 @@ from .monoidal import (
 )
 from .monoids import (
     cmon_die_universe,
-    enumerate_homs,
     enumerate_monoids,
+    hom_maps,
     identity_hom,
     make_cmon_die,
 )
@@ -108,7 +108,7 @@ def suite_thm_dc(bound: int = 4, seed: int | None = None) -> Report:
     # their arrow maps, against the homomorphisms of monoids
     sample = [(m, one_object_category(m)) for m in monoids[:12]]
     agree = all(
-        {f.morphism_map for f in enumerate_functors(c, d)} == {h.map for h in enumerate_homs(m, n)}
+        {f.morphism_map for f in enumerate_functors(c, d)} == set(hom_maps(m, n))
         for m, c in sample
         for n, d in sample
     )

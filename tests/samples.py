@@ -25,8 +25,9 @@ from deglab.monoidal import (
 )
 from deglab.monoids import (
     FiniteMonoid,
-    enumerate_homs,
+    MonoidHom,
     enumerate_monoids,
+    hom_maps,
     identity_hom,
     invert,
     make_cmon_die,
@@ -38,6 +39,12 @@ def left_padded_monoid() -> FiniteMonoid:
     """Unit adjoined to the two-element left-zero semigroup: x*y = x off the
     unit.  Noncommutative with trivial center, handy as a negative case."""
     return FiniteMonoid(3, 0, ((0, 1, 2), (1, 1, 1), (2, 2, 2)))
+
+
+def compose_homs(g: MonoidHom, f: MonoidHom) -> MonoidHom:
+    """The composite g . f through the strict constructor: its map reads
+    g's map at each entry of f's."""
+    return MonoidHom(f.source, g.target, tuple(g.map[v] for v in f.map))
 
 
 def sample_structures():
@@ -150,7 +157,7 @@ def forced_table_sweep(n: int) -> tuple:
 
     Interchange plus hcomp-identity make hcomp a monoid homomorphism
     M x M -> M, where M is the vertical monoid, so each class
-    representative M is paired with every hcomp from `enumerate_homs` and
+    representative M is paired with every hcomp map from `hom_maps` and
     every unit triple (assoc, lunit, runit) with its inverses.  Returns the
     number of hcomp candidates, the structures, and their `check_ddbicat`
     reports."""
@@ -165,9 +172,9 @@ def forced_table_sweep(n: int) -> tuple:
                 for y in range(n)
             ),
         )
-        for h in enumerate_homs(square, m):
+        for h in hom_maps(square, m):
             candidates += 1
-            hcomp = tuple(tuple(h.map[x * n + y] for y in range(n)) for x in range(n))
+            hcomp = tuple(tuple(h[x * n + y] for y in range(n)) for x in range(n))
             for a, l, r in itertools.product(units(m), repeat=3):
                 structures.append(
                     DDBicat(n, m.unit, m.mul, hcomp, a, invert(m, a), l, invert(m, l), r, invert(m, r))

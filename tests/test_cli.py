@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -124,6 +125,53 @@ class TestUnreadableInput:
     def test_shift_output_to_a_directory(self, tmp_path, capsys):
         path = write_payload(tmp_path, "m.json", serialize.to_payload(zmod(2)))
         assert_input_error(["shift", "--to-category", path, "-o", str(tmp_path)], capsys)
+
+
+class _ClosedStdout:
+    """A standard output whose reader has gone: every write raises."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+class TestClosedOutput:
+    """A closed standard output exits 2 as an output error, not an input error."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_broken_pipe_is_an_output_error(self, monkeypatch, capsys, fmt):
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+        assert main(["--format", fmt, "enumerate", "--size", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error:") and "Broken pipe" in err
+        assert "input error" not in err and "Traceback" not in err
+        assert not isinstance(sys.stdout, _ClosedStdout)
+        print("after", file=sys.stdout)  # the exit flush cannot raise again
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_pipe_without_a_reader(self, unbuffered):
+        # the write fails with EPIPE inside the verb when unbuffered, and at
+        # main's flush otherwise; neither reaches the interpreter's exit flush
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "deglab", "enumerate", "--size", "2"],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("output error:")
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 class TestShiftVerb:

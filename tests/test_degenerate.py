@@ -9,6 +9,7 @@ from deglab.degenerate import (
     degenerate_sample,
     find_nonidentity_nat_trans,
     forgetful_universe,
+    monoid_category,
     monoid_to_cat,
     nat_trans_between,
     not_locally_full_witnesses,
@@ -16,9 +17,22 @@ from deglab.degenerate import (
 from deglab.equivalence import check_jcategory, check_jfunctor
 from deglab.examples import bool_or_monoid, trivial_monoid, zmod
 from deglab.fincat import enumerate_functors, one_object_category
-from deglab.monoids import FiniteMonoid, MonoidHom, enumerate_homs, enumerate_monoids, identity_hom
+from deglab.monoids import FiniteMonoid, MonoidHom, enumerate_monoids, hom_maps, identity_hom
 from deglab.report import InvalidStructureError
 from samples import left_padded_monoid
+from universes import reference_forgetful_report, reference_forgetful_universe
+
+
+def _relabeled_pair():
+    # a non-canonical labeling of the two-element group beside a canonical table
+    return [monoid_to_cat(FiniteMonoid(2, 1, ((1, 0), (0, 1)))), monoid_to_cat(bool_or_monoid())]
+
+
+def _twice_held():
+    # one table twice as one object, and once more as an equal copy
+    cats = degenerate_sample(2)
+    m = cats[1].hom
+    return cats + [cats[1], monoid_to_cat(FiniteMonoid(m.size, m.unit, m.mul))]
 
 
 class TestRoundTrips:
@@ -114,10 +128,7 @@ class TestForgetfulEquivalence:
 
     @pytest.mark.parametrize(
         "sample",
-        [
-            degenerate_sample(3),
-            [monoid_to_cat(FiniteMonoid(2, 1, ((1, 0), (0, 1)))), monoid_to_cat(bool_or_monoid())],
-        ],
+        [degenerate_sample(3), _relabeled_pair()],
         ids=["sizes<=3", "relabeled"],
     )
     def test_tables_match_all_pairs_reference(self, sample):
@@ -126,9 +137,9 @@ class TestForgetfulEquivalence:
             cells = [(i, k, h) for (i, k), hs in homs.items() for h in hs]
             index = {}
             for pos, (i, k, h) in enumerate(cells):
-                index.setdefault((i, k, h.map), pos)
+                index.setdefault((i, k, h), pos)
             reference = {
-                (gi, fi): index[(i1, k2, tuple(g.map[v] for v in f.map))]
+                (gi, fi): index[(i1, k2, tuple(g[v] for v in f))]
                 for gi, (i2, k2, g) in enumerate(cells)
                 for fi, (i1, k1, f) in enumerate(cells)
                 if k1 == i2
@@ -150,8 +161,60 @@ class TestForgetfulEquivalence:
         assert check_jfunctor(fun).ok
 
     def test_functor_sets_equal_hom_sets(self):
-        # fincat's functor search, which shares no code with enumerate_homs
+        # fincat's functor search, which shares no code with hom_maps
         for m in enumerate_monoids(3)[:4]:
             for n in enumerate_monoids(2):
                 functors = enumerate_functors(one_object_category(m), one_object_category(n))
-                assert {f.morphism_map for f in functors} == {h.map for h in enumerate_homs(m, n)}
+                assert {f.morphism_map for f in functors} == set(hom_maps(m, n))
+
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            degenerate_sample(3),
+            [c for c in degenerate_sample(4) if c.hom.size in (2, 4)],
+            _twice_held(),
+            _relabeled_pair(),
+        ],
+        ids=["sizes<=3", "sizes-2-and-4", "one-table-twice", "relabeled"],
+    )
+    def test_matches_the_monoid_hom_reference(self, sample):
+        right, left_homs, right_homs, fun = forgetful_universe(sample)
+        ref_right, ref_left_homs, ref_right_homs, ref = reference_forgetful_universe(sample)
+        assert right == ref_right
+        for got, want in ((left_homs, ref_left_homs), (right_homs, ref_right_homs)):
+            assert list(got.items()) == [(e, [h.map for h in hs]) for e, hs in want.items()]
+        assert (fun.map0, fun.map1) == (ref.map0, ref.map1)
+        for got, want in ((fun.source, ref.source), (fun.target, ref.target)):
+            assert got.zero_cells == want.zero_cells
+            assert got.one_cells == want.one_cells
+            assert got.one_identity == want.one_identity
+            # equal ends give equal keys; every composite of the smaller
+            # samples, and an even spread of the 1,086,627 per side of sizes 2 and 4
+            pairs = list(want.one_comp)
+            assert len(got.one_comp) == len(pairs)
+            for key in pairs[:: 1 + len(pairs) // 50000]:
+                assert got.one_comp[key] == want.one_comp[key]
+        got = check_forgetful_equivalence(sample).to_payload()
+        assert got == reference_forgetful_report(sample).to_payload()
+        # the two sides share each hom-set's list, as the reference's cache did
+        for (i, k), homs in left_homs.items():
+            assert homs is right_homs[(fun.map0[i], fun.map0[k])]
+
+
+class TestMonoidCategory:
+    def test_composite_matches_the_composition_formula(self):
+        # every composable pair over the monoids of size <= 3, sizes 1 included
+        ms = [m for n in (1, 2, 3) for m in enumerate_monoids(n)]
+        homs = {(a, b): hom_maps(ms[a], ms[b]) for a in range(len(ms)) for b in range(len(ms))}
+        cat, index = monoid_category("m", ms, homs)
+        arrows = [h for hs in homs.values() for h in hs]
+        assert cat.zero_cells[:3] == ("m#0(n=1)", "m#1(n=2)", "m#2(n=2)")
+        assert cat.one_identity == tuple(index[(a, a, tuple(range(m.size)))] for a, m in enumerate(ms))
+        pairs = sizes = 0
+        for (gi, fi), c in cat.one_comp.items():
+            f, g = arrows[fi], arrows[gi]
+            assert arrows[c] == tuple(g[f[x]] for x in range(len(f)))
+            assert cat.one_cells[c] == (cat.one_cells[fi][0], cat.one_cells[gi][1])
+            pairs += 1
+            sizes |= 1 << len(f)
+        assert sizes == 0b1110 and pairs > 1000

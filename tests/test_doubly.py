@@ -11,6 +11,7 @@ from dataclasses import replace
 import pytest
 
 from deglab import coherence, doubly, serialize
+from deglab.degenerate import monoid_category
 from deglab.doubly import (
     DDBicat,
     DDFunctor,
@@ -43,15 +44,16 @@ from deglab.monoids import (
     MonoidHom,
     check_monoid,
     cmon_die_universe,
-    compose_homs,
     enumerate_homs,
+    hom_maps,
     identity_hom,
     invert,
     make_cmon_die,
     units,
 )
 from deglab.report import Finding, InvalidStructureError, StructuralError
-from samples import forced_table_sweep
+from samples import compose_homs, forced_table_sweep
+from universes import reference_two_truncation_right
 
 
 def z2_die(d=1):
@@ -347,8 +349,6 @@ class TestTrustedConstruction:
         g = identity_dd_functor(t)
         with pytest.raises(StructuralError):
             compose_dd_functors(g, f)
-        with pytest.raises(StructuralError):
-            compose_homs(g.hom_map, f.hom_map)
 
 
 def _composition_laws(dies):
@@ -985,6 +985,22 @@ class TestTwoTruncationComparison:
             all_pairs_tables(
                 r_one, lambda h: h.map, compose_homs, right.two_cells
             ),
+        )
+
+    def test_discrete_side_matches_the_monoid_hom_reference(self):
+        dies, one_cells, _, fun = two_truncation_universe(3)
+        ref, ref_index = reference_two_truncation_right(dies)
+        monoids = list(dict.fromkeys(s.monoid for s in dies))
+        homs = {(i, k): hom_maps(m, m2) for i, m in enumerate(monoids) for k, m2 in enumerate(monoids)}
+        _, index = monoid_category("cmon", monoids, homs, two_cell=lambda f, g: f is g)
+        assert index == ref_index
+        right = fun.target
+        for name in ("zero_cells", "one_cells", "one_identity", "two_cells", "two_identity"):
+            assert getattr(right, name) == getattr(ref, name)
+        assert dict(right.one_comp) == dict(ref.one_comp)
+        assert fun.map0 == tuple(monoids.index(s.monoid) for s in dies)
+        assert fun.map1 == tuple(
+            ref_index[(fun.map0[s], fun.map0[t], f.hom_map.map)] for s, t, f in one_cells
         )
 
     def test_universe_counts_bound_three(self):

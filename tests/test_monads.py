@@ -16,8 +16,9 @@ from deglab.monads import (
     identity_monad,
     identity_monad_functor,
 )
-from deglab.monoids import MonoidHom, check_hom, compose_homs, enumerate_monoids
+from deglab.monoids import MonoidHom, check_hom, enumerate_monoids
 from deglab.report import StructuralError
+from samples import compose_homs
 
 
 def constant_to_terminal_monad():
