@@ -531,7 +531,9 @@ def dd_functors_between(s: CMonDIE, t: CMonDIE) -> list:
     """Every functor: all homomorphisms paired with all invertible elements.
 
     Each is the instance interned on `s` under (id(t), hom map, m), so
-    repeated calls return the same objects.
+    repeated calls return the same objects in a new list.  The hom maps
+    are `hom_maps(s.monoid, t.monoid)`, searched once per pair of monoid
+    objects in a process, so dies that share a monoid share its search.
     """
     ms = units(t.monoid)
     return [_interned(s, t, hmap, m) for hmap in hom_maps(s.monoid, t.monoid) for m in ms]
@@ -740,7 +742,14 @@ def check_two_equivalence(bound: int) -> Report:
     1-cells, and local bijectivity on 2-cells; also records the level-1 and
     level-3 failures when the universe contains a witnessing target.
     """
-    dies, one_cells, _, fun = two_truncation_universe(bound)
+    return _two_equivalence_report(bound, two_truncation_universe(bound))
+
+
+def _two_equivalence_report(bound: int, universe) -> Report:
+    """`check_two_equivalence` over the universe that
+    `two_truncation_universe(bound)` returned, for a caller that reads the
+    universe's 1-cells too."""
+    dies, one_cells, _, fun = universe
     report = Report(
         "two-truncation-comparison",
         {"bound": bound, "universe": f"all {len(dies)} instances of size <= {bound}"},
@@ -792,20 +801,32 @@ def restrict_identity_constraint(functors, bound: int | None = None):
     universe: for each pair of its instances, matched by value, the retained
     hom maps are the homomorphisms, each once, and every monoid is the
     source of a retained functor.
+
+    Ends are matched by value, but each distinct end object is hashed
+    only once, since a die's hash reads its whole table: every later
+    lookup goes through the object's id.
     """
     retained = [f for f in functors if f.m == f.target.monoid.unit]
     report = Report("identity-constraint-restriction", {"bound": bound, "universe": ""})
+
+    # same[id(end)]: the index of the end's value among the distinct values
+    values: dict = {}
+    same: dict = {}
+    for f in retained:
+        for end in (f.source, f.target):
+            if id(end) not in same:
+                same[id(end)] = values.setdefault(end, len(values))
 
     # the composite's element target.mul[G(f.m)][g.m] depends on f only
     # through f.m, so the first f of each (f.target, f.m) class, in list
     # order, decides closure for its class and is the all-pairs witness
     ending: dict = {}
     for f in retained:
-        ending.setdefault(f.target, {}).setdefault(f.m, f)
+        ending.setdefault(same[id(f.target)], {}).setdefault(f.m, f)
     closed = True
     witness = None
     for g in retained:
-        for f in ending.get(g.source, {}).values():
+        for f in ending.get(same[id(g.source)], {}).values():
             comp = compose_dd_functors(g, f)
             if comp.m != comp.target.monoid.unit:
                 closed = False
@@ -819,14 +840,17 @@ def restrict_identity_constraint(functors, bound: int | None = None):
         dies = cmon_die_universe(bound)
         maps: dict = {}
         for f in retained:
-            maps.setdefault((f.source, f.target), []).append(f.hom_map.map)
+            ends = (same[id(f.source)], same[id(f.target)])
+            maps.setdefault(ends, []).append(f.hom_map.map)
+        where = [values.get(s) for s in dies]
         full = faithful = True
-        for s in dies:
-            for t in dies:
-                got = maps.get((s, t), [])
+        for s, si in zip(dies, where):
+            for t, ti in zip(dies, where):
+                got = maps.get((si, ti), [])
                 full = full and set(got) == set(hom_maps(s.monoid, t.monoid))
                 faithful = faithful and len(set(got)) == len(got)
-        sources = {f.source.monoid for f in retained}
+        source_ends = {si for si, _ in maps}
+        sources = {end.monoid for end, i in values.items() if i in source_ends}
         report.add("restricted-comparison-full", full, dimension=1)
         report.add("restricted-comparison-faithful", faithful, dimension=1)
         surjective = all(s.monoid in sources for s in dies)

@@ -25,9 +25,17 @@ class FiniteMonoid:
     Construction checks shape only, through `report.exact`: a positive int
     size, and the unit and every table entry exact ints in range(size).
     The monoid axioms are checked by `check_monoid`, so axiom-violating
-    tables can be represented and reported on.  `hom_maps` caches its
-    search plan for a source on the instance, outside the dataclass
-    fields (see `_hom_search_plan`).
+    tables can be represented and reported on.
+
+    Three attributes may be kept on an instance outside the dataclass
+    fields, so equality, hashing, repr and JSON ignore them and a
+    `dataclasses.replace` copy starts without them: `_hom_search_plan`,
+    the search plan of `hom_maps` with the instance as source;
+    `_hom_maps`, its memo of hom-sets out of the instance (see
+    `hom_maps`); and `_dies`, the structures `enumerate_dies` found on it.
+    Each is set with `object.__setattr__`, not through `__dict__`:
+    writing to the instance's `__dict__` makes every later attribute read
+    on it several times slower.
     """
 
     size: int
@@ -210,20 +218,23 @@ def max_enumeration_size() -> int:
     """The size bound from the environment; unset or empty means the default.
 
     A value that is not a non-negative integer is refused, not replaced.
+    Only ASCII decimal digits are read, so a sign, a space, an underscore
+    or a non-ASCII digit is refused too, where `int()` would accept it.
     """
     raw = os.environ.get(MAX_SIZE_ENV, "")
     if not raw:
         return DEFAULT_MAX_SIZE
-    try:
-        bound = int(raw)
-    except ValueError:
-        raise StructuralError(f"{MAX_SIZE_ENV}={raw!r} is not an integer") from None
-    if bound < 0:
+    if raw.isascii() and raw.isdigit():
+        return int(raw)
+    digits = raw[1:]
+    if raw[0] == "-" and digits.isascii() and digits.isdigit() and int(digits):
         raise StructuralError(f"{MAX_SIZE_ENV}={raw!r} is negative")
-    return bound
+    raise StructuralError(f"{MAX_SIZE_ENV}={raw!r} is not an integer")
 
 
 def _check_enumeration_size(n: int) -> None:
+    # an exact int, so a float or bool cannot hit the cache key of an int
+    exact(n, "enumeration size")
     if n < 0:
         raise StructuralError(f"enumeration size {n} is negative")
     bound = max_enumeration_size()
@@ -295,6 +306,11 @@ def _find_unit(table) -> int:
     raise InvalidStructureError("table has no unit element")
 
 
+# the classes `enumerate_monoids` found, by (n, commutative_only), kept for
+# the life of the process
+_CLASSES: dict = {}
+
+
 def enumerate_monoids(n: int, commutative_only: bool = False) -> list:
     """All monoids with n elements, one per isomorphism class.
 
@@ -302,17 +318,22 @@ def enumerate_monoids(n: int, commutative_only: bool = False) -> list:
     unit-0 table per class, so `canonical_form` runs once per class.  The
     canonical forms are returned sorted, for determinism, each with the
     unit it carries.  Refuses a negative n and n beyond the configured
-    bound.
+    bound, on every call.
+
+    The search runs once per (n, commutative_only) in a process: each call
+    returns a new list of the same `FiniteMonoid` instances, so the memos
+    kept on them (see `FiniteMonoid`) serve every later caller.
     """
     _check_enumeration_size(n)
     if n == 0:
         return []
-    keys = sorted(canonical_form(t) for t in _unital_associative_tables(n, commutative_only))
-    out = []
-    for key in keys:
-        table = tuple(key[i * n : (i + 1) * n] for i in range(n))
-        out.append(FiniteMonoid(n, _find_unit(table), table))
-    return out
+    key = (n, bool(commutative_only))
+    classes = _CLASSES.get(key)
+    if classes is None:
+        forms = sorted(canonical_form(t) for t in _unital_associative_tables(n, commutative_only))
+        tables = [tuple(form[i * n : (i + 1) * n] for i in range(n)) for form in forms]
+        classes = _CLASSES[key] = tuple(FiniteMonoid(n, _find_unit(t), t) for t in tables)
+    return list(classes)
 
 
 def _unital_associative_tables(n: int, commutative_only: bool):
@@ -451,10 +472,7 @@ def _hom_search_plan(source: FiniteMonoid) -> tuple:
     Each equation h(ab) = h(a)h(b), as the triple (a, b, ab), goes into the
     bucket of the step at which the last of a, b and ab is placed, so every
     equation sits in exactly one bucket.  Cached on the instance, outside
-    the dataclass fields, so equality, hashing, repr and JSON ignore it and
-    a `dataclasses.replace` copy starts without it.  It is set with
-    `object.__setattr__`, not through `__dict__`: writing to the instance's
-    `__dict__` makes every later attribute read on it several times slower.
+    the dataclass fields (see `FiniteMonoid`).
     """
     try:
         return source._hom_search_plan
@@ -483,7 +501,29 @@ def hom_maps(source: FiniteMonoid, target: FiniteMonoid) -> list:
     that element are checked (see `_hom_search_plan`), so every equation is
     checked exactly once on the path to each leaf.  The unit's position is
     fixed, so the maps come out in lexicographic order.
+
+    The search runs once per pair of objects in a process.  Its list is
+    memoized on `source`, outside the dataclass fields, under id(target)
+    with the target beside it; a hit counts only if the stored target is
+    `target` itself, so a `dataclasses.replace` copy or an equal but
+    distinct table is searched afresh and no monoid is hashed.  Every call
+    for one pair returns that same list: callers must not change it.
     """
+    try:
+        memo = source._hom_maps
+    except AttributeError:
+        memo = {}
+        object.__setattr__(source, "_hom_maps", memo)
+    key = id(target)
+    hit = memo.get(key)
+    if hit is not None and hit[0] is target:
+        return hit[1]
+    maps = _search_hom_maps(source, target)
+    memo[key] = (target, maps)
+    return maps
+
+
+def _search_hom_maps(source: FiniteMonoid, target: FiniteMonoid) -> list:
     order, buckets = _hom_search_plan(source)
     tmul = target.mul
     values, unit_image = range(target.size), (target.unit,)
@@ -515,17 +555,30 @@ def enumerate_homs(source: FiniteMonoid, target: FiniteMonoid) -> list:
 
 
 def enumerate_dies(m: FiniteMonoid) -> list:
-    """Every CMonDIE structure on a commutative monoid (one per unit element)."""
-    if check_commutative(m):
-        return []
-    return [CMonDIE(m, d, invert(m, d)) for d in units(m)]
+    """Every CMonDIE structure on a commutative monoid (one per unit element).
+
+    Built once per monoid object and kept on it, outside the dataclass
+    fields (see `FiniteMonoid`): each call returns a new list of the same
+    `CMonDIE` instances, so the functors interned on them (see
+    `doubly._interned`) serve every later caller.
+    """
+    try:
+        return list(m._dies)
+    except AttributeError:
+        pass
+    dies = () if check_commutative(m) else tuple(CMonDIE(m, d, invert(m, d)) for d in units(m))
+    object.__setattr__(m, "_dies", dies)
+    return list(dies)
 
 
 def cmon_die_universe(bound: int) -> list:
     """All (commutative monoid, die) pairs of size up to bound.
 
     One pair per (monoid class, unit), not up to iso: isomorphic pairs such
-    as (Z/3, die 1) and (Z/3, die 2) both occur.
+    as (Z/3, die 1) and (Z/3, die 2) both occur.  The monoids and dies are
+    the instances `enumerate_monoids` and `enumerate_dies` keep, so every
+    call in a process returns the same objects, and the dies of a smaller
+    bound are the first dies of a larger one.
     """
     _check_enumeration_size(bound)
     out = []

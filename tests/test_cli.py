@@ -7,7 +7,9 @@ import sys
 import pytest
 
 from dataclasses import replace
+from pathlib import Path
 
+import deglab
 from deglab import serialize
 from deglab.cli import main
 from deglab.degenerate import DegenerateCategory
@@ -19,7 +21,16 @@ from deglab.monoidal import (
     identity_deg_transformation,
     identity_monoidal_functor,
 )
-from deglab.monoids import CMonDIE, FiniteMonoid, identity_hom, make_cmon_die
+from deglab.monoids import (
+    CMonDIE,
+    FiniteMonoid,
+    enumerate_dies,
+    enumerate_monoids,
+    hom_maps,
+    identity_hom,
+    make_cmon_die,
+)
+from deglab.suites import SUITES, run_suite
 from samples import sample_structures
 
 
@@ -360,7 +371,7 @@ class TestEnumerateAndSuite:
         monkeypatch.setenv("DEGLAB_MAX_SIZE", "2")
         assert main(["enumerate", "--size", "3"]) == 2
 
-    @pytest.mark.parametrize("raw", ["abc", "5.0", "-1"])
+    @pytest.mark.parametrize("raw", ["abc", "5.0", "-1", "6_0", " 4", "4 ", "+4", "٤"])
     @pytest.mark.parametrize("extra", [[], ["--commutative"], ["--dies"]])
     def test_enumerate_refuses_bad_bound(self, monkeypatch, capsys, raw, extra):
         # refused, not read as the default bound
@@ -368,6 +379,7 @@ class TestEnumerateAndSuite:
         assert main(["enumerate", "--size", "2", *extra]) == 2
         err = capsys.readouterr().err
         assert "DEGLAB_MAX_SIZE" in err and repr(raw) in err
+        assert ("is negative" if raw == "-1" else "is not an integer") in err
 
     @pytest.mark.parametrize("extra", [[], ["--commutative"], ["--dies"]])
     def test_enumerate_refuses_negative_size(self, capsys, extra):
@@ -422,3 +434,33 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0
         assert "2 structures" in proc.stdout
+
+
+class TestWarmProcess:
+    """Enumerations, dies and hom-sets are memoized for the life of the
+    process and shared by every caller, so a warm process must read as a
+    fresh one."""
+
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_suite_bytes_match_a_fresh_process(self, name):
+        env = dict(os.environ, PYTHONPATH=str(Path(deglab.__file__).parents[1]))
+        cmd = [sys.executable, "-m", "deglab", "--format", "json", "suite", name]
+        fresh = subprocess.run(cmd, capture_output=True, env=env, check=False)
+        run_suite(name)
+        warm = serialize.canonical_dumps(run_suite(name).to_payload())
+        assert fresh.returncode == 0 and fresh.stdout.decode("utf-8") == warm
+
+    def test_no_caller_changes_a_memoized_list(self):
+        for name in sorted(SUITES):
+            assert run_suite(name, bound=3).ok
+        checked = 0
+        for n in (1, 2, 3):
+            for commutative in (False, True):
+                for m in enumerate_monoids(n, commutative):
+                    fresh = replace(m)
+                    for target, maps in vars(m).get("_hom_maps", {}).values():
+                        assert maps == hom_maps(fresh, replace(target))
+                        checked += 1
+                    assert enumerate_dies(m) == enumerate_dies(fresh)
+        # at least every pair of the thm-dce and thm-vdbe universes at bound 3
+        assert checked >= 10 * 10 + 8 * 8

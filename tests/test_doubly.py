@@ -1124,6 +1124,31 @@ class TestIdentityConstraintRestriction:
         found = self._comparison_findings(fs + [fs[kept]])
         assert found == {"full": True, "faithful": False, "surjective": True}
 
+    def test_ends_are_matched_by_value(self, bound_three):
+        # the same functors between `replace` copies of the dies and of their
+        # monoids, alone and mixed with the originals, give the same reports
+        fs, kept = bound_three
+        dies = cmon_die_universe(3)
+        copies = {id(s): replace(s, monoid=replace(s.monoid)) for s in dies}
+        copied = [f for s in dies for t in dies
+                  for f in dd_functors_between(copies[id(s)], copies[id(t)])]
+        mixed = [f if i % 2 else c for i, (f, c) in enumerate(zip(fs, copied))]
+        assert copied == fs and not any(a is b for a, b in zip(copied, fs))
+        want = restrict_identity_constraint(fs, bound=3)[1].to_payload()
+        for functors in (copied, mixed):
+            assert restrict_identity_constraint(functors, bound=3)[1].to_payload() == want
+            dropped = functors[:kept] + functors[kept + 1 :]
+            assert self._comparison_findings(dropped)["full"] is False
+            assert self._comparison_findings(functors + [fs[kept]])["faithful"] is False
+
+    def test_universe_one_cells_are_the_functor_sweep(self):
+        # thm-vdbe hands the restriction the universe's 1-cells in place of
+        # the sweep over every pair of dies: the same objects, in order
+        swept = _universe_functors(3)
+        one_cells = two_truncation_universe(3)[1]
+        assert len(one_cells) == len(swept) == 416
+        assert all(f is g for (_, _, f), g in zip(one_cells, swept))
+
     def test_few_functors_fail_surjectivity(self, bound_three):
         fs, _ = bound_three
         assert self._comparison_findings(fs[:3])["surjective"] is False

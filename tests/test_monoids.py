@@ -25,6 +25,7 @@ from deglab.monoids import (
     identity_hom,
     invert,
     make_cmon_die,
+    max_enumeration_size,
     units,
     _unital_associative_tables,
 )
@@ -397,6 +398,71 @@ class TestHomSearch:
         assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
         assert canonical_dumps(to_payload(used)) == canonical_dumps(to_payload(fresh))
         assert set(vars(replace(used))) == {"size", "unit", "mul"}
+
+
+class TestProcessMemos:
+    def test_hom_maps_returns_one_list_per_pair_of_objects(self):
+        s, t = enumerate_monoids(3)[2], enumerate_monoids(3)[4]
+        maps = hom_maps(s, t)
+        assert maps and hom_maps(s, t) is maps
+        # a copy, or an equal table built anew, is a different object: its
+        # own search, with an equal list
+        for other in (replace(t), FiniteMonoid(t.size, t.unit, t.mul)):
+            again = hom_maps(s, other)
+            assert again == maps and again is not maps
+            assert hom_maps(s, other) is again and hom_maps(s, t) is maps
+        copied = hom_maps(replace(s), t)
+        assert copied == maps and copied is not maps
+
+    def test_enumeration_returns_a_new_list_of_the_same_instances(self):
+        first = enumerate_monoids(3)
+        again = enumerate_monoids(3)
+        assert first is not again and len(first) == 7
+        assert all(a is b for a, b in zip(first, again))
+        first.clear()
+        again.append(zmod(2))
+        assert len(enumerate_monoids(3)) == 7
+        plain, commutative = enumerate_monoids(2), enumerate_monoids(2, commutative_only=True)
+        assert plain == commutative and not any(a is b for a, b in zip(plain, commutative))
+
+    def test_bound_is_read_on_every_call(self, monkeypatch):
+        assert len(enumerate_monoids(3)) == 7 and cmon_die_universe(3)
+        monkeypatch.setenv("DEGLAB_MAX_SIZE", "2")
+        with pytest.raises(StructuralError, match="exceeds bound 2"):
+            enumerate_monoids(3)
+        with pytest.raises(StructuralError, match="exceeds bound 2"):
+            cmon_die_universe(3)
+        assert len(enumerate_monoids(2)) == 2
+
+    @pytest.mark.parametrize("n", [1.0, True, "1"])
+    def test_size_must_be_an_exact_int(self, n):
+        enumerate_monoids(1)
+        with pytest.raises(StructuralError, match="enumeration size"):
+            enumerate_monoids(n)
+
+    def test_die_universes_share_their_dies(self):
+        small, large = cmon_die_universe(3), cmon_die_universe(4)
+        assert len(small) < len(large)
+        assert all(a is b for a, b in zip(small, large))
+        m = small[-1].monoid
+        dies = enumerate_dies(m)
+        assert dies is not enumerate_dies(m)
+        assert all(a is b for a, b in zip(dies, enumerate_dies(m)))
+        assert [s for s in small if s.monoid is m] == dies
+
+    def test_die_memo_invisible_to_equality_hash_and_copies(self):
+        fresh, used = zmod(3), zmod(3)
+        enumerate_dies(used)
+        assert "_dies" in vars(used) and used == fresh and hash(used) == hash(fresh)
+        assert enumerate_dies(replace(used)) == enumerate_dies(used)
+        assert "_dies" not in vars(replace(used))
+
+
+class TestMaxSize:
+    @pytest.mark.parametrize("raw, bound", [("", 5), ("0", 0), ("4", 4), ("007", 7)])
+    def test_digits_and_the_default(self, monkeypatch, raw, bound):
+        monkeypatch.setenv("DEGLAB_MAX_SIZE", raw)
+        assert max_enumeration_size() == bound
 
 
 class TestEnumeration:
