@@ -115,11 +115,13 @@ def monoid_category(prefix: str, monoids: list, homs: dict, two_cell=None):
     """The category of the given monoids over hom-sets of plain maps.
 
     homs[(i, k)] lists the maps of the homomorphisms monoids[i] ->
-    monoids[k], as `hom_maps` returns them; each map is its own key, the
-    composite g . f reads g at each entry of f, and the identity on
-    monoids[i] is tuple(range(size)).  0-cells are labelled
-    f"{prefix}#{i}(n={size})".  two_cell is as for `hom_indexed_category`,
-    which builds the category; returns its (category, index).
+    monoids[k] in lexicographic order, as `hom_maps` returns them; each
+    map is its own key, the composite g . f reads g at each entry of f,
+    and the identity on monoids[i] is tuple(range(size)).  0-cells are
+    labelled f"{prefix}#{i}(n={size})".  two_cell is as for
+    `hom_indexed_category`, which builds the category; returns its
+    (category, one_cell), one_cell(i, k, map) finding a 1-cell by
+    binary search of its hom-set.
     """
     return hom_indexed_category(
         tuple(f"{prefix}#{i}(n={m.size})" for i, m in enumerate(monoids)),
@@ -141,6 +143,8 @@ def forgetful_universe(sample: list):
     `hom_maps`), searched once per pair of right-side monoids:
     right_homs[(i, k)] is that search's list, and left_homs[(i, k)] is the
     very list right_homs[(map0[i], map0[k])], so the two sides share it.
+    map1 finds each left 1-cell's map in the right hom-set of its image
+    pair through the right side's `monoid_category` lookup.
     """
     if not sample:
         raise InvalidStructureError("sample must be nonempty")
@@ -160,9 +164,9 @@ def forgetful_universe(sample: list):
         (i, k): right_homs[(p, q)] for i, p in enumerate(map0) for k, q in enumerate(map0)
     }
     left_cat, _ = monoid_category("monoid", left_monoids, left_homs)
-    right_cat, right_index = monoid_category("monoid", right_monoids, right_homs)
+    right_cat, right_one_cell = monoid_category("monoid", right_monoids, right_homs)
     map1 = tuple(
-        right_index[(map0[i], map0[k], h)] for (i, k), homs in left_homs.items() for h in homs
+        right_one_cell(map0[i], map0[k], h) for (i, k), homs in left_homs.items() for h in homs
     )
     return right_monoids, left_homs, right_homs, JFunctor(left_cat, right_cat, map0, map1)
 

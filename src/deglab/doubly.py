@@ -662,7 +662,11 @@ def two_truncation_universe(bound: int):
     which `transformation_between(f, g)` is not None.  The image side is
     `degenerate.monoid_category` over the distinct monoids of the
     instances, with identity 2-cells only: its 1-cells are the plain map
-    tuples of `hom_maps`, and map1 sends each functor to its hom map."""
+    tuples of `hom_maps`, and map1 sends each functor to its hom map,
+    found by binary search of the image hom-set.  Both sides' hom-sets
+    are in ascending key order, as `hom_indexed_category` requires:
+    `dd_functors_between` sorts by (map, m), and `hom_maps` is
+    lexicographic."""
     dies = cmon_die_universe(bound)
     homs = {
         (si, ti): dd_functors_between(s, t)
@@ -681,7 +685,7 @@ def two_truncation_universe(bound: int):
 
     monoids = list(dict.fromkeys(s.monoid for s in dies))
     # the discrete side: identity 2-cells only
-    right, r_index = monoid_category(
+    right, right_one_cell = monoid_category(
         "cmon",
         monoids,
         {
@@ -694,9 +698,7 @@ def two_truncation_universe(bound: int):
 
     mpos = {m: i for i, m in enumerate(monoids)}
     map0 = tuple(mpos[s.monoid] for s in dies)
-    map1 = tuple(
-        r_index[(map0[s], map0[t], f.hom_map.map)] for (s, t, f) in one_cells
-    )
+    map1 = tuple(right_one_cell(map0[s], map0[t], f.hom_map.map) for (s, t, f) in one_cells)
     map2 = tuple(map1[f] for f, _ in left.two_cells)
     fun = JFunctor(left, right, map0, map1, map2)
     return dies, one_cells, left.two_cells, fun

@@ -13,9 +13,11 @@ target cell to hit, or with two or more cells to identify), in the order of
 their ends, and reports the dimension and a witness for the first failure.
 """
 
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
+from operator import gt
 
 from .report import InvalidStructureError, Report, StructuralError, ValidationReport, exact
 
@@ -130,41 +132,56 @@ def _position(index: dict, key) -> int:
 def hom_indexed_category(zero_cells, homs, key, compose, identity, two_cell=None):
     """Assemble a finite 1- or 2-category from explicit hom-sets.
 
-    homs[(i, k)] lists the arrows from 0-cell i to 0-cell k; 1-cells are
-    numbered in that order and found again by (i, k, key(arrow)), the first
-    arrow with a key winning.  compose(g, f) is g after f and identity(i)
-    the identity on 0-cell i; each result must lie in its hom-set, else
+    homs[(i, k)] lists the arrows from 0-cell i to 0-cell k in ascending
+    order of key(arrow), else InvalidStructureError naming the hom-set;
+    equal keys may repeat.  1-cells are numbered in that order, so the
+    1-cells i -> k are one contiguous range, and a 1-cell is found again
+    by (i, k, key) through a binary search of its range, the first arrow
+    with the key winning; nothing is kept per 1-cell beyond the arrow and
+    its ends.  compose(g, f) is g after f and identity(i) the identity on
+    0-cell i; each result must lie in its hom-set, else
     InvalidStructureError.  With two_cell(f, g) given, the result is a
     locally thin 2-category with a 2-cell f => g for each parallel pair on
     which two_cell returns a true value, ordered by source, then target;
     nothing two_cell returns is kept.  The category's `hom1` and `hom2`
-    read this numbering: the 1-cells i -> k are one contiguous range, and
-    each 2-cell is found by its ends.
+    read this numbering: `hom1` reads the ranges, and each 2-cell is found
+    by its ends.
 
-    Returns (category, index): index maps (i, k, key) to the 1-cell.
+    Returns (category, one_cell): one_cell(i, k, key) is the 1-cell i -> k
+    with that key, or InvalidStructureError if there is none.
     """
-    arrows, ends, index, span = [], [], {}, {}
+    arrows, ends, span = [], [], {}
     for e, hom in homs.items():  # each cell's ends are its hom-set's key, shared
-        i, k = e
-        for f in hom:
-            index.setdefault((i, k, key(f)), len(arrows))
-            arrows.append(f)
-            ends.append(e)
-        span[e] = range(len(arrows) - len(hom), len(arrows))
+        span[e] = range(len(arrows), len(arrows) + len(hom))
+        arrows += hom
+        ends += [e] * len(hom)
+        if len(hom) > 1:
+            keys = list(map(key, hom))
+            if any(map(gt, keys, keys[1:])):
+                raise InvalidStructureError(f"hom-set {e!r} is not in ascending key order")
     ends = tuple(ends)
 
+    def one_cell(i, k, kv):
+        cells = span.get((i, k))
+        if cells is not None:
+            try:
+                pos = bisect_left(arrows, kv, cells.start, cells.stop, key=key)
+            except TypeError:  # kv does not compare with the hom-set's keys
+                pos = cells.stop
+            if pos < cells.stop and key(arrows[pos]) == kv:
+                return pos
+        raise InvalidStructureError(f"composite or identity {(i, k, kv)!r} missing from its hom-set")
+
     def one_comp(g, f):
-        return _position(index, (ends[f][0], ends[g][1], key(compose(arrows[g], arrows[f]))))
+        return one_cell(ends[f][0], ends[g][1], key(compose(arrows[g], arrows[f])))
 
     zero_cells = tuple(zero_cells)
-    one_identity = tuple(
-        _position(index, (i, i, key(identity(i)))) for i in range(len(zero_cells))
-    )
+    one_identity = tuple(one_cell(i, i, key(identity(i))) for i in range(len(zero_cells)))
     one_table = _Composites(ends, one_comp)
     if two_cell is None:
         cat = FiniteJCategory(1, zero_cells, ends, one_identity, one_table)
         object.__setattr__(cat, "_hom1_index", span)
-        return cat, index
+        return cat, one_cell
 
     two_cells, two_index = [], {}
     for f, e in enumerate(ends):
@@ -195,7 +212,7 @@ def hom_indexed_category(zero_cells, homs, key, compose, identity, two_cell=None
     )
     object.__setattr__(cat, "_hom1_index", span)
     object.__setattr__(cat, "_hom2_index", two_index)
-    return cat, index
+    return cat, one_cell
 
 
 @dataclass(frozen=True)

@@ -863,7 +863,9 @@ def _functor_key(f: MonoidalFunctor):
 def shift_universe(mcs: list):
     """Both sides of the shift comparison: one-0-cell bicategories and
     monoidal categories share one enumeration of functors per pair and
-    differ only in their 0-cell labels.  Returns (functors, fun)."""
+    differ only in their 0-cell labels.  Each enumeration is a backtracking
+    search in lexicographic order of `_functor_key`, the ascending key
+    order that `hom_indexed_category` requires.  Returns (functors, fun)."""
     functors = {
         (i, k): enumerate_monoidal_functors(a, b)
         for i, a in enumerate(mcs)

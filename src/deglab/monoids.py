@@ -50,14 +50,14 @@ class FiniteMonoid:
         object.__setattr__(self, "mul", exact(self.mul, "mul", (n, n), n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonoidHom:
     """A map of element indices between two finite monoids.
 
     The constructor takes `map` as exact ints, one per source element, each
-    in range(target.size) (see `report.exact`).  `_trusted` sets its fields
-    with `object.__setattr__`: writing through the instance `__dict__`
-    would make every later attribute read on it several times slower.
+    in range(target.size) (see `report.exact`).  The three fields are slots
+    and an instance has no `__dict__`, so each of the one per reduced
+    functor costs no dict; `_trusted` sets them with `object.__setattr__`.
     """
 
     source: FiniteMonoid

@@ -20,7 +20,12 @@ from deglab.fincat import enumerate_functors, one_object_category
 from deglab.monoids import FiniteMonoid, MonoidHom, enumerate_monoids, hom_maps, identity_hom
 from deglab.report import InvalidStructureError
 from samples import left_padded_monoid
-from universes import reference_forgetful_report, reference_forgetful_universe
+from universes import (
+    assert_lookup_matches,
+    hom_index,
+    reference_forgetful_report,
+    reference_forgetful_universe,
+)
 
 
 def _relabeled_pair():
@@ -199,6 +204,12 @@ class TestForgetfulEquivalence:
         # the two sides share each hom-set's list, as the reference's cache did
         for (i, k), homs in left_homs.items():
             assert homs is right_homs[(fun.map0[i], fun.map0[k])]
+        # each side's lookup against a dict over its hom-sets, present keys and absent
+        left = [c.hom for c in sample]
+        for monoids, homs in ((left, left_homs), (right, right_homs)):
+            _, one_cell = monoid_category("monoid", monoids, homs)
+            absent = [(0, 0, ()), (0, 0, (monoids[0].size,) * monoids[0].size), (len(monoids), 0, (0,))]
+            assert assert_lookup_matches(one_cell, homs, tuple, absent) > len(absent)
 
 
 class TestMonoidCategory:
@@ -206,7 +217,9 @@ class TestMonoidCategory:
         # every composable pair over the monoids of size <= 3, sizes 1 included
         ms = [m for n in (1, 2, 3) for m in enumerate_monoids(n)]
         homs = {(a, b): hom_maps(ms[a], ms[b]) for a in range(len(ms)) for b in range(len(ms))}
-        cat, index = monoid_category("m", ms, homs)
+        cat, one_cell = monoid_category("m", ms, homs)
+        assert_lookup_matches(one_cell, homs, tuple)
+        index = hom_index(homs, tuple)
         arrows = [h for hs in homs.values() for h in hs]
         assert cat.zero_cells[:3] == ("m#0(n=1)", "m#1(n=2)", "m#2(n=2)")
         assert cat.one_identity == tuple(index[(a, a, tuple(range(m.size)))] for a, m in enumerate(ms))

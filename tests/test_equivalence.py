@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import json
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from deglab.equivalence import (
     internally_equivalent,
 )
 from deglab.report import InvalidStructureError, StructuralError
+from universes import assert_lookup_matches
 
 
 def walking_isomorphism():
@@ -501,11 +503,12 @@ def cyclic(n, arrows, two_cell=None):
 
 class TestHomIndexedCategory:
     def test_tables_match_all_pairs_reference(self):
-        cat, index = cyclic(3, range(3))
+        cat, one_cell = cyclic(3, range(3))
         assert check_jcategory(cat).ok and cat.j == 1 and cat.two_cells == ()
         assert dict(cat.one_comp) == {(g, f): (g + f) % 3 for g in range(3) for f in range(3)}
         assert len(cat.one_comp) == len(dict(cat.one_comp)) == 9
-        assert index == {(0, 0, a): a for a in range(3)}
+        absent = [(0, 0, 3), (0, 0, -1), (0, 1, 0), (1, 0, 0)]
+        assert_lookup_matches(one_cell, {(0, 0): range(3)}, lambda a: a % 3, absent)
 
     def test_thin_two_cells_match_all_pairs_reference(self):
         # one 2-cell between every parallel pair: each hom-category is codiscrete
@@ -586,10 +589,62 @@ class TestHomIndexedCategory:
             cyclic(3, range(3), two_cell=lambda f, g: f == g == 0)
 
     def test_first_arrow_with_a_key_wins(self):
-        cat, index = cyclic(3, [0, 1, 4, 2])  # 4 and 1 share the key 1
-        assert index[(0, 0, 1)] == 1 and index[(0, 0, 2)] == 3
+        cat, one_cell = cyclic(3, [0, 1, 4, 2])  # 4 and 1 share the key 1
+        assert one_cell(0, 0, 1) == 1 and one_cell(0, 0, 2) == 3
+        assert_lookup_matches(one_cell, {(0, 0): [0, 1, 4, 2]}, lambda a: a % 3, [(0, 0, 3)])
         assert cat.one_comp[(3, 3)] == 1  # 2 + 2 = 4, found as the first arrow keyed 1
         assert cat.one_comp[(2, 0)] == 1
+
+    def test_first_arrow_wins_in_every_run_of_equal_keys(self):
+        # keys 0, 0, 0, 1, 1, 2, 2: each key found at the start of its run
+        arrows = [0, 3, 6, 1, 4, 2, 5]
+        cat, one_cell = cyclic(3, arrows)
+        assert [one_cell(0, 0, kv) for kv in range(3)] == [0, 3, 5]
+        assert cat.one_identity == (0,)
+        assert cat.one_comp[(4, 4)] == 5  # 4 + 4 = 8, keyed 2
+        assert cat.one_comp[(2, 1)] == 0  # 6 + 3 = 9, keyed 0
+        homs = {(0, 0): arrows}
+        assert assert_lookup_matches(one_cell, homs, lambda a: a % 3, [(0, 0, 3), (0, 0, -1)]) == 2
+
+    def test_unsorted_hom_set_is_rejected_by_name(self):
+        with pytest.raises(InvalidStructureError, match=r"hom-set \(0, 0\)"):
+            cyclic(3, [0, 2, 1])
+        homs = {(0, 0): ["a"], (0, 1): ["b", "a"], (1, 1): ["b"]}
+        with pytest.raises(InvalidStructureError, match=r"hom-set \(0, 1\)"):
+            hom_indexed_category(("x", "y"), homs, str, lambda g, f: g, lambda i: "ab"[i])
+        # equal keys may repeat; only a descent is out of order
+        cyclic(3, [0, 3, 1])
+
+    def test_absent_keys_raise_invalid_structure(self):
+        # below, between and above the keys of a hom-set, in a hom-set that
+        # is not there, and of a type the keys do not compare with
+        _, one_cell = cyclic(7, [0, 2, 5])
+        for i, k, kv in [(0, 0, -1), (0, 0, 1), (0, 0, 3), (0, 0, 6), (0, 1, 0), (1, 0, 0), (0, 0, "2")]:
+            with pytest.raises(InvalidStructureError, match="missing from its hom-set"):
+                one_cell(i, k, kv)
+        assert [one_cell(0, 0, kv) for kv in (0, 2, 5)] == [0, 1, 2]
+        with pytest.raises(InvalidStructureError):  # 2 + 5 = 0 but 5 + 5 = 3 is absent
+            cyclic(7, [0, 2, 5])[0].one_comp[(2, 2)]
+        with pytest.raises(InvalidStructureError):  # the identity 0 is absent
+            cyclic(7, [2, 5])
+
+    def test_no_index_is_kept_per_one_cell(self):
+        # the forgetful universe over sizes <= 4 holds about 95 B per 1-cell
+        # (arrow, ends, map1 entry) on Python 3.11; a dict from (i, k, key)
+        # to each 1-cell would add about 115 B more
+        sample = degenerate_sample(4)
+        forgetful_universe(sample)  # searches every hom-set once, for this process
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _, _, _, fun = forgetful_universe(sample)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        cells = len(fun.source.one_cells) + len(fun.target.one_cells)
+        assert cells == 15788
+        assert held / cells < 150, held / cells
 
     def test_equality_never_builds_a_table_out(self):
         calls = []

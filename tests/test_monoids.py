@@ -1,5 +1,7 @@
+import copy
 import functools
 import itertools
+import pickle
 import random
 from dataclasses import replace
 
@@ -338,6 +340,23 @@ class TestHoms:
             if check_hom(h).ok:
                 raw.append(image)
         assert sorted(h.map for h in enumerate_homs(m, n)) == sorted(raw)
+
+    def test_homs_are_slotted_and_copy_by_value(self):
+        m, n = zmod(4), zmod(2)
+        hom_maps(m, n)  # copies of the ends carry the memo in their __dict__; a hom has none
+        built = MonoidHom(m, n, (0, 1, 0, 1))
+        trusted = MonoidHom._trusted(m, n, (0, 1, 0, 1))
+        assert trusted == built and hash(trusted) == hash(built)
+        assert identity_hom(m) == MonoidHom(m, m, range(4))
+        assert MonoidHom.__slots__ == ("source", "target", "map")
+        for h in (built, trusted):
+            assert not hasattr(h, "__dict__")
+            for other in (copy.copy(h), copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
+                assert other == h and type(other) is MonoidHom and check_hom(other).ok
+            with pytest.raises(AttributeError):
+                h.map = (0, 0, 0, 0)
+            with pytest.raises(AttributeError):
+                object.__setattr__(h, "note", 1)
 
 
 def unit_preserving_homs(source, target):

@@ -1,25 +1,67 @@
 """Reference universes: the category-of-monoids sides as they were built
 when every hom-set held `MonoidHom`s from `enumerate_homs`, keyed by their
 maps and looked up by (monoid, monoid) pairs.  Each builds its own
-hom-sets, so the map-tuple builders must reproduce their numbering,
-tables, functor and report."""
+hom-sets and finds 1-cells through its own dict index (`hom_index`), not
+the lookup `hom_indexed_category` returns, so the map-tuple builders must
+reproduce their numbering, tables, functor and report."""
+
+from operator import attrgetter
+
+import pytest
 
 from deglab.equivalence import JFunctor, check_external_equivalence, hom_indexed_category
 from deglab.monoids import enumerate_homs, enumerate_monoids, identity_hom
-from deglab.report import Report
+from deglab.report import InvalidStructureError, Report
 from samples import compose_homs
 
 
+_hom_map = attrgetter("map")
+
+
+def hom_index(homs, key) -> dict:
+    """The dict (i, k, key(arrow)) -> 1-cell over the hom-sets numbered in
+    order, the first arrow with a key winning."""
+    index: dict = {}
+    cell = 0
+    for (i, k), hom in homs.items():
+        for f in hom:
+            index.setdefault((i, k, key(f)), cell)
+            cell += 1
+    return index
+
+
+def assert_lookup_matches(one_cell, homs, key, absent=()) -> int:
+    """`one_cell`, as `hom_indexed_category` returns it, agrees with
+    `hom_index(homs, key)` at every key, and raises InvalidStructureError
+    at each (i, k, key) of `absent` and at up to three keys of the next
+    hom-set (cyclically) that each hom-set lacks.  Returns the number of
+    absent keys tried."""
+    index = hom_index(homs, key)
+    for (i, k, kv), cell in index.items():
+        assert one_cell(i, k, kv) == cell, (i, k, kv)
+    pairs = list(homs)
+    missing = list(absent)
+    for (i, k), nxt in zip(pairs, pairs[1:] + pairs[:1]):
+        others = [kv for kv in map(key, homs[nxt]) if (i, k, kv) not in index]
+        missing += [(i, k, kv) for kv in others[:3]]
+    for i, k, kv in missing:
+        with pytest.raises(InvalidStructureError):
+            one_cell(i, k, kv)
+    return len(missing)
+
+
 def monoid_hom_category(labels, monoids, homs, two_cell=None):
-    """`hom_indexed_category` over hom-sets of `MonoidHom`s."""
-    return hom_indexed_category(
+    """`hom_indexed_category` over hom-sets of `MonoidHom`s, and its index
+    by (i, k, map) from `hom_index`."""
+    cat, _ = hom_indexed_category(
         labels,
         homs,
-        key=lambda h: h.map,
+        key=_hom_map,
         compose=compose_homs,
         identity=lambda i: identity_hom(monoids[i]),
         two_cell=two_cell,
     )
+    return cat, hom_index(homs, _hom_map)
 
 
 def reference_forgetful_universe(sample: list):
