@@ -132,8 +132,7 @@ class DDFunctor:
 
     def __setstate__(self, state):
         # fills an instance that already exists, never through the
-        # constructor: a deep copy can reach this functor through its
-        # source's interning table while that source is still half built
+        # constructor: the state is the fields of a functor already built
         set_ = object.__setattr__
         set_(self, "source", state[0])
         set_(self, "target", state[1])

@@ -28,14 +28,16 @@ class FiniteMonoid:
     tables can be represented and reported on.
 
     Three attributes may be kept on an instance outside the dataclass
-    fields, so equality, hashing, repr and JSON ignore them and a
-    `dataclasses.replace` copy starts without them: `_hom_search_plan`,
-    the search plan of `hom_maps` with the instance as source;
-    `_hom_maps`, its memo of hom-sets out of the instance (see
+    fields, so equality, hashing, repr and JSON ignore them:
+    `_hom_search_plan`, the search plan of `hom_maps` with the instance as
+    source; `_hom_maps`, its memo of hom-sets out of the instance (see
     `hom_maps`); and `_dies`, the structures `enumerate_dies` found on it.
     Each is set with `object.__setattr__`, not through `__dict__`:
     writing to the instance's `__dict__` makes every later attribute read
-    on it several times slower.
+    on it several times slower.  A copy starts without them, whether made
+    by `dataclasses.replace`, `copy.copy`, `copy.deepcopy` or `pickle`:
+    the state is the three fields only, so no copy shares the original's
+    memos or carries a memo keyed by the ids of this process's objects.
     """
 
     size: int
@@ -48,6 +50,23 @@ class FiniteMonoid:
             raise StructuralError(f"size: expected a positive count, got {n}")
         exact(self.unit, "unit", (), n)
         object.__setattr__(self, "mul", exact(self.mul, "mul", (n, n), n))
+
+    def __getstate__(self):
+        return {"size": self.size, "unit": self.unit, "mul": self.mul}
+
+    @classmethod
+    def _trusted(cls, size: int, unit: int, mul: tuple) -> "FiniteMonoid":
+        """Build without the shape checks, for tables made by internal search.
+
+        The caller guarantees that `mul` is a tuple of `size` tuples of
+        `size` ints in range, and `unit` an int in range; untrusted data
+        goes through the constructor.
+        """
+        m = object.__new__(cls)
+        object.__setattr__(m, "size", size)
+        object.__setattr__(m, "unit", unit)
+        object.__setattr__(m, "mul", mul)
+        return m
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,7 +109,8 @@ class CMonDIE:
     trusting it.  `die` and `die_inv` are exact ints in range of the
     monoid (see `report.exact`).  Reduced functors out of an instance are
     interned in a table on it (see `doubly._interned`), outside the
-    dataclass fields, so equality, hashing, repr and JSON ignore it.
+    dataclass fields, so equality, hashing, repr and JSON ignore it, and
+    a copy of any kind starts without it (see `FiniteMonoid`).
     """
 
     monoid: FiniteMonoid
@@ -100,6 +120,9 @@ class CMonDIE:
     def __post_init__(self):
         exact(self.die, "die", (), self.monoid.size)
         exact(self.die_inv, "die_inv", (), self.monoid.size)
+
+    def __getstate__(self):
+        return {"monoid": self.monoid, "die": self.die, "die_inv": self.die_inv}
 
 
 def check_monoid(mul, unit) -> ValidationReport:
@@ -274,20 +297,33 @@ def canonical_form(mul) -> tuple:
     the relabeled table is (perm[mul[perm^-1 i][perm^-1 j]] for each j).
     Its cell (0, 0) is 0 exactly when the element labelled 0 is idempotent,
     so only idempotents are tried as label 0, or every element when there
-    is none (a monoid's unit is idempotent).  Each candidate is one
-    `translate` of the flat table and one read of its first two rows; the
-    full table is read only when they are not above the best ones so far.
-    Two rows prune more than row 0 alone, which ties for every relabeling
-    that puts the unit or a zero at label 0.
+    is none (a monoid's unit is idempotent).
+
+    Of the idempotents, only those with the largest fiber, the number of x
+    with a*x = a, are tried.  With a at label 0, row 0 of the relabeled
+    table is 0 exactly at the labels of those x.  A relabeling that gives
+    them the first labels starts row 0 with as many 0s as the fiber has
+    elements, which no relabeling with a smaller fiber at label 0 can
+    match, so the minimum comes from a largest fiber.  The argument reads
+    no monoid law, so it holds for any table with an idempotent.  The
+    minimum is still taken over every relabeling that puts such an
+    element at label 0, so the result is the same lex-min table.
+
+    Each candidate is one `translate` of the flat table and one read of
+    its first two rows; the full table is read only when they are not
+    above the best ones so far.  Two rows prune more than row 0 alone,
+    which ties for every relabeling that puts the same element at label 0.
     """
     n = len(mul)
     if n < 2:  # an item getter of one index returns the item, not a tuple
         return tuple(v for row in mul for v in row)
     flat = bytes(v for row in mul for v in row)
     relabelers = _relabelers(n)
+    fibers = {a: mul[a].count(a) for a in range(n) if mul[a][a] == a}
+    top = max(fibers.values(), default=None)
     # every prefix and table of values < n sorts below (n,)
     best = best_head = (n,)
-    for a in [a for a in range(n) if mul[a][a] == a] or range(n):
+    for a in [a for a, f in fibers.items() if f == top] or range(n):
         for table, head, cells in relabelers[a]:
             t = flat.translate(table)
             h = head(t)
@@ -296,14 +332,6 @@ def canonical_form(mul) -> tuple:
                 if c < best:
                     best, best_head = c, h
     return best
-
-
-def _find_unit(table) -> int:
-    n = len(table)
-    for u in range(n):
-        if all(table[u][x] == x and table[x][u] == x for x in range(n)):
-            return u
-    raise InvalidStructureError("table has no unit element")
 
 
 # the classes `enumerate_monoids` found, by (n, commutative_only), kept for
@@ -317,8 +345,9 @@ def enumerate_monoids(n: int, commutative_only: bool = False) -> list:
     The orderly search `_unital_associative_tables` yields exactly one
     unit-0 table per class, so `canonical_form` runs once per class.  The
     canonical forms are returned sorted, for determinism, each with the
-    unit it carries.  Refuses a negative n and n beyond the configured
-    bound, on every call.
+    unit it carries: the index of its identity row.  They are built
+    trusted (`FiniteMonoid._trusted`), since the search made every table.
+    Refuses a negative n and n beyond the configured bound, on every call.
 
     The search runs once per (n, commutative_only) in a process: each call
     returns a new list of the same `FiniteMonoid` instances, so the memos
@@ -332,7 +361,11 @@ def enumerate_monoids(n: int, commutative_only: bool = False) -> list:
     if classes is None:
         forms = sorted(canonical_form(t) for t in _unital_associative_tables(n, commutative_only))
         tables = [tuple(form[i * n : (i + 1) * n] for i in range(n)) for form in forms]
-        classes = _CLASSES[key] = tuple(FiniteMonoid(n, _find_unit(t), t) for t in tables)
+        # the unit is the identity row: a left identity of a monoid is its unit
+        identity = tuple(range(n))
+        classes = _CLASSES[key] = tuple(
+            FiniteMonoid._trusted(n, t.index(identity), t) for t in tables
+        )
     return list(classes)
 
 

@@ -376,6 +376,15 @@ def _composition_laws(dies):
 
 
 class TestFunctorInterning:
+    def test_shallow_copy_leaves_the_interned_functors(self):
+        u = cmon_die_universe(3)
+        s, t = u[5], u[6]
+        functors = dd_functors_between(s, t)
+        assert functors
+        copied = dd_functors_between(copy.copy(s), t)
+        assert copied == functors and not any(a is b for a, b in zip(copied, functors))
+        assert all(a is b for a, b in zip(dd_functors_between(s, t), functors))
+
     def test_composites_are_the_enumerated_instances(self):
         dies = cmon_die_universe(3)
         functors = {(i, k): dd_functors_between(s, t)
@@ -437,12 +446,14 @@ class TestFunctorInterning:
         table[(id(t_copy), hmap, m)] = planted
         f = doubly._interned(s, t_copy, hmap, m)
         assert f is not planted and f.target is t_copy and f == planted
-        # a shallow copy shares the table dict but gets its own functors
+        # a shallow copy starts without a table and gets its own functors;
+        # the original keeps its entries
         s_copy = copy.copy(s)
-        assert vars(s_copy)[doubly._FUNCTORS] is table
+        assert doubly._FUNCTORS not in vars(s_copy)
         g = doubly._interned(s_copy, t, hmap, m)
         assert g.source is s_copy and g == planted
-        assert doubly._interned(s, t, hmap, m).source is s
+        assert vars(s_copy)[doubly._FUNCTORS] is not table
+        assert doubly._interned(s, t, hmap, m) is planted
 
     def test_strict_operands_compose_to_the_interned_instance(self):
         pairs = _composable_pairs(cmon_die_universe(2))
@@ -463,14 +474,13 @@ class TestFunctorInterning:
         c = compose_dd_functors(g, ident)
         assert c is not planted and c.target is t_copy and c.source is s and c == planted
         assert compose_dd_functors(g, ident) is c
-        # a shallow copy of the source shares the table but gets its own composite
+        # a shallow copy of the source gets its own table and composite
         s_copy = copy.copy(s)
         g_copy = make_dd_functor(s_copy, t, MonoidHom(s_copy.monoid, t.monoid, hmap), m)
         c_copy = compose_dd_functors(g_copy, identity_dd_functor(s_copy))
         assert c_copy.source is s_copy and c_copy.target is t and c_copy == planted
-        # the copy's composite now holds the shared entry; s gets its own back
-        back = compose_dd_functors(planted, ident)
-        assert back.source is s and back.target is t and back == planted
+        # s's table was not touched: its entry is still the one interned
+        assert compose_dd_functors(planted, ident) is planted
 
     def test_endpoint_mismatch_still_raises(self):
         s, t = z2_die(), make_cmon_die(zmod(3), 2)

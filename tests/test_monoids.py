@@ -6,9 +6,11 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from deglab import monoids
+from deglab.doubly import dd_functors_between
 from deglab.examples import bool_or_monoid, trivial_monoid, zmod
 from deglab.monoids import (
     CMonDIE,
@@ -69,6 +71,35 @@ def relabelings(mul):
 def max_canonical_form(mul):
     """Alternative canonicalization: lexicographically maximal relabeling."""
     return max(relabelings(mul))
+
+
+def relabel(mul, perm):
+    """The table with each element x renamed perm[x]."""
+    inv = _inverse(perm)
+    return tuple(tuple(perm[mul[x][y]] for y in inv) for x in inv)
+
+
+def idempotent_fibers(mul):
+    """{a: #{x : a*x = a}} over the idempotents a of a table."""
+    return {a: mul[a].count(a) for a in range(len(mul)) if mul[a][a] == a}
+
+
+def with_zero(m):
+    """The table of m with an absorbing element adjoined as index m.size."""
+    z = m.size
+    return tuple(
+        tuple(z if z in (x, y) else m.mul[x][y] for y in range(z + 1)) for x in range(z + 1)
+    )
+
+
+@st.composite
+def tables_with_idempotents(draw, n):
+    """An n x n table over range(n) with a drawn nonempty set of elements
+    made idempotent, so the fiber counts of several idempotents can tie."""
+    rows = [draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)) for _ in range(n)]
+    for a in draw(st.sets(st.integers(0, n - 1), min_size=1)):
+        rows[a][a] = a
+    return tuple(map(tuple, rows))
 
 
 @functools.cache
@@ -343,7 +374,7 @@ class TestHoms:
 
     def test_homs_are_slotted_and_copy_by_value(self):
         m, n = zmod(4), zmod(2)
-        hom_maps(m, n)  # copies of the ends carry the memo in their __dict__; a hom has none
+        hom_maps(m, n)  # warm memos on the ends, which no copy of a hom may carry
         built = MonoidHom(m, n, (0, 1, 0, 1))
         trusted = MonoidHom._trusted(m, n, (0, 1, 0, 1))
         assert trusted == built and hash(trusted) == hash(built)
@@ -476,6 +507,51 @@ class TestProcessMemos:
         assert enumerate_dies(replace(used)) == enumerate_dies(used)
         assert "_dies" not in vars(replace(used))
 
+    COPIES = {
+        "copy": copy.copy,
+        "deepcopy": copy.deepcopy,
+        "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+    }
+
+    @pytest.mark.parametrize("route", sorted(COPIES))
+    def test_copies_carry_the_fields_and_no_memo(self, route):
+        s = cmon_die_universe(3)[5]
+        m = s.monoid
+        enumerate_dies(m)
+        hom_maps(m, m)
+        dd_functors_between(s, s)  # the functors interned on s
+        monoid_fields, die_fields = {"size", "unit", "mul"}, {"monoid", "die", "die_inv"}
+        assert set(vars(m)) > monoid_fields and set(vars(s)) > die_fields
+        for obj, fields in ((m, monoid_fields), (s, die_fields)):
+            c = self.COPIES[route](obj)
+            assert c is not obj and c == obj and hash(c) == hash(obj) and repr(c) == repr(obj)
+            assert set(vars(c)) == fields
+        c = self.COPIES[route](s)
+        if route == "copy":
+            assert c.monoid is m
+        else:
+            assert set(vars(c.monoid)) == monoid_fields
+
+    @pytest.mark.parametrize("route", sorted(COPIES))
+    def test_dies_of_a_copy_are_on_the_copy(self, route):
+        m = enumerate_monoids(3, commutative_only=True)[-1]
+        dies = enumerate_dies(m)
+        assert dies and all(d.monoid is m for d in dies)
+        c = self.COPIES[route](m)
+        copied = enumerate_dies(c)
+        assert copied == dies and all(d.monoid is c for d in copied)
+        assert all(a is b for a, b in zip(dies, enumerate_dies(m)))
+
+    def test_a_warm_monoid_pickles_to_its_fields(self):
+        ms = [m for n in (1, 2, 3, 4) for m in enumerate_monoids(n)]
+        for a in ms:
+            for b in ms:
+                hom_maps(a, b)
+        warm = ms[-1]
+        enumerate_dies(warm)
+        fresh = FiniteMonoid(warm.size, warm.unit, warm.mul)
+        assert pickle.dumps(warm) == pickle.dumps(fresh)
+
 
 class TestMaxSize:
     @pytest.mark.parametrize("raw, bound", [("", 5), ("0", 0), ("4", 4), ("007", 7)])
@@ -599,6 +675,66 @@ class TestEnumeration:
     @pytest.mark.parametrize("table", [(), ((0,),)])
     def test_canonical_form_of_the_smallest_tables(self, table):
         assert canonical_form(table) == min(relabelings(table))
+
+    def test_canonical_form_matches_brute_force_on_every_3x3_table(self):
+        # all 3^9 tables, monoid or not, so every pattern of idempotents and
+        # fiber counts at order 3 occurs
+        for flat in itertools.product(range(3), repeat=9):
+            table = (flat[0:3], flat[3:6], flat[6:9])
+            assert canonical_form(table) == min(relabelings(table))
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_canonical_form_on_4x4_non_monoid_tables(self, tied, data):
+        # tied: two or more idempotents share the largest fiber, so the
+        # bound keeps several candidates for label 0
+        table = data.draw(tables_with_idempotents(4))
+        fibers = list(idempotent_fibers(table).values())
+        assume((fibers.count(max(fibers)) > 1) == tied)
+        assume(not any(check_monoid(table, u).ok for u in range(4)))
+        assert canonical_form(table) == min(relabelings(table))
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_canonical_form_of_a_group(self, n):
+        # the unit is the only idempotent, so it alone is tried as label 0
+        table = relabel(zmod(n).mul, [n - 1] + list(range(n - 1)))
+        assert idempotent_fibers(table) == {n - 1: 1}
+        form = canonical_form(table)
+        assert form == min(relabelings(table)) == min(relabelings(zmod(n).mul))
+
+    @pytest.mark.parametrize("m", [zmod(3), bool_or_monoid(), zmod(4)], ids=["z3", "or", "z4"])
+    def test_canonical_form_of_a_table_with_a_zero(self, m):
+        # the zero's fiber is every element, larger than any other idempotent's
+        n = m.size + 1
+        table = relabel(with_zero(m), [(x + 2) % n for x in range(n)])
+        fibers = idempotent_fibers(table)
+        assert [a for a, f in fibers.items() if f == max(fibers.values())] == [(m.size + 2) % n]
+        form = canonical_form(table)
+        assert form == min(relabelings(table)) and form[:n] == (0,) * n
+
+    def test_enumerated_classes_are_built_trusted(self, monkeypatch):
+        # a fresh class memo, so the classes are built here, with a counter on
+        # the strict constructor's checks
+        calls = []
+        strict = FiniteMonoid.__post_init__
+
+        def counted(self):
+            calls.append(self)
+            strict(self)
+
+        monkeypatch.setattr(FiniteMonoid, "__post_init__", counted)
+        monkeypatch.setattr(monoids, "_CLASSES", {})
+        classes = [m for n in range(1, 6) for c in (False, True) for m in enumerate_monoids(n, c)]
+        assert calls == [] and len(classes) == 1 + 2 + 7 + 35 + 228 + 1 + 2 + 5 + 19 + 78
+        for m in classes:
+            rebuilt = FiniteMonoid(m.size, m.unit, m.mul)
+            assert rebuilt == m and hash(rebuilt) == hash(m) and repr(rebuilt) == repr(m)
+            assert list(vars(m)) == ["size", "unit", "mul"]
+            assert type(m.unit) is int and type(m.mul) is tuple
+            assert all(type(row) is tuple and all(type(v) is int for v in row) for row in m.mul)
+            assert check_monoid(m.mul, m.unit).ok
+        assert len(calls) == len(classes)
 
 
 def _inverse(perm):
