@@ -141,8 +141,8 @@ def forgetful_universe(sample: list):
 
     The hom-sets hold the homomorphisms as plain map tuples (see
     `hom_maps`), searched once per pair of right-side monoids:
-    right_homs[(i, k)] is that search's list, and left_homs[(i, k)] is the
-    very list right_homs[(map0[i], map0[k])], so the two sides share it.
+    right_homs[(i, k)] is that search's tuple, and left_homs[(i, k)] is the
+    very tuple right_homs[(map0[i], map0[k])], so the two sides share it.
     map1 finds each left 1-cell's map in the right hom-set of its image
     pair through the right side's `monoid_category` lookup.
     """

@@ -531,8 +531,9 @@ def dd_functors_between(s: CMonDIE, t: CMonDIE) -> list:
 
     Each is the instance interned on `s` under (id(t), hom map, m), so
     repeated calls return the same objects in a new list.  The hom maps
-    are `hom_maps(s.monoid, t.monoid)`, searched once per pair of monoid
-    objects in a process, so dies that share a monoid share its search.
+    are the tuple `hom_maps(s.monoid, t.monoid)`, searched once per pair
+    of monoid objects in a process, so dies that share a monoid share its
+    search, and each map is the one interned tuple of its value.
     """
     ms = units(t.monoid)
     return [_interned(s, t, hmap, m) for hmap in hom_maps(s.monoid, t.monoid) for m in ms]

@@ -27,16 +27,18 @@ class FiniteMonoid:
     The monoid axioms are checked by `check_monoid`, so axiom-violating
     tables can be represented and reported on.
 
-    Three attributes may be kept on an instance outside the dataclass
+    Four attributes may be kept on an instance outside the dataclass
     fields, so equality, hashing, repr and JSON ignore them:
     `_hom_search_plan`, the search plan of `hom_maps` with the instance as
-    source; `_hom_maps`, its memo of hom-sets out of the instance (see
-    `hom_maps`); and `_dies`, the structures `enumerate_dies` found on it.
-    Each is set with `object.__setattr__`, not through `__dict__`:
-    writing to the instance's `__dict__` makes every later attribute read
-    on it several times slower.  A copy starts without them, whether made
-    by `dataclasses.replace`, `copy.copy`, `copy.deepcopy` or `pickle`:
-    the state is the three fields only, so no copy shares the original's
+    source; `_hom_maps`, its memo of hom-sets out of the instance, keyed
+    by the id of each target, and `_hom_targets`, the list of those
+    targets, which keeps every memoized id taken (see `hom_maps`); and
+    `_dies`, the structures `enumerate_dies` found on it.  Each is set
+    with `object.__setattr__`, not through `__dict__`: writing to the
+    instance's `__dict__` makes every later attribute read on it several
+    times slower.  A copy starts without them, whether made by
+    `dataclasses.replace`, `copy.copy`, `copy.deepcopy` or `pickle`: the
+    state is the three fields only, so no copy shares the original's
     memos or carries a memo keyed by the ids of this process's objects.
     """
 
@@ -338,6 +340,10 @@ def canonical_form(mul) -> tuple:
 # the life of the process
 _CLASSES: dict = {}
 
+# one object per distinct map and per distinct hom-set that `hom_maps`
+# returns, each its own key, kept for the life of the process
+_INTERNED: dict = {}
+
 
 def enumerate_monoids(n: int, commutative_only: bool = False) -> list:
     """All monoids with n elements, one per isomorphism class.
@@ -524,7 +530,7 @@ def _hom_search_plan(source: FiniteMonoid) -> tuple:
     return plan
 
 
-def hom_maps(source: FiniteMonoid, target: FiniteMonoid) -> list:
+def hom_maps(source: FiniteMonoid, target: FiniteMonoid) -> tuple:
     """The maps of all monoid homomorphisms source -> target, by backtracking.
 
     Each map is a tuple of target indices, one per source element.  The
@@ -535,34 +541,37 @@ def hom_maps(source: FiniteMonoid, target: FiniteMonoid) -> list:
     checked exactly once on the path to each leaf.  The unit's position is
     fixed, so the maps come out in lexicographic order.
 
-    The search runs once per pair of objects in a process.  Its list is
-    memoized on `source`, outside the dataclass fields, under id(target)
-    with the target beside it; a hit counts only if the stored target is
-    `target` itself, so a `dataclasses.replace` copy or an equal but
-    distinct table is searched afresh and no monoid is hashed.  Every call
-    for one pair returns that same list: callers must not change it.
+    The result is a tuple of the maps, and equal maps and equal hom-sets
+    are one object in a process: each goes through the table `_INTERNED`,
+    so a hom-set is shared by every pair that has it.  The search runs
+    once per pair of objects in a process.  Its tuple is memoized on
+    `source`, outside the dataclass fields, under id(target), and the
+    target is kept alive in `source._hom_targets`, so no other object can
+    take a memoized id while the memo lives.  A `dataclasses.replace`
+    copy or an equal but distinct table is therefore searched afresh, and
+    no monoid is hashed.
     """
     try:
         memo = source._hom_maps
     except AttributeError:
         memo = {}
         object.__setattr__(source, "_hom_maps", memo)
-    key = id(target)
-    hit = memo.get(key)
-    if hit is not None and hit[0] is target:
-        return hit[1]
-    maps = _search_hom_maps(source, target)
-    memo[key] = (target, maps)
-    return maps
+        object.__setattr__(source, "_hom_targets", [])
+    homs = memo.get(id(target))
+    if homs is None:
+        homs = memo[id(target)] = _search_hom_maps(source, target)
+        source._hom_targets.append(target)
+    return homs
 
 
-def _search_hom_maps(source: FiniteMonoid, target: FiniteMonoid) -> list:
+def _search_hom_maps(source: FiniteMonoid, target: FiniteMonoid) -> tuple:
     order, buckets = _hom_search_plan(source)
     tmul = target.mul
     values, unit_image = range(target.size), (target.unit,)
     last = source.size - 1
     image = [0] * source.size
     maps = []
+    intern = _INTERNED.setdefault
 
     def extend(k):
         x, eqs = order[k], buckets[k]
@@ -573,12 +582,14 @@ def _search_hom_maps(source: FiniteMonoid, target: FiniteMonoid) -> list:
                     break
             else:
                 if k == last:
-                    maps.append(tuple(image))
+                    found = tuple(image)
+                    maps.append(intern(found, found))
                 else:
                     extend(k + 1)
 
     extend(0)
-    return maps
+    homs = tuple(maps)
+    return intern(homs, homs)
 
 
 def enumerate_homs(source: FiniteMonoid, target: FiniteMonoid) -> list:

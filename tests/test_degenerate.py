@@ -187,7 +187,7 @@ class TestForgetfulEquivalence:
         ref_right, ref_left_homs, ref_right_homs, ref = reference_forgetful_universe(sample)
         assert right == ref_right
         for got, want in ((left_homs, ref_left_homs), (right_homs, ref_right_homs)):
-            assert list(got.items()) == [(e, [h.map for h in hs]) for e, hs in want.items()]
+            assert list(got.items()) == [(e, tuple(h.map for h in hs)) for e, hs in want.items()]
         assert (fun.map0, fun.map1) == (ref.map0, ref.map1)
         for got, want in ((fun.source, ref.source), (fun.target, ref.target)):
             assert got.zero_cells == want.zero_cells

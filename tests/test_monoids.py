@@ -1,8 +1,11 @@
 import copy
 import functools
+import gc
 import itertools
 import pickle
 import random
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -409,7 +412,7 @@ class TestHomSearch:
             for b in ms:
                 want = unit_preserving_homs(a, b)
                 maps = hom_maps(a, b)
-                assert maps == [h.map for h in want]
+                assert type(maps) is tuple and maps == tuple(h.map for h in want)
                 assert all(type(h) is tuple and all(type(v) is int for v in h) for h in maps)
                 homs = enumerate_homs(a, b)
                 assert homs == want
@@ -451,18 +454,75 @@ class TestHomSearch:
 
 
 class TestProcessMemos:
-    def test_hom_maps_returns_one_list_per_pair_of_objects(self):
-        s, t = enumerate_monoids(3)[2], enumerate_monoids(3)[4]
+    @staticmethod
+    def count_searches(monkeypatch):
+        calls = []
+        search = monoids._search_hom_maps
+
+        def counted(source, target):
+            calls.append((source, target))
+            return search(source, target)
+
+        monkeypatch.setattr(monoids, "_search_hom_maps", counted)
+        return calls
+
+    def test_hom_maps_searches_once_per_pair_of_objects(self, monkeypatch):
+        s, t = replace(enumerate_monoids(3)[2]), enumerate_monoids(3)[4]
+        calls = self.count_searches(monkeypatch)
         maps = hom_maps(s, t)
-        assert maps and hom_maps(s, t) is maps
+        assert maps and hom_maps(s, t) is maps and len(calls) == 1
         # a copy, or an equal table built anew, is a different object: its
-        # own search, with an equal list
+        # own search, with the equal hom-set, which is the one interned tuple
         for other in (replace(t), FiniteMonoid(t.size, t.unit, t.mul)):
             again = hom_maps(s, other)
-            assert again == maps and again is not maps
+            assert calls[-1] == (s, other) and again == maps and again is maps
             assert hom_maps(s, other) is again and hom_maps(s, t) is maps
+        assert len(calls) == 3
         copied = hom_maps(replace(s), t)
-        assert copied == maps and copied is not maps
+        assert len(calls) == 4 and copied is maps
+
+    def test_a_transient_target_lives_as_long_as_its_source(self):
+        s = replace(zmod(4))
+        t = replace(zmod(2))
+        alive = weakref.ref(t)
+        maps = hom_maps(s, t)
+        del t
+        gc.collect()
+        # the memoized id cannot pass to another object
+        assert alive() is not None and s._hom_maps[id(alive())] is maps
+        assert hom_maps(s, alive()) is maps
+        del s
+        gc.collect()
+        assert alive() is None
+
+    def test_equal_maps_and_hom_sets_are_one_object(self):
+        ms = [m for n in (1, 2, 3, 4) for m in enumerate_monoids(n)]
+        homs = [hom_maps(a, b) for a in ms for b in ms]
+        maps = [h for hom in homs for h in hom]
+        assert len(maps) == 7894
+        assert all(type(hom) is tuple for hom in homs)
+        assert all(type(h) is tuple for h in maps)
+        assert len({id(hom) for hom in homs}) == len(set(homs)) == 509
+        assert len({id(h) for h in maps}) == len(set(maps)) == 215
+        # a map found in two distinct hom-sets is one object in both
+        seen, shared = {}, 0
+        for hom in set(homs):
+            for h in hom:
+                shared += h in seen
+                assert seen.setdefault(h, h) is h
+        assert shared > 0
+
+    def test_a_first_sweep_holds_under_100_bytes_per_map(self):
+        ms = [replace(m) for n in (1, 2, 3, 4) for m in enumerate_monoids(n)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            count = sum(len(hom_maps(a, b)) for a in ms for b in ms)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert count == 7894
+        assert held / count < 100
 
     def test_enumeration_returns_a_new_list_of_the_same_instances(self):
         first = enumerate_monoids(3)
