@@ -29,17 +29,19 @@ class FiniteMonoid:
 
     Four attributes may be kept on an instance outside the dataclass
     fields, so equality, hashing, repr and JSON ignore them:
-    `_hom_search_plan`, the search plan of `hom_maps` with the instance as
-    source; `_hom_maps`, its memo of hom-sets out of the instance, keyed
-    by the id of each target, and `_hom_targets`, the list of those
-    targets, which keeps every memoized id taken (see `hom_maps`); and
-    `_dies`, the structures `enumerate_dies` found on it.  Each is set
-    with `object.__setattr__`, not through `__dict__`: writing to the
-    instance's `__dict__` makes every later attribute read on it several
-    times slower.  A copy starts without them, whether made by
-    `dataclasses.replace`, `copy.copy`, `copy.deepcopy` or `pickle`: the
-    state is the three fields only, so no copy shares the original's
-    memos or carries a memo keyed by the ids of this process's objects.
+    `_hom_kernel`, the search of `hom_maps` with the instance as source,
+    compiled for its table (see `_compile_hom_kernel`); `_hom_maps`, the
+    memo of hom-sets out of the instance, keyed by the id of each target,
+    and `_hom_targets`, the list of those targets, which keeps every
+    memoized id taken (see `hom_maps`); and `_dies`, the structures
+    `enumerate_dies` found on it.  Each is set with `object.__setattr__`,
+    not through `__dict__`: writing to the instance's `__dict__` makes
+    every later attribute read on it several times slower.  A copy starts
+    without them, whether made by `dataclasses.replace`, `copy.copy`,
+    `copy.deepcopy` or `pickle`: the state is the three fields only, so no
+    copy shares the original's kernel or memos, or carries a memo keyed by
+    the ids of this process's objects; a copy compiles its own kernel on
+    its first search.
     """
 
     size: int
@@ -357,7 +359,11 @@ def enumerate_monoids(n: int, commutative_only: bool = False) -> list:
 
     The search runs once per (n, commutative_only) in a process: each call
     returns a new list of the same `FiniteMonoid` instances, so the memos
-    kept on them (see `FiniteMonoid`) serve every later caller.
+    kept on them (see `FiniteMonoid`) serve every later caller.  The plain
+    and the commutative classes of one n share an instance for each equal
+    table: whichever search runs second takes the first's instance, looked
+    up by `mul`.  So a commutative class carries one set of memos, and
+    `hom_maps` compiles and searches out of it once in a process.
     """
     _check_enumeration_size(n)
     if n == 0:
@@ -369,8 +375,9 @@ def enumerate_monoids(n: int, commutative_only: bool = False) -> list:
         tables = [tuple(form[i * n : (i + 1) * n] for i in range(n)) for form in forms]
         # the unit is the identity row: a left identity of a monoid is its unit
         identity = tuple(range(n))
+        shared = {m.mul: m for m in _CLASSES.get((n, not commutative_only), ())}
         classes = _CLASSES[key] = tuple(
-            FiniteMonoid._trusted(n, t.index(identity), t) for t in tables
+            shared.get(t) or FiniteMonoid._trusted(n, t.index(identity), t) for t in tables
         )
     return list(classes)
 
@@ -504,42 +511,59 @@ def _unital_associative_tables(n: int, commutative_only: bool):
     yield from place(0, images)
 
 
-def _hom_search_plan(source: FiniteMonoid) -> tuple:
-    """The placement order and per-step equations of `hom_maps`.
+def _compile_hom_kernel(source: FiniteMonoid):
+    """The search of `hom_maps` out of `source`, as one compiled comprehension.
 
-    The unit is placed first and the other elements follow in index order.
-    Each equation h(ab) = h(a)h(b), as the triple (a, b, ab), goes into the
-    bucket of the step at which the last of a, b and ab is placed, so every
-    equation sits in exactly one bucket.  Cached on the instance, outside
-    the dataclass fields (see `FiniteMonoid`).
+    The unit is placed first and the other elements follow in index order,
+    one `for h<x> in ...` clause per step.  Each equation h(ab) = h(a)h(b)
+    goes into the `if` of the step at which the last of a, b and ab is
+    placed, so every equation is checked once on the path to each leaf.
+    An element x other than the unit u with u*x = x = x*u draws h(x) from
+    the target values v with t[tu][v] = v = t[v][tu], passed in as
+    `unit_values`, and its two unit equations are dropped, since that list
+    states them; every other element draws from all values and keeps its
+    unit equations.  So the maps are those of the plain search, in the
+    same order, for any pair of tables, monoid or not.  An element x
+    appears in the text only as the variable name h<x>, so no table value
+    is pasted into code.  The kernel takes the target's table, unit,
+    values and unit-law values, and returns the list of maps, each a
+    tuple.
     """
-    try:
-        return source._hom_search_plan
-    except AttributeError:
-        pass
-    n, unit = source.size, source.unit
-    order = (unit,) + tuple(x for x in range(n) if x != unit)
+    n, u, mul = source.size, source.unit, source.mul
+    names = [f"h{x}" for x in range(n)]
+    order = (u,) + tuple(x for x in range(n) if x != u)
     step = {x: k for k, x in enumerate(order)}
+    unital = {x for x in order[1:] if mul[u][x] == x == mul[x][u]}
     buckets = [[] for _ in range(n)]
     for a in range(n):
         for b in range(n):
-            ab = source.mul[a][b]
-            buckets[max(step[a], step[b], step[ab])].append((a, b, ab))
-    plan = (order, tuple(tuple(eqs) for eqs in buckets))
-    object.__setattr__(source, "_hom_search_plan", plan)
-    return plan
+            if (a == u and b in unital) or (b == u and a in unital):
+                continue
+            ab = mul[a][b]
+            buckets[max(step[a], step[b], step[ab])].append(
+                f"t[{names[a]}][{names[b]}] == {names[ab]}"
+            )
+    clauses = []
+    for k, x in enumerate(order):
+        draw = "(tu,)" if k == 0 else "unit_values" if x in unital else "values"
+        clauses.append(f"for {names[x]} in {draw}")
+        if buckets[k]:
+            clauses.append("if " + " and ".join(buckets[k]))
+    text = f"lambda t, tu, values, unit_values: [({', '.join(names)},) {' '.join(clauses)}]"
+    return eval(text, {})
 
 
 def hom_maps(source: FiniteMonoid, target: FiniteMonoid) -> tuple:
     """The maps of all monoid homomorphisms source -> target, by backtracking.
 
     Each map is a tuple of target indices, one per source element.  The
-    unit's image is forced to the target's unit and placed first; the
-    other elements then take each target element in index order.  After a
-    placement only the equations h(ab) = h(a)h(b) whose last unknown was
-    that element are checked (see `_hom_search_plan`), so every equation is
-    checked exactly once on the path to each leaf.  The unit's position is
-    fixed, so the maps come out in lexicographic order.
+    search is a comprehension compiled once per source object (see
+    `_compile_hom_kernel`): the unit's image is forced to the target's
+    unit and placed first; the other elements then take each candidate
+    target element in index order, and after each placement only the
+    equations h(ab) = h(a)h(b) whose last unknown was that element are
+    checked.  The unit's position is fixed, so the maps come out in
+    lexicographic order.
 
     The result is a tuple of the maps, and equal maps and equal hom-sets
     are one object in a process: each goes through the table `_INTERNED`,
@@ -565,30 +589,22 @@ def hom_maps(source: FiniteMonoid, target: FiniteMonoid) -> tuple:
 
 
 def _search_hom_maps(source: FiniteMonoid, target: FiniteMonoid) -> tuple:
-    order, buckets = _hom_search_plan(source)
-    tmul = target.mul
-    values, unit_image = range(target.size), (target.unit,)
-    last = source.size - 1
-    image = [0] * source.size
-    maps = []
+    """Run the source's kernel on the target and intern what it finds.
+
+    The kernel is compiled on the first search out of `source` and kept on
+    it as `_hom_kernel`, outside the dataclass fields (see `FiniteMonoid`).
+    """
+    try:
+        kernel = source._hom_kernel
+    except AttributeError:
+        kernel = _compile_hom_kernel(source)
+        object.__setattr__(source, "_hom_kernel", kernel)
+    t, tu = target.mul, target.unit
+    values = range(target.size)
+    unit_row = t[tu]
+    unit_values = [v for v in values if unit_row[v] == v == t[v][tu]]
     intern = _INTERNED.setdefault
-
-    def extend(k):
-        x, eqs = order[k], buckets[k]
-        for v in (values if k else unit_image):
-            image[x] = v
-            for a, b, ab in eqs:
-                if tmul[image[a]][image[b]] != image[ab]:
-                    break
-            else:
-                if k == last:
-                    found = tuple(image)
-                    maps.append(intern(found, found))
-                else:
-                    extend(k + 1)
-
-    extend(0)
-    homs = tuple(maps)
+    homs = tuple([intern(h, h) for h in kernel(t, tu, values, unit_values)])
     return intern(homs, homs)
 
 

@@ -152,6 +152,20 @@ def subset_lattice() -> FinMonoidalCategory:
     )
 
 
+def product_square(m: FiniteMonoid) -> FiniteMonoid:
+    """M x M, with the pair (x, y) at index x * n + y."""
+    n = m.size
+    return FiniteMonoid(
+        n * n,
+        m.unit * n + m.unit,
+        tuple(
+            tuple(m.mul[x][z] * n + m.mul[y][w] for z in range(n) for w in range(n))
+            for x in range(n)
+            for y in range(n)
+        ),
+    )
+
+
 def forced_table_sweep(n: int) -> tuple:
     """Raw one-1-cell bicategory data over the order-n monoid classes.
 
@@ -163,16 +177,7 @@ def forced_table_sweep(n: int) -> tuple:
     reports."""
     candidates, structures = 0, []
     for m in enumerate_monoids(n):
-        square = FiniteMonoid(
-            n * n,
-            m.unit * n + m.unit,
-            tuple(
-                tuple(m.mul[x][z] * n + m.mul[y][w] for z in range(n) for w in range(n))
-                for x in range(n)
-                for y in range(n)
-            ),
-        )
-        for h in hom_maps(square, m):
+        for h in hom_maps(product_square(m), m):
             candidates += 1
             hcomp = tuple(tuple(h[x * n + y] for y in range(n)) for x in range(n))
             for a, l, r in itertools.product(units(m), repeat=3):

@@ -38,7 +38,7 @@ from deglab.monoids import (
 )
 from deglab.report import InvalidStructureError, StructuralError
 from deglab.serialize import canonical_dumps, to_payload
-from samples import compose_homs, left_padded_monoid
+from samples import compose_homs, left_padded_monoid, product_square
 
 
 def brute_force_monoid_tables(n):
@@ -404,6 +404,77 @@ def unit_preserving_homs(source, target):
     return out
 
 
+def replaced_hom_maps(source, target):
+    """Reference copy of the homomorphism search before its compiled kernel.
+
+    The same placement order and equation buckets as `hom_maps`: the unit
+    first, then index order, each equation h(ab) = h(a)h(b) checked at the
+    step that places the last of a, b and ab; but interpreted by a
+    recursive walk, with the unit equations kept for every element.
+    """
+    n, unit = source.size, source.unit
+    order = (unit,) + tuple(x for x in range(n) if x != unit)
+    step = {x: k for k, x in enumerate(order)}
+    buckets = [[] for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            ab = source.mul[a][b]
+            buckets[max(step[a], step[b], step[ab])].append((a, b, ab))
+    tmul = target.mul
+    values, unit_image = range(target.size), (target.unit,)
+    image = [0] * n
+    maps = []
+
+    def extend(k):
+        x, eqs = order[k], buckets[k]
+        for v in values if k else unit_image:
+            image[x] = v
+            for a, b, ab in eqs:
+                if tmul[image[a]][image[b]] != image[ab]:
+                    break
+            else:
+                if k == n - 1:
+                    maps.append(tuple(image))
+                else:
+                    extend(k + 1)
+
+    extend(0)
+    return tuple(maps)
+
+
+def unit_law_failure(m):
+    """Which sides of the unit law fail for m's designated unit: a subset
+    of {"left", "right"}."""
+    u, mul = m.unit, m.mul
+    sides = set()
+    if any(mul[u][x] != x for x in range(m.size)):
+        sides.add("left")
+    if any(mul[x][u] != x for x in range(m.size)):
+        sides.add("right")
+    return frozenset(sides)
+
+
+def unit_law_tables():
+    """Every 2-element table with each unit, plus a seeded sample of
+    3-element tables: three whose unit fails on the left only, three on the
+    right only, three on both sides and three where it holds."""
+    out = [
+        FiniteMonoid(2, u, (flat[:2], flat[2:]))
+        for flat in itertools.product(range(2), repeat=4)
+        for u in range(2)
+    ]
+    rng = random.Random(30)
+    want = dict.fromkeys(map(frozenset, [(), ("left",), ("right",), ("left", "right")]), 3)
+    while any(want.values()):
+        rows = [[rng.randrange(3) for _ in range(3)] for _ in range(3)]
+        m = FiniteMonoid(3, rng.randrange(3), rows)
+        kind = unit_law_failure(m)
+        if want[kind]:
+            want[kind] -= 1
+            out.append(m)
+    return out
+
+
 class TestHomSearch:
     def test_matches_oracle_on_every_pair_up_to_size_three(self):
         ms = [m for n in (1, 2, 3) for m in enumerate_monoids(n)]
@@ -444,9 +515,52 @@ class TestHomSearch:
         assert len(ds) == 105
         assert sum(len(enumerate_homs(a, b)) for a in ds for b in ds) == 71407
 
+    def test_matches_the_replaced_search_on_every_pair_up_to_size_four(self):
+        ms = [m for n in (1, 2, 3, 4) for m in enumerate_monoids(n)]
+        for a in ms:
+            for b in ms:
+                assert hom_maps(a, b) == replaced_hom_maps(a, b)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_the_replaced_search_on_product_sources(self, n):
+        # the size-9 and size-16 sources of samples.forced_table_sweep
+        ms = enumerate_monoids(n)
+        for m in ms:
+            square = product_square(m)
+            assert square.size == n * n
+            for target in ms:
+                assert hom_maps(square, target) == replaced_hom_maps(square, target)
+
+    def test_unit_law_failures_match_the_oracle(self):
+        # the kernel draws h(x) from the target's unit-law values only for
+        # the x that satisfy the unit law in the source; a table whose unit
+        # fails on one side, or both, must still give the plain search's maps
+        tables = unit_law_tables()
+        kinds = {tuple(sorted(unit_law_failure(m))) for m in tables}
+        assert kinds == {(), ("left",), ("right",), ("left", "right")}
+        for a in tables:
+            for b in tables:
+                want = tuple(h.map for h in unit_preserving_homs(a, b))
+                assert hom_maps(a, b) == want == replaced_hom_maps(a, b)
+
+    def test_kernel_text_holds_no_table_value(self):
+        # every index of the table is a variable name h0 ... h<n-1>, so the
+        # compiled code has no int constant
+        def constants(code):
+            for c in code.co_consts:
+                if hasattr(c, "co_consts"):
+                    yield from constants(c)
+                else:
+                    yield c
+
+        for m in [m for n in (1, 2, 3, 4) for m in enumerate_monoids(n)] + unit_law_tables():
+            kernel = monoids._compile_hom_kernel(m)
+            assert not any(type(c) is int for c in constants(kernel.__code__))
+
     def test_cached_plan_invisible_to_equality_hash_repr_and_json(self):
         fresh, used = zmod(4), zmod(4)
         enumerate_homs(used, zmod(2))
+        assert "_hom_kernel" in vars(used)
         assert set(vars(used)) > {"size", "unit", "mul"} == set(vars(fresh))
         assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
         assert canonical_dumps(to_payload(used)) == canonical_dumps(to_payload(fresh))
@@ -480,6 +594,28 @@ class TestProcessMemos:
         assert len(calls) == 3
         copied = hom_maps(replace(s), t)
         assert len(calls) == 4 and copied is maps
+
+    def test_one_kernel_compile_per_source_object(self, monkeypatch):
+        calls = []
+        compile_kernel = monoids._compile_hom_kernel
+
+        def counted(source):
+            calls.append(source)
+            return compile_kernel(source)
+
+        monkeypatch.setattr(monoids, "_compile_hom_kernel", counted)
+        s, targets = replace(enumerate_monoids(3)[2]), enumerate_monoids(3)
+        maps = [hom_maps(s, t) for t in targets]
+        # new target objects are searched again, with the same kernel
+        assert [hom_maps(s, replace(t)) for t in targets] == maps
+        assert len(calls) == 1 and calls[0] is s
+        kernel = s._hom_kernel
+        # a copy starts without the kernel and compiles its own
+        copied = replace(s)
+        assert "_hom_kernel" not in vars(copied)
+        assert hom_maps(copied, targets[0]) is maps[0]
+        assert len(calls) == 2 and calls[1] is copied and copied._hom_kernel is not kernel
+        assert s._hom_kernel is kernel
 
     def test_a_transient_target_lives_as_long_as_its_source(self):
         s = replace(zmod(4))
@@ -533,7 +669,30 @@ class TestProcessMemos:
         again.append(zmod(2))
         assert len(enumerate_monoids(3)) == 7
         plain, commutative = enumerate_monoids(2), enumerate_monoids(2, commutative_only=True)
-        assert plain == commutative and not any(a is b for a, b in zip(plain, commutative))
+        assert plain == commutative and all(a is b for a, b in zip(plain, commutative))
+
+    @pytest.mark.parametrize("commutative_first", [False, True])
+    def test_the_two_enumerations_share_each_class(self, monkeypatch, commutative_first):
+        want = {c: enumerate_monoids(4, commutative_only=c) for c in (False, True)}
+        searches = []
+        search = monoids._unital_associative_tables
+
+        def counted(n, commutative_only):
+            searches.append((n, commutative_only))
+            return search(n, commutative_only)
+
+        monkeypatch.setattr(monoids, "_CLASSES", {})
+        monkeypatch.setattr(monoids, "_unital_associative_tables", counted)
+        got = {}
+        for c in (commutative_first, not commutative_first):
+            got[c] = enumerate_monoids(4, commutative_only=c)
+            assert got[c] == want[c] and all(a is not b for a, b in zip(got[c], want[c]))
+        assert searches == [(4, commutative_first), (4, not commutative_first)]
+        plain, commutative = got[False], got[True]
+        assert len(plain) == 35 and len(commutative) == 19
+        by_table = {m.mul: m for m in plain}
+        assert all(by_table[m.mul] is m for m in commutative)
+        assert sum(any(m is c for c in commutative) for m in plain) == 19
 
     def test_bound_is_read_on_every_call(self, monkeypatch):
         assert len(enumerate_monoids(3)) == 7 and cmon_die_universe(3)
@@ -582,6 +741,7 @@ class TestProcessMemos:
         dd_functors_between(s, s)  # the functors interned on s
         monoid_fields, die_fields = {"size", "unit", "mul"}, {"monoid", "die", "die_inv"}
         assert set(vars(m)) > monoid_fields and set(vars(s)) > die_fields
+        assert {"_hom_kernel", "_hom_maps", "_hom_targets", "_dies"} <= set(vars(m))
         for obj, fields in ((m, monoid_fields), (s, die_fields)):
             c = self.COPIES[route](obj)
             assert c is not obj and c == obj and hash(c) == hash(obj) and repr(c) == repr(obj)
@@ -609,6 +769,7 @@ class TestProcessMemos:
                 hom_maps(a, b)
         warm = ms[-1]
         enumerate_dies(warm)
+        assert "_hom_kernel" in vars(warm)
         fresh = FiniteMonoid(warm.size, warm.unit, warm.mul)
         assert pickle.dumps(warm) == pickle.dumps(fresh)
 
