@@ -217,7 +217,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    report = run_suite(args.name, bound=args.bound, seed=args.seed)
+    report = run_suite(args.name, bound=args.bound)
     _emit(report.to_payload(), args.format, _render_report)
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
@@ -276,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite", help="run a named verification suite")
     p.add_argument("name", choices=sorted(SUITES))
     p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_suite)
     return parser
 

@@ -13,14 +13,11 @@ from .equivalence import JFunctor, check_external_equivalence, hom_indexed_categ
 from .monoids import FiniteMonoid, MonoidHom, check_monoid, enumerate_monoids, hom_maps
 from .report import InvalidStructureError, Report, ValidationReport, exact
 
-OBJECT_LABEL = "∗"  # the single object is always labeled this way
-
 
 @dataclass(frozen=True)
 class DegenerateCategory:
     """A category with exactly one object; morphisms form a monoid."""
 
-    object_label: str
     hom: FiniteMonoid
 
 
@@ -52,7 +49,7 @@ def monoid_to_cat(m: FiniteMonoid) -> DegenerateCategory:
     rep = check_monoid(m.mul, m.unit)
     if not rep.ok:
         raise InvalidStructureError("not a valid monoid")
-    return DegenerateCategory(OBJECT_LABEL, m)
+    return DegenerateCategory(m)
 
 
 def check_nat_trans(t: DegNatTrans) -> ValidationReport:

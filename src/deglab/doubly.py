@@ -439,8 +439,8 @@ def _interned(source: CMonDIE, target: CMonDIE, hmap: tuple, m: int) -> DDFuncto
     """The one functor source -> target with hom map `hmap` and element `m`.
 
     The table lives on `source` (outside its dataclass fields) and is keyed
-    by (id(target), hmap, m); a hit counts only if its ends are these very
-    objects, so a copy or a reused id gets a rebuilt entry.  The caller
+    by (id(target), hmap, m); a copy starts without one, and each entry
+    holds its target, so a hit is the functor asked for.  The caller
     guarantees `hmap` is a homomorphism's tuple of ints and `m` is
     invertible in the target, so a miss builds trusted, with m0 derived.
     """
@@ -450,7 +450,7 @@ def _interned(source: CMonDIE, target: CMonDIE, hmap: tuple, m: int) -> DDFuncto
         object.__setattr__(source, _FUNCTORS, table)
     key = (id(target), hmap, m)
     f = table.get(key)
-    if f is None or f.target is not target or f.source is not source:
+    if f is None:
         hom = MonoidHom._trusted(source.monoid, target.monoid, hmap)
         m0 = _derived_m0(source, target, hom, m)
         f = table[key] = DDFunctor._trusted(source, target, hom, m, m0)
@@ -820,21 +820,21 @@ def restrict_identity_constraint(functors, bound: int | None = None):
                 same[id(end)] = values.setdefault(end, len(values))
 
     # the composite's element target.mul[G(f.m)][g.m] depends on f only
-    # through f.m, so the first f of each (f.target, f.m) class, in list
-    # order, decides closure for its class and is the all-pairs witness
+    # through f.m, its target's unit, so the first f of each target value,
+    # in list order, decides closure for all of them and is the witness
     ending: dict = {}
     for f in retained:
-        ending.setdefault(same[id(f.target)], {}).setdefault(f.m, f)
+        ending.setdefault(same[id(f.target)], f)
     closed = True
     witness = None
     for g in retained:
-        for f in ending.get(same[id(g.source)], {}).values():
-            comp = compose_dd_functors(g, f)
-            if comp.m != comp.target.monoid.unit:
-                closed = False
-                witness = {"g": _functor_key(g), "f": _functor_key(f)}
-                break
-        if not closed:
+        f = ending.get(same[id(g.source)])
+        if f is None:
+            continue
+        comp = compose_dd_functors(g, f)
+        if comp.m != comp.target.monoid.unit:
+            closed = False
+            witness = {"g": _functor_key(g), "f": _functor_key(f)}
             break
     report.add("closed-under-composition", closed, dimension=1, witness=witness)
 

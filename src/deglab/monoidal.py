@@ -322,8 +322,8 @@ def _comparison_search_plan(src: FinMonoidalCategory) -> tuple:
 def enumerate_monoidal_functors(src: FinMonoidalCategory, tgt: FinMonoidalCategory) -> list:
     """All monoidal functors src -> tgt, by backtracking over the comparison.
 
-    For each underlying functor from `enumerate_functors` that passes
-    `check_functor` and has an invertible arrow for every comparison
+    For each underlying functor from `enumerate_functors` (each one passes
+    `check_functor`) with an invertible arrow for every comparison
     component, the tensor comparison components are placed one cell at a
     time in row-major order, each taking the invertible arrows of its
     hom-set in index order, and the unit comparison is placed last.  After a
@@ -355,7 +355,7 @@ def enumerate_monoidal_functors(src: FinMonoidalCategory, tgt: FinMonoidalCatego
             for b in range(n)
         ]
         unit_choices = isos.get((tgt.unit_obj, fo[unit]), ())
-        if not all(choices) or not unit_choices or not check_functor(base).ok:
+        if not all(choices) or not unit_choices:
             continue
 
         def holds(k):
@@ -792,7 +792,9 @@ class DegenerateBicategory:
     The fields are in bijection with a monoidal category's: 1-cells are
     objects, 2-cells are morphisms, composition along the 0-cell is the
     tensor.  Shifting in either direction is a pure relabeling and round
-    trips are bit-exact.
+    trips are bit-exact.  The constructor gates each int-holding field
+    through `report.exact` under its own name, with the shapes and counts
+    of its monoidal twin's fields.
     """
 
     one_cells: int
@@ -808,6 +810,26 @@ class DegenerateBicategory:
     lunit_inv: tuple
     runit: tuple
     runit_inv: tuple
+
+    def __post_init__(self):
+        n = exact(self.one_cells, "one_cells")
+        if n <= 0:
+            raise StructuralError(f"one_cells: expected a positive count, got {n}")
+        two_cells = exact(self.two_cells, "two_cells", (None, 2), n)
+        object.__setattr__(self, "two_cells", two_cells)
+        m = len(two_cells)
+        exact(self.unit_one, "unit_one", (), n)
+        for name, shape, count in (
+            ("identities", (n,), m),
+            ("vcomp", (m, m), m),
+            ("hcomp_one", (n, n), n),
+            ("hcomp_two", (m, m), m),
+            ("assoc", (n, n, n), m),
+            ("assoc_inv", (n, n, n), m),
+            *((name, (n,), m) for name in ("lunit", "lunit_inv", "runit", "runit_inv")),
+        ):
+            value = exact(getattr(self, name), name, shape, count, null=name == "vcomp")
+            object.__setattr__(self, name, value)
 
 
 def shift_to_bicat(mc: FinMonoidalCategory) -> DegenerateBicategory:
@@ -893,8 +915,10 @@ def check_shift_equivalence(universe: list, bound: int) -> Report:
     exhaustively.  Both sides are built from the same
     hom-sets (see `shift_universe`), so the equivalence findings hold by
     construction; the round trip and the hom-set bijection are the checks
-    with content.
+    with content.  `bound` is only recorded, and must be an exact int (see
+    `report.exact`).
     """
+    exact(bound, "bound")
     mcs = list(universe)
     functors, fun = shift_universe(mcs)
     report = Report(

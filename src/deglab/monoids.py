@@ -132,14 +132,12 @@ class CMonDIE:
 def check_monoid(mul, unit) -> ValidationReport:
     """Report every violated associativity triple and unit law instance.
 
-    Accepts a raw table (a list or tuple of rows) or a FiniteMonoid.  The
-    shape test is the constructors' (`report.exact`): a square table and
-    a unit of exact ints in range, so an empty table has no unit.  A shape
+    Takes a raw table (a list or tuple of rows) and its unit.  The shape
+    test is the constructors' (`report.exact`): a square table and a unit
+    of exact ints in range, so an empty table has no unit.  A shape
     problem is reported as one structural `shape` finding, distinct from
     axiom failures, and suppresses the axiom scan.
     """
-    if isinstance(mul, FiniteMonoid):
-        mul, unit = mul.mul, mul.unit
     report = ValidationReport("monoid")
     n = len(mul) if hasattr(mul, "__len__") else None
     try:

@@ -178,8 +178,9 @@ class Report:
     """A verdict: findings plus a header saying what was swept.
 
     Positive verdicts are only as strong as the universe swept, so the
-    header records it: suites write their `bound` and `seed`, equivalence
-    checks their `bound` and a description of the `universe`.
+    header records it: suites write their `bound` and a `seed` that is
+    always null (no suite draws from a settable seed), equivalence checks
+    their `bound` and a description of the `universe`.
     """
 
     name: str

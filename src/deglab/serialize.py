@@ -328,12 +328,6 @@ def _build_monoid(size, unit, mul, die=None):
     return monoids.CMonDIE(m, die, inv)
 
 
-def _build_degenerate_bicat(**args) -> monoidal.DegenerateBicategory:
-    # the shift's constructors check shapes and make the tuples, which the
-    # bicategory's dataclass does not do itself
-    return monoidal.shift_to_bicat(monoidal.shift_from_bicat(monoidal.DegenerateBicategory(**args)))
-
-
 # -- checks -------------------------------------------------------------------
 
 
@@ -453,7 +447,7 @@ SCHEMA = {
     "degenerate_category": Schema(
         (degenerate.DegenerateCategory,),
         (Key("hom", Nested("monoid")),),
-        lambda hom: degenerate.DegenerateCategory(degenerate.OBJECT_LABEL, hom),
+        degenerate.DegenerateCategory,
         _check_degenerate_category,
     ),
     "nat_trans": Schema(
@@ -553,7 +547,7 @@ SCHEMA = {
             _index("assoc_inv", "two_cells", 3),
             *(_index(k, "two_cells", 1) for k in _UNITORS),
         ),
-        _build_degenerate_bicat,
+        monoidal.DegenerateBicategory,
         _checked(monoidal.check_degenerate_bicat),
     ),
     "monoidal_functor": Schema(

@@ -5,7 +5,8 @@ returns a Report whose witnesses are replayable: feeding a witness
 structure back through `validate` reproduces the expected verdict.
 Negative claims (a comparison fails to be faithful, composition fails to
 be unital) are verified by exhibiting a concrete witness, so a suite
-passes when its witnesses exist and validate as expected.
+passes when its witnesses exist and validate as expected.  A report
+depends on its bound alone, and its header's `seed` is always null.
 """
 
 import random
@@ -76,7 +77,7 @@ from .monoids import (
     make_cmon_die,
 )
 from . import coherence
-from .report import InvalidStructureError, Report, StructuralError, witness_item
+from .report import InvalidStructureError, Report, StructuralError, exact, witness_item
 
 
 def _valid_witness(obj, note=""):
@@ -87,10 +88,10 @@ def _invalid_witness(payload, note=""):
     return witness_item(payload, "invalid", note)
 
 
-def suite_thm_dc(bound: int = 4, seed: int | None = None) -> Report:
+def suite_thm_dc(bound: int = 4) -> Report:
     """One-object categories are monoids; functors are homomorphisms; natural
     transformations are elements satisfying the two-sided naturality law."""
-    report = Report("thm-dc", {"bound": bound, "seed": seed})
+    report = Report("thm-dc", {"bound": bound, "seed": None})
     monoids = [m for n in range(1, bound + 1) for m in enumerate_monoids(n)]
 
     bad = next(
@@ -149,10 +150,10 @@ def suite_thm_dc(bound: int = 4, seed: int | None = None) -> Report:
     return report
 
 
-def suite_thm_dce(bound: int = 3, seed: int | None = None) -> Report:
+def suite_thm_dce(bound: int = 3) -> Report:
     """The object-forgetting comparison is an equivalence of categories, and
     its 2-dimensional extension fails to be locally full."""
-    report = Report("thm-dce", {"bound": bound, "seed": seed})
+    report = Report("thm-dce", {"bound": bound, "seed": None})
     sample = degenerate_sample(bound)
     report.findings += check_forgetful_equivalence(sample).findings
 
@@ -178,11 +179,11 @@ def suite_thm_dce(bound: int = 3, seed: int | None = None) -> Report:
 _TAMPERS = 200
 
 
-def suite_thm_vdb(bound: int = 4, seed: int | None = None) -> Report:
+def suite_thm_vdb(bound: int = 4) -> Report:
     """One-1-cell bicategories collapse to commutative monoids with a
     distinguished invertible element; the reduced functor, transformation,
     and modification layers behave as forced."""
-    report = Report("thm-vdb", {"bound": bound, "seed": seed})
+    report = Report("thm-vdb", {"bound": bound, "seed": None})
     dies = cmon_die_universe(bound)
     bicats = [build_ddbicat(s) for s in dies]
 
@@ -270,7 +271,7 @@ def suite_thm_vdb(bound: int = 4, seed: int | None = None) -> Report:
         witness=_valid_witness(DDModification(tr, 1), "element without an inverse"),
     )
 
-    rng = random.Random(seed if seed is not None else 0)
+    rng = random.Random(0)
     caught = 0
     attempted = 0
     sample_witness = None
@@ -291,10 +292,10 @@ def suite_thm_vdb(bound: int = 4, seed: int | None = None) -> Report:
     return report
 
 
-def suite_thm_vdbe(bound: int = 3, seed: int | None = None) -> Report:
+def suite_thm_vdbe(bound: int = 3) -> Report:
     """The comparison to plain commutative monoids is an equivalence at the
     2-dimensional truncation and only there."""
-    report = Report("thm-vdbe", {"bound": bound, "seed": seed})
+    report = Report("thm-vdbe", {"bound": bound, "seed": None})
     # one universe for both comparisons: its 1-cells are every functor
     # between its instances, in the order the restriction reads them
     universe = two_truncation_universe(bound)
@@ -324,10 +325,10 @@ def suite_thm_vdbe(bound: int = 3, seed: int | None = None) -> Report:
     return report
 
 
-def suite_thm_db(bound: int = 4, seed: int | None = None) -> Report:
+def suite_thm_db(bound: int = 4) -> Report:
     """Finite monoidal categories: axioms, the cocycle example, functors,
     transformations, and modifications."""
-    report = Report("thm-db", {"bound": bound, "seed": seed})
+    report = Report("thm-db", {"bound": bound, "seed": None})
     universe = stock_monoidal_universe(bound)
 
     all_valid = all(check_monoidal(mc).ok for mc in universe)
@@ -403,10 +404,10 @@ def suite_thm_db(bound: int = 4, seed: int | None = None) -> Report:
     return report
 
 
-def suite_thm_moncat_xi(bound: int = 4, seed: int | None = None) -> Report:
+def suite_thm_moncat_xi(bound: int = 4) -> Report:
     """The dimension shift is an equivalence at the category level; two- and
     three-dimensional comparisons fail, each failure carried by a witness."""
-    report = Report("thm-moncat-xi", {"bound": bound, "seed": seed})
+    report = Report("thm-moncat-xi", {"bound": bound, "seed": None})
     universe = stock_monoidal_universe(bound)
     report.findings += check_shift_equivalence(universe, bound=bound).findings
 
@@ -525,16 +526,17 @@ SUITES = {
 }
 
 
-def run_suite(name: str, bound: int | None = None, seed: int | None = None) -> Report:
+def run_suite(name: str, bound: int | None = None) -> Report:
     """Run suite `name` at `bound`, or at its own default bound when None.
 
-    A bound below 1 is refused: every universe would be empty, and a
-    sweep over nothing would pass without testing anything.
+    A bound that is not an exact int is refused (see `report.exact`), and
+    so is a bound below 1: every universe would be empty, and a sweep
+    over nothing would pass without testing anything.
     """
     if name not in SUITES:
         raise StructuralError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
-    if bound is not None and bound < 1:
-        raise StructuralError(f"suite bound {bound} is below 1: the universe would be empty")
     if bound is None:
-        return SUITES[name](seed=seed)
-    return SUITES[name](bound=bound, seed=seed)
+        return SUITES[name]()
+    if exact(bound, "bound") < 1:
+        raise StructuralError(f"suite bound {bound} is below 1: the universe would be empty")
+    return SUITES[name](bound=bound)

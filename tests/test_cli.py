@@ -30,6 +30,7 @@ from deglab.monoids import (
     identity_hom,
     make_cmon_die,
 )
+from deglab.report import StructuralError
 from deglab.suites import SUITES, run_suite
 from samples import sample_structures
 
@@ -402,6 +403,29 @@ class TestEnumerateAndSuite:
         assert main(["suite", name, "--bound", "0"]) == 2
         captured = capsys.readouterr()
         assert "below 1" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "name, bound, message",
+        [
+            ("thm-dce", True, "bound: expected int, got bool"),
+            ("thm-db", "3", "bound: expected int, got str"),
+            ("thm-dce", 2.0, "bound: expected int, got float"),
+        ],
+    )
+    def test_run_suite_refuses_a_bound_that_is_not_an_int(self, name, bound, message):
+        # refused, not run as bound 1, written into the header or a TypeError
+        with pytest.raises(StructuralError, match=f"^{message}$"):
+            run_suite(name, bound=bound)
+
+    def test_suite_takes_no_seed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["suite", "thm-vdb", "--seed", "7"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+        # the header still carries the key, always null
+        assert main(["--format", "json", "suite", "thm-vdb"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "seed" in payload and payload["seed"] is None
 
     def test_suite_json_replayable_witnesses(self, tmp_path, capsys):
         assert main(["--format", "json", "suite", "thm-vdbe", "--bound", "2"]) == 0

@@ -72,6 +72,15 @@ BOUNDS = {
             _arrows(mc.base),
         ),
     },
+    monoidal.DegenerateBicategory: lambda b: {
+        "one_cells": COUNT,
+        **dict.fromkeys(("two_cells", "hcomp_one", "unit_one"), b.one_cells),
+        **dict.fromkeys(
+            ("identities", "vcomp", "hcomp_two", "assoc", "assoc_inv")
+            + ("lunit", "lunit_inv", "runit", "runit_inv"),
+            len(b.two_cells),
+        ),
+    },
     monoidal.MonoidalFunctor: lambda f: dict.fromkeys(
         ("tensor_comparison", "unit_comparison"), _arrows(f.target.base)
     ),
@@ -200,6 +209,33 @@ def test_valid_samples_rebuild_equal_and_lists_become_tuples(obj):
     fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     listed = {k: as_lists(v) for k, v in fields.items()}
     assert replace(obj, **listed) == obj
+
+
+class TestDegenerateBicategory:
+    """The one-0-cell bicategory gates its fields under its own names, not
+    under the names of the monoidal category it shifts to."""
+
+    bicat = next(o for o in STRUCTURES if type(o) is monoidal.DegenerateBicategory)
+
+    def test_refuses_a_bool_count(self):
+        with pytest.raises(StructuralError, match=r"^one_cells: expected int, got bool$"):
+            replace(self.bicat, one_cells=True)
+
+    def test_refuses_a_float_unit(self):
+        with pytest.raises(StructuralError, match=r"^unit_one: expected int, got float$"):
+            replace(self.bicat, unit_one=1.0)
+
+    def test_refuses_a_short_table(self):
+        with pytest.raises(StructuralError, match=r"^hcomp_one/1: expected 2 entries, got 1$"):
+            replace(self.bicat, hcomp_one=(self.bicat.hcomp_one[0], (0,)))
+
+    def test_list_tables_become_tuples_and_hash(self):
+        b = self.bicat
+        rows = [list(row) for row in b.hcomp_one]
+        listed = replace(b, hcomp_one=rows, identities=list(b.identities))
+        assert type(listed.hcomp_one) is tuple and all(type(r) is tuple for r in listed.hcomp_one)
+        assert type(listed.identities) is tuple
+        assert listed == b and hash(listed) == hash(b)
 
 
 class TestExact:

@@ -2,7 +2,7 @@ import pytest
 
 from deglab.degenerate import (
     DegNatTrans,
-    OBJECT_LABEL,
+    DegenerateCategory,
     cat_to_monoid,
     check_forgetful_equivalence,
     check_nat_trans,
@@ -43,7 +43,7 @@ def _twice_held():
 class TestRoundTrips:
     def test_monoid_to_cat_labels(self):
         c = monoid_to_cat(zmod(2))
-        assert c.object_label == OBJECT_LABEL and c.hom == zmod(2)
+        assert c == DegenerateCategory(zmod(2)) and c.hom == zmod(2)
 
     def test_round_trip_identity(self):
         for m in (trivial_monoid(), zmod(2), bool_or_monoid(), left_padded_monoid()):

@@ -52,7 +52,7 @@ from deglab.monoids import (
     units,
 )
 from deglab.report import Finding, InvalidStructureError, StructuralError
-from samples import compose_homs, forced_table_sweep
+from samples import compose_homs, forced_table_sweep, raw_functor_sweep
 from universes import assert_lookup_matches, reference_two_truncation_right
 
 
@@ -212,6 +212,22 @@ class TestTampering:
 
 
 class TestWeakFunctors:
+    def test_raw_data_sweep_matches_the_enumerated_functors(self):
+        # every arrow map of the fincat oracle with every (m2, m0), reduced
+        # from raw data, against the hom-maps-times-units product
+        assert raw_functor_sweep(3) == (1729, 416, 0)
+
+    def test_raw_data_sweep_catches_a_dropped_unit(self, monkeypatch):
+        enumerated = doubly.dd_functors_between
+
+        def dropping(s, t):
+            last = units(t.monoid)[-1]
+            return [f for f in enumerated(s, t) if f.m != last or last == t.monoid.unit]
+
+        monkeypatch.setattr(doubly, "dd_functors_between", dropping)
+        candidates, functors, disagreeing = raw_functor_sweep(3)
+        assert (candidates, functors) == (1729, 416) and disagreeing > 0
+
     def test_identity_data(self):
         b = build_ddbicat(z2_die(0))
         f, rep = analyze_weak_functor(b, b, (0, 1), 0, 0)
@@ -437,23 +453,37 @@ class TestFunctorInterning:
         assert dumps(serialize.to_payload(used)) == dumps(serialize.to_payload(fresh))
         assert doubly._FUNCTORS not in vars(replace(used))
 
-    def test_entry_for_another_object_is_not_returned(self):
+    def test_entry_keeps_its_target_alive(self):
         s = make_cmon_die(zmod(3), 2)
-        t, t_copy = z2_die(), z2_die()
         hmap, m = (0, 0, 0), 1
-        planted = doubly._interned(s, t, hmap, m)
+        t = z2_die()
+        ref = weakref.ref(t)
+        key = (id(t), hmap, m)
+        doubly._interned(s, t, hmap, m)
         table = vars(s)[doubly._FUNCTORS]
-        table[(id(t_copy), hmap, m)] = planted
-        f = doubly._interned(s, t_copy, hmap, m)
-        assert f is not planted and f.target is t_copy and f == planted
+        del t
+        gc.collect()
+        # only the entry holds its target, so the id in its key stays taken
+        t = ref()
+        assert t is not None and key == (id(t), hmap, m)
+        f = table[key]
+        assert f.target is t and doubly._interned(s, t, hmap, m) is f
+        # an equal target is another object, so it gets its own entry
+        t_copy = z2_die()
+        other = doubly._interned(s, t_copy, hmap, m)
+        assert other is not f and other.target is t_copy and other == f
         # a shallow copy starts without a table and gets its own functors;
         # the original keeps its entries
         s_copy = copy.copy(s)
         assert doubly._FUNCTORS not in vars(s_copy)
         g = doubly._interned(s_copy, t, hmap, m)
-        assert g.source is s_copy and g == planted
+        assert g.source is s_copy and g == f
         assert vars(s_copy)[doubly._FUNCTORS] is not table
-        assert doubly._interned(s, t, hmap, m) is planted
+        assert doubly._interned(s, t, hmap, m) is f
+        # the target is freed with the source that holds its entries
+        del t, f, g, other, table, s, s_copy
+        gc.collect()
+        assert ref() is None
 
     def test_strict_operands_compose_to_the_interned_instance(self):
         pairs = _composable_pairs(cmon_die_universe(2))
@@ -463,24 +493,38 @@ class TestFunctorInterning:
                 assert compose_dd_functors(gg, ff) is want
         assert len(pairs) > 100
 
-    def test_inline_hit_checks_both_ends(self):
+    def test_every_key_holds_its_own_entrys_target_id(self):
         s = make_cmon_die(zmod(3), 2)
         t, t_copy = z2_die(), z2_die()
         hmap, m = (0, 0, 0), 1
         ident = identity_dd_functor(s)
-        planted = doubly._interned(s, t, hmap, m)
-        vars(s)[doubly._FUNCTORS][(id(t_copy), hmap, m)] = planted
+        f = doubly._interned(s, t, hmap, m)
         g = make_dd_functor(s, t_copy, MonoidHom(s.monoid, t_copy.monoid, hmap), m)
         c = compose_dd_functors(g, ident)
-        assert c is not planted and c.target is t_copy and c.source is s and c == planted
+        assert c is not f and c.target is t_copy and c.source is s and c == f
         assert compose_dd_functors(g, ident) is c
         # a shallow copy of the source gets its own table and composite
         s_copy = copy.copy(s)
         g_copy = make_dd_functor(s_copy, t, MonoidHom(s_copy.monoid, t.monoid, hmap), m)
         c_copy = compose_dd_functors(g_copy, identity_dd_functor(s_copy))
-        assert c_copy.source is s_copy and c_copy.target is t and c_copy == planted
-        # s's table was not touched: its entry is still the one interned
-        assert compose_dd_functors(planted, ident) is planted
+        assert c_copy.source is s_copy and c_copy.target is t and c_copy == f
+        assert compose_dd_functors(f, ident) is f
+        # over a swept universe, every entry of every table is keyed by
+        # its own target's id and map and element, and starts at the owner
+        dies = cmon_die_universe(3) + [s, s_copy]
+        swept = 0
+        for a in dies:
+            for b in dies:
+                for h in dd_functors_between(a, b):
+                    assert compose_dd_functors(identity_dd_functor(b), h) is h
+                    swept += 1
+        entries = 0
+        for owner in dies:
+            for key, entry in vars(owner)[doubly._FUNCTORS].items():
+                assert key == (id(entry.target), entry.hom_map.map, entry.m)
+                assert entry.source is owner
+                entries += 1
+        assert entries >= swept > 500
 
     def test_endpoint_mismatch_still_raises(self):
         s, t = z2_die(), make_cmon_die(zmod(3), 2)

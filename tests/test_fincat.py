@@ -3,7 +3,14 @@ from dataclasses import replace
 import pytest
 
 from categories import RENAMED, reference_check_category
-from deglab.examples import arrow_category, discrete_monoidal, nand_pair, sign_category, zmod
+from deglab.examples import (
+    arrow_category,
+    discrete_monoidal,
+    nand_pair,
+    sign_category,
+    stock_monoidal_universe,
+    zmod,
+)
 from deglab.fincat import (
     CatFunctor,
     FiniteCategory,
@@ -14,6 +21,7 @@ from deglab.fincat import (
     identity_functor,
     one_object_category,
 )
+from deglab.monoids import enumerate_monoids
 from deglab.report import StructuralError
 from samples import left_padded_monoid
 
@@ -142,6 +150,15 @@ class TestFunctors:
         # object maps: (0,0) id-collapse, (0,1) identity, (1,1) collapse; (1,0)
         # impossible since there is no arrow 1 -> 0
         assert sorted(f.object_map for f in fs) == [(0, 0), (0, 1), (1, 1)]
+        # every functor the search yields passes the checker, so a caller
+        # need not filter its results: over every ordered pair of the stock
+        # bases, the arrow category and the one-object categories of sizes
+        # <= 3
+        cats = [mc.base for mc in stock_monoidal_universe(4)] + [ac] + [
+            one_object_category(m) for n in range(1, 4) for m in enumerate_monoids(n)
+        ]
+        fs = [f for c in cats for d in cats for f in enumerate_functors(c, d)]
+        assert len(cats) == 16 and len(fs) == 511
         for f in fs:
             assert check_functor(f).ok
 

@@ -168,6 +168,11 @@ class TestShift:
         rep = check_shift_equivalence(stock_monoidal_universe(4), bound=4)
         assert rep.ok
 
+    def test_refuses_a_bound_that_is_not_an_int(self):
+        # the bound is only recorded, so it is refused, not written as given
+        with pytest.raises(StructuralError, match=r"^bound: expected int, got str$"):
+            check_shift_equivalence(stock_monoidal_universe(2), bound="x")
+
     def test_round_trip_finding_compares_the_inverse_witnesses(self, monkeypatch):
         # a shift that stores the associator as its own inverse loses data
         # that only the inverse fields carry, and the round trip must say so
