@@ -126,7 +126,7 @@ def cmd_analyze_functor(args) -> int:
     f = serialize.structure_from_payload(_load(args.file), "dd_functor")
     b1, b2 = build_ddbicat(f.source), build_ddbicat(f.target)
     if args.lax:
-        promoted = promote_lax(b1, b2, f.hom_map.map, f.m, f.m0)
+        promoted = promote_lax(b1, b2, f.map, f.m, f.m0)
         out = {
             "verdict": "valid",
             "functor": serialize.to_payload(promoted),
@@ -134,7 +134,7 @@ def cmd_analyze_functor(args) -> int:
         }
         _emit(out, args.format, lambda p: print("lax data promoted; functor is weak"))
         return EXIT_OK
-    functor, report = analyze_weak_functor(b1, b2, f.hom_map.map, f.m, f.m0)
+    functor, report = analyze_weak_functor(b1, b2, f.map, f.m, f.m0)
     out = report.to_payload()
     if functor is not None:
         out["functor"] = serialize.to_payload(functor)

@@ -96,7 +96,9 @@ def nat_trans_between(f: MonoidHom, g: MonoidHom) -> list:
 
 
 def degenerate_sample(bound: int) -> list:
-    """One degenerate category per monoid of size up to the bound."""
+    """One degenerate category per monoid of size up to the bound, an exact
+    int (see `report.exact`)."""
+    exact(bound, "bound")
     sample = []
     for n in range(1, bound + 1):
         for m in enumerate_monoids(n):
@@ -216,7 +218,9 @@ def check_forgetful_equivalence(sample: list) -> Report:
 
 def not_locally_full_witnesses(bound: int) -> list:
     """For every commutative monoid with more than one element, a non-identity
-    transformation on the identity functor (the 2-dimensional failure mode)."""
+    transformation on the identity functor (the 2-dimensional failure mode).
+    The bound must be an exact int (see `report.exact`)."""
+    exact(bound, "bound")
     out = []
     for n in range(2, bound + 1):
         for m in enumerate_monoids(n, commutative_only=True):

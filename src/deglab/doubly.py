@@ -22,7 +22,6 @@ from .monoids import (
     check_monoid,
     cmon_die_universe,
     hom_maps,
-    identity_hom,
     invert,
     units,
 )
@@ -76,16 +75,17 @@ class DDFunctor:
     """A weak functor between one-1-cell bicategories, in reduced form.
 
     The data left after reduction: a homomorphism of the vertical-composition
-    monoids plus one freely chosen invertible element `m` of the target; the
-    unit-constraint element `m0` is determined and stored as a witness.
+    monoids, held as its map tuple `map` (`hom_map` wraps it in a `MonoidHom`
+    on each read), plus one freely chosen invertible element `m` of the
+    target; the unit-constraint element `m0` is determined and stored.
 
-    The constructor checks that `hom_map` runs between the two monoids and
-    that `m` and `m0` are exact ints in range of the target (see
-    `report.exact`).  `==` and `!=` both test identity first, since
-    functors made by internal algebra are interned, and fall back to
-    comparing the fields; `!=` is its own method, so it costs one call, not
-    a second dispatch to `==`.  The hash is the dataclass-generated hash of
-    the fields.
+    The constructor checks shapes only (see `report.exact`): `map`, `m` and
+    `m0` as exact ints in range of the target, one map entry per source
+    element.  `==` and `!=` both test identity first, since functors made
+    by internal algebra are interned, and fall back to comparing the
+    fields; `!=` is its own method, so it costs one call, not a second
+    dispatch to `==`.  The hash is the dataclass-generated hash of the
+    fields.
 
     Beside the five fields, two private slots: `_serial`, a number no other
     instance in the process has, and `_composites`, the memo of
@@ -96,29 +96,33 @@ class DDFunctor:
     fields and starts with a fresh serial and no memo.
     """
 
-    __slots__ = ("source", "target", "hom_map", "m", "m0", "_serial", "_composites")
+    __slots__ = ("source", "target", "map", "m", "m0", "_serial", "_composites")
 
     source: CMonDIE
     target: CMonDIE
-    hom_map: MonoidHom
+    map: tuple
     m: int
     m0: int
 
     def __post_init__(self):
-        if self.hom_map.source != self.source.monoid or self.hom_map.target != self.target.monoid:
-            raise StructuralError("hom_map endpoints do not match source/target")
-        exact(self.m, "m", (), self.target.monoid.size)
-        exact(self.m0, "m0", (), self.target.monoid.size)
+        n = self.target.monoid.size
+        object.__setattr__(self, "map", exact(self.map, "map", (self.source.monoid.size,), n))
+        exact(self.m, "m", (), n)
+        exact(self.m0, "m0", (), n)
         object.__setattr__(self, "_serial", next(_SERIALS))
         object.__setattr__(self, "_composites", None)
+
+    @property
+    def hom_map(self) -> MonoidHom:
+        return MonoidHom._trusted(self.source.monoid, self.target.monoid, self.map)
 
     def __eq__(self, other):
         if self is other:
             return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.source, self.target, self.hom_map, self.m, self.m0) == (
-            other.source, other.target, other.hom_map, other.m, other.m0
+        return (self.source, self.target, self.map, self.m, self.m0) == (
+            other.source, other.target, other.map, other.m, other.m0
         )
 
     def __ne__(self, other):
@@ -128,7 +132,7 @@ class DDFunctor:
         return eq if eq is NotImplemented else not eq
 
     def __getstate__(self):
-        return self.source, self.target, self.hom_map, self.m, self.m0
+        return self.source, self.target, self.map, self.m, self.m0
 
     def __setstate__(self, state):
         # fills an instance that already exists, never through the
@@ -136,19 +140,19 @@ class DDFunctor:
         set_ = object.__setattr__
         set_(self, "source", state[0])
         set_(self, "target", state[1])
-        set_(self, "hom_map", state[2])
+        set_(self, "map", state[2])
         set_(self, "m", state[3])
         set_(self, "m0", state[4])
         set_(self, "_serial", next(_SERIALS))
         set_(self, "_composites", None)
 
     @classmethod
-    def _trusted(cls, source, target, hom_map, m, m0) -> "DDFunctor":
-        """Build without the endpoint and range checks, for results of
-        internal algebra whose endpoints and indices hold by construction;
+    def _trusted(cls, source, target, map, m, m0) -> "DDFunctor":
+        """Build without the shape and range checks, for results of
+        internal algebra whose map and indices hold by construction;
         untrusted data goes through the constructor."""
         f = object.__new__(cls)
-        f.__setstate__((source, target, hom_map, m, m0))
+        f.__setstate__((source, target, map, m, m0))
         return f
 
 
@@ -352,21 +356,23 @@ def extract_cmon_die(b: DDBicat) -> CMonDIE:
 # -- functors ----------------------------------------------------------------
 
 
-def make_dd_functor(source: CMonDIE, target: CMonDIE, hom_map: MonoidHom, m: int) -> DDFunctor:
-    """Assemble a functor from a homomorphism and a chosen invertible element.
+def make_dd_functor(source: CMonDIE, target: CMonDIE, map: tuple, m: int) -> DDFunctor:
+    """Assemble a functor from a homomorphism's map and a chosen invertible element.
 
     The unit-constraint element is determined: m0 = d_target . m^-1 . F(d_source)^-1,
     where the inverse of F(d) is the image of the stored inverse witness.
     """
-    return DDFunctor(source, target, hom_map, m, _derived_m0(source, target, hom_map, m))
+    map = exact(map, "map", (source.monoid.size,), target.monoid.size)
+    exact(m, "m", (), target.monoid.size)
+    return DDFunctor(source, target, map, m, _derived_m0(source, target, map, m))
 
 
-def _derived_m0(source: CMonDIE, target: CMonDIE, hom_map: MonoidHom, m: int) -> int:
+def _derived_m0(source: CMonDIE, target: CMonDIE, map: tuple, m: int) -> int:
     m_inv = invert(target.monoid, m)
     if m_inv is None:
         raise InvalidStructureError(f"chosen element {m} is not invertible in the target")
     mul = target.monoid.mul
-    return mul[mul[target.die][m_inv]][hom_map.map[source.die_inv]]
+    return mul[mul[target.die][m_inv]][map[source.die_inv]]
 
 
 def check_dd_functor(f: DDFunctor) -> ValidationReport:
@@ -379,11 +385,11 @@ def check_dd_functor(f: DDFunctor) -> ValidationReport:
         report.add("m-invertible", (f.m,))
     mul = t.mul
     lhs = f.target.die
-    rhs = mul[f.hom_map.map[f.source.die]][mul[f.m][f.m0]]
+    rhs = mul[f.map[f.source.die]][mul[f.m][f.m0]]
     if lhs != rhs:
         report.add("unit-equation", (), f"target die {lhs} != F(die).m.m0 = {rhs}")
     if m_inv is not None:
-        derived = mul[mul[f.target.die][m_inv]][f.hom_map.map[f.source.die_inv]]
+        derived = mul[mul[f.target.die][m_inv]][f.map[f.source.die_inv]]
         if derived != f.m0:
             report.add("m0-derived", (), f"stored m0 {f.m0} != derived {derived}")
     return report
@@ -425,7 +431,7 @@ def analyze_weak_functor(b1: DDBicat, b2: DDBicat, mapping, m2: int, m0: int):
 
     if not report.ok:
         return None, report
-    f = DDFunctor(s, t, hom, m2, m0)
+    f = DDFunctor(s, t, fof, m2, m0)
     frep = check_dd_functor(f)
     report.extend(frep, prefix="reduced-")
     return (f if report.ok else None), report
@@ -451,9 +457,8 @@ def _interned(source: CMonDIE, target: CMonDIE, hmap: tuple, m: int) -> DDFuncto
     key = (id(target), hmap, m)
     f = table.get(key)
     if f is None:
-        hom = MonoidHom._trusted(source.monoid, target.monoid, hmap)
-        m0 = _derived_m0(source, target, hom, m)
-        f = table[key] = DDFunctor._trusted(source, target, hom, m, m0)
+        m0 = _derived_m0(source, target, hmap, m)
+        f = table[key] = DDFunctor._trusted(source, target, hmap, m, m0)
     return f
 
 
@@ -480,9 +485,8 @@ def compose_dd_functors(g: DDFunctor, f: DDFunctor) -> DDFunctor:
     if f.target is not g.source and f.target != g.source:
         raise StructuralError("functor composition endpoint mismatch")
     target = g.target
-    gmap = g.hom_map.map
-    hmap = tuple(map(gmap.__getitem__, f.hom_map.map))
-    c = _interned(f.source, target, hmap, target.monoid.mul[gmap[f.m]][g.m])
+    hmap = tuple(map(g.map.__getitem__, f.map))
+    c = _interned(f.source, target, hmap, target.monoid.mul[g.map[f.m]][g.m])
     if memo is None:
         object.__setattr__(f, "_composites", {g._serial: c})
     else:
@@ -523,7 +527,7 @@ def promote_lax(b1: DDBicat, b2: DDBicat, mapping, m2: int, m0: int) -> DDFuncto
         raise RefutationAlarm("derived inverse for m0 fails")
     if mul[m2][m2_inv] != t.monoid.unit or mul[m2_inv][m2] != t.monoid.unit:
         raise RefutationAlarm("derived inverse for m2 fails")
-    return DDFunctor._trusted(s, t, hom, m2, m0)
+    return DDFunctor._trusted(s, t, hom.map, m2, m0)
 
 
 def dd_functors_between(s: CMonDIE, t: CMonDIE) -> list:
@@ -548,7 +552,7 @@ def transformation_between(f: DDFunctor, g: DDFunctor) -> DDTransformation | Non
         f.target is not g.target and f.target != g.target
     ):
         raise StructuralError("functors are not parallel")
-    if f.hom_map.map != g.hom_map.map:
+    if f.map != g.map:
         return None
     t = f.target.monoid
     sigma = t.mul[g.m][invert(t, f.m)]
@@ -562,7 +566,7 @@ def check_dd_transformation(t: DDTransformation) -> ValidationReport:
     if f.source != g.source or f.target != g.target:
         report.add_structural("endpoints", (), "functors are not parallel")
         return report
-    if f.hom_map.map != g.hom_map.map:
+    if f.map != g.map:
         report.add("functor-agreement", (), "underlying homomorphisms differ")
     mul = f.target.monoid.mul
     m_f_inv = invert(f.target.monoid, f.m)
@@ -573,10 +577,10 @@ def check_dd_transformation(t: DDTransformation) -> ValidationReport:
         if t.sigma != forced:
             report.add("component-formula", (), f"sigma {t.sigma} != {forced}")
     for x in range(f.source.monoid.size):
-        if mul[f.hom_map.map[x]][t.sigma] != mul[t.sigma][g.hom_map.map[x]]:
+        if mul[f.map[x]][t.sigma] != mul[t.sigma][g.map[x]]:
             report.add("naturality", (x,))
-    lhs = mul[t.sigma][mul[f.m][f.hom_map.map[f.source.die]]]
-    rhs = mul[g.m][g.hom_map.map[g.source.die]]
+    lhs = mul[t.sigma][mul[f.m][f.map[f.source.die]]]
+    rhs = mul[g.m][g.map[g.source.die]]
     if lhs != rhs:
         report.add("unit-axiom", (), f"{lhs} != {rhs}")
     return report
@@ -602,9 +606,10 @@ def forgetful_image(j: int, structure):
 
     0-cells lose the distinguished element, 1-cells lose the chosen
     invertible element, and 2- and 3-cells collapse to the identity cell on
-    their image homomorphism (returned as that homomorphism).
+    their image homomorphism (returned as that homomorphism).  The level
+    `j` must be an exact int (see `report.exact`).
     """
-    if j not in (1, 2, 3):
+    if exact(j, "j") not in (1, 2, 3):
         raise StructuralError("truncation level must be 1, 2 or 3")
     if isinstance(structure, DDBicat):
         return FiniteMonoid(structure.cells, structure.id2, structure.vcomp)
@@ -629,13 +634,15 @@ def unfaithfulness_witness(j: int, y: CMonDIE):
     Level 1: two functors differing only in the chosen invertible element;
     exists iff the target has a non-unit invertible element.  Level 3: two
     modifications differing in their element; exists iff the target has
-    more than one element.
+    more than one element.  The level `j` must be an exact int (see
+    `report.exact`).
     """
+    exact(j, "j")
     if j == 1:
         non_unit = [u for u in units(y.monoid) if u != y.monoid.unit]
         if not non_unit:
             return None
-        ident = identity_hom(y.monoid)
+        ident = tuple(range(y.monoid.size))
         f1 = make_dd_functor(y, y, ident, y.monoid.unit)
         f2 = make_dd_functor(y, y, ident, non_unit[0])
         return f1, f2
@@ -650,7 +657,7 @@ def unfaithfulness_witness(j: int, y: CMonDIE):
 
 
 def _functor_key(f: DDFunctor):
-    return (f.hom_map.map, f.m)
+    return (f.map, f.m)
 
 
 def two_truncation_universe(bound: int):
@@ -698,7 +705,7 @@ def two_truncation_universe(bound: int):
 
     mpos = {m: i for i, m in enumerate(monoids)}
     map0 = tuple(mpos[s.monoid] for s in dies)
-    map1 = tuple(right_one_cell(map0[s], map0[t], f.hom_map.map) for (s, t, f) in one_cells)
+    map1 = tuple(right_one_cell(map0[s], map0[t], f.map) for (s, t, f) in one_cells)
     map2 = tuple(map1[f] for f, _ in left.two_cells)
     fun = JFunctor(left, right, map0, map1, map2)
     return dies, one_cells, left.two_cells, fun
@@ -718,7 +725,7 @@ def _first_miscounted_pair(one_cells, x):
     classes: dict = {}
     cls = []  # the class of each 1-cell, as the ascending list of its members
     for fi, (s, t, f) in enumerate(one_cells):
-        same = classes.setdefault((s, t, f.hom_map.map), [])
+        same = classes.setdefault((s, t, f.map), [])
         same.append(fi)
         cls.append(same)
     ends = x.one_cells
@@ -843,7 +850,7 @@ def restrict_identity_constraint(functors, bound: int | None = None):
         maps: dict = {}
         for f in retained:
             ends = (same[id(f.source)], same[id(f.target)])
-            maps.setdefault(ends, []).append(f.hom_map.map)
+            maps.setdefault(ends, []).append(f.map)
         where = [values.get(s) for s in dies]
         full = faithful = True
         for s, si in zip(dies, where):

@@ -79,8 +79,8 @@ class MonoidHom:
 
     The constructor takes `map` as exact ints, one per source element, each
     in range(target.size) (see `report.exact`).  The three fields are slots
-    and an instance has no `__dict__`, so each of the one per reduced
-    functor costs no dict; `_trusted` sets them with `object.__setattr__`.
+    and an instance has no `__dict__`, so each of the one per map that
+    `enumerate_homs` wraps costs no dict; `_trusted` sets them directly.
     """
 
     source: FiniteMonoid

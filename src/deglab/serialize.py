@@ -481,13 +481,11 @@ SCHEMA = {
         (
             Key("source", Nested("monoid", ("die",))),
             Key("target", Nested("monoid", ("die",))),
-            _index("map", "target.size", 1, attr="hom_map.map"),
+            _index("map", "target.size", 1),
             _index("m2", "target.size", attr="m"),
             _index("m0", "target.size"),
         ),
-        lambda source, target, map, m2, m0: doubly.DDFunctor(
-            source, target, monoids.MonoidHom(source.monoid, target.monoid, map), m2, m0
-        ),
+        lambda source, target, map, m2, m0: doubly.DDFunctor(source, target, map, m2, m0),
         _check_dd_functor,
     ),
     "dd_transformation": Schema(

@@ -238,9 +238,8 @@ def suite_thm_vdb(bound: int = 4) -> Report:
                     for g in gs:
                         comp = compose_dd_functors(g, f)
                         mul = u.monoid.mul
-                        if comp.hom_map.map != tuple(
-                            g.hom_map.map[v] for v in f.hom_map.map
-                        ) or comp.m != mul[g.hom_map.map[f.m]][g.m]:
+                        want = tuple(g.map[v] for v in f.map)
+                        if comp.map != want or comp.m != mul[g.map[f.m]][g.m]:
                             law_ok = False
     report.add("composition-law", law_ok, dimension=1)
 
@@ -250,7 +249,7 @@ def suite_thm_vdb(bound: int = 4) -> Report:
             for f in fs:
                 for g in fs:
                     tr = transformation_between(f, g)
-                    expected = f.hom_map.map == g.hom_map.map
+                    expected = f.map == g.map
                     if (tr is not None) != expected:
                         uniq_ok = False
                     if tr is not None and not check_dd_transformation(tr).ok:

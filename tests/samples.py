@@ -213,8 +213,8 @@ def raw_functor_sweep(bound: int) -> tuple:
                     candidates += 1
                     f, _ = analyze_weak_functor(b1, b2, hmap, m2, m0)
                     if f is not None:
-                        accepted.append((f.hom_map.map, f.m, f.m0))
-            want = sorted((f.hom_map.map, f.m, f.m0) for f in doubly.dd_functors_between(s, t))
+                        accepted.append((f.map, f.m, f.m0))
+            want = sorted((f.map, f.m, f.m0) for f in doubly.dd_functors_between(s, t))
             functors += len(accepted)
             disagreeing += sorted(accepted) != want
     return candidates, functors, disagreeing

@@ -141,9 +141,9 @@ def test_criterion_03_composition_law():
                 for g in gs:
                     comp = compose_dd_functors(g, f)
                     mul = dies[l].monoid.mul
-                    expected_map = tuple(g.hom_map.map[v] for v in f.hom_map.map)
-                    expected_m = mul[g.hom_map.map[f.m]][g.m]
-                    if comp.hom_map.map != expected_map or comp.m != expected_m:
+                    expected_map = tuple(g.map[v] for v in f.map)
+                    expected_m = mul[g.map[f.m]][g.m]
+                    if comp.map != expected_map or comp.m != expected_m:
                         law_ok = False
     assoc_ok = True
     unital_ok = True

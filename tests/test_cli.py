@@ -91,6 +91,13 @@ class TestValidateVerb:
         assert main(["validate", path]) == 2
         assert "mul/1/1: expected int, got float" in capsys.readouterr().err
 
+    def test_short_functor_map_exit_two(self, tmp_path, capsys):
+        payload = serialize.to_payload(identity_dd_functor(z2_die()))
+        payload["map"] = payload["map"][:1]
+        path = write_payload(tmp_path, "f.json", payload)
+        assert main(["validate", path]) == 2
+        assert capsys.readouterr().err == "input error: map: expected 2 entries, got 1\n"
+
     def test_json_format_is_canonical(self, tmp_path, capsys):
         path = write_payload(tmp_path, "m.json", serialize.to_payload(zmod(2)))
         assert main(["--format", "json", "validate", path]) == 0
@@ -232,7 +239,7 @@ class TestFunctorVerbs:
 
     def test_lax_promotion_path(self, tmp_path):
         s = z2_die(0)
-        f = make_dd_functor(s, s, identity_hom(s.monoid), 1)
+        f = make_dd_functor(s, s, identity_hom(s.monoid).map, 1)
         path = write_payload(tmp_path, "f.json", serialize.to_payload(f))
         assert main(["analyze-functor", "--lax", path]) == 0
 
@@ -265,8 +272,8 @@ class TestFunctorVerbs:
 
     def test_compare_parallel_functors(self, tmp_path, capsys):
         s = z2_die()
-        f = make_dd_functor(s, s, identity_hom(s.monoid), 1)
-        g = make_dd_functor(s, s, identity_hom(s.monoid), 0)
+        f = make_dd_functor(s, s, identity_hom(s.monoid).map, 1)
+        g = make_dd_functor(s, s, identity_hom(s.monoid).map, 0)
         pf = write_payload(tmp_path, "f.json", serialize.to_payload(f))
         pg = write_payload(tmp_path, "g.json", serialize.to_payload(g))
         assert main(["--format", "json", "compare", pf, pg]) == 0

@@ -45,7 +45,7 @@ BOUNDS = {
             b.cells,
         ),
     },
-    doubly.DDFunctor: lambda f: dict.fromkeys(("m", "m0"), f.target.monoid.size),
+    doubly.DDFunctor: lambda f: dict.fromkeys(("map", "m", "m0"), f.target.monoid.size),
     doubly.DDTransformation: lambda t: {"sigma": t.source_functor.target.monoid.size},
     doubly.DDModification: lambda d: {
         "gamma": d.boundary.source_functor.target.monoid.size

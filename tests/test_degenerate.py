@@ -18,7 +18,7 @@ from deglab.equivalence import check_jcategory, check_jfunctor
 from deglab.examples import bool_or_monoid, trivial_monoid, zmod
 from deglab.fincat import enumerate_functors, one_object_category
 from deglab.monoids import FiniteMonoid, MonoidHom, enumerate_monoids, hom_maps, identity_hom
-from deglab.report import InvalidStructureError
+from deglab.report import InvalidStructureError, StructuralError
 from samples import left_padded_monoid
 from universes import (
     assert_lookup_matches,
@@ -83,6 +83,22 @@ class TestNatTrans:
         # on a commutative monoid every element is a valid component
         ident = identity_hom(zmod(3))
         assert len(nat_trans_between(ident, ident)) == 3
+
+
+class TestSampleBounds:
+    """A bound that is not an exact int is refused, never run as an int."""
+
+    @pytest.mark.parametrize(
+        "sample, bound, message",
+        [
+            (degenerate_sample, True, "bool"),
+            (degenerate_sample, 2.0, "float"),
+            (not_locally_full_witnesses, 2.0, "float"),
+        ],
+    )
+    def test_refused(self, sample, bound, message):
+        with pytest.raises(StructuralError, match=rf"^bound: expected int, got {message}$"):
+            sample(bound)
 
 
 class TestNonIdentitySearch:

@@ -252,8 +252,8 @@ class TestWeakFunctors:
 
     def test_composition_law_symbolic(self):
         s = z2_die()
-        f = make_dd_functor(s, s, identity_hom(s.monoid), 1)
-        g = make_dd_functor(s, s, identity_hom(s.monoid), 1)
+        f = make_dd_functor(s, s, identity_hom(s.monoid).map, 1)
+        g = make_dd_functor(s, s, identity_hom(s.monoid).map, 1)
         comp = compose_dd_functors(g, f)
         # m = G(m_F) * m_G = g * g = e
         assert comp.m == 0
@@ -290,8 +290,7 @@ def _count_post_inits(monkeypatch):
 def _strict_composite(g, f):
     # the composite rebuilt through the strict public constructors only
     mul = g.target.monoid.mul
-    hom = MonoidHom(f.hom_map.source, g.hom_map.target, [g.hom_map.map[v] for v in f.hom_map.map])
-    return make_dd_functor(f.source, g.target, hom, mul[g.hom_map.map[f.m]][g.m])
+    return make_dd_functor(f.source, g.target, [g.map[v] for v in f.map], mul[g.map[f.m]][g.m])
 
 
 def _composable_pairs(dies):
@@ -309,14 +308,12 @@ def _composable_pairs(dies):
 def _interned_entry(g, f):
     # the source's table entry under the product formula's key
     mul = g.target.monoid.mul
-    key = (id(g.target), tuple(g.hom_map.map[v] for v in f.hom_map.map),
-           mul[g.hom_map.map[f.m]][g.m])
+    key = (id(g.target), tuple(g.map[v] for v in f.map), mul[g.map[f.m]][g.m])
     return vars(f.source)[doubly._FUNCTORS][key]
 
 
 def _strict(f):
-    h = f.hom_map
-    return make_dd_functor(f.source, f.target, MonoidHom(h.source, h.target, h.map), f.m)
+    return make_dd_functor(f.source, f.target, list(f.map), f.m)
 
 
 class TestTrustedConstruction:
@@ -332,10 +329,9 @@ class TestTrustedConstruction:
         composites = [compose_dd_functors(g, f) for g, f in pairs]
         assert calls == {MonoidHom: 0, DDFunctor: 0}
         for (g, f), c in zip(pairs, composites):
-            h = c.hom_map
-            rebuilt = DDFunctor(c.source, c.target, MonoidHom(h.source, h.target, h.map), c.m, c.m0)
+            rebuilt = DDFunctor(c.source, c.target, list(c.map), c.m, c.m0)
             assert rebuilt == c == _strict_composite(g, f)
-            assert all(type(v) is int for v in (*h.map, c.m, c.m0))
+            assert all(type(v) is int for v in (*c.map, c.m, c.m0))
             assert check_dd_functor(c).ok
         assert calls[DDFunctor] == 2 * len(pairs)
 
@@ -354,10 +350,58 @@ class TestTrustedConstruction:
             MonoidHom(s.monoid, t.monoid, (0, 3))
         with pytest.raises(StructuralError):
             MonoidHom(s.monoid, t.monoid, (0,))
-        with pytest.raises(StructuralError):
-            DDFunctor(s, t, identity_hom(s.monoid), 0, 0)
-        with pytest.raises(StructuralError):
-            DDFunctor(s, s, identity_hom(s.monoid), 2, 0)
+        with pytest.raises(StructuralError, match=r"^map: expected 2 entries, got 1$"):
+            DDFunctor(s, t, (0,), 0, 0)
+        with pytest.raises(StructuralError, match=r"^map/1: index 3 out of range\(3\)$"):
+            DDFunctor(s, t, (0, 3), 0, 0)
+        with pytest.raises(StructuralError, match=r"^map: expected list, got MonoidHom$"):
+            DDFunctor(s, s, identity_hom(s.monoid), 0, 0)
+        with pytest.raises(StructuralError, match=r"^m: index 2 out of range\(2\)$"):
+            DDFunctor(s, s, (0, 1), 2, 0)
+
+    @pytest.mark.parametrize(
+        "hmap, m, message",
+        [
+            ((0,), 0, r"^map: expected 2 entries, got 1$"),
+            ((0, 1.0), 0, r"^map/1: expected int, got float$"),
+            ((0, 1), 5, r"^m: index 5 out of range\(2\)$"),
+            ((0, 1), 1.0, r"^m: expected int, got float$"),
+        ],
+    )
+    def test_make_dd_functor_gates_before_deriving_m0(self, hmap, m, message):
+        s = z2_die()
+        with pytest.raises(StructuralError, match=message):
+            make_dd_functor(s, s, hmap, m)
+
+    def test_a_shape_valid_non_homomorphism_is_built_and_reported(self):
+        # the constructor checks shapes only; the hom laws are the checker's
+        s = z2_die()
+        f = DDFunctor(s, s, [1, 0], 0, 0)
+        assert f.map == (1, 0) and type(f.map) is tuple
+        axioms = {v.axiom for v in check_dd_functor(f).violations}
+        assert "hom-multiplicativity" in axioms
+
+    def test_the_functor_path_builds_no_monoid_hom(self, monkeypatch):
+        # fresh copies of the dies start without intern tables, so every
+        # functor and composite below is built here, not found
+        dies = [copy.copy(s) for s in cmon_die_universe(3)]
+        calls = _count_post_inits(monkeypatch)
+        trusted = []
+        original = MonoidHom._trusted.__func__
+
+        def counted(cls, *args):
+            trusted.append(args)
+            return original(cls, *args)
+
+        monkeypatch.setattr(MonoidHom, "_trusted", classmethod(counted))
+        fs = [f for s in dies for t in dies for f in dd_functors_between(s, t)]
+        composites = [compose_dd_functors(g, f) for g, f in _composable_pairs(dies)]
+        two_truncation_universe(3)
+        assert len(fs) == 416 and len(composites) == 15040
+        assert trusted == [] and calls == {MonoidHom: 0, DDFunctor: 0}
+        for f in fs + composites[::97]:
+            assert f.hom_map == MonoidHom(f.source.monoid, f.target.monoid, f.map)
+            assert f.hom_map.map is f.map
 
     def test_composition_still_rejects_mismatched_endpoints(self):
         s, t = z2_die(), make_cmon_die(zmod(3), 2)
@@ -381,8 +425,8 @@ def _composition_laws(dies):
             for f in fs:
                 for g in functors[(k, l)]:
                     c = compose(g, f)
-                    if c.hom_map.map != tuple(g.hom_map.map[v] for v in f.hom_map.map) \
-                            or c.m != mul[g.hom_map.map[f.m]][g.m]:
+                    if c.map != tuple(g.map[v] for v in f.map) \
+                            or c.m != mul[g.map[f.m]][g.m]:
                         law_ok = False
                     for p in range(n):
                         for h in functors[(l, p)]:
@@ -405,7 +449,7 @@ class TestFunctorInterning:
         dies = cmon_die_universe(3)
         functors = {(i, k): dd_functors_between(s, t)
                     for i, s in enumerate(dies) for k, t in enumerate(dies)}
-        index = {ik: {(f.hom_map.map, f.m): f for f in fs} for ik, fs in functors.items()}
+        index = {ik: {(f.map, f.m): f for f in fs} for ik, fs in functors.items()}
         pairs = 0
         for (i, k), fs in functors.items():
             for l, u in enumerate(dies):
@@ -413,8 +457,8 @@ class TestFunctorInterning:
                 for f in fs:
                     for g in functors[(k, l)]:
                         c = compose_dd_functors(g, f)
-                        key = (tuple(g.hom_map.map[v] for v in f.hom_map.map),
-                               mul[g.hom_map.map[f.m]][g.m])
+                        key = (tuple(g.map[v] for v in f.map),
+                               mul[g.map[f.m]][g.m])
                         assert c is index[(i, l)][key]
                         assert c == _strict_composite(g, f)
                         assert check_dd_functor(c).ok
@@ -435,7 +479,7 @@ class TestFunctorInterning:
         for s in dies:
             assert identity_dd_functor(s) is identity_dd_functor(s)
             assert identity_dd_functor(s) == make_dd_functor(
-                s, s, identity_hom(s.monoid), s.monoid.unit
+                s, s, identity_hom(s.monoid).map, s.monoid.unit
             )
             for t in dies:
                 first, again = dd_functors_between(s, t), dd_functors_between(s, t)
@@ -499,13 +543,13 @@ class TestFunctorInterning:
         hmap, m = (0, 0, 0), 1
         ident = identity_dd_functor(s)
         f = doubly._interned(s, t, hmap, m)
-        g = make_dd_functor(s, t_copy, MonoidHom(s.monoid, t_copy.monoid, hmap), m)
+        g = make_dd_functor(s, t_copy, hmap, m)
         c = compose_dd_functors(g, ident)
         assert c is not f and c.target is t_copy and c.source is s and c == f
         assert compose_dd_functors(g, ident) is c
         # a shallow copy of the source gets its own table and composite
         s_copy = copy.copy(s)
-        g_copy = make_dd_functor(s_copy, t, MonoidHom(s_copy.monoid, t.monoid, hmap), m)
+        g_copy = make_dd_functor(s_copy, t, hmap, m)
         c_copy = compose_dd_functors(g_copy, identity_dd_functor(s_copy))
         assert c_copy.source is s_copy and c_copy.target is t and c_copy == f
         assert compose_dd_functors(f, ident) is f
@@ -521,7 +565,7 @@ class TestFunctorInterning:
         entries = 0
         for owner in dies:
             for key, entry in vars(owner)[doubly._FUNCTORS].items():
-                assert key == (id(entry.target), entry.hom_map.map, entry.m)
+                assert key == (id(entry.target), entry.map, entry.m)
                 assert entry.source is owner
                 entries += 1
         assert entries >= swept > 500
@@ -540,7 +584,7 @@ class TestFunctorInterning:
         s = next(d for d in dies if len(units(d.monoid)) > 1)
         ident = identity_dd_functor(s)
         other = next(u for u in units(s.monoid) if u != s.monoid.unit)
-        wrong = doubly._interned(s, s, ident.hom_map.map, other)
+        wrong = doubly._interned(s, s, ident.map, other)
         original = doubly.compose_dd_functors
 
         def planted(g, f):
@@ -555,8 +599,7 @@ class TestFunctorEquality:
         for s in cmon_die_universe(3):
             for t in cmon_die_universe(3):
                 for f in dd_functors_between(s, t):
-                    h = f.hom_map
-                    rebuilt = DDFunctor(s, t, MonoidHom(h.source, h.target, h.map), f.m, f.m0)
+                    rebuilt = DDFunctor(s, t, list(f.map), f.m, f.m0)
                     assert rebuilt is not f
                     assert rebuilt == f and f == rebuilt and not (rebuilt != f)
                     assert hash(rebuilt) == hash(f)
@@ -566,17 +609,17 @@ class TestFunctorEquality:
         fs = dd_functors_between(s, s)
         by_map = {}
         for f in fs:
-            by_map.setdefault(f.hom_map.map, []).append(f)
+            by_map.setdefault(f.map, []).append(f)
         same_hom = next(group for group in by_map.values() if len(group) > 1)
         assert same_hom[0] != same_hom[1] and not (same_hom[0] == same_hom[1])
-        assert len(set(fs)) == len(fs) == len({(f.hom_map.map, f.m) for f in fs})
+        assert len(set(fs)) == len(fs) == len({(f.map, f.m) for f in fs})
         f = fs[0]
         assert replace(f, m0=(f.m0 + 1) % 3) != f
 
     def test_other_classes_compare_unequal(self):
         f = identity_dd_functor(z2_die())
-        fields = (f.source, f.target, f.hom_map, f.m, f.m0)
-        for other in (None, 0, "f", fields, f.hom_map, f.source):
+        fields = (f.source, f.target, f.map, f.m, f.m0)
+        for other in (None, 0, "f", fields, f.map, f.hom_map, f.source):
             assert f != other and not (f == other) and other != f
         assert f.__eq__(fields) is NotImplemented and f.__ne__(fields) is NotImplemented
         assert (f != 3) is True and (f == 3) is False and f.__ne__(f) is False
@@ -599,7 +642,7 @@ class TestFunctorEquality:
     def test_hash_stays_the_field_hash_and_the_class_frozen(self):
         assert DDFunctor.__hash__ is not None
         f = identity_dd_functor(z2_die())
-        fields = (f.source, f.target, f.hom_map, f.m, f.m0)
+        fields = (f.source, f.target, f.map, f.m, f.m0)
         assert hash(f) == hash(fields)
         with pytest.raises(AttributeError):
             f.m = 0
@@ -644,7 +687,7 @@ class TestCompositeMemo:
 
     def test_serials_are_unique_and_not_fields(self):
         assert [fl.name for fl in dataclasses.fields(DDFunctor)] == \
-            ["source", "target", "hom_map", "m", "m0"]
+            ["source", "target", "map", "m", "m0"]
         fs = [f for g, f in _composable_pairs(cmon_die_universe(2))]
         fs += [_strict(f) for f in fs[:20]]
         assert len({f._serial for f in fs}) == len({id(f) for f in fs})
@@ -801,7 +844,7 @@ class TestLaxPromotion:
             for t in dies:
                 b2 = build_ddbicat(t)
                 mul = t.monoid.mul
-                interned = {(f.hom_map.map, f.m): f for f in dd_functors_between(s, t)}
+                interned = {(f.map, f.m): f for f in dd_functors_between(s, t)}
                 after = dd_functors_between(t, t)[-1]
                 for hom in enumerate_homs(s.monoid, t.monoid):
                     fd = hom.map[s.die]
@@ -812,8 +855,7 @@ class TestLaxPromotion:
                                 f = promote_lax(b1, b2, hom.map, m2, m0)
                                 assert invert(t.monoid, f.m) is not None
                                 assert invert(t.monoid, f.m0) is not None
-                                strict_hom = MonoidHom(s.monoid, t.monoid, hom.map)
-                                strict = DDFunctor(s, t, strict_hom, m2, m0)
+                                strict = DDFunctor(s, t, list(hom.map), m2, m0)
                                 assert f == strict == interned[(hom.map, m2)]
                                 # on the very dies b1 and b2 were built from, so
                                 # its composites are the enumerated instances
@@ -855,8 +897,8 @@ class TestTransformations:
 
     def test_component_formula(self):
         s = z2_die()
-        f = make_dd_functor(s, s, identity_hom(s.monoid), 1)
-        g = make_dd_functor(s, s, identity_hom(s.monoid), 0)
+        f = make_dd_functor(s, s, identity_hom(s.monoid).map, 1)
+        g = make_dd_functor(s, s, identity_hom(s.monoid).map, 0)
         t = transformation_between(f, g)
         # sigma = m_G * m_F^-1 = e * g = g
         assert t.sigma == 1
@@ -865,8 +907,8 @@ class TestTransformations:
     def test_absent_for_distinct_homs(self):
         m = zmod(2)
         s = z2_die()
-        f = make_dd_functor(s, s, identity_hom(m), 0)
-        g = make_dd_functor(s, s, MonoidHom(m, m, (0, 0)), 0)
+        f = make_dd_functor(s, s, identity_hom(m).map, 0)
+        g = make_dd_functor(s, s, (0, 0), 0)
         assert transformation_between(f, g) is None
 
     def test_uniqueness_over_small_universe(self):
@@ -877,7 +919,7 @@ class TestTransformations:
                 for f in fs:
                     for g in fs:
                         tr = transformation_between(f, g)
-                        assert (tr is not None) == (f.hom_map.map == g.hom_map.map)
+                        assert (tr is not None) == (f.map == g.map)
 
     def test_wrong_sigma_detected(self):
         from deglab.doubly import DDTransformation
@@ -913,11 +955,16 @@ class TestForgetfulImage:
         b = build_ddbicat(s)
         assert forgetful_image(1, b) == s.monoid
         assert forgetful_image(2, s) == s.monoid
-        f = make_dd_functor(s, s, identity_hom(s.monoid), 1)
+        f = make_dd_functor(s, s, identity_hom(s.monoid).map, 1)
         assert forgetful_image(1, f) == f.hom_map
         t = transformation_between(f, f)
         assert forgetful_image(2, t) == f.hom_map
         assert forgetful_image(3, DDModification(t, 1)) == f.hom_map
+
+    @pytest.mark.parametrize("level", [True, 2.0])
+    def test_level_that_is_not_an_exact_int_is_refused(self, level):
+        with pytest.raises(StructuralError, match=r"^j: expected int, got "):
+            forgetful_image(level, z2_die())
 
     def test_level_guards(self):
         s = z2_die()
@@ -930,6 +977,11 @@ class TestForgetfulImage:
 
 
 class TestUnfaithfulnessWitnesses:
+    @pytest.mark.parametrize("level", [1.0, 3.0])
+    def test_level_that_is_not_an_exact_int_is_refused(self, level):
+        with pytest.raises(StructuralError, match=r"^j: expected int, got float$"):
+            unfaithfulness_witness(level, z2_die(0))
+
     def test_level_one_on_group_target(self):
         pair = unfaithfulness_witness(1, z2_die(0))
         assert pair is not None
@@ -1017,7 +1069,7 @@ class TestTwoTruncationComparison:
         assert_tables_equal(
             left,
             all_pairs_tables(
-                one_cells, lambda f: (f.hom_map.map, f.m), compose_dd_functors, two_cells
+                one_cells, lambda f: (f.map, f.m), compose_dd_functors, two_cells
             ),
         )
         monoids = []
@@ -1057,7 +1109,7 @@ class TestTwoTruncationComparison:
         assert dict(right.one_comp) == dict(ref.one_comp)
         assert fun.map0 == tuple(monoids.index(s.monoid) for s in dies)
         assert fun.map1 == tuple(
-            ref_index[(fun.map0[s], fun.map0[t], f.hom_map.map)] for s, t, f in one_cells
+            ref_index[(fun.map0[s], fun.map0[t], f.map)] for s, t, f in one_cells
         )
 
     def test_universe_counts_bound_three(self):
@@ -1097,7 +1149,7 @@ def all_pairs_closure(functors):
         for f in ending.get(g.source, ()):
             comp = doubly.compose_dd_functors(g, f)
             if comp.m != comp.target.monoid.unit:
-                return False, {"g": (g.hom_map.map, g.m), "f": (f.hom_map.map, f.m)}
+                return False, {"g": (g.map, g.m), "f": (f.map, f.m)}
     return True, None
 
 
@@ -1148,7 +1200,7 @@ class TestIdentityConstraintRestriction:
 
     def test_excludes_nonidentity_element(self):
         s = z2_die()
-        f = make_dd_functor(s, s, identity_hom(s.monoid), 1)
+        f = make_dd_functor(s, s, identity_hom(s.monoid).map, 1)
         retained, _ = restrict_identity_constraint([f])
         assert retained == []
 

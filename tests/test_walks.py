@@ -347,7 +347,7 @@ class TestTwoCellCounts:
             (fi, gi)
             for fi, (s, t, f) in enumerate(one_cells)
             for gi in x.hom1(s, t)
-            if f.hom_map.map != one_cells[gi][2].hom_map.map
+            if f.map != one_cells[gi][2].map
         ]
         for fi, gi in _first_middle_last(unequal):
             out.append((f"extra-{fi}-{gi}", x.two_cells + ((fi, gi),), fun.map2 + (fun.map2[0],)))

@@ -78,7 +78,7 @@ def first_miscounted_pair(one_cells, x):
     for fi, (s1, t1, f) in enumerate(one_cells):
         for gi in x.hom1(s1, t1):
             count = len(x.hom2(fi, gi))
-            expected = 1 if f.hom_map.map == one_cells[gi][2].hom_map.map else 0
+            expected = 1 if f.map == one_cells[gi][2].map else 0
             if count != expected:
                 return fi, gi, count, expected
     return None
