@@ -32,7 +32,6 @@ from .doubly import (
 from .monoidal import (
     DegenerateBicategory,
     FinMonoidalCategory,
-    check_monoidal,
     shift_from_bicat,
     shift_to_bicat,
     unit_distobj_closure_witness,
@@ -99,6 +98,18 @@ def _expect(obj, cls, what: str):
     return obj
 
 
+def _valid(obj, what: str):
+    """`obj` itself if it passes the check `validate` runs on its file;
+    otherwise the error of its first finding: an input error if the report
+    has structural entries (exit 2), else an invalid structure (exit 1)."""
+    report = serialize.check(obj)
+    if not report.well_formed:
+        raise StructuralError(f"not {what}: {report.structural[0].axiom}")
+    if not report.ok:
+        raise InvalidStructureError(f"not {what}: {report.violations[0].axiom}")
+    return obj
+
+
 # direction: the structure it takes, that structure's file, the shift
 _SHIFTS = {
     "to_cmon": (DDBicat, "a ddbicat file", extract_cmon_die),
@@ -143,8 +154,10 @@ def cmd_analyze_functor(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    f = serialize.structure_from_payload(_load(args.first), "dd_functor")
-    g = serialize.structure_from_payload(_load(args.second), "dd_functor")
+    f, g = (
+        _valid(serialize.structure_from_payload(_load(path), "dd_functor"), "a weak functor")
+        for path in (args.first, args.second)
+    )
     t = transformation_between(f, g)
     if t is None:
         payload = {"verdict": "no-transformation", "reason": "underlying homomorphisms differ"}
@@ -161,9 +174,9 @@ def cmd_compare(args) -> int:
 def cmd_search(args) -> int:
     obj = serialize.structure_from_payload(_load(args.file))
     if args.what == "nonidentity-nat-trans":
-        if isinstance(obj, CMonDIE):
-            obj = obj.monoid
-        t = find_nonidentity_nat_trans(_expect(obj, FiniteMonoid, "a monoid file"))
+        m = _expect(obj.monoid if isinstance(obj, CMonDIE) else obj, FiniteMonoid, "a monoid file")
+        _valid(obj, "a monoid")
+        t = find_nonidentity_nat_trans(m)
         found = t is not None
         payload = {
             "found": found,
@@ -172,7 +185,8 @@ def cmd_search(args) -> int:
         _emit(payload, args.format, lambda p: print("found" if found else "absent"))
         return EXIT_OK if found else EXIT_VIOLATION
     if args.what == "unfaithful":
-        pair = unfaithfulness_witness(args.level, _expect(obj, CMonDIE, "a monoid file with a die"))
+        s = _valid(_expect(obj, CMonDIE, "a monoid file with a die"), "a commutative monoid with a die")
+        pair = unfaithfulness_witness(args.level, s)
         payload = {
             "found": pair is not None,
             "witness": None
@@ -186,11 +200,7 @@ def cmd_search(args) -> int:
         )
         return EXIT_OK if pair is not None else EXIT_VIOLATION
     if args.what == "unit-closure":
-        report = check_monoidal(_expect(obj, FinMonoidalCategory, "a moncat file"))
-        if not report.well_formed:
-            raise StructuralError(f"not a monoidal category: {report.structural[0].axiom}")
-        if not report.ok:
-            raise InvalidStructureError(f"not a monoidal category: {report.violations[0].axiom}")
+        _valid(_expect(obj, FinMonoidalCategory, "a moncat file"), "a monoidal category")
         t1, t2, comp, closed = unit_distobj_closure_witness(obj)
         payload = {
             "closed": closed,

@@ -10,7 +10,7 @@ transformations with non-identity distinguished elements.
 from dataclasses import dataclass
 
 from .equivalence import JFunctor, check_external_equivalence, hom_indexed_category
-from .monoids import FiniteMonoid, MonoidHom, check_monoid, enumerate_monoids, hom_maps
+from .monoids import FiniteMonoid, MonoidHom, check_hom, check_monoid, enumerate_monoids, hom_maps
 from .report import InvalidStructureError, Report, ValidationReport, exact
 
 
@@ -53,12 +53,16 @@ def monoid_to_cat(m: FiniteMonoid) -> DegenerateCategory:
 
 
 def check_nat_trans(t: DegNatTrans) -> ValidationReport:
-    """Naturality: d * F(x) = G(x) * d for every source element."""
+    """The functors F and G are homomorphisms (findings prefixed `F-` and
+    `G-`, their JSON keys), and naturality: d * F(x) = G(x) * d for every
+    source element."""
     report = ValidationReport("nat_trans")
     f, g = t.source_functor, t.target_functor
     if f.source != g.source or f.target != g.target:
         report.add_structural("endpoints", (), "functors are not parallel")
         return report
+    report.extend(check_hom(f), prefix="F-")
+    report.extend(check_hom(g), prefix="G-")
     mul = f.target.mul
     for x in range(f.source.size):
         if mul[t.component][f.map[x]] != mul[g.map[x]][t.component]:

@@ -27,9 +27,10 @@ endpoints are left to the public constructors, the boundary for Python
 callers.  Each of their int-holding fields goes through one gate,
 `report.exact`, under the same rules (exact ints with bools refused,
 indices in range, flags exact bools) and with one message per field in
-the same path format, such as `mul/1: expected 2 entries, got 1`.  A
-checker that composes cells of a structure's parts runs only once those
-parts pass their own checks (see `_parts_first`).
+the same path format, such as `mul/1: expected 2 entries, got 1`.  The
+part under every nested key is checked by its own entry before the
+structure's checker runs, which runs only when every part holds (see
+`_verdict`).
 
 Equal embedded structures are built once per file, after the conform
 pass: a nested payload equal to one already built in the same call gets
@@ -117,8 +118,9 @@ def _index(name, bound, depth=0, leaf=INDEX, attr=""):
 class Schema:
     """One JSON kind.  `keys` are in walk order: a count, list or nested
     payload named by a bound comes before the index keys that use it.
-    `build` takes the converted values by key name; `check` takes a
-    conformed payload and returns its validation report."""
+    `build` takes the converted values by key name; `check` takes the
+    built structure, whose nested parts have passed their own checks (see
+    `_verdict`), and returns its validation report."""
 
     types: tuple
     keys: tuple
@@ -331,52 +333,9 @@ def _build_monoid(size, unit, mul, die=None):
 # -- checks -------------------------------------------------------------------
 
 
-def _checked(checker):
-    """The check of a kind whose axiom checker takes the built structure."""
-    return lambda p: checker(_build(p))
-
-
-def _parts_first(checker, **parts):
-    """A check for a checker that composes cells of some parts of its
-    structure and so presupposes they are valid.  `parts` maps each such
-    attribute to the check of the structure there.  The parts are checked
-    first, equal ones once, with findings prefixed by the attribute;
-    `checker` runs only when all of them hold.
-
-    The gate is `ok`, not `well_formed`: `fincat.check_functor` reports a
-    functor that breaks endpoints as an axiom violation, so a well-formed
-    monad can send composable arrows to arrows with no composite.  The
-    checkers themselves report such a composite as a structural
-    `undefined-composite` finding; checking the parts first instead names
-    the invalid part, by key, in the file's findings."""
-
-    def check(obj):
-        report = ValidationReport(_KIND_OF[type(obj)])
-        done = []
-        for attr, part_check in parts.items():
-            part = getattr(obj, attr)
-            if part not in done:
-                done.append(part)
-                report.extend(part_check(part), prefix=f"{attr}-")
-        return checker(obj) if report.ok else report
-
-    return check
-
-
-_check_monoidal_functor = _parts_first(
-    monoidal.check_monoidal_functor, source=monoidal.check_monoidal, target=monoidal.check_monoidal
-)
-_check_deg_transformation = _parts_first(
-    monoidal.check_deg_transformation,
-    source_functor=_check_monoidal_functor,
-    target_functor=_check_monoidal_functor,
-)
-_check_monad_functor = _parts_first(
-    monads.check_monad_functor, source=monads.check_monad, target=monads.check_monad
-)
-
-
 def _check_monoid(p) -> ValidationReport:
+    """The top-level check of a monoid payload, which reads the die from
+    the payload: a die without an inverse cannot be built."""
     m = monoids.FiniteMonoid(p["size"], p["unit"], p["mul"])
     if "die" not in p:
         return monoids.check_monoid(m.mul, m.unit)
@@ -389,15 +348,7 @@ def _check_monoid(p) -> ValidationReport:
     return report
 
 
-def _check_degenerate_category(p) -> ValidationReport:
-    hom = _build(p).hom
-    report = ValidationReport("degenerate_category")
-    report.extend(monoids.check_monoid(hom.mul, hom.unit))
-    return report
-
-
-def _check_ddbicat(p) -> ValidationReport:
-    b = _build(p)
+def _check_ddbicat(b) -> ValidationReport:
     report = doubly.check_ddbicat(b)
     if report.ok:
         for f in doubly.eckmann_hilton_report(b).findings:
@@ -406,12 +357,38 @@ def _check_ddbicat(p) -> ValidationReport:
     return report
 
 
-def _check_dd_functor(p) -> ValidationReport:
-    f = _build(p)
-    report = ValidationReport("dd_functor")
-    report.extend(monoids.check_cmon_die(f.source), prefix="source-")
-    report.extend(monoids.check_cmon_die(f.target), prefix="target-")
-    report.extend(doubly.check_dd_functor(f))
+def _verdict(obj, cache) -> ValidationReport:
+    """The report of a built structure under its kind's entry.
+
+    The part under each nested key is checked first, by its own entry and
+    so recursively, with findings prefixed by the key; a part that is the
+    structure under an earlier key is checked, and reported, once.  The
+    kind's checker runs only when every part holds, since checkers compose
+    cells of their parts and so presuppose they are valid.  The gate is
+    `ok`, not `well_formed`: `fincat.check_functor` reports a functor that
+    breaks endpoints as an axiom violation, so a well-formed monad can
+    send composable arrows to arrows with no composite.  The checkers
+    report such a composite as a structural `undefined-composite` finding;
+    checking the parts first instead names the invalid part, by key.
+
+    `cache` maps the id of each structure checked so far to its report,
+    so each distinct embedded structure is checked once per file; `_build`
+    makes equal embedded payloads one structure."""
+    report = cache.get(id(obj))
+    if report is None:
+        kind = _KIND_OF[type(obj)]
+        entry = SCHEMA[kind]
+        report = ValidationReport(kind)
+        seen = set()
+        for key in entry.keys:
+            if type(key.leaf) is Nested:
+                part = key.get(obj)
+                if id(part) not in seen:
+                    seen.add(id(part))
+                    report.extend(_verdict(part, cache), prefix=f"{key.name}-")
+        if report.ok:
+            report = entry.check(obj)
+        cache[id(obj)] = report
     return report
 
 
@@ -440,7 +417,9 @@ SCHEMA = {
             _index("die", "size"),
         ),
         _build_monoid,
-        _check_monoid,
+        lambda m: monoids.check_cmon_die(m)
+        if type(m) is monoids.CMonDIE
+        else monoids.check_monoid(m.mul, m.unit),
         dump=_dump_monoid,
         optional=frozenset({"die"}),
     ),
@@ -448,7 +427,7 @@ SCHEMA = {
         (degenerate.DegenerateCategory,),
         (Key("hom", Nested("monoid")),),
         degenerate.DegenerateCategory,
-        _check_degenerate_category,
+        lambda c: ValidationReport("degenerate_category"),  # the hom monoid is its one part
     ),
     "nat_trans": Schema(
         (degenerate.DegNatTrans,),
@@ -462,7 +441,7 @@ SCHEMA = {
         lambda source, target, F, G, d: degenerate.DegNatTrans(
             monoids.MonoidHom(source, target, F), monoids.MonoidHom(source, target, G), d
         ),
-        _checked(degenerate.check_nat_trans),
+        degenerate.check_nat_trans,
     ),
     "ddbicat": Schema(
         (doubly.DDBicat,),
@@ -486,7 +465,7 @@ SCHEMA = {
             _index("m0", "target.size"),
         ),
         lambda source, target, map, m2, m0: doubly.DDFunctor(source, target, map, m2, m0),
-        _check_dd_functor,
+        doubly.check_dd_functor,
     ),
     "dd_transformation": Schema(
         (doubly.DDTransformation,),
@@ -496,7 +475,7 @@ SCHEMA = {
             _index("sigma", "source_functor.target.size"),
         ),
         doubly.DDTransformation,
-        _checked(doubly.check_dd_transformation),
+        doubly.check_dd_transformation,
     ),
     "dd_modification": Schema(
         (doubly.DDModification,),
@@ -505,7 +484,7 @@ SCHEMA = {
             _index("gamma", "boundary.source_functor.target.size"),
         ),
         doubly.DDModification,
-        _checked(doubly.check_modification),
+        doubly.check_modification,
     ),
     "category": Schema(
         (fincat.FiniteCategory,),
@@ -513,7 +492,7 @@ SCHEMA = {
         lambda objects, morphisms, identities, comp: fincat.FiniteCategory(
             objects, morphisms, identities, comp
         ),
-        _checked(fincat.check_category),
+        fincat.check_category,
     ),
     "moncat": Schema(
         (monoidal.FinMonoidalCategory,),
@@ -529,7 +508,7 @@ SCHEMA = {
         lambda objects, morphisms, identities, comp, unit, **rest: monoidal.FinMonoidalCategory(
             fincat.FiniteCategory(objects, morphisms, identities, comp), unit_obj=unit, **rest
         ),
-        _checked(monoidal.check_monoidal),
+        monoidal.check_monoidal,
     ),
     "degenerate_bicat": Schema(
         (monoidal.DegenerateBicategory,),
@@ -546,7 +525,7 @@ SCHEMA = {
             *(_index(k, "two_cells", 1) for k in _UNITORS),
         ),
         monoidal.DegenerateBicategory,
-        _checked(monoidal.check_degenerate_bicat),
+        monoidal.check_degenerate_bicat,
     ),
     "monoidal_functor": Schema(
         (monoidal.MonoidalFunctor,),
@@ -564,7 +543,7 @@ SCHEMA = {
             fincat.CatFunctor(source.base, target.base, object_map, morphism_map),
             **rest,
         ),
-        _checked(_check_monoidal_functor),
+        monoidal.check_monoidal_functor,
     ),
     "monoidal_transformation": Schema(
         (monoidal.MonoidalTransformation,),
@@ -574,7 +553,7 @@ SCHEMA = {
             _index("components", "source_functor.target.morphisms", 1),
         ),
         monoidal.MonoidalTransformation,
-        _checked(monoidal.check_monoidal_transformation),
+        monoidal.check_monoidal_transformation,
     ),
     "deg_transformation": Schema(
         (monoidal.DegTransformation,),
@@ -587,7 +566,7 @@ SCHEMA = {
             Key("oplax", FLAG),
         ),
         monoidal.DegTransformation,
-        _checked(_check_deg_transformation),
+        monoidal.check_deg_transformation,
     ),
     "deg_modification": Schema(
         (monoidal.DegModification,),
@@ -597,7 +576,7 @@ SCHEMA = {
             _index("gamma", "source_transformation.source_functor.target.morphisms"),
         ),
         monoidal.DegModification,
-        _checked(monoidal.check_deg_modification),
+        monoidal.check_deg_modification,
     ),
     "monad": Schema(
         (monads.FinMonad,),
@@ -611,7 +590,7 @@ SCHEMA = {
         lambda base, object_map, morphism_map, eta, mu: monads.FinMonad(
             fincat.CatFunctor(base, base, object_map, morphism_map), eta, mu
         ),
-        _checked(monads.check_monad),
+        monads.check_monad,
     ),
     "monad_functor": Schema(
         (monads.MonadFunctor,),
@@ -628,7 +607,7 @@ SCHEMA = {
             fincat.CatFunctor(source.endo.source, target.endo.source, object_map, morphism_map),
             phi,
         ),
-        _checked(_check_monad_functor),
+        monads.check_monad_functor,
     ),
     "monad_transformation": Schema(
         (monads.MonadFunctorTransformation,),
@@ -638,7 +617,7 @@ SCHEMA = {
             _index("gamma", "source.target.base.morphisms", 1),
         ),
         monads.MonadFunctorTransformation,
-        _checked(monads.check_monad_transformation),
+        monads.check_monad_transformation,
     ),
 }
 
@@ -661,5 +640,15 @@ def structure_from_payload(payload, kind=None):
 
 
 def validate_payload(payload) -> ValidationReport:
-    """Dispatch a parsed JSON object to its axiom checker by kind."""
-    return _conformed(payload).check(payload)
+    """The report of a parsed JSON object: that of its structure (see
+    `check`), except for a top-level monoid, whose die is read from the
+    payload, since a die without an inverse cannot be built."""
+    if _conformed(payload) is SCHEMA["monoid"]:
+        return _check_monoid(payload)
+    return _verdict(_build(payload), {})
+
+
+def check(obj) -> ValidationReport:
+    """The report of a structure of a JSON kind: each nested part under
+    its own kind first, then the structure's own checker (see `_verdict`)."""
+    return _verdict(obj, {})

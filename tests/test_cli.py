@@ -98,6 +98,23 @@ class TestValidateVerb:
         assert main(["validate", path]) == 2
         assert capsys.readouterr().err == "input error: map: expected 2 entries, got 1\n"
 
+    def test_nat_trans_between_non_homomorphisms_exit_one(self, tmp_path, capsys):
+        # from the OR monoid to Z/2, F = G sends the unit to 1; d = 0 is natural
+        or_monoid = {"kind": "monoid", "size": 2, "unit": 0, "mul": [[0, 1], [1, 1]]}
+        payload = {
+            "kind": "nat_trans",
+            "source": or_monoid,
+            "target": serialize.to_payload(zmod(2)),
+            "F": [1, 1],
+            "G": [1, 1],
+            "d": 0,
+        }
+        path = write_payload(tmp_path, "t.json", payload)
+        assert main(["--format", "json", "validate", path]) == 1
+        axioms = {v["axiom"] for v in json.loads(capsys.readouterr().out)["violations"]}
+        assert {"F-unit-preservation", "G-unit-preservation"} <= axioms
+        assert "naturality" not in axioms
+
     def test_json_format_is_canonical(self, tmp_path, capsys):
         path = write_payload(tmp_path, "m.json", serialize.to_payload(zmod(2)))
         assert main(["--format", "json", "validate", path]) == 0
@@ -270,6 +287,15 @@ class TestFunctorVerbs:
         payload[key] = value
         assert main(["validate", write_payload(tmp_path, "t.json", payload)]) == 2
 
+    def test_compare_refuses_an_invalid_functor(self, tmp_path, capsys):
+        payload = serialize.to_payload(identity_dd_functor(z2_die()))
+        payload["map"] = [1, 0]  # the unit goes to 1
+        path = write_payload(tmp_path, "f.json", payload)
+        assert main(["validate", path]) == 1
+        assert main(["compare", path, path]) == 1
+        err = capsys.readouterr().err
+        assert err == "invalid structure: not a weak functor: hom-unit-preservation\n"
+
     def test_compare_parallel_functors(self, tmp_path, capsys):
         s = z2_die()
         f = make_dd_functor(s, s, identity_hom(s.monoid).map, 1)
@@ -293,6 +319,21 @@ class TestSearchVerb:
         assert main(["--format", "json", "search", "unfaithful", "--level", "1", path]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["found"] and len(payload["witness"]) == 2
+
+    def test_nonidentity_nat_trans_refuses_a_non_monoid(self, tmp_path, capsys):
+        payload = {"kind": "monoid", "size": 2, "unit": 0, "mul": [[1, 1], [1, 1]]}
+        path = write_payload(tmp_path, "m.json", payload)
+        assert main(["validate", path]) == 1
+        assert main(["search", "nonidentity-nat-trans", path]) == 1
+        assert capsys.readouterr().err == "invalid structure: not a monoid: unit\n"
+
+    def test_unfaithful_refuses_a_non_associative_die(self, tmp_path, capsys):
+        payload = {"kind": "monoid", "size": 3, "unit": 0, "mul": [[0, 1, 2], [1, 2, 0], [2, 0, 2]]}
+        path = write_payload(tmp_path, "s.json", {**payload, "die": 1})
+        assert main(["validate", path]) == 1
+        assert main(["search", "unfaithful", path]) == 1
+        err = capsys.readouterr().err
+        assert err == "invalid structure: not a commutative monoid with a die: associativity\n"
 
     def test_unit_closure_failure(self, tmp_path, capsys):
         path = write_payload(tmp_path, "mc.json", serialize.to_payload(nand_pair()))

@@ -26,7 +26,7 @@ from deglab.monoidal import (
     identity_monoidal_functor,
 )
 from deglab.monoids import check_monoid, enumerate_monoids, identity_hom, make_cmon_die
-from deglab.report import StructuralError
+from deglab.report import StructuralError, ValidationReport
 from samples import sample_structures
 
 
@@ -118,7 +118,8 @@ class TestValidationDispatch:
         }
         for payload, ok in ((valid, True), (invalid, False)):
             rep = serialize.validate_payload(payload)
-            inner = check_monoid(payload["hom"]["mul"], payload["hom"]["unit"])
+            inner = ValidationReport("degenerate_category")
+            inner.extend(check_monoid(payload["hom"]["mul"], payload["hom"]["unit"]), prefix="hom-")
             assert rep.subject == "degenerate_category" and rep.ok is ok
             assert (rep.structural, rep.violations) == (inner.structural, inner.violations)
 
@@ -520,3 +521,101 @@ class TestPartsFirst:
         mf = identity_monoidal_functor(sign_category())
         report = serialize.validate_payload(serialize.to_payload(mf))
         assert report.ok and report.subject == "monoidal_functor"
+
+    @pytest.mark.parametrize(
+        "kind, key",
+        [
+            (kind, key.name)
+            for kind, entry in serialize.SCHEMA.items()
+            for key in entry.keys
+            if isinstance(key.leaf, serialize.Nested)
+        ],
+    )
+    def test_every_nested_part_is_checked_first(self, tmp_path, kind, key):
+        valid = _SAMPLE_OF[kind]
+        assert _validate_exit(tmp_path, valid) == 0
+        swapped = 0
+        for part in _breaches(valid[key]):
+            payload = {**valid, key: part}
+            if not _builds(payload):
+                continue
+            swapped += 1
+            assert _validate_exit(tmp_path, payload) == 1, part
+            report = serialize.validate_payload(payload)
+            assert report.violations and not report.structural
+            assert all(v.axiom.startswith(f"{key}-") for v in report.violations), report.to_payload()
+        assert swapped
+
+
+# the first sample of each kind
+_SAMPLE_OF = {}
+for _obj in sample_structures():
+    _SAMPLE_OF.setdefault(serialize.to_payload(_obj)["kind"], serialize.to_payload(_obj))
+
+
+def _builds(payload) -> bool:
+    try:
+        serialize.structure_from_payload(payload)
+    except StructuralError:
+        return False
+    return True
+
+
+def _breaches(payload):
+    """Copies of a valid payload, of the same kind and counts, each of
+    which builds and breaks an axiom of its kind or of a part, at any
+    depth: a change to its own keys, then each breach of each nested part
+    in place of that part, where the whole still builds (the functors of
+    a transformation must stay parallel, for one)."""
+    yield _own_breach(payload)
+    for key in serialize.SCHEMA[payload["kind"]].keys:
+        if isinstance(key.leaf, serialize.Nested):
+            for part in _breaches(payload[key.name]):
+                if _builds(candidate := {**payload, key.name: part}):
+                    yield candidate
+
+
+def _own_breach(payload):
+    """A copy of a valid payload with the first change of one index of its
+    own keys (not of a nested part's) that leaves it well formed but not
+    valid.  A category whose every such change breaks its shape is rebuilt
+    instead."""
+    if payload["kind"] == "category":
+        return _non_unital_category(payload["objects"], len(payload["morphisms"]))
+    for key in serialize.SCHEMA[payload["kind"]].keys:
+        if key.leaf not in (serialize.INDEX, serialize.INDEX_OR_NULL):
+            continue
+        n = payload
+        for step in key.bound:
+            n = n[step]
+        values = [*range(len(n) if isinstance(n, list) else n), None]
+        for path in _index_paths(payload[key.name], key.depth, [key.name]):
+            for v in values[: None if key.leaf is serialize.INDEX_OR_NULL else -1]:
+                candidate = json.loads(json.dumps(payload))
+                _set(candidate, path, v)
+                if _builds(candidate):  # a monoid's die must stay invertible
+                    report = serialize.validate_payload(candidate)
+                    if report.well_formed and not report.ok:
+                        return candidate
+    raise AssertionError(f"no single index change breaks this {payload['kind']} payload")
+
+
+def _index_paths(v, depth, path):
+    if not depth:
+        yield path
+        return
+    for i, x in enumerate(v):
+        yield from _index_paths(x, depth - 1, path + [i])
+
+
+def _non_unital_category(n, m) -> dict:
+    """n objects and m > n arrows: the identities, and m - n more
+    endomorphisms of object 0, where every composite is the identity."""
+    ends = [(a, a) for a in range(n)] + [(0, 0)] * (m - n)
+    return {
+        "kind": "category",
+        "objects": n,
+        "morphisms": [{"src": a, "tgt": b} for a, b in ends],
+        "identities": list(range(n)),
+        "comp": [[ends[g][0] if ends[g][0] == ends[f][1] else None for f in range(m)] for g in range(m)],
+    }
