@@ -123,7 +123,8 @@ _SHIFTS = {
 
 def cmd_shift(args) -> int:
     cls, what, shift = next(_SHIFTS[name] for name in _SHIFTS if getattr(args, name))
-    result = shift(_expect(serialize.structure_from_payload(_load(args.file)), cls, what))
+    obj = _expect(serialize.structure_from_payload(_load(args.file)), cls, what)
+    result = shift(_valid(obj, what))
     text = serialize.canonical_dumps(serialize.to_payload(result))
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:

@@ -1,21 +1,10 @@
 """One structure of every JSON kind, shared by the serializer and CLI tests,
 and small fixtures the package itself has no use for."""
 
-import itertools
-
-from deglab import doubly
 from deglab.degenerate import monoid_to_cat, nat_trans_between
-from deglab.doubly import (
-    DDBicat,
-    DDModification,
-    analyze_weak_functor,
-    build_ddbicat,
-    check_ddbicat,
-    identity_dd_functor,
-    transformation_between,
-)
+from deglab.doubly import DDModification, build_ddbicat, identity_dd_functor, transformation_between
 from deglab.examples import arrow_category, nand_pair, sign_category, zmod
-from deglab.fincat import FiniteCategory, enumerate_functors, one_object_category
+from deglab.fincat import FiniteCategory
 from deglab.monads import MonadFunctorTransformation, identity_monad, identity_monad_functor
 from deglab.monoidal import (
     DegModification,
@@ -25,17 +14,7 @@ from deglab.monoidal import (
     identity_monoidal_transformation,
     shift_to_bicat,
 )
-from deglab.monoids import (
-    FiniteMonoid,
-    MonoidHom,
-    cmon_die_universe,
-    enumerate_monoids,
-    hom_maps,
-    identity_hom,
-    invert,
-    make_cmon_die,
-    units,
-)
+from deglab.monoids import FiniteMonoid, MonoidHom, identity_hom, make_cmon_die
 
 
 def left_padded_monoid() -> FiniteMonoid:
@@ -167,54 +146,3 @@ def product_square(m: FiniteMonoid) -> FiniteMonoid:
             for y in range(n)
         ),
     )
-
-
-def forced_table_sweep(n: int) -> tuple:
-    """Raw one-1-cell bicategory data over the order-n monoid classes.
-
-    Interchange plus hcomp-identity make hcomp a monoid homomorphism
-    M x M -> M, where M is the vertical monoid, so each class
-    representative M is paired with every hcomp map from `hom_maps` and
-    every unit triple (assoc, lunit, runit) with its inverses.  Returns the
-    number of hcomp candidates, the structures, and their `check_ddbicat`
-    reports."""
-    candidates, structures = 0, []
-    for m in enumerate_monoids(n):
-        for h in hom_maps(product_square(m), m):
-            candidates += 1
-            hcomp = tuple(tuple(h[x * n + y] for y in range(n)) for x in range(n))
-            for a, l, r in itertools.product(units(m), repeat=3):
-                structures.append(
-                    DDBicat(n, m.unit, m.mul, hcomp, a, invert(m, a), l, invert(m, l), r, invert(m, r))
-                )
-    return candidates, structures, [check_ddbicat(b) for b in structures]
-
-
-def raw_functor_sweep(bound: int) -> tuple:
-    """Functors of doubly degenerate bicategories from raw weak-functor data.
-
-    For each ordered pair (s, t) of `cmon_die_universe(bound)`, every arrow
-    map between the one-object categories from the fincat oracle
-    (`enumerate_functors`, sorted; not `hom_maps`, not the intern table) is
-    paired with every (m2, m0) in t and reduced by `analyze_weak_functor`
-    on the `build_ddbicat` images.  The accepted (map, m, m0) are compared
-    with those of `doubly.dd_functors_between(s, t)`, read through the
-    module at call time, so a patched enumeration is the one compared.
-    Returns (candidates, accepted functors, disagreeing pairs)."""
-    dies = cmon_die_universe(bound)
-    sides = [(s, build_ddbicat(s), one_object_category(s.monoid)) for s in dies]
-    candidates = functors = disagreeing = 0
-    for s, b1, c in sides:
-        for t, b2, d in sides:
-            elements = range(t.monoid.size)
-            accepted = []
-            for hmap in sorted(f.morphism_map for f in enumerate_functors(c, d)):
-                for m2, m0 in itertools.product(elements, repeat=2):
-                    candidates += 1
-                    f, _ = analyze_weak_functor(b1, b2, hmap, m2, m0)
-                    if f is not None:
-                        accepted.append((f.map, f.m, f.m0))
-            want = sorted((f.map, f.m, f.m0) for f in doubly.dd_functors_between(s, t))
-            functors += len(accepted)
-            disagreeing += sorted(accepted) != want
-    return candidates, functors, disagreeing

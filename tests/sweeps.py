@@ -1,0 +1,281 @@
+"""The exhaustive sweeps behind CI, each defined once with its pins.
+
+    PYTHONPATH=src python tests/sweeps.py NAME SIZE
+
+runs sweep NAME at SIZE and prints what it counted, its wall time and its
+peak RSS: the larger of this process's and its children's, so a gate
+holds whichever did the work.  It exits 0 when the result is the pin of
+SIZE and the peak RSS is within that size's gate, 1 on any mismatch, and
+2 on a NAME or SIZE that `SWEEPS` does not list.  The smallest size of
+each sweep runs in tier-1 (`tests/test_sweeps.py`); every other size is
+one step of `.github/workflows/tier1.yml`.
+"""
+
+import itertools
+import json
+import os
+import resource
+import subprocess
+import sys
+import time
+
+from deglab import doubly, monoids
+from deglab.degenerate import degenerate_sample, forgetful_universe
+from deglab.doubly import (
+    DDBicat,
+    _first_miscounted_pair,
+    analyze_weak_functor,
+    build_ddbicat,
+    check_ddbicat,
+    eckmann_hilton_report,
+    extract_cmon_die,
+    restrict_identity_constraint,
+    two_truncation_universe,
+)
+from deglab.equivalence import check_jcategory, check_jfunctor
+from deglab.examples import stock_monoidal_universe
+from deglab.fincat import enumerate_functors, one_object_category
+from deglab.monoidal import shift_universe
+from deglab.monoids import cmon_die_universe, enumerate_monoids, hom_maps, invert, units
+from samples import product_square
+from walks import first_miscounted_pair, walk_differences
+
+
+def _deglab(size, *args) -> tuple:
+    """The JSON output of `python -m deglab --format json ARGS`, run as a
+    child process with DEGLAB_MAX_SIZE=size, and the output's SHA-256."""
+    import hashlib  # here: its OpenSSL adds ~3 MB to an in-process sweep's peak RSS
+    env = dict(os.environ, DEGLAB_MAX_SIZE=str(size))
+    cmd = [sys.executable, "-m", "deglab", "--format", "json", *args]
+    out = subprocess.run(cmd, stdout=subprocess.PIPE, env=env, check=False).stdout
+    return json.loads(out), hashlib.sha256(out).hexdigest()
+
+
+def enumerated(*flags):
+    """`deglab enumerate --size SIZE FLAGS`: (count, SHA-256)."""
+    def sweep(size):
+        payload, digest = _deglab(size, "enumerate", "--size", str(size), *flags)
+        return payload["count"], digest
+    return sweep
+
+
+def suite(name):
+    """`deglab suite NAME --bound SIZE`: (verdict, SHA-256)."""
+    def sweep(bound):
+        payload, digest = _deglab(bound, "suite", name, "--bound", str(bound))
+        return payload["verdict"], digest
+    return sweep
+
+
+def hom_maps_oracle(size) -> tuple:
+    """`hom_maps` on every ordered pair of monoids of size <= SIZE against
+    an independent oracle: the arrow maps of `fincat.enumerate_functors`
+    between the one-object categories, sorted.  `hom_maps` is read through
+    its module, so a patched one is the one compared.  Returns (pairs,
+    maps, disagreeing pairs)."""
+    ms = [m for n in range(1, size + 1) for m in enumerate_monoids(n)]
+    cats = [one_object_category(m) for m in ms]
+    pairs = maps = disagreements = 0
+    for a, ca in zip(ms, cats):
+        for b, cb in zip(ms, cats):
+            got = monoids.hom_maps(a, b)
+            want = tuple(sorted(f.morphism_map for f in enumerate_functors(ca, cb)))
+            pairs, maps, disagreements = pairs + 1, maps + len(got), disagreements + (got != want)
+    return pairs, maps, disagreements
+
+
+def raw_functors(bound: int) -> tuple:
+    """Functors of doubly degenerate bicategories from raw weak-functor data.
+
+    For each ordered pair (s, t) of `cmon_die_universe(bound)`, every arrow
+    map between the one-object categories from the fincat oracle
+    (`enumerate_functors`, sorted; not `hom_maps`, not the intern table) is
+    paired with every (m2, m0) in t and reduced by `analyze_weak_functor`
+    on the `build_ddbicat` images.  The accepted (map, m, m0) are compared
+    with those of `doubly.dd_functors_between(s, t)`, read through the
+    module at call time, so a patched enumeration is the one compared.
+    Returns (candidates, accepted functors, disagreeing pairs)."""
+    dies = cmon_die_universe(bound)
+    sides = [(s, build_ddbicat(s), one_object_category(s.monoid)) for s in dies]
+    candidates = functors = disagreeing = 0
+    for s, b1, c in sides:
+        for t, b2, d in sides:
+            elements = range(t.monoid.size)
+            accepted = []
+            for hmap in sorted(f.morphism_map for f in enumerate_functors(c, d)):
+                for m2, m0 in itertools.product(elements, repeat=2):
+                    candidates += 1
+                    f, _ = analyze_weak_functor(b1, b2, hmap, m2, m0)
+                    if f is not None:
+                        accepted.append((f.map, f.m, f.m0))
+            want = sorted((f.map, f.m, f.m0) for f in doubly.dd_functors_between(s, t))
+            functors += len(accepted)
+            disagreeing += sorted(accepted) != want
+    return candidates, functors, disagreeing
+
+
+def restrict(bound) -> tuple:
+    """The identity-constraint restriction over every reduced functor
+    between the instances of size <= bound: (functors, retained, ok)."""
+    dies = cmon_die_universe(bound)
+    fs = [f for s in dies for t in dies for f in doubly.dd_functors_between(s, t)]
+    retained, rep = restrict_identity_constraint(fs, bound=bound)
+    return len(fs), len(retained), rep.ok
+
+
+def law_checks(bound) -> tuple:
+    """Both sides of three comparisons are categories and each comparison
+    a functor: the forgetful one at sizes <= 3, the shift at bound 4 and
+    the two-truncation at `bound`.  Returns the checks that fail."""
+    comparisons = [
+        ("forgetful <=3", forgetful_universe(degenerate_sample(3))[3]),
+        ("shift 4", shift_universe(stock_monoidal_universe(4))[1]),
+        (f"two-truncation {bound}", two_truncation_universe(bound)[3]),
+    ]
+    checks = [
+        (f"{name} {part}", rep)
+        for name, fun in comparisons
+        for part, rep in [
+            ("source", check_jcategory(fun.source)),
+            ("target", check_jcategory(fun.target)),
+            ("functor", check_jfunctor(fun)),
+        ]
+    ]
+    return tuple(name for name, rep in checks if not rep.ok)
+
+
+def equivalence_walks(bound) -> tuple:
+    """The hom-set walks of `check_external_equivalence` and the 2-cell
+    count of `check_two_equivalence` against the pairwise references in
+    `tests/walks.py`, on the two-truncation universe at `bound` and the
+    forgetful one over sizes <= `bound`.  Returns the cases that differ,
+    with their differences in findings or witnesses."""
+    _, one_cells, _, two = two_truncation_universe(bound)
+    want = first_miscounted_pair(one_cells, two.source)
+    got = _first_miscounted_pair(one_cells, two.source)
+    cases = [
+        (f"forgetful <={bound}", walk_differences(forgetful_universe(degenerate_sample(bound))[3])),
+        (f"two-truncation {bound}", walk_differences(two)),
+        (f"two-truncation {bound} 2-cell counts", [] if want == got else [(want, got)]),
+    ]
+    return tuple((name, diffs) for name, diffs in cases if diffs)
+
+
+def raw_collapse(n: int) -> tuple:
+    """Raw one-1-cell bicategory data over the order-n monoid classes.
+
+    Interchange plus hcomp-identity make hcomp a monoid homomorphism
+    M x M -> M, where M is the vertical monoid, so each class
+    representative M is paired with every hcomp map from `hom_maps` (not
+    from the collapse) and every unit triple (assoc, lunit, runit) with
+    its inverses.  Returns the hcomp candidates, the structures, the valid
+    ones, those a checker blind to `lunit-naturality` would admit, and
+    whether every valid one collapses: hcomp is vcomp, Eckmann-Hilton
+    holds, and it is the built instance of its extracted die."""
+    candidates, structures = 0, []
+    for m in enumerate_monoids(n):
+        for h in hom_maps(product_square(m), m):
+            candidates += 1
+            hcomp = tuple(tuple(h[x * n + y] for y in range(n)) for x in range(n))
+            for a, l, r in itertools.product(units(m), repeat=3):
+                structures.append(
+                    DDBicat(n, m.unit, m.mul, hcomp, a, invert(m, a), l, invert(m, l), r, invert(m, r))
+                )
+    reports = [check_ddbicat(b) for b in structures]
+    valid = [b for b, rep in zip(structures, reports) if rep.ok]
+    blind = sum(r.well_formed and set(r.grouped()) <= {"lunit-naturality"} for r in reports)
+    collapsed = all(
+        b.hcomp == b.vcomp and eckmann_hilton_report(b).ok and b == build_ddbicat(extract_cmon_die(b))
+        for b in valid
+    )
+    return candidates, len(structures), len(valid), blind, collapsed
+
+
+# NAME: (sweep, {SIZE: (result, peak-RSS gate in MB or None)}).  The
+# figures below are one run each on a shared 2-vCPU VM, Python 3.11.7.
+SWEEPS = {
+    # OEIS A058129; tier-1 also counts the commutative order-6 classes.
+    # The SHA-256 of each full JSON output is the ROADMAP pin: the
+    # representatives must stay byte-identical, not only their number.
+    "enumerate": (enumerated(), {
+        5: ((228, "825413da449482a62816796821122ea53fe72b5fb9c2e152c9654bf068ebd660"), None),
+        6: ((2237, "c0bc8e9150408b459249b1bdf5412102a2051f5a6129f80bb8e4c4b0ee09f8af"), None),
+    }),
+    # OEIS A058131
+    "enumerate-commutative": (enumerated("--commutative"), {
+        5: ((78, "6258c422fd7c2766d27fdc52cb4959d14ff1ec786545badd4aef224fe5856af4"), None),
+        6: ((421, "29a1fbec51bb329b744b3a049161db09f0f5e6775338c30275b0f4e8f021d75c"), None),
+        7: ((2637, "10604ab207934fb9ffa2db17f63465fdb7b9d7b00a72138183cb515ce628e163"), None),
+    }),
+    # the doubly degenerate comparison; bound 4 is the one the north star
+    # names, bound 5 that of ROADMAP items 17 and 19.  Peak RSS at bound 5
+    # must stay at most 250 MB, so neither a per-1-cell index, a
+    # per-hom-set copy of the hom maps, nor a per-functor homomorphism
+    # object can quietly come back (7.6 s and 236.6 MB).
+    "thm-vdbe": (suite("thm-vdbe"), {
+        3: (("pass", "8ebf9c16ecbb67f9604fa99b42c435681130f8f307727baa9acdcc7e04edf6af"), None),
+        4: (("pass", "cca80ec85997ff8109513672e7281621cfba60aa108c144d42d74a99769938a3"), None),
+        5: (("pass", "895c3904477007121186f90b69c415de275b0a0887de3bad91de09eb66d8c2e7"), 250),
+    }),
+    # the object-forgetting comparison over every monoid of size <= 5,
+    # 613,610 1-cells per side; peak RSS at most 200 MB (2.7 s and 104.6
+    # MB), which leaves room for an independent hom-set oracle (ROADMAP
+    # item 1)
+    "thm-dce": (suite("thm-dce"), {
+        3: (("pass", "2e484cc2b66da55145044afbea506b4e0ba108c8e3d00c807e65dc527f5b6a3d"), None),
+        5: (("pass", "9145bcb100eb52c20c737af7cd7537b442e69b47391d6cfbb66eea37ed392d9c"), 200),
+    }),
+    # any disagreement fails, and the maps must number 613,610 at size 5;
+    # almost all of its 23 s is the oracle
+    "hom-maps-oracle": (hom_maps_oracle, {
+        4: ((2025, 7894, 0), None),
+        5: ((74529, 613610, 0), None),
+    }),
+    # ROADMAP item 18: 22,801 ordered pairs of dies at bound 5 (44.5 s)
+    "raw-functors": (raw_functors, {
+        3: ((1729, 416, 0), None),
+        5: ((2708760, 191455, 0), None),
+    }),
+    # closure is checked once per class of composable pairs, so most of the
+    # time is building the functors (the thm-vdbe suite at bound 5 builds
+    # them once for both comparisons).  Peak RSS at most 100 MB, so neither
+    # a per-functor cache nor a per-functor homomorphism object can quietly
+    # grow the universe (1.6 s and 79.3 MB).
+    "restrict": (restrict, {
+        3: ((416, 230, True), None),
+        5: ((191455, 117623, True), 100),
+    }),
+    # 7.2 s at bound 3, most of it the two-truncation source (896 2-cells,
+    # 77,060 horizontal pairs)
+    "law-checks": (law_checks, {2: ((), None), 3: ((), None)}),
+    "equivalence-walks": (equivalence_walks, {3: ((), None), 4: ((), None)}),
+    # one valid structure per (commutative monoid, die): 8 at n = 3 and 31
+    # at n = 4, from the 7 and 35 monoid classes of those orders; a checker
+    # that ignored lunit-naturality would admit 35 and 298 structures
+    "raw-collapse": (raw_collapse, {
+        3: ((94, 391, 8, 35, True), None),
+        4: ((2329, 21491, 31, 298, True), None),
+    }),
+}
+
+
+def main(argv) -> int:
+    if len(argv) != 2 or argv[0] not in SWEEPS or argv[1] not in map(str, SWEEPS[argv[0]][1]):
+        sizes = "; ".join(f"{name} {'|'.join(map(str, pins))}" for name, (_, pins) in SWEEPS.items())
+        print(f"usage: sweeps.py NAME SIZE, one of: {sizes}", file=sys.stderr)
+        return 2
+    name, size = argv[0], int(argv[1])
+    sweep, pins = SWEEPS[name]
+    want, max_mb = pins[size]
+    start = time.perf_counter()
+    got = sweep(size)
+    wall = time.perf_counter() - start
+    who = (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+    rss_mb = max(resource.getrusage(w).ru_maxrss for w in who) / 1024
+    print(name, size, got if got == want else f"{got}, expected {want}")
+    print(f"wall {wall:.1f} s, peak RSS {rss_mb:.1f} MB" + (f" (bound {max_mb} MB)" if max_mb else ""))
+    return 0 if got == want and (max_mb is None or rss_mb <= max_mb) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -16,7 +16,6 @@ from deglab.degenerate import (
 )
 from deglab.equivalence import check_jcategory, check_jfunctor
 from deglab.examples import bool_or_monoid, trivial_monoid, zmod
-from deglab.fincat import enumerate_functors, one_object_category
 from deglab.monoids import FiniteMonoid, MonoidHom, enumerate_monoids, hom_maps, identity_hom
 from deglab.report import InvalidStructureError, StructuralError
 from samples import left_padded_monoid
@@ -180,13 +179,6 @@ class TestForgetfulEquivalence:
         assert check_jcategory(fun.source).ok
         assert check_jcategory(fun.target).ok
         assert check_jfunctor(fun).ok
-
-    def test_functor_sets_equal_hom_sets(self):
-        # fincat's functor search, which shares no code with hom_maps
-        for m in enumerate_monoids(3)[:4]:
-            for n in enumerate_monoids(2):
-                functors = enumerate_functors(one_object_category(m), one_object_category(n))
-                assert {f.morphism_map for f in functors} == set(hom_maps(m, n))
 
     @pytest.mark.parametrize(
         "sample",

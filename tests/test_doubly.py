@@ -52,7 +52,8 @@ from deglab.monoids import (
     units,
 )
 from deglab.report import Finding, InvalidStructureError, StructuralError
-from samples import compose_homs, forced_table_sweep, raw_functor_sweep
+from samples import compose_homs
+from sweeps import raw_functors
 from universes import assert_lookup_matches, reference_two_truncation_right
 
 
@@ -163,21 +164,6 @@ class TestAxiomCompleteness:
                             assert b == build_ddbicat(extract_cmon_die(b))
         assert len(valid) == 6  # two labelings of the group, two dies each; OR once each
 
-    def test_forced_table_sweep_n3(self):
-        # interchange and hcomp-identity make hcomp a homomorphism M x M -> M,
-        # so every candidate comes from enumerate_homs, not from the collapse
-        candidates, structures, reports = forced_table_sweep(3)
-        valid = [b for b, rep in zip(structures, reports) if rep.ok]
-        for b in valid:
-            assert b.hcomp == b.vcomp
-            assert eckmann_hilton_report(b).ok
-            assert b == build_ddbicat(extract_cmon_die(b))
-        # one instance per (commutative monoid, die): 3 + 2 + 1 + 1 + 1
-        assert (candidates, len(structures), len(valid)) == (94, 391, 8)
-        # a checker that skipped lunit-naturality would let 27 more through
-        blind = [r for r in reports if r.well_formed and set(r.grouped()) <= {"lunit-naturality"}]
-        assert len(blind) == 35
-
 
 class TestCoherenceOracle:
     def test_agreement_on_valid_instances(self):
@@ -212,11 +198,6 @@ class TestTampering:
 
 
 class TestWeakFunctors:
-    def test_raw_data_sweep_matches_the_enumerated_functors(self):
-        # every arrow map of the fincat oracle with every (m2, m0), reduced
-        # from raw data, against the hom-maps-times-units product
-        assert raw_functor_sweep(3) == (1729, 416, 0)
-
     def test_raw_data_sweep_catches_a_dropped_unit(self, monkeypatch):
         enumerated = doubly.dd_functors_between
 
@@ -225,7 +206,7 @@ class TestWeakFunctors:
             return [f for f in enumerated(s, t) if f.m != last or last == t.monoid.unit]
 
         monkeypatch.setattr(doubly, "dd_functors_between", dropping)
-        candidates, functors, disagreeing = raw_functor_sweep(3)
+        candidates, functors, disagreeing = raw_functors(3)
         assert (candidates, functors) == (1729, 416) and disagreeing > 0
 
     def test_identity_data(self):
@@ -1203,10 +1184,6 @@ class TestIdentityConstraintRestriction:
         f = make_dd_functor(s, s, identity_hom(s.monoid).map, 1)
         retained, _ = restrict_identity_constraint([f])
         assert retained == []
-
-    def test_bound_three_equivalence(self):
-        _, rep = restrict_identity_constraint(_universe_functors(3), bound=3)
-        assert rep.ok
 
     @staticmethod
     def _comparison_findings(functors):

@@ -523,7 +523,7 @@ class TestHomSearch:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_matches_the_replaced_search_on_product_sources(self, n):
-        # the size-9 and size-16 sources of samples.forced_table_sweep
+        # the size-9 and size-16 sources of sweeps.raw_collapse
         ms = enumerate_monoids(n)
         for m in ms:
             square = product_square(m)

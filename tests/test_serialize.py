@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from deglab import serialize
-from deglab.cli import main
+from deglab.cli import _SHIFTS, main
 from deglab.degenerate import monoid_to_cat, nat_trans_between
 from deglab.doubly import build_ddbicat, identity_dd_functor
 from deglab.examples import (
@@ -547,6 +547,24 @@ class TestPartsFirst:
         assert swapped
 
 
+@pytest.mark.parametrize("direction", list(_SHIFTS))
+def test_shift_exits_as_validate_does(tmp_path, capsys, direction):
+    # the direction's input, valid and with each breach of its kind at any
+    # depth, so a direction added to cli._SHIFTS is covered without a new test
+    cls = _SHIFTS[direction][0]
+    valid = serialize.to_payload(next(o for o in sample_structures() if isinstance(o, cls)))
+    payloads = [valid, *_breaches(valid)]
+    for payload in payloads:
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        want = main(["validate", str(path)])
+        capsys.readouterr()
+        assert main(["shift", "--" + direction.replace("_", "-"), str(path)]) == want, payload
+        out, err = capsys.readouterr()
+        assert want == 0 or (out == "" and err.startswith("invalid structure: not a ")), payload
+    assert len(payloads) > 1
+
+
 # the first sample of each kind
 _SAMPLE_OF = {}
 for _obj in sample_structures():
@@ -566,9 +584,12 @@ def _breaches(payload):
     which builds and breaks an axiom of its kind or of a part, at any
     depth: a change to its own keys, then each breach of each nested part
     in place of that part, where the whole still builds (the functors of
-    a transformation must stay parallel, for one)."""
-    yield _own_breach(payload)
-    for key in serialize.SCHEMA[payload["kind"]].keys:
+    a transformation must stay parallel, for one).  A kind with no index
+    keys of its own, such as `degenerate_category`, has only its parts'."""
+    keys = serialize.SCHEMA[payload["kind"]].keys
+    if any(key.leaf in (serialize.INDEX, serialize.INDEX_OR_NULL) for key in keys):
+        yield _own_breach(payload)
+    for key in keys:
         if isinstance(key.leaf, serialize.Nested):
             for part in _breaches(payload[key.name]):
                 if _builds(candidate := {**payload, key.name: part}):

@@ -1,0 +1,63 @@
+"""The sweeps of `sweeps.py`: each at its tier-1 size, the script's exit
+codes, mutants that the sweeps must catch, and the CI workflow read
+against the registry."""
+
+import re
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+import sweeps
+from deglab import doubly, monoids
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+
+
+@pytest.mark.parametrize("name", list(sweeps.SWEEPS))
+def test_tier1_size(capsys, name):
+    size = min(sweeps.SWEEPS[name][1])
+    assert sweeps.main([name, str(size)]) == 0, capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["restrict"], ["restrict", "4"], ["restrict", "٣"], ["restrict", " 3"], ["nope", "3"],
+     ["restrict", "3", "3"]],
+)
+def test_unlisted_name_or_size_exits_two(capsys, argv):
+    assert sweeps.main(argv) == 2
+    assert capsys.readouterr().err.startswith("usage: sweeps.py NAME SIZE")
+
+
+def test_dropped_hom_map_fails_the_oracle(monkeypatch, capsys):
+    real, last = monoids.hom_maps, monoids.enumerate_monoids(4)[-1]
+    monkeypatch.setattr(
+        monoids, "hom_maps", lambda a, b: real(a, b)[:-1] if a is b is last else real(a, b)
+    )
+    assert sweeps.main(["hom-maps-oracle", "4"]) == 1
+    assert "hom-maps-oracle 4 (2025, 7893, 1), expected (2025, 7894, 0)" in capsys.readouterr().out
+
+
+def test_wrong_composite_fails_the_law_checks(monkeypatch, capsys):
+    compose = doubly.compose_dd_functors
+
+    def wrong(g, f):
+        # the composite's other element, where its target has one to swap to
+        c = compose(g, f)
+        others = [u for u in monoids.units(c.target.monoid) if u != c.m]
+        return replace(c, m=others[0]) if others else c
+
+    monkeypatch.setattr(doubly, "compose_dd_functors", wrong)
+    assert sweeps.main(["law-checks", "2"]) == 1
+    assert "law-checks 2 ('two-truncation 2 source',), expected ()" in capsys.readouterr().out
+
+
+def test_ci_runs_every_other_size_once():
+    text = WORKFLOW.read_text(encoding="utf-8")
+    runs = re.findall(r"python tests/sweeps\.py (\S+) (\S+)$", text, re.M)
+    want = [
+        (name, str(size)) for name, (_, pins) in sweeps.SWEEPS.items() for size in pins if size != min(pins)
+    ]
+    assert sorted(runs) == sorted(want)
+    assert "<<" not in text and not re.search(r"\bpython3? +-c? ", text)
