@@ -91,23 +91,31 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-def _expect(obj, cls, what: str):
-    """`obj` itself if it is a `cls`; otherwise an input error naming `what`."""
-    if not isinstance(obj, cls):
-        raise StructuralError(f"expected {what}")
-    return obj
-
-
-def _valid(obj, what: str):
-    """`obj` itself if it passes the check `validate` runs on its file;
-    otherwise the error of its first finding: an input error if the report
-    has structural entries (exit 2), else an invalid structure (exit 1)."""
-    report = serialize.check(obj)
+def _valid(obj, what: str, report=None):
+    """`obj` itself if it passes the check `validate` runs on its file,
+    whose report is `report` when the caller has it already; otherwise the
+    error of its first finding: an input error if the report has
+    structural entries (exit 2), else an invalid structure (exit 1)."""
+    if report is None:
+        report = serialize.check(obj)
     if not report.well_formed:
         raise StructuralError(f"not {what}: {report.structural[0].axiom}")
     if not report.ok:
         raise InvalidStructureError(f"not {what}: {report.violations[0].axiom}")
     return obj
+
+
+def _load_checked(path: str, cls, what: str, valid_what: str = ""):
+    """The structure in the file at `path`, conformed, built and checked
+    once: an input error naming `what` unless it is a `cls`, else `_valid`
+    on it, the failure naming `valid_what` (default `what`).  A monoid file
+    is checked as `validate` checks it, before it is built, so one whose
+    die has no inverse, a `CMonDIE` that cannot be built, fails as
+    `validate` reports it."""
+    obj, report = serialize.checked_structure(_load(path))
+    if not issubclass(CMonDIE if obj is None else type(obj), cls):
+        raise StructuralError(f"expected {what}")
+    return _valid(obj, valid_what or what, report)
 
 
 # direction: the structure it takes, that structure's file, the shift
@@ -123,8 +131,7 @@ _SHIFTS = {
 
 def cmd_shift(args) -> int:
     cls, what, shift = next(_SHIFTS[name] for name in _SHIFTS if getattr(args, name))
-    obj = _expect(serialize.structure_from_payload(_load(args.file)), cls, what)
-    result = shift(_valid(obj, what))
+    result = shift(_load_checked(args.file, cls, what))
     text = serialize.canonical_dumps(serialize.to_payload(result))
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
@@ -173,11 +180,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_search(args) -> int:
-    obj = serialize.structure_from_payload(_load(args.file))
     if args.what == "nonidentity-nat-trans":
-        m = _expect(obj.monoid if isinstance(obj, CMonDIE) else obj, FiniteMonoid, "a monoid file")
-        _valid(obj, "a monoid")
-        t = find_nonidentity_nat_trans(m)
+        obj = _load_checked(args.file, (FiniteMonoid, CMonDIE), "a monoid file", "a monoid")
+        t = find_nonidentity_nat_trans(obj.monoid if isinstance(obj, CMonDIE) else obj)
         found = t is not None
         payload = {
             "found": found,
@@ -186,7 +191,9 @@ def cmd_search(args) -> int:
         _emit(payload, args.format, lambda p: print("found" if found else "absent"))
         return EXIT_OK if found else EXIT_VIOLATION
     if args.what == "unfaithful":
-        s = _valid(_expect(obj, CMonDIE, "a monoid file with a die"), "a commutative monoid with a die")
+        s = _load_checked(
+            args.file, CMonDIE, "a monoid file with a die", "a commutative monoid with a die"
+        )
         pair = unfaithfulness_witness(args.level, s)
         payload = {
             "found": pair is not None,
@@ -201,7 +208,7 @@ def cmd_search(args) -> int:
         )
         return EXIT_OK if pair is not None else EXIT_VIOLATION
     if args.what == "unit-closure":
-        _valid(_expect(obj, FinMonoidalCategory, "a moncat file"), "a monoidal category")
+        obj = _load_checked(args.file, FinMonoidalCategory, "a moncat file", "a monoidal category")
         t1, t2, comp, closed = unit_distobj_closure_witness(obj)
         payload = {
             "closed": closed,

@@ -10,7 +10,14 @@ transformations with non-identity distinguished elements.
 from dataclasses import dataclass
 
 from .equivalence import JFunctor, check_external_equivalence, hom_indexed_category
-from .monoids import FiniteMonoid, MonoidHom, check_hom, check_monoid, enumerate_monoids, hom_maps
+from .monoids import (
+    FiniteMonoid,
+    MonoidHom,
+    check_hom,
+    check_monoid_axioms,
+    enumerate_monoids,
+    hom_maps,
+)
 from .report import InvalidStructureError, Report, ValidationReport, exact
 
 
@@ -46,7 +53,7 @@ def cat_to_monoid(c: DegenerateCategory) -> FiniteMonoid:
 
 def monoid_to_cat(m: FiniteMonoid) -> DegenerateCategory:
     """Wrap a monoid as a one-object category; strict inverse of the projection."""
-    rep = check_monoid(m.mul, m.unit)
+    rep = check_monoid_axioms(m.mul, m.unit)
     if not rep.ok:
         raise InvalidStructureError("not a valid monoid")
     return DegenerateCategory(m)

@@ -19,9 +19,10 @@ from .monoids import (
     MonoidHom,
     check_cmon_die,
     check_hom,
-    check_monoid,
+    check_monoid_axioms,
     cmon_die_universe,
     hom_maps,
+    interned,
     invert,
     units,
 )
@@ -201,7 +202,7 @@ def check_ddbicat(b: DDBicat) -> ValidationReport:
     """
     report = ValidationReport("ddbicat")
     n = b.cells
-    vrep = check_monoid(b.vcomp, b.id2)
+    vrep = check_monoid_axioms(b.vcomp, b.id2)
     report.extend(vrep, prefix="vcomp-")
 
     v, h, e = b.vcomp, b.hcomp, b.id2
@@ -660,35 +661,67 @@ def _functor_key(f: DDFunctor):
     return (f.map, f.m)
 
 
+def _compose_keys(g: tuple, f: tuple) -> tuple:
+    """The key of G . F from the keys (map, m, monoid) of G and F: G's map
+    read at each entry of F's, interned as `hom_maps` interns its maps,
+    and the element G(m_F) . m_G in G's target monoid, as
+    `compose_dd_functors` computes it."""
+    gmap, m_g, target = g
+    return (interned(tuple(map(gmap.__getitem__, f[0]))), target.mul[gmap[f[1]]][m_g], target)
+
+
+def _identity_key(m: FiniteMonoid) -> tuple:
+    """The key of the identity functor on a die on `m`."""
+    return (interned(tuple(range(m.size))), m.unit, m)
+
+
 def two_truncation_universe(bound: int):
     """The 2-dimensional totality over all instances of size <= bound,
     assembled as explicit cell data, together with the discrete image side
     and the projection between them.  Returns (dies, one_cells, two_cells,
-    fun): one_cells as (source, target, functor) in index order, and
-    two_cells as `fun.source.two_cells`, the pairs (f, g) of 1-cells for
-    which `transformation_between(f, g)` is not None.  The image side is
-    `degenerate.monoid_category` over the distinct monoids of the
-    instances, with identity 2-cells only: its 1-cells are the plain map
-    tuples of `hom_maps`, and map1 sends each functor to its hom map,
-    found by binary search of the image hom-set.  Both sides' hom-sets
-    are in ascending key order, as `hom_indexed_category` requires:
-    `dd_functors_between` sorts by (map, m), and `hom_maps` is
-    lexicographic."""
+    fun).
+
+    A 1-cell is its key (map, m, monoid): the hom map and the chosen
+    invertible element of a reduced functor, and the target monoid they
+    lie in, which composition reads.  No functor object is built: the
+    1-cells i -> k are `hom_maps` x `units` of the target, in (map, m)
+    order, so the p-th of them names the p-th functor of
+    `dd_functors_between(dies[i], dies[k])`.  Dies on the same pair of
+    monoids share one list of keys.  Keys compose by `_compose_keys`, and
+    the identity on a die is keyed (identity map, unit).  one_cells lists
+    (source, target, key) in index order.  A 2-cell f => g exists exactly
+    when the two maps agree, since the transformation's component is then
+    forced, so two_cells, which is `fun.source.two_cells`, is the pairs of
+    parallel 1-cells with equal maps.
+
+    The image side is `degenerate.monoid_category` over the distinct
+    monoids of the instances, with identity 2-cells only: its 1-cells are
+    the plain map tuples of `hom_maps`, and map1 sends each 1-cell to its
+    map, found by binary search of the image hom-set.  Both sides'
+    hom-sets are in ascending key order, as `hom_indexed_category`
+    requires: `hom_maps` is lexicographic and `units` ascending.
+    """
     dies = cmon_die_universe(bound)
-    homs = {
-        (si, ti): dd_functors_between(s, t)
-        for si, s in enumerate(dies)
-        for ti, t in enumerate(dies)
-    }
+    by_monoids: dict = {}
+    homs = {}
+    for si, s in enumerate(dies):
+        for ti, t in enumerate(dies):
+            keys = by_monoids.get((id(s.monoid), id(t.monoid)))
+            if keys is None:
+                target = t.monoid
+                ms = units(target)
+                keys = [(h, m, target) for h in hom_maps(s.monoid, target) for m in ms]
+                by_monoids[id(s.monoid), id(target)] = keys
+            homs[si, ti] = keys
     left, _ = hom_indexed_category(
         tuple(f"die#{i}(n={s.monoid.size},d={s.die})" for i, s in enumerate(dies)),
         homs,
-        key=_functor_key,
-        compose=compose_dd_functors,
-        identity=lambda i: identity_dd_functor(dies[i]),
-        two_cell=lambda f, g: transformation_between(f, g) is not None,
+        key=tuple,
+        compose=_compose_keys,
+        identity=lambda i: _identity_key(dies[i].monoid),
+        two_cell=lambda f, g: f[0] == g[0],
     )
-    one_cells = [(s, t, f) for (s, t), fs in homs.items() for f in fs]
+    one_cells = [(s, t, key) for (s, t), keys in homs.items() for key in keys]
 
     monoids = list(dict.fromkeys(s.monoid for s in dies))
     # the discrete side: identity 2-cells only
@@ -705,7 +738,7 @@ def two_truncation_universe(bound: int):
 
     mpos = {m: i for i, m in enumerate(monoids)}
     map0 = tuple(mpos[s.monoid] for s in dies)
-    map1 = tuple(right_one_cell(map0[s], map0[t], f.map) for (s, t, f) in one_cells)
+    map1 = tuple(right_one_cell(map0[s], map0[t], key[0]) for (s, t, key) in one_cells)
     map2 = tuple(map1[f] for f, _ in left.two_cells)
     fun = JFunctor(left, right, map0, map1, map2)
     return dies, one_cells, left.two_cells, fun
@@ -713,19 +746,20 @@ def two_truncation_universe(bound: int):
 
 def _first_miscounted_pair(one_cells, x):
     """The first pair (fi, gi) of parallel 1-cells of `x`, in order, with
-    other than one 2-cell fi => gi when their hom maps agree, or other than
+    other than one 2-cell fi => gi when their maps agree, or other than
     none when they differ, as (fi, gi, count, expected); else None.
 
-    one_cells lists x's 1-cells as (source, target, functor).  Only a pair
-    with a 2-cell or with equal maps can be miscounted, so only those pairs
-    are counted, from x's index: each 1-cell with each 1-cell of its class
+    one_cells lists x's 1-cells as (source, target, key), each key's map
+    first, as `two_truncation_universe` returns them.  Only a pair with a
+    2-cell or with equal maps can be miscounted, so only those pairs are
+    counted, from x's index: each 1-cell with each 1-cell of its class
     (same ends, same map), and the 2-cells between parallel 1-cells of two
     classes.  Every other pair counts 0, as expected.
     """
     classes: dict = {}
     cls = []  # the class of each 1-cell, as the ascending list of its members
-    for fi, (s, t, f) in enumerate(one_cells):
-        same = classes.setdefault((s, t, f.map), [])
+    for fi, (s, t, key) in enumerate(one_cells):
+        same = classes.setdefault((s, t, key[0]), [])
         same.append(fi)
         cls.append(same)
     ends = x.one_cells
@@ -748,17 +782,13 @@ def check_two_equivalence(bound: int) -> Report:
 
     Verifies surjectivity on objects on the nose (via the pseudo-inverse
     choosing the identity as distinguished element), local surjectivity on
-    1-cells, and local bijectivity on 2-cells; also records the level-1 and
-    level-3 failures when the universe contains a witnessing target.
+    1-cells, and local bijectivity on 2-cells: a 2-cell between parallel
+    1-cells exactly when their maps agree.  Also records the level-1 and
+    level-3 failures when the universe contains a witnessing target.  It
+    reads the 1-cells of `two_truncation_universe` as keys, so it builds
+    no functor, transformation or modification object.
     """
-    return _two_equivalence_report(bound, two_truncation_universe(bound))
-
-
-def _two_equivalence_report(bound: int, universe) -> Report:
-    """`check_two_equivalence` over the universe that
-    `two_truncation_universe(bound)` returned, for a caller that reads the
-    universe's 1-cells too."""
-    dies, one_cells, _, fun = universe
+    dies, one_cells, _, fun = two_truncation_universe(bound)
     report = Report(
         "two-truncation-comparison",
         {"bound": bound, "universe": f"all {len(dies)} instances of size <= {bound}"},
@@ -786,18 +816,35 @@ def _two_equivalence_report(bound: int, universe) -> Report:
         detail="exactly one transformation iff the homomorphisms agree",
     )
 
-    for level, criterion, cells in (
-        (1, "level-1-comparison-not-faithful", "functors with distinct chosen elements"),
-        (3, "level-3-comparison-not-locally-faithful", "modifications with distinct elements"),
-    ):
-        w = next(filter(None, (unfaithfulness_witness(level, s) for s in dies)), None)
-        if w is not None:
-            report.add(
-                criterion,
-                forgetful_image(level, w[0]) == forgetful_image(level, w[1]),
-                dimension=level,
-                detail=f"two {cells} share one image",
-            )
+    x = fun.source
+    # level 1: on the first instance with a non-unit invertible element, its
+    # identity 1-cell and the first other 1-cell on the identity map differ
+    # in their chosen element alone
+    s = next((i for i, d in enumerate(dies) if len(units(d.monoid)) > 1), None)
+    if s is not None:
+        ident = x.one_identity[s]
+        same_map = [f for f in x.hom1(s, s) if one_cells[f][2][0] == one_cells[ident][2][0]]
+        other = next(f for f in same_map if f != ident)
+        report.add(
+            "level-1-comparison-not-faithful",
+            fun.map1[other] == fun.map1[ident],
+            dimension=1,
+            detail="two functors with distinct chosen elements share one image",
+        )
+    # level 3: on the first instance with two elements, the modifications
+    # (2-cell, element) of its identity 2-cell by the unit and by another
+    # element; a modification is sent to the image of the 2-cell it modifies
+    s = next((i for i, d in enumerate(dies) if d.monoid.size > 1), None)
+    if s is not None:
+        m = dies[s].monoid
+        cell = x.two_identity[x.one_identity[s]]
+        mods = [(cell, m.unit), (cell, next(e for e in range(m.size) if e != m.unit))]
+        report.add(
+            "level-3-comparison-not-locally-faithful",
+            len({fun.map2[c] for c, _ in mods}) == 1,
+            dimension=3,
+            detail="two modifications with distinct elements share one image",
+        )
     return report
 
 

@@ -138,14 +138,24 @@ def check_monoid(mul, unit) -> ValidationReport:
     problem is reported as one structural `shape` finding, distinct from
     axiom failures, and suppresses the axiom scan.
     """
-    report = ValidationReport("monoid")
     n = len(mul) if hasattr(mul, "__len__") else None
     try:
         rows = exact(mul, "mul", (n, n), n)
         unit = exact(unit, "unit", (), n)
     except StructuralError as e:
+        report = ValidationReport("monoid")
         report.add_structural("shape", (), str(e))
         return report
+    return check_monoid_axioms(rows, unit)
+
+
+def check_monoid_axioms(rows, unit) -> ValidationReport:
+    """The axiom scan of `check_monoid`, without its shape gate: for a
+    table that a constructor has gated already (`FiniteMonoid`'s table,
+    `DDBicat`'s vcomp), so a square tuple of rows of ints in range, and
+    its unit an int in range."""
+    report = ValidationReport("monoid")
+    n = len(rows)
     for x in range(n):
         if rows[unit][x] != x:
             report.add("unit", (x,), f"unit*{x} = {rows[unit][x]}")
@@ -205,7 +215,7 @@ def check_hom(h: MonoidHom) -> ValidationReport:
 def check_cmon_die(s: CMonDIE) -> ValidationReport:
     """Monoid axioms, commutativity, and the inverse witness for the die."""
     report = ValidationReport("cmon_die")
-    report.extend(check_monoid(s.monoid.mul, s.monoid.unit))
+    report.extend(check_monoid_axioms(s.monoid.mul, s.monoid.unit))
     for x, y in check_commutative(s.monoid):
         report.add("commutativity", (x, y), f"{x}*{y} != {y}*{x}")
     m = s.monoid
@@ -220,7 +230,7 @@ def identity_hom(m: FiniteMonoid) -> MonoidHom:
 
 def make_cmon_die(m: FiniteMonoid, die: int) -> CMonDIE:
     """Build a CMonDIE, validating the monoid and locating the inverse."""
-    rep = check_monoid(m.mul, m.unit)
+    rep = check_monoid_axioms(m.mul, m.unit)
     if not rep.ok:
         raise InvalidStructureError("not a monoid: " + _summary(rep))
     if check_commutative(m):
@@ -343,6 +353,12 @@ _CLASSES: dict = {}
 # one object per distinct map and per distinct hom-set that `hom_maps`
 # returns, each its own key, kept for the life of the process
 _INTERNED: dict = {}
+
+
+def interned(t: tuple) -> tuple:
+    """The one object in `_INTERNED` equal to `t`, which becomes it if
+    none is there yet."""
+    return _INTERNED.setdefault(t, t)
 
 
 def enumerate_monoids(n: int, commutative_only: bool = False) -> list:

@@ -338,9 +338,9 @@ def _check_monoid(p) -> ValidationReport:
     the payload: a die without an inverse cannot be built."""
     m = monoids.FiniteMonoid(p["size"], p["unit"], p["mul"])
     if "die" not in p:
-        return monoids.check_monoid(m.mul, m.unit)
+        return monoids.check_monoid_axioms(m.mul, m.unit)
     report = ValidationReport("cmon_die")
-    report.extend(monoids.check_monoid(m.mul, m.unit))
+    report.extend(monoids.check_monoid_axioms(m.mul, m.unit))
     for x, y in monoids.check_commutative(m):
         report.add("commutativity", (x, y))
     if monoids.invert(m, p["die"]) is None:
@@ -419,7 +419,7 @@ SCHEMA = {
         _build_monoid,
         lambda m: monoids.check_cmon_die(m)
         if type(m) is monoids.CMonDIE
-        else monoids.check_monoid(m.mul, m.unit),
+        else monoids.check_monoid_axioms(m.mul, m.unit),
         dump=_dump_monoid,
         optional=frozenset({"die"}),
     ),
@@ -646,6 +646,20 @@ def validate_payload(payload) -> ValidationReport:
     if _conformed(payload) is SCHEMA["monoid"]:
         return _check_monoid(payload)
     return _verdict(_build(payload), {})
+
+
+def checked_structure(payload) -> tuple:
+    """(structure, report): the structure a parsed JSON object describes
+    and the report `validate_payload` gives it, from one conform pass, one
+    build and one check.  A top-level monoid is checked from the payload
+    first, as `validate_payload` checks it; if its die has no inverse the
+    structure cannot be built and is None, and the report says why."""
+    if _conformed(payload) is SCHEMA["monoid"]:
+        report = _check_monoid(payload)
+        unbuildable = any(v.axiom == "die-invertible" for v in report.violations)
+        return (None if unbuildable else _build(payload)), report
+    obj = _build(payload)
+    return obj, _verdict(obj, {})
 
 
 def check(obj) -> ValidationReport:

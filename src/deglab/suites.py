@@ -24,11 +24,11 @@ from .degenerate import (
     not_locally_full_witnesses,
 )
 from .doubly import (
-    _two_equivalence_report,
     build_ddbicat,
     check_dd_transformation,
     check_ddbicat,
     check_modification,
+    check_two_equivalence,
     compose_dd_functors,
     dd_functors_between,
     DDModification,
@@ -39,7 +39,6 @@ from .doubly import (
     random_tamper,
     restrict_identity_constraint,
     transformation_between,
-    two_truncation_universe,
     unfaithfulness_witness,
 )
 from .examples import (
@@ -295,10 +294,7 @@ def suite_thm_vdbe(bound: int = 3) -> Report:
     """The comparison to plain commutative monoids is an equivalence at the
     2-dimensional truncation and only there."""
     report = Report("thm-vdbe", {"bound": bound, "seed": None})
-    # one universe for both comparisons: its 1-cells are every functor
-    # between its instances, in the order the restriction reads them
-    universe = two_truncation_universe(bound)
-    report.findings += _two_equivalence_report(bound, universe).findings
+    report.findings += check_two_equivalence(bound).findings
 
     y = make_cmon_die(zmod(2), 0)
     for level, criterion, detail in (
@@ -319,7 +315,9 @@ def suite_thm_vdbe(bound: int = 3) -> Report:
             detail=detail,
         )
 
-    _, rrep = restrict_identity_constraint([f for _, _, f in universe[1]], bound=bound)
+    dies = cmon_die_universe(bound)
+    functors = [f for s in dies for t in dies for f in dd_functors_between(s, t)]
+    _, rrep = restrict_identity_constraint(functors, bound=bound)
     report.findings += rrep.findings
     return report
 

@@ -403,6 +403,46 @@ class TestSearchVerb:
         assert "pentagon" in capsys.readouterr().err
 
 
+
+# a commutative monoid whose die has no inverse: `validate` reports it (exit
+# 1), and each verb that takes a monoid file with a die exits as it does,
+# naming the same finding; a verb that takes another kind refuses the kind
+_NO_INVERSE = {"kind": "monoid", "size": 2, "unit": 0, "mul": [[0, 1], [1, 1]], "die": 1}
+
+
+@pytest.mark.parametrize(
+    "verb, err",
+    [
+        (["shift", "--to-ddbicat"],
+         "invalid structure: not a monoid file with a die: die-invertible\n"),
+        (["search", "unfaithful"],
+         "invalid structure: not a commutative monoid with a die: die-invertible\n"),
+        (["search", "nonidentity-nat-trans"], "invalid structure: not a monoid: die-invertible\n"),
+        (["shift", "--to-category"], "input error: expected a monoid file without a die\n"),
+        (["search", "unit-closure"], "input error: expected a moncat file\n"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else "",
+)
+def test_a_die_without_an_inverse_exits_as_validate_does(tmp_path, capsys, verb, err):
+    path = write_payload(tmp_path, "s.json", _NO_INVERSE)
+    assert main(["validate", path]) == 1
+    assert "die-invertible at (1,) no inverse exists" in capsys.readouterr().out
+    assert main([*verb, path]) == (1 if err.startswith("invalid") else 2)
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("verb", [["shift", "--to-ddbicat"], ["search", "unfaithful"]])
+def test_a_file_is_conformed_built_and_checked_once(tmp_path, capsys, monkeypatch, verb):
+    calls = []
+    for name in ("_conformed", "_build", "_check_monoid", "_verdict", "check"):
+        real = getattr(serialize, name)
+        monkeypatch.setattr(
+            serialize, name, lambda *a, name=name, real=real: calls.append(name) or real(*a)
+        )
+    path = write_payload(tmp_path, "s.json", serialize.to_payload(z2_die(1)))
+    assert main(["--format", "json", *verb, path]) == 0
+    assert sorted(calls) == ["_build", "_check_monoid", "_conformed"]
+
 # every shift direction and search target, with the structures it takes
 _VERBS = {
     ("shift", "--to-cmon"): DDBicat,

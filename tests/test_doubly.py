@@ -16,6 +16,7 @@ from deglab.doubly import (
     DDBicat,
     DDFunctor,
     DDModification,
+    DDTransformation,
     analyze_weak_functor,
     build_ddbicat,
     check_dd_functor,
@@ -54,7 +55,12 @@ from deglab.monoids import (
 from deglab.report import Finding, InvalidStructureError, StructuralError
 from samples import compose_homs
 from sweeps import raw_functors
-from universes import assert_lookup_matches, reference_two_truncation_right
+from universes import (
+    assert_lookup_matches,
+    reference_two_equivalence_report,
+    reference_two_truncation_right,
+    reference_two_truncation_universe,
+)
 
 
 def z2_die(d=1):
@@ -1012,6 +1018,16 @@ def all_pairs_tables(one_cells, key, compose, two_cells):
     return one_comp, two_vcomp, two_hcomp
 
 
+def _functor_cells(dies, one_cells):
+    """one_cells with each key replaced by the functor object it names:
+    the one at the same position of `dd_functors_between` over its ends,
+    whose (map, m) and target monoid the key must be."""
+    functors = [(s, t, f) for s in range(len(dies)) for t in range(len(dies))
+                for f in dd_functors_between(dies[s], dies[t])]
+    assert [(s, t, (f.map, f.m, f.target.monoid)) for s, t, f in functors] == one_cells
+    return functors
+
+
 def assert_tables_equal(x, reference):
     for table, ref in zip((x.one_comp, x.two_vcomp, x.two_hcomp), reference):
         assert dict(table) == ref
@@ -1033,12 +1049,13 @@ class TestTwoTruncationComparison:
 
     @pytest.mark.parametrize("bound", [2, 3])
     def test_two_cells_are_the_pairs_with_a_transformation(self, bound):
-        _, one_cells, two_cells, fun = two_truncation_universe(bound)
+        dies, one_cells, two_cells, fun = two_truncation_universe(bound)
         assert two_cells is fun.source.two_cells
+        functors = _functor_cells(dies, one_cells)
         want = tuple(
             (f, g)
-            for f, (s, t, ff) in enumerate(one_cells)
-            for g, (s2, t2, gg) in enumerate(one_cells)
+            for f, (s, t, ff) in enumerate(functors)
+            for g, (s2, t2, gg) in enumerate(functors)
             if (s, t) == (s2, t2) and transformation_between(ff, gg) is not None
         )
         assert two_cells == want
@@ -1050,7 +1067,10 @@ class TestTwoTruncationComparison:
         assert_tables_equal(
             left,
             all_pairs_tables(
-                one_cells, lambda f: (f.map, f.m), compose_dd_functors, two_cells
+                _functor_cells(dies, one_cells),
+                lambda f: (f.map, f.m),
+                compose_dd_functors,
+                two_cells,
             ),
         )
         monoids = []
@@ -1090,7 +1110,7 @@ class TestTwoTruncationComparison:
         assert dict(right.one_comp) == dict(ref.one_comp)
         assert fun.map0 == tuple(monoids.index(s.monoid) for s in dies)
         assert fun.map1 == tuple(
-            ref_index[(fun.map0[s], fun.map0[t], f.map)] for s, t, f in one_cells
+            ref_index[(fun.map0[s], fun.map0[t], key[0])] for s, t, key in one_cells
         )
 
     def test_universe_counts_bound_three(self):
@@ -1113,6 +1133,113 @@ class TestTwoTruncationComparison:
         names = {f.criterion for f in rep.findings}
         assert "locally-bijective-on-2-cells" in names
         assert "level-1-comparison-not-faithful" in names
+
+    def test_key_composition_agrees_with_the_functors(self):
+        pairs, disagreements = _key_composition_disagreements(3)
+        assert (pairs, disagreements) == (15040, [])
+
+    def test_wrong_functor_composite_fails_the_agreement(self, monkeypatch):
+        compose = doubly.compose_dd_functors
+
+        def wrong(g, f):
+            # the composite's other element, where its target has one to swap to
+            c = compose(g, f)
+            others = [u for u in units(c.target.monoid) if u != c.m]
+            return replace(c, m=others[0]) if others else c
+
+        monkeypatch.setattr(doubly, "compose_dd_functors", wrong)
+        pairs, disagreements = _key_composition_disagreements(3)
+        assert pairs == 15040 and disagreements
+        assert all(kind == "composite" for kind, *_ in disagreements)
+
+    def test_the_check_builds_no_functor_or_transformation(self, monkeypatch):
+        built = []
+
+        def counted(cls, name):
+            original = getattr(cls, name)
+
+            def method(self, *args):
+                built.append((cls.__name__, name))
+                return original(self, *args)
+
+            monkeypatch.setattr(cls, name, method)
+
+        for cls in (DDFunctor, DDTransformation, DDModification):
+            counted(cls, "__post_init__")
+        counted(DDFunctor, "__setstate__")  # how `_trusted` and copies fill a functor
+        for name in ("_interned", "compose_dd_functors", "transformation_between"):
+            real = getattr(doubly, name)
+            monkeypatch.setattr(
+                doubly, name, lambda *args, name=name, real=real: built.append(name) or real(*args)
+            )
+        assert check_two_equivalence(3).ok
+        assert built == []
+        # the counters count: a functor, and a transformation from it
+        s = z2_die()
+        doubly.transformation_between(make_dd_functor(s, s, (0, 1), 1), identity_dd_functor(s))
+        assert ("DDFunctor", "__post_init__") in built
+        assert ("DDTransformation", "__post_init__") in built
+        assert "transformation_between" in built
+
+    @pytest.mark.parametrize("bound", [2, 3, 4])
+    def test_the_object_reference_builds_the_same_universe(self, bound):
+        dies, one_cells, two_cells, fun = two_truncation_universe(bound)
+        ref_dies, ref_one_cells, ref_two_cells, ref = reference_two_truncation_universe(bound)
+        assert ref_dies == dies and ref_two_cells == two_cells
+        assert [(s, t, (f.map, f.m, f.target.monoid)) for s, t, f in ref_one_cells] == one_cells
+        assert (fun.map0, fun.map1, fun.map2) == (ref.map0, ref.map1, ref.map2)
+        x, y = fun.source, ref.source
+        for name in ("zero_cells", "one_cells", "one_identity", "two_cells", "two_identity"):
+            assert getattr(x, name) == getattr(y, name), name
+        rng = random.Random(bound)
+        for name in ("one_comp", "two_vcomp", "two_hcomp"):
+            table, want = getattr(x, name), getattr(y, name)
+            assert len(table) == len(want), name
+            if len(table) <= 100_000:
+                assert dict(table) == dict(want), name
+                continue
+            # past that, 2,000 composable pairs drawn at random
+            n = len(x.two_cells) if name != "one_comp" else len(x.one_cells)
+            drawn = 0
+            while drawn < 2000:
+                pair = (rng.randrange(n), rng.randrange(n))
+                assert (pair in table) == (pair in want)
+                if pair in table:
+                    drawn += 1
+                    assert table[pair] == want[pair], (name, pair)
+        want = reference_two_equivalence_report(bound).to_payload()
+        assert check_two_equivalence(bound).to_payload() == want
+
+
+def _key_composition_disagreements(bound):
+    """Every composable pair (g, f) of the 2-truncation's 1-cells, composed
+    as keys by `doubly._compose_keys` and as the functors they name by
+    `doubly.compose_dd_functors`, both read through the module so a
+    patched one is the one compared; and, on keys, that each identity
+    1-cell is the identity functor's and both identity laws.
+    Returns (pairs, disagreements), each disagreement ("composite", g, f)
+    or ("identity", f)."""
+    dies, one_cells, _, fun = two_truncation_universe(bound)
+    functors = _functor_cells(dies, one_cells)
+    x = fun.source
+    disagreements = []
+    pairs = 0
+    for gi, fi in x.one_comp:
+        pairs += 1
+        c = doubly.compose_dd_functors(functors[gi][2], functors[fi][2])
+        key = doubly._compose_keys(one_cells[gi][2], one_cells[fi][2])
+        if key != (c.map, c.m, c.target.monoid):
+            disagreements.append(("composite", gi, fi))
+    for i, d in enumerate(dies):
+        ident = identity_dd_functor(d)
+        if one_cells[x.one_identity[i]][2] != (ident.map, ident.m, d.monoid):
+            disagreements.append(("identity", x.one_identity[i]))
+    for fi, (s, t, key) in enumerate(one_cells):
+        left = doubly._compose_keys(one_cells[x.one_identity[t]][2], key)
+        right = doubly._compose_keys(key, one_cells[x.one_identity[s]][2])
+        if left != key or right != key:
+            disagreements.append(("identity", fi))
+    return pairs, disagreements
 
 
 def all_pairs_closure(functors):
@@ -1228,12 +1355,16 @@ class TestIdentityConstraintRestriction:
             assert self._comparison_findings(functors + [fs[kept]])["faithful"] is False
 
     def test_universe_one_cells_are_the_functor_sweep(self):
-        # thm-vdbe hands the restriction the universe's 1-cells in place of
-        # the sweep over every pair of dies: the same objects, in order
+        # the restriction's functors are the universe's 1-cells, in order:
+        # each key is the (map, m) of the swept functor at its position,
+        # the same map object, and its target monoid
         swept = _universe_functors(3)
         one_cells = two_truncation_universe(3)[1]
         assert len(one_cells) == len(swept) == 416
-        assert all(f is g for (_, _, f), g in zip(one_cells, swept))
+        assert all(
+            key == (g.map, g.m, g.target.monoid) and key[0] is g.map
+            for (_, _, key), g in zip(one_cells, swept)
+        )
 
     def test_few_functors_fail_surjectivity(self, bound_three):
         fs, _ = bound_three

@@ -3,7 +3,6 @@ codes, mutants that the sweeps must catch, and the CI workflow read
 against the registry."""
 
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -40,15 +39,16 @@ def test_dropped_hom_map_fails_the_oracle(monkeypatch, capsys):
 
 
 def test_wrong_composite_fails_the_law_checks(monkeypatch, capsys):
-    compose = doubly.compose_dd_functors
+    # the two-truncation universe composes its 1-cells' keys (map, m, monoid)
+    compose = doubly._compose_keys
 
     def wrong(g, f):
         # the composite's other element, where its target has one to swap to
-        c = compose(g, f)
-        others = [u for u in monoids.units(c.target.monoid) if u != c.m]
-        return replace(c, m=others[0]) if others else c
+        hmap, m, target = compose(g, f)
+        others = [u for u in monoids.units(target) if u != m]
+        return (hmap, others[0] if others else m, target)
 
-    monkeypatch.setattr(doubly, "compose_dd_functors", wrong)
+    monkeypatch.setattr(doubly, "_compose_keys", wrong)
     assert sweeps.main(["law-checks", "2"]) == 1
     assert "law-checks 2 ('two-truncation 2 source',), expected ()" in capsys.readouterr().out
 

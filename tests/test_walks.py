@@ -345,9 +345,9 @@ class TestTwoCellCounts:
             out.append((f"twin-{k}", x.two_cells + (x.two_cells[k],), fun.map2 + (fun.map2[k],)))
         unequal = [
             (fi, gi)
-            for fi, (s, t, f) in enumerate(one_cells)
+            for fi, (s, t, key) in enumerate(one_cells)
             for gi in x.hom1(s, t)
-            if f.map != one_cells[gi][2].map
+            if key[0] != one_cells[gi][2][0]
         ]
         for fi, gi in _first_middle_last(unequal):
             out.append((f"extra-{fi}-{gi}", x.two_cells + ((fi, gi),), fun.map2 + (fun.map2[0],)))

@@ -3,16 +3,34 @@ when every hom-set held `MonoidHom`s from `enumerate_homs`, keyed by their
 maps and looked up by (monoid, monoid) pairs.  Each builds its own
 hom-sets and finds 1-cells through its own dict index (`hom_index`), not
 the lookup `hom_indexed_category` returns, so the map-tuple builders must
-reproduce their numbering, tables, functor and report."""
+reproduce their numbering, tables, functor and report.  The 2-truncation
+universe is here as it was built from functor and transformation objects,
+so the builder on (map, m) keys must reproduce it too."""
 
 from operator import attrgetter
 
 import pytest
 
+from deglab.degenerate import monoid_category
+from deglab.doubly import (
+    compose_dd_functors,
+    dd_functors_between,
+    forgetful_image,
+    identity_dd_functor,
+    transformation_between,
+    unfaithfulness_witness,
+)
 from deglab.equivalence import JFunctor, check_external_equivalence, hom_indexed_category
-from deglab.monoids import enumerate_homs, enumerate_monoids, identity_hom
+from deglab.monoids import (
+    cmon_die_universe,
+    enumerate_homs,
+    enumerate_monoids,
+    hom_maps,
+    identity_hom,
+)
 from deglab.report import InvalidStructureError, Report
 from samples import compose_homs
+from walks import first_miscounted_pair
 
 
 _hom_map = attrgetter("map")
@@ -146,3 +164,86 @@ def reference_two_truncation_right(dies):
         },
         two_cell=lambda f, g: f is g,
     )
+
+
+def reference_two_truncation_universe(bound: int):
+    """`doubly.two_truncation_universe` as it was built from functor
+    objects: each hom-set the interned `DDFunctor`s of
+    `dd_functors_between`, keyed by (map, m), composed by
+    `compose_dd_functors`, and a 2-cell f => g wherever
+    `transformation_between(f, g)` finds one.  Returns (dies, one_cells,
+    two_cells, fun), one_cells as (source, target, functor)."""
+    dies = cmon_die_universe(bound)
+    homs = {
+        (si, ti): dd_functors_between(s, t)
+        for si, s in enumerate(dies)
+        for ti, t in enumerate(dies)
+    }
+    left, _ = hom_indexed_category(
+        tuple(f"die#{i}(n={s.monoid.size},d={s.die})" for i, s in enumerate(dies)),
+        homs,
+        key=lambda f: (f.map, f.m),
+        compose=compose_dd_functors,
+        identity=lambda i: identity_dd_functor(dies[i]),
+        two_cell=lambda f, g: transformation_between(f, g) is not None,
+    )
+    one_cells = [(s, t, f) for (s, t), fs in homs.items() for f in fs]
+    monoids = list(dict.fromkeys(s.monoid for s in dies))
+    right, right_one_cell = monoid_category(
+        "cmon",
+        monoids,
+        {(i, k): hom_maps(m, m2) for i, m in enumerate(monoids) for k, m2 in enumerate(monoids)},
+        two_cell=lambda f, g: f is g,
+    )
+    mpos = {m: i for i, m in enumerate(monoids)}
+    map0 = tuple(mpos[s.monoid] for s in dies)
+    map1 = tuple(right_one_cell(map0[s], map0[t], f.map) for (s, t, f) in one_cells)
+    map2 = tuple(map1[f] for f, _ in left.two_cells)
+    return dies, one_cells, left.two_cells, JFunctor(left, right, map0, map1, map2)
+
+
+def reference_two_equivalence_report(bound: int) -> Report:
+    """`check_two_equivalence` over `reference_two_truncation_universe`, as
+    it was made from functor objects: every parallel pair's 2-cells
+    counted (`walks.first_miscounted_pair`), and the level-1 and level-3
+    findings from the objects `unfaithfulness_witness` builds, compared
+    through `forgetful_image`."""
+    dies, one_cells, _, fun = reference_two_truncation_universe(bound)
+    report = Report(
+        "two-truncation-comparison",
+        {"bound": bound, "universe": f"all {len(dies)} instances of size <= {bound}"},
+        check_external_equivalence(fun).findings,
+    )
+    hit = set(fun.map0)
+    identity_die = all(
+        any(fun.map0[i] == k and s.die == s.monoid.unit for i, s in enumerate(dies))
+        for k in range(len(fun.target.zero_cells))
+    )
+    report.add(
+        "surjective-on-objects-on-the-nose",
+        len(hit) == len(fun.target.zero_cells) and identity_die,
+        dimension=0,
+        detail="every commutative monoid is hit by the instance with identity element chosen",
+    )
+    keyed = [(s, t, (f.map, f.m)) for s, t, f in one_cells]
+    bad = first_miscounted_pair(keyed, fun.source)
+    report.add(
+        "locally-bijective-on-2-cells",
+        bad is None,
+        dimension=2,
+        witness=None if bad is None else {"pair": bad[:2], "count": bad[2], "expected": bad[3]},
+        detail="exactly one transformation iff the homomorphisms agree",
+    )
+    for level, criterion, cells in (
+        (1, "level-1-comparison-not-faithful", "functors with distinct chosen elements"),
+        (3, "level-3-comparison-not-locally-faithful", "modifications with distinct elements"),
+    ):
+        w = next(filter(None, (unfaithfulness_witness(level, s) for s in dies)), None)
+        if w is not None:
+            report.add(
+                criterion,
+                forgetful_image(level, w[0]) == forgetful_image(level, w[1]),
+                dimension=level,
+                detail=f"two {cells} share one image",
+            )
+    return report

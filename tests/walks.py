@@ -74,11 +74,12 @@ def first_missed(fun):
 def first_miscounted_pair(one_cells, x):
     """The first parallel pair (fi, gi) of 1-cells whose 2-cells number
     other than 1 when their hom maps agree and 0 when they differ, as
-    (fi, gi, count, expected), or None; every parallel pair is counted."""
+    (fi, gi, count, expected), or None; every parallel pair is counted.
+    one_cells lists (source, target, key), each key's map first."""
     for fi, (s1, t1, f) in enumerate(one_cells):
         for gi in x.hom1(s1, t1):
             count = len(x.hom2(fi, gi))
-            expected = 1 if f.map == one_cells[gi][2].map else 0
+            expected = 1 if f[0] == one_cells[gi][2][0] else 0
             if count != expected:
                 return fi, gi, count, expected
     return None
