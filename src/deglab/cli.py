@@ -9,8 +9,8 @@ insignificant whitespace, one trailing LF.
 
 import argparse
 import functools
+import io
 import json
-import os
 import sys
 
 from . import serialize
@@ -22,6 +22,7 @@ from .degenerate import (
 )
 from .doubly import (
     DDBicat,
+    DDFunctor,
     analyze_weak_functor,
     build_ddbicat,
     extract_cmon_die,
@@ -91,31 +92,23 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-def _valid(obj, what: str, report=None):
-    """`obj` itself if it passes the check `validate` runs on its file,
-    whose report is `report` when the caller has it already; otherwise the
-    error of its first finding: an input error if the report has
-    structural entries (exit 2), else an invalid structure (exit 1)."""
-    if report is None:
-        report = serialize.check(obj)
-    if not report.well_formed:
-        raise StructuralError(f"not {what}: {report.structural[0].axiom}")
-    if not report.ok:
-        raise InvalidStructureError(f"not {what}: {report.violations[0].axiom}")
-    return obj
-
-
 def _load_checked(path: str, cls, what: str, valid_what: str = ""):
     """The structure in the file at `path`, conformed, built and checked
-    once: an input error naming `what` unless it is a `cls`, else `_valid`
-    on it, the failure naming `valid_what` (default `what`).  A monoid file
-    is checked as `validate` checks it, before it is built, so one whose
-    die has no inverse, a `CMonDIE` that cannot be built, fails as
-    `validate` reports it."""
+    once, as `validate` checks it: an input error naming `what` unless it
+    is a `cls`; else the error of the report's first finding, naming
+    `valid_what` (default `what`): an input error if the report has
+    structural entries (exit 2), else an invalid structure (exit 1).  A
+    monoid file is checked before it is built, so one whose die has no
+    inverse, a `CMonDIE` that cannot be built, fails as `validate`
+    reports it."""
     obj, report = serialize.checked_structure(_load(path))
     if not issubclass(CMonDIE if obj is None else type(obj), cls):
         raise StructuralError(f"expected {what}")
-    return _valid(obj, valid_what or what, report)
+    if not report.well_formed:
+        raise StructuralError(f"not {valid_what or what}: {report.structural[0].axiom}")
+    if not report.ok:
+        raise InvalidStructureError(f"not {valid_what or what}: {report.violations[0].axiom}")
+    return obj
 
 
 # direction: the structure it takes, that structure's file, the shift
@@ -130,7 +123,7 @@ _SHIFTS = {
 
 
 def cmd_shift(args) -> int:
-    cls, what, shift = next(_SHIFTS[name] for name in _SHIFTS if getattr(args, name))
+    cls, what, shift = _SHIFTS[args.direction]
     result = shift(_load_checked(args.file, cls, what))
     text = serialize.canonical_dumps(serialize.to_payload(result))
     if args.output:
@@ -163,7 +156,7 @@ def cmd_analyze_functor(args) -> int:
 
 def cmd_compare(args) -> int:
     f, g = (
-        _valid(serialize.structure_from_payload(_load(path), "dd_functor"), "a weak functor")
+        _load_checked(path, DDFunctor, "a dd_functor file", "a weak functor")
         for path in (args.first, args.second)
     )
     t = transformation_between(f, g)
@@ -179,48 +172,43 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _nonidentity_nat_trans(obj, level):
+    t = find_nonidentity_nat_trans(obj.monoid if isinstance(obj, CMonDIE) else obj)
+    payload = {"found": t is not None, "witness": None if t is None else serialize.to_payload(t)}
+    return t is not None, payload, "found" if t is not None else "absent"
+
+
+def _unfaithful(s, level):
+    pair = unfaithfulness_witness(level, s)
+    witness = None if pair is None else [serialize.to_payload(x) for x in pair]
+    payload = {"found": pair is not None, "witness": witness}
+    return pair is not None, payload, "counterexample found" if pair else "no counterexample"
+
+
+def _unit_closure(mc, level):
+    _, _, comp, closed = unit_distobj_closure_witness(mc)
+    payload = {"closed": closed, "composite": serialize.to_payload(comp)}
+    return not closed, payload, "closed under composition" if closed else "closure fails"
+
+
+# target: the structure it takes, that structure's file, what the structure
+# must be, the search of (structure, level) -> (found, payload, text line)
+_SEARCHES = {
+    "nonidentity-nat-trans": (
+        (FiniteMonoid, CMonDIE), "a monoid file", "a monoid", _nonidentity_nat_trans
+    ),
+    "unfaithful": (
+        CMonDIE, "a monoid file with a die", "a commutative monoid with a die", _unfaithful
+    ),
+    "unit-closure": (FinMonoidalCategory, "a moncat file", "a monoidal category", _unit_closure),
+}
+
+
 def cmd_search(args) -> int:
-    if args.what == "nonidentity-nat-trans":
-        obj = _load_checked(args.file, (FiniteMonoid, CMonDIE), "a monoid file", "a monoid")
-        t = find_nonidentity_nat_trans(obj.monoid if isinstance(obj, CMonDIE) else obj)
-        found = t is not None
-        payload = {
-            "found": found,
-            "witness": None if t is None else serialize.to_payload(t),
-        }
-        _emit(payload, args.format, lambda p: print("found" if found else "absent"))
-        return EXIT_OK if found else EXIT_VIOLATION
-    if args.what == "unfaithful":
-        s = _load_checked(
-            args.file, CMonDIE, "a monoid file with a die", "a commutative monoid with a die"
-        )
-        pair = unfaithfulness_witness(args.level, s)
-        payload = {
-            "found": pair is not None,
-            "witness": None
-            if pair is None
-            else [serialize.to_payload(pair[0]), serialize.to_payload(pair[1])],
-        }
-        _emit(
-            payload,
-            args.format,
-            lambda p: print("counterexample found" if pair else "no counterexample"),
-        )
-        return EXIT_OK if pair is not None else EXIT_VIOLATION
-    if args.what == "unit-closure":
-        obj = _load_checked(args.file, FinMonoidalCategory, "a moncat file", "a monoidal category")
-        t1, t2, comp, closed = unit_distobj_closure_witness(obj)
-        payload = {
-            "closed": closed,
-            "composite": serialize.to_payload(comp),
-        }
-        _emit(
-            payload,
-            args.format,
-            lambda p: print("closed under composition" if closed else "closure fails"),
-        )
-        return EXIT_OK if not closed else EXIT_VIOLATION
-    raise StructuralError(f"unknown search target {args.what!r}")
+    cls, what, valid_what, search = _SEARCHES[args.what]
+    found, payload, line = search(_load_checked(args.file, cls, what, valid_what), args.level)
+    _emit(payload, args.format, lambda p: print(line))
+    return EXIT_OK if found else EXIT_VIOLATION
 
 
 def cmd_enumerate(args) -> int:
@@ -257,12 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shift", help="relabel a structure across the dimension shift")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--to-cmon", dest="to_cmon", action="store_true")
-    group.add_argument("--to-ddbicat", dest="to_ddbicat", action="store_true")
-    group.add_argument("--to-moncat", dest="to_moncat", action="store_true")
-    group.add_argument("--to-degbicat", dest="to_degbicat", action="store_true")
-    group.add_argument("--to-monoid", dest="to_monoid", action="store_true")
-    group.add_argument("--to-category", dest="to_category", action="store_true")
+    for name in _SHIFTS:
+        flag = "--" + name.replace("_", "-")
+        group.add_argument(flag, dest="direction", action="store_const", const=name)
     p.add_argument("file")
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_shift)
@@ -278,9 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("search", help="hunt for witnesses and counterexamples")
-    p.add_argument(
-        "what", choices=("nonidentity-nat-trans", "unfaithful", "unit-closure")
-    )
+    p.add_argument("what", choices=tuple(_SEARCHES))
     p.add_argument("file")
     p.add_argument("--level", type=int, default=1, choices=(1, 3))
     p.set_defaults(fn=cmd_search)
@@ -306,7 +289,7 @@ def main(argv=None) -> int:
         sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
         return code
     except BrokenPipeError as exc:
-        sys.stdout = open(os.devnull, "w")
+        sys.stdout = io.StringIO()  # holds no descriptor, so nothing leaks
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (StructuralError, OSError) as exc:

@@ -639,21 +639,13 @@ def structure_from_payload(payload, kind=None):
     return _build(payload)
 
 
-def validate_payload(payload) -> ValidationReport:
-    """The report of a parsed JSON object: that of its structure (see
-    `check`), except for a top-level monoid, whose die is read from the
-    payload, since a die without an inverse cannot be built."""
-    if _conformed(payload) is SCHEMA["monoid"]:
-        return _check_monoid(payload)
-    return _verdict(_build(payload), {})
-
-
 def checked_structure(payload) -> tuple:
     """(structure, report): the structure a parsed JSON object describes
-    and the report `validate_payload` gives it, from one conform pass, one
-    build and one check.  A top-level monoid is checked from the payload
-    first, as `validate_payload` checks it; if its die has no inverse the
-    structure cannot be built and is None, and the report says why."""
+    and its report, from one conform pass, one build and one check: each
+    nested part under its own kind first, then the structure's own checker
+    (see `_verdict`).  Only a top-level monoid is checked from its payload,
+    before it is built, since a die without an inverse cannot be built: its
+    structure is then None, and the report says why."""
     if _conformed(payload) is SCHEMA["monoid"]:
         report = _check_monoid(payload)
         unbuildable = any(v.axiom == "die-invertible" for v in report.violations)
@@ -662,7 +654,6 @@ def checked_structure(payload) -> tuple:
     return obj, _verdict(obj, {})
 
 
-def check(obj) -> ValidationReport:
-    """The report of a structure of a JSON kind: each nested part under
-    its own kind first, then the structure's own checker (see `_verdict`)."""
-    return _verdict(obj, {})
+def validate_payload(payload) -> ValidationReport:
+    """The report of a parsed JSON object (see `checked_structure`)."""
+    return checked_structure(payload)[1]

@@ -157,9 +157,11 @@ def suite_thm_dce(bound: int = 3) -> Report:
     report.findings += check_forgetful_equivalence(sample).findings
 
     witnesses = not_locally_full_witnesses(bound)
+    # with no witness in the bound the extension is locally full there
     report.add(
         "two-dimensional-extension-not-locally-full",
-        all(
+        bool(witnesses)
+        and all(
             check_nat_trans(t).ok and t.component != t.target_functor.target.unit
             for t in witnesses
         ),
@@ -169,7 +171,9 @@ def suite_thm_dce(bound: int = 3) -> Report:
             if witnesses
             else None
         ),
-        detail="every commutative monoid with >1 element carries a non-identity transformation",
+        detail="every commutative monoid with >1 element carries a non-identity transformation"
+        if witnesses
+        else f"no commutative monoid of size <= {bound} has >1 element, so no witness",
     )
     return report
 
@@ -283,9 +287,11 @@ def suite_thm_vdb(bound: int = 4) -> Report:
                 sample_witness = _invalid_witness(serialize.to_payload(tampered), desc)
     report.add(
         "tampering-detected",
-        caught == attempted,
+        attempted > 0 and caught == attempted,
         witness=sample_witness,
-        detail=f"{caught}/{attempted} random single-value tamperings caught",
+        detail=f"{caught}/{attempted} random single-value tamperings caught"
+        if attempted
+        else f"no instance of size <= {bound} has two cells to tamper with",
     )
     return report
 

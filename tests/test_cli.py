@@ -11,7 +11,7 @@ from pathlib import Path
 
 import deglab
 from deglab import serialize
-from deglab.cli import _SHIFTS, main
+from deglab.cli import _SEARCHES, _SHIFTS, main
 from deglab.degenerate import DegenerateCategory
 from deglab.doubly import DDBicat, build_ddbicat, identity_dd_functor, make_dd_functor
 from deglab.examples import nand_pair, sign_category, zmod
@@ -272,14 +272,20 @@ class TestShiftVerb:
 
     def test_readme_rows_are_the_shift_table(self):
         # each `shift` row of the README's "verb | input `kind`" table names
-        # a direction of cli._SHIFTS and the file its `expected ...` error names
+        # a direction of cli._SHIFTS and the file its `expected ...` error
+        # names; each `search` row names a target of cli._SEARCHES and,
+        # before any comma, the file its error names
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+        def words(what):
+            return " ".join(w for w in what.split() if w not in ("a", "file"))
+
         rows = dict(re.findall(r"^\| `shift --(to-[a-z]+)` \| (.+?) \|$", readme, re.M))
-        want = {
-            name.replace("_", "-"): " ".join(w for w in what.split() if w not in ("a", "file"))
-            for name, (_, what, _) in _SHIFTS.items()
-        }
+        want = {name.replace("_", "-"): words(what) for name, (_, what, _) in _SHIFTS.items()}
         assert {d: text.replace("`", "") for d, text in rows.items()} == want
+        rows = dict(re.findall(r"^\| `search ([a-z-]+)` \| (.+?) \|$", readme, re.M))
+        want = {name: words(entry[1]) for name, entry in _SEARCHES.items()}
+        assert {t: text.replace("`", "").split(",")[0] for t, text in rows.items()} == want
 
 
 class TestFunctorVerbs:
@@ -310,6 +316,7 @@ class TestFunctorVerbs:
         b = write_payload(tmp_path, "b.json", serialize.to_payload(build_ddbicat(z2_die())))
         assert main(["compare", f, b]) == 2
         assert main(["compare", b, f]) == 2
+        assert capsys.readouterr().err == "input error: expected a dd_functor file\n" * 2
 
     def test_compare_checks_nested_types(self, tmp_path):
         payload = serialize.to_payload(identity_dd_functor(z2_die()))
@@ -431,29 +438,48 @@ def test_a_die_without_an_inverse_exits_as_validate_does(tmp_path, capsys, verb,
     assert capsys.readouterr().err == err
 
 
-@pytest.mark.parametrize("verb", [["shift", "--to-ddbicat"], ["search", "unfaithful"]])
+@pytest.mark.parametrize(
+    "verb", [["shift", "--to-ddbicat"], ["search", "unfaithful"], ["compare"]]
+)
 def test_a_file_is_conformed_built_and_checked_once(tmp_path, capsys, monkeypatch, verb):
-    calls = []
-    for name in ("_conformed", "_build", "_check_monoid", "_verdict", "check"):
-        real = getattr(serialize, name)
-        monkeypatch.setattr(
-            serialize, name, lambda *a, name=name, real=real: calls.append(name) or real(*a)
-        )
-    path = write_payload(tmp_path, "s.json", serialize.to_payload(z2_die(1)))
-    assert main(["--format", "json", *verb, path]) == 0
-    assert sorted(calls) == ["_build", "_check_monoid", "_conformed"]
+    # records each top-level call; one made from within a call of its own
+    # name (a nested part built or checked) is part of that call
+    calls, running = [], set()
+    for name in ("_conformed", "_build", "_check_monoid", "_verdict", "structure_from_payload"):
+
+        def spy(*a, name=name, real=getattr(serialize, name)):
+            if name in running:
+                return real(*a)
+            calls.append(name)
+            running.add(name)
+            try:
+                return real(*a)
+            finally:
+                running.discard(name)
+
+        monkeypatch.setattr(serialize, name, spy)
+    s = z2_die(1)
+    if verb == ["compare"]:
+        # two parallel functors: each file conformed, built and checked once
+        # as `validate` checks it, and never loaded unchecked
+        paths = [
+            write_payload(tmp_path, f"{m}.json", serialize.to_payload(
+                make_dd_functor(s, s, identity_hom(s.monoid).map, m)
+            ))
+            for m in (1, 0)
+        ]
+        want = ["_build", "_build", "_conformed", "_conformed", "_verdict", "_verdict"]
+    else:
+        paths = [write_payload(tmp_path, "s.json", serialize.to_payload(s))]
+        want = ["_build", "_check_monoid", "_conformed"]
+    assert main(["--format", "json", *verb, *paths]) == 0
+    assert sorted(calls) == want
+
 
 # every shift direction and search target, with the structures it takes
 _VERBS = {
-    ("shift", "--to-cmon"): DDBicat,
-    ("shift", "--to-ddbicat"): CMonDIE,
-    ("shift", "--to-moncat"): DegenerateBicategory,
-    ("shift", "--to-degbicat"): FinMonoidalCategory,
-    ("shift", "--to-monoid"): DegenerateCategory,
-    ("shift", "--to-category"): FiniteMonoid,
-    ("search", "nonidentity-nat-trans"): (FiniteMonoid, CMonDIE),
-    ("search", "unfaithful"): CMonDIE,
-    ("search", "unit-closure"): FinMonoidalCategory,
+    **{("shift", "--" + name.replace("_", "-")): cls for name, (cls, _, _) in _SHIFTS.items()},
+    **{("search", name): entry[0] for name, entry in _SEARCHES.items()},
 }
 _SAMPLES = list(sample_structures())
 
@@ -529,6 +555,29 @@ class TestEnumerateAndSuite:
         # refused, not run as bound 1, written into the header or a TypeError
         with pytest.raises(StructuralError, match=f"^{message}$"):
             run_suite(name, bound=bound)
+
+    @pytest.mark.parametrize(
+        "name, criterion, detail",
+        [
+            (
+                "thm-dce",
+                "two-dimensional-extension-not-locally-full",
+                "no commutative monoid of size <= 1 has >1 element, so no witness",
+            ),
+            ("thm-vdb", "tampering-detected", "no instance of size <= 1 has two cells to tamper with"),
+        ],
+        ids=["thm-dce", "thm-vdb"],
+    )
+    def test_a_finding_over_an_empty_sweep_fails(self, capsys, name, criterion, detail):
+        # at bound 1 this finding's sweep is empty: it fails and says so,
+        # not passes on all([]) or 0/0
+        assert main(["--format", "json", "suite", name, "--bound", "1"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "fail"
+        failed = [f for f in payload["findings"] if not f["passed"]]
+        assert [(f["criterion"], f["detail"], f["witness"]) for f in failed] == [
+            (criterion, detail, None)
+        ]
 
     def test_suite_takes_no_seed(self, capsys):
         with pytest.raises(SystemExit) as exc:

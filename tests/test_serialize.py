@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from deglab import serialize
-from deglab.cli import _SHIFTS, main
+from deglab.cli import _SEARCHES, _SHIFTS, main
 from deglab.degenerate import monoid_to_cat, nat_trans_between
 from deglab.doubly import build_ddbicat, identity_dd_functor
 from deglab.examples import (
@@ -547,11 +547,16 @@ class TestPartsFirst:
         assert swapped
 
 
-@pytest.mark.parametrize("direction", list(_SHIFTS))
-def test_shift_exits_as_validate_does(tmp_path, capsys, direction):
-    # the direction's input, valid and with each breach of its kind at any
-    # depth, so a direction added to cli._SHIFTS is covered without a new test
-    cls = _SHIFTS[direction][0]
+@pytest.mark.parametrize("target", [*_SHIFTS, *_SEARCHES])
+def test_shift_exits_as_validate_does(tmp_path, capsys, target):
+    # the input of a shift direction or search target, valid and with each
+    # breach of its kind at any depth, so a direction added to cli._SHIFTS
+    # or a target added to cli._SEARCHES is covered without a new test; on
+    # the valid file a search exits 0 or 1, by its finding
+    if target in _SHIFTS:
+        verb, cls = ["shift", "--" + target.replace("_", "-")], _SHIFTS[target][0]
+    else:
+        verb, cls = ["search", target], _SEARCHES[target][0]
     valid = serialize.to_payload(next(o for o in sample_structures() if isinstance(o, cls)))
     payloads = [valid, *_breaches(valid)]
     for payload in payloads:
@@ -559,9 +564,13 @@ def test_shift_exits_as_validate_does(tmp_path, capsys, direction):
         path.write_text(json.dumps(payload), encoding="utf-8")
         want = main(["validate", str(path)])
         capsys.readouterr()
-        assert main(["shift", "--" + direction.replace("_", "-"), str(path)]) == want, payload
+        code = main([*verb, str(path)])
         out, err = capsys.readouterr()
-        assert want == 0 or (out == "" and err.startswith("invalid structure: not a ")), payload
+        if payload is valid and verb[0] == "search":
+            assert want == 0 and code in (0, 1), payload
+        else:
+            assert code == want, payload
+            assert want == 0 or (out == "" and err.startswith("invalid structure: not a ")), payload
     assert len(payloads) > 1
 
 
