@@ -97,12 +97,11 @@ def _load_checked(path: str, cls, what: str, valid_what: str = ""):
     once, as `validate` checks it: an input error naming `what` unless it
     is a `cls`; else the error of the report's first finding, naming
     `valid_what` (default `what`): an input error if the report has
-    structural entries (exit 2), else an invalid structure (exit 1).  A
-    monoid file is checked before it is built, so one whose die has no
-    inverse, a `CMonDIE` that cannot be built, fails as `validate`
-    reports it."""
+    structural entries (exit 2), else an invalid structure (exit 1).
+    Every file that conforms is built, a monoid whose die has no inverse
+    included, so the kind test reads the structure itself."""
     obj, report = serialize.checked_structure(_load(path))
-    if not issubclass(CMonDIE if obj is None else type(obj), cls):
+    if not isinstance(obj, cls):
         raise StructuralError(f"expected {what}")
     if not report.well_formed:
         raise StructuralError(f"not {valid_what or what}: {report.structural[0].axiom}")

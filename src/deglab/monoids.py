@@ -110,8 +110,10 @@ class CMonDIE:
     """A commutative monoid with a distinguished invertible element.
 
     `die_inv` is a stored witness; `check_cmon_die` verifies it rather than
-    trusting it.  `die` and `die_inv` are exact ints in range of the
-    monoid (see `report.exact`).  Reduced functors out of an instance are
+    trusting it.  A die read from JSON that has no inverse carries itself
+    as its witness, so the structure is built and the check reports it.
+    `die` and `die_inv` are exact ints in range of the monoid (see
+    `report.exact`).  Reduced functors out of an instance are
     interned in a table on it (see `doubly._interned`), outside the
     dataclass fields, so equality, hashing, repr and JSON ignore it, and
     a copy of any kind starts without it (see `FiniteMonoid`).
@@ -213,14 +215,20 @@ def check_hom(h: MonoidHom) -> ValidationReport:
 
 
 def check_cmon_die(s: CMonDIE) -> ValidationReport:
-    """Monoid axioms, commutativity, and the inverse witness for the die."""
+    """Monoid axioms, commutativity, and the inverse witness for the die.
+
+    A failing witness is reported at (die, die_inv), or at (die,) when the
+    die has no inverse at all."""
     report = ValidationReport("cmon_die")
     report.extend(check_monoid_axioms(s.monoid.mul, s.monoid.unit))
     for x, y in check_commutative(s.monoid):
         report.add("commutativity", (x, y), f"{x}*{y} != {y}*{x}")
     m = s.monoid
     if m.mul[s.die][s.die_inv] != m.unit or m.mul[s.die_inv][s.die] != m.unit:
-        report.add("die-invertible", (s.die, s.die_inv), "stored inverse witness fails")
+        if invert(m, s.die) is None:
+            report.add("die-invertible", (s.die,), "no inverse exists")
+        else:
+            report.add("die-invertible", (s.die, s.die_inv), "stored inverse witness fails")
     return report
 
 

@@ -324,28 +324,11 @@ def _build_monoid(size, unit, mul, die=None):
     m = monoids.FiniteMonoid(size, unit, mul)
     if die is None:
         return m
-    inv = monoids.invert(m, die)
-    if inv is None:
-        raise StructuralError("die has no inverse; cannot build the structure")
-    return monoids.CMonDIE(m, die, inv)
+    inv = monoids.invert(m, die)  # None: the die is its own (failing) witness
+    return monoids.CMonDIE(m, die, die if inv is None else inv)
 
 
 # -- checks -------------------------------------------------------------------
-
-
-def _check_monoid(p) -> ValidationReport:
-    """The top-level check of a monoid payload, which reads the die from
-    the payload: a die without an inverse cannot be built."""
-    m = monoids.FiniteMonoid(p["size"], p["unit"], p["mul"])
-    if "die" not in p:
-        return monoids.check_monoid_axioms(m.mul, m.unit)
-    report = ValidationReport("cmon_die")
-    report.extend(monoids.check_monoid_axioms(m.mul, m.unit))
-    for x, y in monoids.check_commutative(m):
-        report.add("commutativity", (x, y))
-    if monoids.invert(m, p["die"]) is None:
-        report.add("die-invertible", (p["die"],), "no inverse exists")
-    return report
 
 
 def _check_ddbicat(b) -> ValidationReport:
@@ -643,13 +626,9 @@ def checked_structure(payload) -> tuple:
     """(structure, report): the structure a parsed JSON object describes
     and its report, from one conform pass, one build and one check: each
     nested part under its own kind first, then the structure's own checker
-    (see `_verdict`).  Only a top-level monoid is checked from its payload,
-    before it is built, since a die without an inverse cannot be built: its
-    structure is then None, and the report says why."""
-    if _conformed(payload) is SCHEMA["monoid"]:
-        report = _check_monoid(payload)
-        unbuildable = any(v.axiom == "die-invertible" for v in report.violations)
-        return (None if unbuildable else _build(payload)), report
+    (see `_verdict`).  Every part is built, a monoid whose die has no
+    inverse included, and checked by its kind's entry alone."""
+    _conformed(payload)
     obj = _build(payload)
     return obj, _verdict(obj, {})
 

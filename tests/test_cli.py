@@ -306,6 +306,17 @@ class TestFunctorVerbs:
         path = write_payload(tmp_path, "f.json", serialize.to_payload(f))
         assert main(["analyze-functor", "--lax", path]) == 0
 
+    @pytest.mark.parametrize("end", ["source", "target"])
+    def test_analyze_refuses_a_die_without_an_inverse(self, tmp_path, capsys, end):
+        # refused by the axiom check of either end, as a die that breaks
+        # another axiom is
+        payload = serialize.to_payload(identity_dd_functor(z2_die()))
+        payload[end] = _NO_INVERSE
+        path = write_payload(tmp_path, "f.json", payload)
+        assert main(["analyze-functor", path]) == 1
+        err = capsys.readouterr().err
+        assert err == "invalid structure: invalid commutative-monoid-with-element input\n"
+
     def test_analyze_rejects_other_kinds(self, tmp_path, capsys):
         path = write_payload(tmp_path, "m.json", serialize.to_payload(zmod(2)))
         assert main(["analyze-functor", path]) == 2
@@ -445,7 +456,7 @@ def test_a_file_is_conformed_built_and_checked_once(tmp_path, capsys, monkeypatc
     # records each top-level call; one made from within a call of its own
     # name (a nested part built or checked) is part of that call
     calls, running = [], set()
-    for name in ("_conformed", "_build", "_check_monoid", "_verdict", "structure_from_payload"):
+    for name in ("_conformed", "_build", "_verdict", "structure_from_payload"):
 
         def spy(*a, name=name, real=getattr(serialize, name)):
             if name in running:
@@ -471,7 +482,7 @@ def test_a_file_is_conformed_built_and_checked_once(tmp_path, capsys, monkeypatc
         want = ["_build", "_build", "_conformed", "_conformed", "_verdict", "_verdict"]
     else:
         paths = [write_payload(tmp_path, "s.json", serialize.to_payload(s))]
-        want = ["_build", "_check_monoid", "_conformed"]
+        want = ["_build", "_conformed", "_verdict"]
     assert main(["--format", "json", *verb, *paths]) == 0
     assert sorted(calls) == want
 

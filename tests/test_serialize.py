@@ -25,7 +25,13 @@ from deglab.monoidal import (
     identity_deg_transformation,
     identity_monoidal_functor,
 )
-from deglab.monoids import check_monoid, enumerate_monoids, identity_hom, make_cmon_die
+from deglab.monoids import (
+    check_cmon_die,
+    check_monoid,
+    enumerate_monoids,
+    identity_hom,
+    make_cmon_die,
+)
 from deglab.report import StructuralError, ValidationReport
 from samples import sample_structures
 
@@ -74,11 +80,13 @@ class TestSchemaStrictness:
         obj = serialize.structure_from_payload(payload)
         assert obj == make_cmon_die(zmod(2), 1)
 
-    def test_noninvertible_die_cannot_load(self):
+    def test_noninvertible_die_loads_and_is_reported(self):
         payload = serialize.to_payload(bool_or_monoid())
         payload["die"] = 1
-        with pytest.raises(StructuralError):
-            serialize.structure_from_payload(payload)
+        rep = check_cmon_die(serialize.structure_from_payload(payload))
+        assert [(v.axiom, v.where, v.message) for v in rep.violations] == [
+            ("die-invertible", (1,), "no inverse exists")
+        ]
 
 
 class TestValidationDispatch:
@@ -547,6 +555,54 @@ class TestPartsFirst:
         assert swapped
 
 
+# a commutative monoid whose die, its unit 0, is invertible, and two breaches
+# of it, each with its one finding: a die without an inverse, and a table
+# that is not commutative
+_CMON = {"kind": "monoid", "size": 3, "unit": 0, "mul": [[0, 1, 2], [1, 1, 1], [2, 1, 2]], "die": 0}
+_CMON_BREACHES = {
+    "no-inverse": ({**_CMON, "die": 1}, ("die-invertible", [1], "no inverse exists")),
+    "non-commutative": (
+        {**_CMON, "mul": [[0, 1, 2], [1, 1, 1], [2, 2, 2]]},
+        ("commutativity", [1, 2], "1*2 != 2*1"),
+    ),
+}
+
+
+def _as_source(kind, monoid) -> dict:
+    """`monoid` as the source of the identity-map functor into `_CMON`,
+    or of that functor's identity transformation or modification."""
+    f = {"kind": "dd_functor", "source": monoid, "target": _CMON, "map": [0, 1, 2], "m2": 0, "m0": 0}
+    t = {"kind": "dd_transformation", "source_functor": f, "target_functor": f, "sigma": 0}
+    return {
+        "dd_functor": f,
+        "dd_transformation": t,
+        "dd_modification": {"kind": "dd_modification", "boundary": t, "gamma": 0},
+    }[kind]
+
+
+@pytest.mark.parametrize(
+    "kind, prefix",
+    [
+        ("dd_functor", "source-"),
+        ("dd_transformation", "source_functor-source-"),
+        ("dd_modification", "boundary-source_functor-source-"),
+    ],
+)
+@pytest.mark.parametrize("breach", list(_CMON_BREACHES))
+def test_a_monoid_breach_reads_alike_at_every_depth(tmp_path, capsys, kind, prefix, breach):
+    # the monoid entry checks a monoid part at every depth: the finding of
+    # a file and of the same monoid nested differ only by the key prefix
+    monoid, (axiom, where, message) = _CMON_BREACHES[breach]
+    assert _validate_exit(tmp_path, _as_source(kind, _CMON)) == 0
+    for payload, at in ((monoid, ""), (_as_source(kind, monoid), prefix)):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["--format", "json", "validate", str(path)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["structural"] == []
+        assert report["violations"] == [{"axiom": at + axiom, "where": where, "message": message}]
+
+
 @pytest.mark.parametrize("target", [*_SHIFTS, *_SEARCHES])
 def test_shift_exits_as_validate_does(tmp_path, capsys, target):
     # the input of a shift direction or search target, valid and with each
@@ -593,16 +649,28 @@ def _breaches(payload):
     which builds and breaks an axiom of its kind or of a part, at any
     depth: a change to its own keys, then each breach of each nested part
     in place of that part, where the whole still builds (the functors of
-    a transformation must stay parallel, for one).  A kind with no index
-    keys of its own, such as `degenerate_category`, has only its parts'."""
+    a transformation must stay parallel, for one), and in place of a
+    monoid part with a die, one of its size whose die has no inverse.  A
+    kind with no index keys of its own, such as `degenerate_category`,
+    has only its parts'."""
     keys = serialize.SCHEMA[payload["kind"]].keys
     if any(key.leaf in (serialize.INDEX, serialize.INDEX_OR_NULL) for key in keys):
         yield _own_breach(payload)
     for key in keys:
         if isinstance(key.leaf, serialize.Nested):
-            for part in _breaches(payload[key.name]):
+            parts = list(_breaches(payload[key.name]))
+            if key.leaf == serialize.Nested("monoid", ("die",)) and payload[key.name]["size"] > 1:
+                parts.append(_die_without_inverse(payload[key.name]["size"]))
+            for part in parts:
                 if _builds(candidate := {**payload, key.name: part}):
                     yield candidate
+
+
+def _die_without_inverse(n) -> dict:
+    """The commutative monoid max(x, y) on n > 1 elements, whose die n - 1
+    has no inverse: its one unit is 0."""
+    mul = [[max(x, y) for y in range(n)] for x in range(n)]
+    return {"kind": "monoid", "size": n, "unit": 0, "mul": mul, "die": n - 1}
 
 
 def _own_breach(payload):
@@ -623,10 +691,9 @@ def _own_breach(payload):
             for v in values[: None if key.leaf is serialize.INDEX_OR_NULL else -1]:
                 candidate = json.loads(json.dumps(payload))
                 _set(candidate, path, v)
-                if _builds(candidate):  # a monoid's die must stay invertible
-                    report = serialize.validate_payload(candidate)
-                    if report.well_formed and not report.ok:
-                        return candidate
+                report = serialize.validate_payload(candidate)
+                if report.well_formed and not report.ok:
+                    return candidate
     raise AssertionError(f"no single index change breaks this {payload['kind']} payload")
 
 
