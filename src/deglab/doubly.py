@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from itertools import count
 
 from .degenerate import monoid_category
-from .equivalence import JFunctor, check_external_equivalence, hom_indexed_category
+from .equivalence import JFunctor, _hom, check_external_equivalence, hom_indexed_category
 from .monoids import (
     CMonDIE,
     FiniteMonoid,
@@ -691,7 +691,7 @@ def two_truncation_universe(bound: int):
     the identity on a die is keyed (identity map, unit).  one_cells lists
     (source, target, key) in index order.  A 2-cell f => g exists exactly
     when the two maps agree, since the transformation's component is then
-    forced, so two_cells, which is `fun.source.two_cells`, is the pairs of
+    forced, so two_cells, which is `fun.source.cells[1]`, is the pairs of
     parallel 1-cells with equal maps.
 
     The image side is `degenerate.monoid_category` over the distinct
@@ -739,9 +739,9 @@ def two_truncation_universe(bound: int):
     mpos = {m: i for i, m in enumerate(monoids)}
     map0 = tuple(mpos[s.monoid] for s in dies)
     map1 = tuple(right_one_cell(map0[s], map0[t], key[0]) for (s, t, key) in one_cells)
-    map2 = tuple(map1[f] for f, _ in left.two_cells)
+    map2 = tuple(map1[f] for f, _ in left.cells[1])
     fun = JFunctor(left, right, map0, map1, map2)
-    return dies, one_cells, left.two_cells, fun
+    return dies, one_cells, left.cells[1], fun
 
 
 def _first_miscounted_pair(one_cells, x):
@@ -762,19 +762,19 @@ def _first_miscounted_pair(one_cells, x):
         same = classes.setdefault((s, t, key[0]), [])
         same.append(fi)
         cls.append(same)
-    ends = x.one_cells
+    ends, index = x.cells[0], x._hom_index[1]  # the 2-cells by their ends
     extra = min(
-        ((f, g) for f, g in x.two_cells if cls[f] is not cls[g] and ends[f] == ends[g]),
+        ((f, g) for f, g in x.cells[1] if cls[f] is not cls[g] and ends[f] == ends[g]),
         default=None,
     )
     for fi, same in enumerate(cls):
         for gi in same:
             if extra is not None and (fi, gi) > extra:
-                return (*extra, len(x.hom2(*extra)), 0)
-            count = len(x.hom2(fi, gi))
+                return (*extra, len(_hom(index, extra)), 0)
+            count = len(_hom(index, (fi, gi)))
             if count != 1:
                 return fi, gi, count, 1
-    return None if extra is None else (*extra, len(x.hom2(*extra)), 0)
+    return None if extra is None else (*extra, len(_hom(index, extra)), 0)
 
 
 def check_two_equivalence(bound: int) -> Report:
@@ -822,8 +822,8 @@ def check_two_equivalence(bound: int) -> Report:
     # in their chosen element alone
     s = next((i for i, d in enumerate(dies) if len(units(d.monoid)) > 1), None)
     if s is not None:
-        ident = x.one_identity[s]
-        same_map = [f for f in x.hom1(s, s) if one_cells[f][2][0] == one_cells[ident][2][0]]
+        ident = x.identity[0][s]
+        same_map = [f for f in x.hom(1, s, s) if one_cells[f][2][0] == one_cells[ident][2][0]]
         other = next(f for f in same_map if f != ident)
         report.add(
             "level-1-comparison-not-faithful",
@@ -837,7 +837,7 @@ def check_two_equivalence(bound: int) -> Report:
     s = next((i for i, d in enumerate(dies) if d.monoid.size > 1), None)
     if s is not None:
         m = dies[s].monoid
-        cell = x.two_identity[x.one_identity[s]]
+        cell = x.identity[1][x.identity[0][s]]
         mods = [(cell, m.unit), (cell, next(e for e in range(m.size) if e != m.unit))]
         report.add(
             "level-3-comparison-not-locally-faithful",

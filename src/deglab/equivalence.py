@@ -1,21 +1,22 @@
 """Internal equivalence of 0-cells and external j-equivalence of j-functors.
 
-Works on explicit finite 1- and 2-dimensional categories.  All in-scope
-2-dimensional instances are strict, so no weak-ambient variant is needed.
-The category laws are written once, for one composition table over cells
-with ends and an identity per object (`_check_table`), and applied to
-1-cells and to 2-cells vertically and horizontally, and to the composition
-table of a `fincat.FiniteCategory`.  A j-functor is an
-external j-equivalence iff it is locally essentially surjective at every
-dimension and locally faithful at the top dimension; one search per
-criterion and dimension walks only the hom-sets that can fail (those with a
-target cell to hit, or with two or more cells to identify), in the order of
-their ends, and reports the dimension and a witness for the first failure.
+Works on explicit finite strict j-categories, held as tables per dimension.
+All in-scope 2-dimensional instances are strict, so no weak-ambient variant
+is needed.  The category laws are written once, for one composition table
+over cells with ends and an identity per object (`_check_table`), and
+applied to every table of every dimension, and to the composition table of
+a `fincat.FiniteCategory`; internal equivalence is one recursion over
+dimensions.  A j-functor is an external j-equivalence iff it is locally
+essentially surjective at every dimension and locally faithful at the top
+dimension; one search per criterion and dimension walks only the hom-sets
+that can fail (those with a target cell to hit, or with two or more cells to
+identify), in the order of their ends, and reports the dimension and a
+witness for the first failure.
 """
 
 from bisect import bisect_left
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from operator import gt
 
@@ -30,51 +31,62 @@ def _positions(keys) -> dict:
     return index
 
 
+# The finding names of each dimension's cells and its tables comp[d-1][k], to d = 2
+_CELL_NAMES = ("one", "two")
+_COMP_NAMES = (("one-comp",), ("two-hcomp", "two-vcomp"))
+
+
+def _hom(index: dict, ends):
+    """The cells with these ends in a hom index, in ascending order."""
+    cells = index.get(ends, ())
+    return (cells,) if cells.__class__ is int else cells
+
+
 @dataclass(frozen=True)
 class FiniteJCategory:
-    """A finite (strict) 1- or 2-category given by explicit cell tables.
+    """A finite strict j-category, j = len(cells), given by explicit tables.
 
-    one_comp maps composable pairs (g, f) with tgt(f) = src(g) to g.f;
-    two_vcomp and two_hcomp likewise for vertical and horizontal 2-cell
-    composition.  The tables may be any Mapping: hand-built ones are dicts,
-    and those of `hom_indexed_category` compute each composite on read.
-    Labels are carried for witness readability only.
+    For d = 1..j, cells[d-1] lists the (src, tgt) ends of each d-cell,
+    identity[d-1] the identity d-cell on each (d-1)-cell, and comp[d-1][k]
+    maps each pair (b, a) of d-cells composable along k-cells to b.a: comp[1]
+    is (horizontal, vertical).  The tables may be any Mapping: hand-built
+    ones are dicts, and those of `hom_indexed_category` compute each
+    composite on read.  Labels are carried for witness readability only.
 
-    `hom1` and `hom2` read one hom-set from an index of the cells by their
+    `hom(d, a, b)` reads one hom-set from the index of the d-cells by their
     ends, built from the cells on first use.  `hom_indexed_category` hands
-    the category its own numbering of the hom-sets instead, so that index
-    is never built; a copy made by `dataclasses.replace` builds its own.
-    An index maps the ends of each hom-set to its cells in ascending order,
-    or, for the one 2-cell of a locally thin category's hom-set, to that
-    cell alone.
+    the category its own numbering of the hom-sets instead, so no index is
+    built; a copy made by `dataclasses.replace` builds its own.  An index
+    maps the ends of each hom-set to its cells in ascending order, or, for
+    the one 2-cell of a locally thin category's hom-set, to that cell alone.
     """
 
-    j: int
     zero_cells: tuple
-    one_cells: tuple  # (src, tgt) pairs of 0-cell indices
-    one_identity: tuple  # identity 1-cell per 0-cell
-    one_comp: Mapping  # (g, f) -> g after f
-    two_cells: tuple = ()  # (src, tgt) pairs of parallel 1-cell indices
-    two_identity: tuple = ()  # identity 2-cell per 1-cell
-    two_vcomp: Mapping = field(default_factory=dict)
-    two_hcomp: Mapping = field(default_factory=dict)
+    cells: tuple
+    identity: tuple
+    comp: tuple
+
+    @property
+    def j(self) -> int:
+        return len(self.cells)
 
     @cached_property
-    def _hom1_index(self) -> dict:
-        return _positions(self.one_cells)
+    def _hom_index(self) -> tuple:
+        return tuple(map(_positions, self.cells))
 
-    @cached_property
-    def _hom2_index(self) -> dict:
-        return _positions(self.two_cells)
+    def hom(self, d: int, a: int, b: int):
+        """The d-cells a -> b, in ascending order."""
+        return _hom(self._hom_index[d - 1], (a, b))
 
-    def hom1(self, x1: int, x2: int):
-        """The 1-cells x1 -> x2, in ascending order."""
-        return self._hom1_index.get((x1, x2), ())
+    @property
+    def one_comp(self) -> Mapping:
+        """comp[0][0], read by `perfbench/tracer.py` until ROADMAP item 16."""
+        return self.comp[0][0]
 
-    def hom2(self, f1: int, f2: int):
-        """The 2-cells f1 => f2, in ascending order."""
-        cells = self._hom2_index.get((f1, f2), ())
-        return (cells,) if cells.__class__ is int else cells
+    @property
+    def two_hcomp(self) -> Mapping:
+        """comp[1][0], read by `perfbench/tracer.py` until ROADMAP item 16."""
+        return self.comp[1][0]
 
 
 class _Composites(Mapping):
@@ -143,9 +155,8 @@ def hom_indexed_category(zero_cells, homs, key, compose, identity, two_cell=None
     InvalidStructureError.  With two_cell(f, g) given, the result is a
     locally thin 2-category with a 2-cell f => g for each parallel pair on
     which two_cell returns a true value, ordered by source, then target;
-    nothing two_cell returns is kept.  The category's `hom1` and `hom2`
-    read this numbering: `hom1` reads the ranges, and each 2-cell is found
-    by its ends.
+    nothing two_cell returns is kept.  The category's `hom` reads this
+    numbering: the ranges at dimension 1, and each 2-cell by its ends.
 
     Returns (category, one_cell): one_cell(i, k, key) is the 1-cell i -> k
     with that key, or InvalidStructureError if there is none.
@@ -172,46 +183,37 @@ def hom_indexed_category(zero_cells, homs, key, compose, identity, two_cell=None
                 return pos
         raise InvalidStructureError(f"composite or identity {(i, k, kv)!r} missing from its hom-set")
 
-    def one_comp(g, f):
+    def compose_one(g, f):
         return one_cell(ends[f][0], ends[g][1], key(compose(arrows[g], arrows[f])))
 
     zero_cells = tuple(zero_cells)
     one_identity = tuple(one_cell(i, i, key(identity(i))) for i in range(len(zero_cells)))
-    one_table = _Composites(ends, one_comp)
-    if two_cell is None:
-        cat = FiniteJCategory(1, zero_cells, ends, one_identity, one_table)
-        object.__setattr__(cat, "_hom1_index", span)
-        return cat, one_cell
+    # per dimension: the cells, their identities, composition tables and hom index
+    dims = [(ends, one_identity, (_Composites(ends, compose_one),), span)]
+    if two_cell is not None:
+        two_cells, two_index = [], {}
+        for f, e in enumerate(ends):
+            for g in span[e]:
+                if two_cell(arrows[f], arrows[g]):
+                    cell = (f, g)  # one tuple for the cell's ends and its index key
+                    two_index[cell] = len(two_cells)
+                    two_cells.append(cell)
+        two_cells = tuple(two_cells)
 
-    two_cells, two_index = [], {}
-    for f, e in enumerate(ends):
-        for g in span[e]:
-            if two_cell(arrows[f], arrows[g]):
-                cell = (f, g)  # one tuple for the cell's ends and its index key
-                two_index[cell] = len(two_cells)
-                two_cells.append(cell)
-    two_cells = tuple(two_cells)
+        def vcomp(b, a):
+            return _position(two_index, (two_cells[a][0], two_cells[b][1]))
 
-    def vcomp(b, a):
-        return _position(two_index, (two_cells[a][0], two_cells[b][1]))
+        def hcomp(b, a):
+            (f1, g1), (f2, g2) = two_cells[a], two_cells[b]
+            return _position(two_index, (compose_one(f2, f1), compose_one(g2, g1)))
 
-    def hcomp(b, a):
-        (f1, g1), (f2, g2) = two_cells[a], two_cells[b]
-        return _position(two_index, (one_comp(f2, f1), one_comp(g2, g1)))
-
-    cat = FiniteJCategory(
-        j=2,
-        zero_cells=zero_cells,
-        one_cells=ends,
-        one_identity=one_identity,
-        one_comp=one_table,
-        two_cells=two_cells,
-        two_identity=tuple(_position(two_index, (f, f)) for f in range(len(ends))),
-        two_vcomp=_Composites(two_cells, vcomp),
-        two_hcomp=_Composites(tuple(ends[f] for f, _ in two_cells), hcomp),
-    )
-    object.__setattr__(cat, "_hom1_index", span)
-    object.__setattr__(cat, "_hom2_index", two_index)
+        two_identity = tuple(_position(two_index, (f, f)) for f in range(len(ends)))
+        h_ends = tuple(ends[f] for f, _ in two_cells)  # the 0-cell ends of each 2-cell
+        two_comp = (_Composites(h_ends, hcomp), _Composites(two_cells, vcomp))
+        dims.append((two_cells, two_identity, two_comp, two_index))
+    cells, identities, comps, index = zip(*dims)
+    cat = FiniteJCategory(zero_cells, cells, identities, comps)
+    object.__setattr__(cat, "_hom_index", index)
     return cat, one_cell
 
 
@@ -230,12 +232,15 @@ class JFunctor:
         x, y = self.source, self.target
         if x.j != y.j:
             raise StructuralError("source and target dimension mismatch")
-        for name, xs, ys in (
-            ("map0", x.zero_cells, y.zero_cells),
-            ("map1", x.one_cells, y.one_cells),
-            ("map2", x.two_cells, y.two_cells),
-        ):
-            object.__setattr__(self, name, exact(getattr(self, name), name, (len(xs),), len(ys)))
+        # the cell counts per dimension, 0 past the top
+        xs, ys = ((len(c.zero_cells), *map(len, c.cells), 0) for c in (x, y))
+        for name, n, m in zip(("map0", "map1", "map2"), xs, ys):
+            object.__setattr__(self, name, exact(getattr(self, name), name, (n,), m))
+
+    @property
+    def maps(self) -> tuple:
+        """The maps indexed by dimension: maps[d] sends d-cells."""
+        return self.map0, self.map1, self.map2
 
 
 def _cell(i, n: int) -> bool:
@@ -266,17 +271,18 @@ def _check_cells(report, name, ends, identity, lower) -> bool:
     return True
 
 
-def _check_table(report, name, ends, identity, table, cells=None, boundary=None) -> dict | None:
+def _check_table(report, name, ends, identity, table, cells=None, lower=None) -> dict | None:
     """Add the category laws of one composition table to `report`.
 
     Cell a runs from ends[a][0] to ends[a][1], identity[o] is the identity
     on object o, and table[(b, a)] is b after a.  Structural: the keys are
     exactly the composable pairs (`-domain`, `-missing`), and each composite
-    c has cells[c] == boundary(b, a) (`-endpoints`; by default it runs from
-    the source of a to the target of b).  Then identities must be units and
-    composition associative.  Each composite is read once, into a dict, and
-    partners come from one index of cells by source: one step per composable
-    pair or triple.  Returns that dict if the table is well formed, else None.
+    c runs (`-endpoints`, by `cells`) from src a to tgt b, or, given the
+    checked table `lower` of their ends, from lower[(src b, src a)] to
+    lower[(tgt b, tgt a)].  Then identities must be units and composition
+    associative.  Each composite is read once, into a dict, and partners
+    come from one index of cells by source: one step per composable pair or
+    triple.  Returns that dict if the table is well formed, else None.
     """
     n = len(ends)
     starting = _positions(s for s, _ in ends)
@@ -292,7 +298,8 @@ def _check_table(report, name, ends, identity, table, cells=None, boundary=None)
     cells = ends if cells is None else cells
     table = dict(table.items())
     for (b, a), c in table.items():
-        want = (ends[a][0], ends[b][1]) if boundary is None else boundary(b, a)
+        (sa, ta), (sb, tb) = cells[a], cells[b]
+        want = (sa, tb) if lower is None else (lower[(sb, sa)], lower[(tb, ta)])
         if not _cell(c, len(cells)) or cells[c] != want:
             report.add_structural(f"{name}-endpoints", (b, a))
     if not report.well_formed:
@@ -311,100 +318,90 @@ def _check_table(report, name, ends, identity, table, cells=None, boundary=None)
 
 
 def check_jcategory(x: FiniteJCategory) -> ValidationReport:
-    """Strict category / 2-category laws on explicit data.
+    """Strict j-category laws on explicit data, one dimension d at a time.
 
-    `_check_table` checks each composition table: 1-cells over 0-cells, and
-    2-cells vertically over 1-cells and horizontally over 0-cells.  Only the
-    axioms tying the tables together are checked here: horizontal composites
-    of identity 2-cells are identities, and interchange.
+    `_check_table` checks each table comp[d-1][k], from k = d-1 down to 0:
+    along k-cells, a d-cell runs between the ends of its source (k+1)-cell,
+    and below k = d-1 a composite between the composites of the ends.  Only
+    the axioms tying the tables together are checked here: below k = d-1,
+    composites of identities are identities, and interchange.
     """
     report = ValidationReport(f"{x.j}-category")
-    if not _check_cells(report, "one", x.one_cells, x.one_identity, [None] * len(x.zero_cells)):
-        return report
-    one = _check_table(report, "one-comp", x.one_cells, x.one_identity, x.one_comp)
-    if one is None or x.j < 2:
-        return report
-    two = x.two_cells
-    if not _check_cells(report, "two", two, x.two_identity, x.one_cells):
-        return report
-    vcomp = _check_table(report, "two-vcomp", two, x.two_identity, x.two_vcomp)
-    if vcomp is None:
-        return report
-
-    def boundary(b, a):
-        (fa, ga), (fb, gb) = two[a], two[b]
-        return one[(fb, fa)], one[(gb, ga)]
-
-    ends = tuple(x.one_cells[f] for f, _ in two)
-    units = tuple(x.two_identity[i] for i in x.one_identity)
-    hcomp = _check_table(report, "two-hcomp", ends, units, x.two_hcomp, two, boundary)
-    if hcomp is None:
-        return report
-    for (g, f), gf in one.items():
-        if hcomp[(x.two_identity[g], x.two_identity[f])] != x.two_identity[gf]:
-            report.add("two-hcomp-identity", (g, f))
-    # interchange, over pairs of vertical pairs whose 0-cell ends meet
-    ending: dict = {}
-    for (a2, a1), a in vcomp.items():
-        ending.setdefault(ends[a][1], []).append((a2, a1, a))
-    for (b2, b1), b in vcomp.items():
-        for a2, a1, a in ending.get(ends[b][0], ()):
-            if hcomp[(b, a)] != vcomp[(hcomp[(b2, a2)], hcomp[(b1, a1)])]:
-                report.add("interchange", (b2, b1, a2, a1))
+    lower, below = (None,) * len(x.zero_cells), {}  # the (d-1)-cells' ends and tables
+    for d in range(1, x.j + 1):
+        cells, identity = x.cells[d - 1], x.identity[d - 1]
+        if not _check_cells(report, _CELL_NAMES[d - 1], cells, identity, lower):
+            return report
+        row: dict = {}  # k -> the checked table of composition along k-cells
+        ends, units = cells, identity
+        for k in reversed(range(d)):
+            name, along = _COMP_NAMES[d - 1][k], below.get(k)
+            table = _check_table(report, name, ends, units, x.comp[d - 1][k], cells, along)
+            if table is None:
+                return report
+            if along is not None:
+                for (g, f), gf in along.items():
+                    if table[(identity[g], identity[f])] != identity[gf]:
+                        report.add(f"{name}-identity", (g, f))
+            for inner in row.values():
+                # over pairs of inner pairs whose k-cell ends meet
+                ending: dict = {}
+                for (a2, a1), a in inner.items():
+                    ending.setdefault(ends[a][1], []).append((a2, a1, a))
+                for (b2, b1), b in inner.items():
+                    for a2, a1, a in ending.get(ends[b][0], ()):
+                        if table[(b, a)] != inner[(table[(b2, a2)], table[(b1, a1)])]:
+                            report.add("interchange", (b2, b1, a2, a1))
+            row[k] = table
+            if k:
+                ends = tuple(x.cells[k - 1][s] for s, _ in ends)
+                units = tuple(units[i] for i in x.identity[k - 1])
+        lower, below = cells, row
     return report
 
 
 def check_jfunctor(fun: JFunctor) -> ValidationReport:
-    """Functoriality per dimension (endpoints, identities, compositions)
-    between j-categories.  An image with the wrong ends is structural and
-    suppresses the composition equations, whose composites need not exist."""
+    """Functoriality per dimension (endpoints, identities, each composition
+    table) between j-categories.  An image with the wrong ends is structural
+    and suppresses the equations, whose composites need not exist."""
     report = ValidationReport(f"{fun.source.j}-functor")
-    x, y = fun.source, fun.target
-    m0, m1, m2 = fun.map0, fun.map1, fun.map2
-    for f, (s, t) in enumerate(x.one_cells):
-        if y.one_cells[m1[f]] != (m0[s], m0[t]):
-            report.add_structural("one-cell-endpoints", (f,))
-    for a, (s, t) in enumerate(x.two_cells):
-        if y.two_cells[m2[a]] != (m1[s], m1[t]):
-            report.add_structural("two-cell-endpoints", (a,))
+    x, y, maps = fun.source, fun.target, fun.maps
+    dims = range(1, x.j + 1)
+    for d in dims:
+        m, lower, ends = maps[d], maps[d - 1], y.cells[d - 1]
+        for a, (s, t) in enumerate(x.cells[d - 1]):
+            if ends[m[a]] != (lower[s], lower[t]):
+                report.add_structural(f"{_CELL_NAMES[d - 1]}-cell-endpoints", (a,))
     if not report.well_formed:
         return report
-    for o, i in enumerate(x.one_identity):
-        if m1[i] != y.one_identity[m0[o]]:
-            report.add("one-identity", (o,))
-    for f, i in enumerate(x.two_identity):
-        if m2[i] != y.two_identity[m1[f]]:
-            report.add("two-identity", (f,))
-    for name, xt, yt, m in (
-        ("one-composition", x.one_comp, y.one_comp, m1),
-        ("two-vcomp", x.two_vcomp, y.two_vcomp, m2),
-        ("two-hcomp", x.two_hcomp, y.two_hcomp, m2),
-    ):
-        for (b, a), c in xt.items():
-            if m[c] != yt[(m[b], m[a])]:
-                report.add(name, (b, a))
+    for d in dims:
+        m, lower, units = maps[d], maps[d - 1], y.identity[d - 1]
+        for o, i in enumerate(x.identity[d - 1]):
+            if m[i] != units[lower[o]]:
+                report.add(f"{_CELL_NAMES[d - 1]}-identity", (o,))
+        for k in reversed(range(d)):
+            yt = y.comp[d - 1][k]
+            for (b, a), c in x.comp[d - 1][k].items():
+                if m[c] != yt[(m[b], m[a])]:
+                    report.add(_COMP_NAMES[d - 1][k], (b, a))
     return report
 
 
-def _invertible_two_cell(x: FiniteJCategory, a: int) -> bool:
-    s, t = x.two_cells[a]
-    for b in x.hom2(t, s):
-        if (
-            x.two_vcomp[(b, a)] == x.two_identity[s]
-            and x.two_vcomp[(a, b)] == x.two_identity[t]
-        ):
-            return True
-    return False
-
-
-def one_cells_internally_equivalent(x: FiniteJCategory, f: int, g: int) -> bool:
-    """Equivalence of parallel 1-cells inside their hom-(j-1)-category."""
-    if x.j == 1:
-        return f == g
-    for a in x.hom2(f, g):
-        if _invertible_two_cell(x, a):
-            return True
-    return False
+def _equivalence(x: FiniteJCategory, d: int, f: int, g: int):
+    """How the parallel d-cells f and g of x are internally equivalent, or
+    None if they are not.  At the top dimension they are when equal, with
+    witness (f,).  Below it the witness is the first pair (a, b), in order,
+    of (d+1)-cells a: f -> g and b: g -> f whose composites b.a and a.b are
+    internally equivalent to the identities on f and on g."""
+    if d == x.j:
+        return (f,) if f == g else None
+    comp, unit, index = x.comp[d][d], x.identity[d], x._hom_index[d]
+    above = partial(_equivalence, x, d + 1)
+    for a in _hom(index, (f, g)):
+        for b in _hom(index, (g, f)):
+            if above(comp[(b, a)], unit[f]) and above(comp[(a, b)], unit[g]):
+                return a, b
+    return None
 
 
 def internally_equivalent(x: FiniteJCategory, x1: int, x2: int):
@@ -413,41 +410,35 @@ def internally_equivalent(x: FiniteJCategory, x1: int, x2: int):
     The witness is a pair (f, g) of 1-cell indices whose two composites are
     internally equivalent to identities in the respective hom-categories.
     """
-    for f in x.hom1(x1, x2):
-        for g in x.hom1(x2, x1):
-            gf = x.one_comp[(g, f)]
-            fg = x.one_comp[(f, g)]
-            if one_cells_internally_equivalent(
-                x, gf, x.one_identity[x1]
-            ) and one_cells_internally_equivalent(x, fg, x.one_identity[x2]):
-                return True, (f, g)
-    return False, None
+    witness = _equivalence(x, 0, x1, x2)
+    return witness is not None, witness
 
 
-def _bounding_pairs(fun: JFunctor):
-    """Yield p, q and the source 2-cells p => q for each pair of parallel
-    source 1-cells whose images bound a target 2-cell, in (p, q) order:
-    the only pairs with a target 2-cell to hit."""
-    x, m1 = fun.source, fun.map1
-    bounded: dict = {}  # target 1-cell -> the targets of its 2-cells
-    for key in fun.target._hom2_index:
+def _bounding_pairs(fun: JFunctor, dim: int):
+    """Yield p, q and the source dim-cells p -> q for each pair of parallel
+    source (dim-1)-cells whose images bound a target dim-cell, in (p, q)
+    order: the only pairs with a target dim-cell to hit."""
+    x, lower = fun.source, fun.maps[dim - 1]
+    below, index = x._hom_index[dim - 2], x._hom_index[dim - 1]
+    bounded: dict = {}  # target (dim-1)-cell -> the targets of its dim-cells
+    for key in fun.target._hom_index[dim - 1]:
         if key.__class__ is tuple and len(key) == 2:
             bounded.setdefault(key[0], []).append(key[1])
-    classes: dict = {}  # ends of a source hom-set -> its 1-cells by image
-    for p, ends in enumerate(x.one_cells):
-        targets = bounded.get(m1[p])
+    classes: dict = {}  # ends of a source hom-set -> its (dim-1)-cells by image
+    for p, ends in enumerate(x.cells[dim - 2]):
+        targets = bounded.get(lower[p])
         if targets is None:
             continue
         by_image = classes.get(ends)
         if by_image is None:
             by_image = classes[ends] = {}
-            for q in x.hom1(*ends):
-                by_image.setdefault(m1[q], []).append(q)
+            for q in _hom(below, ends):
+                by_image.setdefault(lower[q], []).append(q)
         qs = [q for v in targets for q in by_image.get(v, ())]
         if len(targets) > 1:
             qs.sort()
         for q in qs:
-            yield p, q, x.hom2(p, q)
+            yield p, q, _hom(index, (p, q))
 
 
 def _first_unhit(fun: JFunctor, dim: int):
@@ -455,26 +446,26 @@ def _first_unhit(fun: JFunctor, dim: int):
     p, q that no source dim-cell p -> q maps to, or None: on the nose at the
     top dimension, up to internal equivalence below it.
 
-    At dimension 1 every pair of 0-cells is walked; at dimension 2 only the
-    pairs from `_bounding_pairs`, since no other pair has a target 2-cell.
+    At dimension 1 every pair of 0-cells is walked; above it only the pairs
+    from `_bounding_pairs`, since no other pair has a target dim-cell.
     Each hom-set's images are collected once.  At the top dimension beta is
     looked up among them; below it each distinct image is compared with
     beta once, beta itself first when it is an image (and each beta with
     itself once per walk).
     """
     x, y = fun.source, fun.target
+    lower, image = fun.maps[dim - 1], fun.maps[dim].__getitem__
     if dim == 1:
-        lower, image, hom = fun.map0, fun.map1.__getitem__, y.hom1
-        n = len(x.zero_cells)
-        pairs = ((p, q, x.hom1(p, q)) for p in range(n) for q in range(n))
+        n, below = len(x.zero_cells), x._hom_index[0]
+        pairs = ((p, q, _hom(below, (p, q))) for p in range(n) for q in range(n))
     else:
-        lower, image, hom = fun.map1, fun.map2.__getitem__, y.hom2
-        pairs = _bounding_pairs(fun)
+        pairs = _bounding_pairs(fun, dim)
+    index = y._hom_index[dim - 1]
     top = dim == x.j
-    equivalent = partial(one_cells_internally_equivalent, y)
+    equivalent = partial(_equivalence, y, dim)
     reflexive = cache(lambda f: equivalent(f, f))  # asked once per target cell
     for p, q, cells in pairs:
-        betas = hom(lower[p], lower[q])
+        betas = _hom(index, (lower[p], lower[q]))
         if not betas:
             continue
         images = set(map(image, cells))
@@ -490,32 +481,27 @@ def _first_unhit(fun: JFunctor, dim: int):
     return None
 
 
-def _crowded_hom_sets(x: FiniteJCategory, dim: int) -> list:
-    """The hom-sets of two or more dim-cells, ordered by their ends: pairs
-    of 0-cells, or pairs of parallel 1-cells."""
-    index = x._hom1_index if dim == 1 else x._hom2_index
-    n = len(x.zero_cells) if dim == 1 else len(x.one_cells)
-    ends = sorted(
+def _first_clash(fun: JFunctor, dim: int):
+    """The first two parallel source dim-cells with one image, or None.
+
+    Only the hom-sets of two or more dim-cells between parallel
+    (dim-1)-cells are walked, in the order of their ends, one set of images
+    each, and the first with fewer images than cells is searched once for
+    the witness a pairwise search would find: the first cell with a later
+    equal image, and the first such later cell.
+    """
+    x, index, image = fun.source, fun.source._hom_index[dim - 1], fun.maps[dim].__getitem__
+    lower = ((None,) * len(x.zero_cells), *x.cells)[dim - 1]  # the ends of each (dim-1)-cell
+    crowded = sorted(
         key
         for key, cells in index.items()
         if cells.__class__ is not int
         and len(cells) > 1
-        and _pair(key, n)
-        and (dim == 1 or x.one_cells[key[0]] == x.one_cells[key[1]])
+        and _pair(key, len(lower))
+        and lower[key[0]] == lower[key[1]]
     )
-    return [index[key] for key in ends]
-
-
-def _first_clash(fun: JFunctor, dim: int):
-    """The first two parallel source dim-cells with one image, or None.
-
-    Only the hom-sets from `_crowded_hom_sets` are walked, one set of
-    images each, and the first with fewer images than cells is searched
-    once for the witness a pairwise search would find: the first cell with
-    a later equal image, and the first such later cell.
-    """
-    image = (fun.map1 if dim == 1 else fun.map2).__getitem__
-    for cells in _crowded_hom_sets(fun.source, dim):
+    for key in crowded:
+        cells = index[key]
         if len(set(map(image, cells))) == len(cells):
             continue
         first: dict = {}
@@ -526,14 +512,6 @@ def _first_clash(fun: JFunctor, dim: int):
                 best = at, a
         return cells[best[0]], best[1]
     return None
-
-
-def _identity_pair_equivalent(x: FiniteJCategory, x0: int) -> bool:
-    """Whether the pair (identity, identity) passes the test that
-    `internally_equivalent(x, x0, x0)` applies to each pair of 1-cells; its
-    one composite is read through the table."""
-    i = x.one_identity[x0]
-    return i in x.hom1(x0, x0) and one_cells_internally_equivalent(x, x.one_comp[(i, i)], i)
 
 
 def check_external_equivalence(fun: JFunctor) -> Report:
@@ -567,8 +545,10 @@ def check_external_equivalence(fun: JFunctor) -> Report:
     hit = set(images)
     missed = None
     for y0 in range(len(y.zero_cells)):
-        if y0 in hit and _identity_pair_equivalent(y, y0):
-            continue
+        if y0 in hit:
+            i = y.identity[0][y0]
+            if i in y.hom(1, y0, y0) and _equivalence(y, 1, y.comp[0][0][(i, i)], i):
+                continue
         if not any(
             internally_equivalent(y, y1, y0)[0] for y1 in sorted(images, key=lambda y1: y1 != y0)
         ):

@@ -901,7 +901,7 @@ def shift_universe(mcs: list):
         identity=lambda i: identity_monoidal_functor(mcs[i]),
     )
     right = replace(left, zero_cells=tuple(f"moncat#{i}" for i in range(len(mcs))))
-    fun = JFunctor(left, right, tuple(range(len(mcs))), tuple(range(len(left.one_cells))))
+    fun = JFunctor(left, right, tuple(range(len(mcs))), tuple(range(len(left.cells[0]))))
     return functors, fun
 
 

@@ -164,15 +164,16 @@ class TestForgetfulEquivalence:
                 for fi, (i1, k1, f) in enumerate(cells)
                 if k1 == i2
             }
-            assert cat.one_cells == tuple((i, k) for i, k, _ in cells)
-            assert dict(cat.one_comp) == reference
-            assert len(cat.one_comp) == len(reference)
+            comp = cat.comp[0][0]
+            assert cat.cells[0] == tuple((i, k) for i, k, _ in cells)
+            assert dict(comp) == reference
+            assert len(comp) == len(reference)
             n = len(cells)
             for gi in range(n):
                 for fi in range(n):
-                    assert ((gi, fi) in cat.one_comp) == ((gi, fi) in reference)
+                    assert ((gi, fi) in comp) == ((gi, fi) in reference)
             for key in [(0, n), (n, 0), (-1, 0), (0, -1)]:
-                assert key not in cat.one_comp
+                assert key not in comp
 
     def test_universe_is_a_category_and_functor(self):
         _, _, _, fun = forgetful_universe(degenerate_sample(3))
@@ -199,14 +200,14 @@ class TestForgetfulEquivalence:
         assert (fun.map0, fun.map1) == (ref.map0, ref.map1)
         for got, want in ((fun.source, ref.source), (fun.target, ref.target)):
             assert got.zero_cells == want.zero_cells
-            assert got.one_cells == want.one_cells
-            assert got.one_identity == want.one_identity
+            assert got.cells == want.cells
+            assert got.identity == want.identity
             # equal ends give equal keys; every composite of the smaller
             # samples, and an even spread of the 1,086,627 per side of sizes 2 and 4
-            pairs = list(want.one_comp)
-            assert len(got.one_comp) == len(pairs)
+            pairs = list(want.comp[0][0])
+            assert len(got.comp[0][0]) == len(pairs)
             for key in pairs[:: 1 + len(pairs) // 50000]:
-                assert got.one_comp[key] == want.one_comp[key]
+                assert got.comp[0][0][key] == want.comp[0][0][key]
         got = check_forgetful_equivalence(sample).to_payload()
         assert got == reference_forgetful_report(sample).to_payload()
         # the two sides share each hom-set's list, as the reference's cache did
@@ -230,12 +231,13 @@ class TestMonoidCategory:
         index = hom_index(homs, tuple)
         arrows = [h for hs in homs.values() for h in hs]
         assert cat.zero_cells[:3] == ("m#0(n=1)", "m#1(n=2)", "m#2(n=2)")
-        assert cat.one_identity == tuple(index[(a, a, tuple(range(m.size)))] for a, m in enumerate(ms))
+        assert cat.identity[0] == tuple(index[(a, a, tuple(range(m.size)))] for a, m in enumerate(ms))
         pairs = sizes = 0
-        for (gi, fi), c in cat.one_comp.items():
+        ends = cat.cells[0]
+        for (gi, fi), c in cat.comp[0][0].items():
             f, g = arrows[fi], arrows[gi]
             assert arrows[c] == tuple(g[f[x]] for x in range(len(f)))
-            assert cat.one_cells[c] == (cat.one_cells[fi][0], cat.one_cells[gi][1])
+            assert ends[c] == (ends[fi][0], ends[gi][1])
             pairs += 1
             sizes |= 1 << len(f)
         assert sizes == 0b1110 and pairs > 1000

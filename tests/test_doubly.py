@@ -5,8 +5,10 @@ import itertools
 import pickle
 import random
 import re
+import types
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -38,7 +40,7 @@ from deglab.doubly import (
     two_truncation_universe,
     unfaithfulness_witness,
 )
-from deglab.equivalence import check_jcategory, check_jfunctor
+from deglab.equivalence import JFunctor, check_external_equivalence, check_jcategory, check_jfunctor
 from deglab.examples import bool_or_monoid, trivial_monoid, zmod
 from deglab.monoids import (
     FiniteMonoid,
@@ -1029,15 +1031,17 @@ def _functor_cells(dies, one_cells):
 
 
 def assert_tables_equal(x, reference):
-    for table, ref in zip((x.one_comp, x.two_vcomp, x.two_hcomp), reference):
+    for (d, k), ref in zip(((0, 0), (1, 1), (1, 0)), reference):
+        table = x.comp[d][k]
         assert dict(table) == ref
         assert len(table) == len(ref)
-        n = len(x.two_cells) if table is not x.one_comp else len(x.one_cells)
+        n = len(x.cells[d])
         for key in [(0, n), (n, 0), (-1, 0)]:
             assert key not in table
-    for b in range(len(x.one_cells)):
-        for a in range(len(x.one_cells)):
-            assert ((b, a) in x.one_comp) == (x.one_cells[a][1] == x.one_cells[b][0])
+    one = x.cells[0]
+    for b in range(len(one)):
+        for a in range(len(one)):
+            assert ((b, a) in x.comp[0][0]) == (one[a][1] == one[b][0])
 
 
 class TestTwoTruncationComparison:
@@ -1050,7 +1054,7 @@ class TestTwoTruncationComparison:
     @pytest.mark.parametrize("bound", [2, 3])
     def test_two_cells_are_the_pairs_with_a_transformation(self, bound):
         dies, one_cells, two_cells, fun = two_truncation_universe(bound)
-        assert two_cells is fun.source.two_cells
+        assert two_cells is fun.source.cells[1]
         functors = _functor_cells(dies, one_cells)
         want = tuple(
             (f, g)
@@ -1063,7 +1067,7 @@ class TestTwoTruncationComparison:
     def test_tables_match_all_pairs_reference(self):
         dies, one_cells, two_cells, fun = two_truncation_universe(2)
         left = fun.source
-        assert left.one_cells == tuple((s, t) for s, t, _ in one_cells)
+        assert left.cells[0] == tuple((s, t) for s, t, _ in one_cells)
         assert_tables_equal(
             left,
             all_pairs_tables(
@@ -1084,13 +1088,13 @@ class TestTwoTruncationComparison:
             for h in enumerate_homs(m, m2)
         ]
         right = fun.target
-        assert right.one_cells == tuple((i, k) for i, k, _ in r_one)
-        assert right.two_cells == tuple((f, f) for f in range(len(r_one)))
-        assert right.two_identity == tuple(range(len(r_one)))
+        assert right.cells[0] == tuple((i, k) for i, k, _ in r_one)
+        assert right.cells[1] == tuple((f, f) for f in range(len(r_one)))
+        assert right.identity[1] == tuple(range(len(r_one)))
         assert_tables_equal(
             right,
             all_pairs_tables(
-                r_one, lambda h: h.map, compose_homs, right.two_cells
+                r_one, lambda h: h.map, compose_homs, right.cells[1]
             ),
         )
 
@@ -1105,9 +1109,9 @@ class TestTwoTruncationComparison:
         assert list(ref_index) == [(i, k, h) for (i, k), hs in homs.items() for h in hs]
         assert list(ref_index.values()) == list(range(len(ref_index)))
         right = fun.target
-        for name in ("zero_cells", "one_cells", "one_identity", "two_cells", "two_identity"):
+        for name in ("zero_cells", "cells", "identity"):
             assert getattr(right, name) == getattr(ref, name)
-        assert dict(right.one_comp) == dict(ref.one_comp)
+        assert dict(right.comp[0][0]) == dict(ref.comp[0][0])
         assert fun.map0 == tuple(monoids.index(s.monoid) for s in dies)
         assert fun.map1 == tuple(
             ref_index[(fun.map0[s], fun.map0[t], key[0])] for s, t, key in one_cells
@@ -1116,8 +1120,8 @@ class TestTwoTruncationComparison:
     def test_universe_counts_bound_three(self):
         _, one_cells, two_cells, fun = two_truncation_universe(3)
         assert (len(one_cells), len(two_cells)) == (416, 896)
-        assert len(fun.source.one_comp) == 15040
-        assert len(fun.source.two_hcomp) == 77060
+        assert len(fun.source.comp[0][0]) == 15040
+        assert len(fun.source.comp[1][0]) == 77060
 
     def test_equivalence_bound_four(self):
         dies, one_cells, two_cells, _ = two_truncation_universe(4)
@@ -1133,6 +1137,33 @@ class TestTwoTruncationComparison:
         names = {f.criterion for f in rep.findings}
         assert "locally-bijective-on-2-cells" in names
         assert "level-1-comparison-not-faithful" in names
+
+    @pytest.mark.parametrize("bound", [2, 3, 4])
+    def test_level_one_is_not_faithful_through_the_checker(self, bound):
+        # the j = 2 comparison is an equivalence; cut to 1-cells, it identifies
+        # two 1-cells on one hom map that differ in their chosen element, the
+        # failure `level-1-comparison-not-faithful` finds by hand
+        _, one_cells, _, fun = two_truncation_universe(bound)
+        assert check_external_equivalence(fun).ok
+        x, y = (
+            replace(c, cells=c.cells[:1], identity=c.identity[:1], comp=c.comp[:1])
+            for c in (fun.source, fun.target)
+        )
+        rep = check_external_equivalence(JFunctor(x, y, fun.map0, fun.map1))
+        failed = [(f.criterion, f.witness) for f in rep.findings if not f.passed]
+        assert failed == [("locally-faithful-at-top-dimension", {"identified-1-cells": [2, 3]})]
+        (_, _, (h, m, target)), (_, _, (h2, m2, _)) = one_cells[2:4]
+        assert (h, target.size, m, m2) == (h2, 2, 0, 1)
+
+    def test_benchmark_tracer_reads_the_universe_sizes(self):
+        # `perfbench/tracer.py` counts the universe through the category's
+        # tables; only a traced benchmark run would otherwise see a rename
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        tracer = types.ModuleType("tracer")  # run from source: no bytecode is written
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracer.__dict__)
+        t = tracer.Tracer()
+        t._observe("doubly.two_truncation_universe", (), two_truncation_universe(3), None)
+        assert t.universe == {"two_cells": 896, "one_comp_entries": 15040, "two_hcomp_entries": 77060}
 
     def test_key_composition_agrees_with_the_functors(self):
         pairs, disagreements = _key_composition_disagreements(3)
@@ -1189,17 +1220,18 @@ class TestTwoTruncationComparison:
         assert [(s, t, (f.map, f.m, f.target.monoid)) for s, t, f in ref_one_cells] == one_cells
         assert (fun.map0, fun.map1, fun.map2) == (ref.map0, ref.map1, ref.map2)
         x, y = fun.source, ref.source
-        for name in ("zero_cells", "one_cells", "one_identity", "two_cells", "two_identity"):
+        for name in ("zero_cells", "cells", "identity"):
             assert getattr(x, name) == getattr(y, name), name
         rng = random.Random(bound)
-        for name in ("one_comp", "two_vcomp", "two_hcomp"):
-            table, want = getattr(x, name), getattr(y, name)
+        for name in ((0, 0), (1, 1), (1, 0)):
+            d, k = name
+            table, want = x.comp[d][k], y.comp[d][k]
             assert len(table) == len(want), name
             if len(table) <= 100_000:
                 assert dict(table) == dict(want), name
                 continue
             # past that, 2,000 composable pairs drawn at random
-            n = len(x.two_cells) if name != "one_comp" else len(x.one_cells)
+            n = len(x.cells[d])
             drawn = 0
             while drawn < 2000:
                 pair = (rng.randrange(n), rng.randrange(n))
@@ -1224,7 +1256,7 @@ def _key_composition_disagreements(bound):
     x = fun.source
     disagreements = []
     pairs = 0
-    for gi, fi in x.one_comp:
+    for gi, fi in x.comp[0][0]:
         pairs += 1
         c = doubly.compose_dd_functors(functors[gi][2], functors[fi][2])
         key = doubly._compose_keys(one_cells[gi][2], one_cells[fi][2])
@@ -1232,11 +1264,11 @@ def _key_composition_disagreements(bound):
             disagreements.append(("composite", gi, fi))
     for i, d in enumerate(dies):
         ident = identity_dd_functor(d)
-        if one_cells[x.one_identity[i]][2] != (ident.map, ident.m, d.monoid):
-            disagreements.append(("identity", x.one_identity[i]))
+        if one_cells[x.identity[0][i]][2] != (ident.map, ident.m, d.monoid):
+            disagreements.append(("identity", x.identity[0][i]))
     for fi, (s, t, key) in enumerate(one_cells):
-        left = doubly._compose_keys(one_cells[x.one_identity[t]][2], key)
-        right = doubly._compose_keys(key, one_cells[x.one_identity[s]][2])
+        left = doubly._compose_keys(one_cells[x.identity[0][t]][2], key)
+        right = doubly._compose_keys(key, one_cells[x.identity[0][s]][2])
         if left != key or right != key:
             disagreements.append(("identity", fi))
     return pairs, disagreements

@@ -26,37 +26,39 @@ from universes import assert_lookup_matches
 def walking_isomorphism():
     """Two objects, one iso in each direction."""
     return FiniteJCategory(
-        j=1,
         zero_cells=("a", "b"),
-        one_cells=((0, 0), (1, 1), (0, 1), (1, 0)),
-        one_identity=(0, 1),
-        one_comp={
-            (0, 0): 0,
-            (1, 1): 1,
-            (2, 0): 2,
-            (1, 2): 2,
-            (3, 1): 3,
-            (0, 3): 3,
-            (3, 2): 0,
-            (2, 3): 1,
-        },
+        cells=(((0, 0), (1, 1), (0, 1), (1, 0)),),
+        identity=((0, 1),),
+        comp=(
+            (
+                {
+                    (0, 0): 0,
+                    (1, 1): 1,
+                    (2, 0): 2,
+                    (1, 2): 2,
+                    (3, 1): 3,
+                    (0, 3): 3,
+                    (3, 2): 0,
+                    (2, 3): 1,
+                },
+            ),
+        ),
     )
 
 
 def two_points():
     """Two objects, identities only."""
     return FiniteJCategory(
-        j=1,
         zero_cells=("a", "b"),
-        one_cells=((0, 0), (1, 1)),
-        one_identity=(0, 1),
-        one_comp={(0, 0): 0, (1, 1): 1},
+        cells=(((0, 0), (1, 1)),),
+        identity=((0, 1),),
+        comp=(({(0, 0): 0, (1, 1): 1},),),
     )
 
 
 def one_point():
     return FiniteJCategory(
-        j=1, zero_cells=("a",), one_cells=((0, 0),), one_identity=(0,), one_comp={(0, 0): 0}
+        zero_cells=("a",), cells=(((0, 0),),), identity=((0,),), comp=(({(0, 0): 0},),)
     )
 
 
@@ -66,35 +68,52 @@ class TestJCategoryLaws:
 
     def test_missing_composite_is_structural(self):
         bad = FiniteJCategory(
-            j=1,
             zero_cells=("a",),
-            one_cells=((0, 0), (0, 0)),
-            one_identity=(0,),
-            one_comp={(0, 0): 0, (0, 1): 1, (1, 0): 1},
+            cells=(((0, 0), (0, 0)),),
+            identity=((0,),),
+            comp=(({(0, 0): 0, (0, 1): 1, (1, 0): 1},),),
         )
         rep = check_jcategory(bad)
         assert not rep.well_formed
 
     def test_broken_identity_law(self):
         bad = FiniteJCategory(
-            j=1,
             zero_cells=("a",),
-            one_cells=((0, 0), (0, 0)),
-            one_identity=(0,),
-            one_comp={(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 1},
+            cells=(((0, 0), (0, 0)),),
+            identity=((0,),),
+            comp=(({(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 1},),),
         )
         rep = check_jcategory(bad)
         assert any(v.axiom.endswith("identity") for v in rep.violations)
+
+    def test_laws_between_tables_name_their_findings(self):
+        # one 1-cell and the 2-cells of Z/3, vertically added; horizontal max
+        # is unital and associative too, so only interchange fails
+        assert check_jcategory(_z3_on_a_point(lambda a, b: (a + b) % 3)).ok
+        rep = check_jcategory(_z3_on_a_point(max))
+        assert rep.structural == [] and {v.axiom for v in rep.violations} == {"interchange"}
+        assert (len(rep.violations), rep.violations[0].where) == (40, (1, 0, 0, 1))
+        # the horizontal square of the identity 2-cell is not the identity
+        rep = check_jcategory(_z3_on_a_point(lambda a, b: 1 if a == b == 0 else (a + b) % 3))
+        assert ("two-hcomp-identity", (0, 0)) in [(v.axiom, v.where) for v in rep.violations]
+
+
+def _z3_on_a_point(hcomp):
+    """One 0-cell, one 1-cell, and the 2-cells of Z/3: b.a is a + b
+    vertically and hcomp(a, b) horizontally."""
+    add = {(b, a): (a + b) % 3 for a in range(3) for b in range(3)}
+    table = {(b, a): hcomp(a, b) for a in range(3) for b in range(3)}
+    one = {(0, 0): 0}
+    return FiniteJCategory(("*",), (((0, 0),), ((0, 0),) * 3), ((0,), (0,)), ((one,), (table, add)))
 
 
 def arrow():
     """Two objects and one arrow between them."""
     return FiniteJCategory(
-        j=1,
         zero_cells=("a", "b"),
-        one_cells=((0, 0), (1, 1), (0, 1)),
-        one_identity=(0, 1),
-        one_comp={(0, 0): 0, (1, 1): 1, (2, 0): 2, (1, 2): 2},
+        cells=(((0, 0), (1, 1), (0, 1)),),
+        identity=((0, 1),),
+        comp=(({(0, 0): 0, (1, 1): 1, (2, 0): 2, (1, 2): 2},),),
     )
 
 
@@ -102,7 +121,30 @@ def z2_one_cells():
     """One 0-cell, the 1-cells of Z/2, and an identity 2-cell on each."""
     add = {(b, a): (a + b) % 2 for a in range(2) for b in range(2)}
     two_cells, ids = ((0, 0), (1, 1)), {(0, 0): 0, (1, 1): 1}
-    return FiniteJCategory(2, ("*",), ((0, 0), (0, 0)), (0,), add, two_cells, (0, 1), ids, add)
+    return FiniteJCategory(
+        ("*",), (((0, 0), (0, 0)), two_cells), ((0,), (0, 1)), ((add,), (add, ids))
+    )
+
+
+# where each table named by its cells' dimension sits in the per-dimension tuples
+_TABLES = {
+    "one_cells": ("cells", 0),
+    "one_identity": ("identity", 0),
+    "one_comp": ("comp", 0, 0),
+    "two_identity": ("identity", 1),
+    "two_hcomp": ("comp", 1, 0),
+    "two_vcomp": ("comp", 1, 1),
+}
+
+
+def _with_table(x, name, value):
+    """A copy of x with the table `name` (a key of `_TABLES`) set to value."""
+    field, d, *k = _TABLES[name]
+    tables = list(getattr(x, field))
+    if k:
+        value = _with_entry(tables[d], k[0], value)
+    tables[d] = value
+    return replace(x, **{field: tuple(tables)})
 
 
 class TestLawCheckersNeverRaise:
@@ -139,7 +181,7 @@ class TestLawCheckersNeverRaise:
         ],
     )
     def test_bad_one_cell_indices(self, field, value, axiom):
-        rep = check_jcategory(replace(one_point(), **{field: value}))
+        rep = check_jcategory(_with_table(one_point(), field, value))
         assert axiom in {v.axiom for v in rep.structural} and rep.violations == []
 
     @pytest.mark.parametrize(
@@ -148,42 +190,67 @@ class TestLawCheckersNeverRaise:
             ("two_identity", (0, 5), "two-identity-endpoints"),
             ("two_vcomp", {(0, 0): 0, (1, 1): 1, (7, 0): 0}, "two-vcomp-domain"),
             ("two_vcomp", {(0, 0): 0, (1, 1): 7}, "two-vcomp-endpoints"),
-            ("two_hcomp", {**z2_one_cells().two_hcomp, (1, 7): 0}, "two-hcomp-domain"),
-            ("two_hcomp", {**z2_one_cells().two_hcomp, (1, 1): 7}, "two-hcomp-endpoints"),
+            ("two_hcomp", {**z2_one_cells().comp[1][0], (1, 7): 0}, "two-hcomp-domain"),
+            ("two_hcomp", {**z2_one_cells().comp[1][0], (1, 1): 7}, "two-hcomp-endpoints"),
         ],
     )
     def test_bad_two_cell_indices(self, field, value, axiom):
         assert check_jcategory(z2_one_cells()).ok
-        rep = check_jcategory(replace(z2_one_cells(), **{field: value}))
+        rep = check_jcategory(_with_table(z2_one_cells(), field, value))
         assert axiom in {v.axiom for v in rep.structural} and rep.violations == []
 
     def test_composites_with_wrong_ends_are_structural(self):
         # 1 . 1 in the vertical table lands on the identity 2-cell of the wrong 1-cell
-        rep = check_jcategory(replace(z2_one_cells(), two_vcomp={(0, 0): 0, (1, 1): 0}))
+        rep = check_jcategory(_with_table(z2_one_cells(), "two_vcomp", {(0, 0): 0, (1, 1): 0}))
         assert [(v.axiom, v.where) for v in rep.structural] == [("two-vcomp-endpoints", (1, 1))]
         # 1 * 1 must run between 1-cells 1 + 1 = 0, not 1
         hcomp = {(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 1}
-        rep = check_jcategory(replace(z2_one_cells(), two_hcomp=hcomp))
+        rep = check_jcategory(_with_table(z2_one_cells(), "two_hcomp", hcomp))
         assert [(v.axiom, v.where) for v in rep.structural] == [("two-hcomp-endpoints", (1, 1))]
 
     def test_each_table_names_its_laws(self):
-        z2 = FiniteJCategory(1, ("*",), ((0, 0), (0, 0)), (0,), z2_one_cells().one_comp)
+        z2 = FiniteJCategory(("*",), (((0, 0), (0, 0)),), ((0,),), z2_one_cells().comp[:1])
         assert check_jcategory(z2).ok
-        flat = {key: 0 for key in z2.one_comp}
-        rep = check_jcategory(replace(z2, one_comp=flat))
+        flat = {key: 0 for key in z2.comp[0][0]}
+        rep = check_jcategory(_with_table(z2, "one_comp", flat))
         laws = {v.axiom for v in rep.violations}
         assert laws == {"one-comp-left-identity", "one-comp-right-identity"}
         x = _z2_on_a_point()
         assert check_jcategory(x).ok
-        flat = {key: 0 for key in x.two_vcomp}
+        flat = {key: 0 for key in x.comp[1][1]}
         for table in ("two-vcomp", "two-hcomp"):
-            rep = check_jcategory(replace(x, **{table.replace("-", "_"): flat}))
+            rep = check_jcategory(_with_table(x, table.replace("-", "_"), flat))
             assert not rep.structural
             laws = {v.axiom for v in rep.violations}
             assert {f"{table}-left-identity", f"{table}-right-identity"} <= laws
 
 
+def retract(two_cells):
+    """Objects a, b and 1-cells f: a -> b, g: b -> a with f.g = id_b and
+    g.f = e, an idempotent other than id_a; locally thin, with a 2-cell
+    p => q for each pair in two_cells and an identity on each 1-cell."""
+    table = {("e", "e"): "e", ("f", "e"): "f", ("e", "g"): "g", ("g", "f"): "e", ("f", "g"): "id_b"}
+    return hom_indexed_category(
+        ("a", "b"),
+        {(0, 0): ["e", "id_a"], (0, 1): ["f"], (1, 0): ["g"], (1, 1): ["id_b"]},
+        key=str,
+        compose=lambda g, f: f if g[:3] == "id_" else g if f[:3] == "id_" else table[(g, f)],
+        identity=lambda i: ("id_a", "id_b")[i],
+        two_cell=lambda p, q: p == q or (p, q) in two_cells,
+    )[0]
+
+
 class TestInternalEquivalence:
+    def test_equivalence_through_a_non_identity_composite(self):
+        # g.f = e is no identity, but 2-cells e => id_a => e make it equivalent to one
+        x = retract({("e", "id_a"), ("id_a", "e")})
+        assert check_jcategory(x).ok
+        assert internally_equivalent(x, 0, 1) == (True, (2, 3))
+        # with e => id_a alone, no 2-cell inverts it
+        x = retract({("e", "id_a")})
+        assert check_jcategory(x).ok
+        assert internally_equivalent(x, 0, 1) == (False, None)
+
     def test_equal_objects(self):
         x = one_point()
         ok, witness = internally_equivalent(x, 0, 0)
@@ -221,14 +288,17 @@ class TestExternalEquivalence:
     def test_parallel_collapse_fails_faithfulness(self):
         # two parallel arrows mapping to one
         x = FiniteJCategory(
-            j=1,
             zero_cells=("a",),
-            one_cells=((0, 0), (0, 0), (0, 0)),
-            one_identity=(0,),
-            one_comp={
-                (0, 0): 0, (0, 1): 1, (1, 0): 1, (0, 2): 2, (2, 0): 2,
-                (1, 1): 0, (1, 2): 2, (2, 1): 2, (2, 2): 0,
-            },
+            cells=(((0, 0), (0, 0), (0, 0)),),
+            identity=((0,),),
+            comp=(
+                (
+                    {
+                        (0, 0): 0, (0, 1): 1, (1, 0): 1, (0, 2): 2, (2, 0): 2,
+                        (1, 1): 0, (1, 2): 2, (2, 1): 2, (2, 2): 0,
+                    },
+                ),
+            ),
         )
         y = one_point()
         fun = JFunctor(x, y, (0,), (0, 0, 0))
@@ -263,12 +333,13 @@ class TestExternalEquivalence:
             fun = JFunctor(x, y, m0, m1)
             rep = check_external_equivalence(fun)
             full = all(
-                {fun.map1[a] for a in x.hom1(x1, x2)} >= set(y.hom1(fun.map0[x1], fun.map0[x2]))
+                {fun.map1[a] for a in x.hom(1, x1, x2)}
+                >= set(y.hom(1, fun.map0[x1], fun.map0[x2]))
                 for x1 in range(len(x.zero_cells))
                 for x2 in range(len(x.zero_cells))
             )
             faithful = all(
-                len({fun.map1[a] for a in x.hom1(x1, x2)}) == len(x.hom1(x1, x2))
+                len({fun.map1[a] for a in x.hom(1, x1, x2)}) == len(x.hom(1, x1, x2))
                 for x1 in range(len(x.zero_cells))
                 for x2 in range(len(x.zero_cells))
             )
@@ -362,15 +433,10 @@ class TestExternalEquivalence:
     def test_dimension_mismatch_rejected(self):
         x = one_point()
         y = FiniteJCategory(
-            j=2,
             zero_cells=("a",),
-            one_cells=((0, 0),),
-            one_identity=(0,),
-            one_comp={(0, 0): 0},
-            two_cells=((0, 0),),
-            two_identity=(0,),
-            two_vcomp={(0, 0): 0},
-            two_hcomp={(0, 0): 0},
+            cells=(((0, 0),), ((0, 0),)),
+            identity=((0,), (0,)),
+            comp=(({(0, 0): 0},), ({(0, 0): 0}, {(0, 0): 0})),
         )
         with pytest.raises(StructuralError):
             JFunctor(x, y, (0,), (0,))
@@ -389,13 +455,12 @@ def _z2_on_a_point():
     """One 0-cell, one 1-cell, and the two 2-cells of Z/2 under both compositions."""
     add = {(b, a): (a + b) % 2 for a in range(2) for b in range(2)}
     one = {(0, 0): 0}
-    return FiniteJCategory(2, ("*",), ((0, 0),), (0,), one, ((0, 0), (0, 0)), (0,), add, add)
+    return FiniteJCategory(("*",), (((0, 0),), ((0, 0), (0, 0))), ((0,), (0,)), ((one,), (add, add)))
 
 
 def _point2():
-    return FiniteJCategory(
-        2, ("*",), ((0, 0),), (0,), {(0, 0): 0}, ((0, 0),), (0,), {(0, 0): 0}, {(0, 0): 0}
-    )
+    one = {(0, 0): 0}
+    return FiniteJCategory(("*",), (((0, 0),), ((0, 0),)), ((0,), (0,)), ((one,), (one, one)))
 
 
 def _failing_functors():
@@ -406,19 +471,19 @@ def _failing_functors():
     full = forgetful_universe(sample)[3]
     x, y = full.source, full.target
     # the first hom-set with two 1-cells, and a 1-cell outside it
-    a1, a2 = next(h for h in map(x.hom1, *zip(*x.one_cells)) if len(h) >= 2)[:2]
-    other = next(f for f, e in enumerate(x.one_cells) if e != x.one_cells[a1])
+    a1, a2 = next(h for h in (x.hom(1, *e) for e in x.cells[0]) if len(h) >= 2)[:2]
+    other = next(f for f, e in enumerate(x.cells[0]) if e != x.cells[0][a1])
     two = two_truncation_universe(2)[3]
     s = two.source
     # a 1-cell whose image no other 1-cell of its hom-set shares, and one that differs
     b1, b2 = next(
         (b, d)
-        for h in map(s.hom1, *zip(*s.one_cells))
+        for h in (s.hom(1, *e) for e in s.cells[0])
         for b in h
         for d in h
         if [two.map1[c] for c in h].count(two.map1[b]) == 1 and two.map1[d] != two.map1[b]
     )
-    c = next(a for a, (f, g) in enumerate(s.two_cells) if f != g)
+    c = next(a for a, (f, g) in enumerate(s.cells[1]) if f != g)
     return {
         "j1-partial-sample": forgetful_universe(
             [m for i, m in enumerate(sample) if i not in (4, 7)]
@@ -504,9 +569,10 @@ def cyclic(n, arrows, two_cell=None):
 class TestHomIndexedCategory:
     def test_tables_match_all_pairs_reference(self):
         cat, one_cell = cyclic(3, range(3))
-        assert check_jcategory(cat).ok and cat.j == 1 and cat.two_cells == ()
-        assert dict(cat.one_comp) == {(g, f): (g + f) % 3 for g in range(3) for f in range(3)}
-        assert len(cat.one_comp) == len(dict(cat.one_comp)) == 9
+        assert check_jcategory(cat).ok and cat.j == 1 and len(cat.cells) == 1
+        comp = cat.comp[0][0]
+        assert dict(comp) == {(g, f): (g + f) % 3 for g in range(3) for f in range(3)}
+        assert len(comp) == len(dict(comp)) == 9
         absent = [(0, 0, 3), (0, 0, -1), (0, 1, 0), (1, 0, 0)]
         assert_lookup_matches(one_cell, {(0, 0): range(3)}, lambda a: a % 3, absent)
 
@@ -516,20 +582,21 @@ class TestHomIndexedCategory:
         assert check_jcategory(cat).ok
         cells = [(f, g) for f in range(3) for g in range(3)]
         pos = {cell: a for a, cell in enumerate(cells)}
-        assert cat.two_cells == tuple(cells)
-        assert cat.two_identity == tuple(pos[(f, f)] for f in range(3))
-        assert dict(cat.two_vcomp) == {
+        hcomp, vcomp = cat.comp[1]
+        assert cat.cells[1] == tuple(cells)
+        assert cat.identity[1] == tuple(pos[(f, f)] for f in range(3))
+        assert dict(vcomp) == {
             (b, a): pos[(f1, g2)]
             for b, (f2, g2) in enumerate(cells)
             for a, (f1, g1) in enumerate(cells)
             if g1 == f2
         }
-        assert dict(cat.two_hcomp) == {
+        assert dict(hcomp) == {
             (b, a): pos[((f2 + f1) % 3, (g2 + g1) % 3)]
             for b, (f2, g2) in enumerate(cells)
             for a, (f1, g1) in enumerate(cells)
         }
-        assert len(cat.two_vcomp) == 27 and len(cat.two_hcomp) == 81
+        assert len(vcomp) == 27 and len(hcomp) == 81
 
     def test_two_cell_is_a_test_and_nothing_it_returns_is_kept(self):
         class Answer:
@@ -546,7 +613,7 @@ class TestHomIndexedCategory:
             return answers[-1]
 
         cat, _ = cyclic(2, range(2), two_cell=two_cell)
-        assert cat.two_cells == ((0, 0), (0, 1), (1, 1))
+        assert cat.cells[1] == ((0, 0), (0, 1), (1, 1))
         refs = [weakref.ref(a) for a in answers]
         del answers
         gc.collect()
@@ -560,7 +627,7 @@ class TestHomIndexedCategory:
             compose=lambda g, f: g if f in ("a", "b") else f,
             identity=lambda i: "ab"[i],
         )
-        table = cat.one_comp
+        table = cat.comp[0][0]
         assert list(table) == [(0, 0), (1, 0), (2, 1), (2, 2)]
         assert dict(table) == {(0, 0): 0, (1, 0): 1, (2, 1): 1, (2, 2): 2}
         assert len(table) == 4
@@ -574,17 +641,17 @@ class TestHomIndexedCategory:
 
     def test_missing_composite_raises_invalid_structure(self):
         cat, _ = cyclic(3, [0, 1])
-        assert cat.one_comp[(1, 0)] == 1
+        assert cat.comp[0][0][(1, 0)] == 1
         with pytest.raises(InvalidStructureError):
-            cat.one_comp[(1, 1)]  # 1 + 1 = 2 is not in the hom-set
+            cat.comp[0][0][(1, 1)]  # 1 + 1 = 2 is not in the hom-set
         with pytest.raises(InvalidStructureError):
             cyclic(3, [1, 2])  # no identity
         # the 2-cell 1 => 2 exists, but its horizontal square 2 => 4 = 1 does not
         some = {(0, 0), (1, 1), (2, 2), (1, 2)}
         thin, _ = cyclic(3, range(3), two_cell=lambda f, g: (f, g) in some)
-        a = thin.two_cells.index((1, 2))
+        a = thin.cells[1].index((1, 2))
         with pytest.raises(InvalidStructureError):
-            thin.two_hcomp[(a, a)]
+            thin.comp[1][0][(a, a)]
         with pytest.raises(InvalidStructureError):  # identity 2-cells on 1 and 2 are missing
             cyclic(3, range(3), two_cell=lambda f, g: f == g == 0)
 
@@ -592,17 +659,17 @@ class TestHomIndexedCategory:
         cat, one_cell = cyclic(3, [0, 1, 4, 2])  # 4 and 1 share the key 1
         assert one_cell(0, 0, 1) == 1 and one_cell(0, 0, 2) == 3
         assert_lookup_matches(one_cell, {(0, 0): [0, 1, 4, 2]}, lambda a: a % 3, [(0, 0, 3)])
-        assert cat.one_comp[(3, 3)] == 1  # 2 + 2 = 4, found as the first arrow keyed 1
-        assert cat.one_comp[(2, 0)] == 1
+        assert cat.comp[0][0][(3, 3)] == 1  # 2 + 2 = 4, found as the first arrow keyed 1
+        assert cat.comp[0][0][(2, 0)] == 1
 
     def test_first_arrow_wins_in_every_run_of_equal_keys(self):
         # keys 0, 0, 0, 1, 1, 2, 2: each key found at the start of its run
         arrows = [0, 3, 6, 1, 4, 2, 5]
         cat, one_cell = cyclic(3, arrows)
         assert [one_cell(0, 0, kv) for kv in range(3)] == [0, 3, 5]
-        assert cat.one_identity == (0,)
-        assert cat.one_comp[(4, 4)] == 5  # 4 + 4 = 8, keyed 2
-        assert cat.one_comp[(2, 1)] == 0  # 6 + 3 = 9, keyed 0
+        assert cat.identity[0] == (0,)
+        assert cat.comp[0][0][(4, 4)] == 5  # 4 + 4 = 8, keyed 2
+        assert cat.comp[0][0][(2, 1)] == 0  # 6 + 3 = 9, keyed 0
         homs = {(0, 0): arrows}
         assert assert_lookup_matches(one_cell, homs, lambda a: a % 3, [(0, 0, 3), (0, 0, -1)]) == 2
 
@@ -624,7 +691,7 @@ class TestHomIndexedCategory:
                 one_cell(i, k, kv)
         assert [one_cell(0, 0, kv) for kv in (0, 2, 5)] == [0, 1, 2]
         with pytest.raises(InvalidStructureError):  # 2 + 5 = 0 but 5 + 5 = 3 is absent
-            cyclic(7, [0, 2, 5])[0].one_comp[(2, 2)]
+            cyclic(7, [0, 2, 5])[0].comp[0][0][(2, 2)]
         with pytest.raises(InvalidStructureError):  # the identity 0 is absent
             cyclic(7, [2, 5])
 
@@ -642,7 +709,7 @@ class TestHomIndexedCategory:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        cells = len(fun.source.one_cells) + len(fun.target.one_cells)
+        cells = len(fun.source.cells[0]) + len(fun.target.cells[0])
         assert cells == 15788
         assert held / cells < 150, held / cells
 
@@ -658,8 +725,8 @@ class TestHomIndexedCategory:
             return hom_indexed_category(("*",), homs, lambda a: a % 2, compose, lambda i: 0)[0]
 
         x, y = build(), build()
-        assert x.one_comp == x.one_comp
-        assert x.one_comp != y.one_comp
-        assert x.one_comp != {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
+        assert x.comp[0][0] == x.comp[0][0]
+        assert x.comp[0][0] != y.comp[0][0]
+        assert x.comp[0][0] != {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
         assert x == x and x != y
         assert calls == []

@@ -192,8 +192,8 @@ class TestShift:
         assert check_jcategory(fun.target).ok
         assert check_jfunctor(fun).ok
         assert fun.target.zero_cells != fun.source.zero_cells
-        assert fun.target.one_comp is fun.source.one_comp
-        assert len(fun.source.one_cells) == sum(len(fs) for fs in functors.values())
+        assert fun.target.comp[0][0] is fun.source.comp[0][0]
+        assert len(fun.source.cells[0]) == sum(len(fs) for fs in functors.values())
 
     def test_hom_bijection_on_discrete_pairs(self):
         a = discrete_monoidal(zmod(2))

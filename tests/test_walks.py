@@ -99,14 +99,13 @@ class TestReferenceWalks:
 def _relabel(cat, perm):
     """A hand-built copy of a 1-category with 1-cell a renumbered perm[a]."""
     one_cells = [None] * len(perm)
-    for a, ends in enumerate(cat.one_cells):
+    for a, ends in enumerate(cat.cells[0]):
         one_cells[perm[a]] = ends
     return FiniteJCategory(
-        1,
         cat.zero_cells,
-        tuple(one_cells),
-        tuple(perm[i] for i in cat.one_identity),
-        {(perm[g], perm[f]): perm[c] for (g, f), c in cat.one_comp.items()},
+        (tuple(one_cells),),
+        (tuple(perm[i] for i in cat.identity[0]),),
+        (({(perm[g], perm[f]): perm[c] for (g, f), c in cat.comp[0][0].items()},),),
     )
 
 
@@ -128,15 +127,10 @@ def _z2_by_z3():
         for f2, k2 in cells
     }
     return FiniteJCategory(
-        2,
         ("*",),
-        ((0, 0), (0, 0)),
-        (0,),
-        {(g, f): (f + g) % 2 for f in range(2) for g in range(2)},
-        tuple((f, f) for f, _ in cells),
-        (pos[(0, 0)], pos[(1, 0)]),
-        vcomp,
-        hcomp,
+        (((0, 0), (0, 0)), tuple((f, f) for f, _ in cells)),
+        ((0,), (pos[(0, 0)], pos[(1, 0)])),
+        (({(g, f): (f + g) % 2 for f in range(2) for g in range(2)},), (hcomp, vcomp)),
     )
 
 
@@ -144,13 +138,13 @@ class TestHandBuiltCategories:
     def test_interleaved_one_cells(self, universes):
         fun = universes["forgetful<=3"]
         rng = random.Random(3)
-        ps = list(range(len(fun.source.one_cells)))
-        pt = list(range(len(fun.target.one_cells)))
+        ps = list(range(len(fun.source.cells[0])))
+        pt = list(range(len(fun.target.cells[0])))
         rng.shuffle(ps)
         rng.shuffle(pt)
         x, y = _relabel(fun.source, ps), _relabel(fun.target, pt)
         # the hom-sets now interleave
-        assert any(list(h) != list(range(h[0], h[0] + len(h))) for h in x._hom1_index.values())
+        assert any(list(h) != list(range(h[0], h[0] + len(h))) for h in x._hom_index[0].values())
         map1 = [None] * len(ps)
         for a, b in enumerate(fun.map1):
             map1[ps[a]] = pt[b]
@@ -164,7 +158,7 @@ class TestHandBuiltCategories:
     def test_interleaved_crowded_two_cells(self):
         x = _z2_by_z3()
         assert equivalence.check_jcategory(x).ok
-        assert x.hom2(0, 0) == [0, 2, 4] and x.hom2(1, 1) == [1, 3, 5]
+        assert x.hom(2, 0, 0) == [0, 2, 4] and x.hom(2, 1, 1) == [1, 3, 5]
         identity = JFunctor(x, x, (0,), (0, 1), range(6))
         assert walk_differences(identity) == [] and check_external_equivalence(identity).ok
         # Z/3 onto its trivial quotient: each hom-set of 2-cells clashes, first at 0 and 2
@@ -206,8 +200,10 @@ class TestHandBuiltCategories:
         z2 = {(g, f): (f + g) % 2 for f in range(2) for g in range(2)}
         ids = {(0, 0): 0, (1, 1): 1}
         one = ((0, 0), (0, 0))
-        x = FiniteJCategory(2, ("*",), one, (0,), z2, ((0, 0), (1, 1)), (0, 1), ids, {})
-        y = FiniteJCategory(2, ("*",), one, (0,), z2, ((0, 0),), (0, 0), {(0, 0): 0}, {})
+        x = FiniteJCategory(("*",), (one, ((0, 0), (1, 1))), ((0,), (0, 1)), ((z2,), ({}, ids)))
+        y = FiniteJCategory(
+            ("*",), (one, ((0, 0),)), ((0,), (0, 0)), ((z2,), ({}, {(0, 0): 0}))
+        )
         fun = JFunctor(x, y, (0,), (0, 1), (0, 0))
         assert walk_differences(fun) == []
         finding = check_external_equivalence(fun).findings[1]
@@ -215,15 +211,10 @@ class TestHandBuiltCategories:
         # two 2-cells between the non-parallel identities of two 0-cells are
         # no hom-set, so sharing an image is no clash
         x = FiniteJCategory(
-            2,
             ("a", "b"),
-            ((0, 0), (1, 1)),
-            (0, 1),
-            {(0, 0): 0, (1, 1): 1},
-            ((0, 0), (1, 1), (0, 1), (0, 1)),
-            (0, 1),
-            ids,
-            {},
+            (((0, 0), (1, 1)), ((0, 0), (1, 1), (0, 1), (0, 1))),
+            ((0, 1), (0, 1)),
+            (({(0, 0): 0, (1, 1): 1},), ({}, ids)),
         )
         fun = JFunctor(x, x, (0, 1), (0, 1), (0, 1, 2, 2))
         assert walk_differences(fun) == []
@@ -233,7 +224,7 @@ class TestHandBuiltCategories:
         # one 0-cell and the 1-cells of Z/4: images A, B, B, A clash first at
         # (1, 2) in a single pass, but the pairwise search meets (0, 3) first
         add = {(g, f): (f + g) % 4 for f in range(4) for g in range(4)}
-        z4 = FiniteJCategory(1, ("*",), ((0, 0),) * 4, (0,), add)
+        z4 = FiniteJCategory(("*",), (((0, 0),) * 4,), ((0,),), ((add,),))
         cases = (((0, 1, 1, 0), [0, 3]), ((0, 1, 2, 1), [1, 3]), ((2, 2, 2, 2), [0, 1]))
         for map1, witness in cases:
             fun = JFunctor(z4, z4, (0,), map1)
@@ -248,12 +239,12 @@ class TestCopiesRebuildTheirIndex:
         _, _, _, fun = two_truncation_universe(2)
         x = fun.source
         # the hom-sets numbered by `hom_indexed_category`, handed over
-        assert isinstance(x._hom1_index[(0, 0)], range)
-        f, g = x.two_cells[-1]
-        assert x.hom2(f, g) == (len(x.two_cells) - 1,)
-        copy = replace(x, two_cells=x.two_cells[:-1])
-        assert "_hom2_index" not in vars(copy) and "_hom1_index" not in vars(copy)
-        assert len(copy.hom2(f, g)) == 0 and list(copy.hom1(0, 0)) == list(x.hom1(0, 0))
+        assert isinstance(x._hom_index[0][(0, 0)], range)
+        f, g = x.cells[1][-1]
+        assert x.hom(2, f, g) == (len(x.cells[1]) - 1,)
+        copy = replace(x, cells=(x.cells[0], x.cells[1][:-1]))
+        assert "_hom_index" not in vars(copy)
+        assert len(copy.hom(2, f, g)) == 0 and list(copy.hom(1, 0, 0)) == list(x.hom(1, 0, 0))
         dropped = JFunctor(copy, fun.target, fun.map0, fun.map1, fun.map2[:-1])
         assert walk_differences(dropped) == []
         assert not check_external_equivalence(dropped).ok
@@ -261,27 +252,27 @@ class TestCopiesRebuildTheirIndex:
     def test_moved_one_cell_is_found_in_its_new_hom_set(self):
         fun = forgetful_universe(degenerate_sample(2))[3]
         x = fun.source
-        assert isinstance(x._hom1_index[(0, 1)], range)
-        a = x.hom1(0, 1)[0]
-        copy = replace(x, one_cells=_with_entry(x.one_cells, a, (1, 0)))
-        assert a not in copy.hom1(0, 1) and a in copy.hom1(1, 0)
-        assert a in x.hom1(0, 1)
+        assert isinstance(x._hom_index[0][(0, 1)], range)
+        a = x.hom(1, 0, 1)[0]
+        copy = replace(x, cells=(_with_entry(x.cells[0], a, (1, 0)),))
+        assert a not in copy.hom(1, 0, 1) and a in copy.hom(1, 1, 0)
+        assert a in x.hom(1, 0, 1)
         assert walk_differences(JFunctor(copy, fun.target, fun.map0, fun.map1)) == []
 
 
 def _corrupted_identity(y, y0):
     """A hand-built copy of y in which id . id on y0 is another 1-cell."""
-    i = y.one_identity[y0]
-    other = next(f for f in y.hom1(y0, y0) if f != i)
-    return replace(y, one_comp={**dict(y.one_comp), (i, i): other})
+    i = y.identity[0][y0]
+    other = next(f for f in y.hom(1, y0, y0) if f != i)
+    return replace(y, comp=(({**dict(y.comp[0][0]), (i, i): other},),))
 
 
 def _has_other_automorphism(y, y0):
-    i = y.one_identity[y0]
+    i, comp = y.identity[0][y0], y.comp[0][0]
     return any(
-        f != i and y.one_comp[(g, f)] == i and y.one_comp[(f, g)] == i
-        for f in y.hom1(y0, y0)
-        for g in y.hom1(y0, y0)
+        f != i and comp[(g, f)] == i and comp[(f, g)] == i
+        for f in y.hom(1, y0, y0)
+        for g in y.hom(1, y0, y0)
     )
 
 
@@ -312,7 +303,7 @@ class TestCorruptedIdentityComposite:
         y0 = next(
             k
             for k in range(len(y.zero_cells))
-            if len(y.hom1(k, k)) > 1 and _has_other_automorphism(y, k) == automorphism
+            if len(y.hom(1, k, k)) > 1 and _has_other_automorphism(y, k) == automorphism
         )
         bad = replace(fun, target=_corrupted_identity(y, y0))
         calls = self._count_searches(monkeypatch)
@@ -337,26 +328,27 @@ class TestTwoCellCounts:
         """(name, source, map2) with one 2-cell dropped, duplicated or added
         between maps that differ, in the first, a middle and the last place."""
         x = fun.source
-        n = len(x.two_cells)
+        two = x.cells[1]
+        n = len(two)
         out = []
         for k in _first_middle_last(range(n)):
-            drop = x.two_cells[:k] + x.two_cells[k + 1 :], fun.map2[:k] + fun.map2[k + 1 :]
+            drop = two[:k] + two[k + 1 :], fun.map2[:k] + fun.map2[k + 1 :]
             out.append((f"drop-{k}", *drop))
-            out.append((f"twin-{k}", x.two_cells + (x.two_cells[k],), fun.map2 + (fun.map2[k],)))
+            out.append((f"twin-{k}", two + (two[k],), fun.map2 + (fun.map2[k],)))
         unequal = [
             (fi, gi)
             for fi, (s, t, key) in enumerate(one_cells)
-            for gi in x.hom1(s, t)
+            for gi in x.hom(1, s, t)
             if key[0] != one_cells[gi][2][0]
         ]
         for fi, gi in _first_middle_last(unequal):
-            out.append((f"extra-{fi}-{gi}", x.two_cells + ((fi, gi),), fun.map2 + (fun.map2[0],)))
+            out.append((f"extra-{fi}-{gi}", two + ((fi, gi),), fun.map2 + (fun.map2[0],)))
         # an extra pair early and a dropped cell late, and the other way round
         fi, gi = unequal[-1]
-        out.append(("extra-late-drop-early", x.two_cells[1:] + ((fi, gi),), fun.map2))
+        out.append(("extra-late-drop-early", two[1:] + ((fi, gi),), fun.map2))
         fi, gi = unequal[0]
-        out.append(("extra-early-drop-late", x.two_cells[:-1] + ((fi, gi),), fun.map2))
-        return [(name, replace(x, two_cells=cells), map2) for name, cells, map2 in out]
+        out.append(("extra-early-drop-late", two[:-1] + ((fi, gi),), fun.map2))
+        return [(name, replace(x, cells=(x.cells[0], cells)), map2) for name, cells, map2 in out]
 
     def test_valid_universe_counts_every_pair(self, universe):
         one_cells, fun = universe

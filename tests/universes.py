@@ -198,8 +198,8 @@ def reference_two_truncation_universe(bound: int):
     mpos = {m: i for i, m in enumerate(monoids)}
     map0 = tuple(mpos[s.monoid] for s in dies)
     map1 = tuple(right_one_cell(map0[s], map0[t], f.map) for (s, t, f) in one_cells)
-    map2 = tuple(map1[f] for f, _ in left.two_cells)
-    return dies, one_cells, left.two_cells, JFunctor(left, right, map0, map1, map2)
+    map2 = tuple(map1[f] for f, _ in left.cells[1])
+    return dies, one_cells, left.cells[1], JFunctor(left, right, map0, map1, map2)
 
 
 def reference_two_equivalence_report(bound: int) -> Report:

@@ -3,7 +3,6 @@ and `check_two_equivalence` made before they walked only the hom-sets that
 can fail.  Each visits every parallel pair of cells, so its findings and
 witnesses are the ones the faster walks must reproduce."""
 
-from functools import partial
 from itertools import repeat
 from operator import eq
 
@@ -12,7 +11,6 @@ from deglab.equivalence import (
     _first_unhit,
     check_external_equivalence,
     internally_equivalent,
-    one_cells_internally_equivalent,
 )
 from deglab.report import Report
 
@@ -25,11 +23,31 @@ def parallel_homs(fun, dim):
         n = len(x.zero_cells)
         for p in range(n):
             for q in range(n):
-                yield p, q, x.hom1(p, q)
+                yield p, q, x.hom(1, p, q)
     else:
-        for p, ends in enumerate(x.one_cells):
-            for q in x.hom1(*ends):
-                yield p, q, x.hom2(p, q)
+        for p, ends in enumerate(x.cells[0]):
+            for q in x.hom(1, *ends):
+                yield p, q, x.hom(2, p, q)
+
+
+def one_cell_equivalence(y):
+    """Equivalence of 1-cells f, g of the 2-category y: some 2-cells
+    a: f => g and b: g => f have the identities on f and on g as their
+    vertical composites b.a and a.b.  One scan of y's 2-cell tuple groups
+    the 2-cells by their ends; `hom` is not read."""
+    between: dict = {}
+    for a, ends in enumerate(y.cells[1]):
+        between.setdefault(ends, []).append(a)
+    vcomp, identity = y.comp[1][1], y.identity[1]
+
+    def equivalent(f, g):
+        return any(
+            vcomp[(b, a)] == identity[f] and vcomp[(a, b)] == identity[g]
+            for a in between.get((f, g), ())
+            for b in between.get((g, f), ())
+        )
+
+    return equivalent
 
 
 def first_unhit(fun, dim):
@@ -37,12 +55,11 @@ def first_unhit(fun, dim):
     p, q that no source dim-cell p -> q maps to, or None; every image is
     compared with every beta."""
     y = fun.target
-    equivalent = eq if dim == fun.source.j else partial(one_cells_internally_equivalent, y)
+    equivalent = eq if dim == fun.source.j else one_cell_equivalence(y)
     lower, cell_map = (fun.map0, fun.map1) if dim == 1 else (fun.map1, fun.map2)
-    hom = y.hom1 if dim == 1 else y.hom2
     image = cell_map.__getitem__
     for p, q, cells in parallel_homs(fun, dim):
-        for beta in hom(lower[p], lower[q]):
+        for beta in y.hom(dim, lower[p], lower[q]):
             if not any(map(equivalent, map(image, cells), repeat(beta))):
                 return p, q, beta
     return None
@@ -77,8 +94,8 @@ def first_miscounted_pair(one_cells, x):
     (fi, gi, count, expected), or None; every parallel pair is counted.
     one_cells lists (source, target, key), each key's map first."""
     for fi, (s1, t1, f) in enumerate(one_cells):
-        for gi in x.hom1(s1, t1):
-            count = len(x.hom2(fi, gi))
+        for gi in x.hom(1, s1, t1):
+            count = len(x.hom(2, fi, gi))
             expected = 1 if f[0] == one_cells[gi][2][0] else 0
             if count != expected:
                 return fi, gi, count, expected
