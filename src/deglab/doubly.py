@@ -10,9 +10,16 @@ exhaustively on each instance.
 
 from dataclasses import dataclass, replace
 from itertools import count
+from operator import itemgetter
 
 from .degenerate import monoid_category
-from .equivalence import JFunctor, _hom, check_external_equivalence, hom_indexed_category
+from .equivalence import (
+    JFunctor,
+    _hom,
+    check_external_equivalence,
+    hom_indexed_category,
+    hom_set_cells,
+)
 from .monoids import (
     CMonDIE,
     FiniteMonoid,
@@ -697,9 +704,10 @@ def two_truncation_universe(bound: int):
     The image side is `degenerate.monoid_category` over the distinct
     monoids of the instances, with identity 2-cells only: its 1-cells are
     the plain map tuples of `hom_maps`, and map1 sends each 1-cell to its
-    map, found by binary search of the image hom-set.  Both sides'
-    hom-sets are in ascending key order, as `hom_indexed_category`
-    requires: `hom_maps` is lexicographic and `units` ascending.
+    map, filled one hom-set at a time by `hom_set_cells`, which reads the
+    positions of each image hom-set once.  Both sides' 1-cells are their
+    own keys, in ascending order, as `hom_indexed_category` requires:
+    `hom_maps` is lexicographic and `units` ascending.
     """
     dies = cmon_die_universe(bound)
     by_monoids: dict = {}
@@ -716,7 +724,6 @@ def two_truncation_universe(bound: int):
     left, _ = hom_indexed_category(
         tuple(f"die#{i}(n={s.monoid.size},d={s.die})" for i, s in enumerate(dies)),
         homs,
-        key=tuple,
         compose=_compose_keys,
         identity=lambda i: _identity_key(dies[i].monoid),
         two_cell=lambda f, g: f[0] == g[0],
@@ -724,21 +731,19 @@ def two_truncation_universe(bound: int):
     one_cells = [(s, t, key) for (s, t), keys in homs.items() for key in keys]
 
     monoids = list(dict.fromkeys(s.monoid for s in dies))
+    right_homs = {
+        (i, k): hom_maps(m, m2) for i, m in enumerate(monoids) for k, m2 in enumerate(monoids)
+    }
     # the discrete side: identity 2-cells only
-    right, right_one_cell = monoid_category(
-        "cmon",
-        monoids,
-        {
-            (i, k): hom_maps(m, m2)
-            for i, m in enumerate(monoids)
-            for k, m2 in enumerate(monoids)
-        },
-        two_cell=lambda f, g: f is g,
-    )
+    right, _ = monoid_category("cmon", monoids, right_homs, two_cell=lambda f, g: f is g)
 
     mpos = {m: i for i, m in enumerate(monoids)}
     map0 = tuple(mpos[s.monoid] for s in dies)
-    map1 = tuple(right_one_cell(map0[s], map0[t], key[0]) for (s, t, key) in one_cells)
+    map1 = hom_set_cells(
+        right,
+        right_homs,
+        (((map0[s], map0[t]), map(itemgetter(0), keys)) for (s, t), keys in homs.items()),
+    )
     map2 = tuple(map1[f] for f, _ in left.cells[1])
     fun = JFunctor(left, right, map0, map1, map2)
     return dies, one_cells, left.cells[1], fun

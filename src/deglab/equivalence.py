@@ -18,7 +18,8 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
-from operator import gt
+from itertools import accumulate, chain, repeat
+from operator import ge, gt
 
 from .report import InvalidStructureError, Report, StructuralError, ValidationReport, exact
 
@@ -141,36 +142,43 @@ def _position(index: dict, key) -> int:
     return pos
 
 
-def hom_indexed_category(zero_cells, homs, key, compose, identity, two_cell=None):
+def hom_indexed_category(zero_cells, homs, *, compose, identity, key=None, two_cell=None):
     """Assemble a finite 1- or 2-category from explicit hom-sets.
 
     homs[(i, k)] lists the arrows from 0-cell i to 0-cell k in ascending
-    order of key(arrow), else InvalidStructureError naming the hom-set;
-    equal keys may repeat.  1-cells are numbered in that order, so the
-    1-cells i -> k are one contiguous range, and a 1-cell is found again
-    by (i, k, key) through a binary search of its range, the first arrow
-    with the key winning; nothing is kept per 1-cell beyond the arrow and
-    its ends.  compose(g, f) is g after f and identity(i) the identity on
-    0-cell i; each result must lie in its hom-set, else
-    InvalidStructureError.  With two_cell(f, g) given, the result is a
-    locally thin 2-category with a 2-cell f => g for each parallel pair on
-    which two_cell returns a true value, ordered by source, then target;
-    nothing two_cell returns is kept.  The category's `hom` reads this
-    numbering: the ranges at dimension 1, and each 2-cell by its ends.
+    order of key(arrow), or of the arrows themselves when no key is given,
+    else InvalidStructureError naming the hom-set; equal keys may repeat.
+    The order is checked once per distinct hom-set object.  1-cells are
+    numbered in that order, laid out in bulk: the 1-cells i -> k are one
+    contiguous range, read off the running total of the hom-set lengths,
+    and the arrows and ends are the hom-sets and their keys chained.  A
+    1-cell is found again by (i, k, key) through a binary search of its
+    range, the first arrow with the key winning; nothing is kept per
+    1-cell beyond the arrow and its ends.  compose(g, f) is g after f and
+    identity(i) the identity on 0-cell i; each result must lie in its
+    hom-set, else InvalidStructureError.  With two_cell(f, g) given, the
+    result is a locally thin 2-category with a 2-cell f => g for each
+    parallel pair on which two_cell returns a true value, ordered by
+    source, then target; nothing two_cell returns is kept.  The
+    category's `hom` reads this numbering: the ranges at dimension 1, and
+    each 2-cell by its ends.
 
     Returns (category, one_cell): one_cell(i, k, key) is the 1-cell i -> k
     with that key, or InvalidStructureError if there is none.
     """
-    arrows, ends, span = [], [], {}
-    for e, hom in homs.items():  # each cell's ends are its hom-set's key, shared
-        span[e] = range(len(arrows), len(arrows) + len(hom))
-        arrows += hom
-        ends += [e] * len(hom)
-        if len(hom) > 1:
-            keys = list(map(key, hom))
+    own = key is None
+    lengths = list(map(len, homs.values()))
+    starts = list(accumulate(lengths, initial=0))
+    span = {e: range(a, b) for e, a, b in zip(homs, starts, starts[1:])}
+    arrows = list(chain.from_iterable(homs.values()))
+    ends = tuple(chain.from_iterable(map(repeat, homs, lengths)))  # one ends tuple per hom-set
+    checked = set()
+    for e, hom in homs.items():
+        if len(hom) > 1 and id(hom) not in checked:
+            checked.add(id(hom))
+            keys = hom if own else list(map(key, hom))
             if any(map(gt, keys, keys[1:])):
                 raise InvalidStructureError(f"hom-set {e!r} is not in ascending key order")
-    ends = tuple(ends)
 
     def one_cell(i, k, kv):
         cells = span.get((i, k))
@@ -179,15 +187,18 @@ def hom_indexed_category(zero_cells, homs, key, compose, identity, two_cell=None
                 pos = bisect_left(arrows, kv, cells.start, cells.stop, key=key)
             except TypeError:  # kv does not compare with the hom-set's keys
                 pos = cells.stop
-            if pos < cells.stop and key(arrows[pos]) == kv:
+            if pos < cells.stop and (arrows[pos] if own else key(arrows[pos])) == kv:
                 return pos
         raise InvalidStructureError(f"composite or identity {(i, k, kv)!r} missing from its hom-set")
 
     def compose_one(g, f):
-        return one_cell(ends[f][0], ends[g][1], key(compose(arrows[g], arrows[f])))
+        arrow = compose(arrows[g], arrows[f])
+        return one_cell(ends[f][0], ends[g][1], arrow if own else key(arrow))
 
     zero_cells = tuple(zero_cells)
-    one_identity = tuple(one_cell(i, i, key(identity(i))) for i in range(len(zero_cells)))
+    one_identity = tuple(
+        one_cell(i, i, identity(i) if own else key(identity(i))) for i in range(len(zero_cells))
+    )
     # per dimension: the cells, their identities, composition tables and hom index
     dims = [(ends, one_identity, (_Composites(ends, compose_one),), span)]
     if two_cell is not None:
@@ -215,6 +226,38 @@ def hom_indexed_category(zero_cells, homs, key, compose, identity, two_cell=None
     cat = FiniteJCategory(zero_cells, cells, identities, comps)
     object.__setattr__(cat, "_hom_index", index)
     return cat, one_cell
+
+
+def hom_set_cells(target: FiniteJCategory, homs, images) -> tuple:
+    """The 1-cells of `target` that `images` names, one hom-set at a time.
+
+    `target` is built by `hom_indexed_category` from `homs`, its arrows
+    their own keys.  `images` yields, for each source hom-set in order,
+    the ends (p, q) of a target hom-set and the arrows it sends its
+    1-cells to there.  Arrows that are the target hom-set itself, strictly
+    ascending, name its range as it stands.  Otherwise the positions of
+    each target hom-set are read once, into a dict from arrow to 1-cell
+    in which the first of equal arrows wins, as it does for `one_cell`.
+    An arrow missing from its target hom-set raises InvalidStructureError.
+    """
+    index = target._hom_index[0]
+    positions: dict = {}  # ends of a target hom-set -> its 1-cells by arrow
+    out: list = []
+    for ends, arrows in images:
+        hom = homs.get(ends, ())
+        if arrows is hom and not any(map(ge, hom, hom[1:])):
+            out += _hom(index, ends)
+            continue
+        pos = positions.get(ends)
+        if pos is None:  # built from the back, so the first of equal arrows wins
+            pos = positions[ends] = dict(zip(reversed(hom), reversed(_hom(index, ends))))
+        try:
+            out += map(pos.__getitem__, arrows)
+        except KeyError as missing:
+            raise InvalidStructureError(
+                f"1-cell {(*ends, missing.args[0])!r} missing from its hom-set"
+            ) from None
+    return tuple(out)
 
 
 @dataclass(frozen=True)

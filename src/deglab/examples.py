@@ -7,6 +7,8 @@ unital nor strictly associative on object indices, which is what the
 composition-failure witnesses need.
 """
 
+import functools
+
 from .fincat import FiniteCategory
 from .monoids import FiniteMonoid
 from .monoidal import FinMonoidalCategory
@@ -182,22 +184,27 @@ def arrow_category() -> FiniteCategory:
     return FiniteCategory(2, morphisms, identities, comp)
 
 
-def stock_monoidal_universe(bound: int) -> list:
-    """The stock sample of monoidal categories, filtered by size.
-
-    Size is the larger of the object and morphism counts.  All finite
-    monoidal categories of a given size cannot be enumerated, so positive
-    category-level verdicts are relative to this sample.
-    """
-    stock = [
+@functools.cache
+def _stock() -> tuple:
+    """The five stock monoidal categories, built once per process."""
+    return (
         discrete_monoidal(trivial_monoid()),
         discrete_monoidal(zmod(2)),
         discrete_monoidal(bool_or_monoid()),
         sign_category(),
         nand_pair(),
-    ]
-    return [
-        mc
-        for mc in stock
-        if max(mc.base.n_objects, len(mc.base.morphisms)) <= bound
-    ]
+    )
+
+
+def stock_monoidal_universe(bound: int) -> list:
+    """The stock sample of monoidal categories, filtered by size.
+
+    Size is the larger of the object and morphism counts.  All finite
+    monoidal categories of a given size cannot be enumerated, so positive
+    category-level verdicts are relative to this sample.  Every call in a
+    process, at every bound, returns a new list of the same five
+    instances (or those of them within the bound), so the functor
+    searches memoized on them (see `monoidal.FinMonoidalCategory`) run
+    once per pair in a process.
+    """
+    return [mc for mc in _stock() if max(mc.base.n_objects, len(mc.base.morphisms)) <= bound]

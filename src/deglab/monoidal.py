@@ -13,7 +13,7 @@ a bug.
 """
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .equivalence import JFunctor, check_external_equivalence, hom_indexed_category
 from .fincat import (
@@ -30,6 +30,19 @@ from .report import InvalidStructureError, Report, StructuralError, ValidationRe
 
 @dataclass(frozen=True)
 class FinMonoidalCategory:
+    """A finite monoidal category, given by explicit tables over `base`.
+
+    Two attributes may be kept on an instance outside the dataclass
+    fields, so equality, hashing, repr and JSON ignore them:
+    `_monoidal_functors`, the memo of `enumerate_monoidal_functors` with
+    the instance as source, keyed by the id of each target, and
+    `_monoidal_targets`, the list of those targets, which keeps every
+    memoized id taken.  As on `monoids.FiniteMonoid`, each is set with
+    `object.__setattr__`, and a copy made by `dataclasses.replace`,
+    `copy.copy`, `copy.deepcopy` or `pickle` starts without them: the
+    state is the fields only, so a copy searches afresh.
+    """
+
     base: FiniteCategory
     tensor_obj: tuple  # n x n object indices
     tensor_mor: tuple  # m x m morphism indices
@@ -53,6 +66,9 @@ class FinMonoidalCategory:
             *((name, (n,), m) for name in ("lunit", "lunit_inv", "runit", "runit_inv")),
         ):
             object.__setattr__(self, name, exact(getattr(self, name), name, shape, count))
+
+    def __getstate__(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def check_monoidal(mc: FinMonoidalCategory) -> ValidationReport:
@@ -331,7 +347,27 @@ def enumerate_monoidal_functors(src: FinMonoidalCategory, tgt: FinMonoidalCatego
     evaluated (see `_comparison_search_plan`), with the expressions of
     `check_monoidal_functor`, so the functors kept are exactly those it
     passes, in the order of the product of choices.
+
+    The search runs once per pair of objects in a process, as `hom_maps`
+    does: its list is memoized on `src` under id(tgt), with `tgt` kept
+    alive in `src._monoidal_targets` (see `FinMonoidalCategory`), and each
+    call returns a new list of the same functor objects.
     """
+    try:
+        memo = src._monoidal_functors
+    except AttributeError:
+        memo = {}
+        object.__setattr__(src, "_monoidal_functors", memo)
+        object.__setattr__(src, "_monoidal_targets", [])
+    found = memo.get(id(tgt))
+    if found is None:
+        found = memo[id(tgt)] = tuple(_search_monoidal_functors(src, tgt))
+        src._monoidal_targets.append(tgt)
+    return list(found)
+
+
+def _search_monoidal_functors(src: FinMonoidalCategory, tgt: FinMonoidalCategory) -> list:
+    """The backtracking search of `enumerate_monoidal_functors`, run afresh."""
     c, d = src.base, tgt.base
     n = c.n_objects
     last = n * n - 1

@@ -415,19 +415,22 @@ def _unital_associative_tables(n: int, commutative_only: bool):
     it as ab or bc are found through a row or column; those that read it
     as (ab)c or a(bc) come from a preimage index of the known inner cells
     by value, kept in step with each placement and its undo, so no check
-    scans the table.  A placement that passes is then compared with
-    its image under every relabeling that fixes 0: inner cells in
-    row-major order, stopping at the first cell unknown on either side.
-    The node is pruned if the image is strictly smaller at the first cell
-    where the two differ; a strictly smaller prefix stays smaller in every
-    completion.  Likewise a strictly larger image stays larger, so that
-    relabeling is not compared again below the node.  Leaves are compared
-    in full, so the search yields exactly the lex-least unit-0 table of
-    each isomorphism class (isomorphisms fix the unit).
+    scans the table.  A placement that passes, at a diagonal cell or at
+    the last cell of a row, is then compared with its image under every
+    relabeling that fixes 0: inner cells in row-major order, stopping at
+    the first cell unknown on either side.  The node is pruned if the
+    image is strictly smaller at the first cell where the two differ; a
+    strictly smaller prefix stays smaller in every completion.  Likewise a
+    strictly larger image stays larger, so that relabeling is not compared
+    again below the node.  Skipping the compare at the other cells only
+    delays a prune.  The last cell ends a row, so leaves are compared in
+    full, and the search yields exactly the lex-least unit-0 table of each
+    isomorphism class (isomorphisms fix the unit).
     """
     cells = [(x, y) for x in range(1, n) for y in range(1, n)]
     if commutative_only:
         cells = [(x, y) for (x, y) in cells if x <= y]
+    compare = [x == y or y == n - 1 for x, y in cells]  # the cells the lex-leader compare follows
     table = [[None] * n for _ in range(n)]
     for i in range(n):
         table[0][i] = i
@@ -520,7 +523,7 @@ def _unital_associative_tables(n: int, commutative_only: bool):
                 row_y[x] = v
                 known.append((y, x))
             if consistent_after(x, y) and (not mirror or consistent_after(y, x)):
-                still = undecided(live)
+                still = undecided(live) if compare[k] else live
                 if still is not None:
                     yield from place(k + 1, still)
             known.pop()
@@ -626,7 +629,8 @@ def _search_hom_maps(source: FiniteMonoid, target: FiniteMonoid) -> tuple:
     unit_row = t[tu]
     unit_values = [v for v in values if unit_row[v] == v == t[v][tu]]
     intern = _INTERNED.setdefault
-    homs = tuple([intern(h, h) for h in kernel(t, tu, values, unit_values)])
+    found = kernel(t, tu, values, unit_values)
+    homs = tuple(map(intern, found, found))
     return intern(homs, homs)
 
 

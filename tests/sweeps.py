@@ -202,6 +202,9 @@ SWEEPS = {
     "enumerate": (enumerated(), {
         5: ((228, "825413da449482a62816796821122ea53fe72b5fb9c2e152c9654bf068ebd660"), None),
         6: ((2237, "c0bc8e9150408b459249b1bdf5412102a2051f5a6129f80bb8e4c4b0ee09f8af"), None),
+        # ROADMAP item 5's order-7 target (29.4 s and 99.4 MB, most of it
+        # the search); peak RSS at most 120 MB
+        7: ((31559, "2fa0fbafdb090275965d903211a12449a7460a9e302e73439998ec2ca05f7838"), 120),
     }),
     # OEIS A058131
     "enumerate-commutative": (enumerated("--commutative"), {
@@ -213,17 +216,18 @@ SWEEPS = {
     # names, bound 5 that of ROADMAP items 17 and 19.  Peak RSS at bound 5
     # must stay at most 250 MB, so neither a per-1-cell index, a
     # per-hom-set copy of the hom maps, nor a per-functor homomorphism
-    # object can quietly come back (4.0 s and 193.9 MB, with the universe's
-    # 1-cells as keys and functor objects built for the restriction only).
+    # object can quietly come back (3.4 s and 189.8 MB, with the universe's
+    # 1-cells their own keys, map1 filled one hom-set at a time, and
+    # functor objects built for the restriction only).
     "thm-vdbe": (suite("thm-vdbe"), {
         3: (("pass", "8ebf9c16ecbb67f9604fa99b42c435681130f8f307727baa9acdcc7e04edf6af"), None),
         4: (("pass", "cca80ec85997ff8109513672e7281621cfba60aa108c144d42d74a99769938a3"), None),
         5: (("pass", "895c3904477007121186f90b69c415de275b0a0887de3bad91de09eb66d8c2e7"), 250),
     }),
     # the object-forgetting comparison over every monoid of size <= 5,
-    # 613,610 1-cells per side; peak RSS at most 200 MB (2.7 s and 104.6
-    # MB), which leaves room for an independent hom-set oracle (ROADMAP
-    # item 1)
+    # 613,610 1-cells per side; peak RSS at most 200 MB (1.5 s and 107.1
+    # MB, map1 filled one hom-set at a time), which leaves room for an
+    # independent hom-set oracle (ROADMAP item 1)
     "thm-dce": (suite("thm-dce"), {
         3: (("pass", "2e484cc2b66da55145044afbea506b4e0ba108c8e3d00c807e65dc527f5b6a3d"), None),
         5: (("pass", "9145bcb100eb52c20c737af7cd7537b442e69b47391d6cfbb66eea37ed392d9c"), 200),

@@ -1,5 +1,6 @@
 import pytest
 
+from deglab import degenerate
 from deglab.degenerate import (
     DegNatTrans,
     DegenerateCategory,
@@ -131,6 +132,24 @@ class TestForgetfulEquivalence:
         names = {f.criterion for f in rep.findings}
         assert "surjective-on-the-nose" in names
         assert "hom-set-bijection" in names
+
+    @pytest.mark.parametrize("edit", ["repeat", "drop", "reorder"])
+    def test_bijection_fails_on_a_left_hom_set_that_is_not_its_right_one(self, monkeypatch, edit):
+        # the left side shares each right tuple by construction, so the
+        # finding is only reached through a universe patched to break that
+        sample = degenerate_sample(3)
+        right, left_homs, right_homs, fun = degenerate.forgetful_universe(sample)
+        ends = next(e for e, hs in left_homs.items() if len(hs) > 1)
+        hs = left_homs[ends]
+        # a reordered hom-set is still a bijection, settled by its sets
+        patched = {"repeat": hs[:1] + hs[:-1], "drop": hs[:-1], "reorder": hs[::-1]}[edit]
+        universe = (right, {**left_homs, ends: patched}, right_homs, fun)
+        monkeypatch.setattr(degenerate, "forgetful_universe", lambda _: universe)
+        found = {f.criterion: f for f in check_forgetful_equivalence(sample).findings}
+        bijection = found["hom-set-bijection"]
+        assert bijection.passed is (edit == "reorder")
+        if edit != "reorder":
+            assert bijection.witness == {"pair": list(ends)}
 
     def test_relabeled_sample_breaks_on_the_nose_but_not_essential(self):
         # a non-canonical labeling of the two-element group, replacing the

@@ -9,7 +9,14 @@ from dataclasses import replace
 
 import pytest
 
-from deglab.degenerate import check_forgetful_equivalence, degenerate_sample, forgetful_universe
+from deglab.degenerate import (
+    check_forgetful_equivalence,
+    degenerate_sample,
+    forgetful_universe,
+    monoid_category,
+    monoid_to_cat,
+)
+from deglab.doubly import two_truncation_universe
 from deglab.equivalence import (
     FiniteJCategory,
     JFunctor,
@@ -17,8 +24,10 @@ from deglab.equivalence import (
     check_jcategory,
     check_jfunctor,
     hom_indexed_category,
+    hom_set_cells,
     internally_equivalent,
 )
+from deglab.monoids import FiniteMonoid, hom_maps
 from deglab.report import InvalidStructureError, StructuralError
 from universes import assert_lookup_matches
 
@@ -678,7 +687,9 @@ class TestHomIndexedCategory:
             cyclic(3, [0, 2, 1])
         homs = {(0, 0): ["a"], (0, 1): ["b", "a"], (1, 1): ["b"]}
         with pytest.raises(InvalidStructureError, match=r"hom-set \(0, 1\)"):
-            hom_indexed_category(("x", "y"), homs, str, lambda g, f: g, lambda i: "ab"[i])
+            hom_indexed_category(
+                ("x", "y"), homs, key=str, compose=lambda g, f: g, identity=lambda i: "ab"[i]
+            )
         # equal keys may repeat; only a descent is out of order
         cyclic(3, [0, 3, 1])
 
@@ -722,7 +733,9 @@ class TestHomIndexedCategory:
 
         def build():
             homs = {(0, 0): [0, 1]}
-            return hom_indexed_category(("*",), homs, lambda a: a % 2, compose, lambda i: 0)[0]
+            return hom_indexed_category(
+                ("*",), homs, key=lambda a: a % 2, compose=compose, identity=lambda i: 0
+            )[0]
 
         x, y = build(), build()
         assert x.comp[0][0] == x.comp[0][0]
@@ -730,3 +743,86 @@ class TestHomIndexedCategory:
         assert x.comp[0][0] != {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
         assert x == x and x != y
         assert calls == []
+
+
+def _one_cell_map1(one_cell, images):
+    """map1 by the per-1-cell binary search: images yields (p, q, arrow)."""
+    return tuple(one_cell(p, q, arrow) for p, q, arrow in images)
+
+
+class TestHomSetCells:
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            degenerate_sample(1),
+            degenerate_sample(2),
+            degenerate_sample(3),
+            # a non-canonical table beside the canonical ones: a right
+            # monoid of its own, beside an equal copy of a canonical table
+            degenerate_sample(2)
+            + [
+                monoid_to_cat(FiniteMonoid(2, 1, ((1, 0), (0, 1)))),
+                monoid_to_cat(FiniteMonoid(2, 0, ((0, 1), (1, 1)))),
+            ],
+        ],
+        ids=["sizes<=1", "sizes<=2", "sizes<=3", "non-canonical"],
+    )
+    def test_forgetful_map1_is_the_one_cell_search(self, sample):
+        right, left_homs, right_homs, fun = forgetful_universe(sample)
+        _, one_cell = monoid_category("monoid", right, right_homs)
+        map0 = fun.map0
+        images = [(map0[i], map0[k], h) for (i, k), hs in left_homs.items() for h in hs]
+        want = _one_cell_map1(one_cell, images)
+        assert fun.map1 == want
+        # the same through the positions of each hom-set, with every left
+        # hom-set a copy, not the right side's tuple
+        copies = [((map0[i], map0[k]), list(hs)) for (i, k), hs in left_homs.items()]
+        assert all(hs is not right_homs[ends] for ends, hs in copies)
+        assert hom_set_cells(fun.target, right_homs, copies) == want
+
+    def test_two_truncation_map1_is_the_one_cell_search(self):
+        dies, one_cells, _, fun = two_truncation_universe(3)
+        monoids = list(dict.fromkeys(s.monoid for s in dies))
+        homs = {(i, k): hom_maps(m, m2) for i, m in enumerate(monoids) for k, m2 in enumerate(monoids)}
+        _, one_cell = monoid_category("cmon", monoids, homs, two_cell=lambda f, g: f is g)
+        images = [(fun.map0[s], fun.map0[t], key[0]) for s, t, key in one_cells]
+        assert len(images) == 416
+        assert fun.map1 == _one_cell_map1(one_cell, images)
+
+    def test_repeated_arrow_maps_to_its_first_copy(self):
+        homs = {(0, 0): (0, 1, 1, 2)}
+        cat, one_cell = hom_indexed_category(
+            ("*",), homs, compose=lambda g, f: (g + f) % 3, identity=lambda i: 0
+        )
+        assert one_cell(0, 0, 1) == 1
+        # the hom-set itself, not strictly ascending, is not read as its range
+        assert hom_set_cells(cat, homs, [((0, 0), homs[(0, 0)])]) == (0, 1, 1, 3)
+        assert hom_set_cells(cat, homs, [((0, 0), [1, 2, 1, 0])]) == (1, 3, 1, 0)
+
+    def test_missing_map_raises_invalid_structure(self):
+        right, left_homs, right_homs, fun = forgetful_universe(degenerate_sample(3))
+        ends = next(e for e, hs in right_homs.items() if len(hs) > 1 and e[0] != e[1])
+        short = {**right_homs, ends: right_homs[ends][:-1]}
+        target, _ = monoid_category("monoid", right, short)
+        images = [((fun.map0[i], fun.map0[k]), hs) for (i, k), hs in left_homs.items()]
+        with pytest.raises(InvalidStructureError, match="missing from its hom-set"):
+            hom_set_cells(target, short, images)
+        # and an image hom-set that the target lacks altogether
+        with pytest.raises(InvalidStructureError, match="missing from its hom-set"):
+            hom_set_cells(fun.target, right_homs, [((len(right), 0), [(0,)])])
+
+    def test_neighbouring_image_flips_local_faithfulness(self):
+        _, _, _, fun = forgetful_universe(degenerate_sample(3))
+        criterion = "locally-faithful-at-top-dimension"
+
+        def faithful(map1):
+            report = check_external_equivalence(JFunctor(fun.source, fun.target, fun.map0, map1))
+            return {f.criterion: f.passed for f in report.findings}[criterion]
+
+        assert faithful(fun.map1)
+        # the first 1-cell of a hom-set of two or more, sent to its neighbour
+        ends = fun.source.cells[0]
+        a = next(a for a in range(len(ends) - 1) if ends[a] == ends[a + 1])
+        patched = list(fun.map1)
+        patched[a] += 1
+        assert not faithful(tuple(patched))

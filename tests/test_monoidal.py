@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import time
 from dataclasses import replace
 
@@ -321,6 +323,65 @@ class TestFunctorSearch:
         # here; the incremental search must not walk it
         assert elapsed < 1.0, elapsed
 
+
+
+class TestSharedSearch:
+    @staticmethod
+    def count_functor_searches(monkeypatch):
+        calls = []
+        search = monoidal.enumerate_functors
+
+        def counted(c, d):
+            calls.append((c, d))
+            return search(c, d)
+
+        monkeypatch.setattr(monoidal, "enumerate_functors", counted)
+        return calls
+
+    def test_stock_instances_are_shared_at_every_call_and_bound(self):
+        full = stock_monoidal_universe(5)
+        assert len(full) == 5 and stock_monoidal_universe(5) is not full
+        sizes = [max(mc.base.n_objects, len(mc.base.morphisms)) for mc in full]
+        for bound in range(1, 6):
+            want = [id(mc) for mc, n in zip(full, sizes) if n <= bound]
+            for _ in range(2):
+                assert [id(mc) for mc in stock_monoidal_universe(bound)] == want
+
+    def test_second_search_returns_a_new_list_of_the_same_functors(self, monkeypatch):
+        a, b = sign_category(), nand_pair()  # fresh objects, so no memo yet
+        calls = self.count_functor_searches(monkeypatch)
+        first = enumerate_monoidal_functors(a, b)
+        searched = len(calls)
+        assert first and searched == 1
+        again = enumerate_monoidal_functors(a, b)
+        assert again == first and again is not first
+        assert all(x is y for x, y in zip(again, first))
+        assert len(calls) == searched
+        # another target object, even an equal one, is its own search
+        assert enumerate_monoidal_functors(a, replace(b)) == first
+        assert len(calls) == searched + 1
+        assert set(vars(a)) >= {"_monoidal_functors", "_monoidal_targets"}
+
+    COPIES = {
+        "copy": copy.copy,
+        "deepcopy": copy.deepcopy,
+        "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+        "replace": replace,
+    }
+
+    @pytest.mark.parametrize("route", sorted(COPIES))
+    def test_copies_carry_no_memo_and_search_afresh(self, monkeypatch, route):
+        a = sign_category()
+        want = enumerate_monoidal_functors(a, a)
+        fields = set(vars(sign_category()))
+        assert set(vars(a)) > fields
+        c = self.COPIES[route](a)
+        assert c is not a and c == a and set(vars(c)) == fields
+        calls = self.count_functor_searches(monkeypatch)
+        got = enumerate_monoidal_functors(c, c)
+        assert len(calls) == 1 and got == want
+        assert all(f.source is c and f.target is c for f in got)
+        assert pickle.dumps(a) == pickle.dumps(sign_category())
 
 class TestDegTransformations:
     def test_identity_transformation_unitor_components(self):

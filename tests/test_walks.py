@@ -178,7 +178,8 @@ class TestHandBuiltCategories:
         # source 1-cell come from several image classes and must be merged
         def codiscrete(n):
             return hom_indexed_category(
-                ("*",), {(0, 0): range(n)}, lambda a: a % n, lambda g, f: g + f, lambda i: 0,
+                ("*",), {(0, 0): range(n)}, key=lambda a: a % n, compose=lambda g, f: g + f,
+                identity=lambda i: 0,
                 two_cell=lambda f, g: True,
             )[0]
 
