@@ -40,6 +40,9 @@ from .report import (
     StructuralError,
     ValidationReport,
     exact,
+    fields_state,
+    kept,
+    new_memo,
 )
 
 # the serials of `DDFunctor` instances, one each, never reused in a process
@@ -55,6 +58,9 @@ class DDBicat:
     positive int cell count, and every cell index an exact int in
     range(cells).  Axiom-violating data can be represented, checked, and
     exhibited.
+
+    Kept on an instance (see `report.kept`): the die `extract_cmon_die`
+    read off it.  `build_ddbicat` also records the die it was built from.
     """
 
     cells: int
@@ -76,6 +82,8 @@ class DDBicat:
             exact(getattr(self, name), name, (), n)
         for name in ("vcomp", "hcomp"):
             object.__setattr__(self, name, exact(getattr(self, name), name, (n, n), n))
+
+    __getstate__ = fields_state
 
 
 @dataclass(frozen=True)
@@ -325,26 +333,22 @@ def build_ddbicat(s: CMonDIE) -> DDBicat:
     return b
 
 
-# instance attributes of a `DDBicat`, outside its dataclass fields: the die
-# `build_ddbicat` built it from, and the memoized result of `extract_cmon_die`
+# the attribute of a `DDBicat` naming the die `build_ddbicat` built it from
 _BUILT_FROM = "_built_from_cmon_die"
-_EXTRACTED = "_extracted_cmon_die"
 
 
 def extract_cmon_die(b: DDBicat) -> CMonDIE:
     """Read off the commutative monoid and its distinguished element.
 
-    The result is memoized on the frozen instance (outside its dataclass
-    fields, so equality, hashing and serialization ignore it): each
-    instance is checked once.  Failures are not memoized, and a copy made
-    by `dataclasses.replace` is a new instance that is checked afresh.
+    Kept on `b` (see `report.kept`), so each instance is checked once.
     When the die read off equals the one `build_ddbicat` built `b` from,
     the result is that die itself, so functors on it and on `b`'s
     extraction are one family, interned in one table.
     """
-    s = getattr(b, _EXTRACTED, None)
-    if s is not None:
-        return s
+    return kept(b, "_extracted_cmon_die", _extract_cmon_die)
+
+
+def _extract_cmon_die(b: DDBicat) -> CMonDIE:
     rep = check_ddbicat(b)
     if not rep.ok:
         raise InvalidStructureError("input fails the bicategory axioms")
@@ -357,7 +361,6 @@ def extract_cmon_die(b: DDBicat) -> CMonDIE:
         s = source  # it passed check_cmon_die when `b` was built
     elif not check_cmon_die(s).ok:
         raise RefutationAlarm("extracted data fails its own axioms")
-    object.__setattr__(b, _EXTRACTED, s)
     return s
 
 
@@ -452,16 +455,13 @@ _FUNCTORS = "_interned_dd_functors"
 def _interned(source: CMonDIE, target: CMonDIE, hmap: tuple, m: int) -> DDFunctor:
     """The one functor source -> target with hom map `hmap` and element `m`.
 
-    The table lives on `source` (outside its dataclass fields) and is keyed
-    by (id(target), hmap, m); a copy starts without one, and each entry
-    holds its target, so a hit is the functor asked for.  The caller
-    guarantees `hmap` is a homomorphism's tuple of ints and `m` is
-    invertible in the target, so a miss builds trusted, with m0 derived.
+    The table is kept on `source` (see `report.kept`) and keyed by
+    (id(target), hmap, m); each entry holds its target, so a hit is the
+    functor asked for.  The caller guarantees `hmap` is a homomorphism's
+    tuple of ints and `m` is invertible in the target, so a miss builds
+    trusted, with m0 derived.
     """
-    table = getattr(source, _FUNCTORS, None)
-    if table is None:
-        table = {}
-        object.__setattr__(source, _FUNCTORS, table)
+    table = kept(source, _FUNCTORS, new_memo)
     key = (id(target), hmap, m)
     f = table.get(key)
     if f is None:
@@ -767,7 +767,7 @@ def _first_miscounted_pair(one_cells, x):
         same = classes.setdefault((s, t, key[0]), [])
         same.append(fi)
         cls.append(same)
-    ends, index = x.cells[0], x._hom_index[1]  # the 2-cells by their ends
+    ends, index = x.cells[0], x.hom_index[1]  # the 2-cells by their ends
     extra = min(
         ((f, g) for f, g in x.cells[1] if cls[f] is not cls[g] and ends[f] == ends[g]),
         default=None,

@@ -17,11 +17,11 @@ witness for the first failure.
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, partial
 from itertools import accumulate, chain, repeat
 from operator import ge, gt
 
-from .report import InvalidStructureError, Report, StructuralError, ValidationReport, exact
+from .report import InvalidStructureError, Report, StructuralError, ValidationReport, exact, kept
 
 
 def _positions(keys) -> dict:
@@ -54,12 +54,12 @@ class FiniteJCategory:
     ones are dicts, and those of `hom_indexed_category` compute each
     composite on read.  Labels are carried for witness readability only.
 
-    `hom(d, a, b)` reads one hom-set from the index of the d-cells by their
-    ends, built from the cells on first use.  `hom_indexed_category` hands
-    the category its own numbering of the hom-sets instead, so no index is
-    built; a copy made by `dataclasses.replace` builds its own.  An index
-    maps the ends of each hom-set to its cells in ascending order, or, for
-    the one 2-cell of a locally thin category's hom-set, to that cell alone.
+    Kept on an instance (see `report.kept`): `_hom_index`, per dimension
+    the cells by their ends, read by `hom_index` and `hom(d, a, b)`; built
+    from the cells unless `hom_indexed_category` handed over its own
+    numbering.  It maps the ends of each hom-set to its cells in ascending
+    order, or, for the one 2-cell of a locally thin category's hom-set, to
+    that cell alone.
     """
 
     zero_cells: tuple
@@ -71,13 +71,13 @@ class FiniteJCategory:
     def j(self) -> int:
         return len(self.cells)
 
-    @cached_property
-    def _hom_index(self) -> tuple:
-        return tuple(map(_positions, self.cells))
+    @property
+    def hom_index(self) -> tuple:  # hom_index[d - 1]: the d-cells by their ends
+        return kept(self, "_hom_index", lambda x: tuple(map(_positions, x.cells)))
 
     def hom(self, d: int, a: int, b: int):
         """The d-cells a -> b, in ascending order."""
-        return _hom(self._hom_index[d - 1], (a, b))
+        return _hom(self.hom_index[d - 1], (a, b))
 
     @property
     def one_comp(self) -> Mapping:
@@ -95,17 +95,16 @@ class _Composites(Mapping):
 
     (b, a) is a key iff tgt(a) = src(b): membership comes from the ends
     alone, and each value is computed on read by compose(b, a), with no
-    cache.  Iteration and length read an index of the cells by source,
-    built on first use.  Equality is identity, so comparing two tables
-    never builds them out.
+    cache.  Kept on an instance (see `report.kept`): `_starting`, the
+    cells by source, which iteration and length read.  Equality is
+    identity, so comparing two tables never builds them out.
     """
 
     def __init__(self, ends, compose):
         self._ends = ends
         self._compose = compose
 
-    @cached_property
-    def _starting(self) -> dict:
+    def _by_source(self) -> dict:
         return _positions(s for s, _ in self._ends)
 
     def __contains__(self, key):
@@ -122,13 +121,13 @@ class _Composites(Mapping):
         return self._compose(*key)
 
     def __iter__(self):
-        starting = self._starting
+        starting = kept(self, "_starting", _Composites._by_source)
         for a, (_, t) in enumerate(self._ends):
             for b in starting.get(t, ()):
                 yield (b, a)
 
     def __len__(self):
-        starting = self._starting
+        starting = kept(self, "_starting", _Composites._by_source)
         return sum(len(starting.get(t, ())) for _, t in self._ends)
 
     __eq__ = object.__eq__
@@ -224,7 +223,7 @@ def hom_indexed_category(zero_cells, homs, *, compose, identity, key=None, two_c
         dims.append((two_cells, two_identity, two_comp, two_index))
     cells, identities, comps, index = zip(*dims)
     cat = FiniteJCategory(zero_cells, cells, identities, comps)
-    object.__setattr__(cat, "_hom_index", index)
+    kept(cat, "_hom_index", lambda _: index)  # handed over, so none is built
     return cat, one_cell
 
 
@@ -240,7 +239,7 @@ def hom_set_cells(target: FiniteJCategory, homs, images) -> tuple:
     in which the first of equal arrows wins, as it does for `one_cell`.
     An arrow missing from its target hom-set raises InvalidStructureError.
     """
-    index = target._hom_index[0]
+    index = target.hom_index[0]
     positions: dict = {}  # ends of a target hom-set -> its 1-cells by arrow
     out: list = []
     for ends, arrows in images:
@@ -438,7 +437,7 @@ def _equivalence(x: FiniteJCategory, d: int, f: int, g: int):
     internally equivalent to the identities on f and on g."""
     if d == x.j:
         return (f,) if f == g else None
-    comp, unit, index = x.comp[d][d], x.identity[d], x._hom_index[d]
+    comp, unit, index = x.comp[d][d], x.identity[d], x.hom_index[d]
     above = partial(_equivalence, x, d + 1)
     for a in _hom(index, (f, g)):
         for b in _hom(index, (g, f)):
@@ -462,9 +461,9 @@ def _bounding_pairs(fun: JFunctor, dim: int):
     source (dim-1)-cells whose images bound a target dim-cell, in (p, q)
     order: the only pairs with a target dim-cell to hit."""
     x, lower = fun.source, fun.maps[dim - 1]
-    below, index = x._hom_index[dim - 2], x._hom_index[dim - 1]
+    below, index = x.hom_index[dim - 2], x.hom_index[dim - 1]
     bounded: dict = {}  # target (dim-1)-cell -> the targets of its dim-cells
-    for key in fun.target._hom_index[dim - 1]:
+    for key in fun.target.hom_index[dim - 1]:
         if key.__class__ is tuple and len(key) == 2:
             bounded.setdefault(key[0], []).append(key[1])
     classes: dict = {}  # ends of a source hom-set -> its (dim-1)-cells by image
@@ -499,11 +498,11 @@ def _first_unhit(fun: JFunctor, dim: int):
     x, y = fun.source, fun.target
     lower, image = fun.maps[dim - 1], fun.maps[dim].__getitem__
     if dim == 1:
-        n, below = len(x.zero_cells), x._hom_index[0]
+        n, below = len(x.zero_cells), x.hom_index[0]
         pairs = ((p, q, _hom(below, (p, q))) for p in range(n) for q in range(n))
     else:
         pairs = _bounding_pairs(fun, dim)
-    index = y._hom_index[dim - 1]
+    index = y.hom_index[dim - 1]
     top = dim == x.j
     equivalent = partial(_equivalence, y, dim)
     reflexive = cache(lambda f: equivalent(f, f))  # asked once per target cell
@@ -533,7 +532,7 @@ def _first_clash(fun: JFunctor, dim: int):
     the witness a pairwise search would find: the first cell with a later
     equal image, and the first such later cell.
     """
-    x, index, image = fun.source, fun.source._hom_index[dim - 1], fun.maps[dim].__getitem__
+    x, index, image = fun.source, fun.source.hom_index[dim - 1], fun.maps[dim].__getitem__
     lower = ((None,) * len(x.zero_cells), *x.cells)[dim - 1]  # the ends of each (dim-1)-cell
     crowded = sorted(
         key

@@ -204,7 +204,6 @@ def stock_monoidal_universe(bound: int) -> list:
     category-level verdicts are relative to this sample.  Every call in a
     process, at every bound, returns a new list of the same five
     instances (or those of them within the bound), so the functor
-    searches memoized on them (see `monoidal.FinMonoidalCategory`) run
-    once per pair in a process.
+    searches kept on them run once per pair in a process.
     """
     return [mc for mc in _stock() if max(mc.base.n_objects, len(mc.base.morphisms)) <= bound]

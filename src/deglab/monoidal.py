@@ -13,7 +13,7 @@ a bug.
 """
 
 import itertools
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from .equivalence import JFunctor, check_external_equivalence, hom_indexed_category
 from .fincat import (
@@ -25,22 +25,23 @@ from .fincat import (
     enumerate_functors,
     identity_functor,
 )
-from .report import InvalidStructureError, Report, StructuralError, ValidationReport, exact
+from .report import (
+    InvalidStructureError,
+    Report,
+    StructuralError,
+    ValidationReport,
+    exact,
+    fields_state,
+    kept_for,
+)
 
 
 @dataclass(frozen=True)
 class FinMonoidalCategory:
     """A finite monoidal category, given by explicit tables over `base`.
 
-    Two attributes may be kept on an instance outside the dataclass
-    fields, so equality, hashing, repr and JSON ignore them:
-    `_monoidal_functors`, the memo of `enumerate_monoidal_functors` with
-    the instance as source, keyed by the id of each target, and
-    `_monoidal_targets`, the list of those targets, which keeps every
-    memoized id taken.  As on `monoids.FiniteMonoid`, each is set with
-    `object.__setattr__`, and a copy made by `dataclasses.replace`,
-    `copy.copy`, `copy.deepcopy` or `pickle` starts without them: the
-    state is the fields only, so a copy searches afresh.
+    Kept on an instance (see `report.kept`): `_monoidal_functors`, the
+    searches of `enumerate_monoidal_functors` out of it, by target.
     """
 
     base: FiniteCategory
@@ -67,8 +68,7 @@ class FinMonoidalCategory:
         ):
             object.__setattr__(self, name, exact(getattr(self, name), name, shape, count))
 
-    def __getstate__(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+    __getstate__ = fields_state
 
 
 def check_monoidal(mc: FinMonoidalCategory) -> ValidationReport:
@@ -349,24 +349,13 @@ def enumerate_monoidal_functors(src: FinMonoidalCategory, tgt: FinMonoidalCatego
     passes, in the order of the product of choices.
 
     The search runs once per pair of objects in a process, as `hom_maps`
-    does: its list is memoized on `src` under id(tgt), with `tgt` kept
-    alive in `src._monoidal_targets` (see `FinMonoidalCategory`), and each
-    call returns a new list of the same functor objects.
+    does, kept on `src` as `_monoidal_functors` (see `report.kept_for`),
+    and each call returns a new list of the same functor objects.
     """
-    try:
-        memo = src._monoidal_functors
-    except AttributeError:
-        memo = {}
-        object.__setattr__(src, "_monoidal_functors", memo)
-        object.__setattr__(src, "_monoidal_targets", [])
-    found = memo.get(id(tgt))
-    if found is None:
-        found = memo[id(tgt)] = tuple(_search_monoidal_functors(src, tgt))
-        src._monoidal_targets.append(tgt)
-    return list(found)
+    return list(kept_for(src, tgt, "_monoidal_functors", _search_monoidal_functors))
 
 
-def _search_monoidal_functors(src: FinMonoidalCategory, tgt: FinMonoidalCategory) -> list:
+def _search_monoidal_functors(src: FinMonoidalCategory, tgt: FinMonoidalCategory) -> tuple:
     """The backtracking search of `enumerate_monoidal_functors`, run afresh."""
     c, d = src.base, tgt.base
     n = c.n_objects
@@ -433,7 +422,7 @@ def _search_monoidal_functors(src: FinMonoidalCategory, tgt: FinMonoidalCategory
                         out.append(MonoidalFunctor(src, tgt, base, comparison, u))
 
         place(0)
-    return out
+    return tuple(out)
 
 
 # -- transformations between monoidal functors, in bicategory clothing --------

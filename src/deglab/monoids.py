@@ -12,7 +12,15 @@ import os
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .report import InvalidStructureError, StructuralError, ValidationReport, exact
+from .report import (
+    InvalidStructureError,
+    StructuralError,
+    ValidationReport,
+    exact,
+    fields_state,
+    kept,
+    kept_for,
+)
 
 DEFAULT_MAX_SIZE = 5
 MAX_SIZE_ENV = "DEGLAB_MAX_SIZE"
@@ -27,21 +35,9 @@ class FiniteMonoid:
     The monoid axioms are checked by `check_monoid`, so axiom-violating
     tables can be represented and reported on.
 
-    Four attributes may be kept on an instance outside the dataclass
-    fields, so equality, hashing, repr and JSON ignore them:
-    `_hom_kernel`, the search of `hom_maps` with the instance as source,
-    compiled for its table (see `_compile_hom_kernel`); `_hom_maps`, the
-    memo of hom-sets out of the instance, keyed by the id of each target,
-    and `_hom_targets`, the list of those targets, which keeps every
-    memoized id taken (see `hom_maps`); and `_dies`, the structures
-    `enumerate_dies` found on it.  Each is set with `object.__setattr__`,
-    not through `__dict__`: writing to the instance's `__dict__` makes
-    every later attribute read on it several times slower.  A copy starts
-    without them, whether made by `dataclasses.replace`, `copy.copy`,
-    `copy.deepcopy` or `pickle`: the state is the three fields only, so no
-    copy shares the original's kernel or memos, or carries a memo keyed by
-    the ids of this process's objects; a copy compiles its own kernel on
-    its first search.
+    Kept on an instance (see `report.kept`): `_hom_kernel`, the compiled
+    search of `hom_maps` out of it; `_hom_maps`, its hom-sets by target;
+    and `_dies`, the structures `enumerate_dies` found on it.
     """
 
     size: int
@@ -55,8 +51,7 @@ class FiniteMonoid:
         exact(self.unit, "unit", (), n)
         object.__setattr__(self, "mul", exact(self.mul, "mul", (n, n), n))
 
-    def __getstate__(self):
-        return {"size": self.size, "unit": self.unit, "mul": self.mul}
+    __getstate__ = fields_state
 
     @classmethod
     def _trusted(cls, size: int, unit: int, mul: tuple) -> "FiniteMonoid":
@@ -113,10 +108,8 @@ class CMonDIE:
     trusting it.  A die read from JSON that has no inverse carries itself
     as its witness, so the structure is built and the check reports it.
     `die` and `die_inv` are exact ints in range of the monoid (see
-    `report.exact`).  Reduced functors out of an instance are
-    interned in a table on it (see `doubly._interned`), outside the
-    dataclass fields, so equality, hashing, repr and JSON ignore it, and
-    a copy of any kind starts without it (see `FiniteMonoid`).
+    `report.exact`).  Kept on an instance (see `report.kept`): the
+    reduced functors out of it, interned by `doubly._interned`.
     """
 
     monoid: FiniteMonoid
@@ -127,8 +120,7 @@ class CMonDIE:
         exact(self.die, "die", (), self.monoid.size)
         exact(self.die_inv, "die_inv", (), self.monoid.size)
 
-    def __getstate__(self):
-        return {"monoid": self.monoid, "die": self.die, "die_inv": self.die_inv}
+    __getstate__ = fields_state
 
 
 def check_monoid(mul, unit) -> ValidationReport:
@@ -380,12 +372,11 @@ def enumerate_monoids(n: int, commutative_only: bool = False) -> list:
     Refuses a negative n and n beyond the configured bound, on every call.
 
     The search runs once per (n, commutative_only) in a process: each call
-    returns a new list of the same `FiniteMonoid` instances, so the memos
-    kept on them (see `FiniteMonoid`) serve every later caller.  The plain
-    and the commutative classes of one n share an instance for each equal
-    table: whichever search runs second takes the first's instance, looked
-    up by `mul`.  So a commutative class carries one set of memos, and
-    `hom_maps` compiles and searches out of it once in a process.
+    returns a new list of the same `FiniteMonoid` instances, so the values
+    kept on them serve every later caller.  Whichever of the plain and the
+    commutative search of one n runs second takes the first's instance for
+    each equal table, looked up by `mul`, so a commutative class is one
+    object in both.
     """
     _check_enumeration_size(n)
     if n == 0:
@@ -593,37 +584,16 @@ def hom_maps(source: FiniteMonoid, target: FiniteMonoid) -> tuple:
     The result is a tuple of the maps, and equal maps and equal hom-sets
     are one object in a process: each goes through the table `_INTERNED`,
     so a hom-set is shared by every pair that has it.  The search runs
-    once per pair of objects in a process.  Its tuple is memoized on
-    `source`, outside the dataclass fields, under id(target), and the
-    target is kept alive in `source._hom_targets`, so no other object can
-    take a memoized id while the memo lives.  A `dataclasses.replace`
-    copy or an equal but distinct table is therefore searched afresh, and
-    no monoid is hashed.
+    once per pair of objects in a process, kept on `source` as
+    `_hom_maps` (see `report.kept_for`).
     """
-    try:
-        memo = source._hom_maps
-    except AttributeError:
-        memo = {}
-        object.__setattr__(source, "_hom_maps", memo)
-        object.__setattr__(source, "_hom_targets", [])
-    homs = memo.get(id(target))
-    if homs is None:
-        homs = memo[id(target)] = _search_hom_maps(source, target)
-        source._hom_targets.append(target)
-    return homs
+    return kept_for(source, target, "_hom_maps", _search_hom_maps)
 
 
 def _search_hom_maps(source: FiniteMonoid, target: FiniteMonoid) -> tuple:
-    """Run the source's kernel on the target and intern what it finds.
-
-    The kernel is compiled on the first search out of `source` and kept on
-    it as `_hom_kernel`, outside the dataclass fields (see `FiniteMonoid`).
-    """
-    try:
-        kernel = source._hom_kernel
-    except AttributeError:
-        kernel = _compile_hom_kernel(source)
-        object.__setattr__(source, "_hom_kernel", kernel)
+    """Run the source's kernel, compiled and kept on its first search, on
+    the target, and intern what it finds."""
+    kernel = kept(source, "_hom_kernel", _compile_hom_kernel)
     t, tu = target.mul, target.unit
     values = range(target.size)
     unit_row = t[tu]
@@ -643,18 +613,15 @@ def enumerate_homs(source: FiniteMonoid, target: FiniteMonoid) -> list:
 def enumerate_dies(m: FiniteMonoid) -> list:
     """Every CMonDIE structure on a commutative monoid (one per unit element).
 
-    Built once per monoid object and kept on it, outside the dataclass
-    fields (see `FiniteMonoid`): each call returns a new list of the same
-    `CMonDIE` instances, so the functors interned on them (see
-    `doubly._interned`) serve every later caller.
+    Built once per monoid object and kept on it as `_dies`: each call
+    returns a new list of the same `CMonDIE` instances, so the functors
+    interned on them (see `doubly._interned`) serve every later caller.
     """
-    try:
-        return list(m._dies)
-    except AttributeError:
-        pass
-    dies = () if check_commutative(m) else tuple(CMonDIE(m, d, invert(m, d)) for d in units(m))
-    object.__setattr__(m, "_dies", dies)
-    return list(dies)
+    return list(kept(m, "_dies", _dies))
+
+
+def _dies(m: FiniteMonoid) -> tuple:
+    return () if check_commutative(m) else tuple(CMonDIE(m, d, invert(m, d)) for d in units(m))
 
 
 def cmon_die_universe(bound: int) -> list:

@@ -6,7 +6,7 @@ problems (bad shapes, out-of-range indices) are kept separate from axiom
 failures throughout.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 class StructuralError(ValueError):
@@ -84,6 +84,51 @@ def _leaf_mismatch(v, count, null, leaf, *path) -> _Mismatch:
         return _Mismatch(f"index {v} out of range({count})", *path)
     what = "int or null" if null else leaf.__name__
     return _Mismatch(f"expected {what}, got {_type_name(v)}", *path)
+
+
+_ABSENT = object()  # no value kept yet
+
+
+def kept(obj, name: str, build):
+    """The value kept on `obj` as `name`, built by build(obj) on first use.
+
+    The one policy for what a structure keeps beside its fields: set with
+    `object.__setattr__`, outside the dataclass fields, so equality,
+    hashing, repr and JSON ignore it, and never through `__dict__`, which
+    slows every later attribute read.  Nothing is kept when `build`
+    raises.  A class that keeps values takes `fields_state` as its
+    `__getstate__`.
+    """
+    value = getattr(obj, name, _ABSENT)
+    if value is _ABSENT:
+        value = build(obj)
+        object.__setattr__(obj, name, value)
+    return value
+
+
+def new_memo(_) -> dict:  # the `build` of a dict kept on an object
+    return {}
+
+
+def kept_for(source, target, name: str, search):
+    """search(source, target), run once per pair of objects in a process.
+
+    Kept on `source` (see `kept`) in the dict `name` under id(target), as
+    (target, result): the entry keeps `target` alive, so no other object
+    takes a kept id.  An equal but distinct target is searched afresh, and
+    nothing is hashed.
+    """
+    memo = kept(source, name, new_memo)
+    entry = memo.get(id(target))
+    if entry is None:
+        entry = memo[id(target)] = (target, search(source, target))
+    return entry[1]
+
+
+def fields_state(obj) -> dict:
+    """The fields only: the `__getstate__` of a class that keeps values, so
+    a copy, a deep copy or an unpickled one starts without them."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 class InvalidStructureError(ValueError):

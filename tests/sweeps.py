@@ -13,6 +13,7 @@ one step of `.github/workflows/tier1.yml`.
 
 import itertools
 import json
+import math
 import os
 import resource
 import subprocess
@@ -193,6 +194,118 @@ def raw_collapse(n: int) -> tuple:
     return candidates, structures, len(valid), blind, collapsed
 
 
+def _cycle_types(n: int, largest: int | None = None):
+    """The partitions of n, each with its parts in descending order."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _cycle_types(n - part, part):
+            yield (part, *rest)
+
+
+def _differ(u, v) -> bool:
+    """Two products, both known and not equal."""
+    return u is not None and v is not None and u != v
+
+
+def _fixed_tables(n: int, p: list, commutative: bool) -> int:
+    """The unit-0 associative tables on range(n), commutative if asked,
+    that the relabeling p (p[0] == 0) maps to themselves.
+
+    Such a table is one value per p-orbit of non-unit cells: v at the
+    orbit's first cell puts p^k(v) at the cell k steps on, and is allowed
+    when p^L(v) == v for an orbit of L steps.  The orbits are placed in
+    order, and after each placement only the associativity triples that
+    read one of its cells are checked, the triples that read a cell as a
+    product found through the cells holding each value."""
+    cycles = []  # cycles[v]: v, p(v), p(p(v)), ... up to v again
+    for v in range(n):
+        cycle = [v]
+        while p[cycle[-1]] != v:
+            cycle.append(p[cycle[-1]])
+        cycles.append(cycle)
+    choices, seen = [], set()  # per orbit, the writes of each allowed value
+    for a in range(1, n):
+        for b in range(1, n):
+            steps = []
+            while (a, b) not in seen:
+                step = {(a, b), (b, a)} if commutative else {(a, b)}
+                seen |= step
+                steps.append(step)
+                a, b = p[a], p[b]
+            if steps:
+                choices.append([
+                    [(c, cycles[v][k % len(cycles[v])]) for k, step in enumerate(steps) for c in step]
+                    for v in range(n)
+                    if len(steps) % len(cycles[v]) == 0
+                ])
+    t = [[None] * n for _ in range(n)]
+    for x in range(n):
+        t[0][x] = t[x][0] = x
+    holding = [[] for _ in range(n)]  # the non-unit cells holding each value
+
+    def associative(cells) -> bool:
+        # triples of non-unit elements with all four products known, among
+        # those that read one of `cells`; a triple with the unit holds
+        for a, b in cells:
+            x, ta, tb = t[a][b], t[a], t[b]
+            for c in range(1, n):
+                y = tb[c]  # (ab)c = a(bc)
+                if y is not None and _differ(t[x][c], ta[y]):
+                    return False
+                y = t[c][a]  # (ca)b = c(ab)
+                if y is not None and _differ(t[y][b], t[c][x]):
+                    return False
+            for a2, b2 in holding[a]:  # (a2 b2)b = a2(b2 b), where a2 b2 = a
+                y = t[b2][b]
+                if y is not None and _differ(x, t[a2][y]):
+                    return False
+            for b2, c2 in holding[b]:  # a(b2 c2) = (a b2)c2, where b2 c2 = b
+                y = ta[b2]
+                if y is not None and _differ(x, t[y][c2]):
+                    return False
+        return True
+
+    def count(i: int) -> int:
+        if i == len(choices):
+            return 1
+        found = 0
+        for writes in choices[i]:
+            for (a, b), v in writes:
+                t[a][b] = v
+                holding[v].append((a, b))
+            if associative([cell for cell, _ in writes]):
+                found += count(i + 1)
+            for (a, b), v in writes:
+                t[a][b] = None
+                holding[v].pop()
+        return found
+
+    return count(0)
+
+
+def orbit_count(commutative: bool):
+    """Monoid classes of order SIZE by the Cauchy-Frobenius lemma (Kerber,
+    "Applied Finite Group Actions", 1999), with nothing from
+    `deglab.monoids`: every class has a table with unit 0, and two such
+    tables are isomorphic exactly when a relabeling that fixes 0 maps one
+    to the other, so the classes are the average number of tables each
+    such relabeling fixes.  That number depends only on the relabeling's
+    cycle type, so each type is searched once, weighted by the (n-1)!/z
+    relabelings that have it."""
+    def sweep(n):
+        total = 0
+        for shape in _cycle_types(n - 1):
+            p = [0]
+            for part in shape:  # one cycle per part, on the next labels
+                p += [len(p) + (i + 1) % part for i in range(part)]
+            z = math.prod(shape) * math.prod(math.factorial(shape.count(k)) for k in set(shape))
+            total += math.factorial(n - 1) // z * _fixed_tables(n, p, commutative)
+        return total // math.factorial(n - 1)
+    return sweep
+
+
 # NAME: (sweep, {SIZE: (result, peak-RSS gate in MB or None)}).  The
 # figures below are one run each on a shared 2-vCPU VM, Python 3.11.7.
 SWEEPS = {
@@ -212,6 +325,12 @@ SWEEPS = {
         6: ((421, "29a1fbec51bb329b744b3a049161db09f0f5e6775338c30275b0f4e8f021d75c"), None),
         7: ((2637, "10604ab207934fb9ffa2db17f63465fdb7b9d7b00a72138183cb515ce628e163"), None),
     }),
+    # ROADMAP item 24: the class counts of `enumerate` and
+    # `enumerate-commutative`, counted without canonical forms (plain
+    # order 5 in 0.3 s, commutative order 6 in 1.5 s).  Plain order 6 and
+    # commutative order 7 wait for a faster identity term.
+    "orbit-count": (orbit_count(False), {4: (35, None), 5: (228, None)}),
+    "orbit-count-commutative": (orbit_count(True), {5: (78, None), 6: (421, None)}),
     # the doubly degenerate comparison; bound 4 is the one the north star
     # names, bound 5 that of ROADMAP items 17 and 19.  Peak RSS at bound 5
     # must stay at most 250 MB, so neither a per-1-cell index, a

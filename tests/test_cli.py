@@ -655,10 +655,9 @@ class TestWarmProcess:
             for commutative in (False, True):
                 for m in enumerate_monoids(n, commutative):
                     fresh = replace(m)
-                    targets = vars(m).get("_hom_targets", [])
-                    assert len(targets) == len(vars(m).get("_hom_maps", {}))
-                    for target in targets:
-                        assert m._hom_maps[id(target)] == hom_maps(fresh, replace(target))
+                    for key, (target, maps) in vars(m).get("_hom_maps", {}).items():
+                        assert key == id(target)
+                        assert maps == hom_maps(fresh, replace(target))
                         checked += 1
                     assert enumerate_dies(m) == enumerate_dies(fresh)
         # at least every pair of the thm-dce and thm-vdbe universes at bound 3

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from deglab import coherence, monoidal
+from deglab import coherence, examples, monoidal
 from deglab.examples import (
     bool_or_monoid,
     discrete_monoidal,
@@ -43,6 +43,7 @@ from deglab.monoidal import (
 from deglab.equivalence import check_jcategory, check_jfunctor
 from deglab.fincat import enumerate_functors
 from deglab.report import StructuralError
+from deglab.suites import run_suite
 from samples import subset_lattice, two_group
 
 
@@ -358,9 +359,14 @@ class TestSharedSearch:
         assert all(x is y for x, y in zip(again, first))
         assert len(calls) == searched
         # another target object, even an equal one, is its own search
-        assert enumerate_monoidal_functors(a, replace(b)) == first
+        other = replace(b)
+        assert enumerate_monoidal_functors(a, other) == first
         assert len(calls) == searched + 1
-        assert set(vars(a)) >= {"_monoidal_functors", "_monoidal_targets"}
+        # one entry per target object, holding it beside the functors found
+        entries = vars(a)["_monoidal_functors"]
+        assert list(entries) == [id(b), id(other)]
+        assert entries[id(b)][0] is b and entries[id(other)][0] is other
+        assert all(x is y for x, y in zip(entries[id(b)][1], first))
 
     COPIES = {
         "copy": copy.copy,
@@ -382,6 +388,26 @@ class TestSharedSearch:
         assert len(calls) == 1 and got == want
         assert all(f.source is c and f.target is c for f in got)
         assert pickle.dumps(a) == pickle.dumps(sign_category())
+
+    @pytest.mark.parametrize("first", ["thm-db", "thm-moncat-xi"])
+    def test_thm_db_searches_nothing_another_suite_searched(self, monkeypatch, first):
+        for mc in examples._stock():
+            vars(mc).pop("_monoidal_functors", None)  # as in a fresh process
+        calls = []
+        search = monoidal._search_monoidal_functors
+
+        def counted(src, tgt):
+            calls.append((src, tgt))
+            return search(src, tgt)
+
+        monkeypatch.setattr(monoidal, "_search_monoidal_functors", counted)
+        run_suite(first)
+        assert calls
+        calls.clear()
+        run_suite("thm-db")
+        assert calls == []
+        assert sign_category() is not sign_category()  # still a constructor
+
 
 class TestDegTransformations:
     def test_identity_transformation_unitor_components(self):

@@ -6,15 +6,21 @@ import pickle
 import random
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from deglab import monoids
-from deglab.doubly import dd_functors_between
-from deglab.examples import bool_or_monoid, trivial_monoid, zmod
+from deglab.doubly import (
+    build_ddbicat,
+    dd_functors_between,
+    extract_cmon_die,
+    two_truncation_universe,
+)
+from deglab.examples import bool_or_monoid, sign_category, trivial_monoid, zmod
+from deglab.monoidal import enumerate_monoidal_functors
 from deglab.monoids import (
     CMonDIE,
     FiniteMonoid,
@@ -624,10 +630,12 @@ class TestProcessMemos:
         maps = hom_maps(s, t)
         del t
         gc.collect()
-        # the memoized id cannot pass to another object
-        assert alive() is not None and s._hom_maps[id(alive())] is maps
+        # the memoized id cannot pass to another object: its entry holds it
+        assert alive() is not None
+        kept_target, kept_maps = s._hom_maps[id(alive())]
+        assert kept_target is alive() and kept_maps is maps
         assert hom_maps(s, alive()) is maps
-        del s
+        del s, kept_target
         gc.collect()
         assert alive() is None
 
@@ -730,6 +738,7 @@ class TestProcessMemos:
         "copy": copy.copy,
         "deepcopy": copy.deepcopy,
         "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+        "replace": replace,
     }
 
     @pytest.mark.parametrize("route", sorted(COPIES))
@@ -741,16 +750,48 @@ class TestProcessMemos:
         dd_functors_between(s, s)  # the functors interned on s
         monoid_fields, die_fields = {"size", "unit", "mul"}, {"monoid", "die", "die_inv"}
         assert set(vars(m)) > monoid_fields and set(vars(s)) > die_fields
-        assert {"_hom_kernel", "_hom_maps", "_hom_targets", "_dies"} <= set(vars(m))
+        assert {"_hom_kernel", "_hom_maps", "_dies"} <= set(vars(m))
         for obj, fields in ((m, monoid_fields), (s, die_fields)):
             c = self.COPIES[route](obj)
             assert c is not obj and c == obj and hash(c) == hash(obj) and repr(c) == repr(obj)
             assert set(vars(c)) == fields
         c = self.COPIES[route](s)
-        if route == "copy":
+        if route in ("copy", "replace"):
             assert c.monoid is m
         else:
             assert set(vars(c.monoid)) == monoid_fields
+
+    # per class that keeps values beside its fields: a fresh instance, and
+    # how to make it keep them
+    KEEPERS = {
+        "FiniteMonoid": (lambda: replace(zmod(4)), lambda m: (hom_maps(m, m), enumerate_dies(m))),
+        "CMonDIE": (lambda: make_cmon_die(zmod(3), 2), lambda s: dd_functors_between(s, s)),
+        "FinMonoidalCategory": (sign_category, lambda c: enumerate_monoidal_functors(c, c)),
+        "DDBicat": (lambda: build_ddbicat(make_cmon_die(zmod(3), 2)), extract_cmon_die),
+        "FiniteJCategory": (lambda: two_truncation_universe(2)[3].source, lambda x: x.hom(1, 0, 0)),
+    }
+
+    @pytest.mark.parametrize(
+        "name, route",
+        [*itertools.product(sorted(set(KEEPERS) - {"FiniteJCategory"}), sorted(COPIES))]
+        + [("FiniteJCategory", "replace")],  # its tables compose by closures
+    )
+    def test_a_copy_starts_without_kept_values(self, name, route):
+        make, warm = self.KEEPERS[name]
+        obj = make()
+        names = {f.name for f in fields(obj)}
+        warm(obj)
+        held = set(vars(obj)) - names
+        assert held
+        c = self.COPIES[route](obj)
+        assert c is not obj and set(vars(c)) == names
+        if name != "FiniteJCategory":  # its tables compare by identity
+            assert c == obj and hash(c) == hash(obj)
+        # the copy builds values of its own and leaves the original's alone
+        before = {k: vars(obj)[k] for k in held}
+        warm(c)
+        assert set(vars(c)) - names and all(vars(c)[k] is not before[k] for k in set(vars(c)) - names)
+        assert all(vars(obj)[k] is v for k, v in before.items())
 
     @pytest.mark.parametrize("route", sorted(COPIES))
     def test_dies_of_a_copy_are_on_the_copy(self, route):

@@ -38,6 +38,18 @@ def test_dropped_hom_map_fails_the_oracle(monkeypatch, capsys):
     assert "hom-maps-oracle 4 (2025, 7893, 1), expected (2025, 7894, 0)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name", ["orbit-count", "orbit-count-commutative"])
+def test_orbit_counts_need_no_enumeration(monkeypatch, capsys, name):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the orbit count read deglab.monoids")
+
+    for fn in ("enumerate_monoids", "canonical_form"):
+        monkeypatch.setattr(monoids, fn, refuse)
+    monkeypatch.setattr(sweeps, "enumerate_monoids", refuse)
+    size = min(sweeps.SWEEPS[name][1])
+    assert sweeps.main([name, str(size)]) == 0, capsys.readouterr().out
+
+
 def test_wrong_composite_fails_the_law_checks(monkeypatch, capsys):
     # the two-truncation universe composes its 1-cells' keys (map, m, monoid)
     compose = doubly._compose_keys

@@ -144,7 +144,7 @@ class TestHandBuiltCategories:
         rng.shuffle(pt)
         x, y = _relabel(fun.source, ps), _relabel(fun.target, pt)
         # the hom-sets now interleave
-        assert any(list(h) != list(range(h[0], h[0] + len(h))) for h in x._hom_index[0].values())
+        assert any(list(h) != list(range(h[0], h[0] + len(h))) for h in x.hom_index[0].values())
         map1 = [None] * len(ps)
         for a, b in enumerate(fun.map1):
             map1[ps[a]] = pt[b]
