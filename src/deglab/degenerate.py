@@ -8,9 +8,10 @@ transformations with non-identity distinguished elements.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import ge
 
-from .equivalence import JFunctor, check_external_equivalence, hom_indexed_category, hom_set_cells
+from .equivalence import JFunctor, check_external_equivalence, hom_indexed_category
 from .monoids import (
     FiniteMonoid,
     MonoidHom,
@@ -126,15 +127,12 @@ def monoid_category(prefix: str, monoids: list, homs: dict, two_cell=None):
     """The category of the given monoids over hom-sets of plain maps.
 
     homs[(i, k)] lists the maps of the homomorphisms monoids[i] ->
-    monoids[k] in lexicographic order, as `hom_maps` returns them; each
-    map is its own key, so no key function runs per map, the composite
-    g . f reads g at each entry of f, and the identity on monoids[i] is
-    tuple(range(size)).  0-cells are labelled f"{prefix}#{i}(n={size})".
-    two_cell is as for `hom_indexed_category`, which builds the category;
-    returns its (category, one_cell), one_cell(i, k, map) finding a 1-cell
-    by binary search of its hom-set.  A comparison into the category
-    reads its 1-cells a hom-set at a time through `hom_set_cells` on
-    `homs`.
+    monoids[k], as `hom_maps` returns them; each map is its own key, so
+    no key function runs per map, the composite g . f reads g at each
+    entry of f, and the identity on monoids[i] is tuple(range(size)).
+    0-cells are labelled f"{prefix}#{i}(n={size})".  two_cell is as for
+    `hom_indexed_category`, which builds the category; returns its
+    (category, one_cell), one_cell(i, k, map) finding a 1-cell by its map.
     """
     return hom_indexed_category(
         tuple(f"{prefix}#{i}(n={m.size})" for i, m in enumerate(monoids)),
@@ -154,11 +152,9 @@ def forgetful_universe(sample: list):
     The hom-sets hold the homomorphisms as plain map tuples (see
     `hom_maps`), searched once per pair of right-side monoids:
     right_homs[(i, k)] is that search's tuple, and left_homs[(i, k)] is the
-    very tuple right_homs[(map0[i], map0[k])], so the two sides share it.
-    map1 is filled one left hom-set at a time (`hom_set_cells`): each
-    right hom-set's positions are read once, and each left 1-cell's map
-    is found among them, the first of equal maps winning, as the right
-    side's `one_cell` search would find it.
+    very tuple right_homs[(map0[i], map0[k])], so the two sides share it,
+    and map1 is read off the enumeration: the p-th 1-cell i -> k goes to
+    the p-th right 1-cell map0[i] -> map0[k], with no lookup per 1-cell.
     """
     if not sample:
         raise InvalidStructureError("sample must be nonempty")
@@ -179,9 +175,7 @@ def forgetful_universe(sample: list):
     }
     left_cat, _ = monoid_category("monoid", left_monoids, left_homs)
     right_cat, _ = monoid_category("monoid", right_monoids, right_homs)
-    map1 = hom_set_cells(
-        right_cat, right_homs, (((map0[i], map0[k]), homs) for (i, k), homs in left_homs.items())
-    )
+    map1 = tuple(chain.from_iterable(right_cat.hom(1, map0[i], map0[k]) for i, k in left_homs))
     return right_monoids, left_homs, right_homs, JFunctor(left_cat, right_cat, map0, map1)
 
 

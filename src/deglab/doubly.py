@@ -9,8 +9,7 @@ exhaustively on each instance.
 """
 
 from dataclasses import dataclass, replace
-from itertools import count
-from operator import itemgetter
+from itertools import chain, count
 
 from .degenerate import monoid_category
 from .equivalence import (
@@ -18,7 +17,6 @@ from .equivalence import (
     _hom,
     check_external_equivalence,
     hom_indexed_category,
-    hom_set_cells,
 )
 from .monoids import (
     CMonDIE,
@@ -704,10 +702,10 @@ def two_truncation_universe(bound: int):
     The image side is `degenerate.monoid_category` over the distinct
     monoids of the instances, with identity 2-cells only: its 1-cells are
     the plain map tuples of `hom_maps`, and map1 sends each 1-cell to its
-    map, filled one hom-set at a time by `hom_set_cells`, which reads the
-    positions of each image hom-set once.  Both sides' 1-cells are their
-    own keys, in ascending order, as `hom_indexed_category` requires:
-    `hom_maps` is lexicographic and `units` ascending.
+    map, read off the enumeration: the 1-cells i -> k run through the
+    image hom-set once per unit of the target, so each image 1-cell is
+    repeated once per unit, in one tuple shared by every hom-set with the
+    same image ends.  Both sides' 1-cells are their own keys.
     """
     dies = cmon_die_universe(bound)
     by_monoids: dict = {}
@@ -739,11 +737,12 @@ def two_truncation_universe(bound: int):
 
     mpos = {m: i for i, m in enumerate(monoids)}
     map0 = tuple(mpos[s.monoid] for s in dies)
-    map1 = hom_set_cells(
-        right,
-        right_homs,
-        (((map0[s], map0[t]), map(itemgetter(0), keys)) for (s, t), keys in homs.items()),
-    )
+    shared: dict = {}  # image ends -> its 1-cells, each once per unit of the target
+    for s, t in homs:
+        e = map0[s], map0[t]
+        if e not in shared:
+            shared[e] = tuple(f for f in right.hom(1, *e) for _ in units(monoids[e[1]]))
+    map1 = tuple(chain.from_iterable(shared[map0[s], map0[t]] for s, t in homs))
     map2 = tuple(map1[f] for f, _ in left.cells[1])
     fun = JFunctor(left, right, map0, map1, map2)
     return dies, one_cells, left.cells[1], fun

@@ -14,12 +14,10 @@ identify), in the order of their ends, and reports the dimension and a
 witness for the first failure.
 """
 
-from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import accumulate, chain, repeat
-from operator import ge, gt
 
 from .report import InvalidStructureError, Report, StructuralError, ValidationReport, exact, kept
 
@@ -144,17 +142,15 @@ def _position(index: dict, key) -> int:
 def hom_indexed_category(zero_cells, homs, *, compose, identity, key=None, two_cell=None):
     """Assemble a finite 1- or 2-category from explicit hom-sets.
 
-    homs[(i, k)] lists the arrows from 0-cell i to 0-cell k in ascending
-    order of key(arrow), or of the arrows themselves when no key is given,
-    else InvalidStructureError naming the hom-set; equal keys may repeat.
-    The order is checked once per distinct hom-set object.  1-cells are
-    numbered in that order, laid out in bulk: the 1-cells i -> k are one
-    contiguous range, read off the running total of the hom-set lengths,
-    and the arrows and ends are the hom-sets and their keys chained.  A
-    1-cell is found again by (i, k, key) through a binary search of its
-    range, the first arrow with the key winning; nothing is kept per
-    1-cell beyond the arrow and its ends.  compose(g, f) is g after f and
-    identity(i) the identity on 0-cell i; each result must lie in its
+    homs[(i, k)] lists the arrows from 0-cell i to 0-cell k, in any order;
+    equal keys may repeat.  1-cells are numbered in the order given, laid
+    out in bulk: the 1-cells i -> k are one contiguous range, read off the
+    running total of the hom-set lengths, and the arrows and ends are the
+    hom-sets chained.  A 1-cell is found again by (i, k, key(arrow)), or
+    by (i, k, arrow) when no key is given, through one dict per hom-set
+    from key to 1-cell, built on the first lookup in that hom-set from the
+    back, so the first arrow with a key wins.  compose(g, f) is g after f
+    and identity(i) the identity on 0-cell i; each result must lie in its
     hom-set, else InvalidStructureError.  With two_cell(f, g) given, the
     result is a locally thin 2-category with a 2-cell f => g for each
     parallel pair on which two_cell returns a true value, ordered by
@@ -163,7 +159,8 @@ def hom_indexed_category(zero_cells, homs, *, compose, identity, key=None, two_c
     each 2-cell by its ends.
 
     Returns (category, one_cell): one_cell(i, k, key) is the 1-cell i -> k
-    with that key, or InvalidStructureError if there is none.
+    with that key, or InvalidStructureError if there is none or a key is
+    unhashable.
     """
     own = key is None
     lengths = list(map(len, homs.values()))
@@ -171,24 +168,23 @@ def hom_indexed_category(zero_cells, homs, *, compose, identity, key=None, two_c
     span = {e: range(a, b) for e, a, b in zip(homs, starts, starts[1:])}
     arrows = list(chain.from_iterable(homs.values()))
     ends = tuple(chain.from_iterable(map(repeat, homs, lengths)))  # one ends tuple per hom-set
-    checked = set()
-    for e, hom in homs.items():
-        if len(hom) > 1 and id(hom) not in checked:
-            checked.add(id(hom))
-            keys = hom if own else list(map(key, hom))
-            if any(map(gt, keys, keys[1:])):
-                raise InvalidStructureError(f"hom-set {e!r} is not in ascending key order")
+    found: dict = {}  # ends of a hom-set -> its 1-cells by key, from its first lookup
 
     def one_cell(i, k, kv):
-        cells = span.get((i, k))
-        if cells is not None:
-            try:
-                pos = bisect_left(arrows, kv, cells.start, cells.stop, key=key)
-            except TypeError:  # kv does not compare with the hom-set's keys
-                pos = cells.stop
-            if pos < cells.stop and (arrows[pos] if own else key(arrows[pos])) == kv:
-                return pos
-        raise InvalidStructureError(f"composite or identity {(i, k, kv)!r} missing from its hom-set")
+        try:
+            cells = found.get((i, k))
+            if cells is None:
+                hom = span[i, k]
+                keys = arrows[hom.start : hom.stop]
+                if not own:
+                    keys = list(map(key, keys))
+                # from the back, so the first arrow with a key wins
+                cells = found[i, k] = dict(zip(reversed(keys), reversed(hom)))
+            return cells[kv]
+        except (KeyError, TypeError):  # no such hom-set or key, or an unhashable key
+            raise InvalidStructureError(
+                f"composite or identity {(i, k, kv)!r} missing from its hom-set"
+            ) from None
 
     def compose_one(g, f):
         arrow = compose(arrows[g], arrows[f])
@@ -225,38 +221,6 @@ def hom_indexed_category(zero_cells, homs, *, compose, identity, key=None, two_c
     cat = FiniteJCategory(zero_cells, cells, identities, comps)
     kept(cat, "_hom_index", lambda _: index)  # handed over, so none is built
     return cat, one_cell
-
-
-def hom_set_cells(target: FiniteJCategory, homs, images) -> tuple:
-    """The 1-cells of `target` that `images` names, one hom-set at a time.
-
-    `target` is built by `hom_indexed_category` from `homs`, its arrows
-    their own keys.  `images` yields, for each source hom-set in order,
-    the ends (p, q) of a target hom-set and the arrows it sends its
-    1-cells to there.  Arrows that are the target hom-set itself, strictly
-    ascending, name its range as it stands.  Otherwise the positions of
-    each target hom-set are read once, into a dict from arrow to 1-cell
-    in which the first of equal arrows wins, as it does for `one_cell`.
-    An arrow missing from its target hom-set raises InvalidStructureError.
-    """
-    index = target.hom_index[0]
-    positions: dict = {}  # ends of a target hom-set -> its 1-cells by arrow
-    out: list = []
-    for ends, arrows in images:
-        hom = homs.get(ends, ())
-        if arrows is hom and not any(map(ge, hom, hom[1:])):
-            out += _hom(index, ends)
-            continue
-        pos = positions.get(ends)
-        if pos is None:  # built from the back, so the first of equal arrows wins
-            pos = positions[ends] = dict(zip(reversed(hom), reversed(_hom(index, ends))))
-        try:
-            out += map(pos.__getitem__, arrows)
-        except KeyError as missing:
-            raise InvalidStructureError(
-                f"1-cell {(*ends, missing.args[0])!r} missing from its hom-set"
-            ) from None
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -526,24 +490,28 @@ def _first_unhit(fun: JFunctor, dim: int):
 def _first_clash(fun: JFunctor, dim: int):
     """The first two parallel source dim-cells with one image, or None.
 
-    Only the hom-sets of two or more dim-cells between parallel
-    (dim-1)-cells are walked, in the order of their ends, one set of images
-    each, and the first with fewer images than cells is searched once for
-    the witness a pairwise search would find: the first cell with a later
+    At dimension 0 the 0-cells are walked as one set.  Above it only the
+    hom-sets of two or more dim-cells between parallel (dim-1)-cells are
+    walked, in the order of their ends.  Each gets one set of images, and
+    the first with fewer images than cells is searched once for the
+    witness a pairwise search would find: the first cell with a later
     equal image, and the first such later cell.
     """
-    x, index, image = fun.source, fun.source.hom_index[dim - 1], fun.maps[dim].__getitem__
-    lower = ((None,) * len(x.zero_cells), *x.cells)[dim - 1]  # the ends of each (dim-1)-cell
-    crowded = sorted(
-        key
-        for key, cells in index.items()
-        if cells.__class__ is not int
-        and len(cells) > 1
-        and _pair(key, len(lower))
-        and lower[key[0]] == lower[key[1]]
-    )
-    for key in crowded:
-        cells = index[key]
+    x, image = fun.source, fun.maps[dim].__getitem__
+    groups = [range(len(x.zero_cells))]
+    if dim:
+        index = x.hom_index[dim - 1]
+        lower = ((None,) * len(x.zero_cells), *x.cells)[dim - 1]  # the ends of each (dim-1)-cell
+        crowded = sorted(
+            key
+            for key, cells in index.items()
+            if cells.__class__ is not int
+            and len(cells) > 1
+            and _pair(key, len(lower))
+            and lower[key[0]] == lower[key[1]]
+        )
+        groups = map(index.__getitem__, crowded)
+    for cells in groups:
         if len(set(map(image, cells))) == len(cells):
             continue
         first: dict = {}
@@ -571,7 +539,9 @@ def check_external_equivalence(fun: JFunctor) -> Report:
     y0 itself first.  Each y0 gets the same answer in any order, so the
     finding and its witness, the first y0 that is missed, do not depend on
     the order.  Local surjectivity and faithfulness walk only the hom-sets
-    that can fail (`_first_unhit`, `_first_clash`).
+    that can fail (`_first_unhit`, `_first_clash`).  At j = 0 internal
+    equivalence is equality, so the criteria are surjectivity and
+    injectivity on 0-cells.
     """
     x, y = fun.source, fun.target
     j = x.j
@@ -588,6 +558,8 @@ def check_external_equivalence(fun: JFunctor) -> Report:
     missed = None
     for y0 in range(len(y.zero_cells)):
         if y0 in hit:
+            if j == 0:  # internal equivalence is equality
+                continue
             i = y.identity[0][y0]
             if i in y.hom(1, y0, y0) and _equivalence(y, 1, y.comp[0][0][(i, i)], i):
                 continue

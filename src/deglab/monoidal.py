@@ -910,9 +910,8 @@ def _functor_key(f: MonoidalFunctor):
 def shift_universe(mcs: list):
     """Both sides of the shift comparison: one-0-cell bicategories and
     monoidal categories share one enumeration of functors per pair and
-    differ only in their 0-cell labels.  Each enumeration is a backtracking
-    search in lexicographic order of `_functor_key`, the ascending key
-    order that `hom_indexed_category` requires.  Returns (functors, fun)."""
+    differ only in their 0-cell labels, so map1 is the identity on 1-cells.
+    A 1-cell is found by its `_functor_key`.  Returns (functors, fun)."""
     functors = {
         (i, k): enumerate_monoidal_functors(a, b)
         for i, a in enumerate(mcs)
@@ -941,10 +940,12 @@ def check_shift_equivalence(universe: list, bound: int) -> Report:
     hom-sets (see `shift_universe`), so the equivalence findings hold by
     construction; the round trip and the hom-set bijection are the checks
     with content.  `bound` is only recorded, and must be an exact int (see
-    `report.exact`).
+    `report.exact`); an empty universe raises InvalidStructureError.
     """
     exact(bound, "bound")
     mcs = list(universe)
+    if not mcs:
+        raise InvalidStructureError("universe must be nonempty")
     functors, fun = shift_universe(mcs)
     report = Report(
         "shift-comparison",

@@ -33,9 +33,22 @@ from deglab.doubly import (
     restrict_identity_constraint,
     two_truncation_universe,
 )
-from deglab.equivalence import check_jcategory, check_jfunctor
-from deglab.examples import stock_monoidal_universe
-from deglab.fincat import enumerate_functors, one_object_category
+from deglab.equivalence import (
+    JFunctor,
+    check_external_equivalence,
+    check_jcategory,
+    check_jfunctor,
+    hom_indexed_category,
+)
+from deglab.examples import arrow_category, stock_monoidal_universe
+from deglab.fincat import (
+    CatFunctor,
+    FiniteCategory,
+    compose_functors,
+    enumerate_functors,
+    identity_functor,
+    one_object_category,
+)
 from deglab.monoidal import shift_universe
 from deglab.monoids import cmon_die_universe, enumerate_monoids, hom_maps, invert, units
 from samples import product_square
@@ -306,6 +319,81 @@ def orbit_count(commutative: bool):
     return sweep
 
 
+def _discrete(n: int) -> FiniteCategory:
+    """n objects and their identities only."""
+    comp = tuple(tuple(g if g == f else None for f in range(n)) for g in range(n))
+    return FiniteCategory(n, tuple((a, a) for a in range(n)), tuple(range(n)), comp)
+
+
+def _codiscrete(n: int) -> FiniteCategory:
+    """n objects and one arrow a -> b, numbered a * n + b, for each pair."""
+    arrows = tuple(itertools.product(range(n), repeat=2))
+    comp = tuple(tuple(sf * n + tg if tf == sg else None for sf, tf in arrows) for sg, tg in arrows)
+    return FiniteCategory(n, arrows, tuple(a * n + a for a in range(n)), comp)
+
+
+def _j1_view(c: FiniteCategory) -> tuple:
+    """`c` as a 1-category of `hom_indexed_category`, each hom-set the
+    arrows with those ends: (category, one_cell, the arrow of each 1-cell)."""
+    homs = {(a, b): c.hom(a, b) for a in range(c.n_objects) for b in range(c.n_objects)}
+    labels = tuple(map(str, range(c.n_objects)))
+    x, one_cell = hom_indexed_category(labels, homs, compose=c.compose, identity=c.identities.__getitem__)
+    return x, one_cell, list(itertools.chain.from_iterable(homs.values()))
+
+
+def _naturally_isomorphic(f: CatFunctor, g: CatFunctor) -> bool:
+    """Some natural transformation f => g has every component an
+    isomorphism: a search over every choice of components, with
+    naturality checked at every arrow of the source."""
+    c, d = f.source, f.target
+    isos = [
+        [a for a in d.hom(f.object_map[x], g.object_map[x]) if d.inverse(a) is not None]
+        for x in range(c.n_objects)
+    ]
+    fm, gm = f.morphism_map, g.morphism_map
+    return any(
+        all(d.comp[gm[h]][alpha[s]] == d.comp[alpha[t]][fm[h]] for h, (s, t) in enumerate(c.morphisms))
+        for alpha in itertools.product(*isos)
+    )
+
+
+def definition(size) -> tuple:
+    """ROADMAP item 26 at j = 1: `check_external_equivalence` against the
+    definition of an equivalence of categories.
+
+    The categories are the one-object categories of the monoids of order
+    <= SIZE, the arrow category, and the discrete and the codiscrete
+    category on 2 and on 3 objects.  For every functor F between two of
+    them, from the naive `fincat.enumerate_functors`, the checker's
+    verdict on their j = 1 views (`_j1_view`, map1 through the target's
+    `one_cell`) must equal a brute-force search for a functor G back with
+    natural isomorphisms 1 => GF and FG => 1.  The checker's criterion is
+    a theorem, not the definition (Johnson and Yau, "2-Dimensional
+    Categories", 2021), so this checks it without walking that criterion
+    again, as `tests/walks.py` does.  Returns (functors, equivalences,
+    disagreements)."""
+    cats = [one_object_category(m) for n in range(1, size + 1) for m in enumerate_monoids(n)]
+    cats += [arrow_category(), _discrete(2), _codiscrete(2), _discrete(3), _codiscrete(3)]
+    views = list(map(_j1_view, cats))
+    functors = {(a, b): enumerate_functors(c, d) for a, c in enumerate(cats) for b, d in enumerate(cats)}
+    total = equivalences = disagreements = 0
+    for (a, b), fs in functors.items():
+        (x, _, arrows), (y, one_cell, _) = views[a], views[b]
+        source, target = identity_functor(cats[a]), identity_functor(cats[b])
+        for f in fs:
+            om, mm = f.object_map, f.morphism_map
+            map1 = tuple(one_cell(om[s], om[t], mm[h]) for h, (s, t) in zip(arrows, x.cells[0]))
+            verdict = check_external_equivalence(JFunctor(x, y, om, map1)).ok
+            equivalence = any(
+                _naturally_isomorphic(source, compose_functors(g, f))
+                and _naturally_isomorphic(compose_functors(f, g), target)
+                for g in functors[b, a]
+            )
+            total, equivalences = total + 1, equivalences + equivalence
+            disagreements += verdict != equivalence
+    return total, equivalences, disagreements
+
+
 # NAME: (sweep, {SIZE: (result, peak-RSS gate in MB or None)}).  The
 # figures below are one run each on a shared 2-vCPU VM, Python 3.11.7.
 SWEEPS = {
@@ -335,17 +423,17 @@ SWEEPS = {
     # names, bound 5 that of ROADMAP items 17 and 19.  Peak RSS at bound 5
     # must stay at most 250 MB, so neither a per-1-cell index, a
     # per-hom-set copy of the hom maps, nor a per-functor homomorphism
-    # object can quietly come back (3.4 s and 189.8 MB, with the universe's
-    # 1-cells their own keys, map1 filled one hom-set at a time, and
-    # functor objects built for the restriction only).
+    # object can quietly come back (3.6-3.7 s and 190.2 MB, with the
+    # universe's 1-cells their own keys, map1 read off the enumeration,
+    # and functor objects built for the restriction only).
     "thm-vdbe": (suite("thm-vdbe"), {
         3: (("pass", "8ebf9c16ecbb67f9604fa99b42c435681130f8f307727baa9acdcc7e04edf6af"), None),
         4: (("pass", "cca80ec85997ff8109513672e7281621cfba60aa108c144d42d74a99769938a3"), None),
         5: (("pass", "895c3904477007121186f90b69c415de275b0a0887de3bad91de09eb66d8c2e7"), 250),
     }),
     # the object-forgetting comparison over every monoid of size <= 5,
-    # 613,610 1-cells per side; peak RSS at most 200 MB (1.5 s and 107.1
-    # MB, map1 filled one hom-set at a time), which leaves room for an
+    # 613,610 1-cells per side; peak RSS at most 200 MB (1.5 s and 107.9
+    # MB, map1 read off the enumeration), which leaves room for an
     # independent hom-set oracle (ROADMAP item 1)
     "thm-dce": (suite("thm-dce"), {
         3: (("pass", "2e484cc2b66da55145044afbea506b4e0ba108c8e3d00c807e65dc527f5b6a3d"), None),
@@ -375,6 +463,9 @@ SWEEPS = {
     # 77,060 horizontal pairs)
     "law-checks": (law_checks, {2: ((), None), 3: ((), None)}),
     "equivalence-walks": (equivalence_walks, {3: ((), None), 4: ((), None)}),
+    # ROADMAP item 26 at j = 1: 15 categories at size 3 and 50 at size 4
+    # (0.1 s and 1.0 s)
+    "definition": (definition, {3: ((589, 77, 0), None), 4: ((9067, 140, 0), None)}),
     # one valid structure per (commutative monoid, die): 8 at n = 3 and 31
     # at n = 4, from the 7 and 35 monoid classes of those orders; a checker
     # that ignored lunit-naturality would admit 35 and 298 structures.

@@ -15,7 +15,13 @@ from deglab.degenerate import (
     nat_trans_between,
     not_locally_full_witnesses,
 )
-from deglab.equivalence import check_jcategory, check_jfunctor
+from deglab.equivalence import (
+    FiniteJCategory,
+    JFunctor,
+    check_external_equivalence,
+    check_jcategory,
+    check_jfunctor,
+)
 from deglab.examples import bool_or_monoid, trivial_monoid, zmod
 from deglab.monoids import FiniteMonoid, MonoidHom, enumerate_monoids, hom_maps, identity_hom
 from deglab.report import InvalidStructureError, StructuralError
@@ -260,3 +266,85 @@ class TestMonoidCategory:
             pairs += 1
             sizes |= 1 << len(f)
         assert sizes == 0b1110 and pairs > 1000
+
+
+def _monoid_two_category(monoids, discrete: bool):
+    """The 2-category of the one-object categories of `monoids`, as dict
+    tables: 1-cells the maps of `hom_maps`, and 2-cells F => G the d of the
+    target with d.F(x) = G(x).d, composed vertically by e.d and
+    horizontally by G2(d1).d2; only the identity 2-cells d = unit on F => F
+    when `discrete`.  Returns (category, the 2-cells as (F, G, d))."""
+    ends, maps = [], []
+    for i, a in enumerate(monoids):
+        for k, b in enumerate(monoids):
+            for h in hom_maps(a, b):
+                ends.append((i, k))
+                maps.append(h)
+    cell = {(*e, h): f for f, (e, h) in enumerate(zip(ends, maps))}
+    starting, parallel = {}, {}
+    for f, e in enumerate(ends):
+        starting.setdefault(e[0], []).append(f)
+        parallel.setdefault(e, []).append(f)
+    one_comp = {
+        (g, f): cell[i, ends[g][1], tuple(maps[g][x] for x in maps[f])]
+        for f, (i, k) in enumerate(ends)
+        for g in starting[k]
+    }
+    twos = []
+    for f, e in enumerate(ends):
+        n = monoids[e[1]]
+        if discrete:
+            twos.append((f, f, n.unit))
+            continue
+        for g in parallel[e]:
+            for d in range(n.size):
+                if all(n.mul[d][x] == n.mul[y][d] for x, y in zip(maps[f], maps[g])):
+                    twos.append((f, g, d))
+    pos = {t: a for a, t in enumerate(twos)}
+    vcomp, hcomp = {}, {}
+    for a, (f1, g1, d1) in enumerate(twos):
+        for b, (f2, g2, d2) in enumerate(twos):
+            mul = monoids[ends[f2][1]].mul
+            if g1 == f2:
+                vcomp[b, a] = pos[f1, g2, mul[d2][d1]]
+            if ends[f1][1] == ends[f2][0]:
+                hcomp[b, a] = pos[one_comp[f2, f1], one_comp[g2, g1], mul[maps[g2][d1]][d2]]
+    cat = FiniteJCategory(
+        tuple(f"m#{i}" for i in range(len(monoids))),
+        (tuple(ends), tuple((f, g) for f, g, _ in twos)),
+        (tuple(cell[i, i, tuple(range(m.size))] for i, m in enumerate(monoids)),
+         tuple(pos[f, f, monoids[k].unit] for f, (_, k) in enumerate(ends))),
+        ((one_comp,), (hcomp, vcomp)),
+    )
+    return cat, twos
+
+
+class TestNotABiequivalence:
+    """ROADMAP item 20 (b): the discrete 2-category of degenerate
+    categories includes into the one with natural transformations as
+    2-cells, an isomorphism on 0- and 1-cells that is no equivalence."""
+
+    @pytest.mark.parametrize("bound, one, discrete, full", [(2, 11, 11, 21), (3, 194, 194, 844)])
+    def test_inclusion_is_not_locally_essentially_surjective(self, bound, one, discrete, full):
+        monoids = [m for n in range(1, bound + 1) for m in enumerate_monoids(n)]
+        (x, identities), (y, twos) = (_monoid_two_category(monoids, d) for d in (True, False))
+        assert (len(x.cells[0]), len(x.cells[1]), len(y.cells[1])) == (one, discrete, full)
+        pos = {t: a for a, t in enumerate(twos)}
+        map2 = tuple(pos[t] for t in identities)
+        fun = JFunctor(x, y, tuple(range(len(monoids))), tuple(range(one)), map2)
+        if bound == 2:  # the law checks at bound 3 take seconds
+            assert check_jcategory(x).ok and check_jcategory(y).ok and check_jfunctor(fun).ok
+        report = check_external_equivalence(fun)
+        failed = [f for f in report.findings if not f.passed]
+        assert [f.criterion for f in failed] == ["locally-essentially-surjective-on-2-cells"]
+        assert failed[0].witness == {"between-1-cells": [1, 1], "target-2-cell": 1}
+        # the first 2-cell missed is a non-unit component on F => F, for F
+        # the 1-cell from the trivial monoid to m#1: no identity 1-cell
+        f, g, d = twos[1]
+        assert (f, g) == (1, 1) and x.cells[0][1] == (0, 1) and d != monoids[1].unit
+        # every non-identity transformation on an identity 1-cell, as
+        # `not_locally_full_witnesses` finds them, is a 2-cell missed too
+        hit = set(map2)
+        for t in not_locally_full_witnesses(bound):
+            f = x.identity[0][monoids.index(t.source_functor.source)]
+            assert pos[f, f, t.component] not in hit

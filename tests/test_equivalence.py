@@ -24,7 +24,6 @@ from deglab.equivalence import (
     check_jcategory,
     check_jfunctor,
     hom_indexed_category,
-    hom_set_cells,
     internally_equivalent,
 )
 from deglab.monoids import FiniteMonoid, hom_maps
@@ -279,7 +278,40 @@ class TestInternalEquivalence:
         assert internally_equivalent(x, 0, 0)[0]
 
 
+def zero_category(*labels):
+    """A 0-category: its 0-cells and nothing above them."""
+    return FiniteJCategory(labels, (), (), ())
+
+
 class TestExternalEquivalence:
+    def test_zero_functor_bijection_passes(self):
+        fun = JFunctor(zero_category("a", "b"), zero_category("c", "d"), (1, 0), ())
+        assert check_jcategory(fun.source).ok and check_jfunctor(fun).ok
+        rep = check_external_equivalence(fun)
+        assert rep.ok
+        assert [(f.criterion, f.dimension) for f in rep.findings] == [
+            ("essentially-surjective-on-0-cells", 0),
+            ("locally-faithful-at-top-dimension", 0),
+        ]
+
+    def test_zero_functor_two_to_one_fails_faithfulness(self):
+        # at j = 0 internal equivalence is equality: faithfulness is injectivity
+        fun = JFunctor(zero_category("a", "b", "c"), zero_category("x", "y"), (1, 0, 0), ())
+        rep = check_external_equivalence(fun)
+        by_name = {f.criterion: f for f in rep.findings}
+        assert by_name["essentially-surjective-on-0-cells"].passed
+        faithful = by_name["locally-faithful-at-top-dimension"]
+        assert not faithful.passed
+        assert faithful.witness == {"identified-0-cells": [1, 2]}
+
+    def test_zero_functor_missing_a_zero_cell_fails_surjectivity(self):
+        fun = JFunctor(zero_category("a", "b"), zero_category("c", "d", "e"), (0, 2), ())
+        rep = check_external_equivalence(fun)
+        by_name = {f.criterion: f for f in rep.findings}
+        assert by_name["locally-faithful-at-top-dimension"].passed
+        surjective = by_name["essentially-surjective-on-0-cells"]
+        assert not surjective.passed and surjective.witness == {"target-0-cell": "d"}
+
     def test_identity_functor_passes(self):
         x = walking_isomorphism()
         fun = JFunctor(x, x, (0, 1), (0, 1, 2, 3))
@@ -682,16 +714,19 @@ class TestHomIndexedCategory:
         homs = {(0, 0): arrows}
         assert assert_lookup_matches(one_cell, homs, lambda a: a % 3, [(0, 0, 3), (0, 0, -1)]) == 2
 
-    def test_unsorted_hom_set_is_rejected_by_name(self):
-        with pytest.raises(InvalidStructureError, match=r"hom-set \(0, 0\)"):
-            cyclic(3, [0, 2, 1])
+    def test_hom_set_is_numbered_as_given_and_found_by_key(self):
+        # a descent in a hom-set's keys is no error: its 1-cells are numbered
+        # in the order given, and each is found by its key
+        cat, one_cell = cyclic(3, [0, 2, 1])
+        assert check_jcategory(cat).ok
+        assert [one_cell(0, 0, kv) for kv in range(3)] == [0, 2, 1]
+        assert cat.comp[0][0][(1, 1)] == 2  # 2 + 2 = 4, keyed 1
         homs = {(0, 0): ["a"], (0, 1): ["b", "a"], (1, 1): ["b"]}
-        with pytest.raises(InvalidStructureError, match=r"hom-set \(0, 1\)"):
-            hom_indexed_category(
-                ("x", "y"), homs, key=str, compose=lambda g, f: g, identity=lambda i: "ab"[i]
-            )
-        # equal keys may repeat; only a descent is out of order
-        cyclic(3, [0, 3, 1])
+        _, one_cell = hom_indexed_category(
+            ("x", "y"), homs, key=str, compose=lambda g, f: g, identity=lambda i: "ab"[i]
+        )
+        assert [one_cell(0, 1, kv) for kv in "ab"] == [2, 1]
+        assert_lookup_matches(one_cell, homs, str, [(0, 1, "c"), (1, 0, "a")])
 
     def test_absent_keys_raise_invalid_structure(self):
         # below, between and above the keys of a hom-set, in a hom-set that
@@ -705,6 +740,16 @@ class TestHomIndexedCategory:
             cyclic(7, [0, 2, 5])[0].comp[0][0][(2, 2)]
         with pytest.raises(InvalidStructureError):  # the identity 0 is absent
             cyclic(7, [2, 5])
+
+    def test_unhashable_keys_raise_invalid_structure(self):
+        _, one_cell = cyclic(3, range(3))
+        for kv in ([1], {1: 1}):
+            with pytest.raises(InvalidStructureError, match="missing from its hom-set"):
+                one_cell(0, 0, kv)
+        assert one_cell(0, 0, 1) == 1
+        # an unhashable arrow, its own key, is refused on the first lookup in its hom-set
+        with pytest.raises(InvalidStructureError, match="missing from its hom-set"):
+            hom_indexed_category(("*",), {(0, 0): [[0]]}, compose=lambda g, f: g, identity=lambda i: [0])
 
     def test_no_index_is_kept_per_one_cell(self):
         # the forgetful universe over sizes <= 4 holds about 95 B per 1-cell
@@ -746,17 +791,21 @@ class TestHomIndexedCategory:
 
 
 def _one_cell_map1(one_cell, images):
-    """map1 by the per-1-cell binary search: images yields (p, q, arrow)."""
+    """map1 by the per-1-cell `one_cell` search: images yields (p, q, arrow)."""
     return tuple(one_cell(p, q, arrow) for p, q, arrow in images)
 
 
 class TestHomSetCells:
+    """map1 read off the 1-cells of each image hom-set, against the
+    `one_cell` search of each 1-cell's image."""
+
     @pytest.mark.parametrize(
         "sample",
         [
             degenerate_sample(1),
             degenerate_sample(2),
             degenerate_sample(3),
+            degenerate_sample(4),
             # a non-canonical table beside the canonical ones: a right
             # monoid of its own, beside an equal copy of a canonical table
             degenerate_sample(2)
@@ -765,51 +814,48 @@ class TestHomSetCells:
                 monoid_to_cat(FiniteMonoid(2, 0, ((0, 1), (1, 1)))),
             ],
         ],
-        ids=["sizes<=1", "sizes<=2", "sizes<=3", "non-canonical"],
+        ids=["sizes<=1", "sizes<=2", "sizes<=3", "sizes<=4", "non-canonical"],
     )
     def test_forgetful_map1_is_the_one_cell_search(self, sample):
         right, left_homs, right_homs, fun = forgetful_universe(sample)
         _, one_cell = monoid_category("monoid", right, right_homs)
         map0 = fun.map0
         images = [(map0[i], map0[k], h) for (i, k), hs in left_homs.items() for h in hs]
-        want = _one_cell_map1(one_cell, images)
-        assert fun.map1 == want
-        # the same through the positions of each hom-set, with every left
-        # hom-set a copy, not the right side's tuple
-        copies = [((map0[i], map0[k]), list(hs)) for (i, k), hs in left_homs.items()]
-        assert all(hs is not right_homs[ends] for ends, hs in copies)
-        assert hom_set_cells(fun.target, right_homs, copies) == want
+        assert fun.map1 == _one_cell_map1(one_cell, images)
 
     def test_two_truncation_map1_is_the_one_cell_search(self):
-        dies, one_cells, _, fun = two_truncation_universe(3)
-        monoids = list(dict.fromkeys(s.monoid for s in dies))
-        homs = {(i, k): hom_maps(m, m2) for i, m in enumerate(monoids) for k, m2 in enumerate(monoids)}
-        _, one_cell = monoid_category("cmon", monoids, homs, two_cell=lambda f, g: f is g)
-        images = [(fun.map0[s], fun.map0[t], key[0]) for s, t, key in one_cells]
-        assert len(images) == 416
-        assert fun.map1 == _one_cell_map1(one_cell, images)
+        for bound, cells in ((3, 416), (4, 10027)):
+            dies, one_cells, _, fun = two_truncation_universe(bound)
+            monoids = list(dict.fromkeys(s.monoid for s in dies))
+            homs = {(i, k): hom_maps(m, m2) for i, m in enumerate(monoids) for k, m2 in enumerate(monoids)}
+            _, one_cell = monoid_category("cmon", monoids, homs, two_cell=lambda f, g: f is g)
+            images = [(fun.map0[s], fun.map0[t], key[0]) for s, t, key in one_cells]
+            assert len(images) == cells
+            assert fun.map1 == _one_cell_map1(one_cell, images)
 
     def test_repeated_arrow_maps_to_its_first_copy(self):
         homs = {(0, 0): (0, 1, 1, 2)}
-        cat, one_cell = hom_indexed_category(
+        _, one_cell = hom_indexed_category(
             ("*",), homs, compose=lambda g, f: (g + f) % 3, identity=lambda i: 0
         )
-        assert one_cell(0, 0, 1) == 1
-        # the hom-set itself, not strictly ascending, is not read as its range
-        assert hom_set_cells(cat, homs, [((0, 0), homs[(0, 0)])]) == (0, 1, 1, 3)
-        assert hom_set_cells(cat, homs, [((0, 0), [1, 2, 1, 0])]) == (1, 3, 1, 0)
+        assert [one_cell(0, 0, kv) for kv in range(3)] == [0, 1, 3]
 
-    def test_missing_map_raises_invalid_structure(self):
-        right, left_homs, right_homs, fun = forgetful_universe(degenerate_sample(3))
-        ends = next(e for e, hs in right_homs.items() if len(hs) > 1 and e[0] != e[1])
-        short = {**right_homs, ends: right_homs[ends][:-1]}
-        target, _ = monoid_category("monoid", right, short)
-        images = [((fun.map0[i], fun.map0[k]), hs) for (i, k), hs in left_homs.items()]
-        with pytest.raises(InvalidStructureError, match="missing from its hom-set"):
-            hom_set_cells(target, short, images)
-        # and an image hom-set that the target lacks altogether
-        with pytest.raises(InvalidStructureError, match="missing from its hom-set"):
-            hom_set_cells(fun.target, right_homs, [((len(right), 0), [(0,)])])
+    def test_neighbouring_image_fails_two_truncation_surjectivity(self):
+        # each hom-set of the locally thin source holds at most one 2-cell,
+        # so no map1 makes two of them clash and faithfulness at the top
+        # dimension holds; the image left out fails local essential
+        # surjectivity on 1-cells, and on the 2-cells over it
+        _, _, _, fun = two_truncation_universe(3)
+        ends, map1 = fun.source.cells[0], fun.map1
+        a = next(a for a in range(len(ends) - 1) if ends[a] == ends[a + 1] and map1[a] != map1[a + 1])
+        patched = list(map1)
+        patched[a] = map1[a + 1]
+        map2 = tuple(patched[f] for f, _ in fun.source.cells[1])
+        report = check_external_equivalence(
+            JFunctor(fun.source, fun.target, fun.map0, tuple(patched), map2)
+        )
+        failed = [f.criterion for f in report.findings if not f.passed]
+        assert failed == ["locally-essentially-surjective-on-1-cells", "locally-essentially-surjective-on-2-cells"]
 
     def test_neighbouring_image_flips_local_faithfulness(self):
         _, _, _, fun = forgetful_universe(degenerate_sample(3))

@@ -42,7 +42,7 @@ from deglab.monoidal import (
 )
 from deglab.equivalence import check_jcategory, check_jfunctor
 from deglab.fincat import enumerate_functors
-from deglab.report import StructuralError
+from deglab.report import InvalidStructureError, StructuralError
 from deglab.suites import run_suite
 from samples import subset_lattice, two_group
 
@@ -175,6 +175,12 @@ class TestShift:
         # the bound is only recorded, so it is refused, not written as given
         with pytest.raises(StructuralError, match=r"^bound: expected int, got str$"):
             check_shift_equivalence(stock_monoidal_universe(2), bound="x")
+
+    def test_refuses_an_empty_universe(self):
+        # as `check_forgetful_equivalence` refuses an empty sample: over no
+        # monoidal category every finding would pass vacuously
+        with pytest.raises(InvalidStructureError, match="must be nonempty"):
+            check_shift_equivalence([], bound=4)
 
     def test_round_trip_finding_compares_the_inverse_witnesses(self, monkeypatch):
         # a shift that stores the associator as its own inverse loses data

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import sweeps
-from deglab import doubly, monoids
+from deglab import doubly, equivalence, monoids
 
 WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
 
@@ -48,6 +48,15 @@ def test_orbit_counts_need_no_enumeration(monkeypatch, capsys, name):
     monkeypatch.setattr(sweeps, "enumerate_monoids", refuse)
     size = min(sweeps.SWEEPS[name][1])
     assert sweeps.main([name, str(size)]) == 0, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("criterion, disagreements", [("_first_clash", 62), ("_first_unhit", 176)])
+def test_a_dropped_criterion_disagrees_with_the_definition(monkeypatch, capsys, criterion, disagreements):
+    # without local faithfulness, or local essential surjectivity, the
+    # checker passes functors that have no pseudo-inverse
+    monkeypatch.setattr(equivalence, criterion, lambda fun, dim: None)
+    assert sweeps.main(["definition", "3"]) == 1
+    assert f"definition 3 (589, 77, {disagreements}), expected (589, 77, 0)" in capsys.readouterr().out
 
 
 def test_wrong_composite_fails_the_law_checks(monkeypatch, capsys):
