@@ -14,6 +14,7 @@ from itertools import chain, count
 from .degenerate import monoid_category
 from .equivalence import (
     JFunctor,
+    _first_clash,
     _hom,
     check_external_equivalence,
     hom_indexed_category,
@@ -680,22 +681,29 @@ def _identity_key(m: FiniteMonoid) -> tuple:
     return (interned(tuple(range(m.size))), m.unit, m)
 
 
+def _bounded_dies(bound: int) -> list:
+    """`cmon_die_universe(bound)`; below 1 every finding would hold vacuously."""
+    if exact(bound, "bound") < 1:
+        raise StructuralError(f"bound {bound} is below 1: the universe would be empty")
+    return cmon_die_universe(bound)
+
+
 def two_truncation_universe(bound: int):
     """The 2-dimensional totality over all instances of size <= bound,
     assembled as explicit cell data, together with the discrete image side
-    and the projection between them.  Returns (dies, one_cells, two_cells,
-    fun).
+    and the projection between them.  Returns (dies, homs, two_cells,
+    fun), or refuses a bound below 1.
 
     A 1-cell is its key (map, m, monoid): the hom map and the chosen
     invertible element of a reduced functor, and the target monoid they
     lie in, which composition reads.  No functor object is built: the
     1-cells i -> k are `hom_maps` x `units` of the target, in (map, m)
     order, so the p-th of them names the p-th functor of
-    `dd_functors_between(dies[i], dies[k])`.  Dies on the same pair of
-    monoids share one list of keys.  Keys compose by `_compose_keys`, and
-    the identity on a die is keyed (identity map, unit).  one_cells lists
-    (source, target, key) in index order.  A 2-cell f => g exists exactly
-    when the two maps agree, since the transformation's component is then
+    `dd_functors_between(dies[i], dies[k])`.  homs[(i, k)] is that list,
+    shared by dies on the same pair of monoids, and numbers the 1-cells
+    in order.  Keys compose by `_compose_keys`, and the identity on a die
+    is keyed (identity map, unit).  A 2-cell f => g exists exactly when
+    the two maps agree, since the transformation's component is then
     forced, so two_cells, which is `fun.source.cells[1]`, is the pairs of
     parallel 1-cells with equal maps.
 
@@ -707,7 +715,7 @@ def two_truncation_universe(bound: int):
     repeated once per unit, in one tuple shared by every hom-set with the
     same image ends.  Both sides' 1-cells are their own keys.
     """
-    dies = cmon_die_universe(bound)
+    dies = _bounded_dies(bound)
     by_monoids: dict = {}
     homs = {}
     for si, s in enumerate(dies):
@@ -726,7 +734,6 @@ def two_truncation_universe(bound: int):
         identity=lambda i: _identity_key(dies[i].monoid),
         two_cell=lambda f, g: f[0] == g[0],
     )
-    one_cells = [(s, t, key) for (s, t), keys in homs.items() for key in keys]
 
     monoids = list(dict.fromkeys(s.monoid for s in dies))
     right_homs = {
@@ -745,25 +752,24 @@ def two_truncation_universe(bound: int):
     map1 = tuple(chain.from_iterable(shared[map0[s], map0[t]] for s, t in homs))
     map2 = tuple(map1[f] for f, _ in left.cells[1])
     fun = JFunctor(left, right, map0, map1, map2)
-    return dies, one_cells, left.cells[1], fun
+    return dies, homs, left.cells[1], fun
 
 
-def _first_miscounted_pair(one_cells, x):
-    """The first pair (fi, gi) of parallel 1-cells of `x`, in order, with
-    other than one 2-cell fi => gi when their maps agree, or other than
-    none when they differ, as (fi, gi, count, expected); else None.
+def _first_miscounted_pair(fun):
+    """The first pair (fi, gi) of parallel source 1-cells, in order, with
+    other than one 2-cell fi => gi when `fun` sends them to one 1-cell, or
+    other than none when not, as (fi, gi, count, expected); else None.
 
-    one_cells lists x's 1-cells as (source, target, key), each key's map
-    first, as `two_truncation_universe` returns them.  Only a pair with a
-    2-cell or with equal maps can be miscounted, so only those pairs are
-    counted, from x's index: each 1-cell with each 1-cell of its class
-    (same ends, same map), and the 2-cells between parallel 1-cells of two
-    classes.  Every other pair counts 0, as expected.
+    Only a pair with a 2-cell or with one image can be miscounted, so only
+    those pairs are counted, from the source's index: each 1-cell with
+    each 1-cell of its class (same ends, same image), and the 2-cells
+    between parallel 1-cells of two classes.  Every other pair counts 0.
     """
+    x, image = fun.source, fun.map1
     classes: dict = {}
     cls = []  # the class of each 1-cell, as the ascending list of its members
-    for fi, (s, t, key) in enumerate(one_cells):
-        same = classes.setdefault((s, t, key[0]), [])
+    for fi, (s, t) in enumerate(x.cells[0]):
+        same = classes.setdefault((s, t, image[fi]), [])
         same.append(fi)
         cls.append(same)
     ends, index = x.cells[0], x.hom_index[1]  # the 2-cells by their ends
@@ -784,34 +790,30 @@ def _first_miscounted_pair(one_cells, x):
 def check_two_equivalence(bound: int) -> Report:
     """The 2-truncation comparison is an equivalence over the bounded universe.
 
-    Verifies surjectivity on objects on the nose (via the pseudo-inverse
-    choosing the identity as distinguished element), local surjectivity on
-    1-cells, and local bijectivity on 2-cells: a 2-cell between parallel
-    1-cells exactly when their maps agree.  Also records the level-1 and
-    level-3 failures when the universe contains a witnessing target.  It
-    reads the 1-cells of `two_truncation_universe` as keys, so it builds
-    no functor, transformation or modification object.
+    Beside `check_external_equivalence`: surjectivity on objects on the
+    nose (the images of the instances with the unit distinguished), and a
+    2-cell between parallel 1-cells exactly when they have one image.  The
+    level-1 failure is `_first_clash` on the comparison cut to 1-cells;
+    each level fails, saying so, where no instance can witness it.  It
+    builds no functor, transformation or modification object.  A bound
+    below 1 is refused.
     """
-    dies, one_cells, _, fun = two_truncation_universe(bound)
+    dies, _, _, fun = two_truncation_universe(bound)
     report = Report(
         "two-truncation-comparison",
         {"bound": bound, "universe": f"all {len(dies)} instances of size <= {bound}"},
         check_external_equivalence(fun).findings,
     )
 
-    hit = {fun.map0[i] for i in range(len(dies))}
-    identity_die = all(
-        any(fun.map0[i] == k and dies[i].die == dies[i].monoid.unit for i in range(len(dies)))
-        for k in range(len(fun.target.zero_cells))
-    )
+    unit_images = {fun.map0[i] for i, d in enumerate(dies) if d.die == d.monoid.unit}
     report.add(
         "surjective-on-objects-on-the-nose",
-        len(hit) == len(fun.target.zero_cells) and identity_die,
+        len(unit_images) == len(fun.target.zero_cells),
         dimension=0,
         detail="every commutative monoid is hit by the instance with identity element chosen",
     )
 
-    bad = _first_miscounted_pair(one_cells, fun.source)
+    bad = _first_miscounted_pair(fun)
     report.add(
         "locally-bijective-on-2-cells",
         bad is None,
@@ -821,33 +823,37 @@ def check_two_equivalence(bound: int) -> Report:
     )
 
     x = fun.source
-    # level 1: on the first instance with a non-unit invertible element, its
-    # identity 1-cell and the first other 1-cell on the identity map differ
-    # in their chosen element alone
-    s = next((i for i, d in enumerate(dies) if len(units(d.monoid)) > 1), None)
-    if s is not None:
-        ident = x.identity[0][s]
-        same_map = [f for f in x.hom(1, s, s) if one_cells[f][2][0] == one_cells[ident][2][0]]
-        other = next(f for f in same_map if f != ident)
-        report.add(
-            "level-1-comparison-not-faithful",
-            fun.map1[other] == fun.map1[ident],
-            dimension=1,
-            detail="two functors with distinct chosen elements share one image",
-        )
+    # level 1: cut to 1-cells, the comparison identifies two parallel
+    # 1-cells, which can differ only in their chosen element
+    cut = (
+        replace(c, cells=c.cells[:1], identity=c.identity[:1], comp=c.comp[:1])
+        for c in (x, fun.target)
+    )
+    level_1 = _first_clash(JFunctor(*cut, fun.map0, fun.map1), 1) is not None
     # level 3: on the first instance with two elements, the modifications
     # (2-cell, element) of its identity 2-cell by the unit and by another
     # element; a modification is sent to the image of the 2-cell it modifies
     s = next((i for i, d in enumerate(dies) if d.monoid.size > 1), None)
+    level_3 = False
     if s is not None:
         m = dies[s].monoid
         cell = x.identity[1][x.identity[0][s]]
         mods = [(cell, m.unit), (cell, next(e for e in range(m.size) if e != m.unit))]
+        level_3 = len({fun.map2[c] for c, _ in mods}) == 1
+    # each fails, saying so, where no instance can witness it
+    for level, criterion, collapsed, cells, lacking in (
+        (1, "level-1-comparison-not-faithful", level_1,
+         "functors with distinct chosen elements", "a non-unit invertible element"),
+        (3, "level-3-comparison-not-locally-faithful", level_3,
+         "modifications with distinct elements", "two elements"),
+    ):
         report.add(
-            "level-3-comparison-not-locally-faithful",
-            len({fun.map2[c] for c, _ in mods}) == 1,
-            dimension=3,
-            detail="two modifications with distinct elements share one image",
+            criterion,
+            collapsed,
+            dimension=level,
+            detail=f"two {cells} share one image"
+            if collapsed
+            else f"no instance of size <= {bound} has {lacking}, so no witness",
         )
     return report
 
@@ -860,7 +866,7 @@ def restrict_identity_constraint(functors, bound: int | None = None):
     the retained functors is full, faithful and surjective over the bounded
     universe: for each pair of its instances, matched by value, the retained
     hom maps are the homomorphisms, each once, and every monoid is the
-    source of a retained functor.
+    source of a retained functor.  A bound below 1 is refused.
 
     Ends are matched by value, but each distinct end object is hashed
     only once, since a die's hash reads its whole table: every later
@@ -897,7 +903,7 @@ def restrict_identity_constraint(functors, bound: int | None = None):
     report.add("closed-under-composition", closed, dimension=1, witness=witness)
 
     if bound is not None:
-        dies = cmon_die_universe(bound)
+        dies = _bounded_dies(bound)
         maps: dict = {}
         for f in retained:
             ends = (same[id(f.source)], same[id(f.target)])

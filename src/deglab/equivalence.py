@@ -452,24 +452,35 @@ def _first_unhit(fun: JFunctor, dim: int):
     p, q that no source dim-cell p -> q maps to, or None: on the nose at the
     top dimension, up to internal equivalence below it.
 
-    At dimension 1 every pair of 0-cells is walked; above it only the pairs
-    from `_bounding_pairs`, since no other pair has a target dim-cell.
+    At dimension 0 the one pair (None, None) holds every 0-cell of each
+    side; at dimension 1 every pair of 0-cells is walked, and above it only
+    the pairs from `_bounding_pairs`, since no other has a target dim-cell.
     Each hom-set's images are collected once.  At the top dimension beta is
     looked up among them; below it each distinct image is compared with
-    beta once, beta itself first when it is an image (and each beta with
-    itself once per walk).
+    beta once, beta itself first when it is an image, by one cached test
+    per beta that tries beta's identity pair before the full search.
     """
     x, y = fun.source, fun.target
-    lower, image = fun.maps[dim - 1], fun.maps[dim].__getitem__
-    if dim == 1:
-        n, below = len(x.zero_cells), x.hom_index[0]
-        pairs = ((p, q, _hom(below, (p, q))) for p in range(n) for q in range(n))
+    image = fun.maps[dim].__getitem__
+    if dim == 0:
+        lower, index = {None: None}, {(None, None): range(len(y.zero_cells))}
+        pairs = [(None, None, range(len(x.zero_cells)))]
     else:
-        pairs = _bounding_pairs(fun, dim)
-    index = y.hom_index[dim - 1]
+        lower, index = fun.maps[dim - 1], y.hom_index[dim - 1]
+        if dim == 1:
+            n, below = len(x.zero_cells), x.hom_index[0]
+            pairs = ((p, q, _hom(below, (p, q))) for p in range(n) for q in range(n))
+        else:
+            pairs = _bounding_pairs(fun, dim)
     top = dim == x.j
     equivalent = partial(_equivalence, y, dim)
-    reflexive = cache(lambda f: equivalent(f, f))  # asked once per target cell
+
+    @cache
+    def reflexive(f):  # the identity pair, one composite, before the full search
+        i = y.identity[dim][f]
+        paired = i in y.hom(dim + 1, f, f) and _equivalence(y, dim + 1, y.comp[dim][dim][(i, i)], i)
+        return paired or equivalent(f, f)
+
     for p, q, cells in pairs:
         betas = _hom(index, (lower[p], lower[q]))
         if not betas:
@@ -527,21 +538,13 @@ def _first_clash(fun: JFunctor, dim: int):
 def check_external_equivalence(fun: JFunctor) -> Report:
     """Unravelled criteria for an external j-equivalence over finite data.
 
-    Checks local essential surjectivity at every dimension, on the nose at
-    the top dimension and up to internal equivalence below it, and local
-    faithfulness at the top dimension; each finding names its dimension and
-    carries a witness for the first failure.
-
-    Essential surjectivity on 0-cells asks, for each target 0-cell y0,
-    whether some image 0-cell is internally equivalent to it.  An image y0
-    is first settled by its identity pair, one composite; only if that pair
-    fails does the full search run, which asks each distinct image once,
-    y0 itself first.  Each y0 gets the same answer in any order, so the
-    finding and its witness, the first y0 that is missed, do not depend on
-    the order.  Local surjectivity and faithfulness walk only the hom-sets
-    that can fail (`_first_unhit`, `_first_clash`).  At j = 0 internal
-    equivalence is equality, so the criteria are surjectivity and
-    injectivity on 0-cells.
+    Checks (local) essential surjectivity at every dimension from 0, on the
+    nose at the top dimension and up to internal equivalence below it
+    (`_first_unhit`), and local faithfulness at the top dimension
+    (`_first_clash`); each walks only the hom-sets that can fail.  Each
+    finding names its dimension and carries a witness for the first
+    failure, the same in any walk order.  At j = 0 internal equivalence is
+    equality, so the criteria are surjectivity and injectivity on 0-cells.
     """
     x, y = fun.source, fun.target
     j = x.j
@@ -552,39 +555,20 @@ def check_external_equivalence(fun: JFunctor) -> Report:
             "universe": f"{len(x.zero_cells)} source 0-cells / {len(y.zero_cells)} target 0-cells",
         },
     )
-
-    images = list(dict.fromkeys(fun.map0))
-    hit = set(images)
-    missed = None
-    for y0 in range(len(y.zero_cells)):
-        if y0 in hit:
-            if j == 0:  # internal equivalence is equality
-                continue
-            i = y.identity[0][y0]
-            if i in y.hom(1, y0, y0) and _equivalence(y, 1, y.comp[0][0][(i, i)], i):
-                continue
-        if not any(
-            internally_equivalent(y, y1, y0)[0] for y1 in sorted(images, key=lambda y1: y1 != y0)
-        ):
-            missed = y0
-            break
-    report.add(
-        "essentially-surjective-on-0-cells",
-        missed is None,
-        dimension=0,
-        witness=None if missed is None else {"target-0-cell": y.zero_cells[missed]},
-    )
-
-    for dim in range(1, j + 1):
+    for dim in range(j + 1):
         miss = _first_unhit(fun, dim)
         witness = None
         if miss is not None:
             p, q, beta = miss
-            if dim == 1:
+            if dim == 0:
+                witness = {"target-0-cell": y.zero_cells[beta]}
+            elif dim == 1:
                 witness = {"between": [x.zero_cells[p], x.zero_cells[q]], "target-1-cell": beta}
             else:
                 witness = {"between-1-cells": [p, q], "target-2-cell": beta}
         criterion = f"locally-essentially-surjective-on-{dim}-cells"
+        if dim == 0:  # 0-cells lie in no hom-set
+            criterion = criterion.removeprefix("locally-")
         report.add(criterion, miss is None, dimension=dim, witness=witness)
 
     clash = _first_clash(fun, j)

@@ -52,7 +52,7 @@ from deglab.fincat import (
 from deglab.monoidal import shift_universe
 from deglab.monoids import cmon_die_universe, enumerate_monoids, hom_maps, invert, units
 from samples import product_square
-from walks import first_miscounted_pair, walk_differences
+from walks import first_miscounted_pair, keyed_one_cells, walk_differences
 
 
 def _deglab(size, *args) -> tuple:
@@ -164,9 +164,9 @@ def equivalence_walks(bound) -> tuple:
     `tests/walks.py`, on the two-truncation universe at `bound` and the
     forgetful one over sizes <= `bound`.  Returns the cases that differ,
     with their differences in findings or witnesses."""
-    _, one_cells, _, two = two_truncation_universe(bound)
-    want = first_miscounted_pair(one_cells, two.source)
-    got = _first_miscounted_pair(one_cells, two.source)
+    _, homs, _, two = two_truncation_universe(bound)
+    want = first_miscounted_pair(keyed_one_cells(homs), two.source)
+    got = _first_miscounted_pair(two)
     cases = [
         (f"forgetful <={bound}", walk_differences(forgetful_universe(degenerate_sample(bound))[3])),
         (f"two-truncation {bound}", walk_differences(two)),
@@ -421,15 +421,16 @@ SWEEPS = {
     "orbit-count-commutative": (orbit_count(True), {5: (78, None), 6: (421, None)}),
     # the doubly degenerate comparison; bound 4 is the one the north star
     # names, bound 5 that of ROADMAP items 17 and 19.  Peak RSS at bound 5
-    # must stay at most 250 MB, so neither a per-1-cell index, a
-    # per-hom-set copy of the hom maps, nor a per-functor homomorphism
-    # object can quietly come back (3.6-3.7 s and 190.2 MB, with the
-    # universe's 1-cells their own keys, map1 read off the enumeration,
+    # must stay at most 215 MB, so neither a per-1-cell index, a per-1-cell
+    # key list, a per-hom-set copy of the hom maps, nor a per-functor
+    # homomorphism object can quietly come back (3.6-4.4 s and 176.7-176.8
+    # MB, with the universe's 1-cells their own keys, map1 read off the
+    # enumeration, the level-1 and 2-cell findings read off the comparison,
     # and functor objects built for the restriction only).
     "thm-vdbe": (suite("thm-vdbe"), {
         3: (("pass", "8ebf9c16ecbb67f9604fa99b42c435681130f8f307727baa9acdcc7e04edf6af"), None),
         4: (("pass", "cca80ec85997ff8109513672e7281621cfba60aa108c144d42d74a99769938a3"), None),
-        5: (("pass", "895c3904477007121186f90b69c415de275b0a0887de3bad91de09eb66d8c2e7"), 250),
+        5: (("pass", "895c3904477007121186f90b69c415de275b0a0887de3bad91de09eb66d8c2e7"), 215),
     }),
     # the object-forgetting comparison over every monoid of size <= 5,
     # 613,610 1-cells per side; peak RSS at most 200 MB (1.5 s and 107.9

@@ -568,26 +568,41 @@ class TestEnumerateAndSuite:
             run_suite(name, bound=bound)
 
     @pytest.mark.parametrize(
-        "name, criterion, detail",
+        "name, findings",
         [
             (
                 "thm-dce",
-                "two-dimensional-extension-not-locally-full",
-                "no commutative monoid of size <= 1 has >1 element, so no witness",
+                [(
+                    "two-dimensional-extension-not-locally-full",
+                    "no commutative monoid of size <= 1 has >1 element, so no witness",
+                )],
             ),
-            ("thm-vdb", "tampering-detected", "no instance of size <= 1 has two cells to tamper with"),
+            ("thm-vdb", [("tampering-detected", "no instance of size <= 1 has two cells to tamper with")]),
+            (
+                "thm-vdbe",
+                [
+                    (
+                        "level-1-comparison-not-faithful",
+                        "no instance of size <= 1 has a non-unit invertible element, so no witness",
+                    ),
+                    (
+                        "level-3-comparison-not-locally-faithful",
+                        "no instance of size <= 1 has two elements, so no witness",
+                    ),
+                ],
+            ),
         ],
-        ids=["thm-dce", "thm-vdb"],
+        ids=["thm-dce", "thm-vdb", "thm-vdbe"],
     )
-    def test_a_finding_over_an_empty_sweep_fails(self, capsys, name, criterion, detail):
-        # at bound 1 this finding's sweep is empty: it fails and says so,
-        # not passes on all([]) or 0/0
+    def test_a_finding_over_an_empty_sweep_fails(self, capsys, name, findings):
+        # at bound 1 these findings' sweeps are empty: each fails and says
+        # so, not passes on all([]) or 0/0, nor is left out
         assert main(["--format", "json", "suite", name, "--bound", "1"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdict"] == "fail"
         failed = [f for f in payload["findings"] if not f["passed"]]
         assert [(f["criterion"], f["detail"], f["witness"]) for f in failed] == [
-            (criterion, detail, None)
+            (criterion, detail, None) for criterion, detail in findings
         ]
 
     def test_suite_takes_no_seed(self, capsys):

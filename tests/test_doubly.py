@@ -63,6 +63,7 @@ from universes import (
     reference_two_truncation_right,
     reference_two_truncation_universe,
 )
+from walks import keyed_one_cells
 
 
 def z2_die(d=1):
@@ -1053,7 +1054,8 @@ class TestTwoTruncationComparison:
 
     @pytest.mark.parametrize("bound", [2, 3])
     def test_two_cells_are_the_pairs_with_a_transformation(self, bound):
-        dies, one_cells, two_cells, fun = two_truncation_universe(bound)
+        dies, homs, two_cells, fun = two_truncation_universe(bound)
+        one_cells = keyed_one_cells(homs)
         assert two_cells is fun.source.cells[1]
         functors = _functor_cells(dies, one_cells)
         want = tuple(
@@ -1065,7 +1067,8 @@ class TestTwoTruncationComparison:
         assert two_cells == want
 
     def test_tables_match_all_pairs_reference(self):
-        dies, one_cells, two_cells, fun = two_truncation_universe(2)
+        dies, homs, two_cells, fun = two_truncation_universe(2)
+        one_cells = keyed_one_cells(homs)
         left = fun.source
         assert left.cells[0] == tuple((s, t) for s, t, _ in one_cells)
         assert_tables_equal(
@@ -1099,7 +1102,8 @@ class TestTwoTruncationComparison:
         )
 
     def test_discrete_side_matches_the_monoid_hom_reference(self):
-        dies, one_cells, _, fun = two_truncation_universe(3)
+        dies, homs, _, fun = two_truncation_universe(3)
+        one_cells = keyed_one_cells(homs)
         ref, ref_index = reference_two_truncation_right(dies)
         monoids = list(dict.fromkeys(s.monoid for s in dies))
         homs = {(i, k): hom_maps(m, m2) for i, m in enumerate(monoids) for k, m2 in enumerate(monoids)}
@@ -1118,18 +1122,52 @@ class TestTwoTruncationComparison:
         )
 
     def test_universe_counts_bound_three(self):
-        _, one_cells, two_cells, fun = two_truncation_universe(3)
-        assert (len(one_cells), len(two_cells)) == (416, 896)
+        _, _, two_cells, fun = two_truncation_universe(3)
+        assert (len(fun.source.cells[0]), len(two_cells)) == (416, 896)
         assert len(fun.source.comp[0][0]) == 15040
         assert len(fun.source.comp[1][0]) == 77060
 
     def test_equivalence_bound_four(self):
-        dies, one_cells, two_cells, _ = two_truncation_universe(4)
-        assert (len(dies), len(one_cells), len(two_cells)) == (43, 10027, 26413)
+        dies, _, two_cells, fun = two_truncation_universe(4)
+        assert (len(dies), len(fun.source.cells[0]), len(two_cells)) == (43, 10027, 26413)
         assert check_two_equivalence(4).ok
 
     def test_equivalence_bound_two(self):
         assert check_two_equivalence(2).ok
+
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_a_bound_below_one_is_refused(self, bound):
+        # the universe would be empty, and every finding would hold vacuously
+        message = f"^bound {bound} is below 1: the universe would be empty$"
+        for build in (two_truncation_universe, check_two_equivalence):
+            with pytest.raises(StructuralError, match=message):
+                build(bound)
+
+    def test_level_findings_fail_without_a_witnessing_instance(self):
+        # the one instance of size 1 has no non-unit element to choose or
+        # to modify by, so neither level can be shown to collapse
+        rep = check_two_equivalence(1)
+        failed = [(f.criterion, f.detail) for f in rep.findings if not f.passed]
+        assert failed == [
+            (
+                "level-1-comparison-not-faithful",
+                "no instance of size <= 1 has a non-unit invertible element, so no witness",
+            ),
+            ("level-3-comparison-not-locally-faithful", "no instance of size <= 1 has two elements, so no witness"),
+        ]
+
+    def test_level_one_finding_is_the_clash_walk(self, monkeypatch):
+        # the finding is `_first_clash` on the comparison cut to 1-cells:
+        # with that walk finding no clash, the finding fails
+        seen = []
+
+        def no_clash(fun, dim):
+            seen.append((fun.source.j, dim))
+
+        monkeypatch.setattr(doubly, "_first_clash", no_clash)
+        by_name = {f.criterion: f.passed for f in check_two_equivalence(2).findings}
+        assert seen == [(1, 1)]
+        assert by_name["level-1-comparison-not-faithful"] is False
 
     def test_equivalence_bound_three(self):
         rep = check_two_equivalence(3)
@@ -1142,8 +1180,9 @@ class TestTwoTruncationComparison:
     def test_level_one_is_not_faithful_through_the_checker(self, bound):
         # the j = 2 comparison is an equivalence; cut to 1-cells, it identifies
         # two 1-cells on one hom map that differ in their chosen element, the
-        # failure `level-1-comparison-not-faithful` finds by hand
-        _, one_cells, _, fun = two_truncation_universe(bound)
+        # clash `level-1-comparison-not-faithful` reads off the same cut
+        _, homs, _, fun = two_truncation_universe(bound)
+        one_cells = keyed_one_cells(homs)
         assert check_external_equivalence(fun).ok
         x, y = (
             replace(c, cells=c.cells[:1], identity=c.identity[:1], comp=c.comp[:1])
@@ -1214,7 +1253,8 @@ class TestTwoTruncationComparison:
 
     @pytest.mark.parametrize("bound", [2, 3, 4])
     def test_the_object_reference_builds_the_same_universe(self, bound):
-        dies, one_cells, two_cells, fun = two_truncation_universe(bound)
+        dies, homs, two_cells, fun = two_truncation_universe(bound)
+        one_cells = keyed_one_cells(homs)
         ref_dies, ref_one_cells, ref_two_cells, ref = reference_two_truncation_universe(bound)
         assert ref_dies == dies and ref_two_cells == two_cells
         assert [(s, t, (f.map, f.m, f.target.monoid)) for s, t, f in ref_one_cells] == one_cells
@@ -1251,7 +1291,8 @@ def _key_composition_disagreements(bound):
     1-cell is the identity functor's and both identity laws.
     Returns (pairs, disagreements), each disagreement ("composite", g, f)
     or ("identity", f)."""
-    dies, one_cells, _, fun = two_truncation_universe(bound)
+    dies, homs, _, fun = two_truncation_universe(bound)
+    one_cells = keyed_one_cells(homs)
     functors = _functor_cells(dies, one_cells)
     x = fun.source
     disagreements = []
@@ -1391,7 +1432,7 @@ class TestIdentityConstraintRestriction:
         # each key is the (map, m) of the swept functor at its position,
         # the same map object, and its target monoid
         swept = _universe_functors(3)
-        one_cells = two_truncation_universe(3)[1]
+        one_cells = keyed_one_cells(two_truncation_universe(3)[1])
         assert len(one_cells) == len(swept) == 416
         assert all(
             key == (g.map, g.m, g.target.monoid) and key[0] is g.map
@@ -1401,3 +1442,10 @@ class TestIdentityConstraintRestriction:
     def test_few_functors_fail_surjectivity(self, bound_three):
         fs, _ = bound_three
         assert self._comparison_findings(fs[:3])["surjective"] is False
+
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_a_bound_below_one_is_refused(self, bound):
+        # with no instance, full, faithful and surjective would hold vacuously
+        fs = _universe_functors(2)
+        with pytest.raises(StructuralError, match=f"^bound {bound} is below 1: the universe would be empty$"):
+            restrict_identity_constraint(fs, bound=bound)

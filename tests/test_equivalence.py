@@ -29,6 +29,7 @@ from deglab.equivalence import (
 from deglab.monoids import FiniteMonoid, hom_maps
 from deglab.report import InvalidStructureError, StructuralError
 from universes import assert_lookup_matches
+from walks import keyed_one_cells
 
 
 def walking_isomorphism():
@@ -825,11 +826,11 @@ class TestHomSetCells:
 
     def test_two_truncation_map1_is_the_one_cell_search(self):
         for bound, cells in ((3, 416), (4, 10027)):
-            dies, one_cells, _, fun = two_truncation_universe(bound)
+            dies, homs, _, fun = two_truncation_universe(bound)
             monoids = list(dict.fromkeys(s.monoid for s in dies))
-            homs = {(i, k): hom_maps(m, m2) for i, m in enumerate(monoids) for k, m2 in enumerate(monoids)}
-            _, one_cell = monoid_category("cmon", monoids, homs, two_cell=lambda f, g: f is g)
-            images = [(fun.map0[s], fun.map0[t], key[0]) for s, t, key in one_cells]
+            right = {(i, k): hom_maps(m, m2) for i, m in enumerate(monoids) for k, m2 in enumerate(monoids)}
+            _, one_cell = monoid_category("cmon", monoids, right, two_cell=lambda f, g: f is g)
+            images = [(fun.map0[s], fun.map0[t], key[0]) for s, t, key in keyed_one_cells(homs)]
             assert len(images) == cells
             assert fun.map1 == _one_cell_map1(one_cell, images)
 

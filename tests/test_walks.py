@@ -20,7 +20,13 @@ from deglab.equivalence import (
 )
 from deglab.examples import stock_monoidal_universe
 from deglab.monoidal import shift_universe
-from walks import first_miscounted_pair, first_missed, parallel_homs, walk_differences
+from walks import (
+    first_miscounted_pair,
+    first_missed,
+    keyed_one_cells,
+    parallel_homs,
+    walk_differences,
+)
 
 
 @pytest.fixture(scope="module")
@@ -283,14 +289,17 @@ class TestCorruptedIdentityComposite:
         return forgetful_universe(degenerate_sample(3))[3]
 
     def _count_searches(self, monkeypatch):
+        # the full searches for internal equivalence of two 0-cells; the
+        # identity pair's composite is compared one dimension up
         calls = []
-        original = equivalence.internally_equivalent
+        original = equivalence._equivalence
 
-        def counted(x, x1, x2):
-            calls.append((x1, x2))
-            return original(x, x1, x2)
+        def counted(x, d, f, g):
+            if d == 0:
+                calls.append((f, g))
+            return original(x, d, f, g)
 
-        monkeypatch.setattr(equivalence, "internally_equivalent", counted)
+        monkeypatch.setattr(equivalence, "_equivalence", counted)
         return calls
 
     def test_identity_pairs_settle_every_hit(self, fun, monkeypatch):
@@ -322,12 +331,13 @@ class TestCorruptedIdentityComposite:
 class TestTwoCellCounts:
     @pytest.fixture(scope="class")
     def universe(self):
-        _, one_cells, _, fun = two_truncation_universe(3)
-        return one_cells, fun
+        _, homs, _, fun = two_truncation_universe(3)
+        return keyed_one_cells(homs), fun
 
     def _mutants(self, one_cells, fun):
-        """(name, source, map2) with one 2-cell dropped, duplicated or added
-        between maps that differ, in the first, a middle and the last place."""
+        """(name, functor) with one source 2-cell dropped, duplicated or
+        added between maps that differ, in the first, a middle and the last
+        place."""
         x = fun.source
         two = x.cells[1]
         n = len(two)
@@ -349,28 +359,31 @@ class TestTwoCellCounts:
         out.append(("extra-late-drop-early", two[1:] + ((fi, gi),), fun.map2))
         fi, gi = unequal[0]
         out.append(("extra-early-drop-late", two[:-1] + ((fi, gi),), fun.map2))
-        return [(name, replace(x, cells=(x.cells[0], cells)), map2) for name, cells, map2 in out]
+        return [
+            (name, JFunctor(replace(x, cells=(x.cells[0], cells)), fun.target, fun.map0, fun.map1, map2))
+            for name, cells, map2 in out
+        ]
 
     def test_valid_universe_counts_every_pair(self, universe):
         one_cells, fun = universe
-        assert _first_miscounted_pair(one_cells, fun.source) is None
+        assert _first_miscounted_pair(fun) is None
         assert first_miscounted_pair(one_cells, fun.source) is None
 
     def test_mutants_fail_with_the_reference_witness(self, universe):
         one_cells, fun = universe
-        for name, x, _ in self._mutants(one_cells, fun):
-            bad = first_miscounted_pair(one_cells, x)
+        for name, mutant in self._mutants(one_cells, fun):
+            bad = first_miscounted_pair(one_cells, mutant.source)
             assert bad is not None, name
-            assert _first_miscounted_pair(one_cells, x) == bad, name
+            assert _first_miscounted_pair(mutant) == bad, name
 
     def test_finding_reports_the_reference_witness(self, universe, monkeypatch):
         one_cells, fun = universe
-        dies = two_truncation_universe(3)[0]
-        for name, x, map2 in self._mutants(one_cells, fun):
-            patched = (dies, one_cells, (), JFunctor(x, fun.target, fun.map0, fun.map1, map2))
+        dies, homs, _, _ = two_truncation_universe(3)
+        for name, mutant in self._mutants(one_cells, fun):
+            patched = (dies, homs, (), mutant)
             monkeypatch.setattr(doubly, "two_truncation_universe", lambda b, u=patched: u)
             by_name = {f.criterion: f for f in check_two_equivalence(3).findings}
-            fi, gi, count, expected = first_miscounted_pair(one_cells, x)
+            fi, gi, count, expected = first_miscounted_pair(one_cells, mutant.source)
             finding = by_name["locally-bijective-on-2-cells"]
             assert not finding.passed, name
             assert finding.witness == {"pair": (fi, gi), "count": count, "expected": expected}, name

@@ -207,7 +207,9 @@ def reference_two_equivalence_report(bound: int) -> Report:
     it was made from functor objects: every parallel pair's 2-cells
     counted (`walks.first_miscounted_pair`), and the level-1 and level-3
     findings from the objects `unfaithfulness_witness` builds, compared
-    through `forgetful_image`."""
+    through `forgetful_image`.  A level with no witnessing instance is
+    left out, where `check_two_equivalence` fails it, so the two agree
+    from bound 2 on."""
     dies, one_cells, _, fun = reference_two_truncation_universe(bound)
     report = Report(
         "two-truncation-comparison",

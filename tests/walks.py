@@ -88,6 +88,12 @@ def first_missed(fun):
     return None
 
 
+def keyed_one_cells(homs) -> list:
+    """The 1-cells of `two_truncation_universe` as (source, target, key),
+    in index order, from the homs it returns."""
+    return [(s, t, key) for (s, t), keys in homs.items() for key in keys]
+
+
 def first_miscounted_pair(one_cells, x):
     """The first parallel pair (fi, gi) of 1-cells whose 2-cells number
     other than 1 when their hom maps agree and 0 when they differ, as
@@ -144,15 +150,16 @@ def reference_report(fun) -> Report:
 def walk_differences(fun) -> list:
     """Each walk whose result differs from its reference, and each finding
     of `check_external_equivalence` that differs from the reference report,
-    as (name, reference, result); empty when all agree."""
+    as (name, reference, result); empty when all agree.  At dimension 0
+    the reference of `_first_unhit`'s one pair (None, None) is
+    `first_missed`."""
     j = fun.source.j
-    walks = [(f"unhit-{dim}", first_unhit, _first_unhit, dim) for dim in range(1, j + 1)]
-    walks.append(("clash", first_clash, _first_clash, j))
-    diffs = []
-    for name, ref, new, dim in walks:
-        want, got = ref(fun, dim), new(fun, dim)
-        if want != got:
-            diffs.append((name, want, got))
+    missed = first_missed(fun)
+    walks = [("unhit-0", None if missed is None else (None, None, missed), _first_unhit(fun, 0))]
+    for dim in range(1, j + 1):
+        walks.append((f"unhit-{dim}", first_unhit(fun, dim), _first_unhit(fun, dim)))
+    walks.append(("clash", first_clash(fun, j), _first_clash(fun, j)))
+    diffs = [(name, want, got) for name, want, got in walks if want != got]
     want = reference_report(fun).to_payload()["findings"]
     got = check_external_equivalence(fun).to_payload()["findings"]
     diffs += [(w["criterion"], w, g) for w, g in zip(want, got) if w != g]
