@@ -15,7 +15,6 @@ from .degenerate import monoid_category
 from .equivalence import (
     JFunctor,
     _first_clash,
-    _hom,
     check_external_equivalence,
     hom_indexed_category,
 )
@@ -748,43 +747,12 @@ def two_truncation_universe(bound: int):
     for s, t in homs:
         e = map0[s], map0[t]
         if e not in shared:
-            shared[e] = tuple(f for f in right.hom(1, *e) for _ in units(monoids[e[1]]))
+            ms = units(monoids[e[1]])
+            shared[e] = tuple(f for f in right.hom(1, *e) for _ in ms)
     map1 = tuple(chain.from_iterable(shared[map0[s], map0[t]] for s, t in homs))
     map2 = tuple(map1[f] for f, _ in left.cells[1])
     fun = JFunctor(left, right, map0, map1, map2)
     return dies, homs, left.cells[1], fun
-
-
-def _first_miscounted_pair(fun):
-    """The first pair (fi, gi) of parallel source 1-cells, in order, with
-    other than one 2-cell fi => gi when `fun` sends them to one 1-cell, or
-    other than none when not, as (fi, gi, count, expected); else None.
-
-    Only a pair with a 2-cell or with one image can be miscounted, so only
-    those pairs are counted, from the source's index: each 1-cell with
-    each 1-cell of its class (same ends, same image), and the 2-cells
-    between parallel 1-cells of two classes.  Every other pair counts 0.
-    """
-    x, image = fun.source, fun.map1
-    classes: dict = {}
-    cls = []  # the class of each 1-cell, as the ascending list of its members
-    for fi, (s, t) in enumerate(x.cells[0]):
-        same = classes.setdefault((s, t, image[fi]), [])
-        same.append(fi)
-        cls.append(same)
-    ends, index = x.cells[0], x.hom_index[1]  # the 2-cells by their ends
-    extra = min(
-        ((f, g) for f, g in x.cells[1] if cls[f] is not cls[g] and ends[f] == ends[g]),
-        default=None,
-    )
-    for fi, same in enumerate(cls):
-        for gi in same:
-            if extra is not None and (fi, gi) > extra:
-                return (*extra, len(_hom(index, extra)), 0)
-            count = len(_hom(index, (fi, gi)))
-            if count != 1:
-                return fi, gi, count, 1
-    return None if extra is None else (*extra, len(_hom(index, extra)), 0)
 
 
 def check_two_equivalence(bound: int) -> Report:
@@ -792,11 +760,12 @@ def check_two_equivalence(bound: int) -> Report:
 
     Beside `check_external_equivalence`: surjectivity on objects on the
     nose (the images of the instances with the unit distinguished), and a
-    2-cell between parallel 1-cells exactly when they have one image.  The
-    level-1 failure is `_first_clash` on the comparison cut to 1-cells;
-    each level fails, saying so, where no instance can witness it.  It
-    builds no functor, transformation or modification object.  A bound
-    below 1 is refused.
+    2-cell between parallel 1-cells exactly when they have one image, whose
+    witness, the least miscounted pair, is read off the checker's 2-cell
+    findings and one scan for a 2-cell between two images.  The level-1
+    failure is `_first_clash`; each level fails, saying so, where no
+    instance can witness it.  It builds no functor, transformation or
+    modification object.  A bound below 1 is refused.
     """
     dies, _, _, fun = two_truncation_universe(bound)
     report = Report(
@@ -813,38 +782,41 @@ def check_two_equivalence(bound: int) -> Report:
         detail="every commutative monoid is hit by the instance with identity element chosen",
     )
 
-    bad = _first_miscounted_pair(fun)
+    # the least of: one image and no 2-cell, two 2-cells on one pair, and a
+    # 2-cell between two images (the 2-cell endpoint test of `check_jfunctor`)
+    x, image = fun.source, fun.map1
+    found = {f.criterion: f.witness for f in report.findings}
+    unhit = found["locally-essentially-surjective-on-2-cells"]
+    clash = found["locally-faithful-at-top-dimension"]
+    bad = min(
+        filter(None, (
+            unhit and tuple(unhit["between-1-cells"]),
+            clash and x.cells[1][clash["identified-2-cells"][0]],
+            min(((f, g) for f, g in x.cells[1] if image[f] != image[g]), default=None),
+        )),
+        default=None,
+    )
     report.add(
         "locally-bijective-on-2-cells",
         bad is None,
         dimension=2,
-        witness=None if bad is None else {"pair": bad[:2], "count": bad[2], "expected": bad[3]},
+        witness=bad and {
+            "pair": bad,
+            "count": len(x.hom(2, *bad)),
+            "expected": int(image[bad[0]] == image[bad[1]]),
+        },
         detail="exactly one transformation iff the homomorphisms agree",
     )
 
-    x = fun.source
-    # level 1: cut to 1-cells, the comparison identifies two parallel
-    # 1-cells, which can differ only in their chosen element
-    cut = (
-        replace(c, cells=c.cells[:1], identity=c.identity[:1], comp=c.comp[:1])
-        for c in (x, fun.target)
-    )
-    level_1 = _first_clash(JFunctor(*cut, fun.map0, fun.map1), 1) is not None
-    # level 3: on the first instance with two elements, the modifications
-    # (2-cell, element) of its identity 2-cell by the unit and by another
-    # element; a modification is sent to the image of the 2-cell it modifies
-    s = next((i for i, d in enumerate(dies) if d.monoid.size > 1), None)
-    level_3 = False
-    if s is not None:
-        m = dies[s].monoid
-        cell = x.identity[1][x.identity[0][s]]
-        mods = [(cell, m.unit), (cell, next(e for e in range(m.size) if e != m.unit))]
-        level_3 = len({fun.map2[c] for c, _ in mods}) == 1
-    # each fails, saying so, where no instance can witness it
+    # level 1: two parallel 1-cells, differing only in their chosen element,
+    # share an image.  Level 3 holds by construction wherever an instance
+    # has two elements, as a modification is sent to the image of the
+    # 2-cell it modifies, until the j = 3 comparison computes it (ROADMAP
+    # item 25 (c)).
     for level, criterion, collapsed, cells, lacking in (
-        (1, "level-1-comparison-not-faithful", level_1,
+        (1, "level-1-comparison-not-faithful", _first_clash(fun, 1) is not None,
          "functors with distinct chosen elements", "a non-unit invertible element"),
-        (3, "level-3-comparison-not-locally-faithful", level_3,
+        (3, "level-3-comparison-not-locally-faithful", any(d.monoid.size > 1 for d in dies),
          "modifications with distinct elements", "two elements"),
     ):
         report.add(

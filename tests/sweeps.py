@@ -24,7 +24,6 @@ from deglab import doubly, monoids
 from deglab.degenerate import degenerate_sample, forgetful_universe
 from deglab.doubly import (
     DDBicat,
-    _first_miscounted_pair,
     analyze_weak_functor,
     build_ddbicat,
     check_ddbicat,
@@ -165,8 +164,10 @@ def equivalence_walks(bound) -> tuple:
     forgetful one over sizes <= `bound`.  Returns the cases that differ,
     with their differences in findings or witnesses."""
     _, homs, _, two = two_truncation_universe(bound)
-    want = first_miscounted_pair(keyed_one_cells(homs), two.source)
-    got = _first_miscounted_pair(two)
+    bad = first_miscounted_pair(keyed_one_cells(homs), two.source)
+    want = None if bad is None else {"pair": bad[:2], "count": bad[2], "expected": bad[3]}
+    found = {f.criterion: f.witness for f in doubly.check_two_equivalence(bound).findings}
+    got = found["locally-bijective-on-2-cells"]
     cases = [
         (f"forgetful <={bound}", walk_differences(forgetful_universe(degenerate_sample(bound))[3])),
         (f"two-truncation {bound}", walk_differences(two)),
@@ -422,11 +423,12 @@ SWEEPS = {
     # the doubly degenerate comparison; bound 4 is the one the north star
     # names, bound 5 that of ROADMAP items 17 and 19.  Peak RSS at bound 5
     # must stay at most 215 MB, so neither a per-1-cell index, a per-1-cell
-    # key list, a per-hom-set copy of the hom maps, nor a per-functor
-    # homomorphism object can quietly come back (3.6-4.4 s and 176.7-176.8
-    # MB, with the universe's 1-cells their own keys, map1 read off the
-    # enumeration, the level-1 and 2-cell findings read off the comparison,
-    # and functor objects built for the restriction only).
+    # key list, a per-1-cell class list, a per-hom-set copy of the hom maps,
+    # nor a per-functor homomorphism object can quietly come back (3.2-4.2
+    # s and 176.3-176.5 MB on a shared 2-vCPU VM, with the universe's
+    # 1-cells their own keys, map1 read off the enumeration, the level-1
+    # and 2-cell findings read off the checker's walks, and functor objects
+    # built for the restriction only).
     "thm-vdbe": (suite("thm-vdbe"), {
         3: (("pass", "8ebf9c16ecbb67f9604fa99b42c435681130f8f307727baa9acdcc7e04edf6af"), None),
         4: (("pass", "cca80ec85997ff8109513672e7281621cfba60aa108c144d42d74a99769938a3"), None),

@@ -589,6 +589,11 @@ class TestEnumerateAndSuite:
                         "level-3-comparison-not-locally-faithful",
                         "no instance of size <= 1 has two elements, so no witness",
                     ),
+                    (
+                        "level-1-witness",
+                        "no instance of size <= 1 has a non-unit invertible element, so no witness",
+                    ),
+                    ("level-3-witness", "no instance of size <= 1 has two elements, so no witness"),
                 ],
             ),
         ],

@@ -1157,8 +1157,8 @@ class TestTwoTruncationComparison:
         ]
 
     def test_level_one_finding_is_the_clash_walk(self, monkeypatch):
-        # the finding is `_first_clash` on the comparison cut to 1-cells:
-        # with that walk finding no clash, the finding fails
+        # the finding is `_first_clash` at dimension 1 on the j = 2
+        # comparison: with that walk finding no clash, the finding fails
         seen = []
 
         def no_clash(fun, dim):
@@ -1166,7 +1166,7 @@ class TestTwoTruncationComparison:
 
         monkeypatch.setattr(doubly, "_first_clash", no_clash)
         by_name = {f.criterion: f.passed for f in check_two_equivalence(2).findings}
-        assert seen == [(1, 1)]
+        assert seen == [(2, 1)]
         assert by_name["level-1-comparison-not-faithful"] is False
 
     def test_equivalence_bound_three(self):

@@ -11,7 +11,7 @@ import pytest
 
 from deglab import doubly, equivalence
 from deglab.degenerate import degenerate_sample, forgetful_universe
-from deglab.doubly import _first_miscounted_pair, check_two_equivalence, two_truncation_universe
+from deglab.doubly import check_two_equivalence, two_truncation_universe
 from deglab.equivalence import (
     FiniteJCategory,
     JFunctor,
@@ -364,26 +364,33 @@ class TestTwoCellCounts:
             for name, cells, map2 in out
         ]
 
+    def _count_finding(self, monkeypatch, fun):
+        """The 2-cell count finding of `check_two_equivalence(3)` with `fun`
+        in place of the universe's comparison."""
+        dies, homs, _, _ = two_truncation_universe(3)
+        monkeypatch.setattr(doubly, "two_truncation_universe", lambda b: (dies, homs, (), fun))
+        by_name = {f.criterion: f for f in check_two_equivalence(3).findings}
+        return by_name["locally-bijective-on-2-cells"]
+
     def test_valid_universe_counts_every_pair(self, universe):
         one_cells, fun = universe
-        assert _first_miscounted_pair(fun) is None
+        by_name = {f.criterion: f for f in check_two_equivalence(3).findings}
+        assert by_name["locally-bijective-on-2-cells"].passed
+        assert by_name["locally-bijective-on-2-cells"].witness is None
         assert first_miscounted_pair(one_cells, fun.source) is None
 
     def test_mutants_fail_with_the_reference_witness(self, universe):
+        # each mutant miscounts some pair, and the checker's walks, whose
+        # witnesses the 2-cell count reads, agree with their references
         one_cells, fun = universe
         for name, mutant in self._mutants(one_cells, fun):
-            bad = first_miscounted_pair(one_cells, mutant.source)
-            assert bad is not None, name
-            assert _first_miscounted_pair(mutant) == bad, name
+            assert first_miscounted_pair(one_cells, mutant.source) is not None, name
+            assert walk_differences(mutant) == [], name
 
     def test_finding_reports_the_reference_witness(self, universe, monkeypatch):
         one_cells, fun = universe
-        dies, homs, _, _ = two_truncation_universe(3)
         for name, mutant in self._mutants(one_cells, fun):
-            patched = (dies, homs, (), mutant)
-            monkeypatch.setattr(doubly, "two_truncation_universe", lambda b, u=patched: u)
-            by_name = {f.criterion: f for f in check_two_equivalence(3).findings}
+            finding = self._count_finding(monkeypatch, mutant)
             fi, gi, count, expected = first_miscounted_pair(one_cells, mutant.source)
-            finding = by_name["locally-bijective-on-2-cells"]
             assert not finding.passed, name
             assert finding.witness == {"pair": (fi, gi), "count": count, "expected": expected}, name
